@@ -133,14 +133,19 @@ class _BasisBuilder:
             cols[:, j] = col
         return cols
 
-    def fit(self, a: np.ndarray, targets: np.ndarray, warn: bool = True):
-        """Least squares fit; returns (fitted values, rank, condition number).
+    def factor(self, a: np.ndarray, warn: bool = True):
+        """Orthonormal basis of the fitted span of ``a``; returns (basis, rank, cond).
 
-        Rank deficiency (collinear or constant state) is resolved by the
-        SVD-based solver, which simply ignores dependent directions; the
-        effective basis degree is reduced rather than failing a step.
+        One thin QR of the design plus an SVD of its small triangular factor
+        give the singular values ``numpy.linalg.lstsq`` computes, and the same
+        rank cutoff eps*max(M, N)*s_max.  Rank deficiency (collinear or
+        constant state) drops the dependent directions, reducing the effective
+        basis degree rather than failing a step.  The least-squares fit of any
+        right-hand side is its projection onto the returned basis.
         """
-        coef, _, rank, sv = np.linalg.lstsq(a, targets, rcond=None)
+        q, r = np.linalg.qr(a)
+        u, sv, _ = np.linalg.svd(r)
+        rank = int(np.sum(sv > np.finfo(float).eps * max(a.shape) * sv[0]))
         if warn and rank < a.shape[1] and not self.warned:
             warnings.warn(
                 "design matrix rank-deficient; dependent basis columns ignored "
@@ -150,7 +155,7 @@ class _BasisBuilder:
             )
             self.warned = True
         cond = float(sv[0] / sv[rank - 1]) if rank else math.inf
-        return a @ coef, rank, cond
+        return q @ u[:, :rank], rank, cond
 
 
 def solve_linear_bsde(
@@ -190,18 +195,19 @@ def solve_linear_bsde(
     p[:, -1] = terminal
     per_step = []
     for i in range(grid.n_steps - 1, -1, -1):
-        a = builder.design(i)
         # at t_0 the state is deterministic, so rank deficiency there is structural
-        fitted, rank, cond = builder.fit(a, p[:, i + 1], warn=i > 0)
+        span, rank, cond = builder.factor(builder.design(i), warn=i > 0)
+        fitted = span @ (span.T @ p[:, i + 1])
         centered = p[:, i + 1] - fitted
         targets = [centered * ensemble.brownian_increments[:, i] / dt]
         active = []
+        dnt = ensemble.compensated_step(i) if k else None
         for kk in range(k):
             lam = nu[kk] * dt
             if lam > 0:
-                targets.append(centered * ensemble.compensated_jumps[:, i, kk] / lam)
+                targets.append(centered * dnt[:, kk] / lam)
                 active.append(kk)
-        stacked, _, _ = builder.fit(a, np.column_stack(targets), warn=i > 0)
+        stacked = span @ (span.T @ np.column_stack(targets))
         q[:, i] = stacked[:, 0]
         for j, kk in enumerate(active, start=1):
             r[:, i, kk] = stacked[:, j]
@@ -278,7 +284,8 @@ def bsde_residual_report(
         rho = triple.p[:, i + 1] - triple.p[:, i] - f * dt
         rho = rho - triple.q[:, i] * ensemble.brownian_increments[:, i]
         if k:
-            rho = rho - np.einsum("pk,pk->p", triple.r[:, i], ensemble.compensated_jumps[:, i])
+            dnt = ensemble.compensated_step(i)
+            rho = rho - np.einsum("pk,pk->p", triple.r[:, i], dnt)
         pathwise_max = max(pathwise_max, float(np.max(np.abs(rho[test]))) / scale)
 
         a = builder.design(i)
@@ -291,7 +298,7 @@ def bsde_residual_report(
             if lam > 0:
                 r_res = max(
                     r_res,
-                    abs(float(np.mean(rho[test] * ensemble.compensated_jumps[test, i, kk])) / lam) / scale,
+                    abs(float(np.mean(rho[test] * dnt[test, kk])) / lam) / scale,
                 )
         per_step.append(
             {

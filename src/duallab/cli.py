@@ -56,6 +56,20 @@ def _write_csv(path: str, header: list[str], rows, cfg_hash: str) -> None:
         writer.writerows(rows)
 
 
+def _write_diagnostics(out: str, solution, cfg_hash: str) -> None:
+    """Search and solver diagnostics of a run, in diagnostics.json beside solution.json."""
+    payload = {"grid_edge": solution.grid_edge, "excluded": len(solution.excluded)}
+    adj = solution.adjoints
+    if adj.mode == "regression":
+        per_step = adj.diagnostics["per_step"]
+        payload["bsde"] = {
+            "rank_deficient_steps": sum(s["rank"] < adj.diagnostics["n_columns"] for s in per_step),
+            "max_cond": max(s["cond"] for s in per_step),
+            "max_fit_rmse": max(s["fit_rmse"] for s in per_step),
+        }
+    _write_json(os.path.join(out, "diagnostics.json"), payload, cfg_hash)
+
+
 def _manifest(cfg: ExperimentConfig) -> dict:
     return {
         "config": cfg.raw,
@@ -122,6 +136,7 @@ def run_primal(cfg: ExperimentConfig, out: str) -> dict:
         "excluded": solution.excluded,
     }
     _write_json(os.path.join(out, "solution.json"), payload, cfg_hash)
+    _write_diagnostics(out, solution, cfg_hash)
     return payload
 
 
@@ -159,6 +174,7 @@ def run_dual(cfg: ExperimentConfig, out: str) -> dict:
         "replication": solution.replication,
     }
     _write_json(os.path.join(out, "solution.json"), payload, cfg_hash)
+    _write_diagnostics(out, solution, cfg_hash)
     return payload
 
 
@@ -199,8 +215,11 @@ def run_robust(cfg: ExperimentConfig, out: str) -> dict:
     if utility.name == "log" and penalty.name == "quadratic" and model.n_marks == 0:
         cf = robust_log_closed_form(model, penalty)
         payload["closed_form"] = {"mu": cf.mu(0.0), "pi": cf.pi(0.0)}
-        payload["pi_ratio_vs_nonrobust"] = 0.5 if penalty.scale == 1.0 else None
+        # solved fraction over the plain Merton fraction b/sigma^2
+        b, s = float(model.drift), float(model.vol)
+        payload["pi_ratio_vs_nonrobust"] = solution.pi * s * s / b if b else None
     _write_json(os.path.join(out, "solution.json"), payload, cfg_hash)
+    _write_diagnostics(out, solution, cfg_hash)
     return payload
 
 

@@ -103,8 +103,10 @@ class ExperimentConfig:
 
 
 def config_hash(raw: dict) -> str:
+    """Identity of an experiment; the output directory is not part of it."""
+    identity = {key: value for key, value in raw.items() if key != "out"}
     return hashlib.sha256(
-        json.dumps(raw, sort_keys=True, default=str).encode()
+        json.dumps(identity, sort_keys=True, default=str).encode()
     ).hexdigest()[:16]
 
 

@@ -25,7 +25,7 @@ from .market import (
     terminal_log_density,
     _mu_on_grid,
 )
-from .mc import cv_mean
+from .mc import cv_mean, grid_search
 from .preferences import UtilityPair
 
 
@@ -57,6 +57,7 @@ class DualSolution:
     candidate_values: np.ndarray
     candidate_se: np.ndarray
     excluded: list = field(default_factory=list)
+    grid_edge: bool = False
     density: np.ndarray | None = None
     adjoints: AdjointTriple | None = None
     foc: dict | None = None
@@ -86,24 +87,49 @@ def scenario_from_theta1(
     gam = model.jump_sizes_on(grid)
     nu = model.intensities
     rhs = -(b + mu_arr * s)
+    jump_term = np.einsum("ik,ik->i", gam, theta1 * nu)
     theta0 = np.zeros(grid.n_steps)
     degenerate = np.abs(s) < DEGENERATE_VOL
-    for i in range(grid.n_steps):
-        jump_term = float(gam[i] @ (theta1[i] * nu)) if k else 0.0
-        if not degenerate[i]:
-            theta0[i] = (rhs[i] - jump_term) / s[i]
-        else:
-            if k == 0 or not np.any(np.abs(gam[i]) > 0):
-                if abs(rhs[i]) > 1e-14:
-                    raise ValueError(
-                        f"no martingale measure at step {i}: sigma = 0, no jumps, drift != 0"
-                    )
-                continue
-            lam = (rhs[i] - jump_term) / float(gam[i] @ (gam[i] * nu))
-            theta1[i] = theta1[i] + lam * gam[i]
+    live = ~degenerate
+    theta0[live] = (rhs[live] - jump_term[live]) / s[live]
+    if np.any(degenerate):
+        has_jump = np.any(np.abs(gam) > 0, axis=1)
+        stuck = np.flatnonzero(degenerate & ~has_jump & (np.abs(rhs) > 1e-14))
+        if stuck.size:
+            raise ValueError(
+                f"no martingale measure at step {stuck[0]}: sigma = 0, no jumps, drift != 0"
+            )
+        fix = degenerate & has_jump
+        lam = (rhs[fix] - jump_term[fix]) / np.einsum("ik,ik->i", gam[fix], gam[fix] * nu)
+        theta1[fix] = theta1[fix] + lam[:, None] * gam[fix]
     if theta1.size and np.any(theta1 < THETA1_FLOOR):
         raise ValueError("theta1 below -1 + eps after constraint elimination")
     return ScenarioControl(theta0=theta0, theta1=theta1, y=float(y), mu=mu)
+
+
+def theta1_candidates(model: MarketModel, theta1_values) -> list[np.ndarray]:
+    """The searched jump ratios, one per-mark vector each; a no-jump market has one, empty."""
+    if model.n_marks == 0:
+        return [np.zeros(0)]
+    if theta1_values is None:
+        raise ValueError("theta1_values required for a jump market")
+    return [np.broadcast_to(np.asarray(t, dtype=float), (model.n_marks,)) for t in theta1_values]
+
+
+def scenario_samples(ensemble: PathEnsemble, pair: UtilityPair, scenarios: list):
+    """Per-path payoffs -V(G(T)) of blocks of built scenarios, for :func:`grid_search`.
+
+    The block's controls are stacked along a candidate axis, so ln G(T) comes
+    from one batched evaluation.
+    """
+    def samples(idx):
+        block = ScenarioControl(
+            theta0=np.stack([scenarios[j].theta0 for j in idx], axis=1),
+            theta1=np.stack([scenarios[j].theta1 for j in idx], axis=1),
+            y=scenarios[idx[0]].y,
+        )
+        return -pair.v(np.exp(terminal_log_density(ensemble, block)))
+    return samples
 
 
 def unique_scenario_no_jumps(model: MarketModel, grid: TimeGrid, y: float) -> ScenarioControl:
@@ -214,32 +240,23 @@ def solve_dual_search(
     family collapses to the unique scenario.
     """
     grid = ensemble.grid
-    if model.n_marks == 0:
-        candidates = [np.zeros(0)]
-    else:
-        if theta1_values is None:
-            raise ValueError("theta1_values required for a jump market")
-        candidates = [np.broadcast_to(np.asarray(t, dtype=float), (model.n_marks,)) for t in theta1_values]
-    controls_cv = ensemble.terminal_controls() if control_variates else None
-    values = np.full(len(candidates), -np.inf)
-    ses = np.zeros(len(candidates))
-    scenario_cache: list[ScenarioControl | None] = [None] * len(candidates)
+    candidates = theta1_candidates(model, theta1_values)
+    scenarios: list[ScenarioControl | None] = [None] * len(candidates)
     excluded = []
     for j, th1 in enumerate(candidates):
         try:
-            control = scenario_from_theta1(model, grid, th1, y, mu=mu)
+            scenarios[j] = scenario_from_theta1(model, grid, th1, y, mu=mu)
         except ValueError as exc:
             excluded.append({"theta1": np.asarray(th1).tolist(), "reason": str(exc)})
-            continue
-        scenario_cache[j] = control
-        ln_gt = terminal_log_density(ensemble, control)
-        values[j], ses[j] = cv_mean(-pair.v(np.exp(ln_gt)), controls_cv)
-    if not np.any(np.isfinite(values)):
-        raise ValueError("all scenario candidates inadmissible")
-    best = np.flatnonzero(values == np.max(values))
-    norms = [float(np.linalg.norm(candidates[j])) for j in best]
-    j_star = best[int(np.argmin(norms))]
-    control = scenario_cache[j_star]
+    search = grid_search(
+        (len(candidates),), scenario_samples(ensemble, pair, scenarios),
+        np.array([c is not None for c in scenarios]),
+        ensemble.terminal_controls() if control_variates else None,
+        ensemble.n_paths, size=np.array([float(np.linalg.norm(c)) for c in candidates]),
+        what="scenario candidates",
+    )
+    values, ses, j_star = search.values, search.ses, search.best
+    control = scenarios[j_star]
 
     density = density_paths(ensemble, control)
     terminal = pair.inverse_marginal(density[:, -1])
@@ -267,6 +284,7 @@ def solve_dual_search(
         candidate_values=values,
         candidate_se=ses,
         excluded=excluded,
+        grid_edge=search.grid_edge,
         density=density,
         adjoints=adjoints,
     )
@@ -430,11 +448,10 @@ def replication_check(
         spot = price_paths(model, ensemble)
     x = np.full(ensemble.n_paths, float(x0))
     nonpositive = 0
-    dnt = ensemble.compensated_jumps if model.n_marks else None
     for i in range(grid.n_steps):
         inc = b[i] * dt + s[i] * ensemble.brownian_increments[:, i]
         if model.n_marks:
-            inc = inc + dnt[:, i] @ gam[i]
+            inc = inc + ensemble.compensated_step(i) @ gam[i]
         x = x + phi[:, i] * spot[:, i] * inc
         nonpositive += int(np.sum(x <= 0))
     rel = (x - target) / target

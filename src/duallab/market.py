@@ -23,6 +23,8 @@ TimeFn = Callable[[float], float]
 DEGENERATE_VOL = 1e-14
 # jump ratios theta1 must stay above -1 by this margin
 THETA1_FLOOR = -1.0 + 1e-6
+# why a constant fraction with 1 + pi*gamma <= 0 is excluded from a search
+INADMISSIBLE_FRACTION = "1 + pi*gamma <= 0; candidate inadmissible"
 
 
 class AdmissibilityError(ValueError):
@@ -188,6 +190,11 @@ class PathEnsemble:
         lam = self.model.intensities * self.grid.dt
         return self.jump_counts - lam[None, None, :]
 
+    def compensated_step(self, i: int) -> np.ndarray:
+        """Ntilde increments of step ``i`` only, (n_paths, n_marks): the slice of
+        :attr:`compensated_jumps` without building the whole array."""
+        return self.jump_counts[:, i] - self.model.intensities * self.grid.dt
+
     def attach(self, name: str, values: np.ndarray) -> np.ndarray:
         self.channels[name] = values
         return values
@@ -338,7 +345,6 @@ def wealth_paths(
         spot = price_paths(model, ensemble)
     x = np.empty((ensemble.n_paths, grid.n_steps + 1))
     x[:, 0] = x0
-    dnt = ensemble.compensated_jumps if model.n_marks else None
     for i, t in enumerate(grid.left_times):
         vals = strategy.at_step(i, t, x[:, i], spot[:, i])
         if strategy.kind == "fraction":
@@ -358,14 +364,14 @@ def wealth_paths(
             else:
                 inc = pi * (b[i] * dt + s[i] * ensemble.brownian_increments[:, i])
                 if gam.size:
-                    inc = inc + pi * (dnt[:, i] @ gam[i])
+                    inc = inc + pi * (ensemble.compensated_step(i) @ gam[i])
                 x[:, i + 1] = x[:, i] * (1.0 + inc)
                 _check_positive(x[:, i + 1], i)
         else:
             phi = vals
             inc = b[i] * dt + s[i] * ensemble.brownian_increments[:, i]
             if gam.size:
-                inc = inc + dnt[:, i] @ gam[i]
+                inc = inc + ensemble.compensated_step(i) @ gam[i]
             x[:, i + 1] = x[:, i] + phi * spot[:, i] * inc
             _check_positive(x[:, i + 1], i)
     return x
@@ -402,11 +408,10 @@ def density_paths(ensemble: PathEnsemble, control, y: float | None = None,
         ln = _log_factors(np.zeros(grid.n_steps), theta0, theta1, nu, ensemble)
         g[:, 1:] = y0 * np.exp(np.cumsum(ln, axis=1))
     else:
-        dnt = ensemble.compensated_jumps
         for i in range(grid.n_steps):
             inc = theta0[i] * ensemble.brownian_increments[:, i]
             if k:
-                inc = inc + dnt[:, i] @ theta1[i]
+                inc = inc + ensemble.compensated_step(i) @ theta1[i]
             g[:, i + 1] = g[:, i] * (1.0 + inc)
             if np.any(g[:, i + 1] <= 0):
                 raise ValueError(f"Euler density lost positivity at step {i + 1}")
@@ -426,6 +431,25 @@ def elmm_residual(model: MarketModel, grid: TimeGrid, control, mu=None) -> np.nd
     return res
 
 
+def fraction_admissible(model: MarketModel, grid: TimeGrid, pi_values: np.ndarray) -> np.ndarray:
+    """Per constant-fraction candidate, whether 1 + pi*gamma > 0 on every step and mark."""
+    ratio = np.asarray(pi_values, dtype=float)[:, None, None] * model.jump_sizes_on(grid)[None]
+    return np.all(ratio > -1.0, axis=(1, 2))
+
+
+def _jump_log_sum(counts: np.ndarray, log_ratio: np.ndarray) -> np.ndarray:
+    """sum_{i,k} N_ik * log_ratio_ik per path.
+
+    ``log_ratio`` is (n_steps, K) for one candidate, giving (n_paths,), or
+    (n_steps, C, K) for C candidates, giving (n_paths, C) from one GEMM.
+    """
+    if log_ratio.ndim == 2:
+        return np.einsum("pik,ik->p", counts, log_ratio)
+    n_steps, n_cand, k = log_ratio.shape
+    flat = log_ratio.transpose(0, 2, 1).reshape(n_steps * k, n_cand)
+    return counts.reshape(counts.shape[0], n_steps * k) @ flat
+
+
 def terminal_log_wealth(
     model: MarketModel,
     ensemble: PathEnsemble,
@@ -437,38 +461,56 @@ def terminal_log_wealth(
 
     Matches the exact exponential update; used by grid searches so that
     candidate evaluation shares one ensemble (common random numbers).
+    ``pi`` and ``mu`` may carry a trailing candidate axis, shape
+    (n_steps, C); the result is then (n_paths, C), one column per candidate.
     """
     grid = ensemble.grid
     dt = grid.dt
-    b = model.drift_on(grid) + _mu_on_grid(mu, grid) * model.vol_on(grid)
     s = model.vol_on(grid)
-    pi_arr = np.broadcast_to(np.asarray(pi, dtype=float), (grid.n_steps,))
-    drift_sum = float(np.sum((pi_arr * b - 0.5 * pi_arr**2 * s**2) * dt))
+    pi_arr = np.asarray(pi, dtype=float)
+    batched = pi_arr.ndim == 2 or np.ndim(mu) == 2
+    if batched:
+        mu_arr = np.asarray(mu, dtype=float) if np.ndim(mu) == 2 else _mu_on_grid(mu, grid)[:, None]
+        s = s[:, None]
+        b = model.drift_on(grid)[:, None] + mu_arr * s
+        if pi_arr.ndim < 2:
+            pi_arr = np.broadcast_to(pi_arr, (grid.n_steps,))[:, None]
+        pi_arr, b = np.broadcast_arrays(pi_arr, b)
+    else:
+        b = model.drift_on(grid) + _mu_on_grid(mu, grid) * s
+        pi_arr = np.broadcast_to(pi_arr, (grid.n_steps,))
+    drift_sum = np.sum((pi_arr * b - 0.5 * pi_arr**2 * s**2) * dt, axis=0)
     ln = drift_sum + ensemble.brownian_increments @ (pi_arr * s)
     if model.n_marks:
         gam = model.jump_sizes_on(grid)
-        ratio = pi_arr[:, None] * gam
+        ratio = pi_arr[..., None] * (gam[:, None, :] if batched else gam)
         if np.any(ratio <= -1.0):
-            raise AdmissibilityError("1 + pi*gamma <= 0; candidate inadmissible")
-        ln = ln - float(np.sum(ratio @ model.intensities) * dt)
-        ln = ln + np.einsum("pik,ik->p", ensemble.jump_counts, np.log1p(ratio))
+            raise AdmissibilityError(INADMISSIBLE_FRACTION)
+        ln = ln - np.sum(ratio @ model.intensities, axis=0) * dt
+        ln = ln + _jump_log_sum(ensemble.jump_counts, np.log1p(ratio))
     return math.log(x0) + ln
 
 
 def terminal_log_density(ensemble: PathEnsemble, control, y: float | None = None) -> np.ndarray:
-    """ln G(T) via terminal sufficient statistics (exact-update arithmetic)."""
+    """ln G(T) via terminal sufficient statistics (exact-update arithmetic).
+
+    A control whose ``theta0`` is (n_steps, C) and ``theta1`` (n_steps, C,
+    n_marks) describes C candidates; the result is then (n_paths, C).
+    """
     grid = ensemble.grid
     dt = grid.dt
     y0 = float(control.y if y is None else y)
-    theta0 = np.broadcast_to(np.asarray(control.theta0, dtype=float), (grid.n_steps,))
-    ln = float(np.sum(-0.5 * theta0**2 * dt)) + ensemble.brownian_increments @ theta0
+    theta0 = np.asarray(control.theta0, dtype=float)
+    if theta0.ndim < 2:
+        theta0 = np.broadcast_to(theta0, (grid.n_steps,))
+    ln = np.sum(-0.5 * theta0**2 * dt, axis=0) + ensemble.brownian_increments @ theta0
     k = ensemble.model.n_marks
     if k:
-        theta1 = np.asarray(control.theta1, dtype=float).reshape(grid.n_steps, k)
+        theta1 = np.asarray(control.theta1, dtype=float).reshape(theta0.shape + (k,))
         if np.any(theta1 < THETA1_FLOOR):
             raise ValueError("theta1 below -1 + eps")
-        ln = ln - float(np.sum(theta1 @ ensemble.model.intensities) * dt)
-        ln = ln + np.einsum("pik,ik->p", ensemble.jump_counts, np.log1p(theta1))
+        ln = ln - np.sum(theta1 @ ensemble.model.intensities, axis=0) * dt
+        ln = ln + _jump_log_sum(ensemble.jump_counts, np.log1p(theta1))
     return math.log(y0) + ln
 
 

@@ -15,16 +15,17 @@ import numpy as np
 
 from .bsde import AdjointTriple, RegressionBasis, martingale_representation
 from .market import (
-    AdmissibilityError,
+    INADMISSIBLE_FRACTION,
     MarketModel,
     PathEnsemble,
     Strategy,
     eval_on_grid,
+    fraction_admissible,
     terminal_log_wealth,
     wealth_paths,
     _mu_on_grid,
 )
-from .mc import cv_mean
+from .mc import cv_mean, grid_search
 from .preferences import UtilityPair
 
 
@@ -44,6 +45,7 @@ class PrimalSolution:
     candidate_values: np.ndarray
     candidate_se: np.ndarray
     excluded: list = field(default_factory=list)
+    grid_edge: bool = False
     mu: object = None
     wealth: np.ndarray | None = None
     adjoints: AdjointTriple | None = None
@@ -111,21 +113,20 @@ def solve_primal_search(
     the martingale representation of U'(X(T)) (or the log closed form).
     """
     pi_values = np.asarray(list(pi_values), dtype=float)
-    controls = ensemble.terminal_controls() if control_variates else None
-    values = np.full(pi_values.shape, -np.inf)
-    ses = np.zeros(pi_values.shape)
-    excluded = []
-    for j, pi in enumerate(pi_values):
-        try:
-            ln_xt = terminal_log_wealth(model, ensemble, pi, x0, mu=mu)
-        except AdmissibilityError as exc:
-            excluded.append({"pi": float(pi), "reason": str(exc)})
-            continue
-        values[j], ses[j] = cv_mean(utility.u(np.exp(ln_xt)), controls)
-    if not np.any(np.isfinite(values)):
-        raise ValueError("all candidates inadmissible")
-    best = np.flatnonzero(values == np.max(values))
-    j_star = best[np.argmin(np.abs(pi_values[best]))]
+    admissible = fraction_admissible(model, ensemble.grid, pi_values)
+    excluded = [{"pi": float(pi), "reason": INADMISSIBLE_FRACTION}
+                for pi in pi_values[~admissible]]
+
+    def samples(idx):
+        pi = np.broadcast_to(pi_values[idx], (ensemble.grid.n_steps, idx.size))
+        return utility.u(np.exp(terminal_log_wealth(model, ensemble, pi, x0, mu=mu)))
+
+    search = grid_search(
+        pi_values.shape, samples, admissible,
+        ensemble.terminal_controls() if control_variates else None,
+        ensemble.n_paths, size=np.abs(pi_values),
+    )
+    values, ses, j_star = search.values, search.ses, search.best
     pi_star = float(pi_values[j_star])
 
     wealth = wealth_paths(model, ensemble, Strategy.fraction(pi_star), x0, mu=mu)
@@ -154,6 +155,7 @@ def solve_primal_search(
         candidate_values=values,
         candidate_se=ses,
         excluded=excluded,
+        grid_edge=search.grid_edge,
         mu=mu,
         wealth=wealth,
         adjoints=adjoints,

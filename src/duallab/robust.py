@@ -16,24 +16,26 @@ import numpy as np
 
 from .bsde import AdjointTriple, RegressionBasis, martingale_representation, solve_linear_bsde
 from .dual import (
-    DualSolution,
     ScenarioControl,
     analytic_log_dual_adjoints,
     dual_driver,
     scenario_from_theta1,
+    scenario_samples,
+    theta1_candidates,
 )
 from .market import (
-    AdmissibilityError,
+    DEGENERATE_VOL,
+    INADMISSIBLE_FRACTION,
     MarketModel,
     PathEnsemble,
     Strategy,
     density_paths,
-    terminal_log_density,
+    fraction_admissible,
     terminal_log_wealth,
     wealth_paths,
     _mu_on_grid,
 )
-from .mc import cv_mean
+from .mc import grid_search, on_grid_edge
 from .preferences import Penalty, UtilityPair
 from .primal import analytic_log_adjoints
 
@@ -98,6 +100,7 @@ class RobustPrimalSolution:
     minimax: float
     maximin: float
     excluded: list = field(default_factory=list)
+    grid_edge: bool = False
     wealth: np.ndarray | None = None
     adjoints: AdjointTriple | None = None
     foc: dict | None = None
@@ -115,9 +118,16 @@ class RobustDualSolution:
     value: float
     se: float
     candidate_values: np.ndarray
+    grid_edge: bool = False
     density: np.ndarray | None = None
     adjoints: AdjointTriple | None = None
     foc: dict | None = None
+
+
+def _penalty_integrals(penalty: Penalty, mu_values: np.ndarray, grid) -> np.ndarray:
+    """integral_0^T rho(mu) dt for each constant perturbation."""
+    return np.array([float(np.sum(penalty.rho(np.full(grid.n_steps, mu)) * grid.dt))
+                     for mu in mu_values])
 
 
 def solve_robust_saddle(
@@ -142,22 +152,25 @@ def solve_robust_saddle(
     grid = ensemble.grid
     pi_values = np.asarray(list(pi_values), dtype=float)
     mu_values = np.asarray(list(mu_values), dtype=float)
-    controls_cv = ensemble.terminal_controls() if control_variates else None
-    payoff = np.full((pi_values.size, mu_values.size), -np.inf)
-    payoff_se = np.zeros_like(payoff)
-    excluded = []
-    dt = grid.dt
-    for jm, mu in enumerate(mu_values):
-        pen = float(np.sum(penalty.rho(np.full(grid.n_steps, mu)) * dt))
-        for jp, pi in enumerate(pi_values):
-            try:
-                ln_xt = terminal_log_wealth(model, ensemble, pi, x0, mu=mu)
-            except AdmissibilityError as exc:
-                excluded.append({"pi": float(pi), "mu": float(mu), "reason": str(exc)})
-                continue
-            est, se = cv_mean(utility.u(np.exp(ln_xt)), controls_cv)
-            payoff[jp, jm] = est + pen
-            payoff_se[jp, jm] = se
+    shape = (pi_values.size, mu_values.size)
+    pi_ok = fraction_admissible(model, grid, pi_values)
+    excluded = [{"pi": float(pi), "mu": float(mu), "reason": INADMISSIBLE_FRACTION}
+                for mu in mu_values for pi in pi_values[~pi_ok]]
+
+    def samples(idx):
+        jp, jm = np.unravel_index(idx, shape)
+        cols = (grid.n_steps, idx.size)
+        ln_xt = terminal_log_wealth(model, ensemble, np.broadcast_to(pi_values[jp], cols), x0,
+                                    mu=np.broadcast_to(mu_values[jm], cols))
+        return utility.u(np.exp(ln_xt))
+
+    search = grid_search(
+        shape, samples, np.repeat(pi_ok, mu_values.size),
+        ensemble.terminal_controls() if control_variates else None,
+        ensemble.n_paths, offset=np.tile(_penalty_integrals(penalty, mu_values, grid), pi_values.size),
+    )
+    payoff = search.values.reshape(shape)
+    payoff_se = search.ses.reshape(shape)
 
     col_max = payoff.max(axis=0)
     row_min = payoff.min(axis=1)
@@ -210,6 +223,7 @@ def solve_robust_saddle(
         minimax=minimax,
         maximin=maximin,
         excluded=excluded,
+        grid_edge=on_grid_edge((jp, jm), shape),
         wealth=wealth,
         adjoints=adjoints,
     )
@@ -275,39 +289,28 @@ def solve_robust_dual(
     every scenario satisfies it pointwise.
     """
     grid = ensemble.grid
-    dt = grid.dt
     mu_values = np.asarray(list(mu_values), dtype=float)
-    if model.n_marks == 0:
-        theta1_candidates = [np.zeros(0)]
-    else:
-        if theta1_values is None:
-            raise ValueError("theta1_values required for a jump market")
-        theta1_candidates = [
-            np.broadcast_to(np.asarray(t, dtype=float), (model.n_marks,)) for t in theta1_values
-        ]
-    controls_cv = ensemble.terminal_controls() if control_variates else None
-    combos = [(mu, th1) for mu in mu_values for th1 in theta1_candidates]
-    values = np.full(len(combos), -np.inf)
-    ses = np.zeros(len(combos))
-    cache: list[ScenarioControl | None] = [None] * len(combos)
-    for j, (mu, th1) in enumerate(combos):
-        try:
-            control = scenario_from_theta1(model, grid, th1, y, mu=float(mu))
-        except ValueError:
-            continue
-        cache[j] = control
-        ln_gt = terminal_log_density(ensemble, control)
-        pen = float(np.sum(penalty.rho(np.full(grid.n_steps, mu)) * dt))
-        est, se = cv_mean(-pair.v(np.exp(ln_gt)), controls_cv)
-        values[j] = est - pen
-        ses[j] = se
-    if not np.any(np.isfinite(values)):
-        raise ValueError("all robust dual candidates inadmissible")
-    best = np.flatnonzero(values == np.max(values))
-    sizes = [abs(float(combos[j][0])) + float(np.linalg.norm(combos[j][1])) for j in best]
-    j_star = best[int(np.argmin(sizes))]
-    mu_star, _ = combos[j_star]
-    control = cache[j_star]
+    candidates = theta1_candidates(model, theta1_values)
+    shape = (mu_values.size, len(candidates))
+    scenarios: list[ScenarioControl | None] = []
+    for mu in mu_values:
+        for th1 in candidates:
+            try:
+                scenarios.append(scenario_from_theta1(model, grid, th1, y, mu=float(mu)))
+            except ValueError:
+                scenarios.append(None)
+    search = grid_search(
+        shape, scenario_samples(ensemble, pair, scenarios),
+        np.array([c is not None for c in scenarios]),
+        ensemble.terminal_controls() if control_variates else None,
+        ensemble.n_paths, offset=-np.repeat(_penalty_integrals(penalty, mu_values, grid), shape[1]),
+        size=np.array([abs(float(mu)) + float(np.linalg.norm(th1))
+                       for mu in mu_values for th1 in candidates]),
+        what="robust dual candidates",
+    )
+    values, j_star = search.values, search.best
+    mu_star = mu_values[j_star // shape[1]]
+    control = scenarios[j_star]
 
     density = density_paths(ensemble, control)
     terminal = pair.inverse_marginal(density[:, -1])
@@ -332,8 +335,9 @@ def solve_robust_dual(
         control=control,
         mu=float(mu_star),
         value=float(values[j_star]),
-        se=float(ses[j_star]),
+        se=float(search.ses[j_star]),
         candidate_values=values,
+        grid_edge=search.grid_edge,
         density=density,
         adjoints=adjoints,
     )
@@ -351,7 +355,7 @@ def robust_dual_foc_residuals(model: MarketModel, solution: RobustDualSolution) 
     grid = ensemble.grid
     adj = solution.adjoints
     s = model.vol_on(grid)
-    live = np.abs(s) >= 1e-14
+    live = np.abs(s) >= DEGENERATE_VOL
     k = model.n_marks
     if k:
         gam = model.jump_sizes_on(grid)

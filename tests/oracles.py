@@ -1,0 +1,270 @@
+"""Reference implementations kept for differential tests.
+
+These are the straightforward forms the library's batched searches and
+one-factorisation backward sweep replace: one candidate at a time, a fresh
+``lstsq`` control-variate fit per candidate, a per-step Python loop for the
+theta0 elimination, and two SVD ``lstsq`` fits per backward step.  They stay
+out of the package on purpose; the tests compare the package against them.
+"""
+
+from __future__ import annotations
+
+import math
+import warnings
+
+import numpy as np
+
+from duallab.bsde import DriverSpec, RegressionBasis, _BasisBuilder, _default_state
+from duallab.dual import ScenarioControl
+from duallab.market import (
+    DEGENERATE_VOL,
+    THETA1_FLOOR,
+    AdmissibilityError,
+    _mu_on_grid,
+)
+
+
+def cv_mean(values, controls=None):
+    values = np.asarray(values, dtype=float)
+    n = values.shape[0]
+    if controls is None or controls.size == 0:
+        return float(values.mean()), float(values.std(ddof=1) / math.sqrt(n))
+    a = np.column_stack([np.ones(n), controls])
+    coef, *_ = np.linalg.lstsq(a, values, rcond=None)
+    resid = values - a @ coef
+    dof = max(n - a.shape[1], 1)
+    se = float(np.sqrt(resid @ resid / dof) / math.sqrt(n))
+    return float(coef[0]), se
+
+
+def terminal_log_wealth(model, ensemble, pi, x0, mu=None):
+    grid = ensemble.grid
+    dt = grid.dt
+    b = model.drift_on(grid) + _mu_on_grid(mu, grid) * model.vol_on(grid)
+    s = model.vol_on(grid)
+    pi_arr = np.broadcast_to(np.asarray(pi, dtype=float), (grid.n_steps,))
+    drift_sum = float(np.sum((pi_arr * b - 0.5 * pi_arr**2 * s**2) * dt))
+    ln = drift_sum + ensemble.brownian_increments @ (pi_arr * s)
+    if model.n_marks:
+        gam = model.jump_sizes_on(grid)
+        ratio = pi_arr[:, None] * gam
+        if np.any(ratio <= -1.0):
+            raise AdmissibilityError("1 + pi*gamma <= 0; candidate inadmissible")
+        ln = ln - float(np.sum(ratio @ model.intensities) * dt)
+        ln = ln + np.einsum("pik,ik->p", ensemble.jump_counts, np.log1p(ratio))
+    return math.log(x0) + ln
+
+
+def terminal_log_density(ensemble, control):
+    grid = ensemble.grid
+    dt = grid.dt
+    theta0 = np.broadcast_to(np.asarray(control.theta0, dtype=float), (grid.n_steps,))
+    ln = float(np.sum(-0.5 * theta0**2 * dt)) + ensemble.brownian_increments @ theta0
+    k = ensemble.model.n_marks
+    if k:
+        theta1 = np.asarray(control.theta1, dtype=float).reshape(grid.n_steps, k)
+        if np.any(theta1 < THETA1_FLOOR):
+            raise ValueError("theta1 below -1 + eps")
+        ln = ln - float(np.sum(theta1 @ ensemble.model.intensities) * dt)
+        ln = ln + np.einsum("pik,ik->p", ensemble.jump_counts, np.log1p(theta1))
+    return math.log(float(control.y)) + ln
+
+
+def scenario_from_theta1(model, grid, theta1, y, mu=None):
+    b = model.drift_on(grid)
+    s = model.vol_on(grid)
+    mu_arr = _mu_on_grid(mu, grid)
+    k = model.n_marks
+    theta1 = (np.broadcast_to(np.asarray(theta1, dtype=float), (grid.n_steps, k)).copy()
+              if k else np.zeros((grid.n_steps, 0)))
+    gam = model.jump_sizes_on(grid)
+    nu = model.intensities
+    rhs = -(b + mu_arr * s)
+    theta0 = np.zeros(grid.n_steps)
+    degenerate = np.abs(s) < DEGENERATE_VOL
+    for i in range(grid.n_steps):
+        jump_term = float(gam[i] @ (theta1[i] * nu)) if k else 0.0
+        if not degenerate[i]:
+            theta0[i] = (rhs[i] - jump_term) / s[i]
+        else:
+            if k == 0 or not np.any(np.abs(gam[i]) > 0):
+                if abs(rhs[i]) > 1e-14:
+                    raise ValueError(
+                        f"no martingale measure at step {i}: sigma = 0, no jumps, drift != 0"
+                    )
+                continue
+            lam = (rhs[i] - jump_term) / float(gam[i] @ (gam[i] * nu))
+            theta1[i] = theta1[i] + lam * gam[i]
+    if theta1.size and np.any(theta1 < THETA1_FLOOR):
+        raise ValueError("theta1 below -1 + eps after constraint elimination")
+    return ScenarioControl(theta0=theta0, theta1=theta1, y=float(y), mu=mu)
+
+
+def primal_search(model, utility, x0, pi_values, ensemble, mu=None):
+    """Values, SEs, exclusions and argmax of the per-candidate primal loop."""
+    pi_values = np.asarray(list(pi_values), dtype=float)
+    controls = ensemble.terminal_controls()
+    values = np.full(pi_values.shape, -np.inf)
+    ses = np.zeros(pi_values.shape)
+    excluded = []
+    for j, pi in enumerate(pi_values):
+        try:
+            ln_xt = terminal_log_wealth(model, ensemble, pi, x0, mu=mu)
+        except AdmissibilityError as exc:
+            excluded.append({"pi": float(pi), "reason": str(exc)})
+            continue
+        values[j], ses[j] = cv_mean(utility.u(np.exp(ln_xt)), controls)
+    best = np.flatnonzero(values == np.max(values))
+    j_star = best[np.argmin(np.abs(pi_values[best]))]
+    return values, ses, excluded, int(j_star)
+
+
+def dual_search(model, pair, y, ensemble, theta1_values=None, mu=None):
+    grid = ensemble.grid
+    if model.n_marks == 0:
+        candidates = [np.zeros(0)]
+    else:
+        candidates = [np.broadcast_to(np.asarray(t, dtype=float), (model.n_marks,))
+                      for t in theta1_values]
+    controls_cv = ensemble.terminal_controls()
+    values = np.full(len(candidates), -np.inf)
+    ses = np.zeros(len(candidates))
+    excluded = []
+    for j, th1 in enumerate(candidates):
+        try:
+            control = scenario_from_theta1(model, grid, th1, y, mu=mu)
+        except ValueError as exc:
+            excluded.append({"theta1": np.asarray(th1).tolist(), "reason": str(exc)})
+            continue
+        ln_gt = terminal_log_density(ensemble, control)
+        values[j], ses[j] = cv_mean(-pair.v(np.exp(ln_gt)), controls_cv)
+    best = np.flatnonzero(values == np.max(values))
+    norms = [float(np.linalg.norm(candidates[j])) for j in best]
+    j_star = best[int(np.argmin(norms))]
+    return values, ses, excluded, int(j_star)
+
+
+def robust_saddle(model, utility, penalty, x0, pi_values, mu_values, ensemble):
+    grid = ensemble.grid
+    pi_values = np.asarray(list(pi_values), dtype=float)
+    mu_values = np.asarray(list(mu_values), dtype=float)
+    controls_cv = ensemble.terminal_controls()
+    payoff = np.full((pi_values.size, mu_values.size), -np.inf)
+    payoff_se = np.zeros_like(payoff)
+    excluded = []
+    dt = grid.dt
+    for jm, mu in enumerate(mu_values):
+        pen = float(np.sum(penalty.rho(np.full(grid.n_steps, mu)) * dt))
+        for jp, pi in enumerate(pi_values):
+            try:
+                ln_xt = terminal_log_wealth(model, ensemble, pi, x0, mu=mu)
+            except AdmissibilityError as exc:
+                excluded.append({"pi": float(pi), "mu": float(mu), "reason": str(exc)})
+                continue
+            est, se = cv_mean(utility.u(np.exp(ln_xt)), controls_cv)
+            payoff[jp, jm] = est + pen
+            payoff_se[jp, jm] = se
+    col_max = payoff.max(axis=0)
+    row_min = payoff.min(axis=1)
+    cells = [
+        (jp, jm)
+        for jp in range(pi_values.size)
+        for jm in range(mu_values.size)
+        if payoff[jp, jm] == col_max[jm] and payoff[jp, jm] == row_min[jp]
+    ]
+    minimax = float(col_max.min())
+    maximin = float(row_min.max())
+    if cells:
+        cells.sort(key=lambda c: (abs(pi_values[c[0]]), abs(mu_values[c[1]])))
+        jp, jm = cells[0]
+        is_saddle, gap = True, 0.0
+    else:
+        jm = int(np.argmin(col_max))
+        jp = int(np.argmax(payoff[:, jm]))
+        is_saddle, gap = False, minimax - maximin
+    return {"payoff": payoff, "payoff_se": payoff_se, "excluded": excluded,
+            "cell": (int(jp), int(jm)), "is_saddle": is_saddle, "gap": gap,
+            "minimax": minimax, "maximin": maximin}
+
+
+def robust_dual_search(model, pair, penalty, y, ensemble, mu_values, theta1_values=None):
+    grid = ensemble.grid
+    dt = grid.dt
+    mu_values = np.asarray(list(mu_values), dtype=float)
+    if model.n_marks == 0:
+        theta1_candidates = [np.zeros(0)]
+    else:
+        theta1_candidates = [np.broadcast_to(np.asarray(t, dtype=float), (model.n_marks,))
+                             for t in theta1_values]
+    controls_cv = ensemble.terminal_controls()
+    combos = [(mu, th1) for mu in mu_values for th1 in theta1_candidates]
+    values = np.full(len(combos), -np.inf)
+    ses = np.zeros(len(combos))
+    for j, (mu, th1) in enumerate(combos):
+        try:
+            control = scenario_from_theta1(model, grid, th1, y, mu=float(mu))
+        except ValueError:
+            continue
+        ln_gt = terminal_log_density(ensemble, control)
+        pen = float(np.sum(penalty.rho(np.full(grid.n_steps, mu)) * dt))
+        est, se = cv_mean(-pair.v(np.exp(ln_gt)), controls_cv)
+        values[j] = est - pen
+        ses[j] = se
+    best = np.flatnonzero(values == np.max(values))
+    sizes = [abs(float(combos[j][0])) + float(np.linalg.norm(combos[j][1])) for j in best]
+    j_star = best[int(np.argmin(sizes))]
+    return values, ses, int(j_star)
+
+
+def _lstsq_fit(builder, a, targets, warn=True):
+    coef, _, rank, sv = np.linalg.lstsq(a, targets, rcond=None)
+    if warn and rank < a.shape[1] and not builder.warned:
+        warnings.warn(
+            "design matrix rank-deficient; dependent basis columns ignored "
+            f"(rank {rank} of {a.shape[1]})",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        builder.warned = True
+    cond = float(sv[0] / sv[rank - 1]) if rank else math.inf
+    return a @ coef, rank, cond
+
+
+def solve_linear_bsde(ensemble, terminal, driver=None, state=None, basis=None):
+    """Backward sweep with two SVD ``lstsq`` fits per step; returns (p, q, r, per_step)."""
+    terminal = np.asarray(terminal, dtype=float)
+    grid, model = ensemble.grid, ensemble.model
+    dt = grid.dt
+    k = model.n_marks
+    driver = driver or DriverSpec.zero()
+    c0, cp, cq, cr = driver.on_grid(grid, k)
+    builder = _BasisBuilder(state or _default_state(ensemble), basis or RegressionBasis())
+    nu = model.intensities
+    dnt = ensemble.jump_counts - (nu * dt)[None, None, :]
+
+    p = np.empty((ensemble.n_paths, grid.n_steps + 1))
+    q = np.zeros((ensemble.n_paths, grid.n_steps))
+    r = np.zeros((ensemble.n_paths, grid.n_steps, k))
+    p[:, -1] = terminal
+    per_step = []
+    for i in range(grid.n_steps - 1, -1, -1):
+        a = builder.design(i)
+        fitted, rank, cond = _lstsq_fit(builder, a, p[:, i + 1], warn=i > 0)
+        centered = p[:, i + 1] - fitted
+        targets = [centered * ensemble.brownian_increments[:, i] / dt]
+        active = []
+        for kk in range(k):
+            lam = nu[kk] * dt
+            if lam > 0:
+                targets.append(centered * dnt[:, i, kk] / lam)
+                active.append(kk)
+        stacked, _, _ = _lstsq_fit(builder, a, np.column_stack(targets), warn=i > 0)
+        q[:, i] = stacked[:, 0]
+        for j, kk in enumerate(active, start=1):
+            r[:, i, kk] = stacked[:, j]
+        drift = c0[i] + cq[i] * q[:, i] + (r[:, i] @ cr[i] if k else 0.0)
+        p[:, i] = (fitted - dt * drift) / (1.0 + dt * cp[i])
+        per_step.append({"step": i, "rank": int(rank), "cond": cond,
+                         "fit_rmse": float(np.sqrt(np.mean(centered**2)))})
+    per_step.reverse()
+    return p, q, r, per_step

@@ -105,15 +105,7 @@ def test_reproducibility_byte_identical(tmp_path):
     cli.run_experiment(validate_config(raw))
     second = (tmp_path / "b" / "solution.json").read_bytes()
     # the output directory is not part of the hashed identity of the run
-    a = json.loads(first)
-    b = json.loads(second)
-    del a["config_hash"], b["config_hash"]
-    assert a == b
-
-    raw["out"] = str(tmp_path / "a2")
-    cli.run_experiment(validate_config(raw))
-    assert (tmp_path / "a2" / "solution.json").read_bytes() != first or str(
-        tmp_path / "a2") == str(tmp_path / "a")
+    assert first == second
 
 
 def test_seed_changes_output(tmp_path):
@@ -190,3 +182,50 @@ def test_bridge_check_robust_case(tmp_path):
     assert result["mu_recovered"] == result["mu_transferred"]
     assert result["pi_recovered"] == pytest.approx(0.625, abs=1e-12)
     assert result["product_identity_max_dev"] < 1e-12
+
+
+@pytest.mark.parametrize("scale", [1.0, 7.0 / 3.0])
+def test_robust_pi_ratio_is_computed(tmp_path, scale):
+    # the closed form c*b/((1+c) sigma^2) lies on the phi grid at both scales
+    raw = small(load_raw("robust_merton.yaml"))
+    raw["penalty"] = {"name": "quadratic", "scale": scale}
+    raw["out"] = str(tmp_path / "run")
+    result = cli.run_experiment(validate_config(raw))
+    assert result["pi"] == pytest.approx(result["closed_form"]["pi"], rel=1e-12)
+    assert result["pi_ratio_vs_nonrobust"] == pytest.approx(scale / (1.0 + scale), rel=1e-12)
+    if scale == 1.0:
+        assert result["pi_ratio_vs_nonrobust"] == 0.5
+
+
+def _diagnostics(tmp_path, name, **overrides):
+    raw = small(load_raw(name))
+    raw.update(overrides)
+    raw["out"] = str(tmp_path / "run")
+    cli.run_experiment(validate_config(raw))
+    solution = json.loads((tmp_path / "run" / "solution.json").read_text())
+    return solution, json.loads((tmp_path / "run" / "diagnostics.json").read_text())
+
+
+def test_diagnostics_grid_edge_unset_at_interior_argmax(tmp_path):
+    solution, diag = _diagnostics(tmp_path, "merton_log.yaml")
+    assert solution["pi"] == 1.25 and diag["grid_edge"] is False
+    assert diag["excluded"] == 0
+    # pi = 0 is not among the candidates, so only t0 has a deterministic state
+    assert diag["bsde"]["rank_deficient_steps"] == 1
+    assert diag["bsde"]["max_cond"] >= 1.0 and diag["bsde"]["max_fit_rmse"] > 0.0
+    assert "grid_edge" not in solution
+
+
+def test_diagnostics_grid_edge_set_at_boundary_argmax(tmp_path):
+    # the unconstrained optimum 1.25 lies beyond the grid, so the argmax is its last value
+    solution, diag = _diagnostics(tmp_path, "merton_log.yaml",
+                                  primal={"grid_min": 0.0, "grid_max": 1.0, "grid_step": 0.05})
+    assert solution["pi"] == 1.0 and diag["grid_edge"] is True
+
+
+def test_diagnostics_of_dual_and_robust_runs(tmp_path):
+    _, diag = _diagnostics(tmp_path / "dual", "jump_dual.yaml")
+    assert diag["grid_edge"] is False and diag["excluded"] == 0
+    assert set(diag["bsde"]) == {"rank_deficient_steps", "max_cond", "max_fit_rmse"}
+    _, diag = _diagnostics(tmp_path / "robust", "robust_merton.yaml", adjoints="analytic")
+    assert diag == {"grid_edge": False, "excluded": 0, "config_hash": diag["config_hash"]}

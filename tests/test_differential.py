@@ -1,0 +1,234 @@
+"""Batched searches and the one-factorisation backward sweep against the
+per-candidate / ``lstsq`` reference forms kept in ``oracles.py``."""
+
+import math
+import re
+import warnings
+
+import numpy as np
+import pytest
+
+import duallab as dl
+from duallab.bsde import RegressionBasis
+
+import oracles
+from conftest import make_ensemble
+
+# the shipped search grids (configs/*.yaml)
+MERTON_PI = np.round(0.0 + 0.05 * np.arange(51), 12)
+ROBUST_PI = np.linspace(0.125, 1.125, 21)
+ROBUST_MU = np.linspace(-0.25, 0.0, 21)
+JUMP_THETA1 = np.linspace(-0.6, 0.3, 19)
+
+
+def assert_values_match(new, old, se_new=None, se_old=None):
+    new, old = np.asarray(new), np.asarray(old)
+    assert new.shape == old.shape
+    assert np.array_equal(np.isneginf(new), np.isneginf(old))
+    ok = np.isfinite(old)
+    assert np.all(np.abs(new[ok] - old[ok]) <= 1e-12 + 1e-12 * np.abs(old[ok]))
+    if se_new is not None:
+        se_new, se_old = np.asarray(se_new)[ok], np.asarray(se_old)[ok]
+        assert np.all(np.abs(se_new - se_old) <= 1e-12 + 1e-9 * np.abs(se_old))
+
+
+@pytest.fixture(scope="module")
+def negative_jump_model():
+    # 1 + pi*gamma <= 0 for pi >= 2
+    return dl.MarketModel(drift=0.05, vol=0.2, jump_marks=(-0.5,),
+                          jump_intensities=(0.5,), horizon=1.0)
+
+
+@pytest.fixture(scope="module")
+def negative_jump_ens(negative_jump_model):
+    return make_ensemble(negative_jump_model, n_paths=5_000, seed=91)
+
+
+# ---------------------------------------------------------------- searches
+
+def test_cv_mean_columns_match_per_column_lstsq(jump_ens_50k):
+    rng = np.random.Generator(np.random.Philox(key=5))
+    controls = jump_ens_50k.terminal_controls()
+    values = controls @ rng.normal(size=(2, 7)) + rng.normal(size=(jump_ens_50k.n_paths, 7))
+    est, se = dl.mc.cv_mean(values, controls)
+    for c in range(values.shape[1]):
+        ref = oracles.cv_mean(values[:, c], controls)
+        assert est[c] == pytest.approx(ref[0], rel=1e-12, abs=1e-12)
+        assert se[c] == pytest.approx(ref[1], rel=1e-9)
+    one = dl.mc.cv_mean(values[:, 0], controls)
+    assert isinstance(one[0], float) and one[0] == pytest.approx(est[0], rel=1e-12)
+
+
+@pytest.mark.parametrize("utility", ["log", "power"])
+def test_primal_search_matches_loop(base_model, base_ens_50k, utility):
+    pair = dl.make_log_utility() if utility == "log" else dl.make_power_utility(0.5)
+    sol = dl.solve_primal_search(base_model, pair, 1.0, MERTON_PI, base_ens_50k,
+                                 adjoint_mode="analytic" if utility == "log" else "regression")
+    values, ses, excluded, j_star = oracles.primal_search(base_model, pair, 1.0, MERTON_PI,
+                                                          base_ens_50k)
+    assert_values_match(sol.candidate_values, values, sol.candidate_se, ses)
+    assert sol.pi == MERTON_PI[j_star] and sol.excluded == excluded == []
+
+
+def test_primal_search_excludes_like_loop(negative_jump_model, negative_jump_ens, log_pair):
+    sol = dl.solve_primal_search(negative_jump_model, log_pair, 1.0, MERTON_PI,
+                                 negative_jump_ens, mu=0.05, adjoint_mode="analytic")
+    values, ses, excluded, j_star = oracles.primal_search(
+        negative_jump_model, log_pair, 1.0, MERTON_PI, negative_jump_ens, mu=0.05)
+    assert excluded and sol.excluded == excluded
+    assert_values_match(sol.candidate_values, values, sol.candidate_se, ses)
+    assert sol.pi == MERTON_PI[j_star]
+
+
+def _assert_saddle_matches(sol, ref):
+    assert_values_match(sol.payoff, ref["payoff"], sol.payoff_se, ref["payoff_se"])
+    jp, jm = ref["cell"]
+    assert (sol.pi, sol.mu) == (sol.pi_values[jp], sol.mu_values[jm])
+    assert sol.is_saddle == ref["is_saddle"] and sol.gap == ref["gap"]
+    assert sol.excluded == ref["excluded"]
+
+
+def test_robust_saddle_matches_loop(base_model, base_ens_50k, log_pair, quad_penalty):
+    sol = dl.solve_robust_saddle(base_model, log_pair, quad_penalty, 1.0, ROBUST_PI,
+                                 ROBUST_MU, base_ens_50k, adjoint_mode="analytic")
+    ref = oracles.robust_saddle(base_model, log_pair, quad_penalty, 1.0, ROBUST_PI,
+                                ROBUST_MU, base_ens_50k)
+    _assert_saddle_matches(sol, ref)
+    assert sol.is_saddle and (sol.pi, sol.mu) == (0.625, -0.125)
+
+
+def test_robust_saddle_excludes_like_loop(negative_jump_model, negative_jump_ens, log_pair,
+                                          quad_penalty):
+    pi_grid = np.linspace(0.0, 2.5, 11)
+    sol = dl.solve_robust_saddle(negative_jump_model, log_pair, quad_penalty, 1.0, pi_grid,
+                                 ROBUST_MU, negative_jump_ens, adjoint_mode="analytic")
+    ref = oracles.robust_saddle(negative_jump_model, log_pair, quad_penalty, 1.0, pi_grid,
+                                ROBUST_MU, negative_jump_ens)
+    assert len(ref["excluded"]) == 3 * ROBUST_MU.size
+    _assert_saddle_matches(sol, ref)
+
+
+def test_dual_search_matches_loop(jump_model, jump_ens_50k, log_pair):
+    sol = dl.solve_dual_search(jump_model, log_pair, 1.0, jump_ens_50k,
+                               theta1_values=JUMP_THETA1, adjoint_mode="analytic",
+                               replicate=False)
+    values, ses, excluded, j_star = oracles.dual_search(jump_model, log_pair, 1.0,
+                                                        jump_ens_50k, JUMP_THETA1)
+    assert_values_match(sol.candidate_values, values, sol.candidate_se, ses)
+    assert sol.control.theta1[0, 0] == JUMP_THETA1[j_star] and sol.excluded == excluded
+
+
+def test_dual_search_excludes_like_loop(jump_model, log_pair):
+    ens = make_ensemble(jump_model, n_paths=5_000, seed=93)
+    grid = np.linspace(-1.4, 0.2, 17)
+    sol = dl.solve_dual_search(jump_model, log_pair, 1.0, ens, theta1_values=grid,
+                               mu=-0.1, adjoint_mode="analytic", replicate=False)
+    values, ses, excluded, j_star = oracles.dual_search(jump_model, log_pair, 1.0, ens,
+                                                        grid, mu=-0.1)
+    assert len(excluded) == 5 and sol.excluded == excluded
+    assert_values_match(sol.candidate_values, values, sol.candidate_se, ses)
+    assert sol.control.theta1[0, 0] == grid[j_star]
+
+
+def test_robust_dual_matches_loop_without_jumps(base_model, base_ens_50k, log_pair,
+                                                quad_penalty):
+    sol = dl.solve_robust_dual(base_model, log_pair, quad_penalty, 1.0, base_ens_50k,
+                               mu_values=ROBUST_MU, adjoint_mode="analytic")
+    values, _, j_star = oracles.robust_dual_search(base_model, log_pair, quad_penalty, 1.0,
+                                                   base_ens_50k, ROBUST_MU)
+    assert_values_match(sol.candidate_values, values)
+    assert sol.mu == ROBUST_MU[j_star] == -0.125
+
+
+def test_robust_dual_matches_loop_with_jumps(jump_model, log_pair, quad_penalty):
+    ens = make_ensemble(jump_model, n_paths=5_000, seed=95)
+    mu_grid = np.linspace(-0.3, -0.1, 5)
+    th_grid = np.linspace(-1.2, 0.0, 7)
+    sol = dl.solve_robust_dual(jump_model, log_pair, quad_penalty, 1.0, ens,
+                               mu_values=mu_grid, theta1_values=th_grid,
+                               adjoint_mode="analytic")
+    values, _, j_star = oracles.robust_dual_search(jump_model, log_pair, quad_penalty, 1.0,
+                                                   ens, mu_grid, th_grid)
+    assert np.sum(np.isneginf(values)) == 2 * mu_grid.size
+    assert_values_match(sol.candidate_values, values)
+    jm, jt = divmod(j_star, th_grid.size)
+    assert sol.mu == mu_grid[jm] and sol.control.theta1[0, 0] == th_grid[jt]
+
+
+@pytest.mark.parametrize("theta1", [[-0.3], [0.2], [-0.95]])
+def test_scenario_elimination_matches_loop(theta1):
+    two_marks = dl.MarketModel(drift=0.05, vol=lambda t: 0.0 if 0.3 <= t < 0.6 else 0.2,
+                               jump_marks=(0.1, -0.2), jump_intensities=(1.0, 0.5),
+                               horizon=1.0)
+    grid = dl.TimeGrid(50, 1.0)
+    for mu in (None, -0.1):
+        try:
+            ref = oracles.scenario_from_theta1(two_marks, grid, theta1 * 2, 1.0, mu=mu)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                dl.scenario_from_theta1(two_marks, grid, theta1 * 2, 1.0, mu=mu)
+            continue
+        new = dl.scenario_from_theta1(two_marks, grid, theta1 * 2, 1.0, mu=mu)
+        assert np.allclose(new.theta0, ref.theta0, rtol=1e-14, atol=1e-15)
+        assert np.allclose(new.theta1, ref.theta1, rtol=1e-14, atol=1e-15)
+
+
+def test_scenario_without_martingale_measure_raises_like_loop():
+    stuck = dl.MarketModel(drift=0.05, vol=lambda t: 0.0 if t >= 0.5 else 0.2, horizon=1.0)
+    grid = dl.TimeGrid(20, 1.0)
+    with pytest.raises(ValueError) as ref:
+        oracles.scenario_from_theta1(stuck, grid, np.zeros(0), 1.0)
+    with pytest.raises(ValueError, match="no martingale measure at step 10") as new:
+        dl.scenario_from_theta1(stuck, grid, np.zeros(0), 1.0)
+    assert str(new.value) == str(ref.value)
+
+
+# ---------------------------------------------------------- backward sweep
+
+def _assert_sweep_matches(triple, ref):
+    p, q, r, per_step = ref
+    for new, old in ((triple.p, p), (triple.q, q), (triple.r, r)):
+        if old.size:
+            assert np.max(np.abs(new - old)) <= 1e-10 * np.max(np.abs(old))
+    mine = triple.diagnostics["per_step"]
+    assert [s["rank"] for s in mine] == [s["rank"] for s in per_step]
+    for a, b in zip(mine, per_step):
+        assert a["cond"] == pytest.approx(b["cond"], rel=1e-9)
+        assert a["fit_rmse"] == pytest.approx(b["fit_rmse"], rel=1e-9, abs=1e-15)
+
+
+def test_sweep_matches_lstsq_with_rank_one_start(base_model, base_ens_50k, log_pair):
+    wealth = dl.wealth_paths(base_model, base_ens_50k, dl.Strategy.fraction(1.25), 1.0)
+    args = (base_ens_50k, log_pair.u_prime(wealth[:, -1]))
+    kwargs = {"state": {"X": wealth}, "basis": RegressionBasis(channels=("X",))}
+    triple = dl.solve_linear_bsde(*args, **kwargs)
+    ref = oracles.solve_linear_bsde(*args, **kwargs)
+    assert ref[3][0]["rank"] == 1 and all(s["rank"] == 3 for s in ref[3][1:])
+    _assert_sweep_matches(triple, ref)
+
+
+def test_sweep_matches_lstsq_with_jumps_and_driver(jump_model, jump_ens_50k, log_pair):
+    sol = dl.solve_dual_search(jump_model, log_pair, 1.0, jump_ens_50k,
+                               theta1_values=JUMP_THETA1, adjoint_mode="analytic",
+                               replicate=False)
+    density = sol.density
+    args = (jump_ens_50k, log_pair.inverse_marginal(density[:, -1]))
+    kwargs = {"driver": dl.dual.dual_driver(jump_model, jump_ens_50k.grid),
+              "state": {"G": density}, "basis": RegressionBasis(channels=("G",))}
+    triple = dl.solve_linear_bsde(*args, **kwargs)
+    ref = oracles.solve_linear_bsde(*args, **kwargs)
+    assert np.max(np.abs(ref[2])) > 0
+    _assert_sweep_matches(triple, ref)
+
+
+def test_sweep_matches_lstsq_on_collinear_state(base_model, base_ens_5k):
+    s = base_ens_5k.channel("S")
+    kwargs = {"state": {"S": s, "S2": s**2}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        ref = oracles.solve_linear_bsde(base_ens_5k, s[:, -1], **kwargs)
+    with pytest.warns(RuntimeWarning, match="rank-deficient"):
+        triple = dl.martingale_representation(base_ens_5k, s[:, -1], **kwargs)
+    assert all(step["rank"] < 6 for step in ref[3])
+    _assert_sweep_matches(triple, ref)
+    assert not math.isinf(max(step["cond"] for step in ref[3]))
