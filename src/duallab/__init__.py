@@ -23,6 +23,7 @@ from .bsde import (
 from .dual import (
     DualSolution,
     ScenarioControl,
+    dual_adjoints,
     dual_foc_residual,
     evaluate_dual_scenario,
     replicating_portfolio,
@@ -59,11 +60,11 @@ from .primal import (
     PrimalSolution,
     hamiltonian_derivative_check,
     merton_log_closed_form,
+    primal_adjoints,
     primal_foc_residual,
     solve_primal_search,
 )
 from .robust import (
-    RobustDualSolution,
     RobustLogClosedForm,
     RobustPrimalSolution,
     mu_from_foc,

@@ -19,7 +19,6 @@ import numpy as np
 from .dual import DualSolution, ScenarioControl, scenario_from_theta1
 from .market import (
     DEGENERATE_VOL,
-    MarketModel,
     PathEnsemble,
     Strategy,
     density_paths,
@@ -27,7 +26,7 @@ from .market import (
     wealth_paths,
 )
 from .primal import PrimalSolution
-from .robust import RobustDualSolution, RobustPrimalSolution
+from .robust import RobustPrimalSolution
 
 
 class BridgeViolationError(ValueError):
@@ -71,23 +70,19 @@ def _theta_ratios(adjoints, n_marks: int) -> tuple[np.ndarray, np.ndarray]:
     return theta0, theta1
 
 
-def _primal_to_dual(
-    solution, model: MarketModel, mu
-) -> tuple[ScenarioControl, float, BridgeReport]:
+def _primal_to_dual(solution, direction: str) -> tuple[ScenarioControl, float, BridgeReport]:
+    model = solution.model
     ensemble: PathEnsemble = solution.ensemble
     grid = ensemble.grid
     adj = solution.adjoints
     theta0_raw, theta1_raw = _theta_ratios(adj, model.n_marks)
     y = float(adj.p[:, 0].mean())
     try:
-        control = scenario_from_theta1(model, grid, theta1_raw, y, mu=mu)
+        control = scenario_from_theta1(model, grid, theta1_raw, y, mu=solution.mu)
     except ValueError as exc:
         raise BridgeViolationError(str(exc)) from exc
 
-    report = BridgeReport(
-        direction="robust-primal-to-dual" if mu is not None else "primal-to-dual",
-        adjoint_mode=adj.mode,
-    )
+    report = BridgeReport(direction=direction, adjoint_mode=adj.mode)
     density = density_paths(ensemble, control)
     p1 = adj.p
     report.add(
@@ -122,41 +117,43 @@ def _primal_to_dual(
 
 
 def primal_to_dual(solution: PrimalSolution) -> tuple[ScenarioControl, float, BridgeReport]:
-    """Scenario and initial density built from a primal solution's adjoints."""
-    return _primal_to_dual(solution, solution.model, mu=None)
+    """Scenario and initial density built from a primal solution's adjoints, in
+    the market of the solution (perturbed when it was solved at a ``mu``)."""
+    return _primal_to_dual(solution, "primal-to-dual")
 
 
 def robust_primal_to_dual(
     solution: RobustPrimalSolution,
 ) -> tuple[ScenarioControl, float, float, BridgeReport]:
     """Robust variant: the perturbation transfers unchanged (mu_dual = mu_primal)."""
-    control, y, report = _primal_to_dual(solution, solution.model, mu=solution.mu)
+    control, y, report = _primal_to_dual(solution, "robust-primal-to-dual")
     return control, float(solution.mu), y, report
 
 
-def _dual_to_primal(solution, model: MarketModel, mu):
-    ensemble: PathEnsemble = solution.ensemble
-    grid = ensemble.grid
+def _bridged_fractions(solution) -> np.ndarray:
+    """Fraction of wealth q2/(sigma*p2(t-)) per (path, step): the bridged portfolio."""
     adj = solution.adjoints
-    s = model.vol_on(grid)
+    s = solution.model.vol_on(solution.ensemble.grid)
     if np.any(np.abs(s) < DEGENERATE_VOL):
         raise BridgeViolationError(
             "sigma vanishes on the grid; use the replication branch instead"
         )
-    pi_path = adj.q / (s[None, :] * adj.p[:, :-1])
+    return adj.q / (s[None, :] * adj.p[:, :-1])
+
+
+def _dual_to_primal(solution, direction: str):
+    adj = solution.adjoints
+    pi_path = _bridged_fractions(solution)
     x0 = float(adj.p[:, 0].mean())
     if not x0 > 0:
         raise BridgeViolationError("initial adjoint value p2(0) is not positive")
     strategy = Strategy.fraction(pi_path)
     try:
-        wealth = wealth_paths(model, ensemble, strategy, x0, mu=mu)
+        wealth = wealth_paths(solution.model, solution.ensemble, strategy, x0, mu=solution.mu)
     except ValueError as exc:
         raise BridgeViolationError(str(exc)) from exc
 
-    report = BridgeReport(
-        direction="robust-dual-to-primal" if mu is not None else "dual-to-primal",
-        adjoint_mode=adj.mode,
-    )
+    report = BridgeReport(direction=direction, adjoint_mode=adj.mode)
     report.add(
         "process_link",
         "wealth under the bridged portfolio equals the dual adjoint p2, pathwise",
@@ -175,21 +172,21 @@ def _dual_to_primal(solution, model: MarketModel, mu):
         "x is the initial adjoint value p2(0)",
         abs(x0 - float(adj.p[:, 0].mean())),
     )
-    return strategy, pi_path, x0, wealth, report
-
-
-def dual_to_primal(solution: DualSolution) -> tuple[Strategy, float, BridgeReport]:
-    """Portfolio and initial wealth built from a dual solution's adjoints."""
-    strategy, _, x0, _, report = _dual_to_primal(solution, solution.model, mu=None)
     return strategy, x0, report
 
 
+def dual_to_primal(solution: DualSolution) -> tuple[Strategy, float, BridgeReport]:
+    """Portfolio and initial wealth built from a dual solution's adjoints; the
+    wealth lives in the market of the scenario (perturbed when it has a ``mu``)."""
+    return _dual_to_primal(solution, "dual-to-primal")
+
+
 def robust_dual_to_primal(
-    solution: RobustDualSolution,
+    solution: DualSolution,
 ) -> tuple[Strategy, float, float, BridgeReport]:
     """Robust variant: mu transfers unchanged and the wealth lives in the
     perturbed market."""
-    strategy, _, x0, _, report = _dual_to_primal(solution, solution.model, mu=solution.mu)
+    strategy, x0, report = _dual_to_primal(solution, "robust-dual-to-primal")
     return strategy, float(solution.mu), x0, report
 
 
@@ -199,10 +196,7 @@ def bridged_fraction(solution, constant_tol: float = 1e-9) -> float:
     Valid when the fraction is constant across paths and times (the log
     cases); raises otherwise.
     """
-    model = solution.model
-    _, pi_path, _, _, _ = _dual_to_primal(
-        solution, model, mu=getattr(solution, "mu", None)
-    )
+    pi_path = _bridged_fractions(solution)
     pi = float(pi_path.mean())
     if np.max(np.abs(pi_path - pi)) > constant_tol * max(1.0, abs(pi)):
         raise ValueError("bridged fraction is not constant; no scalar reduction")

@@ -14,7 +14,6 @@ import os
 import sys
 
 import numpy as np
-import yaml
 
 from . import __version__
 from .bridge import (
@@ -25,11 +24,12 @@ from .bridge import (
     robust_primal_to_dual,
     verify_product_identity,
 )
-from .config import ConfigError, ExperimentConfig, validate_config
+from .config import ConfigError, ExperimentConfig, read_config, validate_config
 from .dual import evaluate_dual_scenario, solve_dual_search, unique_scenario_no_jumps
 from .market import (
     Strategy,
     TimeGrid,
+    as_time_fn,
     density_paths,
     ensemble_summary,
     ensemble_to_csv,
@@ -229,10 +229,8 @@ def run_bridge_check(cfg: ExperimentConfig, out: str) -> dict:
     case = section.get("case", "merton_log")
     adjoints = section.get("adjoints", cfg.adjoints)
     utility = cfg.utility()
-    grid = ens.grid
-    b = model.drift if not callable(model.drift) else model.drift(0.0)
-    s = model.vol if not callable(model.vol) else model.vol(0.0)
     if case == "merton_log":
+        b, s = as_time_fn(model.drift)(0.0), as_time_fn(model.vol)(0.0)
         pi_star = b / s**2
         primal = solve_primal_search(model, utility, cfg.x0, [pi_star], ens, adjoint_mode=adjoints)
         control, y, rep_fwd = primal_to_dual(primal)
@@ -308,8 +306,7 @@ def run_convergence(cfg: ExperimentConfig, out: str) -> dict:
                    "errors": {str(r[0]): float(r[1]) for r in rows}}
     elif benchmark == "product-identity":
         horizon = float(cfg.raw["market"]["horizon"])
-        b = model.drift if not callable(model.drift) else model.drift(0.0)
-        s = model.vol if not callable(model.vol) else model.vol(0.0)
+        b, s = as_time_fn(model.drift)(0.0), as_time_fn(model.vol)(0.0)
         pi_star = b / s**2
         for steps in section.get("steps", [25, 50, 100]):
             grid = TimeGrid(int(steps), horizon)
@@ -422,13 +419,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        with open(args.config) as fh:
-            raw = yaml.safe_load(fh)
-        if raw is None:
-            raise ConfigError(f"empty configuration file: {args.config}")
-        if not isinstance(raw, dict):
-            raise ConfigError("configuration root must be a mapping")
-        raw = _apply_overrides(raw, args, args.command)
+        raw = _apply_overrides(read_config(args.config), args, args.command)
         cfg = validate_config(raw)
     except (ConfigError, OSError, KeyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

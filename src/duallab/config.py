@@ -152,9 +152,16 @@ def validate_config(raw: dict) -> ExperimentConfig:
     return cfg
 
 
-def load_config(path: str) -> ExperimentConfig:
+def read_config(path: str) -> dict:
+    """The raw mapping of a YAML configuration file, not yet validated."""
     with open(path) as fh:
         raw = yaml.safe_load(fh)
     if raw is None:
         raise ConfigError(f"empty configuration file: {path}")
-    return validate_config(raw)
+    if not isinstance(raw, dict):
+        raise ConfigError("configuration root must be a mapping")
+    return raw
+
+
+def load_config(path: str) -> ExperimentConfig:
+    return validate_config(read_config(path))

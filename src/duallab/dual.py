@@ -25,8 +25,8 @@ from .market import (
     terminal_log_density,
     _mu_on_grid,
 )
-from .mc import cv_mean, grid_search
-from .preferences import UtilityPair
+from .mc import cv_mean, grid_search, interior_summary
+from .preferences import Penalty, UtilityPair
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,12 @@ class ScenarioControl:
 
 @dataclass
 class DualSolution:
+    """Optimal (within the searched family) scenario with diagnostics attached.
+
+    The robust dual fills ``penalty``; its candidates are then the flat
+    C-order (mu, theta1) grid.  The drift perturbation is the control's.
+    """
+
     model: MarketModel
     ensemble: PathEnsemble
     pair: UtilityPair
@@ -58,10 +64,16 @@ class DualSolution:
     candidate_se: np.ndarray
     excluded: list = field(default_factory=list)
     grid_edge: bool = False
+    penalty: Penalty | None = None
     density: np.ndarray | None = None
     adjoints: AdjointTriple | None = None
     foc: dict | None = None
     replication: dict | None = None
+
+    @property
+    def mu(self):
+        """Drift perturbation of the market the scenario lives in (None: unperturbed)."""
+        return self.control.mu
 
 
 def scenario_from_theta1(
@@ -114,6 +126,27 @@ def theta1_candidates(model: MarketModel, theta1_values) -> list[np.ndarray]:
     if theta1_values is None:
         raise ValueError("theta1_values required for a jump market")
     return [np.broadcast_to(np.asarray(t, dtype=float), (model.n_marks,)) for t in theta1_values]
+
+
+def build_scenarios(
+    model: MarketModel,
+    grid: TimeGrid,
+    candidates: list,
+    y: float,
+    mu_values,
+) -> tuple[list, list]:
+    """Scenarios of every (mu, theta1) pair in C order, None where the
+    constraint elimination fails, and an exclusion record for each of those."""
+    scenarios: list[ScenarioControl | None] = []
+    excluded = []
+    for mu in mu_values:
+        for th1 in candidates:
+            try:
+                scenarios.append(scenario_from_theta1(model, grid, th1, y, mu=mu))
+            except ValueError as exc:
+                scenarios.append(None)
+                excluded.append({"theta1": np.asarray(th1).tolist(), "reason": str(exc)})
+    return scenarios, excluded
 
 
 def scenario_samples(ensemble: PathEnsemble, pair: UtilityPair, scenarios: list):
@@ -197,21 +230,10 @@ def analytic_log_dual_adjoints(
     a = theta0**2
     if k:
         a = a + theta1 @ nu + jump_gain @ nu
-    # dt-coefficient of the adjoint equation applied to (q, r)
-    b = model.drift_on(grid) + _mu_on_grid(control.mu, grid) * model.vol_on(grid)
-    s = model.vol_on(grid)
-    live = np.abs(s) >= DEGENERATE_VOL
-    psi = np.zeros(grid.n_steps)
-    psi[live] = -theta0[live] * b[live] / s[live]
-    if k:
-        gam = model.jump_sizes_on(grid)
-        for i in np.flatnonzero(~live):
-            ok = np.abs(gam[i]) > 0
-            if not np.any(ok):
-                continue
-            w = nu * ok
-            w = w / w.sum() if w.sum() > 0 else ok / ok.sum()
-            psi[i] = b[i] * float((w[ok] / gam[i, ok]) @ jump_gain[i, ok])
+    # dt-term of the adjoint equation per unit p2: the driver's coefficients
+    # applied to q2/p2 = -theta0 and r2/p2 = jump_gain
+    driver = dual_driver(model, grid, mu=control.mu)
+    psi = -theta0 * driver.q_coeff + np.sum(driver.r_coeff * jump_gain, axis=1)
     rate = -a + psi
     tail = np.concatenate([np.cumsum((rate * dt)[::-1])[::-1], [0.0]])
     c = np.exp(tail)
@@ -219,6 +241,67 @@ def analytic_log_dual_adjoints(
     q = -theta0[None, :] * p[:, :-1]
     r = jump_gain[None, :, :] * p[:, :-1, None] if k else np.zeros((ensemble.n_paths, grid.n_steps, 0))
     return AdjointTriple(p, q, r, mode="analytic", diagnostics={"family": "log-dual"})
+
+
+def dual_adjoints(
+    model: MarketModel,
+    ensemble: PathEnsemble,
+    pair: UtilityPair,
+    density: np.ndarray,
+    control: ScenarioControl,
+    mode: str,
+    basis: RegressionBasis | None,
+) -> AdjointTriple:
+    """Dual adjoints (p2, q2, r2) of a scenario, in the market with drift
+    b + control.mu*sigma: the log closed form (analytic mode) or the
+    backward solve with terminal value -V'(G(T)).  p2 is the optimal wealth
+    of the primal problem.
+    """
+    if mode == "analytic":
+        if pair.name != "log":
+            raise ValueError("analytic dual adjoints are available for the log pair only")
+        return analytic_log_dual_adjoints(model, ensemble, density, control)
+    return solve_linear_bsde(
+        ensemble,
+        pair.inverse_marginal(density[:, -1]),
+        driver=dual_driver(model, ensemble.grid, mu=control.mu),
+        state={"G": density, "F": pair.inverse_marginal(density)},
+        basis=basis or RegressionBasis(channels=("G",)),
+    )
+
+
+def _dual_solution(
+    model: MarketModel,
+    ensemble: PathEnsemble,
+    pair: UtilityPair,
+    control: ScenarioControl,
+    adjoint_mode: str,
+    basis: RegressionBasis | None,
+    replicate: bool,
+    foc=None,
+    **fields,
+) -> DualSolution:
+    """Solution at a chosen scenario: density, adjoints, first-order residuals
+    (``foc(solution)``, by default :func:`dual_foc_residual`) and, optionally,
+    the replication check.  ``fields`` carry the search results."""
+    density = density_paths(ensemble, control)
+    solution = DualSolution(
+        model=model,
+        ensemble=ensemble,
+        pair=pair,
+        y=control.y,
+        control=control,
+        density=density,
+        adjoints=dual_adjoints(model, ensemble, pair, density, control, adjoint_mode, basis),
+        **fields,
+    )
+    solution.foc = foc(solution) if foc else dual_foc_residual(solution)
+    if replicate:
+        phi, x0 = replicating_portfolio(model, solution)
+        solution.replication = replication_check(
+            model, phi, x0, pair.inverse_marginal(density[:, -1]), ensemble, mu=control.mu
+        )
+    return solution
 
 
 def solve_dual_search(
@@ -239,15 +322,8 @@ def solve_dual_search(
     zero pointwise for every scenario evaluated.  In a no-jump market the
     family collapses to the unique scenario.
     """
-    grid = ensemble.grid
     candidates = theta1_candidates(model, theta1_values)
-    scenarios: list[ScenarioControl | None] = [None] * len(candidates)
-    excluded = []
-    for j, th1 in enumerate(candidates):
-        try:
-            scenarios[j] = scenario_from_theta1(model, grid, th1, y, mu=mu)
-        except ValueError as exc:
-            excluded.append({"theta1": np.asarray(th1).tolist(), "reason": str(exc)})
+    scenarios, excluded = build_scenarios(model, ensemble.grid, candidates, y, [mu])
     search = grid_search(
         (len(candidates),), scenario_samples(ensemble, pair, scenarios),
         np.array([c is not None for c in scenarios]),
@@ -255,46 +331,17 @@ def solve_dual_search(
         ensemble.n_paths, size=np.array([float(np.linalg.norm(c)) for c in candidates]),
         what="scenario candidates",
     )
-    values, ses, j_star = search.values, search.ses, search.best
-    control = scenarios[j_star]
-
-    density = density_paths(ensemble, control)
-    terminal = pair.inverse_marginal(density[:, -1])
-    if adjoint_mode == "analytic":
-        if pair.name != "log":
-            raise ValueError("analytic dual adjoints are available for the log pair only")
-        adjoints = analytic_log_dual_adjoints(model, ensemble, density, control)
-    else:
-        adjoints = solve_linear_bsde(
-            ensemble,
-            terminal,
-            driver=dual_driver(model, grid, mu=mu),
-            state={"G": density, "F": pair.inverse_marginal(density)},
-            basis=basis or RegressionBasis(channels=("G",)),
-        )
-    solution = DualSolution(
-        model=model,
-        ensemble=ensemble,
-        pair=pair,
-        y=float(y),
-        control=control,
-        value=float(values[j_star]),
-        se=float(ses[j_star]),
+    j_star = search.best
+    return _dual_solution(
+        model, ensemble, pair, scenarios[j_star], adjoint_mode, basis, replicate,
+        value=float(search.values[j_star]),
+        se=float(search.ses[j_star]),
         theta1_values=[np.asarray(c).tolist() for c in candidates],
-        candidate_values=values,
-        candidate_se=ses,
+        candidate_values=search.values,
+        candidate_se=search.ses,
         excluded=excluded,
         grid_edge=search.grid_edge,
-        density=density,
-        adjoints=adjoints,
     )
-    solution.foc = dual_foc_residual(solution)
-    if replicate:
-        phi, x0 = replicating_portfolio(model, solution)
-        solution.replication = replication_check(
-            model, phi, x0, terminal, ensemble, mu=mu
-        )
-    return solution
 
 
 def evaluate_dual_scenario(
@@ -312,45 +359,18 @@ def evaluate_dual_scenario(
     Used by the bridge round trips, which hand back a fully determined
     scenario rather than a candidate family.
     """
-    grid = ensemble.grid
-    ln_gt = terminal_log_density(ensemble, control)
     value, se = cv_mean(
-        -pair.v(np.exp(ln_gt)),
+        -pair.v(np.exp(terminal_log_density(ensemble, control))),
         ensemble.terminal_controls() if control_variates else None,
     )
-    density = density_paths(ensemble, control)
-    terminal = pair.inverse_marginal(density[:, -1])
-    if adjoint_mode == "analytic":
-        if pair.name != "log":
-            raise ValueError("analytic dual adjoints are available for the log pair only")
-        adjoints = analytic_log_dual_adjoints(model, ensemble, density, control)
-    else:
-        adjoints = solve_linear_bsde(
-            ensemble,
-            terminal,
-            driver=dual_driver(model, grid, mu=control.mu),
-            state={"G": density, "F": pair.inverse_marginal(density)},
-            basis=basis or RegressionBasis(channels=("G",)),
-        )
-    solution = DualSolution(
-        model=model,
-        ensemble=ensemble,
-        pair=pair,
-        y=float(control.y),
-        control=control,
+    return _dual_solution(
+        model, ensemble, pair, control, adjoint_mode, basis, replicate,
         value=float(value),
         se=float(se),
         theta1_values=[np.asarray(control.theta1[0]).tolist()] if model.n_marks else [[]],
         candidate_values=np.array([value]),
         candidate_se=np.array([se]),
-        density=density,
-        adjoints=adjoints,
     )
-    solution.foc = dual_foc_residual(solution)
-    if replicate:
-        phi, x0 = replicating_portfolio(model, solution)
-        solution.replication = replication_check(model, phi, x0, terminal, ensemble, mu=control.mu)
-    return solution
 
 
 def dual_foc_residual(solution: DualSolution) -> dict:
@@ -375,14 +395,12 @@ def dual_foc_residual(solution: DualSolution) -> dict:
     raw = np.zeros((grid.n_steps, k))
     raw[live] = -(q_mean[live] / s[live])[:, None] * gam[live] + r_mean[live]
     scale = float(np.mean(np.abs(r_mean[live]))) if np.any(live) else 0.0
-    lo, hi = max(1, grid.n_steps // 10), grid.n_steps - max(1, grid.n_steps // 10)
-    interior = np.abs(raw[lo:hi][live[lo:hi]])
-    normalized = interior / scale if scale > 0 else interior
+    mean_normalized, max_normalized = interior_summary(raw, scale, mask=live)
     return {
         "raw": raw,
         "scale": scale,
-        "mean_normalized": float(np.mean(normalized)) if normalized.size else 0.0,
-        "max_normalized": float(np.max(normalized)) if normalized.size else 0.0,
+        "mean_normalized": mean_normalized,
+        "max_normalized": max_normalized,
     }
 
 

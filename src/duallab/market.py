@@ -518,17 +518,17 @@ def ensemble_to_csv(ensemble: PathEnsemble, path, channels: Sequence[str] | None
                     header_comment: str | None = None) -> None:
     """One row per (path, time) with the selected attached channels."""
     names = list(channels) if channels is not None else sorted(ensemble.channels)
-    times = ensemble.grid.times
+    stamps = [f"{t:.10g}" for t in ensemble.grid.times]
     with open(path, "w", newline="") as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
         writer = csv.writer(fh)
         writer.writerow(["path", "time", *names])
         for p in range(ensemble.n_paths):
-            for j, t in enumerate(times):
-                writer.writerow(
-                    [p, f"{t:.10g}", *(f"{ensemble.channels[c][p, j]!r}" for c in names)]
-                )
+            # Python floats, so each value is written as its shortest repr
+            columns = (ensemble.channels[c][p].tolist() for c in names)
+            for stamp, values in zip(stamps, zip(*columns)):
+                writer.writerow([p, stamp, *map(repr, values)])
 
 
 def ensemble_summary(ensemble: PathEnsemble) -> dict:

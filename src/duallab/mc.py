@@ -1,4 +1,5 @@
-"""Monte Carlo estimation helpers shared by the grid searches."""
+"""Monte Carlo estimation helpers shared by the solvers: control-variate means,
+the grid search and the interior-window summary of first-order residuals."""
 
 from __future__ import annotations
 
@@ -41,12 +42,6 @@ def cv_mean(values: np.ndarray, controls: np.ndarray | None = None):
     if values.ndim == 1:
         return float(est[0]), float(se[0])
     return est, se
-
-
-def paired_diff_mean(plus: np.ndarray, minus: np.ndarray,
-                     controls: np.ndarray | None = None) -> tuple[float, float]:
-    """Mean and SE of per-path differences (common random numbers)."""
-    return cv_mean(np.asarray(plus) - np.asarray(minus), controls)
 
 
 class SearchResult(NamedTuple):
@@ -99,3 +94,23 @@ def grid_search(
     top = np.flatnonzero(values == np.max(values))
     best = int(top[np.argmin(np.asarray(size)[top])])
     return SearchResult(values, ses, best, on_grid_edge(np.unravel_index(best, shape), shape))
+
+
+def interior_window(n_steps: int) -> slice:
+    """Interior grid times, where first-order residuals are summarized: all
+    but the first and last 10% of the steps (at least one step each)."""
+    cut = max(1, n_steps // 10)
+    return slice(cut, n_steps - cut)
+
+
+def interior_summary(raw: np.ndarray, scale: float, mask: np.ndarray | None = None):
+    """Mean and max of |raw|/scale over the interior rows of ``raw`` (one row
+    per grid step), restricted to the rows where ``mask`` holds.  A zero scale
+    leaves |raw| unnormalized; an empty selection gives (0.0, 0.0).
+    """
+    window = interior_window(raw.shape[0])
+    interior = np.abs(raw[window] if mask is None else raw[window][mask[window]])
+    normalized = interior / scale if scale > 0 else interior
+    if not normalized.size:
+        return 0.0, 0.0
+    return float(np.mean(normalized)), float(np.max(normalized))

@@ -19,13 +19,14 @@ from .market import (
     MarketModel,
     PathEnsemble,
     Strategy,
+    as_time_fn,
     eval_on_grid,
     fraction_admissible,
     terminal_log_wealth,
     wealth_paths,
     _mu_on_grid,
 )
-from .mc import cv_mean, grid_search
+from .mc import cv_mean, grid_search, interior_summary, interior_window
 from .preferences import UtilityPair
 
 
@@ -58,7 +59,7 @@ def merton_log_closed_form(model: MarketModel) -> Strategy:
         raise ValueError("closed form requires a no-jump market")
     b, s = model.drift, model.vol
     if callable(b) or callable(s):
-        bf, sf = (b if callable(b) else lambda t, _v=b: _v), (s if callable(s) else lambda t, _v=s: _v)
+        bf, sf = as_time_fn(b), as_time_fn(s)
         return Strategy.fraction(lambda t, x=None, spot=None: bf(t) / sf(t) ** 2)
     return Strategy.fraction(b / s**2)
 
@@ -93,6 +94,33 @@ def analytic_log_adjoints(
     if model.n_marks:
         r = (1.0 / (1.0 + pi * gam) - 1.0)[None, :, :] * p[:, :-1, None]
     return AdjointTriple(p, q, r, mode="analytic", diagnostics={"family": "log-constant-pi"})
+
+
+def primal_adjoints(
+    model: MarketModel,
+    ensemble: PathEnsemble,
+    utility: UtilityPair,
+    wealth: np.ndarray,
+    pi: float,
+    mu,
+    mode: str,
+    basis: RegressionBasis | None,
+) -> AdjointTriple:
+    """Primal adjoints (p1, q1, r1) at a constant fraction, in the market with
+    drift b + mu*sigma: the log closed form (analytic mode) or the
+    martingale representation of U'(X(T)) by regression.  p1 is the optimal
+    density of the dual problem.
+    """
+    if mode == "analytic":
+        if utility.name != "log":
+            raise ValueError("analytic adjoints are available for log utility only")
+        return analytic_log_adjoints(model, ensemble, wealth, pi, mu=mu)
+    return martingale_representation(
+        ensemble,
+        utility.u_prime(wealth[:, -1]),
+        state={"X": wealth, "F": utility.u_prime(wealth)},
+        basis=basis or RegressionBasis(channels=("X",)),
+    )
 
 
 def solve_primal_search(
@@ -130,18 +158,7 @@ def solve_primal_search(
     pi_star = float(pi_values[j_star])
 
     wealth = wealth_paths(model, ensemble, Strategy.fraction(pi_star), x0, mu=mu)
-    terminal = utility.u_prime(wealth[:, -1])
-    if adjoint_mode == "analytic":
-        if utility.name != "log":
-            raise ValueError("analytic adjoints are available for log utility only")
-        adjoints = analytic_log_adjoints(model, ensemble, wealth, pi_star, mu=mu)
-    else:
-        adjoints = martingale_representation(
-            ensemble,
-            terminal,
-            state={"X": wealth, "F": utility.u_prime(wealth)},
-            basis=basis or RegressionBasis(channels=("X",)),
-        )
+    adjoints = primal_adjoints(model, ensemble, utility, wealth, pi_star, mu, adjoint_mode, basis)
     solution = PrimalSolution(
         model=model,
         ensemble=ensemble,
@@ -165,7 +182,8 @@ def solve_primal_search(
 
 
 def primal_foc_residual(model: MarketModel, solution: PrimalSolution) -> dict:
-    """Residual of b*p1 + sigma*q1 + sum_k gamma_k*r1_k*nu_k, per grid time.
+    """Residual of b*p1 + sigma*q1 + sum_k gamma_k*r1_k*nu_k, per grid time,
+    with b + mu*sigma for b when the solution carries a perturbation mu.
 
     Cross-sectional means estimate the conditional identity; the summary is
     normalized by the time-average of |b*mean(p1)| so tolerances are
@@ -183,15 +201,14 @@ def primal_foc_residual(model: MarketModel, solution: PrimalSolution) -> dict:
         gam = model.jump_sizes_on(grid)
         raw = raw + np.einsum("ik,pik,k->i", gam, adj.r, model.intensities) / ensemble.n_paths
     scale = float(np.mean(np.abs(b * p_mean)))
-    lo, hi = max(1, grid.n_steps // 10), grid.n_steps - max(1, grid.n_steps // 10)
-    interior = np.abs(raw[lo:hi])
-    normalized = interior / scale if scale > 0 else interior
+    mean_normalized, max_normalized = interior_summary(raw, scale)
+    window = interior_window(grid.n_steps)
     return {
         "raw": raw,
         "scale": scale,
-        "mean_normalized": float(np.mean(normalized)),
-        "max_normalized": float(np.max(normalized)),
-        "interior": (lo, hi),
+        "mean_normalized": mean_normalized,
+        "max_normalized": max_normalized,
+        "interior": (window.start, window.stop),
     }
 
 

@@ -14,30 +14,28 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsde import AdjointTriple, RegressionBasis, martingale_representation, solve_linear_bsde
+from .bsde import AdjointTriple, RegressionBasis
 from .dual import (
-    ScenarioControl,
-    analytic_log_dual_adjoints,
-    dual_driver,
-    scenario_from_theta1,
+    DualSolution,
+    _dual_solution,
+    build_scenarios,
+    dual_foc_residual,
     scenario_samples,
     theta1_candidates,
 )
 from .market import (
-    DEGENERATE_VOL,
     INADMISSIBLE_FRACTION,
     MarketModel,
     PathEnsemble,
     Strategy,
-    density_paths,
+    as_time_fn,
     fraction_admissible,
     terminal_log_wealth,
     wealth_paths,
-    _mu_on_grid,
 )
-from .mc import grid_search, on_grid_edge
+from .mc import grid_search, interior_summary, on_grid_edge
 from .preferences import Penalty, UtilityPair
-from .primal import analytic_log_adjoints
+from .primal import primal_adjoints, primal_foc_residual
 
 
 @dataclass(frozen=True)
@@ -52,22 +50,20 @@ class RobustLogClosedForm:
     model: MarketModel
     penalty_scale: float = 1.0
 
+    def _coefficients(self, t: float) -> tuple[float, float]:
+        return as_time_fn(self.model.drift)(t), as_time_fn(self.model.vol)(t)
+
     def mu(self, t: float) -> float:
-        b = self.model.drift(t) if callable(self.model.drift) else self.model.drift
-        s = self.model.vol(t) if callable(self.model.vol) else self.model.vol
+        b, s = self._coefficients(t)
         return -b / ((1.0 + self.penalty_scale) * s)
 
     def pi(self, t: float) -> float:
-        b = self.model.drift(t) if callable(self.model.drift) else self.model.drift
-        s = self.model.vol(t) if callable(self.model.vol) else self.model.vol
-        if self.penalty_scale == 1.0:
-            return b / (2.0 * s**2)
+        b, s = self._coefficients(t)
         return (self.penalty_scale * b) / ((1.0 + self.penalty_scale) * s**2)
 
     def phi(self, t: float, spot, density):
         """Unit counts from the dual integrand: q2/(sigma*S) with q2 = (b/sigma + mu)/G."""
-        b = self.model.drift(t) if callable(self.model.drift) else self.model.drift
-        s = self.model.vol(t) if callable(self.model.vol) else self.model.vol
+        b, s = self._coefficients(t)
         return (b / s + self.mu(t)) / (np.asarray(density) * s * np.asarray(spot))
 
 
@@ -102,24 +98,6 @@ class RobustPrimalSolution:
     excluded: list = field(default_factory=list)
     grid_edge: bool = False
     wealth: np.ndarray | None = None
-    adjoints: AdjointTriple | None = None
-    foc: dict | None = None
-
-
-@dataclass
-class RobustDualSolution:
-    model: MarketModel
-    ensemble: PathEnsemble
-    pair: UtilityPair
-    penalty: Penalty
-    y: float
-    control: ScenarioControl
-    mu: float
-    value: float
-    se: float
-    candidate_values: np.ndarray
-    grid_edge: bool = False
-    density: np.ndarray | None = None
     adjoints: AdjointTriple | None = None
     foc: dict | None = None
 
@@ -193,17 +171,7 @@ def solve_robust_saddle(
 
     pi_star, mu_star = float(pi_values[jp]), float(mu_values[jm])
     wealth = wealth_paths(model, ensemble, Strategy.fraction(pi_star), x0, mu=mu_star)
-    if adjoint_mode == "analytic":
-        if utility.name != "log":
-            raise ValueError("analytic adjoints are available for log utility only")
-        adjoints = analytic_log_adjoints(model, ensemble, wealth, pi_star, mu=mu_star)
-    else:
-        adjoints = martingale_representation(
-            ensemble,
-            utility.u_prime(wealth[:, -1]),
-            state={"X": wealth, "F": utility.u_prime(wealth)},
-            basis=basis or RegressionBasis(channels=("X",)),
-        )
+    adjoints = primal_adjoints(model, ensemble, utility, wealth, pi_star, mu_star, adjoint_mode, basis)
     solution = RobustPrimalSolution(
         model=model,
         ensemble=ensemble,
@@ -234,40 +202,27 @@ def solve_robust_saddle(
 def robust_primal_foc_residuals(model: MarketModel, solution: RobustPrimalSolution) -> dict:
     """First-order residuals of the primal game at (pi, mu).
 
-    ``drift``:  (b + mu*sigma) p1 + sigma q1 + sum gamma r1 nu  (per time)
+    ``drift``:  (b + mu*sigma) p1 + sigma q1 + sum gamma r1 nu  (per time),
+    the plain primal residual in the perturbed market.
     ``penalty``: rho'(mu) + phi*S*sigma*p1 = rho'(mu) + pi*sigma*X*p1.
     Cross-sectional means per time, each normalized by its natural scale.
     """
-    ensemble = solution.ensemble
-    grid = ensemble.grid
+    drift = primal_foc_residual(model, solution)
     adj = solution.adjoints
-    mu, pi = solution.mu, solution.pi
-    b = model.drift_on(grid) + _mu_on_grid(mu, grid) * model.vol_on(grid)
-    s = model.vol_on(grid)
-    p_mean = adj.p[:, :-1].mean(axis=0)
-    q_mean = adj.q.mean(axis=0)
-    drift_raw = b * p_mean + s * q_mean
-    if model.n_marks:
-        gam = model.jump_sizes_on(grid)
-        drift_raw = drift_raw + np.einsum("ik,pik,k->i", gam, adj.r, model.intensities) / ensemble.n_paths
-    drift_scale = float(np.mean(np.abs(b * p_mean)))
-
+    s = model.vol_on(solution.ensemble.grid)
     xp_mean = (solution.wealth[:, :-1] * adj.p[:, :-1]).mean(axis=0)
-    pen_raw = float(np.asarray(solution.penalty.rho_prime(mu))) + pi * s * xp_mean
-    pen_scale = float(np.mean(np.abs(pi * s * xp_mean)))
-
-    lo, hi = max(1, grid.n_steps // 10), grid.n_steps - max(1, grid.n_steps // 10)
-    d_norm = np.abs(drift_raw[lo:hi]) / drift_scale if drift_scale > 0 else np.abs(drift_raw[lo:hi])
-    p_norm = np.abs(pen_raw[lo:hi]) / pen_scale if pen_scale > 0 else np.abs(pen_raw[lo:hi])
+    pen_raw = float(np.asarray(solution.penalty.rho_prime(solution.mu))) + solution.pi * s * xp_mean
+    pen_scale = float(np.mean(np.abs(solution.pi * s * xp_mean)))
+    pen_mean, pen_max = interior_summary(pen_raw, pen_scale)
     return {
-        "drift_raw": drift_raw,
+        "drift_raw": drift["raw"],
         "penalty_raw": pen_raw,
-        "drift_scale": drift_scale,
+        "drift_scale": drift["scale"],
         "penalty_scale": pen_scale,
-        "drift_mean_normalized": float(np.mean(d_norm)),
-        "drift_max_normalized": float(np.max(d_norm)),
-        "penalty_mean_normalized": float(np.mean(p_norm)),
-        "penalty_max_normalized": float(np.max(p_norm)),
+        "drift_mean_normalized": drift["mean_normalized"],
+        "drift_max_normalized": drift["max_normalized"],
+        "penalty_mean_normalized": pen_mean,
+        "penalty_max_normalized": pen_max,
     }
 
 
@@ -282,23 +237,19 @@ def solve_robust_dual(
     adjoint_mode: str = "regression",
     control_variates: bool = True,
     basis: RegressionBasis | None = None,
-) -> RobustDualSolution:
+) -> DualSolution:
     """Maximize J(theta, mu) = E[-V(G(T))] - integral rho(mu) over a (mu, theta1) grid.
 
     theta0 is eliminated through the perturbed constraint per candidate, so
-    every scenario satisfies it pointwise.
+    every scenario satisfies it pointwise.  The solution is a
+    :class:`DualSolution` with ``penalty`` set and ``mu`` the optimal
+    perturbation.
     """
     grid = ensemble.grid
     mu_values = np.asarray(list(mu_values), dtype=float)
     candidates = theta1_candidates(model, theta1_values)
     shape = (mu_values.size, len(candidates))
-    scenarios: list[ScenarioControl | None] = []
-    for mu in mu_values:
-        for th1 in candidates:
-            try:
-                scenarios.append(scenario_from_theta1(model, grid, th1, y, mu=float(mu)))
-            except ValueError:
-                scenarios.append(None)
+    scenarios, excluded = build_scenarios(model, grid, candidates, y, mu_values.tolist())
     search = grid_search(
         shape, scenario_samples(ensemble, pair, scenarios),
         np.array([c is not None for c in scenarios]),
@@ -308,83 +259,42 @@ def solve_robust_dual(
                        for mu in mu_values for th1 in candidates]),
         what="robust dual candidates",
     )
-    values, j_star = search.values, search.best
-    mu_star = mu_values[j_star // shape[1]]
-    control = scenarios[j_star]
-
-    density = density_paths(ensemble, control)
-    terminal = pair.inverse_marginal(density[:, -1])
-    if adjoint_mode == "analytic":
-        if pair.name != "log":
-            raise ValueError("analytic dual adjoints are available for the log pair only")
-        adjoints = analytic_log_dual_adjoints(model, ensemble, density, control)
-    else:
-        adjoints = solve_linear_bsde(
-            ensemble,
-            terminal,
-            driver=dual_driver(model, grid, mu=float(mu_star)),
-            state={"G": density, "F": pair.inverse_marginal(density)},
-            basis=basis or RegressionBasis(channels=("G",)),
-        )
-    solution = RobustDualSolution(
-        model=model,
-        ensemble=ensemble,
-        pair=pair,
+    j_star = search.best
+    return _dual_solution(
+        model, ensemble, pair, scenarios[j_star], adjoint_mode, basis, replicate=False,
+        foc=lambda solution: robust_dual_foc_residuals(model, solution),
         penalty=penalty,
-        y=float(y),
-        control=control,
-        mu=float(mu_star),
-        value=float(values[j_star]),
+        value=float(search.values[j_star]),
         se=float(search.ses[j_star]),
-        candidate_values=values,
+        theta1_values=[np.asarray(c).tolist() for c in candidates],
+        candidate_values=search.values,
+        candidate_se=search.ses,
+        excluded=excluded,
         grid_edge=search.grid_edge,
-        density=density,
-        adjoints=adjoints,
     )
-    solution.foc = robust_dual_foc_residuals(model, solution)
-    return solution
 
 
-def robust_dual_foc_residuals(model: MarketModel, solution: RobustDualSolution) -> dict:
+def robust_dual_foc_residuals(model: MarketModel, solution: DualSolution) -> dict:
     """First-order residuals of the robust dual at (theta, mu).
 
-    ``jump``:    -q2*gamma/sigma + r2 per (time, mark) — vacuous without marks.
+    ``jump``:    -q2*gamma/sigma + r2 per (time, mark), the plain dual
+                 residual (:func:`dual_foc_residual`) — vacuous without marks.
     ``penalty``: rho'(mu) + G*q2, pathwise then averaged per time.
     """
-    ensemble = solution.ensemble
-    grid = ensemble.grid
-    adj = solution.adjoints
-    s = model.vol_on(grid)
-    live = np.abs(s) >= DEGENERATE_VOL
-    k = model.n_marks
-    if k:
-        gam = model.jump_sizes_on(grid)
-        q_mean = adj.q.mean(axis=0)
-        r_mean = adj.r.mean(axis=0)
-        jump_raw = np.zeros((grid.n_steps, k))
-        jump_raw[live] = -(q_mean[live] / s[live])[:, None] * gam[live] + r_mean[live]
-        jump_scale = float(np.mean(np.abs(r_mean[live]))) if np.any(live) else 0.0
-    else:
-        jump_raw = np.zeros((grid.n_steps, 0))
-        jump_scale = 0.0
-
-    gq = (solution.density[:, :-1] * adj.q).mean(axis=0)
+    jump = dual_foc_residual(solution)
+    gq = (solution.density[:, :-1] * solution.adjoints.q).mean(axis=0)
     pen_raw = float(np.asarray(solution.penalty.rho_prime(solution.mu))) + gq
     pen_scale = float(np.mean(np.abs(gq)))
-
-    lo, hi = max(1, grid.n_steps // 10), grid.n_steps - max(1, grid.n_steps // 10)
-    p_norm = np.abs(pen_raw[lo:hi]) / pen_scale if pen_scale > 0 else np.abs(pen_raw[lo:hi])
-    j_norm = (np.abs(jump_raw[lo:hi][live[lo:hi]]) / jump_scale
-              if (k and jump_scale > 0) else np.abs(jump_raw[lo:hi]).ravel())
+    pen_mean, pen_max = interior_summary(pen_raw, pen_scale)
     return {
-        "jump_raw": jump_raw,
+        "jump_raw": jump["raw"],
         "penalty_raw": pen_raw,
-        "jump_scale": jump_scale,
+        "jump_scale": jump["scale"],
         "penalty_scale": pen_scale,
-        "jump_mean_normalized": float(np.mean(j_norm)) if j_norm.size else 0.0,
-        "jump_max_normalized": float(np.max(j_norm)) if j_norm.size else 0.0,
-        "penalty_mean_normalized": float(np.mean(p_norm)),
-        "penalty_max_normalized": float(np.max(p_norm)),
+        "jump_mean_normalized": jump["mean_normalized"],
+        "jump_max_normalized": jump["max_normalized"],
+        "penalty_mean_normalized": pen_mean,
+        "penalty_max_normalized": pen_max,
     }
 
 

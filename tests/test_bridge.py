@@ -46,14 +46,28 @@ def test_primal_to_dual_regression_tolerance(base_model, base_ens_50k, log_pair)
     assert report["constraint"]["max_abs"] <= 1e-12
 
 
-def test_dual_to_primal_analytic(base_model, base_ens_5k, log_pair):
-    dual = dl.solve_dual_search(base_model, log_pair, 1.0, base_ens_5k,
+@pytest.mark.parametrize("mu", [None, -0.1])
+def test_dual_to_primal_analytic(base_model, base_ens_5k, log_pair, mu):
+    # at a perturbation the wealth must live in the market with drift b + mu*sigma
+    dual = dl.solve_dual_search(base_model, log_pair, 1.0, base_ens_5k, mu=mu,
                                 adjoint_mode="analytic", replicate=False)
     strategy, x0, report = dl.dual_to_primal(dual)
+    merton = (0.05 + (mu or 0.0) * 0.2) / 0.2**2
     assert x0 == pytest.approx(1.0, abs=1e-14)
-    assert dl.bridged_fraction(dual) == pytest.approx(1.25, abs=1e-12)
+    assert dl.bridged_fraction(dual) == pytest.approx(merton, abs=1e-12)
+    assert report["process_link"]["max_rel"] < 1e-12
     assert report["process_link"]["max_abs"] < 1e-12
     assert report["terminal_link"]["max_abs"] < 1e-12
+
+
+def test_primal_to_dual_at_perturbation(base_model, base_ens_5k, log_pair):
+    # the scenario is eliminated in the market the primal solution was solved in
+    sol = dl.solve_primal_search(base_model, log_pair, 1.0, [0.75], base_ens_5k, mu=-0.1,
+                                 adjoint_mode="analytic")
+    control, y, report = dl.primal_to_dual(sol)
+    assert report["process_link"]["max_rel"] < 1e-12
+    assert report["ratio_residual"]["max_abs"] < 1e-12
+    assert control.mu == -0.1 and np.allclose(control.theta0, -0.15, atol=1e-14)
 
 
 def test_dual_to_primal_constant_claim(log_pair):

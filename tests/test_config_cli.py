@@ -57,6 +57,14 @@ def test_missing_config_file_exit_code(capsys):
     assert cli.main(["primal", "--config", "/nonexistent.yaml"]) == 2
 
 
+@pytest.mark.parametrize("text", ["", "- market\n- grid\n"], ids=["empty", "list-root"])
+def test_non_mapping_config_exit_code(tmp_path, capsys, text):
+    cfg_file = tmp_path / "bad.yaml"
+    cfg_file.write_text(text)
+    assert cli.main(["primal", "--config", str(cfg_file)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_bad_jump_entry_rejected():
     raw = load_raw("jump_dual.yaml")
     raw["market"]["jumps"][0]["size"] = 0.2

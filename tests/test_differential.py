@@ -150,6 +150,9 @@ def test_robust_dual_matches_loop_with_jumps(jump_model, log_pair, quad_penalty)
     values, _, j_star = oracles.robust_dual_search(jump_model, log_pair, quad_penalty, 1.0,
                                                    ens, mu_grid, th_grid)
     assert np.sum(np.isneginf(values)) == 2 * mu_grid.size
+    assert len(sol.excluded) == 2 * mu_grid.size
+    assert all(e["reason"] == "theta1 below -1 + eps after constraint elimination"
+               for e in sol.excluded)
     assert_values_match(sol.candidate_values, values)
     jm, jt = divmod(j_star, th_grid.size)
     assert sol.mu == mu_grid[jm] and sol.control.theta1[0, 0] == th_grid[jt]

@@ -164,6 +164,10 @@ def test_ensemble_exports(tmp_path, base_model):
     assert lines[0] == "# config_hash=abc"
     assert lines[1] == "path,time,S"
     assert len(lines) == 2 + 3 * 5
+    spot = ens.channels["S"]
+    for row, line in enumerate(lines[2:]):
+        p, _, value = line.split(",")
+        assert int(p) == row // 5 and float(value) == spot[row // 5, row % 5]
     summary = dl.ensemble_summary(ens)
     assert summary["n_paths"] == 3 and "S" in summary["channels"]
 
