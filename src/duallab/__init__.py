@@ -36,7 +36,6 @@ from .market import (
     AdmissibilityError,
     MarketModel,
     PathEnsemble,
-    Perturbation,
     Strategy,
     TimeGrid,
     density_paths,

@@ -114,7 +114,7 @@ def run_primal(cfg: ExperimentConfig, out: str) -> dict:
     solution = solve_primal_search(
         model, cfg.utility(), cfg.x0, pi_values, ens, adjoint_mode=cfg.adjoints
     )
-    deriv, deriv_se = hamiltonian_derivative_check(model, solution)
+    deriv, deriv_se = hamiltonian_derivative_check(solution)
     cfg_hash = cfg.hash()
     _write_csv(
         os.path.join(out, "candidates.csv"),

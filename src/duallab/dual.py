@@ -19,11 +19,12 @@ from .market import (
     THETA1_FLOOR,
     MarketModel,
     PathEnsemble,
+    Strategy,
     TimeGrid,
+    _euler_wealth,
     density_paths,
     price_paths,
     terminal_log_density,
-    _mu_on_grid,
 )
 from .mc import cv_mean, grid_search, interior_summary
 from .preferences import Penalty, UtilityPair
@@ -91,14 +92,12 @@ def scenario_from_theta1(
     is projected onto the constraint hyperplane (nu-weighted least squares)
     and theta0 is set to zero.
     """
-    b = model.drift_on(grid)
     s = model.vol_on(grid)
-    mu_arr = _mu_on_grid(mu, grid)
     k = model.n_marks
     theta1 = np.broadcast_to(np.asarray(theta1, dtype=float), (grid.n_steps, k)).copy() if k else np.zeros((grid.n_steps, 0))
     gam = model.jump_sizes_on(grid)
     nu = model.intensities
-    rhs = -(b + mu_arr * s)
+    rhs = -model.drift_on(grid, mu)
     jump_term = np.einsum("ik,ik->i", gam, theta1 * nu)
     theta0 = np.zeros(grid.n_steps)
     degenerate = np.abs(s) < DEGENERATE_VOL
@@ -184,7 +183,7 @@ def dual_driver(model: MarketModel, grid: TimeGrid, mu=None) -> DriverSpec:
     On steps where sigma vanishes the same exposure is carried by the jump
     integrand, so the coefficient moves to r/gamma (per mark).
     """
-    b = model.drift_on(grid) + _mu_on_grid(mu, grid) * model.vol_on(grid)
+    b = model.drift_on(grid, mu)
     s = model.vol_on(grid)
     degenerate = np.abs(s) < DEGENERATE_VOL
     q_coeff = np.where(degenerate, 0.0, b / np.where(degenerate, 1.0, s))
@@ -297,7 +296,7 @@ def _dual_solution(
     )
     solution.foc = foc(solution) if foc else dual_foc_residual(solution)
     if replicate:
-        phi, x0 = replicating_portfolio(model, solution)
+        phi, x0 = replicating_portfolio(solution)
         solution.replication = replication_check(
             model, phi, x0, pair.inverse_marginal(density[:, -1]), ensemble, mu=control.mu
         )
@@ -404,13 +403,13 @@ def dual_foc_residual(solution: DualSolution) -> dict:
     }
 
 
-def replicating_portfolio(model: MarketModel, solution: DualSolution) -> tuple[np.ndarray, float]:
+def replicating_portfolio(solution: DualSolution) -> tuple[np.ndarray, float]:
     """Unit-count portfolio replicating -V'(G(T)): q2/(sigma*S), with the
     r2/(gamma*S) branch wherever sigma vanishes; initial value p2(0).
 
     Returns (phi as an (n_paths, n_steps) array, initial value).
     """
-    ensemble = solution.ensemble
+    model, ensemble = solution.model, solution.ensemble
     grid = ensemble.grid
     adj = solution.adjoints
     s = model.vol_on(grid)
@@ -454,28 +453,14 @@ def replication_check(
     """Terminal error of the Euler-simulated portfolio wealth against the claim.
 
     Pathwise relative errors; reports the RMS and the maximum, plus how many
-    paths lost positivity on the way (none, for the scenarios exercised here).
+    (path, step) wealth values were non-positive on the way (none, for the
+    scenarios exercised here), where :func:`~duallab.market.wealth_paths` would raise.
     """
-    grid = ensemble.grid
-    dt = grid.dt
-    b = model.drift_on(grid) + _mu_on_grid(mu, grid) * model.vol_on(grid)
-    s = model.vol_on(grid)
-    gam = model.jump_sizes_on(grid)
-    spot = ensemble.channels.get("S")
-    if spot is None:
-        spot = price_paths(model, ensemble)
-    x = np.full(ensemble.n_paths, float(x0))
-    nonpositive = 0
-    for i in range(grid.n_steps):
-        inc = b[i] * dt + s[i] * ensemble.brownian_increments[:, i]
-        if model.n_marks:
-            inc = inc + ensemble.compensated_step(i) @ gam[i]
-        x = x + phi[:, i] * spot[:, i] * inc
-        nonpositive += int(np.sum(x <= 0))
-    rel = (x - target) / target
+    x = _euler_wealth(model, ensemble, Strategy.units(phi), float(x0), mu=mu)
+    rel = (x[:, -1] - target) / target
     return {
         "rmse_rel": float(np.sqrt(np.mean(rel**2))),
         "max_rel": float(np.max(np.abs(rel))),
         "initial_value": float(x0),
-        "n_nonpositive": nonpositive,
+        "n_nonpositive": int(np.sum(x[:, 1:] <= 0)),
     }

@@ -4,8 +4,10 @@ The risky asset follows ``dS = S(t-) [b dt + sigma dB + sum_k gamma_k dNtilde_k]
 with a compound-Poisson jump part (finitely many marks).  All forward processes
 default to exact log-Euler (stochastic-exponential) updates, so positivity of
 price, fraction-parameterized wealth and density paths is structural rather
-than statistical.  A plain Euler scheme is kept for unit-count wealth and for
-scheme-order studies.
+than statistical.  Price, wealth and density are one stochastic exponential
+with different coefficients, built by one kernel (and summed to the horizon by
+one terminal kernel).  A plain Euler scheme is kept for unit-count wealth,
+replication and scheme-order studies.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ INADMISSIBLE_FRACTION = "1 + pi*gamma <= 0; candidate inadmissible"
 
 
 class AdmissibilityError(ValueError):
-    """A wealth path lost positivity (or a fraction made 1 + pi*gamma <= 0)."""
+    """A forward path lost positivity: an Euler value <= 0, or a jump ratio
+    <= -1 (for a fraction, 1 + pi*gamma <= 0)."""
 
 
 def as_time_fn(value: float | TimeFn) -> TimeFn:
@@ -109,8 +112,16 @@ class MarketModel:
     def intensities(self) -> np.ndarray:
         return np.asarray(self.jump_intensities, dtype=float)
 
-    def drift_on(self, grid: TimeGrid) -> np.ndarray:
-        return eval_on_grid(self.drift, grid.left_times)
+    def drift_on(self, grid: TimeGrid, mu=None) -> np.ndarray:
+        """Drift b on the grid, or the perturbed drift b + mu*sigma when ``mu``
+        is given; a (n_steps, C) ``mu`` gives one column per candidate."""
+        b = eval_on_grid(self.drift, grid.left_times)
+        if mu is None:
+            return b
+        s = self.vol_on(grid)
+        if np.ndim(mu) == 2:
+            return b[:, None] + mu * s[:, None]
+        return b + _mu_on_grid(mu, grid) * s
 
     def vol_on(self, grid: TimeGrid) -> np.ndarray:
         return eval_on_grid(self.vol, grid.left_times)
@@ -134,27 +145,15 @@ class MarketModel:
             raise ValueError("jump sizes must satisfy gamma > -1 (price positivity)")
 
 
-@dataclass(frozen=True)
-class Perturbation:
-    """Drift perturbation mu(t); mu*sigma is added to the price drift."""
-
-    value: float | TimeFn = 0.0
-
-    def on_grid(self, grid: TimeGrid) -> np.ndarray:
-        return eval_on_grid(self.value, grid.left_times)
-
-
 def _mu_on_grid(mu, grid: TimeGrid) -> np.ndarray:
     if mu is None:
         return np.zeros(grid.n_steps)
-    if isinstance(mu, Perturbation):
-        return mu.on_grid(grid)
     return eval_on_grid(mu, grid.left_times)
 
 
 def perturbed_model(model: MarketModel, mu) -> MarketModel:
     """Market with drift b + mu*sigma; all other coefficients unchanged."""
-    mu_fn = as_time_fn(mu.value if isinstance(mu, Perturbation) else mu)
+    mu_fn = as_time_fn(mu)
     b_fn, s_fn = as_time_fn(model.drift), as_time_fn(model.vol)
     return MarketModel(
         drift=lambda t: b_fn(t) + mu_fn(t) * s_fn(t),
@@ -248,38 +247,84 @@ def simulate_drivers(
     return PathEnsemble(model, grid, n_paths, seed, db, counts)
 
 
-def _log_factors(
-    drift_arr: np.ndarray,      # (n_steps,) dt-coefficient before compensation
-    diff_arr: np.ndarray,       # (n_steps,) Brownian coefficient
-    jump_ratio: np.ndarray,     # (n_steps, K) relative jump of the process
-    intensities: np.ndarray,
-    ensemble: PathEnsemble,
-) -> np.ndarray:
-    """Per-step log increments of a stochastic exponential.
+def _log_increments(dest, ensemble: PathEnsemble, step, drift, diff, ratio) -> None:
+    """Write the exact log increments of steps ``step`` (a slice, or one step)
+    into ``dest``: (drift - diff**2/2 - ratio @ nu) dt + diff dB + sum_k N_k ln(1 + ratio_k).
 
-    The jump compensator -sum_k ratio_k*nu_k dt is folded into the drift so
-    compensated jump integrals are exact per step.
+    The jump compensator is folded into the dt-term, so compensated jump
+    integrals are exact per step.
     """
-    dt = ensemble.grid.dt
-    comp = jump_ratio @ intensities if jump_ratio.size else np.zeros_like(drift_arr)
-    ln = (drift_arr - 0.5 * diff_arr**2 - comp)[None, :] * dt
-    ln = ln + diff_arr[None, :] * ensemble.brownian_increments
-    if jump_ratio.size:
-        if np.any(jump_ratio <= -1.0):
-            raise ValueError("jump ratio <= -1 would break positivity")
-        ln = ln + np.einsum("pik,ik->pi", ensemble.jump_counts, np.log1p(jump_ratio))
-    return ln
+    np.multiply(diff, ensemble.brownian_increments[:, step], out=dest)
+    dest += (drift - 0.5 * diff**2 - ratio @ ensemble.model.intensities) * ensemble.grid.dt
+    if ratio.size:
+        if np.any(ratio <= -1.0):
+            raise AdmissibilityError("jump ratio <= -1 (1 + pi*gamma <= 0 for a fraction); "
+                                     "the exponential would lose positivity")
+        dest += np.einsum("...k,...k->...", ensemble.jump_counts[:, step], np.log1p(ratio))
+
+
+def _exp_paths(ensemble: PathEnsemble, x0: float, drift, diff, ratio, frac=None) -> np.ndarray:
+    """x0 * exp(cumulative log increments): the stochastic exponential of
+    drift dt + diff dB + ratio . dNtilde on every path, (n_paths, n_steps + 1).
+
+    ``drift``, ``diff`` (n_steps,) and ``ratio`` (n_steps, n_marks) are per
+    step.  A fraction ``frac`` multiplies all three: a scalar or per-step one
+    up front, a per-path (n_paths, n_steps) one a column at a time, so no
+    per-path coefficient array is built.  The increments are written into the
+    output, then summed, exponentiated and scaled there in place.
+    """
+    n_steps = ensemble.grid.n_steps
+    out = np.empty((ensemble.n_paths, n_steps + 1))
+    out[:, 0] = x0
+    ln = out[:, 1:]
+    if np.ndim(frac) == 2:
+        for i in range(n_steps):
+            f = frac[:, i]
+            _log_increments(ln[:, i], ensemble, i, f * drift[i], f * diff[i], f[:, None] * ratio[i])
+    else:
+        if frac is not None:
+            f = np.broadcast_to(np.asarray(frac, dtype=float), (n_steps,))
+            drift, diff, ratio = f * drift, f * diff, f[:, None] * ratio
+        _log_increments(ln, ensemble, slice(None), drift, diff, ratio)
+    np.cumsum(ln, axis=1, out=ln)
+    np.exp(ln, out=ln)
+    ln *= x0
+    return out
+
+
+def _euler_paths(ensemble: PathEnsemble, x0: float, drift, diff, ratio, exposure) -> np.ndarray:
+    """Plain Euler paths of dX = exposure * (drift dt + diff dB + ratio . dNtilde),
+    (n_paths, n_steps + 1), for per-step coefficients as in :func:`_exp_paths`.
+
+    ``exposure(i, x)`` is the amount exposed over step ``i`` given X(t_i).
+    Positivity is not checked here.  The steps are filled as contiguous rows
+    of a (n_steps + 1, n_paths) buffer, returned transposed.
+    """
+    grid = ensemble.grid
+    rows = np.empty((grid.n_steps + 1, ensemble.n_paths))
+    rows[0] = x0
+    for i in range(grid.n_steps):
+        ret = drift[i] * grid.dt + diff[i] * ensemble.brownian_increments[:, i]
+        if ratio.size:
+            ret = ret + ensemble.compensated_step(i) @ ratio[i]
+        rows[i + 1] = rows[i] + exposure(i, rows[i]) * ret
+    return rows.T
+
+
+def _check_positive(paths: np.ndarray, what: str) -> None:
+    bad = paths[:, 1:] <= 0.0
+    if np.any(bad):
+        step = int(np.argmax(np.any(bad, axis=0)))
+        raise AdmissibilityError(
+            f"{what} non-positive on {int(bad[:, step].sum())} path(s) at step {step + 1}"
+        )
 
 
 def price_paths(model: MarketModel, ensemble: PathEnsemble) -> np.ndarray:
     """Price channel S via the exact exponential update; attaches "S"."""
     grid = ensemble.grid
-    b, s = model.drift_on(grid), model.vol_on(grid)
-    gam = model.jump_sizes_on(grid)
-    ln = _log_factors(b, s, gam, model.intensities, ensemble)
-    out = np.empty((ensemble.n_paths, grid.n_steps + 1))
-    out[:, 0] = model.s0
-    out[:, 1:] = model.s0 * np.exp(np.cumsum(ln, axis=1))
+    out = _exp_paths(ensemble, model.s0, model.drift_on(grid), model.vol_on(grid),
+                     model.jump_sizes_on(grid))
     return ensemble.attach("S", out)
 
 
@@ -288,7 +333,7 @@ class Strategy:
     """Portfolio parameterization: fraction-of-wealth pi or unit counts phi.
 
     Values may be a scalar, a per-step array (n_steps,), a per-path array
-    (n_paths, n_steps), or a feedback callable (t, X, S) -> per-path values.
+    (n_paths, n_steps), or a function of time t.
     """
 
     kind: str  # "fraction" | "units"
@@ -306,16 +351,29 @@ class Strategy:
     def units(cls, values) -> "Strategy":
         return cls("units", values)
 
-    def at_step(self, i: int, t: float, x: np.ndarray, s: np.ndarray) -> np.ndarray:
-        v = self.values
-        if callable(v):
-            return np.broadcast_to(np.asarray(v(t, x, s), dtype=float), x.shape)
-        arr = np.asarray(v, dtype=float)
-        if arr.ndim == 0:
-            return np.full_like(x, float(arr))
-        if arr.ndim == 1:
-            return np.full_like(x, arr[i])
-        return arr[:, i]
+    def on_grid(self, grid: TimeGrid) -> np.ndarray:
+        """Values per step (n_steps,) or per path (n_paths, n_steps)."""
+        if np.ndim(self.values) == 2:
+            return np.asarray(self.values, dtype=float)
+        return eval_on_grid(self.values, grid.left_times)
+
+
+def _euler_wealth(model: MarketModel, ensemble: PathEnsemble, strategy: Strategy,
+                  x0: float, mu=None) -> np.ndarray:
+    """Euler wealth paths of a fraction or unit-count strategy, unchecked."""
+    grid = ensemble.grid
+    values = strategy.on_grid(grid)
+    fraction = strategy.kind == "fraction"
+    spot = None if fraction else ensemble.channels.get("S")
+    if not fraction and spot is None:
+        spot = price_paths(model, ensemble)
+
+    def exposure(i, x):
+        # pi*X for a fraction of wealth, phi*S for unit counts
+        return values[..., i] * (x if fraction else spot[:, i])
+
+    return _euler_paths(ensemble, x0, model.drift_on(grid, mu), model.vol_on(grid),
+                        model.jump_sizes_on(grid), exposure)
 
 
 def wealth_paths(
@@ -329,60 +387,19 @@ def wealth_paths(
     """Self-financing wealth under ``strategy`` in the (perturbed) market.
 
     Fraction strategies use the exact exponential update (positive by
-    construction whenever 1 + pi*gamma > 0); unit-count strategies use plain
-    Euler and raise :class:`AdmissibilityError` if any path loses positivity.
+    construction whenever 1 + pi*gamma > 0); unit-count strategies, and
+    fractions with ``scheme="euler"``, use plain Euler and raise
+    :class:`AdmissibilityError` if any path loses positivity.
     """
     if not x0 > 0:
         raise ValueError("initial wealth must be positive")
     grid = ensemble.grid
-    dt = grid.dt
-    b = model.drift_on(grid) + _mu_on_grid(mu, grid) * model.vol_on(grid)
-    s = model.vol_on(grid)
-    gam = model.jump_sizes_on(grid)
-    nu = model.intensities
-    spot = ensemble.channels.get("S")
-    if spot is None:
-        spot = price_paths(model, ensemble)
-    x = np.empty((ensemble.n_paths, grid.n_steps + 1))
-    x[:, 0] = x0
-    for i, t in enumerate(grid.left_times):
-        vals = strategy.at_step(i, t, x[:, i], spot[:, i])
-        if strategy.kind == "fraction":
-            pi = vals
-            if gam.size:
-                ratio = pi[:, None] * gam[i][None, :]
-                if np.any(ratio <= -1.0):
-                    raise AdmissibilityError(
-                        f"1 + pi*gamma <= 0 at step {i}; fraction strategy inadmissible"
-                    )
-            if scheme == "exact":
-                ln = (pi * b[i] - 0.5 * pi**2 * s[i] ** 2) * dt + pi * s[i] * ensemble.brownian_increments[:, i]
-                if gam.size:
-                    ln = ln - pi * (gam[i] @ nu) * dt
-                    ln = ln + np.einsum("pk,pk->p", ensemble.jump_counts[:, i], np.log1p(ratio))
-                x[:, i + 1] = x[:, i] * np.exp(ln)
-            else:
-                inc = pi * (b[i] * dt + s[i] * ensemble.brownian_increments[:, i])
-                if gam.size:
-                    inc = inc + pi * (ensemble.compensated_step(i) @ gam[i])
-                x[:, i + 1] = x[:, i] * (1.0 + inc)
-                _check_positive(x[:, i + 1], i)
-        else:
-            phi = vals
-            inc = b[i] * dt + s[i] * ensemble.brownian_increments[:, i]
-            if gam.size:
-                inc = inc + ensemble.compensated_step(i) @ gam[i]
-            x[:, i + 1] = x[:, i] + phi * spot[:, i] * inc
-            _check_positive(x[:, i + 1], i)
+    if strategy.kind == "fraction" and scheme == "exact":
+        return _exp_paths(ensemble, x0, model.drift_on(grid, mu), model.vol_on(grid),
+                          model.jump_sizes_on(grid), frac=strategy.on_grid(grid))
+    x = _euler_wealth(model, ensemble, strategy, x0, mu=mu)
+    _check_positive(x, "wealth")
     return x
-
-
-def _check_positive(col: np.ndarray, step: int) -> None:
-    bad = int(np.sum(col <= 0.0))
-    if bad:
-        raise AdmissibilityError(
-            f"wealth non-positive on {bad} path(s) at step {step + 1}"
-        )
 
 
 def density_paths(ensemble: PathEnsemble, control, y: float | None = None,
@@ -401,29 +418,19 @@ def density_paths(ensemble: PathEnsemble, control, y: float | None = None,
     theta1 = np.asarray(control.theta1, dtype=float).reshape(grid.n_steps, k) if k else np.zeros((grid.n_steps, 0))
     if theta1.size and np.any(theta1 < THETA1_FLOOR):
         raise ValueError("theta1 below -1 + eps; density would lose positivity")
-    nu = ensemble.model.intensities
-    g = np.empty((ensemble.n_paths, grid.n_steps + 1))
-    g[:, 0] = y0
+    no_drift = np.zeros(grid.n_steps)
     if scheme == "exact":
-        ln = _log_factors(np.zeros(grid.n_steps), theta0, theta1, nu, ensemble)
-        g[:, 1:] = y0 * np.exp(np.cumsum(ln, axis=1))
-    else:
-        for i in range(grid.n_steps):
-            inc = theta0[i] * ensemble.brownian_increments[:, i]
-            if k:
-                inc = inc + ensemble.compensated_step(i) @ theta1[i]
-            g[:, i + 1] = g[:, i] * (1.0 + inc)
-            if np.any(g[:, i + 1] <= 0):
-                raise ValueError(f"Euler density lost positivity at step {i + 1}")
+        return _exp_paths(ensemble, y0, no_drift, theta0, theta1)
+    g = _euler_paths(ensemble, y0, no_drift, theta0, theta1, lambda i, g: g)
+    _check_positive(g, "Euler density")
     return g
 
 
 def elmm_residual(model: MarketModel, grid: TimeGrid, control, mu=None) -> np.ndarray:
     """Martingale-measure constraint b + mu*sigma + sigma*theta0 + sum gamma*theta1*nu, per step."""
-    b, s = model.drift_on(grid), model.vol_on(grid)
-    mu_arr = _mu_on_grid(mu if mu is not None else getattr(control, "mu", None), grid)
+    b = model.drift_on(grid, mu if mu is not None else getattr(control, "mu", None))
     theta0 = np.broadcast_to(np.asarray(control.theta0, dtype=float), (grid.n_steps,))
-    res = b + mu_arr * s + s * theta0
+    res = b + model.vol_on(grid) * theta0
     if model.n_marks:
         gam = model.jump_sizes_on(grid)
         theta1 = np.asarray(control.theta1, dtype=float).reshape(grid.n_steps, model.n_marks)
@@ -437,17 +444,30 @@ def fraction_admissible(model: MarketModel, grid: TimeGrid, pi_values: np.ndarra
     return np.all(ratio > -1.0, axis=(1, 2))
 
 
-def _jump_log_sum(counts: np.ndarray, log_ratio: np.ndarray) -> np.ndarray:
-    """sum_{i,k} N_ik * log_ratio_ik per path.
+def _candidate_axis(values, n_steps: int) -> np.ndarray:
+    """(n_steps, C) values; a scalar or per-step input becomes the column of C = 1."""
+    arr = np.asarray(values, dtype=float)
+    return arr if arr.ndim == 2 else np.broadcast_to(arr, (n_steps,))[:, None]
 
-    ``log_ratio`` is (n_steps, K) for one candidate, giving (n_paths,), or
-    (n_steps, C, K) for C candidates, giving (n_paths, C) from one GEMM.
+
+def _terminal_log(ensemble: PathEnsemble, x0: float, drift, diff, ratio) -> np.ndarray:
+    """ln of the stochastic exponential of :func:`_exp_paths` at the horizon,
+    for C candidates at once: ``drift`` and ``diff`` (n_steps, C), ``ratio``
+    (n_steps, C, n_marks), result (n_paths, C).
+
+    The log increments are summed over steps before paths, so the path
+    dependence reduces to one GEMM over dB and one over the jump counts.
     """
-    if log_ratio.ndim == 2:
-        return np.einsum("pik,ik->p", counts, log_ratio)
-    n_steps, n_cand, k = log_ratio.shape
-    flat = log_ratio.transpose(0, 2, 1).reshape(n_steps * k, n_cand)
-    return counts.reshape(counts.shape[0], n_steps * k) @ flat
+    dt = ensemble.grid.dt
+    ln = ensemble.brownian_increments @ diff
+    ln += np.sum((drift - 0.5 * diff**2) * dt, axis=0)
+    if ratio.size:
+        n_steps, n_cand, k = ratio.shape
+        ln -= np.sum(ratio @ ensemble.model.intensities, axis=0) * dt
+        counts = ensemble.jump_counts.reshape(ensemble.n_paths, n_steps * k)
+        ln += counts @ np.log1p(ratio).transpose(0, 2, 1).reshape(n_steps * k, n_cand)
+    ln += math.log(x0)
+    return ln
 
 
 def terminal_log_wealth(
@@ -465,30 +485,14 @@ def terminal_log_wealth(
     (n_steps, C); the result is then (n_paths, C), one column per candidate.
     """
     grid = ensemble.grid
-    dt = grid.dt
-    s = model.vol_on(grid)
-    pi_arr = np.asarray(pi, dtype=float)
-    batched = pi_arr.ndim == 2 or np.ndim(mu) == 2
-    if batched:
-        mu_arr = np.asarray(mu, dtype=float) if np.ndim(mu) == 2 else _mu_on_grid(mu, grid)[:, None]
-        s = s[:, None]
-        b = model.drift_on(grid)[:, None] + mu_arr * s
-        if pi_arr.ndim < 2:
-            pi_arr = np.broadcast_to(pi_arr, (grid.n_steps,))[:, None]
-        pi_arr, b = np.broadcast_arrays(pi_arr, b)
-    else:
-        b = model.drift_on(grid) + _mu_on_grid(mu, grid) * s
-        pi_arr = np.broadcast_to(pi_arr, (grid.n_steps,))
-    drift_sum = np.sum((pi_arr * b - 0.5 * pi_arr**2 * s**2) * dt, axis=0)
-    ln = drift_sum + ensemble.brownian_increments @ (pi_arr * s)
-    if model.n_marks:
-        gam = model.jump_sizes_on(grid)
-        ratio = pi_arr[..., None] * (gam[:, None, :] if batched else gam)
-        if np.any(ratio <= -1.0):
-            raise AdmissibilityError(INADMISSIBLE_FRACTION)
-        ln = ln - np.sum(ratio @ model.intensities, axis=0) * dt
-        ln = ln + _jump_log_sum(ensemble.jump_counts, np.log1p(ratio))
-    return math.log(x0) + ln
+    b = model.drift_on(grid, mu)
+    single = np.ndim(pi) < 2 and b.ndim < 2
+    pi_arr, b = np.broadcast_arrays(_candidate_axis(pi, grid.n_steps), _candidate_axis(b, grid.n_steps))
+    ratio = pi_arr[..., None] * model.jump_sizes_on(grid)[:, None, :]
+    if np.any(ratio <= -1.0):
+        raise AdmissibilityError(INADMISSIBLE_FRACTION)
+    ln = _terminal_log(ensemble, x0, pi_arr * b, pi_arr * model.vol_on(grid)[:, None], ratio)
+    return ln[:, 0] if single else ln
 
 
 def terminal_log_density(ensemble: PathEnsemble, control, y: float | None = None) -> np.ndarray:
@@ -498,20 +502,14 @@ def terminal_log_density(ensemble: PathEnsemble, control, y: float | None = None
     n_marks) describes C candidates; the result is then (n_paths, C).
     """
     grid = ensemble.grid
-    dt = grid.dt
-    y0 = float(control.y if y is None else y)
-    theta0 = np.asarray(control.theta0, dtype=float)
-    if theta0.ndim < 2:
-        theta0 = np.broadcast_to(theta0, (grid.n_steps,))
-    ln = np.sum(-0.5 * theta0**2 * dt, axis=0) + ensemble.brownian_increments @ theta0
+    single = np.ndim(control.theta0) < 2
+    theta0 = _candidate_axis(control.theta0, grid.n_steps)
     k = ensemble.model.n_marks
-    if k:
-        theta1 = np.asarray(control.theta1, dtype=float).reshape(theta0.shape + (k,))
-        if np.any(theta1 < THETA1_FLOOR):
-            raise ValueError("theta1 below -1 + eps")
-        ln = ln - np.sum(theta1 @ ensemble.model.intensities, axis=0) * dt
-        ln = ln + _jump_log_sum(ensemble.jump_counts, np.log1p(theta1))
-    return math.log(y0) + ln
+    theta1 = np.asarray(control.theta1, dtype=float).reshape(theta0.shape + (k,)) if k else np.zeros(theta0.shape + (0,))
+    if np.any(theta1 < THETA1_FLOOR):
+        raise ValueError("theta1 below -1 + eps")
+    ln = _terminal_log(ensemble, float(control.y if y is None else y), 0.0, theta0, theta1)
+    return ln[:, 0] if single else ln
 
 
 def ensemble_to_csv(ensemble: PathEnsemble, path, channels: Sequence[str] | None = None,

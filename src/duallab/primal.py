@@ -24,7 +24,6 @@ from .market import (
     fraction_admissible,
     terminal_log_wealth,
     wealth_paths,
-    _mu_on_grid,
 )
 from .mc import cv_mean, grid_search, interior_summary, interior_window
 from .preferences import UtilityPair
@@ -60,7 +59,7 @@ def merton_log_closed_form(model: MarketModel) -> Strategy:
     b, s = model.drift, model.vol
     if callable(b) or callable(s):
         bf, sf = as_time_fn(b), as_time_fn(s)
-        return Strategy.fraction(lambda t, x=None, spot=None: bf(t) / sf(t) ** 2)
+        return Strategy.fraction(lambda t: bf(t) / sf(t) ** 2)
     return Strategy.fraction(b / s**2)
 
 
@@ -79,7 +78,7 @@ def analytic_log_adjoints(
     """
     grid = ensemble.grid
     dt = grid.dt
-    b = model.drift_on(grid) + _mu_on_grid(mu, grid) * model.vol_on(grid)
+    b = model.drift_on(grid, mu)
     s = model.vol_on(grid)
     gam = model.jump_sizes_on(grid)
     nu = model.intensities
@@ -177,11 +176,11 @@ def solve_primal_search(
         wealth=wealth,
         adjoints=adjoints,
     )
-    solution.foc = primal_foc_residual(model, solution)
+    solution.foc = primal_foc_residual(solution)
     return solution
 
 
-def primal_foc_residual(model: MarketModel, solution: PrimalSolution) -> dict:
+def primal_foc_residual(solution: PrimalSolution) -> dict:
     """Residual of b*p1 + sigma*q1 + sum_k gamma_k*r1_k*nu_k, per grid time,
     with b + mu*sigma for b when the solution carries a perturbation mu.
 
@@ -189,10 +188,10 @@ def primal_foc_residual(model: MarketModel, solution: PrimalSolution) -> dict:
     normalized by the time-average of |b*mean(p1)| so tolerances are
     scale-free.  Interior times (central 80% of the grid) enter the summary.
     """
-    ensemble = solution.ensemble
+    model, ensemble = solution.model, solution.ensemble
     grid = ensemble.grid
     adj = solution.adjoints
-    b = model.drift_on(grid) + _mu_on_grid(solution.mu, grid) * model.vol_on(grid)
+    b = model.drift_on(grid, solution.mu)
     s = model.vol_on(grid)
     p_mean = adj.p[:, :-1].mean(axis=0)
     q_mean = adj.q.mean(axis=0)
@@ -213,7 +212,6 @@ def primal_foc_residual(model: MarketModel, solution: PrimalSolution) -> dict:
 
 
 def hamiltonian_derivative_check(
-    model: MarketModel,
     solution: PrimalSolution,
     direction=1.0,
     bump: float = 0.025,
@@ -224,7 +222,7 @@ def hamiltonian_derivative_check(
     Uses common random numbers; by the necessary optimality condition the
     derivative vanishes at an optimum.  Returns (estimate, standard error).
     """
-    ensemble = solution.ensemble
+    model, ensemble = solution.model, solution.ensemble
     beta = eval_on_grid(direction, ensemble.grid.left_times)
     if not np.any(beta):
         return 0.0, 0.0

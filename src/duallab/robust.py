@@ -61,11 +61,6 @@ class RobustLogClosedForm:
         b, s = self._coefficients(t)
         return (self.penalty_scale * b) / ((1.0 + self.penalty_scale) * s**2)
 
-    def phi(self, t: float, spot, density):
-        """Unit counts from the dual integrand: q2/(sigma*S) with q2 = (b/sigma + mu)/G."""
-        b, s = self._coefficients(t)
-        return (b / s + self.mu(t)) / (np.asarray(density) * s * np.asarray(spot))
-
 
 def robust_log_closed_form(model: MarketModel, penalty: Penalty) -> RobustLogClosedForm:
     """Validate the closed-form preconditions and return the explicit solution."""
@@ -195,11 +190,11 @@ def solve_robust_saddle(
         wealth=wealth,
         adjoints=adjoints,
     )
-    solution.foc = robust_primal_foc_residuals(model, solution)
+    solution.foc = robust_primal_foc_residuals(solution)
     return solution
 
 
-def robust_primal_foc_residuals(model: MarketModel, solution: RobustPrimalSolution) -> dict:
+def robust_primal_foc_residuals(solution: RobustPrimalSolution) -> dict:
     """First-order residuals of the primal game at (pi, mu).
 
     ``drift``:  (b + mu*sigma) p1 + sigma q1 + sum gamma r1 nu  (per time),
@@ -207,9 +202,9 @@ def robust_primal_foc_residuals(model: MarketModel, solution: RobustPrimalSoluti
     ``penalty``: rho'(mu) + phi*S*sigma*p1 = rho'(mu) + pi*sigma*X*p1.
     Cross-sectional means per time, each normalized by its natural scale.
     """
-    drift = primal_foc_residual(model, solution)
+    drift = primal_foc_residual(solution)
     adj = solution.adjoints
-    s = model.vol_on(solution.ensemble.grid)
+    s = solution.model.vol_on(solution.ensemble.grid)
     xp_mean = (solution.wealth[:, :-1] * adj.p[:, :-1]).mean(axis=0)
     pen_raw = float(np.asarray(solution.penalty.rho_prime(solution.mu))) + solution.pi * s * xp_mean
     pen_scale = float(np.mean(np.abs(solution.pi * s * xp_mean)))
@@ -262,7 +257,7 @@ def solve_robust_dual(
     j_star = search.best
     return _dual_solution(
         model, ensemble, pair, scenarios[j_star], adjoint_mode, basis, replicate=False,
-        foc=lambda solution: robust_dual_foc_residuals(model, solution),
+        foc=robust_dual_foc_residuals,
         penalty=penalty,
         value=float(search.values[j_star]),
         se=float(search.ses[j_star]),
@@ -274,7 +269,7 @@ def solve_robust_dual(
     )
 
 
-def robust_dual_foc_residuals(model: MarketModel, solution: DualSolution) -> dict:
+def robust_dual_foc_residuals(solution: DualSolution) -> dict:
     """First-order residuals of the robust dual at (theta, mu).
 
     ``jump``:    -q2*gamma/sigma + r2 per (time, mark), the plain dual

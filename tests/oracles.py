@@ -1,10 +1,13 @@
 """Reference implementations kept for differential tests.
 
-These are the straightforward forms the library's batched searches and
-one-factorisation backward sweep replace: one candidate at a time, a fresh
-``lstsq`` control-variate fit per candidate, a per-step Python loop for the
-theta0 elimination, and two SVD ``lstsq`` fits per backward step.  They stay
-out of the package on purpose; the tests compare the package against them.
+These are the straightforward forms the library's batched searches,
+one-factorisation backward sweep and shared forward kernels replace: one
+candidate at a time, a fresh ``lstsq`` control-variate fit per candidate, a
+per-step Python loop for the theta0 elimination, two SVD ``lstsq`` fits per
+backward step, and a separate forward loop per process (price and density
+from whole-array log factors, wealth and replication one step at a time).
+They stay out of the package on purpose; the tests compare the package
+against them.
 """
 
 from __future__ import annotations
@@ -22,6 +25,146 @@ from duallab.market import (
     AdmissibilityError,
     _mu_on_grid,
 )
+
+
+# ------------------------------------------------------------ forward paths
+
+def log_factors(drift_arr, diff_arr, jump_ratio, intensities, ensemble):
+    """Per-step log increments of a stochastic exponential, as a new array."""
+    dt = ensemble.grid.dt
+    comp = jump_ratio @ intensities if jump_ratio.size else np.zeros_like(drift_arr)
+    ln = (drift_arr - 0.5 * diff_arr**2 - comp)[None, :] * dt
+    ln = ln + diff_arr[None, :] * ensemble.brownian_increments
+    if jump_ratio.size:
+        if np.any(jump_ratio <= -1.0):
+            raise ValueError("jump ratio <= -1 would break positivity")
+        ln = ln + np.einsum("pik,ik->pi", ensemble.jump_counts, np.log1p(jump_ratio))
+    return ln
+
+
+def price_paths(model, ensemble):
+    """Price paths; unlike the package function, nothing is attached."""
+    grid = ensemble.grid
+    ln = log_factors(model.drift_on(grid), model.vol_on(grid), model.jump_sizes_on(grid),
+                     model.intensities, ensemble)
+    out = np.empty((ensemble.n_paths, grid.n_steps + 1))
+    out[:, 0] = model.s0
+    out[:, 1:] = model.s0 * np.exp(np.cumsum(ln, axis=1))
+    return out
+
+
+def density_paths(ensemble, control, scheme="exact"):
+    grid = ensemble.grid
+    y0 = float(control.y)
+    theta0 = np.broadcast_to(np.asarray(control.theta0, dtype=float), (grid.n_steps,))
+    k = ensemble.model.n_marks
+    theta1 = (np.asarray(control.theta1, dtype=float).reshape(grid.n_steps, k)
+              if k else np.zeros((grid.n_steps, 0)))
+    g = np.empty((ensemble.n_paths, grid.n_steps + 1))
+    g[:, 0] = y0
+    if scheme == "exact":
+        ln = log_factors(np.zeros(grid.n_steps), theta0, theta1,
+                         ensemble.model.intensities, ensemble)
+        g[:, 1:] = y0 * np.exp(np.cumsum(ln, axis=1))
+        return g
+    for i in range(grid.n_steps):
+        inc = theta0[i] * ensemble.brownian_increments[:, i]
+        if k:
+            inc = inc + ensemble.compensated_step(i) @ theta1[i]
+        g[:, i + 1] = g[:, i] * (1.0 + inc)
+        if np.any(g[:, i + 1] <= 0):
+            raise ValueError(f"Euler density lost positivity at step {i + 1}")
+    return g
+
+
+def _at_step(values, i, n_paths):
+    """Strategy values of step ``i`` per path: scalar, per-step or per-path input."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim == 0:
+        return np.full(n_paths, float(arr))
+    if arr.ndim == 1:
+        return np.full(n_paths, arr[i])
+    return arr[:, i]
+
+
+def _check_positive(col, step):
+    bad = int(np.sum(col <= 0.0))
+    if bad:
+        raise AdmissibilityError(f"wealth non-positive on {bad} path(s) at step {step + 1}")
+
+
+def wealth_paths(model, ensemble, kind, values, x0, mu=None, scheme="exact"):
+    """Wealth of a "fraction" or "units" strategy with array ``values``, one step at a time."""
+    grid = ensemble.grid
+    dt = grid.dt
+    b = model.drift_on(grid) + _mu_on_grid(mu, grid) * model.vol_on(grid)
+    s = model.vol_on(grid)
+    gam = model.jump_sizes_on(grid)
+    nu = model.intensities
+    spot = ensemble.channels.get("S")
+    if spot is None:
+        spot = price_paths(model, ensemble)
+    x = np.empty((ensemble.n_paths, grid.n_steps + 1))
+    x[:, 0] = x0
+    for i in range(grid.n_steps):
+        vals = _at_step(values, i, ensemble.n_paths)
+        if kind == "fraction":
+            pi = vals
+            if gam.size:
+                ratio = pi[:, None] * gam[i][None, :]
+                if np.any(ratio <= -1.0):
+                    raise AdmissibilityError(
+                        f"1 + pi*gamma <= 0 at step {i}; fraction strategy inadmissible"
+                    )
+            if scheme == "exact":
+                ln = ((pi * b[i] - 0.5 * pi**2 * s[i] ** 2) * dt
+                      + pi * s[i] * ensemble.brownian_increments[:, i])
+                if gam.size:
+                    ln = ln - pi * (gam[i] @ nu) * dt
+                    ln = ln + np.einsum("pk,pk->p", ensemble.jump_counts[:, i], np.log1p(ratio))
+                x[:, i + 1] = x[:, i] * np.exp(ln)
+            else:
+                inc = pi * (b[i] * dt + s[i] * ensemble.brownian_increments[:, i])
+                if gam.size:
+                    inc = inc + pi * (ensemble.compensated_step(i) @ gam[i])
+                x[:, i + 1] = x[:, i] * (1.0 + inc)
+                _check_positive(x[:, i + 1], i)
+        else:
+            inc = b[i] * dt + s[i] * ensemble.brownian_increments[:, i]
+            if gam.size:
+                inc = inc + ensemble.compensated_step(i) @ gam[i]
+            x[:, i + 1] = x[:, i] + vals * spot[:, i] * inc
+            _check_positive(x[:, i + 1], i)
+    return x
+
+
+def replication_check(model, phi, x0, target, ensemble, mu=None):
+    grid = ensemble.grid
+    dt = grid.dt
+    b = model.drift_on(grid) + _mu_on_grid(mu, grid) * model.vol_on(grid)
+    s = model.vol_on(grid)
+    gam = model.jump_sizes_on(grid)
+    spot = ensemble.channels.get("S")
+    if spot is None:
+        spot = price_paths(model, ensemble)
+    x = np.full(ensemble.n_paths, float(x0))
+    nonpositive = 0
+    for i in range(grid.n_steps):
+        inc = b[i] * dt + s[i] * ensemble.brownian_increments[:, i]
+        if model.n_marks:
+            inc = inc + ensemble.compensated_step(i) @ gam[i]
+        x = x + phi[:, i] * spot[:, i] * inc
+        nonpositive += int(np.sum(x <= 0))
+    rel = (x - target) / target
+    return {
+        "rmse_rel": float(np.sqrt(np.mean(rel**2))),
+        "max_rel": float(np.max(np.abs(rel))),
+        "initial_value": float(x0),
+        "n_nonpositive": nonpositive,
+    }
+
+
+# ---------------------------------------------------------------- searches
 
 
 def cv_mean(values, controls=None):

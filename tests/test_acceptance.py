@@ -37,7 +37,7 @@ def ens_10k(base_model):
 def test_criterion_1_merton_fraction(base_model, base_ens_50k, log_pair):
     t0 = time.perf_counter()
     sol = dl.solve_primal_search(base_model, log_pair, 1.0, PI_GRID, base_ens_50k)
-    deriv, se = dl.hamiltonian_derivative_check(base_model, sol)
+    deriv, se = dl.hamiltonian_derivative_check(sol)
     elapsed = time.perf_counter() - t0
     ok = (
         sol.pi == 1.25
@@ -145,7 +145,7 @@ def test_criterion_5_replication(base_model, base_ens_50k, log_pair):
                                     adjoint_mode="analytic", replicate=True)
     rmse_degen = sol.replication["rmse_rel"]
     # the portfolio must actually use the jump branch where sigma vanishes
-    phi, _ = dl.replicating_portfolio(degen, sol)
+    phi, _ = dl.replicating_portfolio(sol)
     branch_used = bool(np.all(np.abs(phi[:, :50]) > 0))
     ok = rmse_plain < 0.02 and rmse_degen < 0.05 and branch_used
     report(5, "claim replication", ok,

@@ -1,5 +1,6 @@
-"""Batched searches and the one-factorisation backward sweep against the
-per-candidate / ``lstsq`` reference forms kept in ``oracles.py``."""
+"""Batched searches, the one-factorisation backward sweep and the shared
+forward kernels against the per-candidate / ``lstsq`` / per-process loop
+reference forms kept in ``oracles.py``."""
 
 import math
 import re
@@ -7,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import duallab as dl
 from duallab.bsde import RegressionBasis
@@ -235,3 +238,121 @@ def test_sweep_matches_lstsq_on_collinear_state(base_model, base_ens_5k):
     assert all(step["rank"] < 6 for step in ref[3])
     _assert_sweep_matches(triple, ref)
     assert not math.isinf(max(step["cond"] for step in ref[3]))
+
+
+# ----------------------------------------------------------- forward paths
+
+@st.composite
+def forward_cases(draw):
+    """A small ensemble of a market with time-dependent drift and vol, sigma = 0
+    on a sub-interval or not, and 0-3 marks; plus a seed for coefficients."""
+    b0, b1 = draw(st.floats(-0.2, 0.2)), draw(st.floats(-0.2, 0.2))
+    s0, s1 = draw(st.floats(0.05, 0.4)), draw(st.floats(-0.04, 0.04))
+    flat = draw(st.sampled_from([None, (0.3, 0.6), (0.0, 0.5)]))
+    marks = draw(st.lists(st.floats(-0.5, 0.5).filter(lambda g: abs(g) > 1e-3), max_size=3))
+    intensities = draw(st.lists(st.floats(0.1, 2.0), min_size=len(marks), max_size=len(marks)))
+    seed = draw(st.integers(0, 2**31 - 1))
+
+    def vol(t):
+        if flat is not None and flat[0] <= t < flat[1]:
+            return 0.0
+        return s0 + s1 * t
+
+    model = dl.MarketModel(drift=lambda t: b0 + b1 * t, vol=vol, jump_marks=tuple(marks),
+                           jump_intensities=tuple(intensities), horizon=1.0)
+    ens = dl.simulate_drivers(model, dl.TimeGrid(20, 1.0), 200, seed)
+    return model, ens, np.random.Generator(np.random.Philox(key=seed))
+
+
+def assert_rel(new, old, rel=1e-13):
+    new, old = np.asarray(new), np.asarray(old)
+    assert new.shape == old.shape
+    assert np.all(np.abs(new - old) <= rel * np.maximum(1.0, np.abs(old)))
+
+
+def assert_same_outcome(new_fn, old_fn):
+    """Both close to 1e-13, or both fail positivity at the same step."""
+    try:
+        old = old_fn()
+    except ValueError as exc:
+        step = re.search(r"at step \d+$", str(exc)).group()
+        with pytest.raises(ValueError, match=step):
+            new_fn()
+        return
+    assert_rel(new_fn(), old)
+
+
+def _scenario(model, ens, rng, y=1.5):
+    n = ens.grid.n_steps
+    return dl.ScenarioControl(theta0=rng.uniform(-0.5, 0.5, size=n),
+                              theta1=rng.uniform(-0.3, 0.3, size=(n, model.n_marks)), y=y)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=forward_cases())
+def test_price_and_density_paths_bit_identical(case):
+    model, ens, rng = case
+    assert np.array_equal(dl.price_paths(model, ens), oracles.price_paths(model, ens))
+    control = _scenario(model, ens, rng)
+    assert np.array_equal(dl.density_paths(ens, control), oracles.density_paths(ens, control))
+    assert_same_outcome(lambda: dl.density_paths(ens, control, scheme="euler"),
+                        lambda: oracles.density_paths(ens, control, scheme="euler"))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=forward_cases(), per_path=st.booleans(), mu=st.sampled_from([None, -0.1, 0.05]))
+def test_wealth_paths_match_step_loops(case, per_path, mu):
+    model, ens, rng = case
+    shape = (ens.n_paths, ens.grid.n_steps) if per_path else (ens.grid.n_steps,)
+    pi = rng.uniform(-0.9, 0.9, size=shape)
+    for scheme in ("exact", "euler"):
+        assert_same_outcome(
+            lambda: dl.wealth_paths(model, ens, dl.Strategy.fraction(pi), 1.2, mu=mu, scheme=scheme),
+            lambda: oracles.wealth_paths(model, ens, "fraction", pi, 1.2, mu=mu, scheme=scheme))
+    phi = rng.uniform(-0.5, 0.5, size=shape)
+    assert_same_outcome(lambda: dl.wealth_paths(model, ens, dl.Strategy.units(phi), 1.2, mu=mu),
+                        lambda: oracles.wealth_paths(model, ens, "units", phi, 1.2, mu=mu))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=forward_cases(), mu=st.sampled_from([None, -0.1, 0.05]))
+def test_terminal_values_match_unbatched_arithmetic(case, mu):
+    model, ens, rng = case
+    for pi in (0.7, rng.uniform(-0.9, 0.9, size=ens.grid.n_steps)):
+        assert_rel(dl.market.terminal_log_wealth(model, ens, pi, 1.3, mu=mu),
+                   oracles.terminal_log_wealth(model, ens, pi, 1.3, mu=mu))
+    control = _scenario(model, ens, rng)
+    assert_rel(dl.market.terminal_log_density(ens, control),
+               oracles.terminal_log_density(ens, control))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=forward_cases(), mu=st.sampled_from([None, -0.1, 0.05]), size=st.sampled_from([0.5, 20.0]))
+def test_replication_check_matches_step_loop(case, mu, size):
+    model, ens, rng = case
+    phi = rng.uniform(-size, size, size=(ens.n_paths, ens.grid.n_steps))
+    target = rng.uniform(0.5, 2.0, size=ens.n_paths)
+    new = dl.replication_check(model, phi, 1.1, target, ens, mu=mu)
+    old = oracles.replication_check(model, phi, 1.1, target, ens, mu=mu)
+    assert new["n_nonpositive"] == old["n_nonpositive"]
+    assert new["initial_value"] == old["initial_value"]
+    assert_rel([new["rmse_rel"], new["max_rel"]], [old["rmse_rel"], old["max_rel"]])
+
+
+def test_replication_check_counts_nonpositive_like_loop(jump_model):
+    ens = make_ensemble(jump_model, n_steps=20, n_paths=500, seed=97)
+    phi = np.full((ens.n_paths, ens.grid.n_steps), 30.0)
+    target = np.ones(ens.n_paths)
+    new = dl.replication_check(jump_model, phi, 1.0, target, ens)
+    old = oracles.replication_check(jump_model, phi, 1.0, target, ens)
+    assert new["n_nonpositive"] == old["n_nonpositive"] > 0
+    with pytest.raises(dl.AdmissibilityError, match="non-positive"):
+        dl.wealth_paths(jump_model, ens, dl.Strategy.units(phi), 1.0)
+
+
+def test_strategy_function_of_time_matches_per_step_array(base_model, base_ens_5k):
+    grid = base_ens_5k.grid
+    per_step = 0.5 + grid.left_times
+    by_time = dl.wealth_paths(base_model, base_ens_5k, dl.Strategy.fraction(lambda t: 0.5 + t), 1.0)
+    assert np.array_equal(by_time, dl.wealth_paths(base_model, base_ens_5k,
+                                                   dl.Strategy.fraction(per_step), 1.0))

@@ -92,7 +92,7 @@ def test_jump_foc_vacuous_without_marks(base_model, base_ens_5k, log_pair):
 def test_replicating_portfolio_is_merton_strategy(base_model, base_ens_50k, log_pair):
     sol = dl.solve_dual_search(base_model, log_pair, 1.0, base_ens_50k,
                                adjoint_mode="analytic")
-    phi, x0 = dl.replicating_portfolio(base_model, sol)
+    phi, x0 = dl.replicating_portfolio(sol)
     s = base_ens_50k.channel("S")
     fraction = phi * s[:, :-1] / sol.adjoints.p[:, :-1]
     assert np.allclose(fraction, 1.25, rtol=1e-12)
@@ -139,7 +139,7 @@ def test_degenerate_sigma_pins_theta1_and_replicates(log_pair):
     sol = dl.evaluate_dual_scenario(model, log_pair, control, ens,
                                     adjoint_mode="analytic", replicate=True)
     # the jump branch of the portfolio carries the claim where sigma = 0
-    phi, _ = dl.replicating_portfolio(model, sol)
+    phi, _ = dl.replicating_portfolio(sol)
     assert np.all(phi[:, :50] != 0.0)
     assert sol.replication["rmse_rel"] < 0.02
 
@@ -188,7 +188,7 @@ def test_replicating_portfolio_inconsistency_error(log_pair, grid100):
         density=density, adjoints=bad,
     )
     with pytest.raises(ValueError, match="inconsistent"):
-        dl.replicating_portfolio(model, sol)
+        dl.replicating_portfolio(sol)
 
 
 def test_off_optimum_scenario_replicates_strictly_worse(jump_model, log_pair):

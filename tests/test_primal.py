@@ -66,19 +66,19 @@ def test_foc_residual_zero_drift(log_pair):
 
 def test_hamiltonian_derivative_vanishes_at_optimum(base_model, base_ens_50k, log_pair):
     sol = dl.solve_primal_search(base_model, log_pair, 1.0, [1.25], base_ens_50k)
-    deriv, se = dl.hamiltonian_derivative_check(base_model, sol)
+    deriv, se = dl.hamiltonian_derivative_check(sol)
     assert abs(deriv) <= 3 * se + 1e-10
 
 
 def test_hamiltonian_derivative_positive_below_optimum(base_model, base_ens_50k, log_pair):
     sol = dl.solve_primal_search(base_model, log_pair, 1.0, [0.625], base_ens_50k)
-    deriv, se = dl.hamiltonian_derivative_check(base_model, sol)
+    deriv, se = dl.hamiltonian_derivative_check(sol)
     assert deriv > 3 * se
 
 
 def test_hamiltonian_null_direction(base_model, base_ens_50k, log_pair):
     sol = dl.solve_primal_search(base_model, log_pair, 1.0, [1.25], base_ens_50k)
-    deriv, se = dl.hamiltonian_derivative_check(base_model, sol, direction=0.0)
+    deriv, se = dl.hamiltonian_derivative_check(sol, direction=0.0)
     assert deriv == 0.0 and se == 0.0
 
 
