@@ -29,6 +29,10 @@ from .primal import PrimalSolution
 from .robust import RobustPrimalSolution
 
 
+# paths per deviation block of the identity checks
+DEVIATION_BLOCK_PATHS = 2048
+
+
 class BridgeViolationError(ValueError):
     """The constructed object violates a hypothesis of the transfer map."""
 
@@ -54,6 +58,21 @@ class BridgeReport:
 
     def __getitem__(self, name: str) -> dict:
         return self.identities[name]
+
+
+def _abs_and_rel(values: np.ndarray, target: np.ndarray) -> tuple[float, float]:
+    """max |values - target| and max |values - target| / |target|, one
+    deviation array per block of paths (small enough to stay in cache)."""
+    maxima = []
+    for start in range(0, len(values), DEVIATION_BLOCK_PATHS):
+        rows = slice(start, start + DEVIATION_BLOCK_PATHS)
+        dev = np.abs(values[rows] - target[rows])
+        block_abs = np.max(dev)
+        dev /= np.abs(target[rows])
+        maxima.append((block_abs, np.max(dev)))
+    # np.max, not max(): a NaN deviation in any block must reach the report
+    max_abs, max_rel = np.max(maxima, axis=0)
+    return max_abs, max_rel
 
 
 def _theta_ratios(adjoints, n_marks: int) -> tuple[np.ndarray, np.ndarray]:
@@ -84,19 +103,16 @@ def _primal_to_dual(solution, direction: str) -> tuple[ScenarioControl, float, B
 
     report = BridgeReport(direction=direction, adjoint_mode=adj.mode)
     density = density_paths(ensemble, control)
-    p1 = adj.p
     report.add(
         "process_link",
         "density driven by the bridged scenario equals the primal adjoint p1, pathwise",
-        np.max(np.abs(density - p1)),
-        np.max(np.abs(density - p1) / np.abs(p1)),
+        *_abs_and_rel(density, adj.p),
     )
     marginal = solution.utility.u_prime(solution.wealth[:, -1])
     report.add(
         "terminal_link",
         "G(T) equals the marginal utility of terminal wealth U'(X(T))",
-        np.max(np.abs(density[:, -1] - marginal)),
-        np.max(np.abs(density[:, -1] - marginal) / np.abs(marginal)),
+        *_abs_and_rel(density[:, -1], marginal),
     )
     report.add(
         "initial_value",
@@ -138,7 +154,8 @@ def _bridged_fractions(solution) -> np.ndarray:
         raise BridgeViolationError(
             "sigma vanishes on the grid; use the replication branch instead"
         )
-    return adj.q / (s[None, :] * adj.p[:, :-1])
+    pi_path = s[None, :] * adj.p[:, :-1]
+    return np.divide(adj.q, pi_path, out=pi_path)
 
 
 def _dual_to_primal(solution, direction: str):
@@ -157,15 +174,13 @@ def _dual_to_primal(solution, direction: str):
     report.add(
         "process_link",
         "wealth under the bridged portfolio equals the dual adjoint p2, pathwise",
-        np.max(np.abs(wealth - adj.p)),
-        np.max(np.abs(wealth - adj.p) / np.abs(adj.p)),
+        *_abs_and_rel(wealth, adj.p),
     )
     claim = solution.pair.inverse_marginal(solution.density[:, -1])
     report.add(
         "terminal_link",
         "X(T) equals the claim -V'(G(T))",
-        np.max(np.abs(wealth[:, -1] - claim)),
-        np.max(np.abs(wealth[:, -1] - claim) / np.abs(claim)),
+        *_abs_and_rel(wealth[:, -1], claim),
     )
     report.add(
         "initial_value",
@@ -193,12 +208,18 @@ def robust_dual_to_primal(
 def bridged_fraction(solution, constant_tol: float = 1e-9) -> float:
     """Collapse the bridged fraction-of-wealth process to a scalar.
 
-    Valid when the fraction is constant across paths and times (the log
-    cases); raises otherwise.
+    ``solution`` is a dual solution, or the :class:`Strategy` that
+    :func:`dual_to_primal` built from one (which saves recomputing the
+    fraction).  Valid when the fraction is constant across paths and times
+    (the log cases); raises otherwise.
     """
-    pi_path = _bridged_fractions(solution)
+    if isinstance(solution, Strategy):
+        pi_path = np.asarray(solution.values, dtype=float)
+    else:
+        pi_path = _bridged_fractions(solution)
     pi = float(pi_path.mean())
-    if np.max(np.abs(pi_path - pi)) > constant_tol * max(1.0, abs(pi)):
+    dev = pi_path - pi
+    if np.max(np.abs(dev, out=dev)) > constant_tol * max(1.0, abs(pi)):
         raise ValueError("bridged fraction is not constant; no scalar reduction")
     return pi
 
@@ -212,4 +233,6 @@ def verify_product_identity(
     the deviation sits at accumulation-rounding level; Euler updates leave a
     step-size-dependent deviation used by the scheme-order study.
     """
-    return float(np.max(np.abs(wealth * density - x0 * y0)))
+    dev = wealth * density
+    dev -= x0 * y0
+    return float(np.max(np.abs(dev, out=dev)))

@@ -133,6 +133,11 @@ class _BasisBuilder:
             cols[:, j] = col
         return cols
 
+    def constant(self, step: int) -> bool:
+        """Whether every state channel takes one value across paths at ``step``
+        (a deterministic state: the design has rank 1 by construction)."""
+        return all(np.all(z[:, step] == z[0, step]) for z in self.logs)
+
     def factor(self, a: np.ndarray, warn: bool = True):
         """Orthonormal basis of the fitted span of ``a``; returns (basis, rank, cond).
 
@@ -194,9 +199,13 @@ def solve_linear_bsde(
     r = np.zeros((ensemble.n_paths, grid.n_steps, k))
     p[:, -1] = terminal
     per_step = []
+    constant_steps = 0
     for i in range(grid.n_steps - 1, -1, -1):
-        # at t_0 the state is deterministic, so rank deficiency there is structural
-        span, rank, cond = builder.factor(builder.design(i), warn=i > 0)
+        # a deterministic state (always at t_0) is rank-deficient by
+        # construction: counted in the diagnostics instead of warned about
+        constant = builder.constant(i)
+        constant_steps += constant
+        span, rank, cond = builder.factor(builder.design(i), warn=i > 0 and not constant)
         fitted = span @ (span.T @ p[:, i + 1])
         centered = p[:, i + 1] - fitted
         targets = [centered * ensemble.brownian_increments[:, i] / dt]
@@ -230,6 +239,7 @@ def solve_linear_bsde(
         "basis_degree": (basis or RegressionBasis()).degree,
         "n_columns": builder.n_columns,
         "rank_deficient": builder.warned,
+        "constant_state_steps": constant_steps,
         "per_step": per_step,
     }
     return AdjointTriple(p, q, r, mode="regression", diagnostics=diagnostics)

@@ -14,6 +14,8 @@ import os
 import sys
 
 import numpy as np
+import scipy
+import yaml
 
 from . import __version__
 from .bridge import (
@@ -64,6 +66,7 @@ def _write_diagnostics(out: str, solution, cfg_hash: str) -> None:
         per_step = adj.diagnostics["per_step"]
         payload["bsde"] = {
             "rank_deficient_steps": sum(s["rank"] < adj.diagnostics["n_columns"] for s in per_step),
+            "constant_state_steps": adj.diagnostics["constant_state_steps"],
             "max_cond": max(s["cond"] for s in per_step),
             "max_fit_rmse": max(s["fit_rmse"] for s in per_step),
         }
@@ -78,6 +81,8 @@ def _manifest(cfg: ExperimentConfig) -> dict:
             "duallab": __version__,
             "numpy": np.__version__,
             "python": ".".join(map(str, sys.version_info[:3])),
+            "pyyaml": yaml.__version__,
+            "scipy": scipy.__version__,
         },
     }
 
@@ -235,8 +240,8 @@ def run_bridge_check(cfg: ExperimentConfig, out: str) -> dict:
         primal = solve_primal_search(model, utility, cfg.x0, [pi_star], ens, adjoint_mode=adjoints)
         control, y, rep_fwd = primal_to_dual(primal)
         dual = evaluate_dual_scenario(model, utility, control, ens, adjoint_mode=adjoints)
-        _, x_back, rep_back = dual_to_primal(dual)
-        pi_back = bridged_fraction(dual)
+        portfolio, x_back, rep_back = dual_to_primal(dual)
+        pi_back = bridged_fraction(portfolio)
         product_dev = verify_product_identity(primal.wealth, primal.adjoints.p, cfg.x0, y)
         payload = {
             "mode": "bridge-check",
@@ -261,8 +266,8 @@ def run_bridge_check(cfg: ExperimentConfig, out: str) -> dict:
         dual = solve_robust_dual(
             model, utility, penalty, y, ens, [mu_star], adjoint_mode=adjoints
         )
-        _, mu_back, x_back, rep_back = robust_dual_to_primal(dual)
-        pi_back = bridged_fraction(dual)
+        portfolio, mu_back, x_back, rep_back = robust_dual_to_primal(dual)
+        pi_back = bridged_fraction(portfolio)
         product_dev = verify_product_identity(primal.wealth, primal.adjoints.p, cfg.x0, y)
         payload = {
             "mode": "bridge-check",

@@ -92,12 +92,16 @@ def scenario_from_theta1(
     is projected onto the constraint hyperplane (nu-weighted least squares)
     and theta0 is set to zero.
     """
-    s = model.vol_on(grid)
+    return _eliminate_theta0(model, grid, theta1, y, mu, model.vol_on(grid),
+                             model.jump_sizes_on(grid), -model.drift_on(grid, mu))
+
+
+def _eliminate_theta0(model, grid, theta1, y, mu, s, gam, rhs) -> ScenarioControl:
+    """:func:`scenario_from_theta1` on the grids of sigma, gamma and
+    -(b + mu*sigma), built once by the caller."""
     k = model.n_marks
     theta1 = np.broadcast_to(np.asarray(theta1, dtype=float), (grid.n_steps, k)).copy() if k else np.zeros((grid.n_steps, 0))
-    gam = model.jump_sizes_on(grid)
     nu = model.intensities
-    rhs = -model.drift_on(grid, mu)
     jump_term = np.einsum("ik,ik->i", gam, theta1 * nu)
     theta0 = np.zeros(grid.n_steps)
     degenerate = np.abs(s) < DEGENERATE_VOL
@@ -138,10 +142,12 @@ def build_scenarios(
     constraint elimination fails, and an exclusion record for each of those."""
     scenarios: list[ScenarioControl | None] = []
     excluded = []
+    s, gam = model.vol_on(grid), model.jump_sizes_on(grid)
     for mu in mu_values:
+        rhs = -model.drift_on(grid, mu)
         for th1 in candidates:
             try:
-                scenarios.append(scenario_from_theta1(model, grid, th1, y, mu=mu))
+                scenarios.append(_eliminate_theta0(model, grid, th1, y, mu, s, gam, rhs))
             except ValueError as exc:
                 scenarios.append(None)
                 excluded.append({"theta1": np.asarray(th1).tolist(), "reason": str(exc)})

@@ -27,6 +27,10 @@ DEGENERATE_VOL = 1e-14
 THETA1_FLOOR = -1.0 + 1e-6
 # why a constant fraction with 1 + pi*gamma <= 0 is excluded from a search
 INADMISSIBLE_FRACTION = "1 + pi*gamma <= 0; candidate inadmissible"
+# size of one (paths, steps, marks) coefficient block of a per-path fill
+FILL_BLOCK_BYTES = 2**17
+# paths formatted per write of ensemble_to_csv
+CSV_BLOCK_PATHS = 256
 
 
 class AdmissibilityError(ValueError):
@@ -128,12 +132,12 @@ class MarketModel:
 
     def jump_sizes_on(self, grid: TimeGrid) -> np.ndarray:
         """gamma(t_i, mark_k) as an (n_steps, n_marks) array."""
-        if self.n_marks == 0:
-            return np.zeros((grid.n_steps, 0))
-        size = self.jump_size or (lambda t, mark: mark)
+        if self.jump_size is None:
+            # the mark itself is the jump size
+            return np.tile(np.asarray(self.jump_marks, dtype=float), (grid.n_steps, 1))
         out = np.empty((grid.n_steps, self.n_marks))
         for k, mark in enumerate(self.jump_marks):
-            out[:, k] = [float(size(t, mark)) for t in grid.left_times]
+            out[:, k] = [float(self.jump_size(t, mark)) for t in grid.left_times]
         return out
 
     def validate_on(self, grid: TimeGrid) -> None:
@@ -247,20 +251,34 @@ def simulate_drivers(
     return PathEnsemble(model, grid, n_paths, seed, db, counts)
 
 
-def _log_increments(dest, ensemble: PathEnsemble, step, drift, diff, ratio) -> None:
-    """Write the exact log increments of steps ``step`` (a slice, or one step)
-    into ``dest``: (drift - diff**2/2 - ratio @ nu) dt + diff dB + sum_k N_k ln(1 + ratio_k).
+def _log_increments(dest, ensemble: PathEnsemble, rows, drift, diff, ratio) -> None:
+    """Write the exact log increments of the path rows ``rows`` (a slice) into
+    ``dest``: (drift - diff**2/2 - ratio @ nu) dt + diff dB + sum_k N_k ln(1 + ratio_k).
 
-    The jump compensator is folded into the dt-term, so compensated jump
-    integrals are exact per step.
+    The coefficients are per step, ``drift`` and ``diff`` (n_steps,) and
+    ``ratio`` (n_steps, n_marks), or per path and step, with a leading axis
+    over the rows.  The jump compensator is folded into the dt-term, so
+    compensated jump integrals are exact per step.
     """
-    np.multiply(diff, ensemble.brownian_increments[:, step], out=dest)
-    dest += (drift - 0.5 * diff**2 - ratio @ ensemble.model.intensities) * ensemble.grid.dt
+    np.multiply(diff, ensemble.brownian_increments[rows], out=dest)
+    dt_term = drift - 0.5 * diff**2
     if ratio.size:
         if np.any(ratio <= -1.0):
             raise AdmissibilityError("jump ratio <= -1 (1 + pi*gamma <= 0 for a fraction); "
                                      "the exponential would lose positivity")
-        dest += np.einsum("...k,...k->...", ensemble.jump_counts[:, step], np.log1p(ratio))
+        # one 2-D product over every (path, step): a stacked matmul rounds differently
+        k = ratio.shape[-1]
+        dt_term -= (ratio.reshape(-1, k) @ ensemble.model.intensities).reshape(dt_term.shape)
+    dest += dt_term * ensemble.grid.dt
+    if ratio.size:
+        dest += np.einsum("...k,...k->...", ensemble.jump_counts[rows], np.log1p(ratio))
+
+
+def _accumulate(ln: np.ndarray, x0: float) -> None:
+    """Turn log increments into x0 * exp(cumulative sum) along each row, in place."""
+    np.cumsum(ln, axis=1, out=ln)
+    np.exp(ln, out=ln)
+    ln *= x0
 
 
 def _exp_paths(ensemble: PathEnsemble, x0: float, drift, diff, ratio, frac=None) -> np.ndarray:
@@ -269,26 +287,28 @@ def _exp_paths(ensemble: PathEnsemble, x0: float, drift, diff, ratio, frac=None)
 
     ``drift``, ``diff`` (n_steps,) and ``ratio`` (n_steps, n_marks) are per
     step.  A fraction ``frac`` multiplies all three: a scalar or per-step one
-    up front, a per-path (n_paths, n_steps) one a column at a time, so no
-    per-path coefficient array is built.  The increments are written into the
-    output, then summed, exponentiated and scaled there in place.
+    up front, a per-path (n_paths, n_steps) one over contiguous blocks of
+    paths, so the per-path coefficients exist one block at a time
+    (:data:`FILL_BLOCK_BYTES`).  The increments are written into the output,
+    then summed, exponentiated and scaled there in place.
     """
     n_steps = ensemble.grid.n_steps
     out = np.empty((ensemble.n_paths, n_steps + 1))
     out[:, 0] = x0
     ln = out[:, 1:]
     if np.ndim(frac) == 2:
-        for i in range(n_steps):
-            f = frac[:, i]
-            _log_increments(ln[:, i], ensemble, i, f * drift[i], f * diff[i], f[:, None] * ratio[i])
-    else:
-        if frac is not None:
-            f = np.broadcast_to(np.asarray(frac, dtype=float), (n_steps,))
-            drift, diff, ratio = f * drift, f * diff, f[:, None] * ratio
-        _log_increments(ln, ensemble, slice(None), drift, diff, ratio)
-    np.cumsum(ln, axis=1, out=ln)
-    np.exp(ln, out=ln)
-    ln *= x0
+        block = max(1, FILL_BLOCK_BYTES // (8 * n_steps * max(1, ratio.shape[1])))
+        for start in range(0, ensemble.n_paths, block):
+            rows = slice(start, start + block)
+            f = frac[rows]
+            _log_increments(ln[rows], ensemble, rows, f * drift, f * diff, f[..., None] * ratio)
+            _accumulate(ln[rows], x0)
+        return out
+    if frac is not None:
+        f = np.broadcast_to(np.asarray(frac, dtype=float), (n_steps,))
+        drift, diff, ratio = f * drift, f * diff, f[:, None] * ratio
+    _log_increments(ln, ensemble, slice(None), drift, diff, ratio)
+    _accumulate(ln, x0)
     return out
 
 
@@ -514,19 +534,32 @@ def terminal_log_density(ensemble: PathEnsemble, control, y: float | None = None
 
 def ensemble_to_csv(ensemble: PathEnsemble, path, channels: Sequence[str] | None = None,
                     header_comment: str | None = None) -> None:
-    """One row per (path, time) with the selected attached channels."""
+    """One row per (path, time) with the selected attached channels.
+
+    The header goes through :mod:`csv`.  The rows of one path are one call
+    of a row template, ``{0},<time>,{1!r},...`` per time stamp: the bytes
+    ``csv.writer`` writes, with each value as its shortest repr.  Each block
+    of :data:`CSV_BLOCK_PATHS` paths is written with one call.
+    """
     names = list(channels) if channels is not None else sorted(ensemble.channels)
-    stamps = [f"{t:.10g}" for t in ensemble.grid.times]
+    arrays = [ensemble.channels[c] for c in names]
+    width = len(arrays)
+    template = "".join(
+        f"{{0}},{t:.10g}," + ",".join(f"{{{1 + j * width + c}!r}}" for c in range(width)) + "\r\n"
+        for j, t in enumerate(ensemble.grid.times)
+    ).format
     with open(path, "w", newline="") as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["path", "time", *names])
-        for p in range(ensemble.n_paths):
-            # Python floats, so each value is written as its shortest repr
-            columns = (ensemble.channels[c][p].tolist() for c in names)
-            for stamp, values in zip(stamps, zip(*columns)):
-                writer.writerow([p, stamp, *map(repr, values)])
+        csv.writer(fh).writerow(["path", "time", *names])
+        if not arrays:
+            return
+        for start in range(0, ensemble.n_paths, CSV_BLOCK_PATHS):
+            rows = slice(start, start + CSV_BLOCK_PATHS)
+            # per path: Python scalars, time-major with the channels interleaved
+            values = np.stack([a[rows] for a in arrays], axis=2, dtype=object)
+            values = values.reshape(values.shape[0], -1).tolist()
+            fh.write("".join([template(p, *v) for p, v in enumerate(values, start)]))
 
 
 def ensemble_summary(ensemble: PathEnsemble) -> dict:

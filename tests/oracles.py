@@ -1,17 +1,19 @@
 """Reference implementations kept for differential tests.
 
 These are the straightforward forms the library's batched searches,
-one-factorisation backward sweep and shared forward kernels replace: one
-candidate at a time, a fresh ``lstsq`` control-variate fit per candidate, a
-per-step Python loop for the theta0 elimination, two SVD ``lstsq`` fits per
-backward step, and a separate forward loop per process (price and density
-from whole-array log factors, wealth and replication one step at a time).
-They stay out of the package on purpose; the tests compare the package
-against them.
+one-factorisation backward sweep, shared forward kernels and output writer
+replace: one candidate at a time, a fresh ``lstsq`` control-variate fit per
+candidate, a per-step Python loop for the theta0 elimination, two SVD
+``lstsq`` fits per backward step, a separate forward loop per process (price
+and density from whole-array log factors, wealth and replication one step at
+a time), the per-path exact fill one column at a time, and a ``csv.writer``
+call per CSV row.  They stay out of the package on purpose; the tests
+compare the package against them.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 import warnings
 
@@ -75,6 +77,32 @@ def density_paths(ensemble, control, scheme="exact"):
         if np.any(g[:, i + 1] <= 0):
             raise ValueError(f"Euler density lost positivity at step {i + 1}")
     return g
+
+
+def exp_paths_per_path(ensemble, x0, drift, diff, ratio, frac):
+    """Stochastic exponential of frac * (drift dt + diff dB + ratio . dNtilde)
+    for a per-path (n_paths, n_steps) ``frac``, one step (column) at a time."""
+    n_steps = ensemble.grid.n_steps
+    dt = ensemble.grid.dt
+    nu = ensemble.model.intensities
+    out = np.empty((ensemble.n_paths, n_steps + 1))
+    out[:, 0] = x0
+    ln = out[:, 1:]
+    for i in range(n_steps):
+        f = frac[:, i]
+        d, s, r = f * drift[i], f * diff[i], f[:, None] * ratio[i]
+        col = ln[:, i]
+        np.multiply(s, ensemble.brownian_increments[:, i], out=col)
+        col += (d - 0.5 * s**2 - r @ nu) * dt
+        if r.size:
+            if np.any(r <= -1.0):
+                raise AdmissibilityError("jump ratio <= -1 (1 + pi*gamma <= 0 for a fraction); "
+                                         "the exponential would lose positivity")
+            col += np.einsum("...k,...k->...", ensemble.jump_counts[:, i], np.log1p(r))
+    np.cumsum(ln, axis=1, out=ln)
+    np.exp(ln, out=ln)
+    ln *= x0
+    return out
 
 
 def _at_step(values, i, n_paths):
@@ -162,6 +190,23 @@ def replication_check(model, phi, x0, target, ensemble, mu=None):
         "initial_value": float(x0),
         "n_nonpositive": nonpositive,
     }
+
+
+# ------------------------------------------------------------------ output
+
+def ensemble_to_csv(ensemble, path, channels=None, header_comment=None):
+    """One ``csv.writer`` row per (path, time) with the selected channels."""
+    names = list(channels) if channels is not None else sorted(ensemble.channels)
+    stamps = [f"{t:.10g}" for t in ensemble.grid.times]
+    with open(path, "w", newline="") as fh:
+        if header_comment:
+            fh.write(f"# {header_comment}\n")
+        writer = csv.writer(fh)
+        writer.writerow(["path", "time", *names])
+        for p in range(ensemble.n_paths):
+            columns = (ensemble.channels[c][p].tolist() for c in names)
+            for stamp, values in zip(stamps, zip(*columns)):
+                writer.writerow([p, stamp, *map(repr, values)])
 
 
 # ---------------------------------------------------------------- searches

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import duallab as dl
+from duallab.bridge import DEVIATION_BLOCK_PATHS, _abs_and_rel
 from duallab.bsde import AdjointTriple
 
 from conftest import make_ensemble
@@ -23,6 +24,18 @@ def test_primal_to_dual_analytic(base_model, base_ens_5k, log_pair):
     assert report["process_link"]["max_abs"] < 1e-12
     assert report["terminal_link"]["max_abs"] < 1e-12
     assert report["constraint"]["max_abs"] <= 1e-12
+
+
+def test_blocked_deviation_maxima_match_whole_array_and_keep_nan():
+    rng = np.random.default_rng(5)
+    target = rng.uniform(0.5, 2.0, size=(2 * DEVIATION_BLOCK_PATHS + 7, 3))
+    values = target * (1.0 + rng.normal(0.0, 1e-12, size=target.shape))
+    dev = np.abs(values - target)
+    assert _abs_and_rel(values, target) == (np.max(dev), np.max(dev / np.abs(target)))
+    assert _abs_and_rel(values[:, 0], target[:, 0]) == (np.max(dev[:, 0]),
+                                                        np.max(dev[:, 0] / target[:, 0]))
+    values[-1, 1] = np.nan  # in the last, partial block
+    assert all(math.isnan(m) for m in _abs_and_rel(values, target))
 
 
 def test_primal_to_dual_static_bridge(log_pair):
@@ -55,6 +68,8 @@ def test_dual_to_primal_analytic(base_model, base_ens_5k, log_pair, mu):
     merton = (0.05 + (mu or 0.0) * 0.2) / 0.2**2
     assert x0 == pytest.approx(1.0, abs=1e-14)
     assert dl.bridged_fraction(dual) == pytest.approx(merton, abs=1e-12)
+    # the portfolio carries the same fraction process, so it collapses to the same value
+    assert dl.bridged_fraction(strategy) == dl.bridged_fraction(dual)
     assert report["process_link"]["max_rel"] < 1e-12
     assert report["process_link"]["max_abs"] < 1e-12
     assert report["terminal_link"]["max_abs"] < 1e-12

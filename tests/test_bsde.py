@@ -124,6 +124,35 @@ def test_rank_deficient_state_warns_but_fits(base_model, base_ens_5k):
     assert np.all(np.isfinite(triple.p))
 
 
+def test_constant_state_is_counted_not_warned(base_ens_5k):
+    # a deterministic state has rank 1 by construction at every step
+    n_steps = base_ens_5k.grid.n_steps
+    x = np.full((base_ens_5k.n_paths, n_steps + 1), 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        triple = dl.martingale_representation(base_ens_5k, x[:, -1], state={"X": x})
+    assert triple.diagnostics["constant_state_steps"] == n_steps
+    assert not triple.diagnostics["rank_deficient"]
+    assert all(step["rank"] == 1 for step in triple.diagnostics["per_step"])
+    assert np.allclose(triple.p, 2.0, rtol=0, atol=1e-12)
+
+
+def test_riskless_primal_counts_constant_state_without_warning(log_pair):
+    flat = dl.MarketModel(drift=0.0, vol=0.2, horizon=1.0)
+    ens = make_ensemble(flat, n_paths=2_000, seed=55)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = dl.solve_primal_search(flat, log_pair, 1.0, [0.0], ens)
+    assert sol.adjoints.diagnostics["constant_state_steps"] == ens.grid.n_steps
+
+
+def test_state_counts_only_its_constant_steps(base_ens_5k):
+    s = base_ens_5k.channel("S")
+    triple = dl.martingale_representation(base_ens_5k, s[:, -1])
+    # the price is deterministic at t0 only
+    assert triple.diagnostics["constant_state_steps"] == 1
+
+
 def test_residual_report_exact_triple(base_model, base_ens_5k):
     # p = 5 + B(t), q = 1, r empty satisfies the discrete equation exactly
     b_run = np.concatenate(

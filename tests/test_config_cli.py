@@ -2,7 +2,9 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 import yaml
 
 import duallab.cli as cli
@@ -137,6 +139,17 @@ def test_simulate_mode(tmp_path):
     assert summary["channels"]["S"]["min"] > 0
 
 
+def test_manifest_records_library_versions(tmp_path):
+    raw = small(load_raw("merton_log.yaml"), paths=10)
+    raw["mode"] = "simulate"
+    raw["out"] = str(tmp_path / "run")
+    cli.run_experiment(validate_config(raw))
+    versions = json.loads((tmp_path / "run" / "manifest.json").read_text())["versions"]
+    assert versions["numpy"] == np.__version__
+    assert versions["scipy"] == scipy.__version__
+    assert versions["pyyaml"] == yaml.__version__
+
+
 def test_convergence_bsde_mode(tmp_path):
     raw = load_raw("convergence_bsde.yaml")
     raw["convergence"]["paths"] = [5_000, 10_000, 20_000]
@@ -220,6 +233,7 @@ def test_diagnostics_grid_edge_unset_at_interior_argmax(tmp_path):
     assert diag["excluded"] == 0
     # pi = 0 is not among the candidates, so only t0 has a deterministic state
     assert diag["bsde"]["rank_deficient_steps"] == 1
+    assert diag["bsde"]["constant_state_steps"] == 1
     assert diag["bsde"]["max_cond"] >= 1.0 and diag["bsde"]["max_fit_rmse"] > 0.0
     assert "grid_edge" not in solution
 
@@ -234,6 +248,9 @@ def test_diagnostics_grid_edge_set_at_boundary_argmax(tmp_path):
 def test_diagnostics_of_dual_and_robust_runs(tmp_path):
     _, diag = _diagnostics(tmp_path / "dual", "jump_dual.yaml")
     assert diag["grid_edge"] is False and diag["excluded"] == 0
-    assert set(diag["bsde"]) == {"rank_deficient_steps", "max_cond", "max_fit_rmse"}
+    assert set(diag["bsde"]) == {"rank_deficient_steps", "constant_state_steps", "max_cond",
+                                 "max_fit_rmse"}
+    # only t0 has a deterministic state
+    assert diag["bsde"]["constant_state_steps"] == 1
     _, diag = _diagnostics(tmp_path / "robust", "robust_merton.yaml", adjoints="analytic")
     assert diag == {"grid_edge": False, "excluded": 0, "config_hash": diag["config_hash"]}

@@ -1,10 +1,12 @@
-"""Batched searches, the one-factorisation backward sweep and the shared
-forward kernels against the per-candidate / ``lstsq`` / per-process loop
-reference forms kept in ``oracles.py``."""
+"""Batched searches, the one-factorisation backward sweep, the shared
+forward kernels and the template CSV writer against the per-candidate /
+``lstsq`` / per-process loop / per-row reference forms kept in
+``oracles.py``."""
 
 import math
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import duallab as dl
+from duallab import market
 from duallab.bsde import RegressionBasis
 
 import oracles
@@ -356,3 +359,79 @@ def test_strategy_function_of_time_matches_per_step_array(base_model, base_ens_5
     by_time = dl.wealth_paths(base_model, base_ens_5k, dl.Strategy.fraction(lambda t: 0.5 + t), 1.0)
     assert np.array_equal(by_time, dl.wealth_paths(base_model, base_ens_5k,
                                                    dl.Strategy.fraction(per_step), 1.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=forward_cases(), mu=st.sampled_from([None, -0.1, 0.05]), size=st.sampled_from([0.9, 4.0]),
+       block_bytes=st.sampled_from([2**10, market.FILL_BLOCK_BYTES]))
+def test_per_path_fill_bit_identical_to_column_loop(case, mu, size, block_bytes):
+    # 2**10 bytes is 2-6 paths per block, so 200 paths end on a partial block
+    model, ens, rng = case
+    grid = ens.grid
+    pi = rng.uniform(-size, size, size=(ens.n_paths, grid.n_steps))
+    coeffs = (model.drift_on(grid, mu), model.vol_on(grid), model.jump_sizes_on(grid))
+
+    def new():
+        with mock.patch.object(market, "FILL_BLOCK_BYTES", block_bytes):
+            return dl.wealth_paths(model, ens, dl.Strategy.fraction(pi), 1.2, mu=mu)
+
+    try:
+        old = oracles.exp_paths_per_path(ens, 1.2, *coeffs, pi)
+    except dl.AdmissibilityError as exc:
+        with pytest.raises(dl.AdmissibilityError, match=re.escape(str(exc))):
+            new()
+        return
+    assert np.array_equal(new(), old)
+
+
+# ------------------------------------------------------------------ output
+
+# shortest reprs in and out of Python's scientific range, signed zero, the
+# smallest subnormal and the non-finite values
+SPECIAL = [1e-05, 1e+16, 5e-324, -0.0, 0.1, 1e22, 123456789012345.67, 1 / 3, 0.0001,
+           9999999999999998.0, -2.5e-8, float("nan"), float("inf"), float("-inf")]
+
+
+def _csv_ensemble(n_paths, n_steps=6):
+    model = dl.MarketModel(drift=0.05, vol=0.2)
+    ens = dl.simulate_drivers(model, dl.TimeGrid(n_steps, 1.0), n_paths, seed=3)
+    dl.price_paths(model, ens)
+    ens.attach("X", dl.wealth_paths(model, ens, dl.Strategy.fraction(1.25), 1.0))
+    cells = n_paths * (n_steps + 1)
+    ens.attach("special", np.resize(np.array(SPECIAL), cells).reshape(n_paths, n_steps + 1))
+    ens.attach("count", np.arange(cells).reshape(n_paths, n_steps + 1))
+    return ens
+
+
+def _csv_bytes(writer, ens, path, **kwargs):
+    writer(ens, path, **kwargs)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("n_paths, channels, header", [
+    (300, ["S", "X", "special"], "config_hash=abc"),
+    (1, None, None),
+    (2 * market.CSV_BLOCK_PATHS, ["special"], "x"),
+    (market.CSV_BLOCK_PATHS + 1, ["count", "S"], None),
+    (3, [], "no channels"),
+], ids=["several-300", "all-1-no-header", "special-block-multiple", "int-and-float", "none"])
+def test_csv_bytes_identical_to_row_writer(tmp_path, n_paths, channels, header):
+    ens = _csv_ensemble(n_paths)
+    kwargs = {"channels": channels, "header_comment": header}
+    new = _csv_bytes(dl.ensemble_to_csv, ens, tmp_path / "new.csv", **kwargs)
+    old = _csv_bytes(oracles.ensemble_to_csv, ens, tmp_path / "old.csv", **kwargs)
+    assert new == old
+    if channels is None:
+        assert new.splitlines()[0] == b"path,time,S,X,count,special"
+
+
+@settings(max_examples=30, deadline=None)
+@given(values=st.lists(st.floats(width=64), min_size=4, max_size=4 * 11))
+def test_csv_repr_of_any_float_identical_to_row_writer(tmp_path_factory, values):
+    n_paths = len(values) // 4 + 1
+    ens = _csv_ensemble(n_paths, n_steps=3)
+    ens.attach("v", np.resize(np.array(values), 4 * n_paths).reshape(n_paths, 4))
+    path = tmp_path_factory.mktemp("csv")
+    new = _csv_bytes(dl.ensemble_to_csv, ens, path / "new.csv", channels=["v", "S"])
+    old = _csv_bytes(oracles.ensemble_to_csv, ens, path / "old.csv", channels=["v", "S"])
+    assert new == old

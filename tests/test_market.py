@@ -33,6 +33,15 @@ def test_poisson_step_mean(grid100):
     assert abs(counts.mean() - 0.01) < 3 * se
 
 
+def test_default_jump_sizes_are_the_marks(grid100):
+    marks = (0.1, -0.25, 0.4)
+    default = dl.MarketModel(jump_marks=marks, jump_intensities=(1.0, 0.5, 0.2))
+    explicit = dl.MarketModel(jump_marks=marks, jump_intensities=(1.0, 0.5, 0.2),
+                              jump_size=lambda t, mark: mark)
+    assert np.array_equal(default.jump_sizes_on(grid100), explicit.jump_sizes_on(grid100))
+    assert dl.MarketModel().jump_sizes_on(grid100).shape == (100, 0)
+
+
 def test_non_finite_coefficients_rejected(grid100):
     model = dl.MarketModel(drift=lambda t: math.inf, vol=0.2, horizon=1.0)
     with pytest.raises(ValueError, match="not finite"):
