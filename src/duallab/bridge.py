@@ -43,12 +43,15 @@ class BridgeReport:
 
     Every entry states the identity it checks alongside the measured
     deviation; tolerances differ by orders of magnitude between analytic and
-    regression adjoints, so the adjoint mode is always disclosed.
+    regression adjoints, so the adjoint mode is always disclosed.  A
+    primal-to-dual report keeps the ``density`` paths of the emitted
+    scenario, which its links were measured on.
     """
 
     direction: str
     adjoint_mode: str
     identities: dict[str, dict] = field(default_factory=dict)
+    density: np.ndarray | None = None
 
     def add(self, name: str, statement: str, max_abs: float, max_rel: float | None = None) -> None:
         entry = {"statement": statement, "max_abs": float(max_abs)}
@@ -101,8 +104,8 @@ def _primal_to_dual(solution, direction: str) -> tuple[ScenarioControl, float, B
     except ValueError as exc:
         raise BridgeViolationError(str(exc)) from exc
 
-    report = BridgeReport(direction=direction, adjoint_mode=adj.mode)
     density = density_paths(ensemble, control)
+    report = BridgeReport(direction=direction, adjoint_mode=adj.mode, density=density)
     report.add(
         "process_link",
         "density driven by the bridged scenario equals the primal adjoint p1, pathwise",

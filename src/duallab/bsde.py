@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .market import PathEnsemble, TimeGrid, eval_on_grid, price_paths
+from .market import PathEnsemble, TimeGrid, eval_on_grid
 
 IMPLICIT_STEP_TOL = 1e-8
 
@@ -90,10 +90,7 @@ class AdjointTriple:
 
 
 def _default_state(ensemble: PathEnsemble) -> dict[str, np.ndarray]:
-    spot = ensemble.channels.get("S")
-    if spot is None:
-        spot = price_paths(ensemble.model, ensemble)
-    return {"S": spot}
+    return {"S": ensemble.channel("S")}
 
 
 def _monomial_exponents(n_vars: int, degree: int):

@@ -12,9 +12,9 @@ import csv
 import json
 import os
 import sys
+from importlib import metadata
 
 import numpy as np
-import scipy
 import yaml
 
 from . import __version__
@@ -74,17 +74,18 @@ def _write_diagnostics(out: str, solution, cfg_hash: str) -> None:
 
 
 def _manifest(cfg: ExperimentConfig) -> dict:
-    return {
-        "config": cfg.raw,
-        "seed": cfg.seed,
-        "versions": {
-            "duallab": __version__,
-            "numpy": np.__version__,
-            "python": ".".join(map(str, sys.version_info[:3])),
-            "pyyaml": yaml.__version__,
-            "scipy": scipy.__version__,
-        },
+    versions = {
+        "duallab": __version__,
+        "numpy": np.__version__,
+        "python": ".".join(map(str, sys.version_info[:3])),
+        "pyyaml": yaml.__version__,
     }
+    # scipy is a test dependency only; its version is read without importing it
+    try:
+        versions["scipy"] = metadata.version("scipy")
+    except metadata.PackageNotFoundError:
+        pass
+    return {"config": cfg.raw, "seed": cfg.seed, "versions": versions}
 
 
 def _grid(section: dict) -> np.ndarray:
@@ -94,12 +95,12 @@ def _grid(section: dict) -> np.ndarray:
 def _ensemble(cfg: ExperimentConfig):
     model = cfg.market_model()
     ens = simulate_drivers(model, cfg.time_grid(), cfg.n_paths, cfg.seed)
-    price_paths(model, ens)
     return model, ens
 
 
 def run_simulate(cfg: ExperimentConfig, out: str) -> dict:
     model, ens = _ensemble(cfg)
+    price_paths(model, ens)
     cfg_hash = cfg.hash()
     ensemble_to_csv(ens, os.path.join(out, "paths.csv"), channels=["S"],
                     header_comment=f"config_hash={cfg_hash}")
@@ -239,7 +240,8 @@ def run_bridge_check(cfg: ExperimentConfig, out: str) -> dict:
         pi_star = b / s**2
         primal = solve_primal_search(model, utility, cfg.x0, [pi_star], ens, adjoint_mode=adjoints)
         control, y, rep_fwd = primal_to_dual(primal)
-        dual = evaluate_dual_scenario(model, utility, control, ens, adjoint_mode=adjoints)
+        dual = evaluate_dual_scenario(model, utility, control, ens, adjoint_mode=adjoints,
+                                      density=rep_fwd.density)
         portfolio, x_back, rep_back = dual_to_primal(dual)
         pi_back = bridged_fraction(portfolio)
         product_dev = verify_product_identity(primal.wealth, primal.adjoints.p, cfg.x0, y)
@@ -301,7 +303,6 @@ def run_convergence(cfg: ExperimentConfig, out: str) -> dict:
         grid = cfg.time_grid()
         for n in section.get("paths", [10000, 25000, 50000]):
             ens = simulate_drivers(model, grid, int(n), cfg.seed)
-            price_paths(model, ens)
             sol = solve_dual_search(model, utility, cfg.y, ens, adjoint_mode="regression",
                                     replicate=False)
             err = abs(float(sol.adjoints.p[:, 0].mean()) * cfg.y - 1.0)
@@ -316,7 +317,6 @@ def run_convergence(cfg: ExperimentConfig, out: str) -> dict:
         for steps in section.get("steps", [25, 50, 100]):
             grid = TimeGrid(int(steps), horizon)
             ens = simulate_drivers(model, grid, cfg.n_paths, cfg.seed)
-            price_paths(model, ens)
             control = unique_scenario_no_jumps(model, grid, cfg.y)
             devs = {}
             for scheme in ("euler", "exact"):

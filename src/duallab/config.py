@@ -23,6 +23,10 @@ class ConfigError(ValueError):
 
 MODES = ("simulate", "primal", "dual", "robust", "bridge-check", "convergence")
 
+# largest driver arrays a run may simulate, paths * steps * (1 + marks) * 8
+# bytes; a run holds several path arrays of that order at once
+MAX_DRIVER_BYTES = 2**29
+
 _SCHEMA: dict[str, Any] = {
     "market": {"drift": float, "vol": float, "s0": float, "horizon": float, "jumps": list},
     "grid": {"steps": int},
@@ -147,9 +151,33 @@ def validate_config(raw: dict) -> ExperimentConfig:
         adjoints=adjoints,
         out_dir=str(raw.get("out", "runs")),
     )
+    _check_driver_bytes(cfg)
     # fail early on bad market coefficients
     cfg.market_model().validate_on(cfg.time_grid())
     return cfg
+
+
+def _check_driver_bytes(cfg: ExperimentConfig) -> None:
+    """Refuse a run whose driver arrays exceed :data:`MAX_DRIVER_BYTES`,
+    before anything of that size (the time grid included) is allocated.
+    A convergence run is sized by the largest entry of its ladders."""
+    ladder = cfg.raw.get("convergence", {}) if cfg.mode == "convergence" else {}
+    try:
+        ladder_paths = max(map(int, ladder.get("paths", [])), default=0)
+        steps = max([cfg.n_steps, *map(int, ladder.get("steps", []))])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"convergence.paths and convergence.steps must list integers: {exc}") \
+            from exc
+    field, paths = ("convergence.paths", ladder_paths) if ladder_paths > cfg.n_paths \
+        else ("mc.paths", cfg.n_paths)
+    marks = len(cfg.raw["market"].get("jumps", []) or [])
+    need = paths * steps * (1 + marks) * 8
+    if need > MAX_DRIVER_BYTES:
+        raise ConfigError(
+            f"{field} = {paths} with {steps} steps and {marks} jump mark(s) needs "
+            f"{need / 2**20:.0f} MiB of driver arrays, above the "
+            f"{MAX_DRIVER_BYTES // 2**20} MiB limit; reduce {field}"
+        )
 
 
 def read_config(path: str) -> dict:

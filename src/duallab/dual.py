@@ -23,7 +23,6 @@ from .market import (
     TimeGrid,
     _euler_wealth,
     density_paths,
-    price_paths,
     terminal_log_density,
 )
 from .mc import cv_mean, grid_search, interior_summary
@@ -284,12 +283,15 @@ def _dual_solution(
     basis: RegressionBasis | None,
     replicate: bool,
     foc=None,
+    density: np.ndarray | None = None,
     **fields,
 ) -> DualSolution:
     """Solution at a chosen scenario: density, adjoints, first-order residuals
     (``foc(solution)``, by default :func:`dual_foc_residual`) and, optionally,
-    the replication check.  ``fields`` carry the search results."""
-    density = density_paths(ensemble, control)
+    the replication check.  ``density`` is the scenario's density paths when
+    the caller has built them already.  ``fields`` carry the search results."""
+    if density is None:
+        density = density_paths(ensemble, control)
     solution = DualSolution(
         model=model,
         ensemble=ensemble,
@@ -358,18 +360,21 @@ def evaluate_dual_scenario(
     control_variates: bool = True,
     basis: RegressionBasis | None = None,
     replicate: bool = False,
+    density: np.ndarray | None = None,
 ) -> DualSolution:
     """Dual solution object for one given scenario (no search).
 
     Used by the bridge round trips, which hand back a fully determined
-    scenario rather than a candidate family.
+    scenario rather than a candidate family.  ``density`` may pass the
+    scenario's paths, ``density_paths(ensemble, control)``, when they are
+    built already (a primal-to-dual report keeps them); they are not rebuilt.
     """
     value, se = cv_mean(
         -pair.v(np.exp(terminal_log_density(ensemble, control))),
         ensemble.terminal_controls() if control_variates else None,
     )
     return _dual_solution(
-        model, ensemble, pair, control, adjoint_mode, basis, replicate,
+        model, ensemble, pair, control, adjoint_mode, basis, replicate, density=density,
         value=float(value),
         se=float(se),
         theta1_values=[np.asarray(control.theta1[0]).tolist()] if model.n_marks else [[]],
@@ -421,9 +426,7 @@ def replicating_portfolio(solution: DualSolution) -> tuple[np.ndarray, float]:
     s = model.vol_on(grid)
     gam = model.jump_sizes_on(grid)
     nu = model.intensities
-    spot = ensemble.channels.get("S")
-    if spot is None:
-        spot = price_paths(model, ensemble)
+    spot = ensemble.channel("S")
     scale = float(np.mean(np.abs(adj.p[:, -1])))
     phi = np.zeros((ensemble.n_paths, grid.n_steps))
     for i in range(grid.n_steps):

@@ -176,7 +176,8 @@ class PathEnsemble:
 
     The driver arrays are frozen after generation; derived channels (price,
     wealth, density, adjoints) are attached by the operations that compute
-    them.  Per-path computations are pure functions of the drivers.
+    them, the price S on its first read through :meth:`channel`.  Per-path
+    computations are pure functions of the drivers.
     """
 
     model: MarketModel
@@ -203,6 +204,9 @@ class PathEnsemble:
         return values
 
     def channel(self, name: str) -> np.ndarray:
+        """An attached channel; the price "S" is built and attached when first read."""
+        if name == "S" and name not in self.channels:
+            return price_paths(self.model, self)
         if name not in self.channels:
             raise KeyError(
                 f"channel {name!r} not attached; available: {sorted(self.channels)}"
@@ -384,9 +388,7 @@ def _euler_wealth(model: MarketModel, ensemble: PathEnsemble, strategy: Strategy
     grid = ensemble.grid
     values = strategy.on_grid(grid)
     fraction = strategy.kind == "fraction"
-    spot = None if fraction else ensemble.channels.get("S")
-    if not fraction and spot is None:
-        spot = price_paths(model, ensemble)
+    spot = None if fraction else ensemble.channel("S")
 
     def exposure(i, x):
         # pi*X for a fraction of wealth, phi*S for unit counts

@@ -7,8 +7,9 @@ candidate, a per-step Python loop for the theta0 elimination, two SVD
 ``lstsq`` fits per backward step, a separate forward loop per process (price
 and density from whole-array log factors, wealth and replication one step at
 a time), the per-path exact fill one column at a time, and a ``csv.writer``
-call per CSV row.  They stay out of the package on purpose; the tests
-compare the package against them.
+call per CSV row, and the conjugacy oracle polished one test point at a
+time by scipy's bounded Brent search.  They stay out of the package on
+purpose; the tests compare the package against them.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import math
 import warnings
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from duallab.bsde import DriverSpec, RegressionBasis, _BasisBuilder, _default_state
 from duallab.dual import ScenarioControl
@@ -190,6 +192,30 @@ def replication_check(model, phi, x0, target, ensemble, mu=None):
         "initial_value": float(x0),
         "n_nonpositive": nonpositive,
     }
+
+
+# ----------------------------------------------------------- preferences
+
+def conjugate_by_grid(u, y, grid):
+    """sup_x {u(x) - x*y}: grid argmax, then Brent's bounded search in its bracket."""
+    vals = u(grid) - grid * y
+    j = int(np.argmax(vals))
+    lo = grid[max(j - 1, 0)]
+    hi = grid[min(j + 1, len(grid) - 1)]
+    res = minimize_scalar(lambda x: -(u(x) - x * y), bounds=(lo, hi), method="bounded",
+                          options={"xatol": 1e-12})
+    return float(max(vals[j], -res.fun))
+
+
+def biconjugate_by_grid(v, x, grid):
+    """inf_y {v(y) + x*y}: grid argmin, then Brent's bounded search in its bracket."""
+    vals = v(grid) + grid * x
+    j = int(np.argmin(vals))
+    lo = grid[max(j - 1, 0)]
+    hi = grid[min(j + 1, len(grid) - 1)]
+    res = minimize_scalar(lambda y: v(y) + x * y, bounds=(lo, hi), method="bounded",
+                          options={"xatol": 1e-12})
+    return float(min(vals[j], res.fun))
 
 
 # ------------------------------------------------------------------ output

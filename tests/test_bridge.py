@@ -26,6 +26,23 @@ def test_primal_to_dual_analytic(base_model, base_ens_5k, log_pair):
     assert report["constraint"]["max_abs"] <= 1e-12
 
 
+@pytest.mark.parametrize("mode", ["analytic", "regression"])
+def test_dual_solution_reuses_bridged_density(base_model, base_ens_5k, log_pair, mode):
+    sol = merton_primal(base_model, base_ens_5k, log_pair, mode=mode)
+    control, _, report = dl.primal_to_dual(sol)
+    reused = dl.evaluate_dual_scenario(base_model, log_pair, control, base_ens_5k,
+                                       adjoint_mode=mode, density=report.density)
+    rebuilt = dl.evaluate_dual_scenario(base_model, log_pair, control, base_ens_5k,
+                                        adjoint_mode=mode)
+    assert reused.density is report.density
+    assert np.array_equal(reused.density, rebuilt.density)
+    for name in ("p", "q", "r"):
+        assert np.array_equal(getattr(reused.adjoints, name), getattr(rebuilt.adjoints, name))
+    assert (reused.value, reused.se) == (rebuilt.value, rebuilt.se)
+    assert reused.foc["mean_normalized"] == rebuilt.foc["mean_normalized"]
+    assert dl.dual_to_primal(reused)[2].identities == dl.dual_to_primal(rebuilt)[2].identities
+
+
 def test_blocked_deviation_maxima_match_whole_array_and_keep_nan():
     rng = np.random.default_rng(5)
     target = rng.uniform(0.5, 2.0, size=(2 * DEVIATION_BLOCK_PATHS + 7, 3))

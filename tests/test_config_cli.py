@@ -8,7 +8,8 @@ import scipy
 import yaml
 
 import duallab.cli as cli
-from duallab.config import ConfigError, load_config, validate_config
+from duallab import market
+from duallab.config import MAX_DRIVER_BYTES, ConfigError, load_config, validate_config
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -148,6 +149,96 @@ def test_manifest_records_library_versions(tmp_path):
     assert versions["numpy"] == np.__version__
     assert versions["scipy"] == scipy.__version__
     assert versions["pyyaml"] == yaml.__version__
+
+
+def test_manifest_leaves_out_scipy_when_not_installed(tmp_path, monkeypatch):
+    def version(name):
+        if name == "scipy":
+            raise cli.metadata.PackageNotFoundError(name)
+        raise AssertionError(f"unexpected lookup of {name}")
+
+    monkeypatch.setattr(cli.metadata, "version", version)
+    raw = small(load_raw("merton_log.yaml"), paths=10)
+    raw["mode"] = "simulate"
+    raw["out"] = str(tmp_path / "run")
+    cli.run_experiment(validate_config(raw))
+    versions = json.loads((tmp_path / "run" / "manifest.json").read_text())["versions"]
+    assert sorted(versions) == ["duallab", "numpy", "python", "pyyaml"]
+
+
+def _refuse_allocation(monkeypatch):
+    """Make any driver simulation or time-grid evaluation fail the test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oversized run reached allocation")
+
+    monkeypatch.setattr(cli, "simulate_drivers", refuse)
+    monkeypatch.setattr(market, "simulate_drivers", refuse)
+    monkeypatch.setattr(market.TimeGrid, "times", property(refuse))
+
+
+@pytest.mark.parametrize("flag, value", [("--paths", "10000000"), ("--steps", "100000000")])
+def test_oversized_run_refused_before_allocation(tmp_path, capsys, monkeypatch, flag, value):
+    _refuse_allocation(monkeypatch)
+    code = cli.main(["dual", "--config", str(CONFIG_DIR / "jump_dual.yaml"),
+                     flag, value, "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: mc.paths = ") and "reduce mc.paths" in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_driver_bytes_limit_is_inclusive(monkeypatch):
+    raw = load_raw("merton_log.yaml")  # no jumps: 64 steps are 512 bytes per path
+    raw["grid"]["steps"] = 64
+    raw["mc"]["paths"] = MAX_DRIVER_BYTES // 512
+    assert raw["mc"]["paths"] * 512 == MAX_DRIVER_BYTES
+    validate_config(raw)
+    raw["mc"]["paths"] += 1
+    _refuse_allocation(monkeypatch)
+    with pytest.raises(ConfigError, match="mc.paths"):
+        validate_config(raw)
+
+
+def test_oversized_convergence_ladder_refused(monkeypatch):
+    _refuse_allocation(monkeypatch)
+    raw = load_raw("convergence_bsde.yaml")
+    raw["convergence"]["paths"] = [10_000, 10**8]
+    with pytest.raises(ConfigError, match="^convergence.paths = 100000000 with 100 steps"):
+        validate_config(raw)
+    raw["convergence"]["paths"] = ["many"]
+    with pytest.raises(ConfigError, match="must list integers"):
+        validate_config(raw)
+
+
+def test_runs_build_the_price_only_when_they_read_it(tmp_path, monkeypatch):
+    calls = []
+    original = market.price_paths
+
+    def counting(model, ensemble):
+        calls.append(ensemble.n_paths)
+        return original(model, ensemble)
+
+    monkeypatch.setattr(market, "price_paths", counting)
+    monkeypatch.setattr(cli, "price_paths", counting)
+    for name, case in (("merton_log.yaml", "merton_log"), ("robust_merton.yaml", "robust_merton")):
+        raw = small(load_raw(name), paths=500)
+        raw.update(mode="bridge-check", bridge={"case": case, "adjoints": "analytic"},
+                   out=str(tmp_path / case))
+        cli.run_experiment(validate_config(raw))
+    raw = small(load_raw("robust_merton.yaml"), paths=500)
+    raw["robust"] = {"phi_grid": {"min": 0.125, "max": 1.125, "count": 5},
+                     "mu_grid": {"min": -0.25, "max": 0.0, "count": 5}}
+    raw["out"] = str(tmp_path / "robust")
+    cli.run_experiment(validate_config(raw))
+    assert calls == []
+    # replication and simulate read S: built once each
+    raw = small(load_raw("jump_dual.yaml"), paths=501)
+    raw["out"] = str(tmp_path / "dual")
+    cli.run_experiment(validate_config(raw))
+    raw = small(load_raw("merton_log.yaml"), paths=502)
+    raw.update(mode="simulate", out=str(tmp_path / "simulate"))
+    cli.run_experiment(validate_config(raw))
+    assert calls == [501, 502]
 
 
 def test_convergence_bsde_mode(tmp_path):

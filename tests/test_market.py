@@ -88,6 +88,22 @@ def test_wealth_fully_invested_tracks_price(base_model, base_ens_5k):
     assert np.allclose(x / x[:, :1], s / s[:, :1], rtol=1e-12, atol=0)
 
 
+def test_price_channel_built_on_first_read(jump_model, grid100):
+    ens = dl.simulate_drivers(jump_model, grid100, 300, seed=11)
+    assert "S" not in ens.channels
+    s = ens.channel("S")
+    assert ens.channels["S"] is s and ens.channel("S") is s
+    fresh = dl.simulate_drivers(jump_model, grid100, 300, seed=11)
+    assert np.array_equal(s, dl.price_paths(jump_model, fresh))
+    # unit-count wealth reads the price the same way, built or attached
+    lazy = dl.simulate_drivers(jump_model, grid100, 300, seed=11)
+    phi = dl.Strategy.units(0.5)
+    assert np.array_equal(dl.wealth_paths(jump_model, lazy, phi, 2.0),
+                          dl.wealth_paths(jump_model, fresh, phi, 2.0))
+    with pytest.raises(KeyError, match="'X' not attached"):
+        ens.channel("X")
+
+
 def test_wealth_log_mean_maximal_at_merton_fraction(base_model, base_ens_5k):
     # grid oracle: mean log-wealth peaks at b/sigma^2
     controls = base_ens_5k.terminal_controls()

@@ -1,4 +1,9 @@
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,12 +11,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import duallab as dl
+import oracles
 from duallab.preferences import (
+    ORACLE_GRID,
     UtilityPair,
     biconjugate_by_grid,
     certify_pair,
     conjugate_by_grid,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_log_conjugate_values(log_pair):
@@ -58,6 +67,79 @@ def test_certification_rejects_wrong_conjugate():
     )
     with pytest.raises(ValueError, match="grid oracle"):
         certify_pair(bad)
+
+
+def _power_parts(alpha, v_coef=1.0, v_expo=1.0):
+    """u, u', v, v' of power(alpha), with v's constant and exponent scaled."""
+    coef, expo = (1.0 - alpha) / alpha, alpha / (alpha - 1.0)
+    return (lambda x: np.asarray(x, dtype=float) ** alpha / alpha,
+            lambda x: np.asarray(x, dtype=float) ** (alpha - 1.0),
+            lambda y: v_coef * coef * np.asarray(y, dtype=float) ** (v_expo * expo),
+            lambda y: -np.asarray(y, dtype=float) ** (1.0 / (alpha - 1.0)))
+
+
+# log with an upward step at x = 5: increasing but not concave
+_LOG_STEP = UtilityPair("log-step", lambda x: np.log(x) + 0.01 * (np.asarray(x) > 5.0),
+                        lambda x: 1.0 / np.asarray(x, dtype=float),
+                        lambda y: -np.log(y) - 1.0, lambda y: -1.0 / np.asarray(y, dtype=float))
+
+
+# each broken pair with the message certification gave it under the scalar
+# Brent-polished oracle
+@pytest.mark.parametrize("pair, y_grid, message", [
+    (UtilityPair("power-const", *_power_parts(0.5, v_coef=1.1)), None,
+     "power-const: conjugate differs from grid oracle at y=0.1 (11 vs 10)"),
+    (UtilityPair("power-expo", *_power_parts(0.5, v_expo=1.1)), None,
+     "power-expo: conjugate differs from grid oracle at y=0.1 (12.5892541 vs 10)"),
+    (UtilityPair("convex", lambda x: np.asarray(x, dtype=float) ** 1.5 / 1.5,
+                 lambda x: np.asarray(x, dtype=float) ** 0.5,
+                 lambda y: -np.asarray(y, dtype=float) ** 3 / 3,
+                 lambda y: -np.asarray(y, dtype=float) ** 2), None,
+     "convex: conjugate differs from grid oracle at y=0.1 (-0.000333333333 vs 665666.667)"),
+    (_LOG_STEP, None,
+     "log-step: conjugate differs from grid oracle at y=0.1 (1.30258509 vs 1.31258509)"),
+    # conjugacy holds where y >= 1, so the biconjugacy check must catch the step
+    (_LOG_STEP, np.geomspace(1.0, 10.0, 7),
+     "log-step: biconjugacy fails at x=6.81292 (1.92882091 vs 1.91882091)"),
+], ids=["wrong-constant", "wrong-exponent", "convex-u", "step-u", "step-u-biconjugacy"])
+def test_certification_rejects_broken_pairs(pair, y_grid, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        certify_pair(pair, y_grid=y_grid)
+
+
+@settings(max_examples=60, deadline=None)
+@given(alpha=st.one_of(st.none(), st.floats(0.05, 0.95)),
+       points=st.lists(st.floats(1e-2, 1e2), min_size=1, max_size=13))
+def test_golden_section_oracle_matches_brent(alpha, points):
+    # the numpy oracle against the scalar scipy one it replaced; log when alpha is None
+    if alpha is None:
+        u, v = np.log, (lambda y: -np.log(y) - 1.0)
+    else:
+        u, _, v, _ = _power_parts(alpha)
+    pts = np.array(points)
+    sup = conjugate_by_grid(u, pts)
+    inf = biconjugate_by_grid(v, pts)
+    for p, got_sup, got_inf in zip(pts, sup, inf):
+        ref_sup = oracles.conjugate_by_grid(u, float(p), ORACLE_GRID)
+        ref_inf = oracles.biconjugate_by_grid(v, float(p), ORACLE_GRID)
+        assert abs(got_sup - ref_sup) <= 1e-12 * max(1.0, abs(ref_sup))
+        assert abs(got_inf - ref_inf) <= 1e-12 * max(1.0, abs(ref_inf))
+        # a scalar point gives the same float as its entry of the batch
+        assert conjugate_by_grid(u, float(p)) == got_sup
+        assert biconjugate_by_grid(v, float(p)) == got_inf
+
+
+def test_cli_and_certification_import_no_scipy():
+    code = (
+        "import sys\n"
+        "import duallab.cli\n"
+        "from duallab.preferences import make_log_utility, make_power_utility\n"
+        "make_log_utility(); make_power_utility(0.3); make_power_utility(0.5)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)}, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_quadratic_penalty(quad_penalty):
