@@ -6,6 +6,20 @@ integrand q is read off the centered covariance with the Brownian increment,
 and the per-mark jump integrands r from the centered covariances with the
 compensated jump counts.  Drivers affine in (p, q, r) are folded in with an
 implicit affine solve in p.
+
+The sweep works on contiguous per-step rows.  The log-state, p, q and r are
+stored time-major, (n_steps + 1, n_paths) per channel, and p, q and r are
+returned as transposed views of shape (n_paths, ...).  The drivers are read
+:data:`STEP_BLOCK` steps at a time through a transposed copy of that block
+only.  Each step's design A is factored once by CholeskyQR2 (Fukaya,
+Nakatsukasa, Yanagisawa and Yamamoto 2014): the Cholesky factor R1 of the
+Gram matrix, Q1 = A R1^-1, the same once more for R2, and an SVD of R2 R1 for
+rank and condition number.  CholeskyQR2 is accurate only while cond(A) stays
+well below u^(-1/2), about 1e8, so a step falls back to a Householder thin QR
+plus an SVD of its triangular factor when the Cholesky factorisation fails,
+the rank is below the column count, or the condition number exceeds
+:data:`CHOLQR_MAX_COND`.  The deterministic state at t_0 always takes the
+fallback.
 """
 
 from __future__ import annotations
@@ -21,6 +35,13 @@ import numpy as np
 from .market import PathEnsemble, TimeGrid, eval_on_grid
 
 IMPLICIT_STEP_TOL = 1e-8
+# condition number above which a step's CholeskyQR2 factor is replaced by the
+# Householder fallback: well inside CholeskyQR2's accurate range (about 1e8)
+CHOLQR_MAX_COND = 1e6
+# steps of the drivers read per transposed block (6.4 MB per array at 50k paths)
+STEP_BLOCK = 16
+# paths per chunk of a transposing copy, so that the rows read stay in cache
+TRANSPOSE_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -89,8 +110,8 @@ class AdjointTriple:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _default_state(ensemble: PathEnsemble) -> dict[str, np.ndarray]:
-    return {"S": ensemble.channel("S")}
+def _default_state(ensemble: PathEnsemble) -> dict:
+    return {"S": lambda: ensemble.channel("S")}
 
 
 def _monomial_exponents(n_vars: int, degree: int):
@@ -104,67 +125,144 @@ def _monomial_exponents(n_vars: int, degree: int):
     return out
 
 
-class _BasisBuilder:
-    """Design matrices of log-state monomials, with rank diagnostics."""
+def _rank_cond(sv: np.ndarray, shape) -> tuple[int, float]:
+    """Rank at the cutoff eps*max(M, N)*s_max of ``numpy.linalg.lstsq``, and
+    the condition number s_max / s_rank."""
+    rank = int(np.sum(sv > np.finfo(float).eps * max(shape) * sv[0]))
+    return rank, (float(sv[0] / sv[rank - 1]) if rank else math.inf)
 
-    def __init__(self, state: dict[str, np.ndarray], basis: RegressionBasis):
+
+def _time_major(values: np.ndarray) -> np.ndarray:
+    """A C-contiguous copy of ``values`` with the leading path axis moved last,
+    copied one chunk of :data:`TRANSPOSE_CHUNK` paths at a time."""
+    out = np.empty(values.shape[1:] + values.shape[:1])
+    for start in range(0, values.shape[0], TRANSPOSE_CHUNK):
+        chunk = slice(start, start + TRANSPOSE_CHUNK)
+        out[..., chunk] = np.moveaxis(values[chunk], 0, -1)
+    return out
+
+
+def _gram(a: np.ndarray) -> np.ndarray:
+    """a @ a.T, each entry a pairwise sum of the products of two rows of ``a``.
+
+    The orthogonality of CholeskyQR2's Q is set by the rounding of the Gram
+    sums.  On a 3 x 50k design, |Q^T Q - I| is 4e-16 with pairwise sums,
+    2e-15 with numpy's ``a @ a.T`` and 2e-14 with BLAS row dot products; with
+    the last, the sweep's p(t_0) drifted 2e-12 from a Householder sweep's
+    over 100 steps, against 6e-13 with pairwise sums.
+    """
+    n = a.shape[0]
+    out = np.empty((n, n))
+    for i in range(n):
+        for j in range(i + 1):
+            out[i, j] = out[j, i] = np.sum(a[i] * a[j])
+    return out
+
+
+def _driver_rows(ensemble: PathEnsemble, steps):
+    """(i, dB_i, dNtilde_i) for each step i of ``steps``, as contiguous rows
+    (n_paths,) and (n_marks, n_paths).
+
+    The drivers are read through a transposed copy of the block of
+    :data:`STEP_BLOCK` steps holding i, so no whole transposed driver array
+    is ever built.
+    """
+    n_steps = ensemble.grid.n_steps
+    lam = (ensemble.model.intensities * ensemble.grid.dt)[:, None]
+    lo = hi = 0
+    for i in steps:
+        if not lo <= i < hi:
+            lo = i - i % STEP_BLOCK
+            hi = min(lo + STEP_BLOCK, n_steps)
+            db = _time_major(ensemble.brownian_increments[:, lo:hi])
+            dnt = _time_major(ensemble.jump_counts[:, lo:hi])
+            dnt -= lam
+        yield i, db[i - lo], dnt[i - lo]
+
+
+class _BasisBuilder:
+    """Design matrices of log-state monomials, with rank diagnostics.
+
+    A state value is a (n_paths, n_steps + 1) array or a zero-argument
+    callable returning one; only the channels of the basis are evaluated.
+    Each is kept time-major, one contiguous row per step.
+    """
+
+    def __init__(self, state: dict, basis: RegressionBasis):
         names = basis.channels if basis.channels is not None else tuple(sorted(state))
         missing = [n for n in names if n not in state]
         if missing:
             raise KeyError(f"basis channels {missing} not in state {sorted(state)}")
-        if basis.transform == "log":
-            self.logs = [np.log(state[n]) for n in names]
-        else:
-            self.logs = [np.asarray(state[n], dtype=float) for n in names]
-        self.exponents = _monomial_exponents(len(self.logs), basis.degree)
+        self.rows = []
+        for name in names:
+            values = state[name]() if callable(state[name]) else state[name]
+            rows = _time_major(np.asarray(values, dtype=float))
+            if basis.transform == "log":
+                np.log(rows, out=rows)
+            self.rows.append(rows)
+        self.exponents = _monomial_exponents(len(self.rows), basis.degree)
         self.n_columns = len(self.exponents)
         self.warned = False
 
     def design(self, step: int) -> np.ndarray:
-        cols = np.empty((self.logs[0].shape[0], self.n_columns))
-        for j, expo in enumerate(self.exponents):
-            col = np.ones(cols.shape[0])
-            for z, e in zip(self.logs, expo):
+        """The (n_columns, n_paths) design of ``step``, one row per monomial."""
+        z = [rows[step] for rows in self.rows]
+        out = np.ones((self.n_columns, z[0].shape[0]))
+        for row, expo in zip(out, self.exponents):
+            for zc, e in zip(z, expo):
                 if e:
-                    col = col * z[:, step] ** e
-            cols[:, j] = col
-        return cols
+                    row *= zc**e
+        return out
 
     def constant(self, step: int) -> bool:
         """Whether every state channel takes one value across paths at ``step``
         (a deterministic state: the design has rank 1 by construction)."""
-        return all(np.all(z[:, step] == z[0, step]) for z in self.logs)
+        return all(np.all(rows[step] == rows[step, 0]) for rows in self.rows)
 
     def factor(self, a: np.ndarray, warn: bool = True):
-        """Orthonormal basis of the fitted span of ``a``; returns (basis, rank, cond).
+        """Factor the (n_columns, n) design ``a``; returns (basis, coef, rank, cond).
 
-        One thin QR of the design plus an SVD of its small triangular factor
-        give the singular values ``numpy.linalg.lstsq`` computes, and the same
-        rank cutoff eps*max(M, N)*s_max.  Rank deficiency (collinear or
-        constant state) drops the dependent directions, reducing the effective
-        basis degree rather than failing a step.  The least-squares fit of any
-        right-hand side is its projection onto the returned basis.
+        ``basis`` (rank, n) has orthonormal rows spanning the rows of ``a``:
+        the least-squares fit of a right-hand side b is (basis @ b) @ basis,
+        and its minimum-norm coefficients are coef @ (basis @ b).  The factor
+        is CholeskyQR2 (see the module docstring), or a Householder thin QR of
+        ``a.T`` when that fails, is rank-deficient or has a condition number
+        above :data:`CHOLQR_MAX_COND`.  Either way the SVD of the triangular
+        factor gives the singular values ``numpy.linalg.lstsq`` computes and
+        its rank cutoff.  Rank deficiency (collinear or constant state) drops
+        the dependent directions, reducing the effective basis degree rather
+        than failing a step; it is warned about once per builder.
         """
-        q, r = np.linalg.qr(a)
-        u, sv, _ = np.linalg.svd(r)
-        rank = int(np.sum(sv > np.finfo(float).eps * max(a.shape) * sv[0]))
-        if warn and rank < a.shape[1] and not self.warned:
+        n_columns = a.shape[0]
+        try:
+            r1 = np.linalg.cholesky(_gram(a)).T
+            q1 = np.linalg.inv(r1).T @ a
+            r2 = np.linalg.cholesky(_gram(q1)).T
+            r = r2 @ r1
+            rank, cond = _rank_cond(np.linalg.svd(r, compute_uv=False), a.shape)
+            if rank == n_columns and cond <= CHOLQR_MAX_COND:
+                return np.linalg.inv(r2).T @ q1, np.linalg.inv(r), rank, cond
+        except np.linalg.LinAlgError:
+            pass
+        q, r = np.linalg.qr(a.T)
+        u, sv, vt = np.linalg.svd(r)
+        rank, cond = _rank_cond(sv, a.shape)
+        if warn and rank < n_columns and not self.warned:
             warnings.warn(
                 "design matrix rank-deficient; dependent basis columns ignored "
-                f"(rank {rank} of {a.shape[1]})",
+                f"(rank {rank} of {n_columns})",
                 RuntimeWarning,
                 stacklevel=3,
             )
             self.warned = True
-        cond = float(sv[0] / sv[rank - 1]) if rank else math.inf
-        return q @ u[:, :rank], rank, cond
+        return (q @ u[:, :rank]).T, vt[:rank].T / sv[:rank], rank, cond
 
 
 def solve_linear_bsde(
     ensemble: PathEnsemble,
     terminal: np.ndarray,
     driver: DriverSpec | None = None,
-    state: dict[str, np.ndarray] | None = None,
+    state: dict | None = None,
     basis: RegressionBasis | None = None,
 ) -> AdjointTriple:
     """Backward sweep producing a regression-mode :class:`AdjointTriple`.
@@ -177,6 +275,9 @@ def solve_linear_bsde(
         p_i = (m - dt*(c0 + cq*q_i + sum_k cr_k*r_ik)) / (1 + dt*cp)
 
     Centering by m removes the dominant variance from the covariance targets.
+    ``state`` maps channel names to (n_paths, n_steps + 1) arrays or to
+    zero-argument callables returning one (the price S by default); only the
+    channels the basis reads are evaluated.
     """
     terminal = np.asarray(terminal, dtype=float)
     if terminal.shape != (ensemble.n_paths,):
@@ -189,39 +290,38 @@ def solve_linear_bsde(
     driver = driver or DriverSpec.zero()
     c0, cp, cq, cr = driver.on_grid(grid, k)
     builder = _BasisBuilder(state or _default_state(ensemble), basis or RegressionBasis())
-    nu = model.intensities
+    lam = model.intensities * dt
+    active = np.flatnonzero(lam > 0)
 
-    p = np.empty((ensemble.n_paths, grid.n_steps + 1))
-    q = np.zeros((ensemble.n_paths, grid.n_steps))
-    r = np.zeros((ensemble.n_paths, grid.n_steps, k))
-    p[:, -1] = terminal
+    # time-major: one contiguous row per step, returned transposed
+    p = np.empty((grid.n_steps + 1, ensemble.n_paths))
+    q = np.zeros((grid.n_steps, ensemble.n_paths))
+    r = np.zeros((grid.n_steps, k, ensemble.n_paths))
+    targets = np.empty((1 + active.size, ensemble.n_paths))
+    p[-1] = terminal
     per_step = []
     constant_steps = 0
-    for i in range(grid.n_steps - 1, -1, -1):
+    for i, db, dnt in _driver_rows(ensemble, range(grid.n_steps - 1, -1, -1)):
         # a deterministic state (always at t_0) is rank-deficient by
         # construction: counted in the diagnostics instead of warned about
         constant = builder.constant(i)
         constant_steps += constant
-        span, rank, cond = builder.factor(builder.design(i), warn=i > 0 and not constant)
-        fitted = span @ (span.T @ p[:, i + 1])
-        centered = p[:, i + 1] - fitted
-        targets = [centered * ensemble.brownian_increments[:, i] / dt]
-        active = []
-        dnt = ensemble.compensated_step(i) if k else None
-        for kk in range(k):
-            lam = nu[kk] * dt
-            if lam > 0:
-                targets.append(centered * dnt[:, kk] / lam)
-                active.append(kk)
-        stacked = span @ (span.T @ np.column_stack(targets))
-        q[:, i] = stacked[:, 0]
-        for j, kk in enumerate(active, start=1):
-            r[:, i, kk] = stacked[:, j]
+        span, _, rank, cond = builder.factor(builder.design(i), warn=i > 0 and not constant)
+        fitted = (span @ p[i + 1]) @ span
+        centered = p[i + 1] - fitted
+        np.multiply(centered, db, out=targets[0])
+        targets[0] /= dt
+        for row, kk in zip(targets[1:], active):
+            np.multiply(centered, dnt[kk], out=row)
+            row /= lam[kk]
+        stacked = (targets @ span.T) @ span
+        q[i] = stacked[0]
+        r[i, active] = stacked[1:]
         denom = 1.0 + dt * cp[i]
         if abs(denom) < IMPLICIT_STEP_TOL:
             raise ValueError(f"implicit step near-singular at step {i} (denominator {denom:g})")
-        drift = c0[i] + cq[i] * q[:, i] + (r[:, i] @ cr[i] if k else 0.0)
-        p[:, i] = (fitted - dt * drift) / denom
+        drift = c0[i] + cq[i] * q[i] + (cr[i] @ r[i] if k else 0.0)
+        p[i] = (fitted - dt * drift) / denom
         per_step.append(
             {
                 "step": i,
@@ -239,13 +339,14 @@ def solve_linear_bsde(
         "constant_state_steps": constant_steps,
         "per_step": per_step,
     }
-    return AdjointTriple(p, q, r, mode="regression", diagnostics=diagnostics)
+    return AdjointTriple(p.T, q.T, r.transpose(2, 0, 1), mode="regression",
+                         diagnostics=diagnostics)
 
 
 def martingale_representation(
     ensemble: PathEnsemble,
     terminal: np.ndarray,
-    state: dict[str, np.ndarray] | None = None,
+    state: dict | None = None,
     basis: RegressionBasis | None = None,
 ) -> AdjointTriple:
     """Driver-free representation: p(t) = E[terminal | F_t], q and r its integrands."""
@@ -256,7 +357,7 @@ def bsde_residual_report(
     triple: AdjointTriple,
     ensemble: PathEnsemble,
     driver: DriverSpec | None = None,
-    state: dict[str, np.ndarray] | None = None,
+    state: dict | None = None,
     basis: RegressionBasis | None = None,
     split_seed: int = 0,
 ) -> dict:
@@ -267,9 +368,10 @@ def bsde_residual_report(
         rho = p_{i+1} - p_i - f(t_i, p_i, q_i, r_i) dt - q_i dB_i - sum_k r_ik dNtilde_ik.
 
     The ensemble is split 50/50; the conditional-mean component of rho is
-    fitted on the train half and evaluated on the test half, while the q/r
-    components are read off covariances on the test half.  All figures are
-    normalized by the mean magnitude of the terminal value.
+    fitted on the train half, with the sweep's time-major design and factor,
+    and evaluated on the test half, while the q/r components are read off
+    covariances on the test half.  All figures are normalized by the mean
+    magnitude of the terminal value.
     """
     grid, model = ensemble.grid, ensemble.model
     dt = grid.dt
@@ -278,34 +380,35 @@ def bsde_residual_report(
     c0, cp, cq, cr = driver.on_grid(grid, k)
     builder = _BasisBuilder(state or _default_state(ensemble), basis or RegressionBasis())
     train, test = ensemble.split_indices(split_seed)
-    nu = model.intensities
-    scale = float(np.mean(np.abs(triple.p[:, -1])))
+    lam = model.intensities * dt
+    p, q, r = triple.p.T, triple.q.T, triple.r.transpose(1, 2, 0)
+    scale = float(np.mean(np.abs(p[-1])))
     scale = scale if scale > 0 else 1.0
 
     per_step = []
     pathwise_max = 0.0
-    for i in range(grid.n_steps):
-        f = c0[i] + cp[i] * triple.p[:, i] + cq[i] * triple.q[:, i]
+    for i, db, dnt in _driver_rows(ensemble, range(grid.n_steps)):
+        f = c0[i] + cp[i] * p[i] + cq[i] * q[i]
         if k:
-            f = f + triple.r[:, i] @ cr[i]
-        rho = triple.p[:, i + 1] - triple.p[:, i] - f * dt
-        rho = rho - triple.q[:, i] * ensemble.brownian_increments[:, i]
+            f = f + cr[i] @ r[i]
+        rho = p[i + 1] - p[i] - f * dt
+        rho = rho - q[i] * db
         if k:
-            dnt = ensemble.compensated_step(i)
-            rho = rho - np.einsum("pk,pk->p", triple.r[:, i], dnt)
-        pathwise_max = max(pathwise_max, float(np.max(np.abs(rho[test]))) / scale)
+            rho = rho - np.einsum("kp,kp->p", r[i], dnt)
+        rho_test = rho[test]
+        pathwise_max = max(pathwise_max, float(np.max(np.abs(rho_test))) / scale)
 
         a = builder.design(i)
-        coef, *_ = np.linalg.lstsq(a[train], rho[train], rcond=None)
-        cond_rms = float(np.sqrt(np.mean((a[test] @ coef) ** 2))) / scale
-        q_res = float(np.mean(rho[test] * ensemble.brownian_increments[test, i])) / dt / scale
+        span, coef_map, _, _ = builder.factor(a[:, train], warn=False)
+        coef = coef_map @ (span @ rho[train])
+        cond_rms = float(np.sqrt(np.mean((coef @ a[:, test]) ** 2))) / scale
+        q_res = float(np.mean(rho_test * db[test])) / dt / scale
         r_res = 0.0
         for kk in range(k):
-            lam = nu[kk] * dt
-            if lam > 0:
+            if lam[kk] > 0:
                 r_res = max(
                     r_res,
-                    abs(float(np.mean(rho[test] * dnt[test, kk])) / lam) / scale,
+                    abs(float(np.mean(rho_test * dnt[kk, test])) / lam[kk]) / scale,
                 )
         per_step.append(
             {

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -73,6 +74,17 @@ def _write_diagnostics(out: str, solution, cfg_hash: str) -> None:
     _write_json(os.path.join(out, "diagnostics.json"), payload, cfg_hash)
 
 
+@functools.cache
+def _scipy_version() -> str | None:
+    """scipy's version from its package metadata, read once per process
+    (parsing the metadata costs several ms); scipy is a test dependency only,
+    so it is not imported."""
+    try:
+        return metadata.version("scipy")
+    except metadata.PackageNotFoundError:
+        return None
+
+
 def _manifest(cfg: ExperimentConfig) -> dict:
     versions = {
         "duallab": __version__,
@@ -80,11 +92,9 @@ def _manifest(cfg: ExperimentConfig) -> dict:
         "python": ".".join(map(str, sys.version_info[:3])),
         "pyyaml": yaml.__version__,
     }
-    # scipy is a test dependency only; its version is read without importing it
-    try:
-        versions["scipy"] = metadata.version("scipy")
-    except metadata.PackageNotFoundError:
-        pass
+    scipy_version = _scipy_version()
+    if scipy_version is not None:
+        versions["scipy"] = scipy_version
     return {"config": cfg.raw, "seed": cfg.seed, "versions": versions}
 
 

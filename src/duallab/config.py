@@ -67,6 +67,14 @@ def _require(data: dict, key: str, path: str):
     return data[key]
 
 
+def _integer(data: dict, key: str, path: str, low: int) -> int:
+    """A required integer field of at least ``low``."""
+    value = _require(data, key, path)
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ConfigError(f"{path}.{key} must be an integer of at least {low}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment description plus the raw mapping it came from."""
@@ -130,10 +138,10 @@ def validate_config(raw: dict) -> ExperimentConfig:
         if extra:
             raise ConfigError(f"unknown configuration key: market.jumps[{j}].{extra.pop()}")
     grid = _require(raw, "grid", "")
-    steps = _require(grid, "steps", "grid")
+    steps = _integer(grid, "steps", "grid", 1)
     mc = _require(raw, "mc", "")
-    paths = _require(mc, "paths", "mc")
-    seed = _require(mc, "seed", "mc")
+    paths = _integer(mc, "paths", "mc", 1)
+    seed = _integer(mc, "seed", "mc", 0)  # Philox keys are unsigned
     mode = raw.get("mode", "simulate")
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
@@ -143,9 +151,9 @@ def validate_config(raw: dict) -> ExperimentConfig:
     cfg = ExperimentConfig(
         raw=raw,
         mode=mode,
-        n_paths=int(paths),
-        seed=int(seed),
-        n_steps=int(steps),
+        n_paths=paths,
+        seed=seed,
+        n_steps=steps,
         x0=float(raw.get("x0", 1.0)),
         y=float(raw.get("y", 1.0)),
         adjoints=adjoints,

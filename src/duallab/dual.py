@@ -269,7 +269,7 @@ def dual_adjoints(
         ensemble,
         pair.inverse_marginal(density[:, -1]),
         driver=dual_driver(model, ensemble.grid, mu=control.mu),
-        state={"G": density, "F": pair.inverse_marginal(density)},
+        state={"G": density, "F": lambda: pair.inverse_marginal(density)},
         basis=basis or RegressionBasis(channels=("G",)),
     )
 

@@ -58,7 +58,9 @@ def _grid_sup(f: Callable, params, grid: np.ndarray):
     golden-section search inside the bracket of its two grid neighbours.
 
     ``params`` is a scalar (the result is a float) or a 1-D array (one
-    supremum each, every bracket searched at once).
+    supremum each, every bracket searched at once).  Also returns, per
+    parameter, whether the best grid point is the first or last point of
+    ``grid``: the supremum may then lie beyond the grid.
     """
     p = np.asarray(params, dtype=float)
     flat = p.reshape(-1)
@@ -74,7 +76,8 @@ def _grid_sup(f: Callable, params, grid: np.ndarray):
         left = f(c, flat) >= f(d, flat)
         a, b = np.where(left, a, c), np.where(left, d, b)
     sup = np.maximum(best, f(0.5 * (a + b), flat))
-    return float(sup[0]) if p.ndim == 0 else sup
+    edge = (j == 0) | (j == len(grid) - 1)
+    return (float(sup[0]), bool(edge[0])) if p.ndim == 0 else (sup, edge)
 
 
 def conjugate_by_grid(u: Callable, y, grid: np.ndarray = ORACLE_GRID):
@@ -82,7 +85,7 @@ def conjugate_by_grid(u: Callable, y, grid: np.ndarray = ORACLE_GRID):
 
     ``y`` is a scalar (float result) or a 1-D array of points.
     """
-    return _grid_sup(lambda x, yy: u(x) - x * yy, y, grid)
+    return _grid_sup(lambda x, yy: u(x) - x * yy, y, grid)[0]
 
 
 def biconjugate_by_grid(v: Callable, x, grid: np.ndarray = ORACLE_GRID):
@@ -90,7 +93,33 @@ def biconjugate_by_grid(v: Callable, x, grid: np.ndarray = ORACLE_GRID):
 
     ``x`` is a scalar (float result) or a 1-D array of points.
     """
-    return -_grid_sup(lambda y, xx: -(v(y) + xx * y), x, grid)
+    return -_grid_sup(lambda y, xx: -(v(y) + xx * y), x, grid)[0]
+
+
+def _mismatches(closed, ref, edge, side: float):
+    """Test points where a closed form differs from its grid oracle: the first
+    one the oracle refutes, else the first one it cannot settle, or None.
+
+    The grid optimum bounds the true one from one side (a sup over the grid
+    is at most the sup, an inf at least the inf).  A closed form beyond it on
+    that side, ``side * (closed - ref) > 0``, with the grid optimum on an end
+    point of the grid, may be right: the optimum may lie off the grid.
+    Returns (index, refuted).
+    """
+    bad = np.abs(closed - ref) > CONJUGACY_TOL
+    unsettled = bad & edge & (side * (closed - ref) > 0)
+    for mask, refuted in ((bad & ~unsettled, True), (unsettled, False)):
+        if np.any(mask):
+            return int(np.argmax(mask)), refuted
+    return None
+
+
+def _beyond_grid(pair: UtilityPair, what: str, at: str, closed: float, ref: float) -> ValueError:
+    return ValueError(
+        f"{pair.name}: {what} at {at} not certified: the grid oracle's optimum is an end "
+        f"point of the oracle grid [{ORACLE_GRID[0]:g}, {ORACLE_GRID[-1]:g}], so the "
+        f"optimum may lie beyond it ({closed:.9g} vs {ref:.9g})"
+    )
 
 
 def fenchel_gap(pair: UtilityPair, x, y):
@@ -108,18 +137,25 @@ def certify_pair(pair: UtilityPair,
     x_grid = np.geomspace(0.1, 10.0, 13) if x_grid is None else x_grid
     y_grid = np.geomspace(0.1, 10.0, 13) if y_grid is None else y_grid
 
-    ref = conjugate_by_grid(pair.u, y_grid)
-    bad = np.flatnonzero(np.abs(pair.v(y_grid) - ref) > CONJUGACY_TOL)
-    if bad.size:
-        y, r = y_grid[bad[0]], ref[bad[0]]
+    ref, edge = _grid_sup(lambda x, yy: pair.u(x) - x * yy, y_grid, ORACLE_GRID)
+    found = _mismatches(pair.v(y_grid), ref, edge, side=1.0)
+    if found:
+        i, refuted = found
+        y, r = y_grid[i], ref[i]
+        if not refuted:
+            raise _beyond_grid(pair, "conjugate", f"y={y:g}", pair.v(y), r)
         raise ValueError(
             f"{pair.name}: conjugate differs from grid oracle at y={y:g} "
             f"({pair.v(y):.9g} vs {r:.9g})"
         )
-    ref = biconjugate_by_grid(pair.v, x_grid)
-    bad = np.flatnonzero(np.abs(pair.u(x_grid) - ref) > CONJUGACY_TOL)
-    if bad.size:
-        x, r = x_grid[bad[0]], ref[bad[0]]
+    ref, edge = _grid_sup(lambda y, xx: -(pair.v(y) + xx * y), x_grid, ORACLE_GRID)
+    ref = -ref
+    found = _mismatches(pair.u(x_grid), ref, edge, side=-1.0)
+    if found:
+        i, refuted = found
+        x, r = x_grid[i], ref[i]
+        if not refuted:
+            raise _beyond_grid(pair, "biconjugate", f"x={x:g}", pair.u(x), r)
         raise ValueError(
             f"{pair.name}: biconjugacy fails at x={x:g} "
             f"({pair.u(x):.9g} vs {r:.9g})"

@@ -117,7 +117,7 @@ def primal_adjoints(
     return martingale_representation(
         ensemble,
         utility.u_prime(wealth[:, -1]),
-        state={"X": wealth, "F": utility.u_prime(wealth)},
+        state={"X": wealth, "F": lambda: utility.u_prime(wealth)},
         basis=basis or RegressionBasis(channels=("X",)),
     )
 

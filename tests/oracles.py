@@ -1,12 +1,13 @@
 """Reference implementations kept for differential tests.
 
 These are the straightforward forms the library's batched searches,
-one-factorisation backward sweep, shared forward kernels and output writer
+CholeskyQR2 backward sweep, shared forward kernels and output writer
 replace: one candidate at a time, a fresh ``lstsq`` control-variate fit per
 candidate, a per-step Python loop for the theta0 elimination, two SVD
-``lstsq`` fits per backward step, a separate forward loop per process (price
-and density from whole-array log factors, wealth and replication one step at
-a time), the per-path exact fill one column at a time, and a ``csv.writer``
+``lstsq`` fits per backward step on path-major designs and one per step of
+the BSDE residual report, a separate forward loop per process (price and
+density from whole-array log factors, wealth and replication one step at a
+time), the per-path exact fill one column at a time, and a ``csv.writer``
 call per CSV row, and the conjugacy oracle polished one test point at a
 time by scipy's bounded Brent search.  They stay out of the package on
 purpose; the tests compare the package against them.
@@ -21,7 +22,7 @@ import warnings
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from duallab.bsde import DriverSpec, RegressionBasis, _BasisBuilder, _default_state
+from duallab.bsde import DriverSpec, RegressionBasis, _monomial_exponents
 from duallab.dual import ScenarioControl
 from duallab.market import (
     DEGENERATE_VOL,
@@ -430,6 +431,33 @@ def robust_dual_search(model, pair, penalty, y, ensemble, mu_values, theta1_valu
     return values, ses, int(j_star)
 
 
+class PathsMajorDesign:
+    """Log-state monomial designs built path-major, (n_paths, n_columns) per
+    step, from (n_paths, n_steps + 1) state arrays or thunks returning them."""
+
+    def __init__(self, ensemble, state=None, basis=None):
+        basis = basis or RegressionBasis()
+        state = state or {"S": ensemble.channel("S")}
+        names = basis.channels if basis.channels is not None else tuple(sorted(state))
+        values = [state[n]() if callable(state[n]) else state[n] for n in names]
+        if basis.transform == "log":
+            self.logs = [np.log(v) for v in values]
+        else:
+            self.logs = [np.asarray(v, dtype=float) for v in values]
+        self.exponents = _monomial_exponents(len(self.logs), basis.degree)
+        self.warned = False
+
+    def design(self, step):
+        cols = np.empty((self.logs[0].shape[0], len(self.exponents)))
+        for j, expo in enumerate(self.exponents):
+            col = np.ones(cols.shape[0])
+            for z, e in zip(self.logs, expo):
+                if e:
+                    col = col * z[:, step] ** e
+            cols[:, j] = col
+        return cols
+
+
 def _lstsq_fit(builder, a, targets, warn=True):
     coef, _, rank, sv = np.linalg.lstsq(a, targets, rcond=None)
     if warn and rank < a.shape[1] and not builder.warned:
@@ -452,7 +480,7 @@ def solve_linear_bsde(ensemble, terminal, driver=None, state=None, basis=None):
     k = model.n_marks
     driver = driver or DriverSpec.zero()
     c0, cp, cq, cr = driver.on_grid(grid, k)
-    builder = _BasisBuilder(state or _default_state(ensemble), basis or RegressionBasis())
+    builder = PathsMajorDesign(ensemble, state, basis)
     nu = model.intensities
     dnt = ensemble.jump_counts - (nu * dt)[None, None, :]
 
@@ -482,3 +510,44 @@ def solve_linear_bsde(ensemble, terminal, driver=None, state=None, basis=None):
                          "fit_rmse": float(np.sqrt(np.mean(centered**2)))})
     per_step.reverse()
     return p, q, r, per_step
+
+
+def bsde_residual_report(triple, ensemble, driver=None, state=None, basis=None, split_seed=0):
+    """One-step residual statistics with a per-step ``lstsq`` fit on the train half."""
+    grid, model = ensemble.grid, ensemble.model
+    dt = grid.dt
+    k = model.n_marks
+    driver = driver or DriverSpec.zero()
+    c0, cp, cq, cr = driver.on_grid(grid, k)
+    builder = PathsMajorDesign(ensemble, state, basis)
+    train, test = ensemble.split_indices(split_seed)
+    nu = model.intensities
+    scale = float(np.mean(np.abs(triple.p[:, -1])))
+    scale = scale if scale > 0 else 1.0
+    per_step = []
+    pathwise_max = 0.0
+    for i in range(grid.n_steps):
+        f = c0[i] + cp[i] * triple.p[:, i] + cq[i] * triple.q[:, i]
+        if k:
+            f = f + triple.r[:, i] @ cr[i]
+        rho = triple.p[:, i + 1] - triple.p[:, i] - f * dt
+        rho = rho - triple.q[:, i] * ensemble.brownian_increments[:, i]
+        if k:
+            dnt = ensemble.jump_counts[:, i] - nu * dt
+            rho = rho - np.einsum("pk,pk->p", triple.r[:, i], dnt)
+        pathwise_max = max(pathwise_max, float(np.max(np.abs(rho[test]))) / scale)
+        a = builder.design(i)
+        coef, *_ = np.linalg.lstsq(a[train], rho[train], rcond=None)
+        cond_rms = float(np.sqrt(np.mean((a[test] @ coef) ** 2))) / scale
+        q_res = float(np.mean(rho[test] * ensemble.brownian_increments[test, i])) / dt / scale
+        r_res = 0.0
+        for kk in range(k):
+            lam = nu[kk] * dt
+            if lam > 0:
+                r_res = max(r_res, abs(float(np.mean(rho[test] * dnt[test, kk])) / lam) / scale)
+        per_step.append({"step": i, "value_residual": cond_rms, "q_residual": q_res,
+                         "r_residual": r_res})
+    combined = [max(s["value_residual"], abs(s["q_residual"]), s["r_residual"]) for s in per_step]
+    return {"pathwise_max": pathwise_max, "max_residual": float(np.max(combined)),
+            "mean_residual": float(np.mean(combined)), "per_step": per_step, "scale": scale,
+            "split_seed": split_seed}

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -215,3 +216,31 @@ def test_rejects_non_finite_terminal(base_ens_5k):
     terminal = np.full(base_ens_5k.n_paths, np.nan)
     with pytest.raises(ValueError, match="finite"):
         dl.martingale_representation(base_ens_5k, terminal)
+
+
+def test_default_basis_sweeps_never_build_the_claim_channel(base_model, base_ens_5k, log_pair):
+    # the state channel F, U'(X) or -V'(G), is a thunk evaluated only for a
+    # basis that reads it: the marginals see (n_paths,) terminal values only
+    shapes = []
+
+    def recording(fn):
+        def wrapped(x):
+            shapes.append(np.shape(x))
+            return fn(x)
+        return wrapped
+
+    pair = dataclasses.replace(log_pair, u_prime=recording(log_pair.u_prime),
+                               v_prime=recording(log_pair.v_prime))
+    wealth = dl.wealth_paths(base_model, base_ens_5k, dl.Strategy.fraction(1.25), 1.0)
+    control = dl.unique_scenario_no_jumps(base_model, base_ens_5k.grid, 1.0)
+    density = dl.density_paths(base_ens_5k, control)
+    claim = dl.RegressionBasis(degree=1, channels=("F",), transform="raw")
+    for basis in (None, claim):
+        shapes.clear()
+        dl.primal.primal_adjoints(base_model, base_ens_5k, pair, wealth, 1.25, None,
+                                  "regression", basis)
+        dl.dual.dual_adjoints(base_model, base_ens_5k, pair, density, control, "regression",
+                              basis)
+        terminal = [(base_ens_5k.n_paths,)] * 2
+        assert shapes == (terminal if basis is None else
+                          [terminal[0], wealth.shape, terminal[1], density.shape])

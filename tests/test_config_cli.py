@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 from pathlib import Path
@@ -54,6 +55,23 @@ def test_missing_seed_exit_code(tmp_path, capsys):
     code = cli.main(["primal", "--config", str(cfg_file)])
     assert code == 2
     assert "mc.seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("mc", "paths", "abc"), ("mc", "paths", 0), ("mc", "paths", 2.5), ("mc", "paths", True),
+    ("mc", "seed", "abc"), ("mc", "seed", -1), ("mc", "seed", 1.5),
+    ("grid", "steps", "abc"), ("grid", "steps", 0), ("grid", "steps", -3),
+])
+def test_bad_integer_field_exit_code(tmp_path, capsys, section, key, value):
+    raw = load_raw("merton_log.yaml")
+    raw[section][key] = value
+    cfg_file = tmp_path / "bad.yaml"
+    cfg_file.write_text(yaml.safe_dump(raw))
+    code = cli.main(["primal", "--config", str(cfg_file), "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: {section}.{key} must be an integer")
+    assert not (tmp_path / "run").exists()
 
 
 def test_missing_config_file_exit_code(capsys):
@@ -151,6 +169,28 @@ def test_manifest_records_library_versions(tmp_path):
     assert versions["pyyaml"] == yaml.__version__
 
 
+def _fresh_version_cache(monkeypatch):
+    """An empty per-process cache of the scipy version, for this test only."""
+    monkeypatch.setattr(cli, "_scipy_version", functools.cache(cli._scipy_version.__wrapped__))
+
+
+def test_manifest_reads_scipy_version_once(monkeypatch):
+    lookups = []
+    original = cli.metadata.version
+
+    def version(name):
+        lookups.append(name)
+        return original(name)
+
+    monkeypatch.setattr(cli.metadata, "version", version)
+    _fresh_version_cache(monkeypatch)
+    cfg = validate_config(small(load_raw("merton_log.yaml"), paths=10))
+    first, second = cli._manifest(cfg), cli._manifest(cfg)
+    assert lookups == ["scipy"]
+    assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+    assert first["versions"]["scipy"] == scipy.__version__
+
+
 def test_manifest_leaves_out_scipy_when_not_installed(tmp_path, monkeypatch):
     def version(name):
         if name == "scipy":
@@ -158,6 +198,7 @@ def test_manifest_leaves_out_scipy_when_not_installed(tmp_path, monkeypatch):
         raise AssertionError(f"unexpected lookup of {name}")
 
     monkeypatch.setattr(cli.metadata, "version", version)
+    _fresh_version_cache(monkeypatch)
     raw = small(load_raw("merton_log.yaml"), paths=10)
     raw["mode"] = "simulate"
     raw["out"] = str(tmp_path / "run")

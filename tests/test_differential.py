@@ -1,4 +1,4 @@
-"""Batched searches, the one-factorisation backward sweep, the shared
+"""Batched searches, the CholeskyQR2 backward sweep and residual report, the shared
 forward kernels and the template CSV writer against the per-candidate /
 ``lstsq`` / per-process loop / per-row reference forms kept in
 ``oracles.py``."""
@@ -10,12 +10,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import duallab as dl
 from duallab import market
-from duallab.bsde import RegressionBasis
+from duallab.bsde import CHOLQR_MAX_COND, RegressionBasis
 
 import oracles
 from conftest import make_ensemble
@@ -241,6 +241,74 @@ def test_sweep_matches_lstsq_on_collinear_state(base_model, base_ens_5k):
     assert all(step["rank"] < 6 for step in ref[3])
     _assert_sweep_matches(triple, ref)
     assert not math.isinf(max(step["cond"] for step in ref[3]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["constant", "collinear", "near"]), eps=st.floats(1.2e-3, 4e-3),
+       jumps=st.booleans(), seed=st.integers(0, 2**31 - 1))
+# every step past t_0 above CHOLQR_MAX_COND, some of them, and none
+@example(kind="near", eps=1.2e-3, jumps=True, seed=1)
+@example(kind="near", eps=1.35e-3, jumps=False, seed=2)
+@example(kind="near", eps=4e-3, jumps=True, seed=2)
+def test_sweep_fallback_matches_lstsq(kind, eps, jumps, seed):
+    # near-collinear log-states put the per-step condition number on both
+    # sides of CHOLQR_MAX_COND (about 1.1e5 to 1.5e6 here); well above that
+    # range the lstsq oracle and a Householder QR, the fallback, themselves
+    # drift apart by more than 1e-10 in q and r
+    model = dl.MarketModel(drift=0.05, vol=0.2, jump_marks=(0.1,) if jumps else (),
+                           jump_intensities=(1.0,) if jumps else (), horizon=1.0)
+    ens = dl.simulate_drivers(model, dl.TimeGrid(20, 1.0), 1_000, seed)
+    s = ens.channel("S")
+    if kind == "constant":
+        state = {"X": np.full_like(s, 2.0)}
+    elif kind == "collinear":
+        state = {"S": s, "S2": s**2}
+    else:
+        noise = np.random.default_rng(seed).normal(size=s.shape)
+        state = {"S": s, "T": s * (1.0 + eps * noise)}
+    # the excess return: under a constant state p is constant after one step,
+    # and its rounding-level fits stay below the 1e-15 floor of fit_rmse
+    terminal = s[:, -1] - 1.0
+    with warnings.catch_warnings(record=True) as ref_warned:
+        warnings.simplefilter("always")
+        ref = oracles.solve_linear_bsde(ens, terminal, state=state)
+    with warnings.catch_warnings(record=True) as warned, \
+            mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as qr:
+        warnings.simplefilter("always")
+        triple = dl.martingale_representation(ens, terminal, state=state)
+    _assert_sweep_matches(triple, ref)
+    # the steps that must take the Householder fallback: rank-deficient
+    # (always t_0) or conditioned beyond CholeskyQR2's accepted range
+    n_columns = triple.diagnostics["n_columns"]
+    fallback = [st["step"] for st in ref[3]
+                if st["rank"] < n_columns or st["cond"] > CHOLQR_MAX_COND]
+    assert qr.call_count == len(fallback)
+    assert fallback[0] == 0 and (kind == "near" or len(fallback) == 20)
+    if kind == "constant":
+        # counted, not warned about
+        assert warned == [] and triple.diagnostics["constant_state_steps"] == 20
+    else:
+        assert [str(w.message) for w in warned] == [str(w.message) for w in ref_warned]
+        assert len(warned) == (kind == "collinear")
+
+
+@pytest.mark.parametrize("jumps", [False, True])
+def test_residual_report_matches_lstsq(base_model, base_ens_5k, jump_model, log_pair, jumps):
+    model = jump_model if jumps else base_model
+    ens = make_ensemble(jump_model, seed=43) if jumps else base_ens_5k
+    control = dl.scenario_from_theta1(model, ens.grid, np.array([-0.2] if jumps else []), 1.0)
+    density = dl.density_paths(ens, control)
+    kwargs = {"driver": dl.dual.dual_driver(model, ens.grid), "state": {"G": density}}
+    triple = dl.solve_linear_bsde(ens, log_pair.inverse_marginal(density[:, -1]), **kwargs)
+    new = dl.bsde_residual_report(triple, ens, **kwargs)
+    old = oracles.bsde_residual_report(triple, ens, **kwargs)
+    assert np.max(np.abs(triple.r)) > 0 if jumps else triple.r.size == 0
+    for key in ("pathwise_max", "max_residual", "mean_residual", "scale"):
+        assert new[key] == pytest.approx(old[key], rel=1e-9, abs=1e-15)
+    for a, b in zip(new["per_step"], old["per_step"], strict=True):
+        assert a["step"] == b["step"]
+        for key in ("value_residual", "q_residual", "r_residual"):
+            assert a[key] == pytest.approx(b[key], rel=1e-9, abs=1e-15)
 
 
 # ----------------------------------------------------------- forward paths

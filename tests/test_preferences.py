@@ -129,6 +129,22 @@ def test_golden_section_oracle_matches_brent(alpha, points):
         assert biconjugate_by_grid(v, float(p)) == got_inf
 
 
+def test_power_beyond_oracle_grid_names_the_edge():
+    # power(0.8)'s conjugate at y = 0.1 is attained at x = 0.1**-5 = 1e5, past
+    # the oracle grid's last point; the grid sup only bounds V from below
+    message = ("power(0.8): conjugate at y=0.1 not certified: the grid oracle's optimum is "
+               "an end point of the oracle grid [0.0001, 10000], so the optimum may lie "
+               "beyond it (2500 vs 981.116491)")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        dl.make_power_utility(0.8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(alpha=st.floats(0.05, 0.74))
+def test_power_accepted_inside_oracle_grid(alpha):
+    assert dl.make_power_utility(alpha).name == f"power({alpha:g})"
+
+
 def test_cli_and_certification_import_no_scipy():
     code = (
         "import sys\n"
