@@ -214,7 +214,8 @@ def bridged_fraction(solution, constant_tol: float = 1e-9) -> float:
     ``solution`` is a dual solution, or the :class:`Strategy` that
     :func:`dual_to_primal` built from one (which saves recomputing the
     fraction).  Valid when the fraction is constant across paths and times
-    (the log cases); raises otherwise.
+    (the log cases); raises :class:`BridgeViolationError` with the largest
+    deviation from the mean otherwise.
     """
     if isinstance(solution, Strategy):
         pi_path = np.asarray(solution.values, dtype=float)
@@ -222,8 +223,12 @@ def bridged_fraction(solution, constant_tol: float = 1e-9) -> float:
         pi_path = _bridged_fractions(solution)
     pi = float(pi_path.mean())
     dev = pi_path - pi
-    if np.max(np.abs(dev, out=dev)) > constant_tol * max(1.0, abs(pi)):
-        raise ValueError("bridged fraction is not constant; no scalar reduction")
+    worst = float(np.max(np.abs(dev, out=dev)))
+    if worst > constant_tol * max(1.0, abs(pi)):
+        raise BridgeViolationError(
+            f"bridged fraction is not constant: it deviates from its mean {pi:.9g} by up "
+            f"to {worst:.3g}, above {constant_tol:g} * max(1, |mean|); no scalar reduction"
+        )
     return pi
 
 

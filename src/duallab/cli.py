@@ -20,6 +20,7 @@ import yaml
 
 from . import __version__
 from .bridge import (
+    BridgeViolationError,
     bridged_fraction,
     dual_to_primal,
     primal_to_dual,
@@ -239,6 +240,20 @@ def run_robust(cfg: ExperimentConfig, out: str) -> dict:
     return payload
 
 
+def _scalar_fraction(portfolio, adjoints: str) -> float:
+    """The bridged fraction as the scalar the round trip recovers.  Regression
+    adjoints carry per-path fitting noise, so their fraction is refused."""
+    try:
+        return bridged_fraction(portfolio)
+    except BridgeViolationError as exc:
+        if adjoints != "regression":
+            raise
+        raise BridgeViolationError(
+            f"regression adjoints give a path-dependent fraction; {exc}; "
+            "run bridge-check with --mode analytic"
+        ) from exc
+
+
 def run_bridge_check(cfg: ExperimentConfig, out: str) -> dict:
     model, ens = _ensemble(cfg)
     section = cfg.raw.get("bridge", {})
@@ -253,7 +268,7 @@ def run_bridge_check(cfg: ExperimentConfig, out: str) -> dict:
         dual = evaluate_dual_scenario(model, utility, control, ens, adjoint_mode=adjoints,
                                       density=rep_fwd.density)
         portfolio, x_back, rep_back = dual_to_primal(dual)
-        pi_back = bridged_fraction(portfolio)
+        pi_back = _scalar_fraction(portfolio, adjoints)
         product_dev = verify_product_identity(primal.wealth, primal.adjoints.p, cfg.x0, y)
         payload = {
             "mode": "bridge-check",
@@ -279,7 +294,7 @@ def run_bridge_check(cfg: ExperimentConfig, out: str) -> dict:
             model, utility, penalty, y, ens, [mu_star], adjoint_mode=adjoints
         )
         portfolio, mu_back, x_back, rep_back = robust_dual_to_primal(dual)
-        pi_back = bridged_fraction(portfolio)
+        pi_back = _scalar_fraction(portfolio, adjoints)
         product_dev = verify_product_identity(primal.wealth, primal.adjoints.p, cfg.x0, y)
         payload = {
             "mode": "bridge-check",
@@ -381,6 +396,8 @@ def _apply_overrides(raw: dict, args: argparse.Namespace, mode: str) -> dict:
         raw["out"] = args.out
     if getattr(args, "mode", None) is not None:
         raw["adjoints"] = args.mode
+        if isinstance(raw.get("bridge"), dict):
+            raw["bridge"] = {**raw["bridge"], "adjoints": args.mode}
     if getattr(args, "y", None) is not None:
         raw["y"] = args.y
     if getattr(args, "grid_min", None) is not None:

@@ -67,11 +67,14 @@ def _require(data: dict, key: str, path: str):
     return data[key]
 
 
-def _integer(data: dict, key: str, path: str, low: int) -> int:
-    """A required integer field of at least ``low``."""
+def _integer(data: dict, key: str, path: str, low: int, bits: int | None = None) -> int:
+    """A required integer field of at least ``low`` and, with ``bits`` given,
+    below 2**bits."""
     value = _require(data, key, path)
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        raise ConfigError(f"{path}.{key} must be an integer of at least {low}, got {value!r}")
+    below = "" if bits is None else f" and below 2**{bits}"
+    if (isinstance(value, bool) or not isinstance(value, int) or value < low
+            or (bits is not None and value >= 2**bits)):
+        raise ConfigError(f"{path}.{key} must be an integer of at least {low}{below}, got {value!r}")
     return value
 
 
@@ -141,7 +144,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
     steps = _integer(grid, "steps", "grid", 1)
     mc = _require(raw, "mc", "")
     paths = _integer(mc, "paths", "mc", 1)
-    seed = _integer(mc, "seed", "mc", 0)  # Philox keys are unsigned
+    seed = _integer(mc, "seed", "mc", 0, bits=128)  # a Philox key is 128 unsigned bits
     mode = raw.get("mode", "simulate")
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")

@@ -153,19 +153,22 @@ def build_scenarios(
     return scenarios, excluded
 
 
-def scenario_samples(ensemble: PathEnsemble, pair: UtilityPair, scenarios: list):
+def scenario_samples(ensemble: PathEnsemble, pair: UtilityPair, scenarios: list,
+                     design: np.ndarray):
     """Per-path payoffs -V(G(T)) of blocks of built scenarios, for :func:`grid_search`.
 
     The block's controls are stacked along a candidate axis, so ln G(T) comes
-    from one batched evaluation.
+    from one batched evaluation over ``design``, the ensemble's
+    :meth:`~duallab.market.PathEnsemble.terminal_design`.
     """
-    def samples(idx):
+    def samples(idx, out):
         block = ScenarioControl(
             theta0=np.stack([scenarios[j].theta0 for j in idx], axis=1),
             theta1=np.stack([scenarios[j].theta1 for j in idx], axis=1),
             y=scenarios[idx[0]].y,
         )
-        return -pair.v(np.exp(terminal_log_density(ensemble, block)))
+        ln_gt = terminal_log_density(ensemble, block, design=design, out=out)
+        return pair.neg_v_of_log(ln_gt, out=ln_gt)
     return samples
 
 
@@ -331,10 +334,10 @@ def solve_dual_search(
     """
     candidates = theta1_candidates(model, theta1_values)
     scenarios, excluded = build_scenarios(model, ensemble.grid, candidates, y, [mu])
+    design = ensemble.terminal_design()
     search = grid_search(
-        (len(candidates),), scenario_samples(ensemble, pair, scenarios),
-        np.array([c is not None for c in scenarios]),
-        ensemble.terminal_controls() if control_variates else None,
+        (len(candidates),), scenario_samples(ensemble, pair, scenarios, design),
+        np.array([c is not None for c in scenarios]), design if control_variates else None,
         ensemble.n_paths, size=np.array([float(np.linalg.norm(c)) for c in candidates]),
         what="scenario candidates",
     )
@@ -370,7 +373,7 @@ def evaluate_dual_scenario(
     built already (a primal-to-dual report keeps them); they are not rebuilt.
     """
     value, se = cv_mean(
-        -pair.v(np.exp(terminal_log_density(ensemble, control))),
+        pair.neg_v_of_log(terminal_log_density(ensemble, control)),
         ensemble.terminal_controls() if control_variates else None,
     )
     return _dual_solution(

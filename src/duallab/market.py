@@ -6,8 +6,10 @@ default to exact log-Euler (stochastic-exponential) updates, so positivity of
 price, fraction-parameterized wealth and density paths is structural rather
 than statistical.  Price, wealth and density are one stochastic exponential
 with different coefficients, built by one kernel (and summed to the horizon by
-one terminal kernel).  A plain Euler scheme is kept for unit-count wealth,
-replication and scheme-order studies.
+one terminal kernel).  With coefficients constant over the steps, a terminal
+log value is affine in the terminal design [1, B_T, Ntilde_T], which a
+candidate search builds once.  A plain Euler scheme is kept for unit-count
+wealth, replication and scheme-order studies.
 """
 
 from __future__ import annotations
@@ -222,6 +224,12 @@ class PathEnsemble:
         if self.model.n_marks:
             cols.extend(self.compensated_jumps.sum(axis=1).T)
         return np.column_stack(cols)
+
+    def terminal_design(self) -> np.ndarray:
+        """[1, B_T, Ntilde_T]: the constant and the terminal statistics, the
+        design of the control-variate regression and of the constant-control
+        terminal values (:func:`terminal_log_wealth`)."""
+        return np.column_stack([np.ones(self.n_paths), self.terminal_controls()])
 
     def split_indices(self, split_seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """Deterministic 50/50 train/test split of path indices."""
@@ -472,23 +480,47 @@ def _candidate_axis(values, n_steps: int) -> np.ndarray:
     return arr if arr.ndim == 2 else np.broadcast_to(arr, (n_steps,))[:, None]
 
 
-def _terminal_log(ensemble: PathEnsemble, x0: float, drift, diff, ratio) -> np.ndarray:
+def _constant_over_steps(*coefficients) -> bool:
+    return all(np.ndim(c) == 0 or np.all(c == c[:1]) for c in coefficients)
+
+
+def _terminal_log(ensemble: PathEnsemble, x0: float, drift, diff, ratio,
+                  design=None, out=None) -> np.ndarray:
     """ln of the stochastic exponential of :func:`_exp_paths` at the horizon,
     for C candidates at once: ``drift`` and ``diff`` (n_steps, C), ``ratio``
-    (n_steps, C, n_marks), result (n_paths, C).
+    (n_steps, C, n_marks), result (n_paths, C), written into ``out`` if given.
 
-    The log increments are summed over steps before paths, so the path
-    dependence reduces to one GEMM over dB and one over the jump counts.
+    The log increments are summed over steps before paths.  When no
+    coefficient varies over the steps and ``design`` is the ensemble's
+    :meth:`~PathEnsemble.terminal_design`, ln X(T) is exactly affine in its
+    columns: ``design @ W``, with W's first row the sum of the dt-terms plus
+    the jump compensator sum_k lambda_k T ln(1 + ratio_k) (N_T = Ntilde_T +
+    lambda T), then diff and ln(1 + ratio).  Otherwise the path dependence
+    is one GEMM over dB and one over the jump counts.
     """
     dt = ensemble.grid.dt
-    ln = ensemble.brownian_increments @ diff
-    ln += np.sum((drift - 0.5 * diff**2) * dt, axis=0)
+    intensities = ensemble.model.intensities
+    dt_term = np.sum((drift - 0.5 * diff**2) * dt, axis=0)
+    if ratio.size:
+        dt_term -= np.sum(ratio @ intensities, axis=0) * dt
+    dt_term += math.log(x0)
+    if design is not None and _constant_over_steps(drift, diff, ratio):
+        log_ratio = np.log1p(ratio)
+        intercept = dt_term + np.sum(log_ratio @ intensities, axis=0) * dt
+        weights = np.concatenate([intercept[None], diff[:1], log_ratio[0].T])
+        return np.matmul(design, weights, out=out)
+    return _per_step_terminal_log(ensemble, dt_term, diff, ratio, out)
+
+
+def _per_step_terminal_log(ensemble: PathEnsemble, dt_term, diff, ratio, out) -> np.ndarray:
+    """The fallback of :func:`_terminal_log`: ``dt_term`` (C,) plus one GEMM
+    over the per-step dB and one over the per-step jump counts."""
+    ln = np.matmul(ensemble.brownian_increments, diff, out=out)
+    ln += dt_term
     if ratio.size:
         n_steps, n_cand, k = ratio.shape
-        ln -= np.sum(ratio @ ensemble.model.intensities, axis=0) * dt
         counts = ensemble.jump_counts.reshape(ensemble.n_paths, n_steps * k)
         ln += counts @ np.log1p(ratio).transpose(0, 2, 1).reshape(n_steps * k, n_cand)
-    ln += math.log(x0)
     return ln
 
 
@@ -498,13 +530,18 @@ def terminal_log_wealth(
     pi,
     x0: float,
     mu=None,
+    design: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """ln X(T) for a fraction strategy, via terminal sufficient statistics.
 
     Matches the exact exponential update; used by grid searches so that
     candidate evaluation shares one ensemble (common random numbers).
     ``pi`` and ``mu`` may carry a trailing candidate axis, shape
-    (n_steps, C); the result is then (n_paths, C), one column per candidate.
+    (n_steps, C); the result is then (n_paths, C), one column per candidate,
+    written into ``out`` when given.  A search passes the ensemble's
+    :meth:`~PathEnsemble.terminal_design` as ``design``, which serves every
+    candidate whose coefficients are constant over the steps.
     """
     grid = ensemble.grid
     b = model.drift_on(grid, mu)
@@ -513,15 +550,19 @@ def terminal_log_wealth(
     ratio = pi_arr[..., None] * model.jump_sizes_on(grid)[:, None, :]
     if np.any(ratio <= -1.0):
         raise AdmissibilityError(INADMISSIBLE_FRACTION)
-    ln = _terminal_log(ensemble, x0, pi_arr * b, pi_arr * model.vol_on(grid)[:, None], ratio)
+    ln = _terminal_log(ensemble, x0, pi_arr * b, pi_arr * model.vol_on(grid)[:, None], ratio,
+                       design, out)
     return ln[:, 0] if single else ln
 
 
-def terminal_log_density(ensemble: PathEnsemble, control, y: float | None = None) -> np.ndarray:
+def terminal_log_density(ensemble: PathEnsemble, control, y: float | None = None,
+                         design: np.ndarray | None = None,
+                         out: np.ndarray | None = None) -> np.ndarray:
     """ln G(T) via terminal sufficient statistics (exact-update arithmetic).
 
     A control whose ``theta0`` is (n_steps, C) and ``theta1`` (n_steps, C,
     n_marks) describes C candidates; the result is then (n_paths, C).
+    ``design`` and ``out`` are as in :func:`terminal_log_wealth`.
     """
     grid = ensemble.grid
     single = np.ndim(control.theta0) < 2
@@ -530,7 +571,8 @@ def terminal_log_density(ensemble: PathEnsemble, control, y: float | None = None
     theta1 = np.asarray(control.theta1, dtype=float).reshape(theta0.shape + (k,)) if k else np.zeros(theta0.shape + (0,))
     if np.any(theta1 < THETA1_FLOOR):
         raise ValueError("theta1 below -1 + eps")
-    ln = _terminal_log(ensemble, float(control.y if y is None else y), 0.0, theta0, theta1)
+    ln = _terminal_log(ensemble, float(control.y if y is None else y), 0.0, theta0, theta1,
+                       design, out)
     return ln[:, 0] if single else ln
 
 

@@ -1,5 +1,8 @@
 """Monte Carlo estimation helpers shared by the solvers: control-variate means,
-the grid search and the interior-window summary of first-order residuals."""
+the grid search and the interior-window summary of first-order residuals.
+
+A grid search factors its control-variate design once and evaluates every
+block of candidates into the same two block-sized buffers."""
 
 from __future__ import annotations
 
@@ -11,9 +14,31 @@ import numpy as np
 # Bytes of one (n_paths, block) float64 array of candidate samples.  Blocks of
 # candidates are sized from it, so a larger grid costs time, not memory.
 BLOCK_BYTES = 16 * 2**20
+# paths per chunk when a path-major array is transposed to meet a time-major one
+PRODUCT_CHUNK = 256
 
 
-def cv_mean(values: np.ndarray, controls: np.ndarray | None = None):
+class Design(NamedTuple):
+    """A control-variate design [1, controls] with its SVD, truncated at the
+    rank cutoff of ``numpy.linalg.lstsq``: ``matrix = u @ diag(sv) @ vt``."""
+
+    matrix: np.ndarray  # (n_paths, 1 + n_controls)
+    u: np.ndarray
+    sv: np.ndarray
+    vt: np.ndarray
+
+
+def factor_design(matrix: np.ndarray) -> Design:
+    """Factor a design whose first column is the constant."""
+    u, sv, vt = np.linalg.svd(matrix, full_matrices=False)
+    keep = sv > np.finfo(float).eps * max(matrix.shape) * sv[0]
+    if not np.all(keep):
+        u, sv, vt = u[:, keep], sv[keep], vt[keep]
+    return Design(matrix, u, sv, vt)
+
+
+def cv_mean(values: np.ndarray, controls: np.ndarray | None = None,
+            design: Design | None = None, resid: np.ndarray | None = None):
     """Mean estimate with linear control variates of known zero mean.
 
     Regressing the samples on the controls and reading off the intercept is
@@ -21,22 +46,24 @@ def cv_mean(values: np.ndarray, controls: np.ndarray | None = None):
     variance entirely when the samples are affine in the controls (the log
     utility cases), which makes grid argmaxes deterministic at desk scale.
     Returns (estimate, standard error).  For (n_paths, C) values, one column
-    per candidate, the design [1, controls] is factored once (SVD, with the
-    rank cutoff of ``numpy.linalg.lstsq``) and both are length-C arrays.
+    per candidate, the design [1, controls] is factored once
+    (:func:`factor_design`) and both are length-C arrays.  A design factored
+    by the caller may be passed instead of the controls, and ``resid``, an
+    array shaped like the values, receives the regression residuals.
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
     cols = values.reshape(n, -1)
-    if controls is None or controls.size == 0:
+    if design is None and controls is not None and controls.size:
+        design = factor_design(np.column_stack([np.ones(n), controls]))
+    if design is None:
         est = cols.mean(axis=0)
         se = cols.std(axis=0, ddof=1) / math.sqrt(n)
     else:
-        a = np.column_stack([np.ones(n), controls])
-        u, sv, vt = np.linalg.svd(a, full_matrices=False)
-        keep = sv > np.finfo(float).eps * max(a.shape) * sv[0]
-        coef = vt[keep].T @ ((u[:, keep].T @ cols) / sv[keep, None])
-        resid = cols - a @ coef
-        dof = max(n - a.shape[1], 1)
+        coef = design.vt.T @ ((design.u.T @ cols) / design.sv[:, None])
+        resid = np.matmul(design.matrix, coef, out=resid)
+        np.subtract(cols, resid, out=resid)
+        dof = max(n - design.matrix.shape[1], 1)
         est = coef[0]
         se = np.sqrt(np.einsum("pc,pc->c", resid, resid) / dof) / math.sqrt(n)
     if values.ndim == 1:
@@ -59,9 +86,9 @@ def on_grid_edge(pos: tuple[int, ...], shape: tuple[int, ...]) -> bool:
 
 def grid_search(
     shape: tuple[int, ...],
-    samples: Callable[[np.ndarray], np.ndarray],
+    samples: Callable[[np.ndarray, np.ndarray], np.ndarray],
     admissible: np.ndarray,
-    controls: np.ndarray | None,
+    design: np.ndarray | None,
     n_paths: int,
     offset: np.ndarray | float = 0.0,
     size: np.ndarray | None = None,
@@ -69,22 +96,30 @@ def grid_search(
 ) -> SearchResult:
     """Evaluate every admissible candidate of a grid, a block at a time.
 
-    Candidates are flat C-order indices into ``shape``.  ``samples(idx)``
-    returns the (n_paths, len(idx)) per-path payoffs of a block; a candidate's
-    value is their control-variate mean plus ``offset[idx]``.  Inadmissible
-    candidates keep the value -inf.  With ``size`` given, the argmax is
-    selected, ties going to the smallest size, and an empty admissible set
-    raises.
+    Candidates are flat C-order indices into ``shape``.  ``samples(idx, out)``
+    writes the (n_paths, len(idx)) per-path payoffs of a block into ``out``
+    and returns them; a candidate's value is their control-variate mean over
+    ``design`` (the terminal design [1, controls], factored once here; None
+    for a plain mean) plus ``offset[idx]``.  Two block-sized buffers, the
+    samples and the residuals, serve every block.  Inadmissible candidates
+    keep the value -inf.  With ``size`` given, the argmax is selected, ties
+    going to the smallest size, and an empty admissible set raises.
     """
     n = math.prod(shape)
     values = np.full(n, -np.inf)
     ses = np.zeros(n)
     offset = np.broadcast_to(np.asarray(offset, dtype=float), (n,))
     live = np.flatnonzero(admissible)
-    block = max(1, BLOCK_BYTES // (8 * n_paths))
+    block = min(max(1, BLOCK_BYTES // (8 * n_paths)), max(live.size, 1))
+    factored = None if design is None else factor_design(design)
+    # two allocations, not one of twice the size: freeing a large mapped block
+    # raises glibc's mmap threshold to its size, and later arrays below it then
+    # come from the heap, which keeps freed pages resident (+13 MB peak RSS)
+    buffers = [np.empty(n_paths * block) for _ in range(2)]
     for start in range(0, live.size, block):
         idx = live[start:start + block]
-        est, se = cv_mean(samples(idx), controls)
+        out, resid = (b[:n_paths * idx.size].reshape(n_paths, idx.size) for b in buffers)
+        est, se = cv_mean(samples(idx, out), design=factored, resid=resid)
         values[idx] = est + offset[idx]
         ses[idx] = se
     if size is None:
@@ -94,6 +129,35 @@ def grid_search(
     top = np.flatnonzero(values == np.max(values))
     best = int(top[np.argmin(np.asarray(size)[top])])
     return SearchResult(values, ses, best, on_grid_edge(np.unravel_index(best, shape), shape))
+
+
+def _time_major(a: np.ndarray) -> bool:
+    return a.strides[0] < a.strides[1]
+
+
+def product_means(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-column means of a * b over the paths of two (n_paths, m) arrays.
+
+    Path channels are path-major and the regression adjoints time-major
+    (transposed views).  When the layouts differ, the path-major array is
+    copied time-major one chunk of :data:`PRODUCT_CHUNK` paths at a time,
+    into a buffer that stays in cache, so neither array is read with a
+    stride across its whole extent.
+    """
+    n, m = a.shape
+    if _time_major(a) == _time_major(b):
+        return np.einsum("pi,pi->i", a, b) / n
+    if _time_major(a):
+        a, b = b, a
+    rows = b.T
+    buf = np.empty((m, PRODUCT_CHUNK))
+    total = np.zeros(m)
+    for start in range(0, n, PRODUCT_CHUNK):
+        chunk = slice(start, start + PRODUCT_CHUNK)
+        part = buf[:, :rows[:, chunk].shape[1]]
+        np.copyto(part, a[chunk].T)
+        total += np.einsum("ip,ip->i", part, rows[:, chunk])
+    return total / n
 
 
 def interior_window(n_steps: int) -> slice:

@@ -144,13 +144,15 @@ def solve_primal_search(
     excluded = [{"pi": float(pi), "reason": INADMISSIBLE_FRACTION}
                 for pi in pi_values[~admissible]]
 
-    def samples(idx):
+    design = ensemble.terminal_design()
+
+    def samples(idx, out):
         pi = np.broadcast_to(pi_values[idx], (ensemble.grid.n_steps, idx.size))
-        return utility.u(np.exp(terminal_log_wealth(model, ensemble, pi, x0, mu=mu)))
+        ln_xt = terminal_log_wealth(model, ensemble, pi, x0, mu=mu, design=design, out=out)
+        return utility.u_of_log(ln_xt, out=ln_xt)
 
     search = grid_search(
-        pi_values.shape, samples, admissible,
-        ensemble.terminal_controls() if control_variates else None,
+        pi_values.shape, samples, admissible, design if control_variates else None,
         ensemble.n_paths, size=np.abs(pi_values),
     )
     values, ses, j_star = search.values, search.ses, search.best
@@ -228,9 +230,9 @@ def hamiltonian_derivative_check(
         return 0.0, 0.0
     pi_plus = solution.pi + bump * beta
     pi_minus = solution.pi - bump * beta
-    u = solution.utility.u
-    up = u(np.exp(terminal_log_wealth(model, ensemble, pi_plus, solution.x0, mu=solution.mu)))
-    dn = u(np.exp(terminal_log_wealth(model, ensemble, pi_minus, solution.x0, mu=solution.mu)))
+    u_of_log = solution.utility.u_of_log
+    up = u_of_log(terminal_log_wealth(model, ensemble, pi_plus, solution.x0, mu=solution.mu))
+    dn = u_of_log(terminal_log_wealth(model, ensemble, pi_minus, solution.x0, mu=solution.mu))
     controls = ensemble.terminal_controls() if control_variates else None
     est, se = cv_mean((up - dn) / (2.0 * bump), controls)
     return est, se

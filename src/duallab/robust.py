@@ -33,7 +33,7 @@ from .market import (
     terminal_log_wealth,
     wealth_paths,
 )
-from .mc import grid_search, interior_summary, on_grid_edge
+from .mc import grid_search, interior_summary, on_grid_edge, product_means
 from .preferences import Penalty, UtilityPair
 from .primal import primal_adjoints, primal_foc_residual
 
@@ -130,16 +130,17 @@ def solve_robust_saddle(
     excluded = [{"pi": float(pi), "mu": float(mu), "reason": INADMISSIBLE_FRACTION}
                 for mu in mu_values for pi in pi_values[~pi_ok]]
 
-    def samples(idx):
+    design = ensemble.terminal_design()
+
+    def samples(idx, out):
         jp, jm = np.unravel_index(idx, shape)
         cols = (grid.n_steps, idx.size)
         ln_xt = terminal_log_wealth(model, ensemble, np.broadcast_to(pi_values[jp], cols), x0,
-                                    mu=np.broadcast_to(mu_values[jm], cols))
-        return utility.u(np.exp(ln_xt))
+                                    mu=np.broadcast_to(mu_values[jm], cols), design=design, out=out)
+        return utility.u_of_log(ln_xt, out=ln_xt)
 
     search = grid_search(
-        shape, samples, np.repeat(pi_ok, mu_values.size),
-        ensemble.terminal_controls() if control_variates else None,
+        shape, samples, np.repeat(pi_ok, mu_values.size), design if control_variates else None,
         ensemble.n_paths, offset=np.tile(_penalty_integrals(penalty, mu_values, grid), pi_values.size),
     )
     payoff = search.values.reshape(shape)
@@ -205,7 +206,7 @@ def robust_primal_foc_residuals(solution: RobustPrimalSolution) -> dict:
     drift = primal_foc_residual(solution)
     adj = solution.adjoints
     s = solution.model.vol_on(solution.ensemble.grid)
-    xp_mean = (solution.wealth[:, :-1] * adj.p[:, :-1]).mean(axis=0)
+    xp_mean = product_means(solution.wealth[:, :-1], adj.p[:, :-1])
     pen_raw = float(np.asarray(solution.penalty.rho_prime(solution.mu))) + solution.pi * s * xp_mean
     pen_scale = float(np.mean(np.abs(solution.pi * s * xp_mean)))
     pen_mean, pen_max = interior_summary(pen_raw, pen_scale)
@@ -245,10 +246,10 @@ def solve_robust_dual(
     candidates = theta1_candidates(model, theta1_values)
     shape = (mu_values.size, len(candidates))
     scenarios, excluded = build_scenarios(model, grid, candidates, y, mu_values.tolist())
+    design = ensemble.terminal_design()
     search = grid_search(
-        shape, scenario_samples(ensemble, pair, scenarios),
-        np.array([c is not None for c in scenarios]),
-        ensemble.terminal_controls() if control_variates else None,
+        shape, scenario_samples(ensemble, pair, scenarios, design),
+        np.array([c is not None for c in scenarios]), design if control_variates else None,
         ensemble.n_paths, offset=-np.repeat(_penalty_integrals(penalty, mu_values, grid), shape[1]),
         size=np.array([abs(float(mu)) + float(np.linalg.norm(th1))
                        for mu in mu_values for th1 in candidates]),
@@ -277,7 +278,7 @@ def robust_dual_foc_residuals(solution: DualSolution) -> dict:
     ``penalty``: rho'(mu) + G*q2, pathwise then averaged per time.
     """
     jump = dual_foc_residual(solution)
-    gq = (solution.density[:, :-1] * solution.adjoints.q).mean(axis=0)
+    gq = product_means(solution.density[:, :-1], solution.adjoints.q)
     pen_raw = float(np.asarray(solution.penalty.rho_prime(solution.mu))) + gq
     pen_scale = float(np.mean(np.abs(gq)))
     pen_mean, pen_max = interior_summary(pen_raw, pen_scale)

@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +60,7 @@ def test_missing_seed_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("section, key, value", [
     ("mc", "paths", "abc"), ("mc", "paths", 0), ("mc", "paths", 2.5), ("mc", "paths", True),
-    ("mc", "seed", "abc"), ("mc", "seed", -1), ("mc", "seed", 1.5),
+    ("mc", "seed", "abc"), ("mc", "seed", -1), ("mc", "seed", 1.5), ("mc", "seed", 2**128),
     ("grid", "steps", "abc"), ("grid", "steps", 0), ("grid", "steps", -3),
 ])
 def test_bad_integer_field_exit_code(tmp_path, capsys, section, key, value):
@@ -72,6 +73,14 @@ def test_bad_integer_field_exit_code(tmp_path, capsys, section, key, value):
     err = capsys.readouterr().err
     assert err.startswith(f"configuration error: {section}.{key} must be an integer")
     assert not (tmp_path / "run").exists()
+
+
+def test_largest_philox_key_is_a_valid_seed():
+    raw = load_raw("merton_log.yaml")
+    raw["mc"]["seed"] = 2**128 - 1
+    cfg = validate_config(raw)
+    ens = market.simulate_drivers(cfg.market_model(), cfg.time_grid(), 4, cfg.seed)
+    assert ens.brownian_increments.shape == (4, cfg.n_steps)
 
 
 def test_missing_config_file_exit_code(capsys):
@@ -324,6 +333,26 @@ def test_bridge_check_mode(tmp_path):
     for entry in result["identities_forward"].values():
         assert entry["max_abs"] < 1e-12
     assert result["product_identity_max_dev"] < 1e-12
+
+
+@pytest.mark.parametrize("name, case", [("merton_log.yaml", "merton_log"),
+                                        ("robust_merton.yaml", "robust_merton")])
+def test_regression_bridge_check_is_refused_with_its_reason(tmp_path, capsys, name, case):
+    raw = small(load_raw(name), paths=1_000)
+    raw.update(mode="bridge-check", bridge={"case": case, "adjoints": "regression"})
+    cfg_file = tmp_path / "bridge.yaml"
+    cfg_file.write_text(yaml.safe_dump(raw))
+    run = ["bridge-check", "--config", str(cfg_file), "--out", str(tmp_path / "run")]
+    assert cli.main(run) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("duallab.bridge.BridgeViolationError: regression adjoints give a "
+                          "path-dependent fraction; bridged fraction is not constant: it "
+                          "deviates from its mean ")
+    assert err.rstrip().endswith("no scalar reduction; run bridge-check with --mode analytic")
+    worst = float(re.search(r" by up to ([0-9.e+-]+), above 1e-09", err).group(1))
+    assert worst > 1e-9
+    # the pointer holds: --mode overrides the bridge section's adjoints
+    assert cli.main(run + ["--mode", "analytic"]) == 0
 
 
 def test_bridge_check_robust_case(tmp_path):

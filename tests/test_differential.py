@@ -65,6 +65,21 @@ def test_cv_mean_columns_match_per_column_lstsq(jump_ens_50k):
     assert isinstance(one[0], float) and one[0] == pytest.approx(est[0], rel=1e-12)
 
 
+@pytest.mark.parametrize("layouts", ["path-path", "path-time", "time-path", "time-time"])
+def test_product_means_match_elementwise_product_in_every_layout(layouts):
+    # 1000 paths: three full chunks of PRODUCT_CHUNK and a partial one
+    rng = np.random.Generator(np.random.Philox(key=6))
+    n, m = 1_000, 21
+    assert n % dl.mc.PRODUCT_CHUNK
+    arrays = []
+    for layout in layouts.split("-"):
+        values = rng.uniform(0.5, 2.0, size=(n, m + 1))
+        arrays.append((values if layout == "path" else np.ascontiguousarray(values.T).T)[:, :-1])
+    a, b = arrays
+    ref = (np.array(a) * np.array(b)).mean(axis=0)
+    assert np.max(np.abs(dl.mc.product_means(a, b) - ref) / ref) <= 1e-14
+
+
 @pytest.mark.parametrize("utility", ["log", "power"])
 def test_primal_search_matches_loop(base_model, base_ens_50k, utility):
     pair = dl.make_log_utility() if utility == "log" else dl.make_power_utility(0.5)
@@ -162,6 +177,122 @@ def test_robust_dual_matches_loop_with_jumps(jump_model, log_pair, quad_penalty)
     assert_values_match(sol.candidate_values, values)
     jm, jt = divmod(j_star, th_grid.size)
     assert sol.mu == mu_grid[jm] and sol.control.theta1[0, 0] == th_grid[jt]
+
+
+@st.composite
+def search_markets(draw):
+    """A small ensemble of a market with constant or time-dependent drift and
+    vol and 0-3 marks, where negative marks exclude the larger fractions."""
+    constant = draw(st.booleans())
+    b0, s0 = draw(st.floats(-0.1, 0.15)), draw(st.floats(0.1, 0.4))
+    b1, s1 = (0.0, 0.0) if constant else (draw(st.floats(-0.2, 0.2)), draw(st.floats(-0.05, 0.05)))
+    marks = draw(st.lists(st.floats(-0.6, 0.5).filter(lambda g: abs(g) > 1e-3), max_size=3))
+    intensities = draw(st.lists(st.floats(0.1, 2.0), min_size=len(marks), max_size=len(marks)))
+    model = dl.MarketModel(drift=b0 if constant else (lambda t: b0 + b1 * t),
+                           vol=s0 if constant else (lambda t: s0 + s1 * t),
+                           jump_marks=tuple(marks), jump_intensities=tuple(intensities))
+    return model, dl.simulate_drivers(model, dl.TimeGrid(20, 1.0), 400,
+                                      draw(st.integers(0, 2**31 - 1)))
+
+
+def _on_edge(j, n):
+    return n >= 3 and j in (0, n - 1)
+
+
+_SEARCH_PAIRS = {"log": dl.make_log_utility(), "power(0.5)": dl.make_power_utility(0.5)}
+
+
+# the regression adjoints of a chosen candidate may meet a deterministic state;
+# the sweep has its own tests below
+@pytest.mark.filterwarnings("ignore:design matrix rank-deficient:RuntimeWarning")
+@settings(max_examples=25, deadline=None)
+@given(case=search_markets(), name=st.sampled_from(sorted(_SEARCH_PAIRS)))
+def test_searches_match_loops_on_hypothesis_markets(case, name):
+    model, ens = case
+    pair = _SEARCH_PAIRS[name]
+    penalty = dl.make_quadratic_penalty()
+    mode = "analytic" if name == "log" else "regression"
+    # irregular grids: on a regular one, simple coefficients can tie two log
+    # payoffs exactly, and the last bit, which differs between any two
+    # summation orders, then picks the argmax (the per-step search too)
+    pi_grid = np.array([-0.5, -0.137, 0.291, 0.773, 1.187, 1.741, 2.5])
+    mu_grid = np.array([-0.2, -0.0931, 0.0173, 0.1])
+    th_grid = np.array([-0.9, -0.583, -0.311, -0.047, 0.229, 0.5]) if model.n_marks else None
+
+    sol = dl.solve_primal_search(model, pair, 1.1, pi_grid, ens, mu=-0.05, adjoint_mode=mode)
+    values, ses, excluded, j_star = oracles.primal_search(model, pair, 1.1, pi_grid, ens,
+                                                          mu=-0.05)
+    assert_values_match(sol.candidate_values, values, sol.candidate_se, ses)
+    assert sol.pi == pi_grid[j_star] and sol.excluded == excluded
+    assert sol.grid_edge == _on_edge(j_star, pi_grid.size)
+
+    sol = dl.solve_robust_saddle(model, pair, penalty, 1.1, pi_grid, mu_grid, ens,
+                                 adjoint_mode=mode)
+    ref = oracles.robust_saddle(model, pair, penalty, 1.1, pi_grid, mu_grid, ens)
+    assert_values_match(sol.payoff, ref["payoff"], sol.payoff_se, ref["payoff_se"])
+    jp, jm = ref["cell"]
+    assert (sol.pi, sol.mu) == (pi_grid[jp], mu_grid[jm]) and sol.excluded == ref["excluded"]
+    assert sol.is_saddle == ref["is_saddle"]
+    assert_values_match([sol.gap, sol.minimax, sol.maximin],
+                        [ref["gap"], ref["minimax"], ref["maximin"]])
+    assert sol.grid_edge == (_on_edge(ref["cell"][0], pi_grid.size)
+                             or _on_edge(ref["cell"][1], mu_grid.size))
+
+    try:
+        ref = oracles.dual_search(model, pair, 0.9, ens, th_grid, mu=-0.05)
+    except ValueError:  # every scenario excluded
+        with pytest.raises(ValueError, match="all scenario candidates inadmissible"):
+            dl.solve_dual_search(model, pair, 0.9, ens, theta1_values=th_grid, mu=-0.05,
+                                 adjoint_mode=mode, replicate=False)
+    else:
+        values, ses, excluded, j_star = ref
+        sol = dl.solve_dual_search(model, pair, 0.9, ens, theta1_values=th_grid, mu=-0.05,
+                                   adjoint_mode=mode, replicate=False)
+        assert_values_match(sol.candidate_values, values, sol.candidate_se, ses)
+        assert sol.excluded == excluded and sol.value == sol.candidate_values[j_star]
+        assert sol.grid_edge == _on_edge(j_star, len(values))
+
+    try:
+        values, ses, j_star = oracles.robust_dual_search(model, pair, penalty, 0.9, ens, mu_grid,
+                                                         th_grid)
+    except ValueError:
+        return
+    sol = dl.solve_robust_dual(model, pair, penalty, 0.9, ens, mu_values=mu_grid,
+                               theta1_values=th_grid, adjoint_mode=mode)
+    assert_values_match(sol.candidate_values, values, sol.candidate_se, ses)
+    assert sol.value == sol.candidate_values[j_star]
+    n_theta = len(values) // mu_grid.size
+    assert sol.grid_edge == (_on_edge(j_star // n_theta, mu_grid.size)
+                             or _on_edge(j_star % n_theta, n_theta))
+
+
+@pytest.mark.parametrize("constant", [True, False])
+def test_only_time_dependent_coefficients_take_the_per_step_gemm(jump_model, log_pair, constant):
+    model = jump_model if constant else dl.MarketModel(
+        drift=lambda t: 0.1 + 0.05 * t, vol=0.2, jump_marks=(0.1,), jump_intensities=(1.0,))
+    ens = make_ensemble(model, n_steps=20, n_paths=1_000, seed=99)
+    with mock.patch.object(market, "_per_step_terminal_log",
+                           wraps=market._per_step_terminal_log) as per_step:
+        dl.solve_primal_search(model, log_pair, 1.0, MERTON_PI, ens, adjoint_mode="analytic")
+        dl.solve_robust_saddle(model, log_pair, dl.make_quadratic_penalty(), 1.0, ROBUST_PI,
+                               ROBUST_MU, ens, adjoint_mode="analytic")
+        dl.solve_dual_search(model, log_pair, 1.0, ens, theta1_values=JUMP_THETA1,
+                             adjoint_mode="analytic", replicate=False)
+    # one block per search at 1k paths
+    assert per_step.call_count == (0 if constant else 3)
+
+
+def test_log_saddle_values_equal_the_closed_form_intercept(base_model, base_ens_50k, log_pair,
+                                                           quad_penalty):
+    # ln X(T) is affine in (1, B_T), so the control-variate intercept is
+    # ln x + (pi (b + mu sigma) - pi^2 sigma^2 / 2) T, plus the penalty mu^2 T / 2
+    sol = dl.solve_robust_saddle(base_model, log_pair, quad_penalty, 1.0, ROBUST_PI, ROBUST_MU,
+                                 base_ens_50k, adjoint_mode="analytic")
+    pi, mu = ROBUST_PI[:, None], ROBUST_MU[None, :]
+    b, s = base_model.drift, base_model.vol
+    closed = pi * (b + mu * s) - 0.5 * pi**2 * s**2 + 0.5 * mu**2
+    assert np.max(np.abs(sol.payoff - closed)) <= 1e-14
+    assert np.max(sol.payoff_se) <= 1e-15
 
 
 @pytest.mark.parametrize("theta1", [[-0.3], [0.2], [-0.95]])

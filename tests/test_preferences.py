@@ -18,6 +18,7 @@ from duallab.preferences import (
     biconjugate_by_grid,
     certify_pair,
     conjugate_by_grid,
+    inada_holds,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -143,6 +144,38 @@ def test_power_beyond_oracle_grid_names_the_edge():
 @given(alpha=st.floats(0.05, 0.74))
 def test_power_accepted_inside_oracle_grid(alpha):
     assert dl.make_power_utility(alpha).name == f"power({alpha:g})"
+
+
+def test_power_accepted_at_the_end_of_the_oracle_grid():
+    # the conjugate's maximiser at y = 0.1 is 1e4, the last oracle grid point,
+    # and u'(1e8) = 1e8**-0.25 is exactly 1e-2
+    pair = dl.make_power_utility(0.75)
+    assert pair.name == "power(0.75)" and pair.u_prime(1e8) == 1e-2
+
+
+def test_inada_probe_refuses_a_marginal_bounded_away_from_zero():
+    assert all(inada_holds(lambda x, a=a: np.asarray(x, dtype=float) ** (a - 1.0))
+               for a in (0.05, 0.5, 0.75, 0.8, 0.87))
+    assert inada_holds(_LOG.u_prime)
+    # U(x) = 0.05 x + ln x: U' tends to 0.05, not to 0
+    assert not inada_holds(lambda x: 0.05 + 1.0 / np.asarray(x, dtype=float))
+    # U' bounded at 0+
+    assert not inada_holds(lambda x: 1.0 / (1.0 + np.asarray(x, dtype=float)))
+
+
+@pytest.mark.parametrize("alpha", [None, 0.5, 0.75])
+def test_log_domain_payoffs_match_exp_round_trip(alpha):
+    pair = _LOG if alpha is None else dl.make_power_utility(alpha)
+    logs = np.linspace(-5.0, 5.0, 2001)
+    for fast, slow in ((pair.u_of_log, pair.u), (pair.neg_v_of_log, lambda y: -pair.v(y))):
+        ref = slow(np.exp(logs))
+        assert np.all(np.abs(fast(logs) - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+        inplace = logs.copy()
+        assert fast(inplace, out=inplace) is inplace and np.array_equal(inplace, fast(logs))
+    # a pair without closed forms goes through exp
+    plain = UtilityPair(pair.name, pair.u, pair.u_prime, pair.v, pair.v_prime)
+    assert np.array_equal(plain.u_of_log(logs), pair.u(np.exp(logs)))
+    assert np.array_equal(plain.neg_v_of_log(logs), -pair.v(np.exp(logs)))
 
 
 def test_cli_and_certification_import_no_scipy():
