@@ -14,8 +14,10 @@ wealth, replication and scheme-order studies.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -216,20 +218,25 @@ class PathEnsemble:
         return self.channels[name]
 
     def terminal_controls(self) -> np.ndarray:
-        """Zero-mean terminal statistics (B_T, compensated jump totals).
-
-        Used as control variates for candidate-value estimation.
-        """
-        cols = [self.brownian_increments.sum(axis=1)]
-        if self.model.n_marks:
-            cols.extend(self.compensated_jumps.sum(axis=1).T)
-        return np.column_stack(cols)
+        """Zero-mean terminal statistics (B_T, Ntilde_T), the control variates
+        of candidate-value estimation: a view of :meth:`terminal_design`."""
+        return self.terminal_design()[:, 1:]
 
     def terminal_design(self) -> np.ndarray:
         """[1, B_T, Ntilde_T]: the constant and the terminal statistics, the
         design of the control-variate regression and of the constant-control
-        terminal values (:func:`terminal_log_wealth`)."""
-        return np.column_stack([np.ones(self.n_paths), self.terminal_controls()])
+        terminal values (:func:`terminal_log_wealth`).
+
+        The sums are written into the design's columns, and the compensated
+        jump totals are N_T - lambda T, so no (path, step, mark) array is built.
+        """
+        design = np.empty((self.n_paths, 2 + self.model.n_marks))
+        design[:, 0] = 1.0
+        self.brownian_increments.sum(axis=1, out=design[:, 1])
+        jumps = design[:, 2:]
+        self.jump_counts.sum(axis=1, out=jumps)
+        jumps -= self.model.intensities * self.grid.horizon
+        return design
 
     def split_indices(self, split_seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
         """Deterministic 50/50 train/test split of path indices."""
@@ -576,34 +583,92 @@ def terminal_log_density(ensemble: PathEnsemble, control, y: float | None = None
     return ln[:, 0] if single else ln
 
 
+# the row template and channel arrays that _csv_block formats
+_csv_job: tuple = (None, None)
+
+
+def _csv_init(template, arrays) -> None:
+    """Set the job of :func:`_csv_block`: the pool initializer, and the
+    set-up of the in-process run."""
+    global _csv_job
+    _csv_job = (template, arrays)
+
+
+def _csv_block(start: int) -> str:
+    """The rows of the :data:`CSV_BLOCK_PATHS` paths from ``start`` on, as one string."""
+    template, arrays = _csv_job
+    rows = slice(start, start + CSV_BLOCK_PATHS)
+    # per path: Python scalars, time-major with the channels interleaved
+    values = np.stack([a[rows] for a in arrays], axis=2, dtype=object)
+    values = values.reshape(values.shape[0], -1).tolist()
+    return "".join([template(p, *v) for p, v in enumerate(values, start)])
+
+
+@contextlib.contextmanager
+def _formatted_blocks(template, arrays, starts: range):
+    """An iterator over the texts of :func:`_csv_block` for ``starts``, in
+    order, from forked workers or from this process (see :func:`ensemble_to_csv`)."""
+    import multiprocessing
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(starts))
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        try:
+            pool = multiprocessing.get_context("fork").Pool(workers, _csv_init, (template, arrays))
+        except OSError:
+            pass
+        else:
+            with pool:
+                yield pool.imap(_csv_block, starts)
+            return
+    _csv_init(template, arrays)
+    try:
+        yield map(_csv_block, starts)
+    finally:
+        _csv_init(None, None)
+
+
 def ensemble_to_csv(ensemble: PathEnsemble, path, channels: Sequence[str] | None = None,
                     header_comment: str | None = None) -> None:
-    """One row per (path, time) with the selected attached channels.
+    """One row per (path, time) with the selected attached channels, each of
+    shape (n_paths, n_steps + 1).
 
     The header goes through :mod:`csv`.  The rows of one path are one call
     of a row template, ``{0},<time>,{1!r},...`` per time stamp: the bytes
-    ``csv.writer`` writes, with each value as its shortest repr.  Each block
-    of :data:`CSV_BLOCK_PATHS` paths is written with one call.
+    ``csv.writer`` writes, with each value as its shortest repr.  Blocks of
+    :data:`CSV_BLOCK_PATHS` paths are formatted by forked workers, one per
+    usable CPU (``os.sched_getaffinity``) and at most one per block, and
+    written here in path order, one write per block.  A single block, a
+    single usable CPU, a platform without fork, or an ``OSError`` from
+    starting the workers formats every block in this process instead.
+
+    Fork hands the template and the arrays to the workers without pickling
+    them, and a forked worker imports nothing (spawn would import numpy in
+    each).  The workers call no BLAS routine, and OpenBLAS resets its thread
+    pool around a fork.  Python 3.12 and later warn about forking a process
+    that has threads.
     """
     names = list(channels) if channels is not None else sorted(ensemble.channels)
     arrays = [ensemble.channels[c] for c in names]
+    shape = (ensemble.n_paths, ensemble.grid.n_steps + 1)
+    for name, values in zip(names, arrays):
+        if np.shape(values) != shape:
+            raise ValueError(f"channel {name!r} has shape {np.shape(values)}, "
+                             f"not (n_paths, n_steps + 1) = {shape}")
     width = len(arrays)
     template = "".join(
         f"{{0}},{t:.10g}," + ",".join(f"{{{1 + j * width + c}!r}}" for c in range(width)) + "\r\n"
         for j, t in enumerate(ensemble.grid.times)
     ).format
-    with open(path, "w", newline="") as fh:
+    starts = range(0, ensemble.n_paths if arrays else 0, CSV_BLOCK_PATHS)
+    # the workers start before the file is opened, so none inherits its buffer
+    with _formatted_blocks(template, arrays, starts) as texts, \
+            open(path, "w", newline="") as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
         csv.writer(fh).writerow(["path", "time", *names])
-        if not arrays:
-            return
-        for start in range(0, ensemble.n_paths, CSV_BLOCK_PATHS):
-            rows = slice(start, start + CSV_BLOCK_PATHS)
-            # per path: Python scalars, time-major with the channels interleaved
-            values = np.stack([a[rows] for a in arrays], axis=2, dtype=object)
-            values = values.reshape(values.shape[0], -1).tolist()
-            fh.write("".join([template(p, *v) for p, v in enumerate(values, start)]))
+        for text in texts:
+            fh.write(text)
 
 
 def ensemble_summary(ensemble: PathEnsemble) -> dict:

@@ -6,7 +6,8 @@ output plus at most one (n_paths, n_steps) temporary: the jump term of a
 per-step fill.  A candidate search evaluates every block of candidates into
 the same two block-sized buffers.  The backward sweep allocates p, q, r and
 the time-major log-state, plus per-step rows and transposed blocks of the
-drivers.  numpy reports its buffers to ``tracemalloc``.
+drivers.  The terminal design sums the drivers into its own columns.  numpy
+reports its buffers to ``tracemalloc``.
 """
 
 import tracemalloc
@@ -77,6 +78,17 @@ def test_sweep_peak_is_outputs_plus_log_state_plus_step_rows(one_mark):
     rows = 2 * STEP_BLOCK * (1 + model.n_marks) + 16
     budget = rows * N_PATHS * 8 + FIXED_SLACK
     assert peak <= triple.p.nbytes + triple.q.nbytes + triple.r.nbytes + log_state + budget
+
+
+@pytest.mark.parametrize("n_marks", [0, 1, 2])
+def test_terminal_design_peak_is_design_plus_one_jump_total(n_marks):
+    model = dl.MarketModel(drift=0.1, vol=0.2, jump_marks=(0.1, -0.2)[:n_marks],
+                           jump_intensities=(1.0, 3.0)[:n_marks])
+    ens = dl.simulate_drivers(model, dl.TimeGrid(N_STEPS, 1.0), N_PATHS, seed=7)
+    peak, design = _peak(ens.terminal_design)
+    assert design.shape == (N_PATHS, 2 + n_marks)
+    # no (n_paths, n_steps, n_marks) array: at most one (n_paths, n_marks) temporary
+    assert peak <= design.nbytes + N_PATHS * n_marks * 8 + FIXED_SLACK
 
 
 class _SearchDone(Exception):

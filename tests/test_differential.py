@@ -3,7 +3,9 @@ forward kernels and the template CSV writer against the per-candidate /
 ``lstsq`` / per-process loop / per-row reference forms kept in
 ``oracles.py``."""
 
+import errno
 import math
+import multiprocessing
 import re
 import warnings
 from unittest import mock
@@ -591,6 +593,11 @@ SPECIAL = [1e-05, 1e+16, 5e-324, -0.0, 0.1, 1e22, 123456789012345.67, 1 / 3, 0.0
            9999999999999998.0, -2.5e-8, float("nan"), float("inf"), float("-inf")]
 
 
+FORK = multiprocessing.get_context("fork")
+# 8 blocks of 4 paths, the last one of 3
+SMALL_BLOCK, N_BLOCK_PATHS = 4, 31
+
+
 def _csv_ensemble(n_paths, n_steps=6):
     model = dl.MarketModel(drift=0.05, vol=0.2)
     ens = dl.simulate_drivers(model, dl.TimeGrid(n_steps, 1.0), n_paths, seed=3)
@@ -631,6 +638,66 @@ def test_csv_repr_of_any_float_identical_to_row_writer(tmp_path_factory, values)
     ens = _csv_ensemble(n_paths, n_steps=3)
     ens.attach("v", np.resize(np.array(values), 4 * n_paths).reshape(n_paths, 4))
     path = tmp_path_factory.mktemp("csv")
-    new = _csv_bytes(dl.ensemble_to_csv, ens, path / "new.csv", channels=["v", "S"])
+    # one block: formatted in this process, no worker is forked
+    assert n_paths <= market.CSV_BLOCK_PATHS
+    with mock.patch.object(FORK, "Pool", wraps=FORK.Pool) as pools:
+        new = _csv_bytes(dl.ensemble_to_csv, ens, path / "new.csv", channels=["v", "S"])
+    assert pools.call_count == 0
     old = _csv_bytes(oracles.ensemble_to_csv, ens, path / "old.csv", channels=["v", "S"])
     assert new == old
+
+
+@pytest.mark.parametrize("cpus, workers", [(1, 0), (2, 2), (3, 3), (16, 8)],
+                         ids=["one-cpu", "two", "three", "more-cpus-than-blocks"])
+def test_csv_workers_write_the_row_writer_bytes(tmp_path, cpus, workers):
+    ens = _csv_ensemble(N_BLOCK_PATHS)
+    kwargs = {"channels": ["count", "S", "special"], "header_comment": "config_hash=abc"}
+    with mock.patch.object(market, "CSV_BLOCK_PATHS", SMALL_BLOCK), \
+            mock.patch("os.sched_getaffinity", return_value=set(range(cpus))), \
+            mock.patch.object(FORK, "Pool", wraps=FORK.Pool) as pools:
+        new = _csv_bytes(dl.ensemble_to_csv, ens, tmp_path / "new.csv", **kwargs)
+    old = _csv_bytes(oracles.ensemble_to_csv, ens, tmp_path / "old.csv", **kwargs)
+    assert new == old
+    assert [c.args[0] for c in pools.call_args_list] == ([workers] if workers else [])
+
+
+@pytest.mark.parametrize("patch", ["pool-start-fails", "no-fork"])
+def test_csv_formats_in_process_when_no_worker_can_be_forked(tmp_path, patch):
+    ens = _csv_ensemble(N_BLOCK_PATHS)
+    kwargs = {"channels": ["S", "count"], "header_comment": None}
+    no_workers = {
+        "pool-start-fails": mock.patch.object(FORK, "Pool",
+                                              side_effect=OSError(errno.EAGAIN, "fork failed")),
+        "no-fork": mock.patch("multiprocessing.get_all_start_methods", return_value=["spawn"]),
+    }[patch]
+    with mock.patch.object(market, "CSV_BLOCK_PATHS", SMALL_BLOCK), \
+            mock.patch("os.sched_getaffinity", return_value={0, 1}), no_workers, \
+            mock.patch.object(market, "_csv_block", wraps=market._csv_block) as blocks:
+        new = _csv_bytes(dl.ensemble_to_csv, ens, tmp_path / "new.csv", **kwargs)
+    assert new == _csv_bytes(oracles.ensemble_to_csv, ens, tmp_path / "old.csv", **kwargs)
+    # every block went through the one formatter in this process
+    assert blocks.call_count == 8
+    assert market._csv_job == (None, None)
+
+
+class _Unprintable:
+    def __repr__(self):
+        raise RuntimeError("value cannot be formatted")
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "workers"])
+def test_csv_error_in_a_block_reaches_the_caller(tmp_path, cpus):
+    n_steps = 6
+    ens = _csv_ensemble(N_BLOCK_PATHS, n_steps=n_steps)
+    bad = ens.channels["S"].astype(object)
+    bad[2 * SMALL_BLOCK + 1, 3] = _Unprintable()  # in the third block
+    ens.attach("bad", bad)
+    out = tmp_path / "paths.csv"
+    with mock.patch.object(market, "CSV_BLOCK_PATHS", SMALL_BLOCK), \
+            mock.patch("os.sched_getaffinity", return_value=set(range(cpus))), \
+            pytest.raises(RuntimeError, match="value cannot be formatted"):
+        dl.ensemble_to_csv(ens, out, channels=["bad"])
+    # the blocks before the failing one, whole and in order, then nothing
+    lines = out.read_bytes().splitlines()
+    assert len(lines) == 1 + 2 * SMALL_BLOCK * (n_steps + 1)
+    assert lines[-1].startswith(b"%d," % (2 * SMALL_BLOCK - 1))

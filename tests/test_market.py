@@ -1,4 +1,9 @@
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +14,8 @@ import duallab as dl
 from duallab.market import terminal_log_wealth
 
 from conftest import BASE_SEED, make_ensemble
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_drivers_deterministic(base_model, grid100):
@@ -195,6 +202,45 @@ def test_ensemble_exports(tmp_path, base_model):
         assert int(p) == row // 5 and float(value) == spot[row // 5, row % 5]
     summary = dl.ensemble_summary(ens)
     assert summary["n_paths"] == 3 and "S" in summary["channels"]
+
+
+@pytest.mark.parametrize("shape", [(5, 10), (7, 11)], ids=["adjoint-shaped", "more-paths"])
+def test_csv_refuses_a_channel_not_shaped_paths_by_times(tmp_path, base_model, shape):
+    # 5 paths x 10 steps: every channel must be (5, 11)
+    ens = make_ensemble(base_model, n_steps=10, n_paths=5, seed=2)
+    ens.attach("q", np.zeros(shape))
+    out = tmp_path / "paths.csv"
+    with pytest.raises(ValueError, match=re.escape(f"channel 'q' has shape {shape}, "
+                                                   "not (n_paths, n_steps + 1) = (5, 11)")):
+        dl.ensemble_to_csv(ens, out, channels=["S", "q"])
+    assert not out.exists()
+
+
+def test_import_starts_no_process_machinery():
+    code = (
+        "import sys\n"
+        "import duallab, duallab.cli\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] in ('multiprocessing', 'concurrent')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)}, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("n_marks", [0, 1, 2])
+def test_terminal_design_matches_summed_compensated_jumps(grid100, n_marks):
+    model = dl.MarketModel(drift=0.1, vol=0.2, jump_marks=(0.1, -0.2)[:n_marks],
+                           jump_intensities=(1.0, 3.0)[:n_marks])
+    ens = dl.simulate_drivers(model, grid100, 2_000, seed=7)
+    design = ens.terminal_design()
+    assert design.shape == (2_000, 2 + n_marks)
+    assert np.all(design[:, 0] == 1.0)
+    assert np.array_equal(design[:, 1], ens.brownian_increments.sum(axis=1))
+    # N_T - lambda T against the sum of the per-step Ntilde: rounding of lambda dt
+    summed = ens.compensated_jumps.sum(axis=1)
+    assert np.all(np.abs(design[:, 2:] - summed) <= 1e-12)
+    assert np.array_equal(ens.terminal_controls(), design[:, 1:])
 
 
 @settings(max_examples=20, deadline=None)
