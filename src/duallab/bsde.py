@@ -20,24 +20,34 @@ plus an SVD of its triangular factor when the Cholesky factorisation fails,
 the rank is below the column count, or the condition number exceeds
 :data:`CHOLQR_MAX_COND`.  The deterministic state at t_0 always takes the
 fallback.
+
+With more than one path range (:func:`~duallab.market.path_ranges`), the
+CholeskyQR2 factors are computed ahead of the sweep by one thread, which
+hands back only the small triangular inverses; the sweep applies them to its
+own copy of the design, so the fits are bit-identical to a one-CPU sweep.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
+import queue
+import threading
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .market import PathEnsemble, TimeGrid, eval_on_grid
+from .market import PathEnsemble, TimeGrid, eval_on_grid, path_ranges
 
 IMPLICIT_STEP_TOL = 1e-8
 # condition number above which a step's CholeskyQR2 factor is replaced by the
-# Householder fallback: well inside CholeskyQR2's accurate range (about 1e8)
-CHOLQR_MAX_COND = 1e6
+# Householder fallback: inside CholeskyQR2's accurate range (about 1e8); below
+# it, CholeskyQR2 is closer to a long-double sweep than the fallback
+CHOLQR_MAX_COND = 1e7
 # steps of the drivers read per transposed block (6.4 MB per array at 50k paths)
 STEP_BLOCK = 16
 # paths per chunk of a transposing copy, so that the rows read stay in cache
@@ -142,8 +152,9 @@ def _time_major(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gram(a: np.ndarray) -> np.ndarray:
-    """a @ a.T, each entry a pairwise sum of the products of two rows of ``a``.
+def _gram(a: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """a @ a.T, each entry a pairwise sum of the products of two rows of
+    ``a``, formed in the scratch row ``tmp``.
 
     The orthogonality of CholeskyQR2's Q is set by the rounding of the Gram
     sums.  On a 3 x 50k design, |Q^T Q - I| is 4e-16 with pairwise sums,
@@ -155,8 +166,38 @@ def _gram(a: np.ndarray) -> np.ndarray:
     out = np.empty((n, n))
     for i in range(n):
         for j in range(i + 1):
-            out[i, j] = out[j, i] = np.sum(a[i] * a[j])
+            out[i, j] = out[j, i] = np.sum(np.multiply(a[i], a[j], out=tmp))
     return out
+
+
+class _Cholqr2(NamedTuple):
+    """The small factors of a CholeskyQR2 step: Q1 = inv_r1.T @ A and
+    Q = inv_r2.T @ Q1, R = R2 R1, and the rank and condition number of A."""
+
+    inv_r1: np.ndarray
+    inv_r2: np.ndarray
+    r: np.ndarray
+    rank: int
+    cond: float
+
+
+def _cholqr2(a: np.ndarray, q1: np.ndarray, tmp: np.ndarray) -> _Cholqr2 | None:
+    """CholeskyQR2 of the (n_columns, n) design ``a``, with Q1 written into
+    ``q1`` and the Gram products into the row ``tmp``; None when a Cholesky
+    factorisation fails, the rank is below the column count or the condition
+    number exceeds :data:`CHOLQR_MAX_COND`."""
+    try:
+        r1 = np.linalg.cholesky(_gram(a, tmp)).T
+        inv_r1 = np.linalg.inv(r1)
+        np.matmul(inv_r1.T, a, out=q1)
+        r2 = np.linalg.cholesky(_gram(q1, tmp)).T
+        r = r2 @ r1
+        rank, cond = _rank_cond(np.linalg.svd(r, compute_uv=False), a.shape)
+    except np.linalg.LinAlgError:
+        return None
+    if rank < a.shape[0] or cond > CHOLQR_MAX_COND:
+        return None
+    return _Cholqr2(inv_r1, np.linalg.inv(r2), r, rank, cond)
 
 
 def _driver_rows(ensemble: PathEnsemble, steps):
@@ -204,14 +245,20 @@ class _BasisBuilder:
         self.n_columns = len(self.exponents)
         self.warned = False
 
-    def design(self, step: int) -> np.ndarray:
-        """The (n_columns, n_paths) design of ``step``, one row per monomial."""
+    def design(self, step: int, out: np.ndarray | None = None,
+               tmp: np.ndarray | None = None) -> np.ndarray:
+        """The (n_columns, n_paths) design of ``step``, one row per monomial,
+        written into ``out`` with powers formed in the row ``tmp`` when given."""
         z = [rows[step] for rows in self.rows]
-        out = np.ones((self.n_columns, z[0].shape[0]))
+        if out is None:
+            out, tmp = np.empty((self.n_columns, z[0].shape[0])), np.empty(z[0].shape[0])
+        out.fill(1.0)
         for row, expo in zip(out, self.exponents):
             for zc, e in zip(z, expo):
-                if e:
-                    row *= zc**e
+                if e == 1:
+                    row *= zc
+                elif e:
+                    row *= np.power(zc, e, out=tmp)
         return out
 
     def constant(self, step: int) -> bool:
@@ -219,31 +266,45 @@ class _BasisBuilder:
         (a deterministic state: the design has rank 1 by construction)."""
         return all(np.all(rows[step] == rows[step, 0]) for rows in self.rows)
 
+    def scratch(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows for :meth:`factor_step`: a design, its Q1 and one work row."""
+        n_paths = self.rows[0].shape[1]
+        return (np.empty((self.n_columns, n_paths)), np.empty((self.n_columns, n_paths)),
+                np.empty(n_paths))
+
+    def factor_step(self, step: int, scratch) -> tuple[bool, _Cholqr2 | None]:
+        """Whether the state of ``step`` is deterministic, and the CholeskyQR2
+        factors of its design (None: the step takes the Householder fallback),
+        computed in the rows of :meth:`scratch`."""
+        a, q1, tmp = scratch
+        return self.constant(step), _cholqr2(self.design(step, a, tmp), q1, tmp)
+
     def factor(self, a: np.ndarray, warn: bool = True):
         """Factor the (n_columns, n) design ``a``; returns (basis, coef, rank, cond).
 
         ``basis`` (rank, n) has orthonormal rows spanning the rows of ``a``:
         the least-squares fit of a right-hand side b is (basis @ b) @ basis,
         and its minimum-norm coefficients are coef @ (basis @ b).  The factor
-        is CholeskyQR2 (see the module docstring), or a Householder thin QR of
-        ``a.T`` when that fails, is rank-deficient or has a condition number
-        above :data:`CHOLQR_MAX_COND`.  Either way the SVD of the triangular
-        factor gives the singular values ``numpy.linalg.lstsq`` computes and
-        its rank cutoff.  Rank deficiency (collinear or constant state) drops
-        the dependent directions, reducing the effective basis degree rather
-        than failing a step; it is warned about once per builder.
+        is CholeskyQR2 (see the module docstring), or :meth:`householder`
+        when that fails, is rank-deficient or has a condition number above
+        :data:`CHOLQR_MAX_COND`.  Either way the SVD of the triangular factor
+        gives the singular values ``numpy.linalg.lstsq`` computes and its
+        rank cutoff.
+        """
+        q1 = np.empty_like(a)
+        fac = _cholqr2(a, q1, np.empty(a.shape[1]))
+        if fac is None:
+            return self.householder(a, warn)
+        return fac.inv_r2.T @ q1, np.linalg.inv(fac.r), fac.rank, fac.cond
+
+    def householder(self, a: np.ndarray, warn: bool = True):
+        """The fallback of :meth:`factor`: a Householder thin QR of ``a.T``
+        plus an SVD of its triangular factor.  Rank deficiency (collinear or
+        constant state) drops the dependent directions, reducing the effective
+        basis degree rather than failing a step; it is warned about once per
+        builder.
         """
         n_columns = a.shape[0]
-        try:
-            r1 = np.linalg.cholesky(_gram(a)).T
-            q1 = np.linalg.inv(r1).T @ a
-            r2 = np.linalg.cholesky(_gram(q1)).T
-            r = r2 @ r1
-            rank, cond = _rank_cond(np.linalg.svd(r, compute_uv=False), a.shape)
-            if rank == n_columns and cond <= CHOLQR_MAX_COND:
-                return np.linalg.inv(r2).T @ q1, np.linalg.inv(r), rank, cond
-        except np.linalg.LinAlgError:
-            pass
         q, r = np.linalg.qr(a.T)
         u, sv, vt = np.linalg.svd(r)
         rank, cond = _rank_cond(sv, a.shape)
@@ -256,6 +317,57 @@ class _BasisBuilder:
             )
             self.warned = True
         return (q @ u[:, :rank]).T, vt[:rank].T / sv[:rank], rank, cond
+
+
+@contextlib.contextmanager
+def _factors_ahead(builder: _BasisBuilder, steps: range, rows, threaded: bool):
+    """An iterator over :meth:`_BasisBuilder.factor_step` of each of ``steps``;
+    when it yields a step's factors, the scratch ``rows`` hold that step's
+    design and, for CholeskyQR2 factors, its Q1.
+
+    Not ``threaded``, the factors are computed in ``rows`` as the iterator
+    advances.  Threaded, one thread started here computes them ahead of the
+    caller in scratch rows of its own (allocated here: a thread's own
+    allocations would stay in its glibc arena) and hands back only the small
+    triangular factors; the iterator rebuilds the design and Q1 in ``rows``
+    with the same operations, so they are bit-identical.  The thread is
+    stopped and joined on exit, and an exception in it is raised by the
+    iterator at the step where it occurred.
+    """
+    if not threaded:
+        yield (builder.factor_step(i, rows) for i in steps)
+        return
+    results: queue.SimpleQueue = queue.SimpleQueue()
+    stop = threading.Event()
+    scratch = builder.scratch()
+
+    def work() -> None:
+        try:
+            for i in steps:
+                if stop.is_set():
+                    return
+                results.put(builder.factor_step(i, scratch))
+        except BaseException as exc:
+            results.put(exc)
+
+    def take():
+        design, q1, tmp = rows
+        for i in steps:
+            item = results.get()
+            if isinstance(item, BaseException):
+                raise item
+            builder.design(i, design, tmp)
+            if item[1] is not None:
+                np.matmul(item[1].inv_r1.T, design, out=q1)
+            yield item
+
+    thread = threading.Thread(target=work)
+    thread.start()
+    try:
+        yield take()
+    finally:
+        stop.set()
+        thread.join()
 
 
 def solve_linear_bsde(
@@ -277,7 +389,14 @@ def solve_linear_bsde(
     Centering by m removes the dominant variance from the covariance targets.
     ``state`` maps channel names to (n_paths, n_steps + 1) arrays or to
     zero-argument callables returning one (the price S by default); only the
-    channels the basis reads are evaluated.
+    channels the basis reads are evaluated, in the calling thread.
+
+    The per-step rows are allocated once per sweep.  With more than one path
+    range, one thread computes each step's CholeskyQR2 factors ahead of the
+    sweep (:func:`_factors_ahead`); the sweep rebuilds the step's design and
+    applies the handed-back inverses itself, and takes the Householder
+    fallback, with its warning, in the calling thread.  The result is
+    bit-identical to a sweep on one CPU.
     """
     terminal = np.asarray(terminal, dtype=float)
     if terminal.shape != (ensemble.n_paths,):
@@ -294,43 +413,59 @@ def solve_linear_bsde(
     active = np.flatnonzero(lam > 0)
 
     # time-major: one contiguous row per step, returned transposed
-    p = np.empty((grid.n_steps + 1, ensemble.n_paths))
-    q = np.zeros((grid.n_steps, ensemble.n_paths))
-    r = np.zeros((grid.n_steps, k, ensemble.n_paths))
-    targets = np.empty((1 + active.size, ensemble.n_paths))
+    n_paths, n_columns = ensemble.n_paths, builder.n_columns
+    p = np.empty((grid.n_steps + 1, n_paths))
+    q = np.zeros((grid.n_steps, n_paths))
+    r = np.zeros((grid.n_steps, k, n_paths))
+    # the per-step work rows, allocated once per sweep
+    design, q1 = np.empty((2, n_columns, n_paths))
+    fitted, centered, work = np.empty((3, n_paths))
+    targets, stacked = np.empty((2, 1 + active.size, n_paths))
     p[-1] = terminal
     per_step = []
     constant_steps = 0
-    for i, db, dnt in _driver_rows(ensemble, range(grid.n_steps - 1, -1, -1)):
-        # a deterministic state (always at t_0) is rank-deficient by
-        # construction: counted in the diagnostics instead of warned about
-        constant = builder.constant(i)
-        constant_steps += constant
-        span, _, rank, cond = builder.factor(builder.design(i), warn=i > 0 and not constant)
-        fitted = (span @ p[i + 1]) @ span
-        centered = p[i + 1] - fitted
-        np.multiply(centered, db, out=targets[0])
-        targets[0] /= dt
-        for row, kk in zip(targets[1:], active):
-            np.multiply(centered, dnt[kk], out=row)
-            row /= lam[kk]
-        stacked = (targets @ span.T) @ span
-        q[i] = stacked[0]
-        r[i, active] = stacked[1:]
-        denom = 1.0 + dt * cp[i]
-        if abs(denom) < IMPLICIT_STEP_TOL:
-            raise ValueError(f"implicit step near-singular at step {i} (denominator {denom:g})")
-        drift = c0[i] + cq[i] * q[i] + (cr[i] @ r[i] if k else 0.0)
-        p[i] = (fitted - dt * drift) / denom
-        per_step.append(
-            {
-                "step": i,
-                "t": float(grid.left_times[i]),
-                "rank": int(rank),
-                "cond": cond,
-                "fit_rmse": float(np.sqrt(np.mean(centered**2))),
-            }
-        )
+    steps = range(grid.n_steps - 1, -1, -1)
+    threaded = len(path_ranges(n_paths)) > 1
+    with _factors_ahead(builder, steps, (design, q1, work), threaded) as factors:
+        for (i, db, dnt), (constant, fac) in zip(_driver_rows(ensemble, steps), factors):
+            # a deterministic state (always at t_0) is rank-deficient by
+            # construction: counted in the diagnostics instead of warned about
+            constant_steps += constant
+            if fac is None:
+                span, _, rank, cond = builder.householder(design, warn=i > 0 and not constant)
+            else:
+                span = np.matmul(fac.inv_r2.T, q1, out=design)
+                rank, cond = fac.rank, fac.cond
+            np.matmul(span @ p[i + 1], span, out=fitted)
+            np.subtract(p[i + 1], fitted, out=centered)
+            np.multiply(centered, db, out=targets[0])
+            targets[0] /= dt
+            for row, kk in zip(targets[1:], active):
+                np.multiply(centered, dnt[kk], out=row)
+                row /= lam[kk]
+            np.matmul(targets @ span.T, span, out=stacked)
+            q[i] = stacked[0]
+            r[i, active] = stacked[1:]
+            denom = 1.0 + dt * cp[i]
+            if abs(denom) < IMPLICIT_STEP_TOL:
+                raise ValueError(f"implicit step near-singular at step {i} (denominator {denom:g})")
+            # p_i = (fitted - dt * (c0 + cq q + cr . r)) / denom, the drift in p_i
+            np.multiply(q[i], cq[i], out=p[i])
+            p[i] += c0[i]
+            if k:
+                p[i] += np.matmul(cr[i], r[i], out=work)
+            p[i] *= dt
+            np.subtract(fitted, p[i], out=p[i])
+            p[i] /= denom
+            per_step.append(
+                {
+                    "step": i,
+                    "t": float(grid.left_times[i]),
+                    "rank": int(rank),
+                    "cond": cond,
+                    "fit_rmse": float(np.sqrt(np.mean(np.square(centered, out=work)))),
+                }
+            )
     per_step.reverse()
     diagnostics = {
         "basis_degree": (basis or RegressionBasis()).degree,

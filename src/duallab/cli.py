@@ -96,7 +96,10 @@ def _manifest(cfg: ExperimentConfig) -> dict:
     scipy_version = _scipy_version()
     if scipy_version is not None:
         versions["scipy"] = scipy_version
-    return {"config": cfg.raw, "seed": cfg.seed, "versions": versions}
+    # the output directory is where the manifest sits, and no part of the
+    # experiment's identity (config.hash ignores it too)
+    config = {key: value for key, value in cfg.raw.items() if key != "out"}
+    return {"config": config, "seed": cfg.seed, "versions": versions}
 
 
 def _grid(section: dict) -> np.ndarray:

@@ -21,12 +21,18 @@ from .market import (
     PathEnsemble,
     Strategy,
     TimeGrid,
+    _blocks,
     _euler_wealth,
+    _over_paths,
     density_paths,
     terminal_log_density,
 )
 from .mc import cv_mean, grid_search, interior_summary
 from .preferences import Penalty, UtilityPair
+
+# paths per block of the replicating portfolio: each thread's two
+# (block, n_steps) work arrays stay small and in cache
+REPLICATION_BLOCK_PATHS = 256
 
 
 @dataclass(frozen=True)
@@ -421,6 +427,11 @@ def replicating_portfolio(solution: DualSolution) -> tuple[np.ndarray, float]:
     """Unit-count portfolio replicating -V'(G(T)): q2/(sigma*S), with the
     r2/(gamma*S) branch wherever sigma vanishes; initial value p2(0).
 
+    The q2/(sigma*S) steps are filled over the path ranges of
+    :func:`~duallab.market._over_paths`, in blocks of
+    :data:`REPLICATION_BLOCK_PATHS` paths: elementwise, so phi is
+    bit-identical for any number of threads.
+
     Returns (phi as an (n_paths, n_steps) array, initial value).
     """
     model, ensemble = solution.model, solution.ensemble
@@ -432,10 +443,8 @@ def replicating_portfolio(solution: DualSolution) -> tuple[np.ndarray, float]:
     spot = ensemble.channel("S")
     scale = float(np.mean(np.abs(adj.p[:, -1])))
     phi = np.zeros((ensemble.n_paths, grid.n_steps))
-    for i in range(grid.n_steps):
-        if abs(s[i]) >= DEGENERATE_VOL:
-            phi[:, i] = adj.q[:, i] / (s[i] * spot[:, i])
-            continue
+    diffusive = np.abs(s) >= DEGENERATE_VOL
+    for i in np.flatnonzero(~diffusive):
         ok = np.abs(gam[i]) > 0 if model.n_marks else np.zeros(0, dtype=bool)
         if model.n_marks and np.any(ok):
             # nu-weighted least squares of r_k = phi*S*gamma_k over live marks
@@ -450,6 +459,23 @@ def replicating_portfolio(solution: DualSolution) -> tuple[np.ndarray, float]:
                     f"inconsistent adjoints at step {i}: sigma = 0 and gamma = 0 "
                     "but the integrands are nonzero"
                 )
+    steps = np.flatnonzero(diffusive)
+    vol = s[steps]
+
+    def fill(paths: slice, held: np.ndarray, quotient: np.ndarray) -> None:
+        for rows in _blocks(paths, REPLICATION_BLOCK_PATHS):
+            n = rows.stop - rows.start
+            held_rows = np.take(spot[rows], steps, axis=1, out=held[:n])
+            held_rows *= vol
+            q_rows = np.take(adj.q[rows], steps, axis=1, out=quotient[:n])
+            phi[rows, steps] = np.divide(q_rows, held_rows, out=q_rows)
+
+    def work(paths: slice) -> tuple:
+        shape = (min(REPLICATION_BLOCK_PATHS, paths.stop - paths.start), steps.size)
+        return np.empty(shape), np.empty(shape)
+
+    if steps.size:
+        _over_paths(fill, ensemble.n_paths, work)
     x0 = float(adj.p[:, 0].mean())
     return phi, x0
 
@@ -474,5 +500,7 @@ def replication_check(
         "rmse_rel": float(np.sqrt(np.mean(rel**2))),
         "max_rel": float(np.max(np.abs(rel))),
         "initial_value": float(x0),
-        "n_nonpositive": int(np.sum(x[:, 1:] <= 0)),
+        # one time step at a time: rows of the time-major x.T, so no
+        # (n_paths, n_steps) mask is built at the run's peak
+        "n_nonpositive": sum(int(np.count_nonzero(row <= 0)) for row in x.T[1:]),
     }

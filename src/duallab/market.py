@@ -18,6 +18,7 @@ import contextlib
 import csv
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -35,6 +36,11 @@ INADMISSIBLE_FRACTION = "1 + pi*gamma <= 0; candidate inadmissible"
 FILL_BLOCK_BYTES = 2**17
 # paths formatted per write of ensemble_to_csv
 CSV_BLOCK_PATHS = 256
+# fewest paths per thread for which a per-path kernel is split over threads
+THREAD_MIN_PATHS = 4096
+# paths per block of a per-path kernel: small enough that a block stays in
+# cache from one pass to the next
+BLOCK_PATHS = 1024
 
 
 class AdmissibilityError(ValueError):
@@ -270,9 +276,68 @@ def simulate_drivers(
     return PathEnsemble(model, grid, n_paths, seed, db, counts)
 
 
-def _log_increments(dest, ensemble: PathEnsemble, rows, drift, diff, ratio) -> None:
+def usable_cpus() -> int:
+    """The CPUs this process may run on (``os.sched_getaffinity``); 1 where unknown."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def path_ranges(n_paths: int) -> list[slice]:
+    """Contiguous ranges of paths, one per usable CPU, each of at least
+    :data:`THREAD_MIN_PATHS` paths; one range of every path otherwise."""
+    n = max(1, min(usable_cpus(), n_paths // THREAD_MIN_PATHS))
+    bounds = [n_paths * j // n for j in range(n + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _over_paths(fn: Callable[..., None], n_paths: int,
+                work: Callable[[slice], tuple] = lambda paths: ()) -> None:
+    """Call ``fn(paths, *work(paths))`` once per range of :func:`path_ranges`:
+    the first in this thread, every other one in a thread started and joined
+    here (numpy releases the GIL in its loops).  ``work`` allocates a range's
+    work arrays, in this thread, so that no started thread allocates anything
+    large: glibc gives a thread its own arena, whose pages would stay resident.
+    A range whose thread cannot be started runs in this thread.  The first
+    exception, in range order, is raised here once every thread has ended."""
+    ranges = path_ranges(n_paths)
+    if len(ranges) == 1:
+        fn(ranges[0], *work(ranges[0]))
+        return
+    args = [(paths, *work(paths)) for paths in ranges]
+    errors: list[BaseException | None] = [None] * len(ranges)
+
+    def run(j: int) -> None:
+        try:
+            fn(*args[j])
+        except BaseException as exc:
+            errors[j] = exc
+
+    threads = []
+    for j in range(1, len(ranges)):
+        thread = threading.Thread(target=run, args=(j,))
+        try:
+            thread.start()
+        except RuntimeError:
+            run(j)
+        else:
+            threads.append(thread)
+    run(0)
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
+def _blocks(paths: slice, size: int):
+    """The ranges of ``size`` paths that tile ``paths``, the last one partial."""
+    for start in range(paths.start, paths.stop, size):
+        yield slice(start, min(start + size, paths.stop))
+
+
+def _log_increments(dest, ensemble: PathEnsemble, rows, drift, diff, ratio, jumps) -> None:
     """Write the exact log increments of the path rows ``rows`` (a slice) into
-    ``dest``: (drift - diff**2/2 - ratio @ nu) dt + diff dB + sum_k N_k ln(1 + ratio_k).
+    ``dest``: (drift - diff**2/2 - ratio @ nu) dt + diff dB + sum_k N_k ln(1 + ratio_k),
+    with the jump sum formed in ``jumps``, an array shaped like ``dest``.
 
     The coefficients are per step, ``drift`` and ``diff`` (n_steps,) and
     ``ratio`` (n_steps, n_marks), or per path and step, with a leading axis
@@ -282,15 +347,13 @@ def _log_increments(dest, ensemble: PathEnsemble, rows, drift, diff, ratio) -> N
     np.multiply(diff, ensemble.brownian_increments[rows], out=dest)
     dt_term = drift - 0.5 * diff**2
     if ratio.size:
-        if np.any(ratio <= -1.0):
-            raise AdmissibilityError("jump ratio <= -1 (1 + pi*gamma <= 0 for a fraction); "
-                                     "the exponential would lose positivity")
         # one 2-D product over every (path, step): a stacked matmul rounds differently
         k = ratio.shape[-1]
         dt_term -= (ratio.reshape(-1, k) @ ensemble.model.intensities).reshape(dt_term.shape)
     dest += dt_term * ensemble.grid.dt
     if ratio.size:
-        dest += np.einsum("...k,...k->...", ensemble.jump_counts[rows], np.log1p(ratio))
+        dest += np.einsum("...k,...k->...", ensemble.jump_counts[rows], np.log1p(ratio),
+                          out=jumps)
 
 
 def _accumulate(ln: np.ndarray, x0: float) -> None:
@@ -306,28 +369,50 @@ def _exp_paths(ensemble: PathEnsemble, x0: float, drift, diff, ratio, frac=None)
 
     ``drift``, ``diff`` (n_steps,) and ``ratio`` (n_steps, n_marks) are per
     step.  A fraction ``frac`` multiplies all three: a scalar or per-step one
-    up front, a per-path (n_paths, n_steps) one over contiguous blocks of
-    paths, so the per-path coefficients exist one block at a time
-    (:data:`FILL_BLOCK_BYTES`).  The increments are written into the output,
-    then summed, exponentiated and scaled there in place.
+    up front, a per-path (n_paths, n_steps) one block by block.  A ratio
+    <= -1 (on any path, for a per-path fraction) is refused before any path
+    is filled.  The paths are filled over the ranges of :func:`_over_paths`,
+    one thread per range, each range in blocks of :data:`BLOCK_PATHS` paths
+    (per-path coefficients: :data:`FILL_BLOCK_BYTES` per block), so the
+    temporaries of a thread stay small.  A block's increments are written
+    into the output, then summed, exponentiated and scaled there in place.
+    Each value goes through the same operations whatever block or range it
+    falls in, so the paths are bit-identical for any number of threads.
     """
     n_steps = ensemble.grid.n_steps
-    out = np.empty((ensemble.n_paths, n_steps + 1))
-    out[:, 0] = x0
-    ln = out[:, 1:]
-    if np.ndim(frac) == 2:
-        block = max(1, FILL_BLOCK_BYTES // (8 * n_steps * max(1, ratio.shape[1])))
-        for start in range(0, ensemble.n_paths, block):
-            rows = slice(start, start + block)
-            f = frac[rows]
-            _log_increments(ln[rows], ensemble, rows, f * drift, f * diff, f[..., None] * ratio)
-            _accumulate(ln[rows], x0)
-        return out
-    if frac is not None:
+    per_path = np.ndim(frac) == 2
+    if frac is not None and not per_path:
         f = np.broadcast_to(np.asarray(frac, dtype=float), (n_steps,))
         drift, diff, ratio = f * drift, f * diff, f[:, None] * ratio
-    _log_increments(ln, ensemble, slice(None), drift, diff, ratio)
-    _accumulate(ln, x0)
+    if ratio.size:
+        # per step and mark, the least f * ratio over the paths: rounding is
+        # monotone, so it is the product with the extreme fraction
+        lowest = ratio if not per_path else np.minimum(
+            np.fmin.reduce(frac, axis=0)[:, None] * ratio,
+            np.fmax.reduce(frac, axis=0)[:, None] * ratio)
+        if np.any(lowest <= -1.0):
+            raise AdmissibilityError("jump ratio <= -1 (1 + pi*gamma <= 0 for a fraction); "
+                                     "the exponential would lose positivity")
+    out = np.empty((ensemble.n_paths, n_steps + 1))
+    block = (max(1, FILL_BLOCK_BYTES // (8 * n_steps * max(1, ratio.shape[1])))
+             if per_path else BLOCK_PATHS)
+
+    def fill(paths: slice, jumps: np.ndarray) -> None:
+        for rows in _blocks(paths, block):
+            out[rows, 0] = x0
+            ln = out[rows, 1:]
+            if per_path:
+                f = frac[rows]
+                coeffs = (f * drift, f * diff, f[..., None] * ratio)
+            else:
+                coeffs = (drift, diff, ratio)
+            _log_increments(ln, ensemble, rows, *coeffs, jumps[:len(ln)])
+            _accumulate(ln, x0)
+
+    def work(paths: slice) -> tuple:
+        return (np.empty((min(block, paths.stop - paths.start), n_steps if ratio.size else 0)),)
+
+    _over_paths(fill, ensemble.n_paths, work)
     return out
 
 
@@ -335,18 +420,36 @@ def _euler_paths(ensemble: PathEnsemble, x0: float, drift, diff, ratio, exposure
     """Plain Euler paths of dX = exposure * (drift dt + diff dB + ratio . dNtilde),
     (n_paths, n_steps + 1), for per-step coefficients as in :func:`_exp_paths`.
 
-    ``exposure(i, x)`` is the amount exposed over step ``i`` given X(t_i).
-    Positivity is not checked here.  The steps are filled as contiguous rows
-    of a (n_steps + 1, n_paths) buffer, returned transposed.
+    ``exposure(i, x, paths, out)`` is the amount exposed over step ``i`` given
+    X(t_i) = ``x`` on the paths of the slice ``paths``, written into the row
+    ``out`` or returned.  Positivity is not checked here.  The steps are
+    filled as contiguous rows of a (n_steps + 1, n_paths) buffer, returned
+    transposed; the step loop runs once per range of :func:`_over_paths`, on
+    the columns of that range only, so the paths are bit-identical for any
+    number of threads.
     """
     grid = ensemble.grid
+    lam = ensemble.model.intensities * grid.dt
     rows = np.empty((grid.n_steps + 1, ensemble.n_paths))
-    rows[0] = x0
-    for i in range(grid.n_steps):
-        ret = drift[i] * grid.dt + diff[i] * ensemble.brownian_increments[:, i]
-        if ratio.size:
-            ret = ret + ensemble.compensated_step(i) @ ratio[i]
-        rows[i + 1] = rows[i] + exposure(i, rows[i]) * ret
+
+    def fill(paths: slice, jumps: np.ndarray, aux: np.ndarray) -> None:
+        x = rows[:, paths]
+        x[0] = x0
+        for i in range(grid.n_steps):
+            # the return over step i, formed in the row of X(t_{i+1})
+            ret = np.multiply(diff[i], ensemble.brownian_increments[paths, i], out=x[i + 1])
+            ret += drift[i] * grid.dt
+            if ratio.size:
+                np.subtract(ensemble.jump_counts[paths, i], lam, out=jumps)
+                ret += np.matmul(jumps, ratio[i], out=aux)
+            ret *= exposure(i, x[i], paths, aux)
+            ret += x[i]
+
+    def work(paths: slice) -> tuple:
+        n = paths.stop - paths.start
+        return np.empty((n, lam.size)), np.empty(n)
+
+    _over_paths(fill, ensemble.n_paths, work)
     return rows.T
 
 
@@ -405,9 +508,10 @@ def _euler_wealth(model: MarketModel, ensemble: PathEnsemble, strategy: Strategy
     fraction = strategy.kind == "fraction"
     spot = None if fraction else ensemble.channel("S")
 
-    def exposure(i, x):
+    def exposure(i, x, paths, out):
         # pi*X for a fraction of wealth, phi*S for unit counts
-        return values[..., i] * (x if fraction else spot[:, i])
+        pi = values[paths, i] if values.ndim == 2 else values[i]
+        return np.multiply(pi, x if fraction else spot[paths, i], out=out)
 
     return _euler_paths(ensemble, x0, model.drift_on(grid, mu), model.vol_on(grid),
                         model.jump_sizes_on(grid), exposure)
@@ -458,7 +562,7 @@ def density_paths(ensemble: PathEnsemble, control, y: float | None = None,
     no_drift = np.zeros(grid.n_steps)
     if scheme == "exact":
         return _exp_paths(ensemble, y0, no_drift, theta0, theta1)
-    g = _euler_paths(ensemble, y0, no_drift, theta0, theta1, lambda i, g: g)
+    g = _euler_paths(ensemble, y0, no_drift, theta0, theta1, lambda i, g, paths, out: g)
     _check_positive(g, "Euler density")
     return g
 
@@ -610,8 +714,7 @@ def _formatted_blocks(template, arrays, starts: range):
     order, from forked workers or from this process (see :func:`ensemble_to_csv`)."""
     import multiprocessing
 
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, len(starts))
+    workers = min(usable_cpus(), len(starts))
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
         try:
             pool = multiprocessing.get_context("fork").Pool(workers, _csv_init, (template, arrays))
@@ -637,7 +740,7 @@ def ensemble_to_csv(ensemble: PathEnsemble, path, channels: Sequence[str] | None
     of a row template, ``{0},<time>,{1!r},...`` per time stamp: the bytes
     ``csv.writer`` writes, with each value as its shortest repr.  Blocks of
     :data:`CSV_BLOCK_PATHS` paths are formatted by forked workers, one per
-    usable CPU (``os.sched_getaffinity``) and at most one per block, and
+    usable CPU (:func:`usable_cpus`) and at most one per block, and
     written here in path order, one write per block.  A single block, a
     single usable CPU, a platform without fork, or an ``OSError`` from
     starting the workers formats every block in this process instead.
@@ -645,8 +748,8 @@ def ensemble_to_csv(ensemble: PathEnsemble, path, channels: Sequence[str] | None
     Fork hands the template and the arrays to the workers without pickling
     them, and a forked worker imports nothing (spawn would import numpy in
     each).  The workers call no BLAS routine, and OpenBLAS resets its thread
-    pool around a fork.  Python 3.12 and later warn about forking a process
-    that has threads.
+    pool around a fork.  No thread of :func:`_over_paths` outlives its
+    call, so the fork sees none.
     """
     names = list(channels) if channels is not None else sorted(ensemble.channels)
     arrays = [ensemble.channels[c] for c in names]

@@ -4,8 +4,9 @@ These are the straightforward forms the library's batched searches,
 CholeskyQR2 backward sweep, shared forward kernels and output writer
 replace: one candidate at a time, a fresh ``lstsq`` control-variate fit per
 candidate, a per-step Python loop for the theta0 elimination, two SVD
-``lstsq`` fits per backward step on path-major designs and one per step of
-the BSDE residual report, a separate forward loop per process (price and
+``lstsq`` fits per backward step on path-major designs (and the same sweep
+in long double, as an accuracy reference) and one per step of the BSDE
+residual report, a separate forward loop per process (price and
 density from whole-array log factors, wealth and replication one step at a
 time), the per-path exact fill one column at a time, and a ``csv.writer``
 call per CSV row, and the conjugacy oracle polished one test point at a
@@ -510,6 +511,51 @@ def solve_linear_bsde(ensemble, terminal, driver=None, state=None, basis=None):
                          "fit_rmse": float(np.sqrt(np.mean(centered**2)))})
     per_step.reverse()
     return p, q, r, per_step
+
+
+def _long_double_basis(a):
+    """Orthonormal columns spanning the columns of ``a``, in ``np.longdouble``:
+    modified Gram-Schmidt, run twice per column; a column whose remainder
+    falls to 1e-13 of its norm is dependent and dropped."""
+    kept = []
+    for column in a.T:
+        v = column.astype(np.longdouble)
+        norm = np.sqrt(v @ v)
+        for _ in range(2):
+            for u in kept:
+                v -= (u @ v) * u
+        rest = np.sqrt(v @ v)
+        if rest > 1e-13 * norm:
+            kept.append(v / rest)
+    return np.stack(kept, axis=1)
+
+
+def long_double_sweep(ensemble, terminal, state=None, basis=None):
+    """The driver-free backward sweep in ``np.longdouble`` (about 1e-19 on
+    x86-64), on the float64 path-major designs; numpy's ``linalg`` refuses
+    long double, so the fits are projections on :func:`_long_double_basis`.
+    Returns (p, q, r, ranks)."""
+    grid, model = ensemble.grid, ensemble.model
+    builder = PathsMajorDesign(ensemble, state, basis)
+    dt = np.longdouble(grid.dt)
+    lam = (model.intensities * grid.dt).astype(np.longdouble)
+    dnt = ensemble.jump_counts - lam
+    db = ensemble.brownian_increments.astype(np.longdouble)
+    p = np.empty((ensemble.n_paths, grid.n_steps + 1), dtype=np.longdouble)
+    q = np.zeros((ensemble.n_paths, grid.n_steps), dtype=np.longdouble)
+    r = np.zeros((ensemble.n_paths, grid.n_steps, model.n_marks), dtype=np.longdouble)
+    p[:, -1] = terminal
+    ranks = []
+    for i in range(grid.n_steps - 1, -1, -1):
+        u = _long_double_basis(builder.design(i))
+        ranks.append(u.shape[1])
+        fitted = u @ (u.T @ p[:, i + 1])
+        centered = p[:, i + 1] - fitted
+        q[:, i] = u @ (u.T @ (centered * db[:, i] / dt))
+        for kk in np.flatnonzero(lam > 0):
+            r[:, i, kk] = u @ (u.T @ (centered * dnt[:, i, kk] / lam[kk]))
+        p[:, i] = fitted
+    return p, q, r, ranks[::-1]
 
 
 def bsde_residual_report(triple, ensemble, driver=None, state=None, basis=None, split_seed=0):

@@ -178,6 +178,18 @@ def test_manifest_records_library_versions(tmp_path):
     assert versions["pyyaml"] == yaml.__version__
 
 
+def test_manifest_does_not_depend_on_the_output_directory(tmp_path):
+    raw = small(load_raw("merton_log.yaml"), paths=10)
+    raw["mode"] = "simulate"
+    manifests = []
+    for out in (tmp_path / "a", tmp_path / "a-much-longer-directory-name"):
+        cli.run_experiment(validate_config({**raw, "out": str(out)}))
+        manifests.append((out / "manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
+    config = json.loads(manifests[0])["config"]
+    assert "out" not in config and config["mode"] == "simulate"
+
+
 def _fresh_version_cache(monkeypatch):
     """An empty per-process cache of the scipy version, for this test only."""
     monkeypatch.setattr(cli, "_scipy_version", functools.cache(cli._scipy_version.__wrapped__))

@@ -27,6 +27,10 @@ MERTON_PI = np.round(0.0 + 0.05 * np.arange(51), 12)
 ROBUST_PI = np.linspace(0.125, 1.125, 21)
 ROBUST_MU = np.linspace(-0.25, 0.0, 21)
 JUMP_THETA1 = np.linspace(-0.6, 0.3, 19)
+# largest error, relative to max |.|, of a near-collinear sweep against the
+# long-double one: 6.1e-12 was the largest over 1,800 draws (600 seeds at
+# eps = 1.2e-3 with and without jumps, and at a uniform eps)
+LONG_DOUBLE_GATE = 2e-11
 
 
 def assert_values_match(new, old, se_new=None, se_old=None):
@@ -376,18 +380,10 @@ def test_sweep_matches_lstsq_on_collinear_state(base_model, base_ens_5k):
     assert not math.isinf(max(step["cond"] for step in ref[3]))
 
 
-@settings(max_examples=30, deadline=None)
-@given(kind=st.sampled_from(["constant", "collinear", "near"]), eps=st.floats(1.2e-3, 4e-3),
-       jumps=st.booleans(), seed=st.integers(0, 2**31 - 1))
-# every step past t_0 above CHOLQR_MAX_COND, some of them, and none
-@example(kind="near", eps=1.2e-3, jumps=True, seed=1)
-@example(kind="near", eps=1.35e-3, jumps=False, seed=2)
-@example(kind="near", eps=4e-3, jumps=True, seed=2)
-def test_sweep_fallback_matches_lstsq(kind, eps, jumps, seed):
-    # near-collinear log-states put the per-step condition number on both
-    # sides of CHOLQR_MAX_COND (about 1.1e5 to 1.5e6 here); well above that
-    # range the lstsq oracle and a Householder QR, the fallback, themselves
-    # drift apart by more than 1e-10 in q and r
+def _degenerate_state_case(kind, eps, jumps, seed):
+    """A 1k-path, 20-step ensemble, a regression state that is constant,
+    exactly collinear, or near-collinear with relative noise ``eps``, and the
+    excess return as the terminal value."""
     model = dl.MarketModel(drift=0.05, vol=0.2, jump_marks=(0.1,) if jumps else (),
                            jump_intensities=(1.0,) if jumps else (), horizon=1.0)
     ens = dl.simulate_drivers(model, dl.TimeGrid(20, 1.0), 1_000, seed)
@@ -399,9 +395,27 @@ def test_sweep_fallback_matches_lstsq(kind, eps, jumps, seed):
     else:
         noise = np.random.default_rng(seed).normal(size=s.shape)
         state = {"S": s, "T": s * (1.0 + eps * noise)}
-    # the excess return: under a constant state p is constant after one step,
-    # and its rounding-level fits stay below the 1e-15 floor of fit_rmse
-    terminal = s[:, -1] - 1.0
+    # under a constant state p is constant after one step, and its
+    # rounding-level fits stay below the 1e-15 floor of fit_rmse
+    return ens, state, s[:, -1] - 1.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["constant", "collinear", "near"]), eps=st.floats(1.2e-3, 4e-3),
+       jumps=st.booleans(), seed=st.integers(0, 2**31 - 1))
+# the most and the least collinear draws; the last one broke the gate when
+# steps above cond 1e6 took the Householder fallback
+@example(kind="near", eps=1.2e-3, jumps=True, seed=1)
+@example(kind="near", eps=1.35e-3, jumps=False, seed=2)
+@example(kind="near", eps=4e-3, jumps=True, seed=2)
+@example(kind="near", eps=1.2e-3, jumps=True, seed=3904738)
+def test_sweep_fallback_matches_lstsq(kind, eps, jumps, seed):
+    # near-collinear log-states put the per-step condition number at about
+    # 1.1e5 to 1.5e6 here, inside CholeskyQR2's accepted range, so only the
+    # rank-deficient steps take the fallback; well above that range the lstsq
+    # oracle and a Householder QR themselves drift apart by more than 1e-10
+    # in q and r
+    ens, state, terminal = _degenerate_state_case(kind, eps, jumps, seed)
     with warnings.catch_warnings(record=True) as ref_warned:
         warnings.simplefilter("always")
         ref = oracles.solve_linear_bsde(ens, terminal, state=state)
@@ -423,6 +437,25 @@ def test_sweep_fallback_matches_lstsq(kind, eps, jumps, seed):
     else:
         assert [str(w.message) for w in warned] == [str(w.message) for w in ref_warned]
         assert len(warned) == (kind == "collinear")
+
+
+@settings(max_examples=20, deadline=None)
+@given(eps=st.floats(1.2e-3, 4e-3), jumps=st.booleans(), seed=st.integers(0, 2**31 - 1))
+# the draw that broke the lstsq gate, and one where lstsq's own r is 1.8e-10
+# off the long-double sweep
+@example(eps=1.2e-3, jumps=True, seed=3904738)
+@example(eps=1.2e-3, jumps=True, seed=717)
+def test_near_collinear_sweep_matches_long_double_sweep(eps, jumps, seed):
+    # condition numbers up to about 1.5e6: CholeskyQR2 holds every step past
+    # t_0 within LONG_DOUBLE_GATE of the truth; the Householder fallback that
+    # took these steps while CHOLQR_MAX_COND was 1e6 was off by up to 1.7e-10
+    ens, state, terminal = _degenerate_state_case("near", eps, jumps, seed)
+    triple = dl.martingale_representation(ens, terminal, state=state)
+    p, q, r, ranks = oracles.long_double_sweep(ens, terminal, state=state)
+    assert [step["rank"] for step in triple.diagnostics["per_step"]] == ranks
+    for new, truth in ((triple.p, p), (triple.q, q), (triple.r, r)):
+        if truth.size:
+            assert np.max(np.abs(new - truth)) <= LONG_DOUBLE_GATE * np.max(np.abs(truth))
 
 
 @pytest.mark.parametrize("jumps", [False, True])

@@ -217,15 +217,17 @@ def test_csv_refuses_a_channel_not_shaped_paths_by_times(tmp_path, base_model, s
 
 
 def test_import_starts_no_process_machinery():
+    # the path-range threads are started per call, never at import
     code = (
-        "import sys\n"
+        "import sys, threading\n"
         "import duallab, duallab.cli\n"
         "print(sorted(m for m in sys.modules\n"
         "             if m.split('.')[0] in ('multiprocessing', 'concurrent')))\n"
+        "print(threading.active_count())\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(SRC)}, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split() == ["[]", "1"]
 
 
 @pytest.mark.parametrize("n_marks", [0, 1, 2])
