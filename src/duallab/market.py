@@ -341,11 +341,18 @@ def _log_increments(dest, ensemble: PathEnsemble, rows, drift, diff, ratio, jump
 
     The coefficients are per step, ``drift`` and ``diff`` (n_steps,) and
     ``ratio`` (n_steps, n_marks), or per path and step, with a leading axis
-    over the rows.  The jump compensator is folded into the dt-term, so
-    compensated jump integrals are exact per step.
+    over the rows; per-path ones are overwritten.  The jump compensator is
+    folded into the dt-term, so compensated jump integrals are exact per step.
     """
     np.multiply(diff, ensemble.brownian_increments[rows], out=dest)
-    dt_term = drift - 0.5 * diff**2
+    if diff.ndim == 2:
+        # per-path blocks: the dt-term formed in place, so that a thread
+        # allocates no block-sized temporary
+        dt_term = np.square(diff, out=diff)
+        dt_term *= 0.5
+        dt_term = np.subtract(drift, dt_term, out=drift)
+    else:
+        dt_term = drift - 0.5 * diff**2
     if ratio.size:
         # one 2-D product over every (path, step): a stacked matmul rounds differently
         k = ratio.shape[-1]
@@ -397,20 +404,26 @@ def _exp_paths(ensemble: PathEnsemble, x0: float, drift, diff, ratio, frac=None)
     block = (max(1, FILL_BLOCK_BYTES // (8 * n_steps * max(1, ratio.shape[1])))
              if per_path else BLOCK_PATHS)
 
-    def fill(paths: slice, jumps: np.ndarray) -> None:
+    def fill(paths: slice, jumps: np.ndarray, *coeffs: np.ndarray) -> None:
         for rows in _blocks(paths, block):
+            n = rows.stop - rows.start
             out[rows, 0] = x0
             ln = out[rows, 1:]
             if per_path:
                 f = frac[rows]
-                coeffs = (f * drift, f * diff, f[..., None] * ratio)
+                f_drift, f_diff, f_ratio = (a[:n] for a in coeffs)
+                block_coeffs = (np.multiply(f, drift, out=f_drift), np.multiply(f, diff, out=f_diff),
+                                np.multiply(f[..., None], ratio, out=f_ratio))
             else:
-                coeffs = (drift, diff, ratio)
-            _log_increments(ln, ensemble, rows, *coeffs, jumps[:len(ln)])
+                block_coeffs = (drift, diff, ratio)
+            _log_increments(ln, ensemble, rows, *block_coeffs, jumps[:n])
             _accumulate(ln, x0)
 
     def work(paths: slice) -> tuple:
-        return (np.empty((min(block, paths.stop - paths.start), n_steps if ratio.size else 0)),)
+        n = min(block, paths.stop - paths.start)
+        coeffs = ((np.empty((n, n_steps)), np.empty((n, n_steps)), np.empty((n,) + ratio.shape))
+                  if per_path else ())
+        return (np.empty((n, n_steps if ratio.size else 0)), *coeffs)
 
     _over_paths(fill, ensemble.n_paths, work)
     return out

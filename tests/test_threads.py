@@ -34,6 +34,7 @@ def cpus(n):
     with mock.patch("os.sched_getaffinity", return_value=set(range(n))), \
             mock.patch.object(market, "THREAD_MIN_PATHS", 16), \
             mock.patch.object(market, "BLOCK_PATHS", 24), \
+            mock.patch.object(market, "FILL_BLOCK_BYTES", 2**12), \
             mock.patch.object(dual, "REPLICATION_BLOCK_PATHS", 24), \
             mock.patch.object(bsde, "TRANSPOSE_CHUNK", 24), \
             mock.patch("threading.Thread", wraps=Thread) as started:
