@@ -21,10 +21,11 @@ the rank is below the column count, or the condition number exceeds
 :data:`CHOLQR_MAX_COND`.  The deterministic state at t_0 always takes the
 fallback.
 
-With more than one path range (:func:`~duallab.market.path_ranges`), the
-CholeskyQR2 factors are computed ahead of the sweep by one thread, which
-hands back only the small triangular inverses; the sweep applies them to its
-own copy of the design, so the fits are bit-identical to a one-CPU sweep.
+With more than one path range of :data:`SWEEP_THREAD_MIN_PATHS` paths
+(:func:`~duallab.market.path_ranges`), the CholeskyQR2 factors are computed
+ahead of the sweep by one thread, which hands back only the small triangular
+inverses; the sweep applies them to its own copy of the design, so the fits
+are bit-identical to a one-CPU sweep.
 """
 
 from __future__ import annotations
@@ -52,6 +53,11 @@ CHOLQR_MAX_COND = 1e7
 STEP_BLOCK = 16
 # paths per chunk of a transposing copy, so that the rows read stay in cache
 TRANSPOSE_CHUNK = 4096
+# fewest paths per range for which the sweep computes its factors ahead in
+# a thread: at 100 steps on a 2-core Xeon the thread, trading the GIL with
+# the sweep every step, made it 1.2-1.4x slower at 2,048-6,144 paths per
+# range, and 15-21% faster from 16,384 on (BENCH_threads.json, "crossover")
+SWEEP_THREAD_MIN_PATHS = 16384
 
 
 @dataclass(frozen=True)
@@ -392,11 +398,11 @@ def solve_linear_bsde(
     channels the basis reads are evaluated, in the calling thread.
 
     The per-step rows are allocated once per sweep.  With more than one path
-    range, one thread computes each step's CholeskyQR2 factors ahead of the
-    sweep (:func:`_factors_ahead`); the sweep rebuilds the step's design and
-    applies the handed-back inverses itself, and takes the Householder
-    fallback, with its warning, in the calling thread.  The result is
-    bit-identical to a sweep on one CPU.
+    range of :data:`SWEEP_THREAD_MIN_PATHS` paths, one thread computes each
+    step's CholeskyQR2 factors ahead of the sweep (:func:`_factors_ahead`);
+    the sweep rebuilds the step's design and applies the handed-back
+    inverses itself, and takes the Householder fallback, with its warning,
+    in the calling thread.  The result is bit-identical to a sweep on one CPU.
     """
     terminal = np.asarray(terminal, dtype=float)
     if terminal.shape != (ensemble.n_paths,):
@@ -425,7 +431,7 @@ def solve_linear_bsde(
     per_step = []
     constant_steps = 0
     steps = range(grid.n_steps - 1, -1, -1)
-    threaded = len(path_ranges(n_paths)) > 1
+    threaded = len(path_ranges(n_paths, SWEEP_THREAD_MIN_PATHS)) > 1
     with _factors_ahead(builder, steps, (design, q1, work), threaded) as factors:
         for (i, db, dnt), (constant, fac) in zip(_driver_rows(ensemble, steps), factors):
             # a deterministic state (always at t_0) is rank-deficient by

@@ -36,10 +36,14 @@ INADMISSIBLE_FRACTION = "1 + pi*gamma <= 0; candidate inadmissible"
 FILL_BLOCK_BYTES = 2**17
 # paths formatted per write of ensemble_to_csv
 CSV_BLOCK_PATHS = 256
-# fewest paths per thread for which a per-path kernel is split over threads
+# fewest paths per thread for which a per-path kernel is split over threads:
+# at 100 steps on a 2-core Xeon, the Euler loop on two ranges of 2,048 paths
+# took 1.2x its time on one CPU, and every kernel split ran faster from
+# 4,096 paths per range on (BENCH_threads.json, "crossover")
 THREAD_MIN_PATHS = 4096
-# paths per block of a per-path kernel: small enough that a block stays in
-# cache from one pass to the next
+# paths per block of the exact forward fill: small enough that a block stays
+# in cache from one pass to the next (at 50k paths, 1,024 beat 256 by 7% on
+# one CPU and 30% on two)
 BLOCK_PATHS = 1024
 
 
@@ -204,11 +208,6 @@ class PathEnsemble:
         lam = self.model.intensities * self.grid.dt
         return self.jump_counts - lam[None, None, :]
 
-    def compensated_step(self, i: int) -> np.ndarray:
-        """Ntilde increments of step ``i`` only, (n_paths, n_marks): the slice of
-        :attr:`compensated_jumps` without building the whole array."""
-        return self.jump_counts[:, i] - self.model.intensities * self.grid.dt
-
     def attach(self, name: str, values: np.ndarray) -> np.ndarray:
         self.channels[name] = values
         return values
@@ -281,10 +280,11 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def path_ranges(n_paths: int) -> list[slice]:
+def path_ranges(n_paths: int, min_paths: int | None = None) -> list[slice]:
     """Contiguous ranges of paths, one per usable CPU, each of at least
-    :data:`THREAD_MIN_PATHS` paths; one range of every path otherwise."""
-    n = max(1, min(usable_cpus(), n_paths // THREAD_MIN_PATHS))
+    ``min_paths`` (default :data:`THREAD_MIN_PATHS`) paths; one range of
+    every path otherwise."""
+    n = max(1, min(usable_cpus(), n_paths // (min_paths or THREAD_MIN_PATHS)))
     bounds = [n_paths * j // n for j in range(n + 1)]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 

@@ -35,6 +35,11 @@ from duallab.market import (
 
 # ------------------------------------------------------------ forward paths
 
+def _compensated_step(ensemble, i):
+    """Ntilde increments of step ``i``, (n_paths, n_marks)."""
+    return ensemble.jump_counts[:, i] - ensemble.model.intensities * ensemble.grid.dt
+
+
 def log_factors(drift_arr, diff_arr, jump_ratio, intensities, ensemble):
     """Per-step log increments of a stochastic exponential, as a new array."""
     dt = ensemble.grid.dt
@@ -76,7 +81,7 @@ def density_paths(ensemble, control, scheme="exact"):
     for i in range(grid.n_steps):
         inc = theta0[i] * ensemble.brownian_increments[:, i]
         if k:
-            inc = inc + ensemble.compensated_step(i) @ theta1[i]
+            inc = inc + _compensated_step(ensemble, i) @ theta1[i]
         g[:, i + 1] = g[:, i] * (1.0 + inc)
         if np.any(g[:, i + 1] <= 0):
             raise ValueError(f"Euler density lost positivity at step {i + 1}")
@@ -158,13 +163,13 @@ def wealth_paths(model, ensemble, kind, values, x0, mu=None, scheme="exact"):
             else:
                 inc = pi * (b[i] * dt + s[i] * ensemble.brownian_increments[:, i])
                 if gam.size:
-                    inc = inc + pi * (ensemble.compensated_step(i) @ gam[i])
+                    inc = inc + pi * (_compensated_step(ensemble, i) @ gam[i])
                 x[:, i + 1] = x[:, i] * (1.0 + inc)
                 _check_positive(x[:, i + 1], i)
         else:
             inc = b[i] * dt + s[i] * ensemble.brownian_increments[:, i]
             if gam.size:
-                inc = inc + ensemble.compensated_step(i) @ gam[i]
+                inc = inc + _compensated_step(ensemble, i) @ gam[i]
             x[:, i + 1] = x[:, i] + vals * spot[:, i] * inc
             _check_positive(x[:, i + 1], i)
     return x
@@ -184,7 +189,7 @@ def replication_check(model, phi, x0, target, ensemble, mu=None):
     for i in range(grid.n_steps):
         inc = b[i] * dt + s[i] * ensemble.brownian_increments[:, i]
         if model.n_marks:
-            inc = inc + ensemble.compensated_step(i) @ gam[i]
+            inc = inc + _compensated_step(ensemble, i) @ gam[i]
         x = x + phi[:, i] * spot[:, i] * inc
         nonpositive += int(np.sum(x <= 0))
     rel = (x - target) / target

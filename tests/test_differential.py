@@ -331,11 +331,11 @@ def test_scenario_without_martingale_measure_raises_like_loop():
 
 # ---------------------------------------------------------- backward sweep
 
-def _assert_sweep_matches(triple, ref):
+def _assert_sweep_matches(triple, ref, gate=1e-10):
     p, q, r, per_step = ref
     for new, old in ((triple.p, p), (triple.q, q), (triple.r, r)):
         if old.size:
-            assert np.max(np.abs(new - old)) <= 1e-10 * np.max(np.abs(old))
+            assert np.max(np.abs(new - old)) <= gate * np.max(np.abs(old))
     mine = triple.diagnostics["per_step"]
     assert [s["rank"] for s in mine] == [s["rank"] for s in per_step]
     for a, b in zip(mine, per_step):
@@ -400,21 +400,25 @@ def _degenerate_state_case(kind, eps, jumps, seed):
     return ens, state, s[:, -1] - 1.0
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(["constant", "collinear", "near"]), eps=st.floats(1.2e-3, 4e-3),
        jumps=st.booleans(), seed=st.integers(0, 2**31 - 1))
-# the most and the least collinear draws; the last one broke the gate when
-# steps above cond 1e6 took the Householder fallback
+# the most and the least collinear draws, and two that broke a 1e-10 gate
+# against lstsq: the first when steps above cond 1e6 took the Householder
+# fallback, the second through lstsq's own error
 @example(kind="near", eps=1.2e-3, jumps=True, seed=1)
 @example(kind="near", eps=1.35e-3, jumps=False, seed=2)
 @example(kind="near", eps=4e-3, jumps=True, seed=2)
 @example(kind="near", eps=1.2e-3, jumps=True, seed=3904738)
+@example(kind="near", eps=1.2e-3, jumps=True, seed=717)
 def test_sweep_fallback_matches_lstsq(kind, eps, jumps, seed):
     # near-collinear log-states put the per-step condition number at about
     # 1.1e5 to 1.5e6 here, inside CholeskyQR2's accepted range, so only the
-    # rank-deficient steps take the fallback; well above that range the lstsq
-    # oracle and a Householder QR themselves drift apart by more than 1e-10
-    # in q and r
+    # rank-deficient steps take the fallback.  There the sweep's values are
+    # judged against the long-double sweep: a float64 Householder or SVD
+    # fit, lstsq's included, is off the truth by up to about u * cond (lstsq
+    # by 1.8e-10 at cond 1.4e6), while CholeskyQR2 stays within
+    # LONG_DOUBLE_GATE (it fails that gate with CHOLQR_MAX_COND = 1e6)
     ens, state, terminal = _degenerate_state_case(kind, eps, jumps, seed)
     with warnings.catch_warnings(record=True) as ref_warned:
         warnings.simplefilter("always")
@@ -423,7 +427,12 @@ def test_sweep_fallback_matches_lstsq(kind, eps, jumps, seed):
             mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as qr:
         warnings.simplefilter("always")
         triple = dl.martingale_representation(ens, terminal, state=state)
-    _assert_sweep_matches(triple, ref)
+    if kind == "near":
+        p, q, r, ranks = oracles.long_double_sweep(ens, terminal, state=state)
+        assert ranks == [st["rank"] for st in ref[3]]
+        _assert_sweep_matches(triple, (p, q, r, ref[3]), gate=LONG_DOUBLE_GATE)
+    else:
+        _assert_sweep_matches(triple, ref)
     # the steps that must take the Householder fallback: rank-deficient
     # (always t_0) or conditioned beyond CholeskyQR2's accepted range
     n_columns = triple.diagnostics["n_columns"]
@@ -439,23 +448,26 @@ def test_sweep_fallback_matches_lstsq(kind, eps, jumps, seed):
         assert len(warned) == (kind == "collinear")
 
 
-@settings(max_examples=20, deadline=None)
-@given(eps=st.floats(1.2e-3, 4e-3), jumps=st.booleans(), seed=st.integers(0, 2**31 - 1))
-# the draw that broke the lstsq gate, and one where lstsq's own r is 1.8e-10
-# off the long-double sweep
-@example(eps=1.2e-3, jumps=True, seed=3904738)
-@example(eps=1.2e-3, jumps=True, seed=717)
-def test_near_collinear_sweep_matches_long_double_sweep(eps, jumps, seed):
-    # condition numbers up to about 1.5e6: CholeskyQR2 holds every step past
-    # t_0 within LONG_DOUBLE_GATE of the truth; the Householder fallback that
-    # took these steps while CHOLQR_MAX_COND was 1e6 was off by up to 1.7e-10
-    ens, state, terminal = _degenerate_state_case("near", eps, jumps, seed)
-    triple = dl.martingale_representation(ens, terminal, state=state)
+@pytest.mark.parametrize("jumps, seed", [(True, 0), (False, 1), (True, 2)])
+def test_sweep_above_cholqr_range_takes_householder(jumps, seed):
+    # relative noise 1e-4 puts every step past t_0 at cond 1.5e8 to 2.1e8,
+    # above CHOLQR_MAX_COND: each takes the Householder fallback, whose
+    # error is that of any float64 least-squares fit, up to about u * cond
+    # (at most 0.5 u * cond over 60 seeds)
+    ens, state, terminal = _degenerate_state_case("near", 1e-4, jumps, seed)
+    with mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as qr:
+        triple = dl.martingale_representation(ens, terminal, state=state)
+    per_step = triple.diagnostics["per_step"]
     p, q, r, ranks = oracles.long_double_sweep(ens, terminal, state=state)
-    assert [step["rank"] for step in triple.diagnostics["per_step"]] == ranks
+    assert [step["rank"] for step in per_step] == ranks
+    conds = [step["cond"] for step in per_step[1:]]
+    assert min(conds) > CHOLQR_MAX_COND
+    # one Householder QR per step: t_0 (rank-deficient) and every step above
+    assert qr.call_count == 20
+    gate = np.finfo(float).eps * max(conds)
     for new, truth in ((triple.p, p), (triple.q, q), (triple.r, r)):
         if truth.size:
-            assert np.max(np.abs(new - truth)) <= LONG_DOUBLE_GATE * np.max(np.abs(truth))
+            assert np.max(np.abs(new - truth)) <= gate * np.max(np.abs(truth))
 
 
 @pytest.mark.parametrize("jumps", [False, True])

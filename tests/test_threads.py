@@ -1,11 +1,10 @@
 """The per-path layers split over threads against the same layers on one CPU.
 
-The forward kernels, the Euler scheme, the replicating portfolio, the
-transposing copies and the factor-ahead thread of the backward sweep must
-give the same bits on any number of threads.  The one-CPU side is pinned by
-``os.sched_getaffinity``; the split threshold and the block sizes are
-lowered so that 200 paths make several ranges of several blocks each, the
-last ones partial.
+The forward kernels, the Euler scheme, the replicating portfolio and the
+factor-ahead thread of the backward sweep must give the same bits on any
+number of threads.  The one-CPU side is pinned by ``os.sched_getaffinity``;
+the split thresholds and the block sizes are lowered so that 200 paths make
+several ranges of several blocks each, the last ones partial.
 """
 
 import contextlib
@@ -29,14 +28,14 @@ Thread = threading.Thread
 
 @contextlib.contextmanager
 def cpus(n):
-    """``n`` usable CPUs, a split from 16 paths per thread and small blocks;
+    """``n`` usable CPUs, splits from 16 paths per thread and small blocks;
     yields a mock that counts the threads started."""
     with mock.patch("os.sched_getaffinity", return_value=set(range(n))), \
             mock.patch.object(market, "THREAD_MIN_PATHS", 16), \
             mock.patch.object(market, "BLOCK_PATHS", 24), \
             mock.patch.object(market, "FILL_BLOCK_BYTES", 2**12), \
             mock.patch.object(dual, "REPLICATION_BLOCK_PATHS", 24), \
-            mock.patch.object(bsde, "TRANSPOSE_CHUNK", 24), \
+            mock.patch.object(bsde, "SWEEP_THREAD_MIN_PATHS", 16), \
             mock.patch("threading.Thread", wraps=Thread) as started:
         yield started
 
@@ -145,6 +144,20 @@ def test_sweeps_bit_identical_on_every_cpu_count(case, driver, collinear):
     assert one.diagnostics == three.diagnostics
     assert one_warned == three_warned and len(one_warned) >= collinear
     assert one_report == three_report
+
+
+@pytest.mark.parametrize("per_range, threaded", [(bsde.SWEEP_THREAD_MIN_PATHS - 1, False),
+                                                (bsde.SWEEP_THREAD_MIN_PATHS, True)])
+def test_the_sweep_starts_its_thread_from_its_own_threshold(base_model, per_range, threaded):
+    # below SWEEP_THREAD_MIN_PATHS paths per range the factor-ahead thread
+    # costs more than it saves, though the forward kernels split there
+    assert per_range >= market.THREAD_MIN_PATHS
+    ens = dl.simulate_drivers(base_model, dl.TimeGrid(4, 1.0), 2 * per_range, seed=5)
+    s = dl.price_paths(base_model, ens)
+    with mock.patch("os.sched_getaffinity", return_value={0, 1}), \
+            mock.patch("threading.Thread", wraps=Thread) as started:
+        dl.solve_linear_bsde(ens, s[:, -1], state={"S": s})
+    assert started.call_count == threaded
 
 
 def test_an_error_in_a_later_range_reaches_the_caller():
