@@ -9,12 +9,13 @@ implicit affine solve in p.
 
 The sweep works on contiguous per-step rows.  The log-state, p, q and r are
 stored time-major, (n_steps + 1, n_paths) per channel, and p, q and r are
-returned as transposed views of shape (n_paths, ...).  The drivers are read
-:data:`STEP_BLOCK` steps at a time through a transposed copy of that block
-only.  Each step's design A is factored once by CholeskyQR2 (Fukaya,
-Nakatsukasa, Yanagisawa and Yamamoto 2014): the Cholesky factor R1 of the
-Gram matrix, Q1 = A R1^-1, the same once more for R2, and an SVD of R2 R1 for
-rank and condition number.  CholeskyQR2 is accurate only while cond(A) stays
+returned as transposed views of shape (n_paths, ...).  dB is read
+:data:`STEP_BLOCK` steps at a time through one transposed buffer of that
+many rows, and each step's compensated jumps are built from its events.
+Each step's design A is factored once by CholeskyQR2 (Fukaya, Nakatsukasa,
+Yanagisawa and Yamamoto 2014): the Cholesky factor R1 of the Gram matrix,
+Q1 = A R1^-1, the same once more for R2, and an SVD of R2 R1 for rank and
+condition number.  CholeskyQR2 is accurate only while cond(A) stays
 well below u^(-1/2), about 1e8, so a step falls back to a Householder thin QR
 plus an SVD of its triangular factor when the Cholesky factorisation fails,
 the rank is below the column count, or the condition number exceeds
@@ -49,7 +50,7 @@ IMPLICIT_STEP_TOL = 1e-8
 # Householder fallback: inside CholeskyQR2's accurate range (about 1e8); below
 # it, CholeskyQR2 is closer to a long-double sweep than the fallback
 CHOLQR_MAX_COND = 1e7
-# steps of the drivers read per transposed block (6.4 MB per array at 50k paths)
+# steps of dB read per transposed block (6.4 MB at 50k paths, one buffer a sweep)
 STEP_BLOCK = 16
 # paths per chunk of a transposing copy, so that the rows read stay in cache
 TRANSPOSE_CHUNK = 4096
@@ -148,10 +149,12 @@ def _rank_cond(sv: np.ndarray, shape) -> tuple[int, float]:
     return rank, (float(sv[0] / sv[rank - 1]) if rank else math.inf)
 
 
-def _time_major(values: np.ndarray) -> np.ndarray:
+def _time_major(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """A C-contiguous copy of ``values`` with the leading path axis moved last,
-    copied one chunk of :data:`TRANSPOSE_CHUNK` paths at a time."""
-    out = np.empty(values.shape[1:] + values.shape[:1])
+    copied one chunk of :data:`TRANSPOSE_CHUNK` paths at a time, into ``out``
+    when given."""
+    if out is None:
+        out = np.empty(values.shape[1:] + values.shape[:1])
     for start in range(0, values.shape[0], TRANSPOSE_CHUNK):
         chunk = slice(start, start + TRANSPOSE_CHUNK)
         out[..., chunk] = np.moveaxis(values[chunk], 0, -1)
@@ -208,23 +211,22 @@ def _cholqr2(a: np.ndarray, q1: np.ndarray, tmp: np.ndarray) -> _Cholqr2 | None:
 
 def _driver_rows(ensemble: PathEnsemble, steps):
     """(i, dB_i, dNtilde_i) for each step i of ``steps``, as contiguous rows
-    (n_paths,) and (n_marks, n_paths).
+    (n_paths,) and (n_marks, n_paths), valid until the next step is read.
 
-    The drivers are read through a transposed copy of the block of
-    :data:`STEP_BLOCK` steps holding i, so no whole transposed driver array
-    is ever built.
+    dB is read through a transposed copy of the block of :data:`STEP_BLOCK`
+    steps holding i, and dNtilde is built from the step's jump events; one
+    buffer of each serves the whole sweep.
     """
     n_steps = ensemble.grid.n_steps
-    lam = (ensemble.model.intensities * ensemble.grid.dt)[:, None]
+    db = np.empty((min(STEP_BLOCK, n_steps), ensemble.n_paths))
+    dnt = np.empty((ensemble.model.n_marks, ensemble.n_paths))
     lo = hi = 0
     for i in steps:
         if not lo <= i < hi:
             lo = i - i % STEP_BLOCK
             hi = min(lo + STEP_BLOCK, n_steps)
-            db = _time_major(ensemble.brownian_increments[:, lo:hi])
-            dnt = _time_major(ensemble.jump_counts[:, lo:hi])
-            dnt -= lam
-        yield i, db[i - lo], dnt[i - lo]
+            _time_major(ensemble.brownian_increments[:, lo:hi], db[:hi - lo])
+        yield i, db[i - lo], ensemble.compensated_step(i, dnt)
 
 
 class _BasisBuilder:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -23,9 +24,13 @@ class ConfigError(ValueError):
 
 MODES = ("simulate", "primal", "dual", "robust", "bridge-check", "convergence")
 
-# largest driver arrays a run may simulate, paths * steps * (1 + marks) * 8
-# bytes; a run holds several path arrays of that order at once
+# largest driver storage a run may simulate: dB, paths * steps * 8 bytes, plus
+# the jump events (see _check_driver_bytes); a run holds several path arrays
+# of dB's size at once
 MAX_DRIVER_BYTES = 2**29
+# a mark's events are counted at a bound its Poisson total of jumps exceeds
+# with probability below exp(-EVENT_TAIL_LOG), about 1e-12
+EVENT_TAIL_LOG = 27.6
 
 _SCHEMA: dict[str, Any] = {
     "market": {"drift": float, "vol": float, "s0": float, "horizon": float, "jumps": list},
@@ -168,9 +173,23 @@ def validate_config(raw: dict) -> ExperimentConfig:
     return cfg
 
 
+def _event_bound(mean: float, cells: int) -> int:
+    """At most ``cells``, and at least the Poisson(``mean``) total of jumps
+    that bounds a mark's nonzero cells, but for a tail of exp(-EVENT_TAIL_LOG):
+    by Bernstein's inequality, P(N >= mean + t) <= exp(-t^2 / (2 (mean + t/3)))."""
+    x = EVENT_TAIL_LOG
+    t = x / 3 + math.sqrt(x * x / 9 + 2 * mean * x)
+    return min(cells, math.ceil(mean + t))
+
+
 def _check_driver_bytes(cfg: ExperimentConfig) -> None:
-    """Refuse a run whose driver arrays exceed :data:`MAX_DRIVER_BYTES`,
+    """Refuse a run whose driver storage exceeds :data:`MAX_DRIVER_BYTES`,
     before anything of that size (the time grid included) is allocated.
+
+    The storage is dB, 8 bytes per (path, step), plus each mark's jump
+    events at :func:`_event_bound`, 20 + 8 * marks bytes each: an int32
+    path and a float64 count in step order, and at most one cell of the
+    path-ordered table (int32 path and step, one float64 count per mark).
     A convergence run is sized by the largest entry of its ladders."""
     ladder = cfg.raw.get("convergence", {}) if cfg.mode == "convergence" else {}
     try:
@@ -181,8 +200,10 @@ def _check_driver_bytes(cfg: ExperimentConfig) -> None:
             from exc
     field, paths = ("convergence.paths", ladder_paths) if ladder_paths > cfg.n_paths \
         else ("mc.paths", cfg.n_paths)
-    marks = len(cfg.raw["market"].get("jumps", []) or [])
-    need = paths * steps * (1 + marks) * 8
+    model = cfg.market_model()
+    marks = model.n_marks
+    need = paths * steps * 8 + (20 + 8 * marks) * sum(
+        _event_bound(paths * lam * model.horizon, paths * steps) for lam in model.jump_intensities)
     if need > MAX_DRIVER_BYTES:
         raise ConfigError(
             f"{field} = {paths} with {steps} steps and {marks} jump mark(s) needs "

@@ -36,6 +36,9 @@ INADMISSIBLE_FRACTION = "1 + pi*gamma <= 0; candidate inadmissible"
 FILL_BLOCK_BYTES = 2**17
 # paths formatted per write of ensemble_to_csv
 CSV_BLOCK_PATHS = 256
+# paths per Poisson draw of simulate_drivers: only the nonzero counts of a
+# chunk are kept (4096 x 100 steps is 3.3 MB of int64 per mark)
+POISSON_CHUNK_PATHS = 4096
 # fewest paths per thread for which a per-path kernel is split over threads:
 # at 100 steps on a 2-core Xeon, the Euler loop on two ranges of 2,048 paths
 # took 1.2x its time on one CPU, and every kernel split ran faster from
@@ -184,11 +187,92 @@ def perturbed_model(model: MarketModel, mu) -> MarketModel:
     )
 
 
+@dataclass(frozen=True, eq=False)
+class JumpEvents:
+    """The Poisson jump counts of an ensemble as events: the nonzero cells of
+    a (n_paths, n_steps, n_marks) count array, 99% zeros at lambda dt = 0.01.
+
+    Each mark's events are sorted by step, then by path: those of mark k at
+    step i are ``offsets[k * n_steps + i]`` to ``offsets[k * n_steps + i + 1]``
+    of ``paths`` (int32) and ``counts`` (float64, at least 1).  ``cells``
+    holds the same counts path by path for the exact forward fill:
+    (path, step) pairs that hold a jump of any mark, sorted by path and then
+    by step, as (paths int32, steps int32, counts (n_cells, n_marks)).
+    """
+
+    n_paths: int
+    n_steps: int
+    n_marks: int
+    offsets: np.ndarray
+    paths: np.ndarray
+    counts: np.ndarray
+    cells: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+    @classmethod
+    def from_chunks(cls, n_paths: int, n_steps: int, n_marks: int, chunks) -> "JumpEvents":
+        """The events of ``chunks``, pairs of (first path, a C-ordered
+        (paths, n_steps, n_marks) count array), in path order; each array is
+        dropped once its nonzero cells are read."""
+        found = []
+        for start, chunk in chunks:
+            if not chunk.size:
+                continue
+            flat = chunk.ravel()
+            nonzero = np.flatnonzero(flat)
+            path, cell = np.divmod(nonzero, n_steps * n_marks)
+            found.append((path + start, *np.divmod(cell, n_marks), flat[nonzero]))
+        path, step, mark, count = (np.concatenate(a) for a in zip(*found)) if found \
+            else (np.zeros(0, dtype=np.intp),) * 4
+        path, step, count = path.astype(np.int32), step.astype(np.int32), count.astype(float)
+        # path order already: one cell per run of equal (path, step)
+        first = np.ones(path.size, dtype=bool)
+        first[1:] = (path[1:] != path[:-1]) | (step[1:] != step[:-1])
+        cell_counts = np.zeros((int(first.sum()), n_marks))
+        cell_counts[np.cumsum(first) - 1, mark] = count
+        # mark and step order, paths ascending within a step
+        key = mark * n_steps + step
+        order = np.argsort(key, kind="stable")
+        offsets = np.zeros(n_marks * n_steps + 1, dtype=np.int64)
+        np.cumsum(np.bincount(key, minlength=n_marks * n_steps), out=offsets[1:])
+        return cls(n_paths, n_steps, n_marks, offsets, path[order], count[order],
+                   (path[first], step[first], cell_counts))
+
+    @classmethod
+    def from_dense(cls, counts) -> "JumpEvents":
+        """The events of a dense (n_paths, n_steps, n_marks) count array."""
+        counts = np.ascontiguousarray(counts, dtype=float)
+        if counts.ndim != 3:
+            raise ValueError("jump counts must be a (n_paths, n_steps, n_marks) array")
+        return cls.from_chunks(*counts.shape, [(0, counts)])
+
+    def step(self, mark: int, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """The paths (ascending) and counts of the events of ``mark`` at step ``i``."""
+        events = slice(*self.offsets[mark * self.n_steps + i:][:2])
+        return self.paths[events], self.counts[events]
+
+    def of_mark(self, mark: int) -> tuple[np.ndarray, np.ndarray]:
+        """The paths and counts of every event of ``mark``."""
+        events = slice(self.offsets[mark * self.n_steps], self.offsets[(mark + 1) * self.n_steps])
+        return self.paths[events], self.counts[events]
+
+    def dense(self) -> np.ndarray:
+        """The (n_paths, n_steps, n_marks) count array: for tests and
+        references, read by no solver."""
+        out = np.zeros((self.n_paths, self.n_steps, self.n_marks))
+        key = np.repeat(np.arange(self.n_marks * self.n_steps), np.diff(self.offsets))
+        mark, step = np.divmod(key, self.n_steps)
+        out[self.paths, step, mark] = self.counts
+        return out
+
+
 @dataclass
 class PathEnsemble:
     """Simulated driving noise plus derived path channels.
 
-    The driver arrays are frozen after generation; derived channels (price,
+    The drivers are dB, a (n_paths, n_steps) array, and the Poisson jump
+    counts, stored as :class:`JumpEvents`; a dense (n_paths, n_steps,
+    n_marks) count array given to the constructor is converted to events
+    once.  The drivers are frozen after generation; derived channels (price,
     wealth, density, adjoints) are attached by the operations that compute
     them, the price S on its first read through :meth:`channel`.  Per-path
     computations are pure functions of the drivers.
@@ -199,14 +283,46 @@ class PathEnsemble:
     n_paths: int
     seed: int
     brownian_increments: np.ndarray  # (n_paths, n_steps)
-    jump_counts: np.ndarray          # (n_paths, n_steps, n_marks)
+    jumps: JumpEvents                # or a dense (n_paths, n_steps, n_marks) array
     channels: dict[str, np.ndarray] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.jumps, JumpEvents):
+            self.jumps = JumpEvents.from_dense(self.jumps)
+        shape = (self.jumps.n_paths, self.jumps.n_steps, self.jumps.n_marks)
+        if shape != (self.n_paths, self.grid.n_steps, self.model.n_marks):
+            raise ValueError(f"jump counts of shape {shape} do not match "
+                             f"(n_paths, n_steps, n_marks) = "
+                             f"{(self.n_paths, self.grid.n_steps, self.model.n_marks)}")
+
+    @property
+    def jump_counts(self) -> np.ndarray:
+        """Dense jump counts per (path, step, mark), built on every access:
+        for tests and references, read by no solver."""
+        return self.jumps.dense()
 
     @property
     def compensated_jumps(self) -> np.ndarray:
-        """Ntilde increments: count - intensity*dt, per (path, step, mark)."""
+        """Dense Ntilde increments, count - intensity*dt, per (path, step,
+        mark), built on every access: for tests and references, read by no
+        solver (see :meth:`compensated_step`)."""
         lam = self.model.intensities * self.grid.dt
         return self.jump_counts - lam[None, None, :]
+
+    def compensated_step(self, i: int, out: np.ndarray, paths: slice | None = None) -> np.ndarray:
+        """Ntilde increments of step ``i``, count - intensity*dt, on the paths
+        of the range ``paths`` (every path by default), written into the
+        (n_marks, paths) array ``out`` and returned."""
+        lam = self.model.intensities * self.grid.dt
+        start, stop = (0, self.n_paths) if paths is None else (paths.start, paths.stop)
+        for mark, row in enumerate(out):
+            row.fill(0.0 - lam[mark])
+            where, counts = self.jumps.step(mark, i)
+            if paths is not None:
+                lo, hi = np.searchsorted(where, (start, stop))
+                where, counts = where[lo:hi], counts[lo:hi]
+            row[where - start] = counts - lam[mark]
+        return out
 
     def attach(self, name: str, values: np.ndarray) -> np.ndarray:
         self.channels[name] = values
@@ -232,14 +348,17 @@ class PathEnsemble:
         design of the control-variate regression and of the constant-control
         terminal values (:func:`terminal_log_wealth`).
 
-        The sums are written into the design's columns, and the compensated
-        jump totals are N_T - lambda T, so no (path, step, mark) array is built.
+        B_T is summed into its column; the compensated jump totals are
+        N_T - lambda T, with N_T a per-path count of the events (a sum of
+        integers, so exact).
         """
         design = np.empty((self.n_paths, 2 + self.model.n_marks))
         design[:, 0] = 1.0
         self.brownian_increments.sum(axis=1, out=design[:, 1])
         jumps = design[:, 2:]
-        self.jump_counts.sum(axis=1, out=jumps)
+        for mark in range(self.model.n_marks):
+            where, counts = self.jumps.of_mark(mark)
+            jumps[:, mark] = np.bincount(where, weights=counts, minlength=self.n_paths)
         jumps -= self.model.intensities * self.grid.horizon
         return design
 
@@ -258,7 +377,11 @@ def simulate_drivers(
 
     The generator is counter-based (Philox keyed by the seed), so identical
     inputs give bit-identical ensembles and block generation is order
-    independent.
+    independent.  dB is drawn whole, then the counts one chunk of
+    :data:`POISSON_CHUNK_PATHS` paths at a time, of which only the nonzero
+    cells are kept (:class:`JumpEvents`).  The draws consume the stream in
+    the order of one (n_paths, n_steps, n_marks) draw, so the counts are
+    bit-identical to it.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -266,13 +389,12 @@ def simulate_drivers(
     rng = np.random.Generator(np.random.Philox(key=seed))
     dt = grid.dt
     db = rng.normal(0.0, math.sqrt(dt), size=(n_paths, grid.n_steps))
-    k = model.n_marks
-    if k:
-        lam = model.intensities * dt
-        counts = rng.poisson(lam=lam, size=(n_paths, grid.n_steps, k)).astype(float)
-    else:
-        counts = np.zeros((n_paths, grid.n_steps, 0))
-    return PathEnsemble(model, grid, n_paths, seed, db, counts)
+    lam = model.intensities * dt
+    chunks = ((start, rng.poisson(lam=lam, size=(min(POISSON_CHUNK_PATHS, n_paths - start),
+                                                 grid.n_steps, lam.size)))
+              for start in range(0, n_paths if lam.size else 0, POISSON_CHUNK_PATHS))
+    jumps = JumpEvents.from_chunks(n_paths, grid.n_steps, lam.size, chunks)
+    return PathEnsemble(model, grid, n_paths, seed, db, jumps)
 
 
 def usable_cpus() -> int:
@@ -334,10 +456,9 @@ def _blocks(paths: slice, size: int):
         yield slice(start, min(start + size, paths.stop))
 
 
-def _log_increments(dest, ensemble: PathEnsemble, rows, drift, diff, ratio, jumps) -> None:
+def _log_increments(dest, ensemble: PathEnsemble, rows, drift, diff, ratio) -> None:
     """Write the exact log increments of the path rows ``rows`` (a slice) into
-    ``dest``: (drift - diff**2/2 - ratio @ nu) dt + diff dB + sum_k N_k ln(1 + ratio_k),
-    with the jump sum formed in ``jumps``, an array shaped like ``dest``.
+    ``dest``: (drift - diff**2/2 - ratio @ nu) dt + diff dB + sum_k N_k ln(1 + ratio_k).
 
     The coefficients are per step, ``drift`` and ``diff`` (n_steps,) and
     ``ratio`` (n_steps, n_marks), or per path and step, with a leading axis
@@ -359,8 +480,19 @@ def _log_increments(dest, ensemble: PathEnsemble, rows, drift, diff, ratio, jump
         dt_term -= (ratio.reshape(-1, k) @ ensemble.model.intensities).reshape(dt_term.shape)
     dest += dt_term * ensemble.grid.dt
     if ratio.size:
-        dest += np.einsum("...k,...k->...", ensemble.jump_counts[rows], np.log1p(ratio),
-                          out=jumps)
+        _add_jumps(dest, ensemble, rows, ratio)
+
+
+def _add_jumps(dest, ensemble: PathEnsemble, rows, ratio) -> None:
+    """Add sum_k N_k ln(1 + ratio_k) to the log increments ``dest`` of the
+    path rows ``rows``, at the cells that hold a jump only (elsewhere the sum
+    is zero); ``ratio`` as in :func:`_log_increments`.  Each cell's sum is
+    the einsum of a dense count array's, so it rounds the same."""
+    paths, steps, counts = ensemble.jumps.cells
+    cells = slice(*np.searchsorted(paths, (rows.start, rows.stop)))
+    p, i = paths[cells] - rows.start, steps[cells]
+    log_ratio = np.log1p(ratio[p, i] if ratio.ndim == 3 else ratio[i])
+    dest[p, i] += np.einsum("...k,...k->...", counts[cells], log_ratio)
 
 
 def _accumulate(ln: np.ndarray, x0: float) -> None:
@@ -404,7 +536,7 @@ def _exp_paths(ensemble: PathEnsemble, x0: float, drift, diff, ratio, frac=None)
     block = (max(1, FILL_BLOCK_BYTES // (8 * n_steps * max(1, ratio.shape[1])))
              if per_path else BLOCK_PATHS)
 
-    def fill(paths: slice, jumps: np.ndarray, *coeffs: np.ndarray) -> None:
+    def fill(paths: slice, *coeffs: np.ndarray) -> None:
         for rows in _blocks(paths, block):
             n = rows.stop - rows.start
             out[rows, 0] = x0
@@ -416,14 +548,13 @@ def _exp_paths(ensemble: PathEnsemble, x0: float, drift, diff, ratio, frac=None)
                                 np.multiply(f[..., None], ratio, out=f_ratio))
             else:
                 block_coeffs = (drift, diff, ratio)
-            _log_increments(ln, ensemble, rows, *block_coeffs, jumps[:n])
+            _log_increments(ln, ensemble, rows, *block_coeffs)
             _accumulate(ln, x0)
 
     def work(paths: slice) -> tuple:
         n = min(block, paths.stop - paths.start)
-        coeffs = ((np.empty((n, n_steps)), np.empty((n, n_steps)), np.empty((n,) + ratio.shape))
-                  if per_path else ())
-        return (np.empty((n, n_steps if ratio.size else 0)), *coeffs)
+        return ((np.empty((n, n_steps)), np.empty((n, n_steps)), np.empty((n,) + ratio.shape))
+                if per_path else ())
 
     _over_paths(fill, ensemble.n_paths, work)
     return out
@@ -442,7 +573,6 @@ def _euler_paths(ensemble: PathEnsemble, x0: float, drift, diff, ratio, exposure
     number of threads.
     """
     grid = ensemble.grid
-    lam = ensemble.model.intensities * grid.dt
     rows = np.empty((grid.n_steps + 1, ensemble.n_paths))
 
     def fill(paths: slice, jumps: np.ndarray, aux: np.ndarray) -> None:
@@ -453,14 +583,14 @@ def _euler_paths(ensemble: PathEnsemble, x0: float, drift, diff, ratio, exposure
             ret = np.multiply(diff[i], ensemble.brownian_increments[paths, i], out=x[i + 1])
             ret += drift[i] * grid.dt
             if ratio.size:
-                np.subtract(ensemble.jump_counts[paths, i], lam, out=jumps)
+                ensemble.compensated_step(i, jumps.T, paths)
                 ret += np.matmul(jumps, ratio[i], out=aux)
             ret *= exposure(i, x[i], paths, aux)
             ret += x[i]
 
     def work(paths: slice) -> tuple:
         n = paths.stop - paths.start
-        return np.empty((n, lam.size)), np.empty(n)
+        return np.empty((n, ensemble.model.n_marks)), np.empty(n)
 
     _over_paths(fill, ensemble.n_paths, work)
     return rows.T
@@ -620,7 +750,7 @@ def _terminal_log(ensemble: PathEnsemble, x0: float, drift, diff, ratio,
     columns: ``design @ W``, with W's first row the sum of the dt-terms plus
     the jump compensator sum_k lambda_k T ln(1 + ratio_k) (N_T = Ntilde_T +
     lambda T), then diff and ln(1 + ratio).  Otherwise the path dependence
-    is one GEMM over dB and one over the jump counts.
+    is one GEMM over dB plus the jump sums at the events.
     """
     dt = ensemble.grid.dt
     intensities = ensemble.model.intensities
@@ -638,13 +768,16 @@ def _terminal_log(ensemble: PathEnsemble, x0: float, drift, diff, ratio,
 
 def _per_step_terminal_log(ensemble: PathEnsemble, dt_term, diff, ratio, out) -> np.ndarray:
     """The fallback of :func:`_terminal_log`: ``dt_term`` (C,) plus one GEMM
-    over the per-step dB and one over the per-step jump counts."""
+    over the per-step dB, then the jump sum of each step and mark added at
+    its events."""
     ln = np.matmul(ensemble.brownian_increments, diff, out=out)
     ln += dt_term
-    if ratio.size:
-        n_steps, n_cand, k = ratio.shape
-        counts = ensemble.jump_counts.reshape(ensemble.n_paths, n_steps * k)
-        ln += counts @ np.log1p(ratio).transpose(0, 2, 1).reshape(n_steps * k, n_cand)
+    n_steps, _, n_marks = ratio.shape
+    log_ratio = np.log1p(ratio)
+    for mark in range(n_marks):
+        for i in range(n_steps):
+            where, counts = ensemble.jumps.step(mark, i)
+            ln[where] += np.multiply.outer(counts, log_ratio[i, :, mark])
     return ln
 
 

@@ -12,25 +12,67 @@ time), the per-path exact fill one column at a time, and a ``csv.writer``
 call per CSV row, and the conjugacy oracle polished one test point at a
 time by scipy's bounded Brent search.  They stay out of the package on
 purpose; the tests compare the package against them.
+
+:func:`dense_jumps` puts back the dense-count readers that the jump events
+replaced (the exact fill's einsum over the counts of every (path, step),
+the per-step compensated counts of the Euler loop and of the backward sweep,
+and the summed counts of the terminal design), so that the package can be
+run once on each and compared bit for bit.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from duallab import market
 from duallab.bsde import DriverSpec, RegressionBasis, _monomial_exponents
 from duallab.dual import ScenarioControl
 from duallab.market import (
     DEGENERATE_VOL,
     THETA1_FLOOR,
     AdmissibilityError,
+    PathEnsemble,
     _mu_on_grid,
 )
+
+
+# ------------------------------------------------------- dense jump readers
+
+def _dense_add_jumps(dest, ensemble, rows, ratio):
+    dest += np.einsum("...k,...k->...", ensemble.jump_counts[rows], np.log1p(ratio))
+
+
+def _dense_compensated_step(ensemble, i, out, paths=None):
+    lam = ensemble.model.intensities * ensemble.grid.dt
+    out[...] = np.subtract(ensemble.jump_counts[paths or slice(None), i], lam).T
+    return out
+
+
+def _dense_terminal_design(ensemble):
+    design = np.empty((ensemble.n_paths, 2 + ensemble.model.n_marks))
+    design[:, 0] = 1.0
+    ensemble.brownian_increments.sum(axis=1, out=design[:, 1])
+    jumps = design[:, 2:]
+    ensemble.jump_counts.sum(axis=1, out=jumps)
+    jumps -= ensemble.model.intensities * ensemble.grid.horizon
+    return design
+
+
+@contextlib.contextmanager
+def dense_jumps():
+    """The package's jump readers replaced by the dense-count forms they
+    replaced, each reading ``ensemble.jump_counts``."""
+    with mock.patch.object(market, "_add_jumps", _dense_add_jumps), \
+            mock.patch.object(PathEnsemble, "compensated_step", _dense_compensated_step), \
+            mock.patch.object(PathEnsemble, "terminal_design", _dense_terminal_design):
+        yield
 
 
 # ------------------------------------------------------------ forward paths

@@ -1,24 +1,29 @@
-"""Peak memory of the forward paths, the candidate search and the backward sweep.
+"""Peak memory of the driver draw, the forward paths, the candidate search and
+the backward sweep.
 
-Each forward function writes its log increments into the output array and
-sums, exponentiates and scales them there, so its peak allocation is the
-output plus at most one (n_paths, n_steps) temporary: the jump term of a
-per-step fill.  A candidate search evaluates every block of candidates into
-the same two block-sized buffers.  The backward sweep allocates p, q, r and
-the time-major log-state, plus per-step rows and transposed blocks of the
-drivers.  The terminal design sums the drivers into its own columns.  numpy
-reports its buffers to ``tracemalloc``.
+The driver draw keeps dB and the jump events, and holds one chunk of Poisson
+counts at a time; no solver builds a dense count array.  Each forward
+function writes its log increments into the output array and sums,
+exponentiates and scales them there, so its peak allocation is the output
+plus at most one (n_paths, n_steps) temporary.  A candidate search evaluates
+every block of candidates into the same two block-sized buffers.  The
+backward sweep allocates p, q, r and the time-major log-state, plus per-step
+rows and one transposed block of dB.  The terminal design sums the drivers
+into its own columns.  numpy reports its buffers to ``tracemalloc``.
 """
 
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+import yaml
 
 import duallab as dl
-from duallab import mc, primal, robust
+from duallab import cli, market, mc, primal, robust
 from duallab.bsde import STEP_BLOCK
+from duallab.config import validate_config
 
 N_PATHS, N_STEPS = 2_000, 100
 # numpy's iterator buffers and the per-step coefficient vectors; the same at
@@ -33,6 +38,45 @@ def one_mark():
     ens = dl.simulate_drivers(model, dl.TimeGrid(N_STEPS, 1.0), N_PATHS, seed=7)
     dl.price_paths(model, ens)
     return model, ens
+
+
+def _nbytes(events):
+    return sum(a.nbytes for a in (events.offsets, events.paths, events.counts, *events.cells))
+
+
+def test_driver_draw_peak_is_db_plus_events_plus_one_chunk():
+    model = dl.MarketModel(drift=0.1, vol=0.2, jump_marks=(0.1,), jump_intensities=(1.0,))
+    grid = dl.TimeGrid(N_STEPS, 1.0)
+    # numpy.random imports its modules on first use: not part of the draw
+    dl.simulate_drivers(model, grid, 1, seed=0)
+    chunk = 256
+    with mock.patch.object(market, "POISSON_CHUNK_PATHS", chunk):
+        peak, ens = _peak(lambda: dl.simulate_drivers(model, grid, N_PATHS, seed=7))
+    events = ens.jumps
+    assert events.paths.size == np.count_nonzero(ens.jump_counts)
+    # the int64 counts of one chunk, and the events with the temporaries of
+    # their sort: under 128 bytes per event (about 120 measured); a dense
+    # draw and its float copy would take 2 * 8 bytes per (path, step)
+    one_chunk = chunk * N_STEPS * 8
+    assert _nbytes(events) <= 40 * events.paths.size + 8 * (N_STEPS + 1)
+    assert peak <= ens.brownian_increments.nbytes + one_chunk + 128 * events.paths.size \
+        + FIXED_SLACK
+
+
+def test_a_jump_dual_run_builds_no_dense_counts(tmp_path):
+    with open(Path(__file__).resolve().parents[1] / "configs" / "jump_dual.yaml") as fh:
+        raw = yaml.safe_load(fh)
+    raw["mc"]["paths"] = 1_000
+    raw["out"] = str(tmp_path / "run")
+
+    def refuse(*args):
+        raise AssertionError("a solver built a dense jump-count array")
+
+    with mock.patch.object(market.JumpEvents, "dense", refuse), \
+            mock.patch.object(market.PathEnsemble, "jump_counts", property(refuse)), \
+            mock.patch.object(market.PathEnsemble, "compensated_jumps", property(refuse)):
+        cli.run_experiment(validate_config(raw))
+    assert (tmp_path / "run" / "solution.json").exists()
 
 
 def _peak(fn):
@@ -72,10 +116,10 @@ def test_sweep_peak_is_outputs_plus_log_state_plus_step_rows(one_mark):
         ens, 1.0 / wealth[:, -1], driver=dl.DriverSpec(q_coeff=0.25, r_coeff=0.1),
         state=state, basis=dl.RegressionBasis(channels=("X",))))
     log_state = wealth.nbytes
-    # the current and the next transposed block of dB and of the jump counts
-    # (the rows of the current one stay referenced until the next is built),
-    # and about ten per-step rows: design, its factors, fits and targets
-    rows = 2 * STEP_BLOCK * (1 + model.n_marks) + 16
+    # one transposed block of dB and one compensated-jump row per mark, each
+    # allocated once per sweep, and about ten per-step rows: design, its
+    # factors, fits and targets
+    rows = STEP_BLOCK + model.n_marks + 16
     budget = rows * N_PATHS * 8 + FIXED_SLACK
     assert peak <= triple.p.nbytes + triple.q.nbytes + triple.r.nbytes + log_state + budget
 

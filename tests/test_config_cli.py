@@ -261,6 +261,24 @@ def test_driver_bytes_limit_is_inclusive(monkeypatch):
         validate_config(raw)
 
 
+def test_many_mark_run_is_sized_by_its_events(monkeypatch):
+    # 80k paths x 100 steps with 8 marks: 576 MB as dense counts, which the
+    # limit refused; dB plus the events of 8 marks at intensity 1 is 119 MB
+    raw = load_raw("jump_dual.yaml")
+    raw["market"]["jumps"] = [{"mark": 0.01 * (j + 1), "intensity": 1.0} for j in range(8)]
+    raw["mc"]["paths"] = 80_000
+    assert 80_000 * 100 * (1 + 8) * 8 > MAX_DRIVER_BYTES
+    validate_config(raw)
+    # the events are bounded by the cells: at lambda dt = 20 every cell holds
+    # a jump, and 8 marks of events then outweigh the dense counts
+    for jump in raw["market"]["jumps"]:
+        jump["intensity"] = 2000.0
+    raw["mc"]["paths"] = 20_000
+    _refuse_allocation(monkeypatch)
+    with pytest.raises(ConfigError, match="^mc.paths = 20000 with 100 steps and 8 jump mark"):
+        validate_config(raw)
+
+
 def test_oversized_convergence_ladder_refused(monkeypatch):
     _refuse_allocation(monkeypatch)
     raw = load_raw("convergence_bsde.yaml")

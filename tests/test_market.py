@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import duallab as dl
+from duallab import market
 from duallab.market import terminal_log_wealth
 
 from conftest import BASE_SEED, make_ensemble
@@ -23,6 +25,35 @@ def test_drivers_deterministic(base_model, grid100):
     b = dl.simulate_drivers(base_model, grid100, 2, seed=7)
     assert np.array_equal(a.brownian_increments, b.brownian_increments)
     assert np.array_equal(a.jump_counts, b.jump_counts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    lam_dt=st.lists(st.sampled_from([0.003, 0.01, 0.4, 5.0, 10.0, 37.5]), max_size=3),
+    n_paths=st.integers(1, 60),
+    chunk=st.integers(1, 17),
+)
+def test_chunked_event_draw_equals_one_poisson_draw(seed, lam_dt, n_paths, chunk):
+    # numpy draws lambda < 10 by multiplication and lambda >= 10 by PTRS; a
+    # numpy whose stream changes fails here, not in a solver's figures
+    n_steps = 7
+    grid = dl.TimeGrid(n_steps, 1.0)
+    model = dl.MarketModel(drift=0.1, vol=0.2, jump_marks=(0.1, -0.2, 0.3)[:len(lam_dt)],
+                           jump_intensities=tuple(x * n_steps for x in lam_dt))
+    with mock.patch.object(market, "POISSON_CHUNK_PATHS", chunk):
+        ens = dl.simulate_drivers(model, grid, n_paths, seed)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    db = rng.normal(0.0, math.sqrt(grid.dt), size=(n_paths, n_steps))
+    counts = (rng.poisson(lam=model.intensities * grid.dt, size=(n_paths, n_steps, len(lam_dt)))
+              if lam_dt else np.zeros((n_paths, n_steps, 0)))
+    assert np.array_equal(ens.brownian_increments, db)
+    assert np.array_equal(ens.jump_counts, counts)
+    events = ens.jumps
+    assert events.paths.dtype == np.int32 and np.all(events.counts >= 1)
+    assert events.paths.size == np.count_nonzero(counts)
+    assert np.array_equal(dl.PathEnsemble(model, grid, n_paths, seed, db, counts).jump_counts,
+                          counts)
 
 
 def test_no_marks_means_no_jumps(base_model, grid100):
@@ -73,11 +104,12 @@ def test_price_mean_matches_lognormal(base_model, grid100):
 def test_price_forced_jump_multiplies(grid100):
     model = dl.MarketModel(drift=0.0, vol=0.0, jump_marks=(0.1,),
                            jump_intensities=(1.0,), horizon=1.0)
-    quiet = dl.PathEnsemble(model, grid100, 1, 0,
-                            np.zeros((1, 100)), np.zeros((1, 100, 1)))
-    jumped = dl.PathEnsemble(model, grid100, 1, 0,
-                             np.zeros((1, 100)), np.zeros((1, 100, 1)))
-    jumped.jump_counts[0, 40, 0] = 1.0
+    counts = np.zeros((1, 100, 1))
+    quiet = dl.PathEnsemble(model, grid100, 1, 0, np.zeros((1, 100)), counts.copy())
+    # the drivers are frozen once the ensemble is built: the jump goes in first
+    counts[0, 40, 0] = 1.0
+    jumped = dl.PathEnsemble(model, grid100, 1, 0, np.zeros((1, 100)), counts)
+    assert np.array_equal(jumped.jump_counts, counts)
     s_quiet = dl.price_paths(model, quiet)
     s_jump = dl.price_paths(model, jumped)
     step_ratio = (s_jump[0, 41] / s_jump[0, 40]) / (s_quiet[0, 41] / s_quiet[0, 40])

@@ -1,10 +1,13 @@
-"""The per-path layers split over threads against the same layers on one CPU.
+"""The per-path layers split over threads against the same layers on one CPU,
+and against the dense jump-count readers of ``oracles.dense_jumps``.
 
-The forward kernels, the Euler scheme, the replicating portfolio and the
-factor-ahead thread of the backward sweep must give the same bits on any
-number of threads.  The one-CPU side is pinned by ``os.sched_getaffinity``;
-the split thresholds and the block sizes are lowered so that 200 paths make
-several ranges of several blocks each, the last ones partial.
+The forward kernels, the Euler scheme, the terminal design, the replicating
+portfolio and the factor-ahead thread of the backward sweep must give the
+same bits on any number of threads, and the same bits as when they read a
+dense count array instead of the jump events.  The one-CPU side is pinned by
+``os.sched_getaffinity``; the split thresholds and the block sizes are
+lowered so that 200 paths make several ranges of several blocks each, the
+last ones partial.
 """
 
 import contextlib
@@ -21,6 +24,7 @@ from hypothesis import strategies as st
 import duallab as dl
 from duallab import bsde, dual, market
 
+import oracles
 from test_differential import forward_cases
 
 Thread = threading.Thread
@@ -40,17 +44,22 @@ def cpus(n):
         yield started
 
 
-def on_one_and_on_three_cpus(fn):
-    """fn() on one CPU and on three; the outcomes, each a result or the
-    exception raised, checked for leftover threads."""
+def on_one_and_on_three_cpus(fn, prepare=lambda: None):
+    """fn() on one CPU and on three, and on one CPU with the dense jump
+    readers, each after ``prepare()`` on the same side; the outcomes, each a
+    result or the exception raised, checked for leftover threads and for the
+    threads fn() started."""
     outcomes = []
-    for n in (1, 3):
+    for n, readers in ((1, contextlib.nullcontext), (3, contextlib.nullcontext),
+                       (1, oracles.dense_jumps)):
         alive = threading.active_count()
-        with cpus(n) as started:
+        with cpus(n) as started, readers():
             assert len(market.path_ranges(200)) == n
+            prepare()
+            started.reset_mock()
             try:
                 outcomes.append(fn())
-            except Exception as exc:  # the same failure on both sides
+            except Exception as exc:  # the same failure on every side
                 outcomes.append(exc)
         # every thread is joined before the call returns, so that a fork of
         # the CSV writer never sees a live thread
@@ -61,13 +70,15 @@ def on_one_and_on_three_cpus(fn):
     return outcomes
 
 
-def assert_same(one, three):
-    if isinstance(one, Exception):
-        assert type(three) is type(one) and str(three) == str(one)
-        return
-    for a, b in zip(one, three):
-        assert np.shape(a) == np.shape(b)
-        assert np.array_equal(a, b, equal_nan=True)
+def assert_same(one, *others):
+    for other in others:
+        if isinstance(one, Exception):
+            assert type(other) is type(one) and str(other) == str(one)
+            continue
+        assert len(one) == len(other)
+        for a, b in zip(one, other):
+            assert np.shape(a) == np.shape(b)
+            assert np.array_equal(a, b, equal_nan=True)
 
 
 @settings(max_examples=25, deadline=None)
@@ -89,7 +100,8 @@ def test_forward_and_euler_paths_bit_identical_on_every_cpu_count(case, mu, size
                 market._euler_wealth(model, ens, dl.Strategy.units(units), 1.2, mu=mu),
                 market._euler_wealth(model, ens, dl.Strategy.fraction(0.5), 1.2, mu=mu),
                 market._euler_paths(ens, 1.3, np.zeros(grid.n_steps), control.theta0,
-                                    control.theta1, lambda i, g, paths, out: g))
+                                    control.theta1, lambda i, g, paths, out: g),
+                ens.terminal_design())
 
     def per_path_fraction():
         return (dl.wealth_paths(model, ens, dl.Strategy.fraction(per_path), 1.2, mu=mu),)
@@ -103,7 +115,6 @@ def test_forward_and_euler_paths_bit_identical_on_every_cpu_count(case, mu, size
 def test_replicating_portfolio_bit_identical_on_every_cpu_count(case, consistent):
     model, ens, rng = case
     grid = ens.grid
-    dl.price_paths(model, ens)
     k = model.n_marks
     q = rng.normal(size=(ens.n_paths, grid.n_steps))
     r = rng.normal(size=(ens.n_paths, grid.n_steps, k))
@@ -116,7 +127,13 @@ def test_replicating_portfolio_bit_identical_on_every_cpu_count(case, consistent
     p = rng.uniform(0.5, 1.5, size=(ens.n_paths, grid.n_steps + 1))
     solution = types.SimpleNamespace(model=model, ensemble=ens,
                                      adjoints=dl.AdjointTriple(p, q, r))
-    assert_same(*on_one_and_on_three_cpus(lambda: dual.replicating_portfolio(solution)))
+
+    def price():
+        # the price S it reads is built anew on each side
+        ens.channels.clear()
+        dl.price_paths(model, ens)
+
+    assert_same(*on_one_and_on_three_cpus(lambda: dual.replicating_portfolio(solution), price))
 
 
 @settings(max_examples=15, deadline=None)
@@ -138,12 +155,13 @@ def test_sweeps_bit_identical_on_every_cpu_count(case, driver, collinear):
         report = dl.bsde_residual_report(triple, ens, drivers, state=state)
         return triple, [str(w.message) for w in warned], report
 
-    (one, one_warned, one_report), (three, three_warned, three_report) = \
-        on_one_and_on_three_cpus(sweep)
-    assert_same((one.p, one.q, one.r), (three.p, three.q, three.r))
-    assert one.diagnostics == three.diagnostics
-    assert one_warned == three_warned and len(one_warned) >= collinear
-    assert one_report == three_report
+    (one, one_warned, one_report), *others = on_one_and_on_three_cpus(sweep)
+    assert len(one_warned) >= collinear
+    for other, warned, report in others:
+        assert_same((one.p, one.q, one.r), (other.p, other.q, other.r))
+        assert one.diagnostics == other.diagnostics
+        assert one_warned == warned
+        assert one_report == report
 
 
 @pytest.mark.parametrize("per_range, threaded", [(bsde.SWEEP_THREAD_MIN_PATHS - 1, False),
