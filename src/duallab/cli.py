@@ -378,7 +378,35 @@ _RUNNERS = {
 }
 
 
+# glibc's malloc serves an allocation of this many bytes or more (a transposed
+# block of dB, a block of candidates, any path array) with a mapping of its
+# own, returned to the system when freed; see _map_large_arrays
+MAP_THRESHOLD_BYTES = 2**20
+
+
+def _map_large_arrays() -> None:
+    """Fix glibc's mmap threshold at :data:`MAP_THRESHOLD_BYTES` and its
+    trim threshold at twice that, glibc's own ratio; elsewhere, nothing.
+
+    By default glibc raises both as mapped blocks are freed: once a
+    candidate search frees its 16 MiB buffers, every array under 16 MiB
+    comes from the heap, and up to 32 MiB of freed heap stays resident for
+    the rest of the run, into the peak of a later experiment.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    m_trim_threshold, m_mmap_threshold = -1, -3  # malloc.h
+    mallopt(m_mmap_threshold, MAP_THRESHOLD_BYTES)
+    mallopt(m_trim_threshold, 2 * MAP_THRESHOLD_BYTES)
+
+
 def run_experiment(cfg: ExperimentConfig) -> dict:
+    _map_large_arrays()
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
     _write_json(os.path.join(out, "manifest.json"), _manifest(cfg), cfg.hash())

@@ -237,31 +237,17 @@ class JumpEvents:
         return cls(n_paths, n_steps, n_marks, offsets, path[order], count[order],
                    (path[first], step[first], cell_counts))
 
-    @classmethod
-    def from_dense(cls, counts) -> "JumpEvents":
-        """The events of a dense (n_paths, n_steps, n_marks) count array."""
-        counts = np.ascontiguousarray(counts, dtype=float)
-        if counts.ndim != 3:
-            raise ValueError("jump counts must be a (n_paths, n_steps, n_marks) array")
-        return cls.from_chunks(*counts.shape, [(0, counts)])
-
     def step(self, mark: int, i: int) -> tuple[np.ndarray, np.ndarray]:
         """The paths (ascending) and counts of the events of ``mark`` at step ``i``."""
         events = slice(*self.offsets[mark * self.n_steps + i:][:2])
-        return self.paths[events], self.counts[events]
-
-    def of_mark(self, mark: int) -> tuple[np.ndarray, np.ndarray]:
-        """The paths and counts of every event of ``mark``."""
-        events = slice(self.offsets[mark * self.n_steps], self.offsets[(mark + 1) * self.n_steps])
         return self.paths[events], self.counts[events]
 
     def dense(self) -> np.ndarray:
         """The (n_paths, n_steps, n_marks) count array: for tests and
         references, read by no solver."""
         out = np.zeros((self.n_paths, self.n_steps, self.n_marks))
-        key = np.repeat(np.arange(self.n_marks * self.n_steps), np.diff(self.offsets))
-        mark, step = np.divmod(key, self.n_steps)
-        out[self.paths, step, mark] = self.counts
+        paths, steps, counts = self.cells
+        out[paths, steps] = counts
         return out
 
 
@@ -288,7 +274,10 @@ class PathEnsemble:
 
     def __post_init__(self) -> None:
         if not isinstance(self.jumps, JumpEvents):
-            self.jumps = JumpEvents.from_dense(self.jumps)
+            counts = np.ascontiguousarray(self.jumps, dtype=float)
+            if counts.ndim != 3:
+                raise ValueError("jump counts must be a (n_paths, n_steps, n_marks) array")
+            self.jumps = JumpEvents.from_chunks(*counts.shape, [(0, counts)])
         shape = (self.jumps.n_paths, self.jumps.n_steps, self.jumps.n_marks)
         if shape != (self.n_paths, self.grid.n_steps, self.model.n_marks):
             raise ValueError(f"jump counts of shape {shape} do not match "
@@ -356,9 +345,9 @@ class PathEnsemble:
         design[:, 0] = 1.0
         self.brownian_increments.sum(axis=1, out=design[:, 1])
         jumps = design[:, 2:]
+        paths, _, counts = self.jumps.cells
         for mark in range(self.model.n_marks):
-            where, counts = self.jumps.of_mark(mark)
-            jumps[:, mark] = np.bincount(where, weights=counts, minlength=self.n_paths)
+            jumps[:, mark] = np.bincount(paths, weights=counts[:, mark], minlength=self.n_paths)
         jumps -= self.model.intensities * self.grid.horizon
         return design
 

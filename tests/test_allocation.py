@@ -9,9 +9,15 @@ plus at most one (n_paths, n_steps) temporary.  A candidate search evaluates
 every block of candidates into the same two block-sized buffers.  The
 backward sweep allocates p, q, r and the time-major log-state, plus per-step
 rows and one transposed block of dB.  The terminal design sums the drivers
-into its own columns.  numpy reports its buffers to ``tracemalloc``.
+into its own columns.  numpy reports its buffers to ``tracemalloc``.  A run
+fixes glibc's malloc thresholds, so that an array of a MiB or more goes back
+to the system when it is freed.
 """
 
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -25,6 +31,7 @@ from duallab import cli, market, mc, primal, robust
 from duallab.bsde import STEP_BLOCK
 from duallab.config import validate_config
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 N_PATHS, N_STEPS = 2_000, 100
 # numpy's iterator buffers and the per-step coefficient vectors; the same at
 # any n_paths (about 134 KB measured at 2k and at 5k paths)
@@ -77,6 +84,27 @@ def test_a_jump_dual_run_builds_no_dense_counts(tmp_path):
             mock.patch.object(market.PathEnsemble, "compensated_jumps", property(refuse)):
         cli.run_experiment(validate_config(raw))
     assert (tmp_path / "run" / "solution.json").exists()
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+@pytest.mark.parametrize("fixed, kept_mib", [(False, 8), (True, 0)])
+def test_a_run_returns_freed_arrays_to_the_system(fixed, kept_mib):
+    # a freed 16 MiB block raises glibc's dynamic mmap threshold to 16 MiB,
+    # so a touched and freed 8 MiB array stays resident in the heap, unless
+    # the thresholds were fixed, as a run fixes them
+    code = (
+        "import os, numpy as np\n"
+        "from duallab import cli\n"
+        f"if {fixed}: cli._map_large_arrays()\n"
+        "def rss(): return int(open('/proc/self/statm').read().split()[1]) * os.sysconf('SC_PAGE_SIZE')\n"
+        "np.ones(2 * 2**20).sum()\n"
+        "before = rss()\n"
+        "np.ones(2**20).sum()\n"
+        "print((rss() - before) / 2**20)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+    assert abs(float(out.stdout) - kept_mib) < 1
 
 
 def _peak(fn):
