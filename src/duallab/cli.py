@@ -378,10 +378,14 @@ _RUNNERS = {
 }
 
 
-# glibc's malloc serves an allocation of this many bytes or more (a transposed
-# block of dB, a block of candidates, any path array) with a mapping of its
-# own, returned to the system when freed; see _map_large_arrays
-MAP_THRESHOLD_BYTES = 2**20
+# glibc's malloc serves an allocation of this many bytes or more with a
+# mapping of its own, returned to the system when freed (see
+# _map_large_arrays).  At 50k paths that is every path array, the sweep's
+# 6.4 MB block of dB and a search's candidate buffers, each allocated once
+# per call, while the 3.3 MB Poisson chunks and the 1.6 MB deviation blocks
+# of the bridge checks, allocated in loops, reuse the heap: at 1 MiB,
+# paths_io ran 4% slower (BENCH_sparse_jumps.json, earlier round)
+MAP_THRESHOLD_BYTES = 2**22
 
 
 def _map_large_arrays() -> None:

@@ -194,7 +194,7 @@ class JumpEvents:
 
     Each mark's events are sorted by step, then by path: those of mark k at
     step i are ``offsets[k * n_steps + i]`` to ``offsets[k * n_steps + i + 1]``
-    of ``paths`` (int32) and ``counts`` (float64, at least 1).  ``cells``
+    of ``paths`` (int32) and ``counts`` (float64, nonzero).  ``cells``
     holds the same counts path by path for the exact forward fill:
     (path, step) pairs that hold a jump of any mark, sorted by path and then
     by step, as (paths int32, steps int32, counts (n_cells, n_marks)).

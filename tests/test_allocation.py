@@ -102,8 +102,10 @@ def test_a_run_returns_freed_arrays_to_the_system(fixed, kept_mib):
         "np.ones(2**20).sum()\n"
         "print((rss() - before) / 2**20)\n"
     )
+    # glibc's defaults: no MALLOC_* tunable from the environment
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+                         env={**env, "PYTHONPATH": str(SRC)}, timeout=120)
     assert abs(float(out.stdout) - kept_mib) < 1
 
 
