@@ -174,9 +174,10 @@ def validate_config(raw: dict) -> ExperimentConfig:
 
 
 def _event_bound(mean: float, cells: int) -> int:
-    """At most ``cells``, and at least the Poisson(``mean``) total of jumps
-    that bounds a mark's nonzero cells, but for a tail of exp(-EVENT_TAIL_LOG):
-    by Bernstein's inequality, P(N >= mean + t) <= exp(-t^2 / (2 (mean + t/3)))."""
+    """A bound on one mark's events, at most ``cells``: its nonzero cells are
+    at most its total of jumps N, Poisson(``mean``), and N exceeds mean + t
+    with probability below exp(-EVENT_TAIL_LOG) for this t, by Bernstein's
+    inequality P(N >= mean + t) <= exp(-t^2 / (2 (mean + t/3)))."""
     x = EVENT_TAIL_LOG
     t = x / 3 + math.sqrt(x * x / 9 + 2 * mean * x)
     return min(cells, math.ceil(mean + t))

@@ -221,6 +221,7 @@ class JumpEvents:
             nonzero = np.flatnonzero(flat)
             path, cell = np.divmod(nonzero, n_steps * n_marks)
             found.append((path + start, *np.divmod(cell, n_marks), flat[nonzero]))
+            del chunk, flat  # before the next chunk is drawn
         path, step, mark, count = (np.concatenate(a) for a in zip(*found)) if found \
             else (np.zeros(0, dtype=np.intp),) * 4
         path, step, count = path.astype(np.int32), step.astype(np.int32), count.astype(float)

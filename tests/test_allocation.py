@@ -62,11 +62,11 @@ def test_driver_draw_peak_is_db_plus_events_plus_one_chunk():
     events = ens.jumps
     assert events.paths.size == np.count_nonzero(ens.jump_counts)
     # the int64 counts of one chunk, and the events with the temporaries of
-    # their sort: under 128 bytes per event (about 120 measured); a dense
-    # draw and its float copy would take 2 * 8 bytes per (path, step)
+    # their sort: under 64 bytes per event (about 40 measured); a dense draw
+    # and its float copy would take 2 * 8 bytes per (path, step)
     one_chunk = chunk * N_STEPS * 8
     assert _nbytes(events) <= 40 * events.paths.size + 8 * (N_STEPS + 1)
-    assert peak <= ens.brownian_increments.nbytes + one_chunk + 128 * events.paths.size \
+    assert peak <= ens.brownian_increments.nbytes + one_chunk + 64 * events.paths.size \
         + FIXED_SLACK
 
 
