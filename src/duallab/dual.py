@@ -19,22 +19,14 @@ from .market import (
     THETA1_FLOOR,
     MarketModel,
     PathEnsemble,
-    Strategy,
     TimeGrid,
-    _blocks,
-    _euler_wealth,
+    _euler_paths,
     _over_paths,
     density_paths,
     terminal_log_density,
 )
 from .mc import cv_mean, grid_search, interior_summary
 from .preferences import Penalty, UtilityPair
-
-# paths per block of the replicating portfolio: each thread's two
-# (block, n_steps) work arrays stay small and in cache (at 50k paths, 256
-# beat the forward fill's 1,024 by 12% on one CPU and 9% on two)
-REPLICATION_BLOCK_PATHS = 256
-
 
 @dataclass(frozen=True)
 class ScenarioControl:
@@ -314,9 +306,9 @@ def _dual_solution(
     )
     solution.foc = foc(solution) if foc else dual_foc_residual(solution)
     if replicate:
-        phi, x0 = replicating_portfolio(solution)
         solution.replication = replication_check(
-            model, phi, x0, pair.inverse_marginal(density[:, -1]), ensemble, mu=control.mu
+            model, *_portfolio_rows(solution), pair.inverse_marginal(density[:, -1]), ensemble,
+            mu=control.mu,
         )
     return solution
 
@@ -424,16 +416,18 @@ def dual_foc_residual(solution: DualSolution) -> dict:
     }
 
 
-def replicating_portfolio(solution: DualSolution) -> tuple[np.ndarray, float]:
-    """Unit-count portfolio replicating -V'(G(T)): q2/(sigma*S), with the
-    r2/(gamma*S) branch wherever sigma vanishes; initial value p2(0).
+def _portfolio_rows(solution: DualSolution):
+    """The portfolio replicating -V'(G(T)), one step at a time: a function
+    ``units(i, paths, out)`` that writes phi_i, the units held over step
+    ``i``, on the path range ``paths`` into the row ``out`` and returns it;
+    and the initial value p2(0).
 
-    The q2/(sigma*S) steps are filled over the path ranges of
-    :func:`~duallab.market._over_paths`, in blocks of
-    :data:`REPLICATION_BLOCK_PATHS` paths: elementwise, so phi is
-    bit-identical for any number of threads.
-
-    Returns (phi as an (n_paths, n_steps) array, initial value).
+    phi_i is q2/(sigma*S); where sigma vanishes, the nu-weighted least
+    squares of r2_k = phi*S*gamma_k over the live marks, or zero where no
+    mark is live.  Each value is formed by the same operations on any path
+    range.  Every step with vanishing sigma is checked here, before any
+    step is taken: with no live mark there, nonzero integrands raise
+    ValueError.
     """
     model, ensemble = solution.model, solution.ensemble
     grid = ensemble.grid
@@ -443,47 +437,66 @@ def replicating_portfolio(solution: DualSolution) -> tuple[np.ndarray, float]:
     nu = model.intensities
     spot = ensemble.channel("S")
     scale = float(np.mean(np.abs(adj.p[:, -1])))
-    phi = np.zeros((ensemble.n_paths, grid.n_steps))
-    diffusive = np.abs(s) >= DEGENERATE_VOL
-    for i in np.flatnonzero(~diffusive):
+    # per step with vanishing sigma: (live marks, gamma*nu, sum gamma^2 nu),
+    # or None where no mark is live and phi is zero
+    jump_fit = {}
+    for i in np.flatnonzero(np.abs(s) < DEGENERATE_VOL):
         ok = np.abs(gam[i]) > 0 if model.n_marks else np.zeros(0, dtype=bool)
-        if model.n_marks and np.any(ok):
-            # nu-weighted least squares of r_k = phi*S*gamma_k over live marks
-            num = (adj.r[:, i, ok] * (gam[i, ok] * nu[ok])[None, :]).sum(axis=1)
-            den = float((gam[i, ok] ** 2 * nu[ok]).sum())
-            phi[:, i] = num / (den * spot[:, i])
-        else:
-            q_size = float(np.max(np.abs(adj.q[:, i])))
-            r_size = float(np.max(np.abs(adj.r[:, i]))) if model.n_marks else 0.0
-            if max(q_size, r_size) > 1e-6 * scale:
-                raise ValueError(
-                    f"inconsistent adjoints at step {i}: sigma = 0 and gamma = 0 "
-                    "but the integrands are nonzero"
-                )
-    steps = np.flatnonzero(diffusive)
-    vol = s[steps]
+        if np.any(ok):
+            jump_fit[i] = (ok, gam[i, ok] * nu[ok], float((gam[i, ok] ** 2 * nu[ok]).sum()))
+            continue
+        q_size = float(np.max(np.abs(adj.q[:, i])))
+        r_size = float(np.max(np.abs(adj.r[:, i]))) if model.n_marks else 0.0
+        if max(q_size, r_size) > 1e-6 * scale:
+            raise ValueError(
+                f"inconsistent adjoints at step {i}: sigma = 0 and gamma = 0 "
+                "but the integrands are nonzero"
+            )
+        jump_fit[i] = None
 
-    def fill(paths: slice, held: np.ndarray, quotient: np.ndarray) -> None:
-        for rows in _blocks(paths, REPLICATION_BLOCK_PATHS):
-            n = rows.stop - rows.start
-            held_rows = np.take(spot[rows], steps, axis=1, out=held[:n])
-            held_rows *= vol
-            q_rows = np.take(adj.q[rows], steps, axis=1, out=quotient[:n])
-            phi[rows, steps] = np.divide(q_rows, held_rows, out=q_rows)
+    def units(i: int, paths: slice, out: np.ndarray) -> np.ndarray:
+        if i not in jump_fit:
+            held = np.multiply(spot[paths, i], s[i], out=out)
+            return np.divide(adj.q[paths, i], held, out=out)
+        if jump_fit[i] is None:
+            out.fill(0.0)
+            return out
+        ok, weight, den = jump_fit[i]
+        # (paths, live marks) temporaries, on these steps only
+        num = (adj.r[paths, i, ok] * weight[None, :]).sum(axis=1)
+        return np.divide(num, np.multiply(den, spot[paths, i], out=out), out=out)
 
-    def work(paths: slice) -> tuple:
-        shape = (min(REPLICATION_BLOCK_PATHS, paths.stop - paths.start), steps.size)
-        return np.empty(shape), np.empty(shape)
+    return units, float(adj.p[:, 0].mean())
 
-    if steps.size:
-        _over_paths(fill, ensemble.n_paths, work)
-    x0 = float(adj.p[:, 0].mean())
-    return phi, x0
+
+def replicating_portfolio(solution: DualSolution) -> tuple[np.ndarray, float]:
+    """Unit-count portfolio replicating -V'(G(T)): q2/(sigma*S), with the
+    r2/(gamma*S) branch wherever sigma vanishes; initial value p2(0).
+
+    The steps of :func:`_portfolio_rows` are written over the path ranges
+    of :func:`~duallab.market._over_paths` into a time-major array:
+    elementwise, so phi is bit-identical for any number of threads.  A
+    dual solve replicates from :func:`_portfolio_rows` directly and builds
+    no such array.
+
+    Returns (phi as an (n_paths, n_steps) array, initial value).
+    """
+    units, x0 = _portfolio_rows(solution)
+    ensemble = solution.ensemble
+    n_steps = ensemble.grid.n_steps
+    phi = np.empty((n_steps, ensemble.n_paths))
+
+    def fill(paths: slice) -> None:
+        for i in range(n_steps):
+            units(i, paths, phi[i, paths])
+
+    _over_paths(fill, ensemble.n_paths)
+    return phi.T, x0
 
 
 def replication_check(
     model: MarketModel,
-    phi: np.ndarray,
+    phi,
     x0: float,
     target: np.ndarray,
     ensemble: PathEnsemble,
@@ -491,17 +504,36 @@ def replication_check(
 ) -> dict:
     """Terminal error of the Euler-simulated portfolio wealth against the claim.
 
-    Pathwise relative errors; reports the RMS and the maximum, plus how many
-    (path, step) wealth values were non-positive on the way (none, for the
-    scenarios exercised here), where :func:`~duallab.market.wealth_paths` would raise.
+    ``phi`` is the unit count, an (n_paths, n_steps) array or a function
+    ``units(i, paths, out)`` of the step as returned by
+    :func:`_portfolio_rows`.  The wealth is streamed: each path range keeps
+    two wealth rows, and phi_i is formed as step i is taken
+    (:func:`~duallab.market._euler_paths` with ``terminal``), so neither
+    phi nor the wealth paths are stored whole.  Pathwise relative errors;
+    reports the RMS and the maximum, plus how many (path, step) wealth
+    values were non-positive on the way (none, for the scenarios exercised
+    here), where :func:`~duallab.market.wealth_paths` would raise.
     """
-    x = _euler_wealth(model, ensemble, Strategy.units(phi), float(x0), mu=mu)
-    rel = (x[:, -1] - target) / target
+    grid = ensemble.grid
+    spot = ensemble.channel("S")
+    if callable(phi):
+        units = phi
+    else:
+        values = np.asarray(phi, dtype=float)
+
+        def units(i, paths, out):
+            return values[paths, i]
+
+    def exposure(i, x, paths, out):
+        return np.multiply(units(i, paths, out), spot[paths, i], out=out)
+
+    x_t, nonpositive = _euler_paths(ensemble, float(x0), model.drift_on(grid, mu),
+                                    model.vol_on(grid), model.jump_sizes_on(grid), exposure,
+                                    terminal=True)
+    rel = (x_t - target) / target
     return {
         "rmse_rel": float(np.sqrt(np.mean(rel**2))),
         "max_rel": float(np.max(np.abs(rel))),
         "initial_value": float(x0),
-        # one time step at a time: rows of the time-major x.T, so no
-        # (n_paths, n_steps) mask is built at the run's peak
-        "n_nonpositive": sum(int(np.count_nonzero(row <= 0)) for row in x.T[1:]),
+        "n_nonpositive": nonpositive,
     }

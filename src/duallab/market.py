@@ -550,7 +550,8 @@ def _exp_paths(ensemble: PathEnsemble, x0: float, drift, diff, ratio, frac=None)
     return out
 
 
-def _euler_paths(ensemble: PathEnsemble, x0: float, drift, diff, ratio, exposure) -> np.ndarray:
+def _euler_paths(ensemble: PathEnsemble, x0: float, drift, diff, ratio, exposure,
+                 terminal: bool = False):
     """Plain Euler paths of dX = exposure * (drift dt + diff dB + ratio . dNtilde),
     (n_paths, n_steps + 1), for per-step coefficients as in :func:`_exp_paths`.
 
@@ -561,28 +562,45 @@ def _euler_paths(ensemble: PathEnsemble, x0: float, drift, diff, ratio, exposure
     transposed; the step loop runs once per range of :func:`_over_paths`, on
     the columns of that range only, so the paths are bit-identical for any
     number of threads.
+
+    With ``terminal``, the buffer holds two rows, X(t_i) in row i % 2 and
+    X(t_{i+1}) in row (i + 1) % 2, and the loop counts the non-positive
+    X(t_{i+1}) as it goes: returns X(T), (n_paths,), and the number of
+    non-positive X(t_i), i >= 1, over every path.  The values are those of
+    the full paths, bit for bit.
     """
     grid = ensemble.grid
-    rows = np.empty((grid.n_steps + 1, ensemble.n_paths))
+    rows = np.empty((2 if terminal else grid.n_steps + 1, ensemble.n_paths))
+    depth = rows.shape[0]
+    nonpositive = []  # one count per range
 
-    def fill(paths: slice, jumps: np.ndarray, aux: np.ndarray) -> None:
+    def fill(paths: slice, jumps: np.ndarray, aux: np.ndarray, mask: np.ndarray) -> None:
         x = rows[:, paths]
         x[0] = x0
+        count = 0
         for i in range(grid.n_steps):
+            now = x[i % depth]
             # the return over step i, formed in the row of X(t_{i+1})
-            ret = np.multiply(diff[i], ensemble.brownian_increments[paths, i], out=x[i + 1])
+            ret = np.multiply(diff[i], ensemble.brownian_increments[paths, i],
+                              out=x[(i + 1) % depth])
             ret += drift[i] * grid.dt
             if ratio.size:
                 ensemble.compensated_step(i, jumps.T, paths)
                 ret += np.matmul(jumps, ratio[i], out=aux)
-            ret *= exposure(i, x[i], paths, aux)
-            ret += x[i]
+            ret *= exposure(i, now, paths, aux)
+            ret += now
+            if terminal:
+                count += int(np.count_nonzero(np.less_equal(ret, 0.0, out=mask)))
+        nonpositive.append(count)
 
     def work(paths: slice) -> tuple:
         n = paths.stop - paths.start
-        return np.empty((n, ensemble.model.n_marks)), np.empty(n)
+        return (np.empty((n, ensemble.model.n_marks)), np.empty(n),
+                np.empty(n if terminal else 0, dtype=bool))
 
     _over_paths(fill, ensemble.n_paths, work)
+    if terminal:
+        return rows[grid.n_steps % 2], sum(nonpositive)
     return rows.T
 
 

@@ -169,12 +169,14 @@ def interior_window(n_steps: int) -> slice:
 
 def interior_summary(raw: np.ndarray, scale: float, mask: np.ndarray | None = None):
     """Mean and max of |raw|/scale over the interior rows of ``raw`` (one row
-    per grid step), restricted to the rows where ``mask`` holds.  A zero scale
-    leaves |raw| unnormalized; an empty selection gives (0.0, 0.0).
+    per grid step), restricted to the rows where ``mask`` holds.  A zero or
+    subnormal scale (below the smallest normal float, where the quotient
+    would overflow) leaves |raw| unnormalized; an empty selection gives
+    (0.0, 0.0).
     """
     window = interior_window(raw.shape[0])
     interior = np.abs(raw[window] if mask is None else raw[window][mask[window]])
-    normalized = interior / scale if scale > 0 else interior
+    normalized = interior / scale if scale >= np.finfo(float).tiny else interior
     if not normalized.size:
         return 0.0, 0.0
     return float(np.mean(normalized)), float(np.max(normalized))

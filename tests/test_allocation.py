@@ -1,5 +1,5 @@
-"""Peak memory of the driver draw, the forward paths, the candidate search and
-the backward sweep.
+"""Peak memory of the driver draw, the forward paths, the candidate search,
+the backward sweep and the replication of a dual solve.
 
 The driver draw keeps dB and the jump events, and holds one chunk of Poisson
 counts at a time; no solver builds a dense count array.  Each forward
@@ -9,7 +9,9 @@ plus at most one (n_paths, n_steps) temporary.  A candidate search evaluates
 every block of candidates into the same two block-sized buffers.  The
 backward sweep allocates p, q, r and the time-major log-state, plus per-step
 rows and one transposed block of dB.  The terminal design sums the drivers
-into its own columns.  numpy reports its buffers to ``tracemalloc``.  A run
+into its own columns.  The replication of a dual solve forms the portfolio
+one step at a time and keeps two Euler wealth rows, so it allocates a few
+rows per path range and no (n_paths, n_steps) array.  numpy reports its buffers to ``tracemalloc``.  A run
 fixes glibc's malloc thresholds, so that an array of a MiB or more goes back
 to the system when it is freed.
 """
@@ -27,7 +29,7 @@ import pytest
 import yaml
 
 import duallab as dl
-from duallab import cli, market, mc, primal, robust
+from duallab import cli, dual, market, mc, primal, robust
 from duallab.bsde import STEP_BLOCK
 from duallab.config import validate_config
 
@@ -203,3 +205,31 @@ def test_search_peak_is_two_block_buffers_plus_design(solver):
     buffers = 2 * n_paths * block * 8
     # the design [1, B_T] and its SVD factor u, the same size
     assert peak <= buffers + 2 * design.nbytes + FIXED_SLACK
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+def test_replication_streams_a_few_rows_per_range(one_mark, n_cpus):
+    # the replication of a dual solve, as the solve runs it, after the
+    # adjoints: phi is formed step by step and each range keeps two wealth
+    # rows, so no (n_paths, n_steps) array is allocated
+    model, ens = one_mark
+    pair = dl.make_log_utility()
+    sol = dl.solve_dual_search(model, pair, 1.0, ens, theta1_values=[-0.2, -0.1, 0.0],
+                               replicate=False)
+    fields = dict(value=sol.value, se=sol.se, theta1_values=sol.theta1_values,
+                  candidate_values=sol.candidate_values, candidate_se=sol.candidate_se)
+    with mock.patch("os.sched_getaffinity", return_value=set(range(n_cpus))), \
+            mock.patch.object(market, "THREAD_MIN_PATHS", N_PATHS // 2), \
+            mock.patch.object(dual, "dual_adjoints", return_value=sol.adjoints):
+        assert len(market.path_ranges(N_PATHS)) == n_cpus
+        peak, solved = _peak(lambda: dual._dual_solution(
+            model, ens, pair, sol.control, "regression", None, True, foc=lambda s: None,
+            density=sol.density, **fields))
+    phi, x0 = dl.replicating_portfolio(sol)
+    assert solved.replication == dl.replication_check(
+        model, phi, x0, pair.inverse_marginal(sol.density[:, -1]), ens)
+    # two wealth rows, the claim and the relative errors (with their
+    # temporaries), and per range a jump row per mark, an exposure row and a
+    # bool row; an (n_paths, n_steps) array alone is N_STEPS rows
+    rows = 2 + 4 + n_cpus * (model.n_marks + 2)
+    assert peak <= rows * N_PATHS * 8 + FIXED_SLACK

@@ -9,12 +9,14 @@ gamma)^-1 - 1 satisfy the martingale-measure (ELMM) constraint.  Then:
 - every scenario control that a search or a bridge emits satisfies the ELMM
   constraint pointwise, at rounding level;
 - in the log case, wealth under pi* and the density of theta1* multiply to
-  x*y on every path and step, built directly or through the bridges.
+  x*y on every path and step, built directly or through the bridges;
+- where sigma > 0 on the grid, the bridge round trips, plain and robust,
+  recover pi*, x and mu.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import duallab as dl
@@ -123,3 +125,32 @@ def test_log_wealth_times_density_is_x_times_y(case, x):
         strategy, x0, _ = dl.dual_to_primal(sol)
         assert x0 == pytest.approx(x, rel=1e-12)
         assert_product_identity(dl.wealth_paths(model, ens, strategy, x0), sol.density, x0, y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=jump_markets(), x=st.floats(0.5, 2.0), mu=st.sampled_from([-0.1, 0.05]))
+def test_bridge_round_trips_recover_the_portfolio_and_the_wealth(case, x, mu):
+    # primal -> scenario -> dual -> portfolio, where sigma > 0 on the grid
+    # (the bridged fraction q2/(sigma p2) needs it)
+    model, ens, pi = case
+    grid = ens.grid
+    assume(np.all(model.vol_on(grid) > 0))
+    primal = dl.solve_primal_search(model, LOG, x, [pi], ens, adjoint_mode="analytic")
+    control, y, _ = dl.primal_to_dual(primal)
+    back = dl.evaluate_dual_scenario(model, LOG, control, ens, adjoint_mode="analytic")
+    strategy, x_back, _ = dl.dual_to_primal(back)
+    assert abs(dl.bridged_fraction(strategy) - pi) <= 1e-12
+    assert abs(x_back - x) <= 1e-12
+
+    # the robust round trip at a perturbation mu, in the market whose drift
+    # b - mu sigma makes pi* log-optimal once perturbed
+    shifted = dl.perturbed_model(model, -mu)
+    ens = dl.simulate_drivers(shifted, grid, ens.n_paths, ens.seed)
+    saddle = dl.solve_robust_saddle(shifted, LOG, PENALTY, x, [pi], [mu], ens,
+                                    adjoint_mode="analytic")
+    control, mu_dual, y, _ = dl.robust_primal_to_dual(saddle)
+    back = dl.evaluate_dual_scenario(shifted, LOG, control, ens, adjoint_mode="analytic")
+    strategy, mu_back, x_back, _ = dl.robust_dual_to_primal(back)
+    assert mu_dual == mu_back == mu
+    assert abs(dl.bridged_fraction(strategy) - pi) <= 1e-12
+    assert abs(x_back - x) <= 1e-12

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import duallab as dl
+from duallab import mc
 
 from conftest import make_ensemble
 
@@ -124,6 +125,20 @@ def test_robust_primal_foc_zero_drift(log_pair, quad_penalty):
     sol = dl.solve_robust_saddle(flat, log_pair, quad_penalty, 1.0, [0.0], [0.0], ens)
     assert np.max(np.abs(sol.foc["drift_raw"])) < 1e-10
     assert np.max(np.abs(sol.foc["penalty_raw"])) < 1e-10
+
+
+@pytest.mark.parametrize("mode", ["analytic", "regression"])
+def test_subnormal_foc_scale_leaves_residual_unnormalized(base_model, log_pair, quad_penalty,
+                                                          mode):
+    # a fraction of 1e-310 makes the penalty residual's scale subnormal:
+    # dividing by it overflowed with a RuntimeWarning
+    ens = make_ensemble(base_model, n_steps=20, n_paths=500, seed=3)
+    sol = dl.solve_robust_saddle(base_model, log_pair, quad_penalty, 1.0, [1e-310], [-0.05],
+                                 ens, adjoint_mode=mode)
+    assert 0.0 < sol.foc["penalty_scale"] < np.finfo(float).tiny
+    raw = np.abs(sol.foc["penalty_raw"][mc.interior_window(20)])
+    assert sol.foc["penalty_max_normalized"] == np.max(raw)
+    assert np.isfinite(sol.foc["penalty_mean_normalized"])
 
 
 def test_robust_dual_analytic_penalty_foc_is_exact(base_model, base_ens_50k, log_pair,

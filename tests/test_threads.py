@@ -38,7 +38,6 @@ def cpus(n):
             mock.patch.object(market, "THREAD_MIN_PATHS", 16), \
             mock.patch.object(market, "BLOCK_PATHS", 24), \
             mock.patch.object(market, "FILL_BLOCK_BYTES", 2**12), \
-            mock.patch.object(dual, "REPLICATION_BLOCK_PATHS", 24), \
             mock.patch.object(bsde, "SWEEP_THREAD_MIN_PATHS", 16), \
             mock.patch("threading.Thread", wraps=Thread) as started:
         yield started
@@ -134,6 +133,101 @@ def test_replicating_portfolio_bit_identical_on_every_cpu_count(case, consistent
         dl.price_paths(model, ens)
 
     assert_same(*on_one_and_on_three_cpus(lambda: dual.replicating_portfolio(solution), price))
+
+
+def replications(model, ens, adjoints, density, mu):
+    """The replication dict of a dual solve with these adjoints and density
+    paths (the adjoint solve replaced), then those of ``replication_check``
+    on the portfolio array and of the step-loop oracle, each as a tuple."""
+    pair = dl.make_log_utility()
+    control = dl.ScenarioControl(theta0=np.zeros(ens.grid.n_steps),
+                                 theta1=np.zeros((ens.grid.n_steps, model.n_marks)), y=1.0, mu=mu)
+    with mock.patch.object(dual, "dual_adjoints", return_value=adjoints):
+        solution = dual._dual_solution(
+            model, ens, pair, control, "regression", None, True, foc=lambda solution: None,
+            density=density, value=0.0, se=0.0, theta1_values=[], candidate_values=np.zeros(1),
+            candidate_se=np.zeros(1))
+    target = pair.inverse_marginal(density[:, -1])
+    phi, x0 = dl.replicating_portfolio(solution)
+    return tuple(tuple(stats.values()) for stats in (
+        solution.replication,
+        dl.replication_check(model, phi, x0, target, ens, mu=mu),
+        oracles.replication_check(model, phi, x0, target, ens, mu=mu)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=forward_cases(), consistent=st.booleans(), size=st.sampled_from([0.1, 30.0]),
+       mu=st.sampled_from([None, -0.1]))
+def test_streamed_replication_equals_the_portfolio_array_and_the_step_loop(case, consistent,
+                                                                           size, mu):
+    # where sigma vanishes, a market with marks takes the jump branch; one
+    # without raises on inconsistent adjoints before any step is taken, so
+    # no thread starts; integrands of size 30 drive wealth through zero
+    model, ens, rng = case
+    grid = ens.grid
+    # p and G first: rng is keyed by the ensemble's seed, so normals drawn
+    # first would be dB itself, scaled
+    p = rng.uniform(0.5, 1.5, size=(ens.n_paths, grid.n_steps + 1))
+    density = rng.uniform(0.5, 2.0, size=(ens.n_paths, grid.n_steps + 1))
+    q = rng.normal(scale=size, size=(ens.n_paths, grid.n_steps))
+    r = rng.normal(scale=size, size=(ens.n_paths, grid.n_steps, model.n_marks))
+    flat = model.vol_on(grid) == 0.0
+    if consistent:
+        q[:, flat] = 0.0
+    adjoints = dl.AdjointTriple(p, q, r)
+
+    def price():
+        ens.channels.clear()
+        dl.price_paths(model, ens)
+
+    outcomes = on_one_and_on_three_cpus(
+        lambda: replications(model, ens, adjoints, density, mu), price)
+    assert_same(*outcomes)
+    if not consistent and model.n_marks == 0 and np.any(flat):
+        assert isinstance(outcomes[0], ValueError)
+        assert "inconsistent adjoints" in str(outcomes[0])
+        return
+    solved, from_array, from_loop = outcomes[0]
+    assert solved == from_array == from_loop
+    if size == 30.0:
+        assert solved[3] > 0  # n_nonpositive
+
+
+def test_streamed_replication_of_a_solved_jump_branch():
+    # sigma = 0 on the first half: the claim is carried by the jump branch
+    model = dl.MarketModel(drift=0.05, vol=lambda t: 0.0 if t < 0.5 else 0.2,
+                           jump_marks=(0.1, -0.2), jump_intensities=(1.0, 0.5), horizon=1.0)
+    ens = dl.simulate_drivers(model, dl.TimeGrid(20, 1.0), 200, seed=11)
+    control = dl.scenario_from_theta1(model, ens.grid, [-0.3, 0.2], 1.0)
+
+    def solve():
+        ens.channels.clear()
+        solution = dl.evaluate_dual_scenario(model, dl.make_log_utility(), control, ens,
+                                             adjoint_mode="analytic", replicate=True)
+        phi, x0 = dl.replicating_portfolio(solution)
+        target = 1.0 / solution.density[:, -1]
+        return (phi, tuple(solution.replication.values()),
+                tuple(dl.replication_check(model, phi, x0, target, ens).values()),
+                tuple(oracles.replication_check(model, phi, x0, target, ens).values()))
+
+    outcomes = on_one_and_on_three_cpus(solve)
+    assert_same(*outcomes)
+    phi, solved, from_array, from_loop = outcomes[0]
+    assert np.all(phi[:, :10] != 0.0)
+    assert solved == from_array == from_loop
+
+
+def test_inconsistent_adjoints_raise_before_any_step():
+    # sigma = 0 and no marks: nonzero integrands contradict the market
+    model = dl.MarketModel(drift=0.0, vol=lambda t: 0.0 if t < 0.5 else 0.2, horizon=1.0)
+    ens = dl.simulate_drivers(model, dl.TimeGrid(20, 1.0), 200, seed=13)
+    dl.price_paths(model, ens)
+    q = np.full((200, 20), 0.3)
+    adjoints = dl.AdjointTriple(np.ones((200, 21)), q, np.zeros((200, 20, 0)))
+    with cpus(3), mock.patch.object(dual, "_euler_paths") as euler, \
+            pytest.raises(ValueError, match="inconsistent adjoints at step 0"):
+        replications(model, ens, adjoints, np.ones((200, 21)), None)
+    assert euler.call_count == 0
 
 
 @settings(max_examples=15, deadline=None)
