@@ -2,7 +2,6 @@
 in jump-diffusion markets, with adjoint-equation cross-checks."""
 
 from .bridge import (
-    BridgeReport,
     BridgeViolationError,
     bridged_fraction,
     dual_to_primal,
@@ -17,14 +16,12 @@ from .bsde import (
     RegressionBasis,
     bsde_residual_report,
     diagnostics_json,
-    martingale_representation,
     solve_linear_bsde,
 )
 from .dual import (
     DualSolution,
     ScenarioControl,
     dual_adjoints,
-    dual_foc_residual,
     evaluate_dual_scenario,
     replicating_portfolio,
     replication_check,
@@ -42,7 +39,6 @@ from .market import (
     elmm_residual,
     ensemble_summary,
     ensemble_to_csv,
-    perturbed_model,
     price_paths,
     simulate_drivers,
     wealth_paths,
@@ -60,16 +56,11 @@ from .primal import (
     hamiltonian_derivative_check,
     merton_log_closed_form,
     primal_adjoints,
-    primal_foc_residual,
     solve_primal_search,
 )
 from .robust import (
-    RobustLogClosedForm,
-    RobustPrimalSolution,
     mu_from_foc,
-    robust_dual_foc_residuals,
     robust_log_closed_form,
-    robust_primal_foc_residuals,
     solve_robust_dual,
     solve_robust_saddle,
 )

@@ -26,7 +26,6 @@ from .market import (
     wealth_paths,
 )
 from .primal import PrimalSolution
-from .robust import RobustPrimalSolution
 
 
 # paths per deviation block of the identity checks
@@ -78,18 +77,13 @@ def _abs_and_rel(values: np.ndarray, target: np.ndarray) -> tuple[float, float]:
     return max_abs, max_rel
 
 
-def _theta_ratios(adjoints, n_marks: int) -> tuple[np.ndarray, np.ndarray]:
+def _theta_ratios(adjoints) -> tuple[np.ndarray, np.ndarray]:
     """Per-time scenario ratios from adjoints: means of q1/p1 and r1/p1.
 
     p1 at the left endpoint of each step plays the left limit p1(t-).
     """
     p_left = adjoints.p[:, :-1]
-    theta0 = (adjoints.q / p_left).mean(axis=0)
-    if n_marks:
-        theta1 = (adjoints.r / p_left[:, :, None]).mean(axis=0)
-    else:
-        theta1 = np.zeros((adjoints.q.shape[1], 0))
-    return theta0, theta1
+    return (adjoints.q / p_left).mean(axis=0), (adjoints.r / p_left[:, :, None]).mean(axis=0)
 
 
 def _primal_to_dual(solution, direction: str) -> tuple[ScenarioControl, float, BridgeReport]:
@@ -97,7 +91,7 @@ def _primal_to_dual(solution, direction: str) -> tuple[ScenarioControl, float, B
     ensemble: PathEnsemble = solution.ensemble
     grid = ensemble.grid
     adj = solution.adjoints
-    theta0_raw, theta1_raw = _theta_ratios(adj, model.n_marks)
+    theta0_raw, theta1_raw = _theta_ratios(adj)
     y = float(adj.p[:, 0].mean())
     try:
         control = scenario_from_theta1(model, grid, theta1_raw, y, mu=solution.mu)
@@ -117,10 +111,11 @@ def _primal_to_dual(solution, direction: str) -> tuple[ScenarioControl, float, B
         "G(T) equals the marginal utility of terminal wealth U'(X(T))",
         *_abs_and_rel(density[:, -1], marginal),
     )
+    # p1(0) is F_0-measurable, so every path must carry y
     report.add(
         "initial_value",
         "y is the initial adjoint value p1(0)",
-        abs(y - float(adj.p[:, 0].mean())),
+        np.max(np.abs(adj.p[:, 0] - y)),
     )
     report.add(
         "ratio_residual",
@@ -142,7 +137,7 @@ def primal_to_dual(solution: PrimalSolution) -> tuple[ScenarioControl, float, Br
 
 
 def robust_primal_to_dual(
-    solution: RobustPrimalSolution,
+    solution: PrimalSolution,
 ) -> tuple[ScenarioControl, float, float, BridgeReport]:
     """Robust variant: the perturbation transfers unchanged (mu_dual = mu_primal)."""
     control, y, report = _primal_to_dual(solution, "robust-primal-to-dual")
@@ -185,10 +180,11 @@ def _dual_to_primal(solution, direction: str):
         "X(T) equals the claim -V'(G(T))",
         *_abs_and_rel(wealth[:, -1], claim),
     )
+    # p2(0) is F_0-measurable, so every path must carry x
     report.add(
         "initial_value",
         "x is the initial adjoint value p2(0)",
-        abs(x0 - float(adj.p[:, 0].mean())),
+        np.max(np.abs(adj.p[:, 0] - x0)),
     )
     return strategy, x0, report
 

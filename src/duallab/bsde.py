@@ -106,10 +106,6 @@ class DriverSpec:
             cr = np.broadcast_to(r, (grid.n_steps, n_marks)).copy() if n_marks else np.zeros((grid.n_steps, 0))
         return c0, cp, cq, cr
 
-    @classmethod
-    def zero(cls) -> "DriverSpec":
-        return cls()
-
 
 @dataclass
 class AdjointTriple:
@@ -125,6 +121,20 @@ class AdjointTriple:
     r: np.ndarray
     mode: str = "regression"
     diagnostics: dict = field(default_factory=dict)
+
+
+def log_adjoints(grid: TimeGrid, rate: np.ndarray, process: np.ndarray, q_ratio: np.ndarray,
+                 r_ratio: np.ndarray, family: str) -> AdjointTriple:
+    """Closed-form adjoints of a log problem: p = C/X for the forward
+    ``process`` X, with the deterministic tail factor C(t_i) = exp(sum_{j>=i}
+    rate_j dt), C(T) = 1; then q = q_ratio*p(t-) and r_k = r_ratio_k*p(t-)
+    per step (and mark), with p at the left endpoint of each step as p(t-).
+    """
+    tail = np.concatenate([np.cumsum((rate * grid.dt)[::-1])[::-1], [0.0]])
+    p = np.exp(tail)[None, :] / process
+    q = q_ratio[None, :] * p[:, :-1]
+    r = r_ratio[None, :, :] * p[:, :-1, None]
+    return AdjointTriple(p, q, r, mode="analytic", diagnostics={"family": family})
 
 
 def _default_state(ensemble: PathEnsemble) -> dict:
@@ -414,7 +424,7 @@ def solve_linear_bsde(
     grid, model = ensemble.grid, ensemble.model
     dt = grid.dt
     k = model.n_marks
-    driver = driver or DriverSpec.zero()
+    driver = driver or DriverSpec()
     c0, cp, cq, cr = driver.on_grid(grid, k)
     builder = _BasisBuilder(state or _default_state(ensemble), basis or RegressionBasis())
     lam = model.intensities * dt
@@ -486,16 +496,6 @@ def solve_linear_bsde(
                          diagnostics=diagnostics)
 
 
-def martingale_representation(
-    ensemble: PathEnsemble,
-    terminal: np.ndarray,
-    state: dict | None = None,
-    basis: RegressionBasis | None = None,
-) -> AdjointTriple:
-    """Driver-free representation: p(t) = E[terminal | F_t], q and r its integrands."""
-    return solve_linear_bsde(ensemble, terminal, DriverSpec.zero(), state, basis)
-
-
 def bsde_residual_report(
     triple: AdjointTriple,
     ensemble: PathEnsemble,
@@ -519,7 +519,7 @@ def bsde_residual_report(
     grid, model = ensemble.grid, ensemble.model
     dt = grid.dt
     k = model.n_marks
-    driver = driver or DriverSpec.zero()
+    driver = driver or DriverSpec()
     c0, cp, cq, cr = driver.on_grid(grid, k)
     builder = _BasisBuilder(state or _default_state(ensemble), basis or RegressionBasis())
     train, test = ensemble.split_indices(split_seed)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import os
 import sys
@@ -31,9 +32,7 @@ from .bridge import (
 from .config import ConfigError, ExperimentConfig, read_config, validate_config
 from .dual import evaluate_dual_scenario, solve_dual_search, unique_scenario_no_jumps
 from .market import (
-    Strategy,
     TimeGrid,
-    as_time_fn,
     density_paths,
     ensemble_summary,
     ensemble_to_csv,
@@ -41,7 +40,7 @@ from .market import (
     simulate_drivers,
     wealth_paths,
 )
-from .primal import hamiltonian_derivative_check, solve_primal_search
+from .primal import hamiltonian_derivative_check, merton_log_closed_form, solve_primal_search
 from .robust import robust_log_closed_form, solve_robust_dual, solve_robust_saddle
 
 
@@ -209,12 +208,10 @@ def run_robust(cfg: ExperimentConfig, out: str) -> dict:
         model, utility, penalty, cfg.x0, phi_grid, mu_grid, ens, adjoint_mode=cfg.adjoints
     )
     cfg_hash = cfg.hash()
-    rows = []
-    for jp, pi in enumerate(solution.pi_values):
-        for jm, mu in enumerate(solution.mu_values):
-            rows.append((repr(float(pi)), repr(float(mu)),
-                         repr(float(solution.payoff[jp, jm])),
-                         repr(float(solution.payoff_se[jp, jm]))))
+    # the candidates are the flat C-order (pi, mu) grid
+    cells = itertools.product(solution.pi_values, solution.mu_values)
+    rows = [(repr(float(pi)), repr(float(mu)), repr(float(v)), repr(float(se)))
+            for (pi, mu), v, se in zip(cells, solution.candidate_values, solution.candidate_se)]
     _write_csv(os.path.join(out, "payoff_matrix.csv"), ["pi", "mu", "value", "se"], rows, cfg_hash)
     payload = {
         "mode": "robust",
@@ -233,8 +230,8 @@ def run_robust(cfg: ExperimentConfig, out: str) -> dict:
         },
     }
     if utility.name == "log" and penalty.name == "quadratic" and model.n_marks == 0:
-        cf = robust_log_closed_form(model, penalty)
-        payload["closed_form"] = {"mu": cf.mu(0.0), "pi": cf.pi(0.0)}
+        pi_cf, mu_cf = robust_log_closed_form(model, penalty)
+        payload["closed_form"] = {"mu": mu_cf, "pi": pi_cf}
         # solved fraction over the plain Merton fraction b/sigma^2
         b, s = float(model.drift), float(model.vol)
         payload["pi_ratio_vs_nonrobust"] = solution.pi * s * s / b if b else None
@@ -264,31 +261,16 @@ def run_bridge_check(cfg: ExperimentConfig, out: str) -> dict:
     adjoints = section.get("adjoints", cfg.adjoints)
     utility = cfg.utility()
     if case == "merton_log":
-        b, s = as_time_fn(model.drift)(0.0), as_time_fn(model.vol)(0.0)
-        pi_star = b / s**2
+        pi_star = float(merton_log_closed_form(model).values)
         primal = solve_primal_search(model, utility, cfg.x0, [pi_star], ens, adjoint_mode=adjoints)
         control, y, rep_fwd = primal_to_dual(primal)
         dual = evaluate_dual_scenario(model, utility, control, ens, adjoint_mode=adjoints,
                                       density=rep_fwd.density)
         portfolio, x_back, rep_back = dual_to_primal(dual)
-        pi_back = _scalar_fraction(portfolio, adjoints)
-        product_dev = verify_product_identity(primal.wealth, primal.adjoints.p, cfg.x0, y)
-        payload = {
-            "mode": "bridge-check",
-            "case": case,
-            "adjoints": adjoints,
-            "pi": primal.pi,
-            "y": y,
-            "x_recovered": x_back,
-            "pi_recovered": pi_back,
-            "identities_forward": rep_fwd.identities,
-            "identities_backward": rep_back.identities,
-            "product_identity_max_dev": product_dev,
-        }
+        transfer = {}
     elif case == "robust_merton":
         penalty = cfg.penalty()
-        cf = robust_log_closed_form(model, penalty)
-        pi_star, mu_star = cf.pi(0.0), cf.mu(0.0)
+        pi_star, mu_star = robust_log_closed_form(model, penalty)
         primal = solve_robust_saddle(
             model, utility, penalty, cfg.x0, [pi_star], [mu_star], ens, adjoint_mode=adjoints
         )
@@ -297,25 +279,23 @@ def run_bridge_check(cfg: ExperimentConfig, out: str) -> dict:
             model, utility, penalty, y, ens, [mu_star], adjoint_mode=adjoints
         )
         portfolio, mu_back, x_back, rep_back = robust_dual_to_primal(dual)
-        pi_back = _scalar_fraction(portfolio, adjoints)
-        product_dev = verify_product_identity(primal.wealth, primal.adjoints.p, cfg.x0, y)
-        payload = {
-            "mode": "bridge-check",
-            "case": case,
-            "adjoints": adjoints,
-            "pi": primal.pi,
-            "mu": primal.mu,
-            "y": y,
-            "mu_transferred": mu_fwd,
-            "x_recovered": x_back,
-            "mu_recovered": mu_back,
-            "pi_recovered": pi_back,
-            "identities_forward": rep_fwd.identities,
-            "identities_backward": rep_back.identities,
-            "product_identity_max_dev": product_dev,
-        }
+        transfer = {"mu": primal.mu, "mu_transferred": mu_fwd, "mu_recovered": mu_back}
     else:
         raise ConfigError(f"unknown bridge case {case!r}")
+    payload = {
+        "mode": "bridge-check",
+        "case": case,
+        "adjoints": adjoints,
+        "pi": primal.pi,
+        "y": y,
+        "x_recovered": x_back,
+        "pi_recovered": _scalar_fraction(portfolio, adjoints),
+        "identities_forward": rep_fwd.identities,
+        "identities_backward": rep_back.identities,
+        "product_identity_max_dev": verify_product_identity(primal.wealth, primal.adjoints.p,
+                                                            cfg.x0, y),
+        **transfer,
+    }
     _write_json(os.path.join(out, "report.json"), payload, cfg.hash())
     return payload
 
@@ -340,15 +320,14 @@ def run_convergence(cfg: ExperimentConfig, out: str) -> dict:
                    "errors": {str(r[0]): float(r[1]) for r in rows}}
     elif benchmark == "product-identity":
         horizon = float(cfg.raw["market"]["horizon"])
-        b, s = as_time_fn(model.drift)(0.0), as_time_fn(model.vol)(0.0)
-        pi_star = b / s**2
+        merton = merton_log_closed_form(model)
         for steps in section.get("steps", [25, 50, 100]):
             grid = TimeGrid(int(steps), horizon)
             ens = simulate_drivers(model, grid, cfg.n_paths, cfg.seed)
             control = unique_scenario_no_jumps(model, grid, cfg.y)
             devs = {}
             for scheme in ("euler", "exact"):
-                wealth = wealth_paths(model, ens, Strategy.fraction(pi_star), cfg.x0, scheme=scheme)
+                wealth = wealth_paths(model, ens, merton, cfg.x0, scheme=scheme)
                 dens = density_paths(ens, control, scheme=scheme)
                 devs[scheme] = verify_product_identity(wealth, dens, cfg.x0, cfg.y)
             rows.append((int(steps), repr(devs["euler"]), repr(devs["exact"])))

@@ -83,6 +83,23 @@ def _integer(data: dict, key: str, path: str, low: int, bits: int | None = None)
     return value
 
 
+def _number(data: dict, key: str, path: str, positive: bool = False,
+            default: float | None = None) -> float:
+    """A finite real field, positive when ``positive`` is set; ``default`` when
+    one is given and the field is absent.  A string that reads as a number
+    counts: YAML reads 1e-3, without a dot, as a string."""
+    value = _require(data, key, path) if default is None else data.get(key, default)
+    try:
+        number = math.nan if isinstance(value, bool) else float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number) or (positive and number <= 0):
+        where = f"{path}.{key}" if path else key
+        kind = "a positive finite number" if positive else "a finite number"
+        raise ConfigError(f"{where} must be {kind}, got {value!r}")
+    return number
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment description plus the raw mapping it came from."""
@@ -135,13 +152,15 @@ def validate_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("configuration root must be a mapping")
     _check_keys(raw, _SCHEMA, "")
     market = _require(raw, "market", "")
-    for key in ("drift", "vol", "horizon"):
-        _require(market, key, "market")
+    for key in ("drift", "vol"):
+        _number(market, key, "market")
+    _number(market, "s0", "market", positive=True, default=1.0)
+    _number(market, "horizon", "market", positive=True)
     for j, jump in enumerate(market.get("jumps", []) or []):
         if not isinstance(jump, dict):
             raise ConfigError(f"market.jumps[{j}] must be a mapping")
         for key in ("mark", "intensity"):
-            _require(jump, key, f"market.jumps[{j}]")
+            _number(jump, key, f"market.jumps[{j}]")
         extra = set(jump) - {"mark", "intensity"}
         if extra:
             raise ConfigError(f"unknown configuration key: market.jumps[{j}].{extra.pop()}")
@@ -162,14 +181,21 @@ def validate_config(raw: dict) -> ExperimentConfig:
         n_paths=paths,
         seed=seed,
         n_steps=steps,
-        x0=float(raw.get("x0", 1.0)),
-        y=float(raw.get("y", 1.0)),
+        x0=_number(raw, "x0", "", positive=True, default=1.0),
+        y=_number(raw, "y", "", positive=True, default=1.0),
         adjoints=adjoints,
         out_dir=str(raw.get("out", "runs")),
     )
-    _check_driver_bytes(cfg)
-    # fail early on bad market coefficients
-    cfg.market_model().validate_on(cfg.time_grid())
+    # fail early on bad market coefficients: a negative intensity, a jump of
+    # -100% or below
+    try:
+        model = cfg.market_model()
+        _check_driver_bytes(cfg, model)
+        model.validate_on(cfg.time_grid())
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"market: {exc}") from exc
     return cfg
 
 
@@ -183,7 +209,7 @@ def _event_bound(mean: float, cells: int) -> int:
     return min(cells, math.ceil(mean + t))
 
 
-def _check_driver_bytes(cfg: ExperimentConfig) -> None:
+def _check_driver_bytes(cfg: ExperimentConfig, model: MarketModel) -> None:
     """Refuse a run whose driver storage exceeds :data:`MAX_DRIVER_BYTES`,
     before anything of that size (the time grid included) is allocated.
 
@@ -201,7 +227,6 @@ def _check_driver_bytes(cfg: ExperimentConfig) -> None:
             from exc
     field, paths = ("convergence.paths", ladder_paths) if ladder_paths > cfg.n_paths \
         else ("mc.paths", cfg.n_paths)
-    model = cfg.market_model()
     marks = model.n_marks
     need = paths * steps * 8 + (20 + 8 * marks) * sum(
         _event_bound(paths * lam * model.horizon, paths * steps) for lam in model.jump_intensities)

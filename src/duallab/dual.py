@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsde import AdjointTriple, DriverSpec, RegressionBasis, solve_linear_bsde
+from .bsde import AdjointTriple, DriverSpec, RegressionBasis, log_adjoints, solve_linear_bsde
 from .market import (
     DEGENERATE_VOL,
     THETA1_FLOOR,
@@ -25,7 +25,7 @@ from .market import (
     density_paths,
     terminal_log_density,
 )
-from .mc import cv_mean, grid_search, interior_summary
+from .mc import grid_search, interior_summary
 from .preferences import Penalty, UtilityPair
 
 @dataclass(frozen=True)
@@ -226,27 +226,18 @@ def analytic_log_dual_adjoints(
     q2 = -theta0*p2 and r2_k = ((1+theta1_k)^{-1} - 1)*p2(t-).
     """
     grid = ensemble.grid
-    dt = grid.dt
     k = model.n_marks
     theta0 = np.broadcast_to(np.asarray(control.theta0, dtype=float), (grid.n_steps,))
-    theta1 = np.asarray(control.theta1, dtype=float).reshape(grid.n_steps, k) if k else np.zeros((grid.n_steps, 0))
+    theta1 = np.asarray(control.theta1, dtype=float).reshape(grid.n_steps, k)
     nu = model.intensities
-    jump_gain = (1.0 / (1.0 + theta1) - 1.0) if k else theta1
+    jump_gain = 1.0 / (1.0 + theta1) - 1.0
     # drift rate of 1/G as a stochastic exponential
-    a = theta0**2
-    if k:
-        a = a + theta1 @ nu + jump_gain @ nu
+    a = theta0**2 + theta1 @ nu + jump_gain @ nu
     # dt-term of the adjoint equation per unit p2: the driver's coefficients
     # applied to q2/p2 = -theta0 and r2/p2 = jump_gain
     driver = dual_driver(model, grid, mu=control.mu)
     psi = -theta0 * driver.q_coeff + np.sum(driver.r_coeff * jump_gain, axis=1)
-    rate = -a + psi
-    tail = np.concatenate([np.cumsum((rate * dt)[::-1])[::-1], [0.0]])
-    c = np.exp(tail)
-    p = c[None, :] / density
-    q = -theta0[None, :] * p[:, :-1]
-    r = jump_gain[None, :, :] * p[:, :-1, None] if k else np.zeros((ensemble.n_paths, grid.n_steps, 0))
-    return AdjointTriple(p, q, r, mode="analytic", diagnostics={"family": "log-dual"})
+    return log_adjoints(grid, -a + psi, density, -theta0, jump_gain, "log-dual")
 
 
 def dual_adjoints(
@@ -267,27 +258,16 @@ def dual_adjoints(
         if pair.name != "log":
             raise ValueError("analytic dual adjoints are available for the log pair only")
         return analytic_log_dual_adjoints(model, ensemble, density, control)
-    return solve_linear_bsde(
-        ensemble,
-        pair.inverse_marginal(density[:, -1]),
-        driver=dual_driver(model, ensemble.grid, mu=control.mu),
-        state={"G": density, "F": lambda: pair.inverse_marginal(density)},
-        basis=basis or RegressionBasis(channels=("G",)),
-    )
+    return solve_linear_bsde(ensemble, pair.inverse_marginal(density[:, -1]),
+                             driver=dual_driver(model, ensemble.grid, mu=control.mu),
+                             state={"G": density, "F": lambda: pair.inverse_marginal(density)},
+                             basis=basis or RegressionBasis(channels=("G",)))
 
 
-def _dual_solution(
-    model: MarketModel,
-    ensemble: PathEnsemble,
-    pair: UtilityPair,
-    control: ScenarioControl,
-    adjoint_mode: str,
-    basis: RegressionBasis | None,
-    replicate: bool,
-    foc=None,
-    density: np.ndarray | None = None,
-    **fields,
-) -> DualSolution:
+def _dual_solution(model: MarketModel, ensemble: PathEnsemble, pair: UtilityPair,
+                   control: ScenarioControl, adjoint_mode: str, basis: RegressionBasis | None,
+                   replicate: bool, foc=None, density: np.ndarray | None = None,
+                   **fields) -> DualSolution:
     """Solution at a chosen scenario: density, adjoints, first-order residuals
     (``foc(solution)``, by default :func:`dual_foc_residual`) and, optionally,
     the replication check.  ``density`` is the scenario's density paths when
@@ -340,16 +320,10 @@ def solve_dual_search(
         ensemble.n_paths, size=np.array([float(np.linalg.norm(c)) for c in candidates]),
         what="scenario candidates",
     )
-    j_star = search.best
     return _dual_solution(
-        model, ensemble, pair, scenarios[j_star], adjoint_mode, basis, replicate,
-        value=float(search.values[j_star]),
-        se=float(search.ses[j_star]),
-        theta1_values=[np.asarray(c).tolist() for c in candidates],
-        candidate_values=search.values,
-        candidate_se=search.ses,
-        excluded=excluded,
-        grid_edge=search.grid_edge,
+        model, ensemble, pair, scenarios[search.best], adjoint_mode, basis, replicate,
+        theta1_values=[np.asarray(c).tolist() for c in candidates], excluded=excluded,
+        **search.fields(),
     )
 
 
@@ -371,17 +345,13 @@ def evaluate_dual_scenario(
     scenario's paths, ``density_paths(ensemble, control)``, when they are
     built already (a primal-to-dual report keeps them); they are not rebuilt.
     """
-    value, se = cv_mean(
-        pair.neg_v_of_log(terminal_log_density(ensemble, control)),
-        ensemble.terminal_controls() if control_variates else None,
-    )
+    design = ensemble.terminal_design()
+    search = grid_search((1,), scenario_samples(ensemble, pair, [control], design),
+                         np.ones(1, bool), design if control_variates else None, ensemble.n_paths)
     return _dual_solution(
         model, ensemble, pair, control, adjoint_mode, basis, replicate, density=density,
-        value=float(value),
-        se=float(se),
         theta1_values=[np.asarray(control.theta1[0]).tolist()] if model.n_marks else [[]],
-        candidate_values=np.array([value]),
-        candidate_se=np.array([se]),
+        **search.fields(0),
     )
 
 
@@ -395,9 +365,6 @@ def dual_foc_residual(solution: DualSolution) -> dict:
     model, ensemble = solution.model, solution.ensemble
     grid = ensemble.grid
     k = model.n_marks
-    if k == 0:
-        return {"raw": np.zeros((grid.n_steps, 0)), "mean_normalized": 0.0,
-                "max_normalized": 0.0, "scale": 0.0}
     s = model.vol_on(grid)
     gam = model.jump_sizes_on(grid)
     adj = solution.adjoints
@@ -406,14 +373,8 @@ def dual_foc_residual(solution: DualSolution) -> dict:
     r_mean = adj.r.mean(axis=0)
     raw = np.zeros((grid.n_steps, k))
     raw[live] = -(q_mean[live] / s[live])[:, None] * gam[live] + r_mean[live]
-    scale = float(np.mean(np.abs(r_mean[live]))) if np.any(live) else 0.0
-    mean_normalized, max_normalized = interior_summary(raw, scale, mask=live)
-    return {
-        "raw": raw,
-        "scale": scale,
-        "mean_normalized": mean_normalized,
-        "max_normalized": max_normalized,
-    }
+    scale = float(np.mean(np.abs(r_mean[live]))) if r_mean[live].size else 0.0
+    return interior_summary(raw, scale, mask=live)
 
 
 def _portfolio_rows(solution: DualSolution):

@@ -172,21 +172,6 @@ def _mu_on_grid(mu, grid: TimeGrid) -> np.ndarray:
     return eval_on_grid(mu, grid.left_times)
 
 
-def perturbed_model(model: MarketModel, mu) -> MarketModel:
-    """Market with drift b + mu*sigma; all other coefficients unchanged."""
-    mu_fn = as_time_fn(mu)
-    b_fn, s_fn = as_time_fn(model.drift), as_time_fn(model.vol)
-    return MarketModel(
-        drift=lambda t: b_fn(t) + mu_fn(t) * s_fn(t),
-        vol=model.vol,
-        jump_marks=model.jump_marks,
-        jump_intensities=model.jump_intensities,
-        jump_size=model.jump_size,
-        horizon=model.horizon,
-        s0=model.s0,
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class JumpEvents:
     """The Poisson jump counts of an ensemble as events: the nonzero cells of

@@ -71,17 +71,25 @@ def cv_mean(values: np.ndarray, controls: np.ndarray | None = None,
     return est, se
 
 
-class SearchResult(NamedTuple):
-    values: np.ndarray   # flat, -inf where the candidate was excluded
-    ses: np.ndarray
-    best: int | None     # flat index of the tie-broken argmax, if selected
-    grid_edge: bool      # the argmax lies on an edge of the grid
-
-
 def on_grid_edge(pos: tuple[int, ...], shape: tuple[int, ...]) -> bool:
     """Whether a grid position is the first or last value of an axis that has
     at least 3 values, where the optimum may lie beyond the grid."""
     return any(n >= 3 and p in (0, n - 1) for p, n in zip(pos, shape))
+
+
+class SearchResult(NamedTuple):
+    values: np.ndarray   # flat, -inf where the candidate was excluded
+    ses: np.ndarray
+    shape: tuple[int, ...]
+    best: int | None     # flat index of the tie-broken argmax, if selected
+
+    def fields(self, j: int | None = None) -> dict:
+        """The solution fields of candidate ``j``, by default the argmax: its
+        value and se, every candidate's, and whether it lies on a grid edge."""
+        j = self.best if j is None else j
+        return {"value": float(self.values[j]), "se": float(self.ses[j]),
+                "candidate_values": self.values, "candidate_se": self.ses,
+                "grid_edge": on_grid_edge(np.unravel_index(j, self.shape), self.shape)}
 
 
 def grid_search(
@@ -123,12 +131,11 @@ def grid_search(
         values[idx] = est + offset[idx]
         ses[idx] = se
     if size is None:
-        return SearchResult(values, ses, None, False)
+        return SearchResult(values, ses, shape, None)
     if not np.any(np.isfinite(values)):
         raise ValueError(f"all {what} inadmissible")
     top = np.flatnonzero(values == np.max(values))
-    best = int(top[np.argmin(np.asarray(size)[top])])
-    return SearchResult(values, ses, best, on_grid_edge(np.unravel_index(best, shape), shape))
+    return SearchResult(values, ses, shape, int(top[np.argmin(np.asarray(size)[top])]))
 
 
 def _time_major(a: np.ndarray) -> bool:
@@ -167,16 +174,18 @@ def interior_window(n_steps: int) -> slice:
     return slice(cut, n_steps - cut)
 
 
-def interior_summary(raw: np.ndarray, scale: float, mask: np.ndarray | None = None):
-    """Mean and max of |raw|/scale over the interior rows of ``raw`` (one row
-    per grid step), restricted to the rows where ``mask`` holds.  A zero or
-    subnormal scale (below the smallest normal float, where the quotient
-    would overflow) leaves |raw| unnormalized; an empty selection gives
-    (0.0, 0.0).
+def interior_summary(raw: np.ndarray, scale: float, mask: np.ndarray | None = None) -> dict:
+    """The residual report of ``raw`` (one row per grid step): ``raw``,
+    ``scale``, and the mean and max of |raw|/scale over the interior rows,
+    restricted to the rows where ``mask`` holds (``mean_normalized``,
+    ``max_normalized``).  A zero or subnormal scale (below the smallest
+    normal float, where the quotient would overflow) leaves |raw|
+    unnormalized; an empty selection gives 0.0 for both.
     """
     window = interior_window(raw.shape[0])
     interior = np.abs(raw[window] if mask is None else raw[window][mask[window]])
     normalized = interior / scale if scale >= np.finfo(float).tiny else interior
-    if not normalized.size:
-        return 0.0, 0.0
-    return float(np.mean(normalized)), float(np.max(normalized))
+    empty = not normalized.size
+    return {"raw": raw, "scale": scale,
+            "mean_normalized": 0.0 if empty else float(np.mean(normalized)),
+            "max_normalized": 0.0 if empty else float(np.max(normalized))}

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsde import AdjointTriple, RegressionBasis, martingale_representation
+from .bsde import AdjointTriple, RegressionBasis, log_adjoints, solve_linear_bsde
 from .market import (
     INADMISSIBLE_FRACTION,
     MarketModel,
@@ -25,13 +25,19 @@ from .market import (
     terminal_log_wealth,
     wealth_paths,
 )
-from .mc import cv_mean, grid_search, interior_summary, interior_window
-from .preferences import UtilityPair
+from .mc import cv_mean, grid_search, interior_summary
+from .preferences import Penalty, UtilityPair
 
 
 @dataclass
 class PrimalSolution:
-    """Optimal (within the searched family) strategy with diagnostics attached."""
+    """Optimal (within the searched family) strategy with diagnostics attached.
+
+    The robust saddle fills ``penalty`` and the payoff matrix over
+    (``pi_values``, ``mu_values``), with ``mu`` the adversary's perturbation;
+    its candidates are then the flat C-order (pi, mu) grid.  On a plain
+    search the saddle fields are None.
+    """
 
     model: MarketModel
     ensemble: PathEnsemble
@@ -47,6 +53,14 @@ class PrimalSolution:
     excluded: list = field(default_factory=list)
     grid_edge: bool = False
     mu: object = None
+    penalty: Penalty | None = None
+    mu_values: np.ndarray | None = None
+    payoff: np.ndarray | None = None  # (n_pi, n_mu)
+    payoff_se: np.ndarray | None = None
+    is_saddle: bool | None = None
+    gap: float | None = None
+    minimax: float | None = None
+    maximin: float | None = None
     wealth: np.ndarray | None = None
     adjoints: AdjointTriple | None = None
     foc: dict | None = None
@@ -77,22 +91,15 @@ def analytic_log_adjoints(
     exponential update:  q1 = -pi*sigma*p1 and r1_k = p1*((1+pi*gamma_k)^{-1}-1).
     """
     grid = ensemble.grid
-    dt = grid.dt
     b = model.drift_on(grid, mu)
     s = model.vol_on(grid)
     gam = model.jump_sizes_on(grid)
     nu = model.intensities
+    jump_gain = 1.0 / (1.0 + pi * gam) - 1.0
     rate = pi**2 * s**2 - pi * b
     if model.n_marks:
-        rate = rate + pi * (gam @ nu) + ((1.0 / (1.0 + pi * gam) - 1.0) @ nu)
-    # tail factor C(t_i) = exp(sum_{j>=i} rate_j dt), C(T) = 1
-    tail = np.concatenate([np.cumsum((rate * dt)[::-1])[::-1], [0.0]])
-    p = np.exp(tail)[None, :] / wealth
-    q = -pi * s[None, :] * p[:, :-1]
-    r = np.zeros((ensemble.n_paths, grid.n_steps, model.n_marks))
-    if model.n_marks:
-        r = (1.0 / (1.0 + pi * gam) - 1.0)[None, :, :] * p[:, :-1, None]
-    return AdjointTriple(p, q, r, mode="analytic", diagnostics={"family": "log-constant-pi"})
+        rate = rate + pi * (gam @ nu) + (jump_gain @ nu)
+    return log_adjoints(grid, rate, wealth, -pi * s, jump_gain, "log-constant-pi")
 
 
 def primal_adjoints(
@@ -114,12 +121,9 @@ def primal_adjoints(
         if utility.name != "log":
             raise ValueError("analytic adjoints are available for log utility only")
         return analytic_log_adjoints(model, ensemble, wealth, pi, mu=mu)
-    return martingale_representation(
-        ensemble,
-        utility.u_prime(wealth[:, -1]),
-        state={"X": wealth, "F": lambda: utility.u_prime(wealth)},
-        basis=basis or RegressionBasis(channels=("X",)),
-    )
+    return solve_linear_bsde(ensemble, utility.u_prime(wealth[:, -1]),
+                             state={"X": wealth, "F": lambda: utility.u_prime(wealth)},
+                             basis=basis or RegressionBasis(channels=("X",)))
 
 
 def solve_primal_search(
@@ -155,30 +159,34 @@ def solve_primal_search(
         pi_values.shape, samples, admissible, design if control_variates else None,
         ensemble.n_paths, size=np.abs(pi_values),
     )
-    values, ses, j_star = search.values, search.ses, search.best
-    pi_star = float(pi_values[j_star])
+    return _primal_solution(
+        model, ensemble, utility, x0, float(pi_values[search.best]), mu, adjoint_mode, basis,
+        pi_values=pi_values, excluded=excluded, **search.fields(),
+    )
 
-    wealth = wealth_paths(model, ensemble, Strategy.fraction(pi_star), x0, mu=mu)
-    adjoints = primal_adjoints(model, ensemble, utility, wealth, pi_star, mu, adjoint_mode, basis)
+
+def _primal_solution(model: MarketModel, ensemble: PathEnsemble, utility: UtilityPair, x0: float,
+                     pi: float, mu, adjoint_mode: str, basis: RegressionBasis | None, foc=None,
+                     **fields) -> PrimalSolution:
+    """Solution at a chosen constant fraction, in the market with drift
+    b + mu*sigma: wealth, adjoints and first-order residuals
+    (``foc(solution)``, by default :func:`primal_foc_residual`).  ``fields``
+    carry the search results."""
+    strategy = Strategy.fraction(pi)
+    wealth = wealth_paths(model, ensemble, strategy, x0, mu=mu)
     solution = PrimalSolution(
         model=model,
         ensemble=ensemble,
         utility=utility,
         x0=x0,
-        pi=pi_star,
-        strategy=Strategy.fraction(pi_star),
-        value=float(values[j_star]),
-        se=float(ses[j_star]),
-        pi_values=pi_values,
-        candidate_values=values,
-        candidate_se=ses,
-        excluded=excluded,
-        grid_edge=search.grid_edge,
+        pi=pi,
+        strategy=strategy,
         mu=mu,
         wealth=wealth,
-        adjoints=adjoints,
+        adjoints=primal_adjoints(model, ensemble, utility, wealth, pi, mu, adjoint_mode, basis),
+        **fields,
     )
-    solution.foc = primal_foc_residual(solution)
+    solution.foc = foc(solution) if foc else primal_foc_residual(solution)
     return solution
 
 
@@ -188,7 +196,7 @@ def primal_foc_residual(solution: PrimalSolution) -> dict:
 
     Cross-sectional means estimate the conditional identity; the summary is
     normalized by the time-average of |b*mean(p1)| so tolerances are
-    scale-free.  Interior times (central 80% of the grid) enter the summary.
+    scale-free (:func:`~duallab.mc.interior_summary`).
     """
     model, ensemble = solution.model, solution.ensemble
     grid = ensemble.grid
@@ -201,16 +209,7 @@ def primal_foc_residual(solution: PrimalSolution) -> dict:
     if model.n_marks:
         gam = model.jump_sizes_on(grid)
         raw = raw + np.einsum("ik,pik,k->i", gam, adj.r, model.intensities) / ensemble.n_paths
-    scale = float(np.mean(np.abs(b * p_mean)))
-    mean_normalized, max_normalized = interior_summary(raw, scale)
-    window = interior_window(grid.n_steps)
-    return {
-        "raw": raw,
-        "scale": scale,
-        "mean_normalized": mean_normalized,
-        "max_normalized": max_normalized,
-        "interior": (window.start, window.stop),
-    }
+    return interior_summary(raw, float(np.mean(np.abs(b * p_mean))))
 
 
 def hamiltonian_derivative_check(
@@ -221,18 +220,17 @@ def hamiltonian_derivative_check(
 ) -> tuple[float, float]:
     """Central finite difference of the objective along ``direction`` at the solution.
 
-    Uses common random numbers; by the necessary optimality condition the
-    derivative vanishes at an optimum.  Returns (estimate, standard error).
+    Uses common random numbers: the bumped fractions pi +- bump*direction are
+    two candidates of one evaluation over the ensemble's terminal design.  By
+    the necessary optimality condition the derivative vanishes at an
+    optimum.  Returns (estimate, standard error).
     """
     model, ensemble = solution.model, solution.ensemble
     beta = eval_on_grid(direction, ensemble.grid.left_times)
     if not np.any(beta):
         return 0.0, 0.0
-    pi_plus = solution.pi + bump * beta
-    pi_minus = solution.pi - bump * beta
-    u_of_log = solution.utility.u_of_log
-    up = u_of_log(terminal_log_wealth(model, ensemble, pi_plus, solution.x0, mu=solution.mu))
-    dn = u_of_log(terminal_log_wealth(model, ensemble, pi_minus, solution.x0, mu=solution.mu))
-    controls = ensemble.terminal_controls() if control_variates else None
-    est, se = cv_mean((up - dn) / (2.0 * bump), controls)
-    return est, se
+    design = ensemble.terminal_design()
+    pi = solution.pi + bump * np.stack([beta, -beta], axis=1)
+    u = solution.utility.u_of_log(
+        terminal_log_wealth(model, ensemble, pi, solution.x0, mu=solution.mu, design=design))
+    return cv_mean((u[:, 0] - u[:, 1]) / (2.0 * bump), design[:, 1:] if control_variates else None)

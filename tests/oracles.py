@@ -526,7 +526,7 @@ def solve_linear_bsde(ensemble, terminal, driver=None, state=None, basis=None):
     grid, model = ensemble.grid, ensemble.model
     dt = grid.dt
     k = model.n_marks
-    driver = driver or DriverSpec.zero()
+    driver = driver or DriverSpec()
     c0, cp, cq, cr = driver.on_grid(grid, k)
     builder = PathsMajorDesign(ensemble, state, basis)
     nu = model.intensities
@@ -610,7 +610,7 @@ def bsde_residual_report(triple, ensemble, driver=None, state=None, basis=None, 
     grid, model = ensemble.grid, ensemble.model
     dt = grid.dt
     k = model.n_marks
-    driver = driver or DriverSpec.zero()
+    driver = driver or DriverSpec()
     c0, cp, cq, cr = driver.on_grid(grid, k)
     builder = PathsMajorDesign(ensemble, state, basis)
     train, test = ensemble.split_indices(split_seed)

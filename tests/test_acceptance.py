@@ -51,8 +51,7 @@ def test_criterion_1_merton_fraction(base_model, base_ens_50k, log_pair):
 
 def test_criterion_2_robust_half_merton(base_model, base_ens_50k, log_pair, quad_penalty):
     t0 = time.perf_counter()
-    cf = dl.robust_log_closed_form(base_model, quad_penalty)
-    mu_cf, pi_cf = cf.mu(0.0), cf.pi(0.0)
+    pi_cf, mu_cf = dl.robust_log_closed_form(base_model, quad_penalty)
     merton = dl.merton_log_closed_form(base_model).values
     sol = dl.solve_robust_saddle(base_model, log_pair, quad_penalty, 1.0,
                                  PHI_GRID, MU_GRID, base_ens_50k)

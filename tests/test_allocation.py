@@ -29,7 +29,7 @@ import pytest
 import yaml
 
 import duallab as dl
-from duallab import cli, dual, market, mc, primal, robust
+from duallab import cli, dual, market, mc, primal
 from duallab.bsde import STEP_BLOCK
 from duallab.config import validate_config
 
@@ -178,18 +178,19 @@ def test_search_peak_is_two_block_buffers_plus_design(solver):
     ens = dl.simulate_drivers(model, dl.TimeGrid(N_STEPS, 1.0), n_paths, seed=11)
     log_pair = dl.make_log_utility()
     # the shipped 21 x 21 saddle grid and the 51-point Merton grid
-    module, n_blocks, run = {
-        "robust_saddle": (robust, 11, lambda: dl.solve_robust_saddle(
+    n_blocks, run = {
+        "robust_saddle": (11, lambda: dl.solve_robust_saddle(
             model, log_pair, dl.make_quadratic_penalty(), 1.0, np.linspace(0.125, 1.125, 21),
             np.linspace(-0.25, 0.0, 21), ens, adjoint_mode="analytic")),
-        "primal_search": (primal, 2, lambda: dl.solve_primal_search(
+        "primal_search": (2, lambda: dl.solve_primal_search(
             model, log_pair, 1.0, 0.05 * np.arange(51), ens, adjoint_mode="analytic")),
     }[solver]
     # blocks of 41 candidates, as at 50k paths
     block = 41
 
     def stop(*args, **kwargs):
-        # the first call after the search builds the chosen wealth paths
+        # the first call after the search builds the chosen wealth paths, in
+        # primal for both solvers
         raise _SearchDone
 
     def search():
@@ -197,7 +198,7 @@ def test_search_peak_is_two_block_buffers_plus_design(solver):
             run()
 
     with mock.patch.object(mc, "BLOCK_BYTES", block * 8 * n_paths), \
-            mock.patch.object(module, "wealth_paths", stop), \
+            mock.patch.object(primal, "wealth_paths", stop), \
             mock.patch.object(mc, "cv_mean", wraps=mc.cv_mean) as blocks:
         peak, _ = _peak(search)
     assert blocks.call_count == n_blocks

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -110,6 +111,28 @@ def test_dual_to_primal_constant_claim(log_pair):
     strategy, x0, report = dl.dual_to_primal(dual)
     assert np.all(np.asarray(strategy.values) == 0.0)
     assert x0 == pytest.approx(2.0, abs=1e-14)  # -V'(y) = 1/y
+
+
+def test_initial_value_reports_the_spread_of_p0(base_model, base_ens_5k, log_pair):
+    # p(0) is F_0-measurable: a triple whose p(0) differs across paths must
+    # show the spread around the bridged y (and x), not 0 by construction
+    def spread(adj):
+        p = adj.p.copy()
+        p[::7, 0] *= 1.0 + 1e-3
+        return p, AdjointTriple(p, adj.q, adj.r, mode=adj.mode)
+
+    primal = merton_primal(base_model, base_ens_5k, log_pair)
+    p, adjoints = spread(primal.adjoints)
+    control, y, report = dl.primal_to_dual(dataclasses.replace(primal, adjoints=adjoints))
+    assert y == np.mean(p[:, 0])
+    assert report["initial_value"]["max_abs"] == np.max(np.abs(p[:, 0] - y)) > 8e-4
+
+    dual = dl.evaluate_dual_scenario(base_model, log_pair, control, base_ens_5k,
+                                     adjoint_mode="analytic")
+    p, adjoints = spread(dual.adjoints)
+    _, x0, report = dl.dual_to_primal(dataclasses.replace(dual, adjoints=adjoints))
+    assert x0 == np.mean(p[:, 0])
+    assert report["initial_value"]["max_abs"] == np.max(np.abs(p[:, 0] - x0)) > 8e-4
 
 
 def test_round_trip_recovers_fraction(base_model, base_ens_5k, log_pair):

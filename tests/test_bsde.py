@@ -13,7 +13,7 @@ from conftest import make_ensemble
 
 def test_constant_terminal_is_represented_exactly(base_model, base_ens_5k):
     terminal = np.full(base_ens_5k.n_paths, 3.25)
-    triple = dl.martingale_representation(base_ens_5k, terminal)
+    triple = dl.solve_linear_bsde(base_ens_5k, terminal)
     assert np.allclose(triple.p, 3.25, rtol=0, atol=1e-12)
     assert np.allclose(triple.q, 0.0, atol=1e-12)
     assert triple.r.shape[2] == 0
@@ -22,7 +22,7 @@ def test_constant_terminal_is_represented_exactly(base_model, base_ens_5k):
 def test_brownian_terminal_has_unit_integrand(base_model, grid100):
     ens = make_ensemble(base_model, n_paths=50_000, seed=31)
     b_total = ens.brownian_increments.sum(axis=1)
-    triple = dl.martingale_representation(
+    triple = dl.solve_linear_bsde(
         ens, b_total + 5.0, basis=dl.RegressionBasis(degree=1)
     )
     # p(t) tracks 5 + B(t); q is identically one
@@ -41,7 +41,7 @@ def test_brownian_terminal_has_unit_integrand(base_model, grid100):
 
 def test_log_optimal_marginal_gives_constant_product(base_model, base_ens_50k, log_pair):
     wealth = dl.wealth_paths(base_model, base_ens_50k, dl.Strategy.fraction(1.25), 1.0)
-    triple = dl.martingale_representation(
+    triple = dl.solve_linear_bsde(
         base_ens_50k, log_pair.u_prime(wealth[:, -1]), state={"X": wealth}
     )
     product = triple.p * wealth
@@ -50,9 +50,10 @@ def test_log_optimal_marginal_gives_constant_product(base_model, base_ens_50k, l
 
 
 def test_zero_driver_matches_martingale_representation(base_model, base_ens_5k):
+    # the default driver is none: p(t) = E[terminal | F_t], the martingale representation
     terminal = base_ens_5k.channel("S")[:, -1]
-    a = dl.martingale_representation(base_ens_5k, terminal)
-    b = dl.solve_linear_bsde(base_ens_5k, terminal, driver=dl.DriverSpec.zero())
+    a = dl.solve_linear_bsde(base_ens_5k, terminal)
+    b = dl.solve_linear_bsde(base_ens_5k, terminal, driver=dl.DriverSpec())
     assert np.array_equal(a.p, b.p) and np.array_equal(a.q, b.q)
 
 
@@ -92,7 +93,7 @@ def test_path_doubling_reduces_benchmark_error(base_model, grid100, log_pair):
 
 def test_driver_free_means_are_time_constant(base_model, base_ens_50k, log_pair):
     wealth = dl.wealth_paths(base_model, base_ens_50k, dl.Strategy.fraction(1.25), 1.0)
-    triple = dl.martingale_representation(
+    triple = dl.solve_linear_bsde(
         base_ens_50k, log_pair.u_prime(wealth[:, -1]), state={"X": wealth}
     )
     means = triple.p.mean(axis=0)
@@ -104,7 +105,7 @@ def test_driver_free_means_are_time_constant(base_model, base_ens_50k, log_pair)
 
 def test_terminal_matched_pathwise(base_model, base_ens_5k):
     terminal = base_ens_5k.channel("S")[:, -1] ** 2
-    triple = dl.martingale_representation(base_ens_5k, terminal)
+    triple = dl.solve_linear_bsde(base_ens_5k, terminal)
     assert np.array_equal(triple.p[:, -1], terminal)
 
 
@@ -118,7 +119,7 @@ def test_near_singular_implicit_step_raises(base_model, base_ens_5k):
 def test_rank_deficient_state_warns_but_fits(base_model, base_ens_5k):
     s = base_ens_5k.channel("S")
     with pytest.warns(RuntimeWarning, match="rank-deficient"):
-        triple = dl.martingale_representation(
+        triple = dl.solve_linear_bsde(
             base_ens_5k, s[:, -1], state={"S": s, "S2": s**2}
         )
     assert triple.diagnostics["rank_deficient"]
@@ -131,7 +132,7 @@ def test_constant_state_is_counted_not_warned(base_ens_5k):
     x = np.full((base_ens_5k.n_paths, n_steps + 1), 2.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        triple = dl.martingale_representation(base_ens_5k, x[:, -1], state={"X": x})
+        triple = dl.solve_linear_bsde(base_ens_5k, x[:, -1], state={"X": x})
     assert triple.diagnostics["constant_state_steps"] == n_steps
     assert not triple.diagnostics["rank_deficient"]
     assert all(step["rank"] == 1 for step in triple.diagnostics["per_step"])
@@ -149,7 +150,7 @@ def test_riskless_primal_counts_constant_state_without_warning(log_pair):
 
 def test_state_counts_only_its_constant_steps(base_ens_5k):
     s = base_ens_5k.channel("S")
-    triple = dl.martingale_representation(base_ens_5k, s[:, -1])
+    triple = dl.solve_linear_bsde(base_ens_5k, s[:, -1])
     # the price is deterministic at t0 only
     assert triple.diagnostics["constant_state_steps"] == 1
 
@@ -205,7 +206,7 @@ def test_diagnostics_json_roundtrip(base_model, base_ens_5k):
     import json
 
     terminal = base_ens_5k.channel("S")[:, -1]
-    triple = dl.martingale_representation(base_ens_5k, terminal)
+    triple = dl.solve_linear_bsde(base_ens_5k, terminal)
     payload = json.loads(dl.diagnostics_json(triple))
     assert payload["mode"] == "regression"
     assert len(payload["per_step"]) == 100
@@ -215,7 +216,7 @@ def test_diagnostics_json_roundtrip(base_model, base_ens_5k):
 def test_rejects_non_finite_terminal(base_ens_5k):
     terminal = np.full(base_ens_5k.n_paths, np.nan)
     with pytest.raises(ValueError, match="finite"):
-        dl.martingale_representation(base_ens_5k, terminal)
+        dl.solve_linear_bsde(base_ens_5k, terminal)
 
 
 def test_default_basis_sweeps_never_build_the_claim_channel(base_model, base_ens_5k, log_pair):

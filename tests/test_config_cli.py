@@ -75,6 +75,32 @@ def test_bad_integer_field_exit_code(tmp_path, capsys, section, key, value):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("where, value, named", [
+    ("x0", "abc", "x0"), ("x0", -1.0, "x0"), ("y", 0.0, "y"),
+    ("market.drift", "fast", "market.drift"), ("market.vol", True, "market.vol"),
+    ("market.s0", -2.0, "market.s0"), ("market.horizon", 0.0, "market.horizon"),
+    ("market.jumps", [{"mark": "big", "intensity": 1.0}], "market.jumps[0].mark"),
+    ("market.jumps", [{"mark": 0.1, "intensity": None}], "market.jumps[0].intensity"),
+    # valid numbers, but no market: a jump of -150% and a negative intensity
+    ("market.jumps", [{"mark": -1.5, "intensity": 1.0}], "market: jump sizes"),
+    ("market.jumps", [{"mark": 0.1, "intensity": -1.0}], "market: jump intensities"),
+])
+def test_bad_number_field_exit_code(tmp_path, capsys, where, value, named):
+    raw = load_raw("merton_log.yaml")
+    *sections, key = where.split(".")
+    section = raw
+    for name in sections:
+        section = section[name]
+    section[key] = value
+    cfg_file = tmp_path / "bad.yaml"
+    cfg_file.write_text(yaml.safe_dump(raw))
+    code = cli.main(["primal", "--config", str(cfg_file), "--paths", "1000",
+                     "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"configuration error: {named}")
+    assert not (tmp_path / "run").exists()
+
+
 def test_largest_philox_key_is_a_valid_seed():
     raw = load_raw("merton_log.yaml")
     raw["mc"]["seed"] = 2**128 - 1

@@ -374,7 +374,7 @@ def test_sweep_matches_lstsq_on_collinear_state(base_model, base_ens_5k):
         warnings.simplefilter("ignore", RuntimeWarning)
         ref = oracles.solve_linear_bsde(base_ens_5k, s[:, -1], **kwargs)
     with pytest.warns(RuntimeWarning, match="rank-deficient"):
-        triple = dl.martingale_representation(base_ens_5k, s[:, -1], **kwargs)
+        triple = dl.solve_linear_bsde(base_ens_5k, s[:, -1], **kwargs)
     assert all(step["rank"] < 6 for step in ref[3])
     _assert_sweep_matches(triple, ref)
     assert not math.isinf(max(step["cond"] for step in ref[3]))
@@ -426,7 +426,7 @@ def test_sweep_fallback_matches_lstsq(kind, eps, jumps, seed):
     with warnings.catch_warnings(record=True) as warned, \
             mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as qr:
         warnings.simplefilter("always")
-        triple = dl.martingale_representation(ens, terminal, state=state)
+        triple = dl.solve_linear_bsde(ens, terminal, state=state)
     if kind == "near":
         p, q, r, ranks = oracles.long_double_sweep(ens, terminal, state=state)
         assert ranks == [st["rank"] for st in ref[3]]
@@ -456,7 +456,7 @@ def test_sweep_above_cholqr_range_takes_householder(jumps, seed):
     # (at most 0.5 u * cond over 60 seeds)
     ens, state, terminal = _degenerate_state_case("near", 1e-4, jumps, seed)
     with mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as qr:
-        triple = dl.martingale_representation(ens, terminal, state=state)
+        triple = dl.solve_linear_bsde(ens, terminal, state=state)
     per_step = triple.diagnostics["per_step"]
     p, q, r, ranks = oracles.long_double_sweep(ens, terminal, state=state)
     assert [step["rank"] for step in per_step] == ranks
@@ -494,7 +494,7 @@ def test_residual_report_matches_lstsq(base_model, base_ens_5k, jump_model, log_
 @st.composite
 def forward_cases(draw):
     """A small ensemble of a market with time-dependent drift and vol, sigma = 0
-    on a sub-interval or not, and 0-3 marks; plus a seed for coefficients."""
+    on a sub-interval or not, and 0-3 marks; plus a generator for coefficients."""
     b0, b1 = draw(st.floats(-0.2, 0.2)), draw(st.floats(-0.2, 0.2))
     s0, s1 = draw(st.floats(0.05, 0.4)), draw(st.floats(-0.04, 0.04))
     flat = draw(st.sampled_from([None, (0.3, 0.6), (0.0, 0.5)]))
@@ -510,7 +510,10 @@ def forward_cases(draw):
     model = dl.MarketModel(drift=lambda t: b0 + b1 * t, vol=vol, jump_marks=tuple(marks),
                            jump_intensities=tuple(intensities), horizon=1.0)
     ens = dl.simulate_drivers(model, dl.TimeGrid(20, 1.0), 200, seed)
-    return model, ens, np.random.Generator(np.random.Philox(key=seed))
+    # a child of the seed, not the ensemble's own Philox key: drawn from that
+    # key, the first coefficients would be the drivers' normals dB/sqrt(dt)
+    coefficients = np.random.SeedSequence(seed).spawn(1)[0]
+    return model, ens, np.random.Generator(np.random.Philox(coefficients))
 
 
 def assert_rel(new, old, rel=1e-13):

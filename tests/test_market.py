@@ -210,14 +210,15 @@ def test_elmm_residual_examples(base_model, jump_model, grid100):
 
 
 def test_perturbed_model(base_model, grid100):
-    same = dl.perturbed_model(base_model, 0.0)
-    assert np.array_equal(same.drift_on(grid100), base_model.drift_on(grid100))
+    # the perturbed drift b + mu*sigma
+    same = base_model.drift_on(grid100, 0.0)
+    assert np.array_equal(same, base_model.drift_on(grid100))
 
-    flat = dl.perturbed_model(base_model, -0.25)  # -b/sigma
-    assert np.allclose(flat.drift_on(grid100), 0.0, atol=1e-18)
+    flat = base_model.drift_on(grid100, -0.25)  # -b/sigma
+    assert np.allclose(flat, 0.0, atol=1e-18)
 
-    half = dl.perturbed_model(base_model, -0.125)  # -b/(2 sigma)
-    assert np.allclose(half.drift_on(grid100), 0.025, rtol=1e-15)
+    half = base_model.drift_on(grid100, -0.125)  # -b/(2 sigma)
+    assert np.allclose(half, 0.025, rtol=1e-15)
 
 
 def test_ensemble_exports(tmp_path, base_model):

@@ -14,6 +14,8 @@ gamma)^-1 - 1 satisfy the martingale-measure (ELMM) constraint.  Then:
   recover pi*, x and mu.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -145,7 +147,7 @@ def test_bridge_round_trips_recover_the_portfolio_and_the_wealth(case, x, mu):
 
     # the robust round trip at a perturbation mu, in the market whose drift
     # b - mu sigma makes pi* log-optimal once perturbed
-    shifted = dl.perturbed_model(model, -mu)
+    shifted = dataclasses.replace(model, drift=lambda t: model.drift(t) - mu * model.vol(t))
     ens = dl.simulate_drivers(shifted, grid, ens.n_paths, ens.seed)
     saddle = dl.solve_robust_saddle(shifted, LOG, PENALTY, x, [pi], [mu], ens,
                                     adjoint_mode="analytic")

@@ -21,28 +21,28 @@ RJ_MU_STAR = -(0.5 + 0.5 * RJ_THETA1_STAR) / 2.0
 
 
 def test_closed_form_values(base_model, quad_penalty):
-    cf = dl.robust_log_closed_form(base_model, quad_penalty)
-    assert cf.mu(0.0) == pytest.approx(-0.125, abs=1e-16)
-    assert cf.pi(0.0) == pytest.approx(0.625, rel=1e-14)
+    pi, mu = dl.robust_log_closed_form(base_model, quad_penalty)
+    assert mu == pytest.approx(-0.125, abs=1e-16)
+    assert pi == pytest.approx(0.625, rel=1e-14)
 
     flat = dl.MarketModel(drift=0.0, vol=0.2, horizon=1.0)
-    cf0 = dl.robust_log_closed_form(flat, quad_penalty)
-    assert cf0.mu(0.5) == 0.0 and cf0.pi(0.5) == 0.0
+    pi0, mu0 = dl.robust_log_closed_form(flat, quad_penalty, t=0.5)
+    assert mu0 == 0.0 and pi0 == 0.0
 
 
 def test_closed_form_half_ratio_is_exact(base_model, quad_penalty):
-    cf = dl.robust_log_closed_form(base_model, quad_penalty)
+    pi, _ = dl.robust_log_closed_form(base_model, quad_penalty)
     merton = dl.merton_log_closed_form(base_model)
-    assert cf.pi(0.0) / merton.values == 0.5
+    assert pi / merton.values == 0.5
 
 
 @settings(max_examples=100, deadline=None)
 @given(b=st.floats(0.001, 0.5), sigma=st.floats(0.01, 1.0))
 def test_half_ratio_exact_for_all_coefficients(b, sigma):
     model = dl.MarketModel(drift=b, vol=sigma, horizon=1.0)
-    cf = dl.robust_log_closed_form(model, dl.make_quadratic_penalty())
+    pi, _ = dl.robust_log_closed_form(model, dl.make_quadratic_penalty())
     merton = dl.merton_log_closed_form(model)
-    assert cf.pi(0.0) / merton.values == 0.5
+    assert pi / merton.values == 0.5
 
 
 def test_closed_form_preconditions(jump_model, base_model, quad_penalty):
@@ -192,14 +192,13 @@ def test_mu_from_foc_penalty_scaling(scale, gq):
 
 def test_closed_form_product_identity(base_model, base_ens_5k, log_pair, quad_penalty):
     # wealth at the robust optimum times the perturbed density is constant
-    cf = dl.robust_log_closed_form(base_model, quad_penalty)
+    pi, mu = dl.robust_log_closed_form(base_model, quad_penalty)
     grid = base_ens_5k.grid
-    wealth = dl.wealth_paths(base_model, base_ens_5k,
-                             dl.Strategy.fraction(cf.pi(0.0)), 1.0, mu=cf.mu(0.0))
-    control = dl.scenario_from_theta1(base_model, grid, np.zeros(0), 1.0, mu=cf.mu(0.0))
+    wealth = dl.wealth_paths(base_model, base_ens_5k, dl.Strategy.fraction(pi), 1.0, mu=mu)
+    control = dl.scenario_from_theta1(base_model, grid, np.zeros(0), 1.0, mu=mu)
     density = dl.density_paths(base_ens_5k, control)
     assert dl.verify_product_identity(wealth, density, 1.0, 1.0) < 1e-12
     # the dual adjoint is the reciprocal density, pathwise
     sol = dl.solve_robust_dual(base_model, log_pair, quad_penalty, 1.0, base_ens_5k,
-                               mu_values=[cf.mu(0.0)], adjoint_mode="analytic")
+                               mu_values=[mu], adjoint_mode="analytic")
     assert np.max(np.abs(sol.adjoints.p * sol.density - 1.0)) < 1e-12
