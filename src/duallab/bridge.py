@@ -80,7 +80,9 @@ def _abs_and_rel(values: np.ndarray, target: np.ndarray) -> tuple[float, float]:
 def _theta_ratios(adjoints) -> tuple[np.ndarray, np.ndarray]:
     """Per-time scenario ratios from adjoints: means of q1/p1 and r1/p1.
 
-    p1 at the left endpoint of each step plays the left limit p1(t-).
+    p1 at the left endpoint of each step plays the left limit p1(t-).  The
+    ratios keep the adjoints' time-major layout, so each mean sums along
+    the contiguous path axis, pairwise.
     """
     p_left = adjoints.p[:, :-1]
     return (adjoints.q / p_left).mean(axis=0), (adjoints.r / p_left[:, :, None]).mean(axis=0)
@@ -145,15 +147,16 @@ def robust_primal_to_dual(
 
 
 def _bridged_fractions(solution) -> np.ndarray:
-    """Fraction of wealth q2/(sigma*p2(t-)) per (path, step): the bridged portfolio."""
+    """Fraction of wealth q2/(sigma*p2(t-)) per (path, step): the bridged
+    portfolio, formed on the adjoints' time-major rows."""
     adj = solution.adjoints
     s = solution.model.vol_on(solution.ensemble.grid)
     if np.any(np.abs(s) < DEGENERATE_VOL):
         raise BridgeViolationError(
             "sigma vanishes on the grid; use the replication branch instead"
         )
-    pi_path = s[None, :] * adj.p[:, :-1]
-    return np.divide(adj.q, pi_path, out=pi_path)
+    pi_path = s[:, None] * adj.p.T[:-1]
+    return np.divide(adj.q.T, pi_path, out=pi_path).T
 
 
 def _dual_to_primal(solution, direction: str):

@@ -7,11 +7,11 @@ and the per-mark jump integrands r from the centered covariances with the
 compensated jump counts.  Drivers affine in (p, q, r) are folded in with an
 implicit affine solve in p.
 
-The sweep works on contiguous per-step rows.  The log-state, p, q and r are
-stored time-major, (n_steps + 1, n_paths) per channel, and p, q and r are
-returned as transposed views of shape (n_paths, ...).  dB is read
-:data:`STEP_BLOCK` steps at a time through one transposed buffer of that
-many rows, and each step's compensated jumps are built from its events.
+The sweep works on contiguous per-step rows.  Like every path array, the
+state, dB, p, q and r are stored time-major, one row per step, and p, q and
+r are returned as transposed views of shape (n_paths, ...).  Each step's
+state is logged into a scratch row, and its compensated jumps are built
+from its events.
 Each step's design A is factored once by CholeskyQR2 (Fukaya, Nakatsukasa,
 Yanagisawa and Yamamoto 2014): the Cholesky factor R1 of the Gram matrix,
 Q1 = A R1^-1, the same once more for R2, and an SVD of R2 R1 for rank and
@@ -50,10 +50,6 @@ IMPLICIT_STEP_TOL = 1e-8
 # Householder fallback: inside CholeskyQR2's accurate range (about 1e8); below
 # it, CholeskyQR2 is closer to a long-double sweep than the fallback
 CHOLQR_MAX_COND = 1e7
-# steps of dB read per transposed block (6.4 MB at 50k paths, one buffer a sweep)
-STEP_BLOCK = 16
-# paths per chunk of a transposing copy, so that the rows read stay in cache
-TRANSPOSE_CHUNK = 4096
 # fewest paths per range for which the sweep computes its factors ahead in
 # a thread: at 100 steps on a 2-core Xeon the thread, trading the GIL with
 # the sweep every step, made it 1.2-1.4x slower at 2,048-6,144 paths per
@@ -111,7 +107,9 @@ class DriverSpec:
 class AdjointTriple:
     """Discrete (p, q, r): value process, Brownian and per-mark jump integrands.
 
-    ``p`` has shape (n_paths, n_steps+1); ``q`` and ``r`` live on steps.
+    ``p`` has shape (n_paths, n_steps+1); ``q`` (n_paths, n_steps) and ``r``
+    (n_paths, n_steps, n_marks) live on steps.  Each is a transposed view of
+    time-major storage, one contiguous row of paths per step (and mark).
     ``mode`` records whether the channels are closed-form or regression
     estimates, since downstream tolerances differ by orders of magnitude.
     """
@@ -129,12 +127,14 @@ def log_adjoints(grid: TimeGrid, rate: np.ndarray, process: np.ndarray, q_ratio:
     ``process`` X, with the deterministic tail factor C(t_i) = exp(sum_{j>=i}
     rate_j dt), C(T) = 1; then q = q_ratio*p(t-) and r_k = r_ratio_k*p(t-)
     per step (and mark), with p at the left endpoint of each step as p(t-).
+    The triple is formed on the time-major rows of ``process``.
     """
     tail = np.concatenate([np.cumsum((rate * grid.dt)[::-1])[::-1], [0.0]])
-    p = np.exp(tail)[None, :] / process
-    q = q_ratio[None, :] * p[:, :-1]
-    r = r_ratio[None, :, :] * p[:, :-1, None]
-    return AdjointTriple(p, q, r, mode="analytic", diagnostics={"family": family})
+    p = np.exp(tail)[:, None] / process.T
+    q = q_ratio[:, None] * p[:-1]
+    r = r_ratio[:, :, None] * p[:-1, None, :]
+    return AdjointTriple(p.T, q.T, r.transpose(2, 0, 1), mode="analytic",
+                         diagnostics={"family": family})
 
 
 def _default_state(ensemble: PathEnsemble) -> dict:
@@ -157,18 +157,6 @@ def _rank_cond(sv: np.ndarray, shape) -> tuple[int, float]:
     the condition number s_max / s_rank."""
     rank = int(np.sum(sv > np.finfo(float).eps * max(shape) * sv[0]))
     return rank, (float(sv[0] / sv[rank - 1]) if rank else math.inf)
-
-
-def _time_major(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """A C-contiguous copy of ``values`` with the leading path axis moved last,
-    copied one chunk of :data:`TRANSPOSE_CHUNK` paths at a time, into ``out``
-    when given."""
-    if out is None:
-        out = np.empty(values.shape[1:] + values.shape[:1])
-    for start in range(0, values.shape[0], TRANSPOSE_CHUNK):
-        chunk = slice(start, start + TRANSPOSE_CHUNK)
-        out[..., chunk] = np.moveaxis(values[chunk], 0, -1)
-    return out
 
 
 def _gram(a: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -221,22 +209,13 @@ def _cholqr2(a: np.ndarray, q1: np.ndarray, tmp: np.ndarray) -> _Cholqr2 | None:
 
 def _driver_rows(ensemble: PathEnsemble, steps):
     """(i, dB_i, dNtilde_i) for each step i of ``steps``, as contiguous rows
-    (n_paths,) and (n_marks, n_paths), valid until the next step is read.
-
-    dB is read through a transposed copy of the block of :data:`STEP_BLOCK`
-    steps holding i, and dNtilde is built from the step's jump events; one
-    buffer of each serves the whole sweep.
-    """
-    n_steps = ensemble.grid.n_steps
-    db = np.empty((min(STEP_BLOCK, n_steps), ensemble.n_paths))
+    (n_paths,) and (n_marks, n_paths): dB_i is a row of dB, and dNtilde_i is
+    built from the step's jump events into one buffer, valid until the next
+    step is read."""
+    db = ensemble.brownian_increments.T
     dnt = np.empty((ensemble.model.n_marks, ensemble.n_paths))
-    lo = hi = 0
     for i in steps:
-        if not lo <= i < hi:
-            lo = i - i % STEP_BLOCK
-            hi = min(lo + STEP_BLOCK, n_steps)
-            _time_major(ensemble.brownian_increments[:, lo:hi], db[:hi - lo])
-        yield i, db[i - lo], ensemble.compensated_step(i, dnt)
+        yield i, db[i], ensemble.compensated_step(i, dnt)
 
 
 class _BasisBuilder:
@@ -244,7 +223,8 @@ class _BasisBuilder:
 
     A state value is a (n_paths, n_steps + 1) array or a zero-argument
     callable returning one; only the channels of the basis are evaluated.
-    Each is kept time-major, one contiguous row per step.
+    Each is read one step row at a time, through its time-major transpose,
+    and logged into a scratch row; no channel is copied whole.
     """
 
     def __init__(self, state: dict, basis: RegressionBasis):
@@ -252,24 +232,27 @@ class _BasisBuilder:
         missing = [n for n in names if n not in state]
         if missing:
             raise KeyError(f"basis channels {missing} not in state {sorted(state)}")
-        self.rows = []
-        for name in names:
-            values = state[name]() if callable(state[name]) else state[name]
-            rows = _time_major(np.asarray(values, dtype=float))
-            if basis.transform == "log":
-                np.log(rows, out=rows)
-            self.rows.append(rows)
+        self.rows = [np.asarray(state[name]() if callable(state[name]) else state[name],
+                                dtype=float).T for name in names]
+        self.log = basis.transform == "log"
         self.exponents = _monomial_exponents(len(self.rows), basis.degree)
         self.n_columns = len(self.exponents)
         self.warned = False
 
-    def design(self, step: int, out: np.ndarray | None = None,
-               tmp: np.ndarray | None = None) -> np.ndarray:
+    def scratch(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Rows for :meth:`design` and :meth:`factor_step`: a design, its Q1,
+        one work row and one state row per channel."""
+        n_paths = self.rows[0].shape[1]
+        return (np.empty((self.n_columns, n_paths)), np.empty((self.n_columns, n_paths)),
+                np.empty(n_paths), np.empty((len(self.rows), n_paths)))
+
+    def design(self, step: int, scratch) -> tuple[np.ndarray, list[np.ndarray]]:
         """The (n_columns, n_paths) design of ``step``, one row per monomial,
-        written into ``out`` with powers formed in the row ``tmp`` when given."""
-        z = [rows[step] for rows in self.rows]
-        if out is None:
-            out, tmp = np.empty((self.n_columns, z[0].shape[0])), np.empty(z[0].shape[0])
+        and the step's state, one row per channel (logged under the log
+        transform), formed in the rows of ``scratch`` (:meth:`scratch`)."""
+        out, _, tmp, state = scratch
+        z = ([np.log(rows[step], out=row) for rows, row in zip(self.rows, state)] if self.log
+             else [rows[step] for rows in self.rows])
         out.fill(1.0)
         for row, expo in zip(out, self.exponents):
             for zc, e in zip(z, expo):
@@ -277,25 +260,16 @@ class _BasisBuilder:
                     row *= zc
                 elif e:
                     row *= np.power(zc, e, out=tmp)
-        return out
-
-    def constant(self, step: int) -> bool:
-        """Whether every state channel takes one value across paths at ``step``
-        (a deterministic state: the design has rank 1 by construction)."""
-        return all(np.all(rows[step] == rows[step, 0]) for rows in self.rows)
-
-    def scratch(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Rows for :meth:`factor_step`: a design, its Q1 and one work row."""
-        n_paths = self.rows[0].shape[1]
-        return (np.empty((self.n_columns, n_paths)), np.empty((self.n_columns, n_paths)),
-                np.empty(n_paths))
+        return out, z
 
     def factor_step(self, step: int, scratch) -> tuple[bool, _Cholqr2 | None]:
-        """Whether the state of ``step`` is deterministic, and the CholeskyQR2
-        factors of its design (None: the step takes the Householder fallback),
-        computed in the rows of :meth:`scratch`."""
-        a, q1, tmp = scratch
-        return self.constant(step), _cholqr2(self.design(step, a, tmp), q1, tmp)
+        """Whether the state of ``step`` is deterministic, one value across
+        paths in every channel (the design has rank 1 by construction), and
+        the CholeskyQR2 factors of its design (None: the step takes the
+        Householder fallback), computed in the rows of :meth:`scratch`."""
+        a, z = self.design(step, scratch)
+        _, q1, tmp, _ = scratch
+        return all(np.all(zc == zc[0]) for zc in z), _cholqr2(a, q1, tmp)
 
     def factor(self, a: np.ndarray, warn: bool = True):
         """Factor the (n_columns, n) design ``a``; returns (basis, coef, rank, cond).
@@ -369,12 +343,12 @@ def _factors_ahead(builder: _BasisBuilder, steps: range, rows, threaded: bool):
             results.put(exc)
 
     def take():
-        design, q1, tmp = rows
+        design, q1 = rows[:2]
         for i in steps:
             item = results.get()
             if isinstance(item, BaseException):
                 raise item
-            builder.design(i, design, tmp)
+            builder.design(i, rows)
             if item[1] is not None:
                 np.matmul(item[1].inv_r1.T, design, out=q1)
             yield item
@@ -431,20 +405,21 @@ def solve_linear_bsde(
     active = np.flatnonzero(lam > 0)
 
     # time-major: one contiguous row per step, returned transposed
-    n_paths, n_columns = ensemble.n_paths, builder.n_columns
+    n_paths = ensemble.n_paths
     p = np.empty((grid.n_steps + 1, n_paths))
     q = np.zeros((grid.n_steps, n_paths))
     r = np.zeros((grid.n_steps, k, n_paths))
     # the per-step work rows, allocated once per sweep
-    design, q1 = np.empty((2, n_columns, n_paths))
-    fitted, centered, work = np.empty((3, n_paths))
+    rows = builder.scratch()
+    design, q1, work, _ = rows
+    fitted, centered = np.empty((2, n_paths))
     targets, stacked = np.empty((2, 1 + active.size, n_paths))
     p[-1] = terminal
     per_step = []
     constant_steps = 0
     steps = range(grid.n_steps - 1, -1, -1)
     threaded = len(path_ranges(n_paths, SWEEP_THREAD_MIN_PATHS)) > 1
-    with _factors_ahead(builder, steps, (design, q1, work), threaded) as factors:
+    with _factors_ahead(builder, steps, rows, threaded) as factors:
         for (i, db, dnt), (constant, fac) in zip(_driver_rows(ensemble, steps), factors):
             # a deterministic state (always at t_0) is rank-deficient by
             # construction: counted in the diagnostics instead of warned about
@@ -530,6 +505,7 @@ def bsde_residual_report(
 
     per_step = []
     pathwise_max = 0.0
+    scratch = builder.scratch()
     for i, db, dnt in _driver_rows(ensemble, range(grid.n_steps)):
         f = c0[i] + cp[i] * p[i] + cq[i] * q[i]
         if k:
@@ -541,7 +517,7 @@ def bsde_residual_report(
         rho_test = rho[test]
         pathwise_max = max(pathwise_max, float(np.max(np.abs(rho_test))) / scale)
 
-        a = builder.design(i)
+        a, _ = builder.design(i, scratch)
         span, coef_map, _, _ = builder.factor(a[:, train], warn=False)
         coef = coef_map @ (span @ rho[train])
         cond_rms = float(np.sqrt(np.mean((coef @ a[:, test]) ** 2))) / scale

@@ -68,7 +68,7 @@ def _check_keys(data: dict, schema: dict, path: str) -> None:
 
 def _require(data: dict, key: str, path: str):
     if key not in data:
-        raise ConfigError(f"missing required configuration field: {path}.{key}" if path else key)
+        raise ConfigError(f"missing required configuration field: {path + '.' if path else ''}{key}")
     return data[key]
 
 

@@ -75,6 +75,22 @@ class DualSolution:
         return self.control.mu
 
 
+def _jump_branch(gam: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The jump-branch weighting of a step where sigma vanishes: the live
+    marks, gamma_k != 0 and nu_k > 0, and their weights
+    w_k = gamma_k nu_k / sum_live gamma^2 nu, for the step's (n_marks,)
+    jump sizes ``gam``.
+
+    There the Brownian exposure x is carried by the jumps, fitted by
+    nu-weighted least squares over the live marks: the fit of r_k = x gamma_k
+    is x = sum_k w_k r_k, and the least nu-weighted move of theta1 that
+    shifts sum_k gamma_k nu_k theta1_k by c is c w_k / nu_k.
+    """
+    live = (gam != 0) & (nu > 0)
+    weight = gam[live] * nu[live]
+    return live, weight / np.dot(gam[live], weight)
+
+
 def scenario_from_theta1(
     model: MarketModel,
     grid: TimeGrid,
@@ -87,8 +103,8 @@ def scenario_from_theta1(
     Where sigma(t) != 0, theta0 is eliminated through
     theta0 = -(b + mu*sigma + sum_k gamma_k*theta1_k*nu_k)/sigma.  On steps
     with vanishing sigma the constraint pins the jump ratios instead: theta1
-    is projected onto the constraint hyperplane (nu-weighted least squares)
-    and theta0 is set to zero.
+    is projected onto the constraint hyperplane (nu-weighted least squares
+    over the live marks, :func:`_jump_branch`) and theta0 is set to zero.
     """
     return _eliminate_theta0(model, grid, theta1, y, mu, model.vol_on(grid),
                              model.jump_sizes_on(grid), -model.drift_on(grid, mu))
@@ -103,18 +119,13 @@ def _eliminate_theta0(model, grid, theta1, y, mu, s, gam, rhs) -> ScenarioContro
     jump_term = np.einsum("ik,ik->i", gam, theta1 * nu)
     theta0 = np.zeros(grid.n_steps)
     degenerate = np.abs(s) < DEGENERATE_VOL
-    live = ~degenerate
-    theta0[live] = (rhs[live] - jump_term[live]) / s[live]
-    if np.any(degenerate):
-        has_jump = np.any(np.abs(gam) > 0, axis=1)
-        stuck = np.flatnonzero(degenerate & ~has_jump & (np.abs(rhs) > 1e-14))
-        if stuck.size:
-            raise ValueError(
-                f"no martingale measure at step {stuck[0]}: sigma = 0, no jumps, drift != 0"
-            )
-        fix = degenerate & has_jump
-        lam = (rhs[fix] - jump_term[fix]) / np.einsum("ik,ik->i", gam[fix], gam[fix] * nu)
-        theta1[fix] = theta1[fix] + lam[:, None] * gam[fix]
+    theta0[~degenerate] = (rhs[~degenerate] - jump_term[~degenerate]) / s[~degenerate]
+    for i in np.flatnonzero(degenerate):
+        live, weight = _jump_branch(gam[i], nu)
+        if np.any(live):
+            theta1[i, live] += (rhs[i] - jump_term[i]) * weight / nu[live]
+        elif abs(rhs[i]) > 1e-14:
+            raise ValueError(f"no martingale measure at step {i}: sigma = 0, no jumps, drift != 0")
     if theta1.size and np.any(theta1 < THETA1_FLOOR):
         raise ValueError("theta1 below -1 + eps after constraint elimination")
     return ScenarioControl(theta0=theta0, theta1=theta1, y=float(y), mu=mu)
@@ -188,26 +199,18 @@ def dual_driver(model: MarketModel, grid: TimeGrid, mu=None) -> DriverSpec:
     """dt-term of the dual adjoint equation: (b + mu*sigma)/sigma times q.
 
     On steps where sigma vanishes the same exposure is carried by the jump
-    integrand, so the coefficient moves to r/gamma (per mark).
+    integrands: the coefficient of r_k is b*w_k over the live marks
+    (:func:`_jump_branch`), b times the exposure fitted from r.
     """
     b = model.drift_on(grid, mu)
     s = model.vol_on(grid)
     degenerate = np.abs(s) < DEGENERATE_VOL
     q_coeff = np.where(degenerate, 0.0, b / np.where(degenerate, 1.0, s))
-    k = model.n_marks
-    if k:
-        gam = model.jump_sizes_on(grid)
-        nu = model.intensities
-        r_coeff = np.zeros((grid.n_steps, k))
-        for i in np.flatnonzero(degenerate):
-            ok = np.abs(gam[i]) > 0
-            if not np.any(ok):
-                continue
-            w = nu * ok
-            w = w / w.sum() if w.sum() > 0 else ok / ok.sum()
-            r_coeff[i, ok] = b[i] * w[ok] / gam[i, ok]
-    else:
-        r_coeff = np.zeros((grid.n_steps, 0))
+    gam = model.jump_sizes_on(grid)
+    r_coeff = np.zeros(gam.shape)
+    for i in np.flatnonzero(degenerate):
+        live, weight = _jump_branch(gam[i], model.intensities)
+        r_coeff[i, live] = b[i] * weight
     return DriverSpec(q_coeff=q_coeff, r_coeff=r_coeff)
 
 
@@ -383,34 +386,33 @@ def _portfolio_rows(solution: DualSolution):
     ``i``, on the path range ``paths`` into the row ``out`` and returns it;
     and the initial value p2(0).
 
-    phi_i is q2/(sigma*S); where sigma vanishes, the nu-weighted least
-    squares of r2_k = phi*S*gamma_k over the live marks, or zero where no
-    mark is live.  Each value is formed by the same operations on any path
-    range.  Every step with vanishing sigma is checked here, before any
-    step is taken: with no live mark there, nonzero integrands raise
-    ValueError.
+    phi_i is q2/(sigma*S); where sigma vanishes, phi*S is the nu-weighted
+    least squares of r2_k = phi*S*gamma_k over the live marks
+    (:func:`_jump_branch`), or zero where no mark is live.  Each value is
+    formed by the same operations on any path range.  Every step with
+    vanishing sigma is checked here, before any step is taken: with no live
+    mark there, nonzero integrands raise ValueError.
     """
     model, ensemble = solution.model, solution.ensemble
     grid = ensemble.grid
     adj = solution.adjoints
     s = model.vol_on(grid)
     gam = model.jump_sizes_on(grid)
-    nu = model.intensities
     spot = ensemble.channel("S")
     scale = float(np.mean(np.abs(adj.p[:, -1])))
-    # per step with vanishing sigma: (live marks, gamma*nu, sum gamma^2 nu),
-    # or None where no mark is live and phi is zero
+    # per step with vanishing sigma: (live marks, weights), or None where no
+    # mark is live and phi is zero
     jump_fit = {}
     for i in np.flatnonzero(np.abs(s) < DEGENERATE_VOL):
-        ok = np.abs(gam[i]) > 0 if model.n_marks else np.zeros(0, dtype=bool)
-        if np.any(ok):
-            jump_fit[i] = (ok, gam[i, ok] * nu[ok], float((gam[i, ok] ** 2 * nu[ok]).sum()))
+        live, weight = _jump_branch(gam[i], model.intensities)
+        if np.any(live):
+            jump_fit[i] = (live, weight)
             continue
         q_size = float(np.max(np.abs(adj.q[:, i])))
         r_size = float(np.max(np.abs(adj.r[:, i]))) if model.n_marks else 0.0
         if max(q_size, r_size) > 1e-6 * scale:
             raise ValueError(
-                f"inconsistent adjoints at step {i}: sigma = 0 and gamma = 0 "
+                f"inconsistent adjoints at step {i}: sigma = 0 and no mark can jump, "
                 "but the integrands are nonzero"
             )
         jump_fit[i] = None
@@ -422,10 +424,10 @@ def _portfolio_rows(solution: DualSolution):
         if jump_fit[i] is None:
             out.fill(0.0)
             return out
-        ok, weight, den = jump_fit[i]
+        live, weight = jump_fit[i]
         # (paths, live marks) temporaries, on these steps only
-        num = (adj.r[paths, i, ok] * weight[None, :]).sum(axis=1)
-        return np.divide(num, np.multiply(den, spot[paths, i], out=out), out=out)
+        held = (adj.r[paths, i, live] * weight).sum(axis=1)
+        return np.divide(held, spot[paths, i], out=out)
 
     return units, float(adj.p[:, 0].mean())
 

@@ -36,8 +36,8 @@ INADMISSIBLE_FRACTION = "1 + pi*gamma <= 0; candidate inadmissible"
 FILL_BLOCK_BYTES = 2**17
 # paths formatted per write of ensemble_to_csv
 CSV_BLOCK_PATHS = 256
-# paths per Poisson draw of simulate_drivers: only the nonzero counts of a
-# chunk are kept (4096 x 100 steps is 3.3 MB of int64 per mark)
+# paths per normal and Poisson draw of simulate_drivers: only the nonzero
+# counts of a chunk are kept (4096 x 100 steps is 3.3 MB of int64 per mark)
 POISSON_CHUNK_PATHS = 4096
 # fewest paths per thread for which a per-path kernel is split over threads:
 # at 100 steps on a 2-core Xeon, the Euler loop on two ranges of 2,048 paths
@@ -248,17 +248,25 @@ class PathEnsemble:
     wealth, density, adjoints) are attached by the operations that compute
     them, the price S on its first read through :meth:`channel`.  Per-path
     computations are pure functions of the drivers.
+
+    Every path array, dB and the channels alike, is stored time-major, one
+    contiguous row per step, and seen as its (n_paths, ...) transpose: so
+    ``brownian_increments.T[i]`` is the row of step i, and a per-step mean
+    over the paths sums along the contiguous axis.  A path-major dB given to
+    the constructor is stored transposed, once.
     """
 
     model: MarketModel
     grid: TimeGrid
     n_paths: int
     seed: int
-    brownian_increments: np.ndarray  # (n_paths, n_steps)
+    brownian_increments: np.ndarray  # (n_paths, n_steps), a view of time-major rows
     jumps: JumpEvents                # or a dense (n_paths, n_steps, n_marks) array
     channels: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        self.brownian_increments = np.ascontiguousarray(
+            np.asarray(self.brownian_increments, dtype=float).T).T
         if not isinstance(self.jumps, JumpEvents):
             counts = np.ascontiguousarray(self.jumps, dtype=float)
             if counts.ndim != 3:
@@ -313,19 +321,14 @@ class PathEnsemble:
             )
         return self.channels[name]
 
-    def terminal_controls(self) -> np.ndarray:
-        """Zero-mean terminal statistics (B_T, Ntilde_T), the control variates
-        of candidate-value estimation: a view of :meth:`terminal_design`."""
-        return self.terminal_design()[:, 1:]
-
     def terminal_design(self) -> np.ndarray:
         """[1, B_T, Ntilde_T]: the constant and the terminal statistics, the
         design of the control-variate regression and of the constant-control
         terminal values (:func:`terminal_log_wealth`).
 
-        B_T is summed into its column; the compensated jump totals are
-        N_T - lambda T, with N_T a per-path count of the events (a sum of
-        integers, so exact).
+        B_T is summed into its column, one step row of dB at a time; the
+        compensated jump totals are N_T - lambda T, with N_T a per-path
+        count of the events (a sum of integers, so exact).
         """
         design = np.empty((self.n_paths, 2 + self.model.n_marks))
         design[:, 0] = 1.0
@@ -352,24 +355,28 @@ def simulate_drivers(
 
     The generator is counter-based (Philox keyed by the seed), so identical
     inputs give bit-identical ensembles and block generation is order
-    independent.  dB is drawn whole, then the counts one chunk of
-    :data:`POISSON_CHUNK_PATHS` paths at a time, of which only the nonzero
-    cells are kept (:class:`JumpEvents`).  The draws consume the stream in
-    the order of one (n_paths, n_steps, n_marks) draw, so the counts are
-    bit-identical to it.
+    independent.  dB is drawn one chunk of :data:`POISSON_CHUNK_PATHS` paths
+    at a time, each written transposed into the time-major rows, then the
+    counts one chunk at a time, of which only the nonzero cells are kept
+    (:class:`JumpEvents`).  The draws consume the stream in the order of one
+    (n_paths, n_steps) and one (n_paths, n_steps, n_marks) draw, so dB and
+    the counts are bit-identical to them.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
     model.validate_on(grid)
     rng = np.random.Generator(np.random.Philox(key=seed))
     dt = grid.dt
-    db = rng.normal(0.0, math.sqrt(dt), size=(n_paths, grid.n_steps))
+    db = np.empty((grid.n_steps, n_paths))
+    for start in range(0, n_paths, POISSON_CHUNK_PATHS):
+        n = min(POISSON_CHUNK_PATHS, n_paths - start)
+        db[:, start:start + n] = rng.normal(0.0, math.sqrt(dt), size=(n, grid.n_steps)).T
     lam = model.intensities * dt
     chunks = ((start, rng.poisson(lam=lam, size=(min(POISSON_CHUNK_PATHS, n_paths - start),
                                                  grid.n_steps, lam.size)))
               for start in range(0, n_paths if lam.size else 0, POISSON_CHUNK_PATHS))
     jumps = JumpEvents.from_chunks(n_paths, grid.n_steps, lam.size, chunks)
-    return PathEnsemble(model, grid, n_paths, seed, db, jumps)
+    return PathEnsemble(model, grid, n_paths, seed, db.T, jumps)
 
 
 def usable_cpus() -> int:
@@ -431,48 +438,50 @@ def _blocks(paths: slice, size: int):
         yield slice(start, min(start + size, paths.stop))
 
 
-def _log_increments(dest, ensemble: PathEnsemble, rows, drift, diff, ratio) -> None:
-    """Write the exact log increments of the path rows ``rows`` (a slice) into
-    ``dest``: (drift - diff**2/2 - ratio @ nu) dt + diff dB + sum_k N_k ln(1 + ratio_k).
+def _log_increments(dest, ensemble: PathEnsemble, cols, drift, diff, ratio) -> None:
+    """Write the exact log increments of the paths ``cols`` (a slice) into
+    the (n_steps, paths) rows ``dest``: (drift - diff**2/2 - ratio @ nu) dt +
+    diff dB + sum_k N_k ln(1 + ratio_k).
 
-    The coefficients are per step, ``drift`` and ``diff`` (n_steps,) and
-    ``ratio`` (n_steps, n_marks), or per path and step, with a leading axis
-    over the rows; per-path ones are overwritten.  The jump compensator is
+    The coefficients are per step, ``drift`` and ``diff`` (n_steps, 1) and
+    ``ratio`` (n_steps, 1, n_marks), or per step and path, with a second axis
+    over the paths; per-path ones are overwritten.  The jump compensator is
     folded into the dt-term, so compensated jump integrals are exact per step.
     """
-    np.multiply(diff, ensemble.brownian_increments[rows], out=dest)
-    if diff.ndim == 2:
+    np.multiply(diff, ensemble.brownian_increments.T[:, cols], out=dest)
+    if diff.shape[1] > 1:
         # per-path blocks: the dt-term formed in place, so that a thread
-        # allocates no block-sized temporary
+        # allocates no block-sized temporary (a block of one path takes the
+        # other branch, which gives the same values)
         dt_term = np.square(diff, out=diff)
         dt_term *= 0.5
         dt_term = np.subtract(drift, dt_term, out=drift)
     else:
         dt_term = drift - 0.5 * diff**2
     if ratio.size:
-        # one 2-D product over every (path, step): a stacked matmul rounds differently
+        # one 2-D product over every (step, path): a stacked matmul rounds differently
         k = ratio.shape[-1]
         dt_term -= (ratio.reshape(-1, k) @ ensemble.model.intensities).reshape(dt_term.shape)
     dest += dt_term * ensemble.grid.dt
     if ratio.size:
-        _add_jumps(dest, ensemble, rows, ratio)
+        _add_jumps(dest, ensemble, cols, ratio)
 
 
-def _add_jumps(dest, ensemble: PathEnsemble, rows, ratio) -> None:
+def _add_jumps(dest, ensemble: PathEnsemble, cols, ratio) -> None:
     """Add sum_k N_k ln(1 + ratio_k) to the log increments ``dest`` of the
-    path rows ``rows``, at the cells that hold a jump only (elsewhere the sum
-    is zero); ``ratio`` as in :func:`_log_increments`.  Each cell's sum is
-    the einsum of a dense count array's, so it rounds the same."""
+    paths ``cols``, at the cells that hold a jump only (elsewhere the sum is
+    zero); ``ratio`` as in :func:`_log_increments`.  Each cell's sum is the
+    einsum of a dense count array's, so it rounds the same."""
     paths, steps, counts = ensemble.jumps.cells
-    cells = slice(*np.searchsorted(paths, (rows.start, rows.stop)))
-    p, i = paths[cells] - rows.start, steps[cells]
-    log_ratio = np.log1p(ratio[p, i] if ratio.ndim == 3 else ratio[i])
-    dest[p, i] += np.einsum("...k,...k->...", counts[cells], log_ratio)
+    cells = slice(*np.searchsorted(paths, (cols.start, cols.stop)))
+    p, i = paths[cells] - cols.start, steps[cells]
+    log_ratio = np.log1p(ratio[i, p] if ratio.shape[1] > 1 else ratio[i, 0])
+    dest[i, p] += np.einsum("...k,...k->...", counts[cells], log_ratio)
 
 
 def _accumulate(ln: np.ndarray, x0: float) -> None:
-    """Turn log increments into x0 * exp(cumulative sum) along each row, in place."""
-    np.cumsum(ln, axis=1, out=ln)
+    """Turn log increments into x0 * exp(cumulative sum) down each column, in place."""
+    np.cumsum(ln, axis=0, out=ln)
     np.exp(ln, out=ln)
     ln *= x0
 
@@ -489,9 +498,10 @@ def _exp_paths(ensemble: PathEnsemble, x0: float, drift, diff, ratio, frac=None)
     one thread per range, each range in blocks of :data:`BLOCK_PATHS` paths
     (per-path coefficients: :data:`FILL_BLOCK_BYTES` per block), so the
     temporaries of a thread stay small.  A block's increments are written
-    into the output, then summed, exponentiated and scaled there in place.
-    Each value goes through the same operations whatever block or range it
-    falls in, so the paths are bit-identical for any number of threads.
+    into the columns of the time-major output, then summed, exponentiated
+    and scaled there in place.  Each value goes through the same operations
+    whatever block or range it falls in, so the paths are bit-identical for
+    any number of threads.
     """
     n_steps = ensemble.grid.n_steps
     per_path = np.ndim(frac) == 2
@@ -507,32 +517,33 @@ def _exp_paths(ensemble: PathEnsemble, x0: float, drift, diff, ratio, frac=None)
         if np.any(lowest <= -1.0):
             raise AdmissibilityError("jump ratio <= -1 (1 + pi*gamma <= 0 for a fraction); "
                                      "the exponential would lose positivity")
-    out = np.empty((ensemble.n_paths, n_steps + 1))
-    block = (max(1, FILL_BLOCK_BYTES // (8 * n_steps * max(1, ratio.shape[1])))
-             if per_path else BLOCK_PATHS)
+    drift, diff, ratio = drift[:, None], diff[:, None], ratio[:, None, :]
+    out = np.empty((n_steps + 1, ensemble.n_paths))
+    k = ratio.shape[2]
+    block = max(1, FILL_BLOCK_BYTES // (8 * n_steps * max(1, k))) if per_path else BLOCK_PATHS
 
-    def fill(paths: slice, *coeffs: np.ndarray) -> None:
-        for rows in _blocks(paths, block):
-            n = rows.stop - rows.start
-            out[rows, 0] = x0
-            ln = out[rows, 1:]
+    def fill(paths: slice, *work: np.ndarray) -> None:
+        for cols in _blocks(paths, block):
+            out[0, cols] = x0
+            ln = out[1:, cols]
             if per_path:
-                f = frac[rows]
-                f_drift, f_diff, f_ratio = (a[:n] for a in coeffs)
+                # the block's coefficients in contiguous leading parts of the work arrays
+                f = frac.T[:, cols]
+                f_drift, f_diff = (a[:f.size].reshape(f.shape) for a in work[:2])
+                f_ratio = work[2][:f.size * k].reshape(f.shape + (k,))
                 block_coeffs = (np.multiply(f, drift, out=f_drift), np.multiply(f, diff, out=f_diff),
                                 np.multiply(f[..., None], ratio, out=f_ratio))
             else:
                 block_coeffs = (drift, diff, ratio)
-            _log_increments(ln, ensemble, rows, *block_coeffs)
+            _log_increments(ln, ensemble, cols, *block_coeffs)
             _accumulate(ln, x0)
 
     def work(paths: slice) -> tuple:
-        n = min(block, paths.stop - paths.start)
-        return ((np.empty((n, n_steps)), np.empty((n, n_steps)), np.empty((n,) + ratio.shape))
-                if per_path else ())
+        size = n_steps * min(block, paths.stop - paths.start)
+        return (np.empty(size), np.empty(size), np.empty(size * k)) if per_path else ()
 
     _over_paths(fill, ensemble.n_paths, work)
-    return out
+    return out.T
 
 
 def _euler_paths(ensemble: PathEnsemble, x0: float, drift, diff, ratio, exposure,
@@ -544,9 +555,9 @@ def _euler_paths(ensemble: PathEnsemble, x0: float, drift, diff, ratio, exposure
     X(t_i) = ``x`` on the paths of the slice ``paths``, written into the row
     ``out`` or returned.  Positivity is not checked here.  The steps are
     filled as contiguous rows of a (n_steps + 1, n_paths) buffer, returned
-    transposed; the step loop runs once per range of :func:`_over_paths`, on
-    the columns of that range only, so the paths are bit-identical for any
-    number of threads.
+    transposed, from the contiguous rows of dB; the step loop runs once per
+    range of :func:`_over_paths`, on the columns of that range only, so the
+    paths are bit-identical for any number of threads.
 
     With ``terminal``, the buffer holds two rows, X(t_i) in row i % 2 and
     X(t_{i+1}) in row (i + 1) % 2, and the loop counts the non-positive
@@ -555,6 +566,7 @@ def _euler_paths(ensemble: PathEnsemble, x0: float, drift, diff, ratio, exposure
     the full paths, bit for bit.
     """
     grid = ensemble.grid
+    db = ensemble.brownian_increments.T
     rows = np.empty((2 if terminal else grid.n_steps + 1, ensemble.n_paths))
     depth = rows.shape[0]
     nonpositive = []  # one count per range
@@ -566,8 +578,7 @@ def _euler_paths(ensemble: PathEnsemble, x0: float, drift, diff, ratio, exposure
         for i in range(grid.n_steps):
             now = x[i % depth]
             # the return over step i, formed in the row of X(t_{i+1})
-            ret = np.multiply(diff[i], ensemble.brownian_increments[paths, i],
-                              out=x[(i + 1) % depth])
+            ret = np.multiply(diff[i], db[i, paths], out=x[(i + 1) % depth])
             ret += drift[i] * grid.dt
             if ratio.size:
                 ensemble.compensated_step(i, jumps.T, paths)
@@ -761,8 +772,8 @@ def _terminal_log(ensemble: PathEnsemble, x0: float, drift, diff, ratio,
 
 def _per_step_terminal_log(ensemble: PathEnsemble, dt_term, diff, ratio, out) -> np.ndarray:
     """The fallback of :func:`_terminal_log`: ``dt_term`` (C,) plus one GEMM
-    over the per-step dB, then the jump sum of each step and mark added at
-    its events."""
+    over the per-step dB (its time-major rows, read transposed), then the
+    jump sum of each step and mark added at its events."""
     ln = np.matmul(ensemble.brownian_increments, diff, out=out)
     ln += dt_term
     n_steps, _, n_marks = ratio.shape
@@ -841,7 +852,8 @@ def _csv_block(start: int) -> str:
     """The rows of the :data:`CSV_BLOCK_PATHS` paths from ``start`` on, as one string."""
     template, arrays = _csv_job
     rows = slice(start, start + CSV_BLOCK_PATHS)
-    # per path: Python scalars, time-major with the channels interleaved
+    # per path: Python scalars, time-major with the channels interleaved, the
+    # block of each channel's step rows transposed by the stack
     values = np.stack([a[rows] for a in arrays], axis=2, dtype=object)
     values = values.reshape(values.shape[0], -1).tolist()
     return "".join([template(p, *v) for p, v in enumerate(values, start)])

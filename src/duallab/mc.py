@@ -14,8 +14,6 @@ import numpy as np
 # Bytes of one (n_paths, block) float64 array of candidate samples.  Blocks of
 # candidates are sized from it, so a larger grid costs time, not memory.
 BLOCK_BYTES = 16 * 2**20
-# paths per chunk when a path-major array is transposed to meet a time-major one
-PRODUCT_CHUNK = 256
 
 
 class Design(NamedTuple):
@@ -138,33 +136,11 @@ def grid_search(
     return SearchResult(values, ses, shape, int(top[np.argmin(np.asarray(size)[top])]))
 
 
-def _time_major(a: np.ndarray) -> bool:
-    return a.strides[0] < a.strides[1]
-
-
 def product_means(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-column means of a * b over the paths of two (n_paths, m) arrays.
-
-    Path channels are path-major and the regression adjoints time-major
-    (transposed views).  When the layouts differ, the path-major array is
-    copied time-major one chunk of :data:`PRODUCT_CHUNK` paths at a time,
-    into a buffer that stays in cache, so neither array is read with a
-    stride across its whole extent.
-    """
-    n, m = a.shape
-    if _time_major(a) == _time_major(b):
-        return np.einsum("pi,pi->i", a, b) / n
-    if _time_major(a):
-        a, b = b, a
-    rows = b.T
-    buf = np.empty((m, PRODUCT_CHUNK))
-    total = np.zeros(m)
-    for start in range(0, n, PRODUCT_CHUNK):
-        chunk = slice(start, start + PRODUCT_CHUNK)
-        part = buf[:, :rows[:, chunk].shape[1]]
-        np.copyto(part, a[chunk].T)
-        total += np.einsum("ip,ip->i", part, rows[:, chunk])
-    return total / n
+    """Per-column means of a * b over the paths of two (n_paths, m) arrays,
+    one einsum; path arrays share one time-major layout, so neither is read
+    with a stride across its whole extent."""
+    return np.einsum("pi,pi->i", a, b) / a.shape[0]
 
 
 def interior_window(n_steps: int) -> slice:

@@ -45,8 +45,10 @@ from duallab.market import (
 
 # ------------------------------------------------------- dense jump readers
 
-def _dense_add_jumps(dest, ensemble, rows, ratio):
-    dest += np.einsum("...k,...k->...", ensemble.jump_counts[rows], np.log1p(ratio))
+def _dense_add_jumps(dest, ensemble, cols, ratio):
+    # dest holds the (n_steps, paths) rows of the paths ``cols``
+    counts = ensemble.jump_counts[cols].transpose(1, 0, 2)
+    dest += np.einsum("...k,...k->...", counts, np.log1p(ratio))
 
 
 def _dense_compensated_step(ensemble, i, out, paths=None):
@@ -366,7 +368,7 @@ def scenario_from_theta1(model, grid, theta1, y, mu=None):
 def primal_search(model, utility, x0, pi_values, ensemble, mu=None):
     """Values, SEs, exclusions and argmax of the per-candidate primal loop."""
     pi_values = np.asarray(list(pi_values), dtype=float)
-    controls = ensemble.terminal_controls()
+    controls = ensemble.terminal_design()[:, 1:]
     values = np.full(pi_values.shape, -np.inf)
     ses = np.zeros(pi_values.shape)
     excluded = []
@@ -389,7 +391,7 @@ def dual_search(model, pair, y, ensemble, theta1_values=None, mu=None):
     else:
         candidates = [np.broadcast_to(np.asarray(t, dtype=float), (model.n_marks,))
                       for t in theta1_values]
-    controls_cv = ensemble.terminal_controls()
+    controls_cv = ensemble.terminal_design()[:, 1:]
     values = np.full(len(candidates), -np.inf)
     ses = np.zeros(len(candidates))
     excluded = []
@@ -411,7 +413,7 @@ def robust_saddle(model, utility, penalty, x0, pi_values, mu_values, ensemble):
     grid = ensemble.grid
     pi_values = np.asarray(list(pi_values), dtype=float)
     mu_values = np.asarray(list(mu_values), dtype=float)
-    controls_cv = ensemble.terminal_controls()
+    controls_cv = ensemble.terminal_design()[:, 1:]
     payoff = np.full((pi_values.size, mu_values.size), -np.inf)
     payoff_se = np.zeros_like(payoff)
     excluded = []
@@ -459,7 +461,7 @@ def robust_dual_search(model, pair, penalty, y, ensemble, mu_values, theta1_valu
     else:
         theta1_candidates = [np.broadcast_to(np.asarray(t, dtype=float), (model.n_marks,))
                              for t in theta1_values]
-    controls_cv = ensemble.terminal_controls()
+    controls_cv = ensemble.terminal_design()[:, 1:]
     combos = [(mu, th1) for mu in mu_values for th1 in theta1_candidates]
     values = np.full(len(combos), -np.inf)
     ses = np.zeros(len(combos))

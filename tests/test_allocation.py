@@ -7,8 +7,8 @@ function writes its log increments into the output array and sums,
 exponentiates and scales them there, so its peak allocation is the output
 plus at most one (n_paths, n_steps) temporary.  A candidate search evaluates
 every block of candidates into the same two block-sized buffers.  The
-backward sweep allocates p, q, r and the time-major log-state, plus per-step
-rows and one transposed block of dB.  The terminal design sums the drivers
+backward sweep allocates p, q and r, plus per-step rows: it logs each step's
+state into a row and reads dB's own rows.  The terminal design sums the drivers
 into its own columns.  The replication of a dual solve forms the portfolio
 one step at a time and keeps two Euler wealth rows, so it allocates a few
 rows per path range and no (n_paths, n_steps) array.  numpy reports its buffers to ``tracemalloc``.  A run
@@ -30,7 +30,6 @@ import yaml
 
 import duallab as dl
 from duallab import cli, dual, market, mc, primal
-from duallab.bsde import STEP_BLOCK
 from duallab.config import validate_config
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -139,7 +138,7 @@ def test_forward_peak_is_output_plus_one_array(one_mark, case):
     assert peak <= out.nbytes + N_PATHS * N_STEPS * 8 + FIXED_SLACK
 
 
-def test_sweep_peak_is_outputs_plus_log_state_plus_step_rows(one_mark):
+def test_sweep_peak_is_outputs_plus_step_rows(one_mark):
     model, ens = one_mark
     wealth = dl.wealth_paths(model, ens, dl.Strategy.fraction(0.5), 1.0)
     # the regression reads X only: the F thunk is never evaluated
@@ -147,13 +146,12 @@ def test_sweep_peak_is_outputs_plus_log_state_plus_step_rows(one_mark):
     peak, triple = _peak(lambda: dl.solve_linear_bsde(
         ens, 1.0 / wealth[:, -1], driver=dl.DriverSpec(q_coeff=0.25, r_coeff=0.1),
         state=state, basis=dl.RegressionBasis(channels=("X",))))
-    log_state = wealth.nbytes
-    # one transposed block of dB and one compensated-jump row per mark, each
-    # allocated once per sweep, and about ten per-step rows: design, its
-    # factors, fits and targets
-    rows = STEP_BLOCK + model.n_marks + 16
+    # no copy of the state and no block of dB: one compensated-jump row per
+    # mark, allocated once per sweep, and about ten per-step rows: the
+    # logged state, the design, its factors, fits and targets
+    rows = model.n_marks + 16
     budget = rows * N_PATHS * 8 + FIXED_SLACK
-    assert peak <= triple.p.nbytes + triple.q.nbytes + triple.r.nbytes + log_state + budget
+    assert peak <= triple.p.nbytes + triple.q.nbytes + triple.r.nbytes + budget
 
 
 @pytest.mark.parametrize("n_marks", [0, 1, 2])

@@ -58,6 +58,17 @@ def test_missing_seed_exit_code(tmp_path, capsys):
     assert "mc.seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section", ["market", "grid", "mc"])
+def test_missing_section_exit_code_names_the_field(tmp_path, capsys, section):
+    raw = load_raw("merton_log.yaml")
+    del raw[section]
+    cfg_file = tmp_path / "bad.yaml"
+    cfg_file.write_text(yaml.safe_dump(raw))
+    assert cli.main(["primal", "--config", str(cfg_file)]) == 2
+    assert capsys.readouterr().err.strip() == (
+        f"configuration error: missing required configuration field: {section}")
+
+
 @pytest.mark.parametrize("section, key, value", [
     ("mc", "paths", "abc"), ("mc", "paths", 0), ("mc", "paths", 2.5), ("mc", "paths", True),
     ("mc", "seed", "abc"), ("mc", "seed", -1), ("mc", "seed", 1.5), ("mc", "seed", 2**128),

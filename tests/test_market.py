@@ -145,7 +145,7 @@ def test_price_channel_built_on_first_read(jump_model, grid100):
 
 def test_wealth_log_mean_maximal_at_merton_fraction(base_model, base_ens_5k):
     # grid oracle: mean log-wealth peaks at b/sigma^2
-    controls = base_ens_5k.terminal_controls()
+    controls = base_ens_5k.terminal_design()[:, 1:]
     from duallab.mc import cv_mean
 
     grid_pi = np.round(np.arange(0.0, 2.51, 0.25), 10)
@@ -275,7 +275,6 @@ def test_terminal_design_matches_summed_compensated_jumps(grid100, n_marks):
     # N_T - lambda T against the sum of the per-step Ntilde: rounding of lambda dt
     summed = ens.compensated_jumps.sum(axis=1)
     assert np.all(np.abs(design[:, 2:] - summed) <= 1e-12)
-    assert np.array_equal(ens.terminal_controls(), design[:, 1:])
 
 
 @settings(max_examples=20, deadline=None)
@@ -295,3 +294,34 @@ def test_forward_positivity_property(b, sigma, gamma, seed):
     assert np.all(s > 0)
     x = dl.wealth_paths(model, ens, dl.Strategy.fraction(0.5), 1.0)
     assert np.all(x > 0)
+
+
+def test_every_path_array_is_a_view_of_time_major_rows(jump_model, log_pair):
+    # (n_paths, ...) arrays whose transposes are C-contiguous: one row of
+    # paths per step (and mark)
+    ens = make_ensemble(jump_model, n_steps=20, n_paths=300, seed=71)
+    grid = ens.grid
+    control = dl.scenario_from_theta1(jump_model, grid, np.array([-0.1]), 1.0)
+    arrays = {
+        "dB": ens.brownian_increments,
+        "dB given path-major": dl.PathEnsemble(jump_model, grid, 300, 71,
+                                               np.ascontiguousarray(ens.brownian_increments),
+                                               ens.jump_counts).brownian_increments,
+        "S": dl.price_paths(jump_model, ens),
+        "exact wealth": dl.wealth_paths(jump_model, ens, dl.Strategy.fraction(0.5), 1.0),
+        "Euler wealth, fraction": dl.wealth_paths(jump_model, ens, dl.Strategy.fraction(0.5),
+                                                  1.0, scheme="euler"),
+        "Euler wealth, units": dl.wealth_paths(jump_model, ens, dl.Strategy.units(0.3), 1.0),
+        "density": dl.density_paths(ens, control),
+        "Euler density": dl.density_paths(ens, control, scheme="euler"),
+    }
+    for mode in ("analytic", "regression"):
+        primal = dl.solve_primal_search(jump_model, log_pair, 1.0, [0.5], ens, adjoint_mode=mode)
+        dual_sol = dl.evaluate_dual_scenario(jump_model, log_pair, control, ens, adjoint_mode=mode)
+        for side, adj in (("primal", primal.adjoints), ("dual", dual_sol.adjoints)):
+            arrays.update({f"{mode} {side} {c}": getattr(adj, c) for c in "pqr"})
+    arrays["portfolio"] = dl.replicating_portfolio(dual_sol)[0]
+    arrays["bridged fraction"] = dl.dual_to_primal(dual_sol)[0].values
+    for name, values in arrays.items():
+        assert values.shape[0] == 300, name
+        assert values.T.flags.c_contiguous, name

@@ -35,15 +35,20 @@ def jump_markets(draw):
     marks = draw(st.lists(st.builds(lambda size, sign: sign * size, st.floats(0.01, 0.5),
                                     st.sampled_from([-1.0, 1.0])), max_size=3))
     nu = draw(st.lists(st.floats(0.1, 2.0), min_size=len(marks), max_size=len(marks)))
-    gam = np.array(marks)
     # admissible with a margin: 1 + pi* gamma >= 0.2 for every mark
     lo = max([-0.8 / g for g in marks if g > 0], default=-1.0)
     hi = min([-0.8 / g for g in marks if g < 0], default=2.0)
-    # rounded to 1e-3: unrounded draws were seen to break the product
-    # identity's 1e-12 gate (1.01e-12 with two marks of -0.40625 and 5 steps)
-    pi = round(draw(st.floats(max(lo, -1.0), min(hi, 2.0))), 3)
+    pi = draw(st.floats(max(lo, -1.0), min(hi, 2.0)))
     s0, s1 = draw(st.floats(0.1, 0.4)), draw(st.floats(-0.08, 0.08))
     flat = draw(st.sampled_from([None, (0.3, 0.6)] if marks else [None]))
+    return log_optimal_market(marks, nu, pi, s0, s1, flat, draw(st.integers(5, 20)),
+                              draw(st.integers(200, 2_000)), draw(st.integers(0, 2**31 - 1)))
+
+
+def log_optimal_market(marks, nu, pi, s0, s1, flat, n_steps, n_paths, seed):
+    """(model, ensemble, pi) for the market with sigma = s0 + s1 t, zero on
+    the interval ``flat`` (None: nowhere), in which pi is log-optimal."""
+    gam = np.array(marks)
 
     def vol(t):
         return 0.0 if flat is not None and flat[0] <= t < flat[1] else s0 + s1 * t
@@ -51,9 +56,7 @@ def jump_markets(draw):
     jump_part = float(np.sum(gam * np.array(nu) * (1.0 / (1.0 + pi * gam) - 1.0)))
     model = dl.MarketModel(drift=lambda t: pi * vol(t) ** 2 - jump_part, vol=vol,
                            jump_marks=tuple(marks), jump_intensities=tuple(nu))
-    grid = dl.TimeGrid(draw(st.integers(5, 20)), 1.0)
-    ens = dl.simulate_drivers(model, grid, draw(st.integers(200, 2_000)),
-                              draw(st.integers(0, 2**31 - 1)))
+    ens = dl.simulate_drivers(model, dl.TimeGrid(n_steps, 1.0), n_paths, seed)
     return model, ens, pi
 
 
@@ -109,7 +112,21 @@ def test_every_emitted_scenario_satisfies_the_martingale_constraint(case, y):
 @settings(max_examples=40, deadline=None)
 @given(case=jump_markets(), x=st.floats(0.5, 2.0))
 def test_log_wealth_times_density_is_x_times_y(case, x):
-    model, ens, pi = case
+    assert_log_product_identity(*case, x)
+
+
+def test_bridged_product_identity_at_the_admissibility_edge():
+    # two marks near -0.406, sigma = 0 on [0.3, 0.6) and pi* at the edge
+    # 1 + pi* gamma = 0.2, so theta1* is about 4: the bridged density broke
+    # the gate at 2.0e-12 when the per-step means of r1/p1 were summed one
+    # path after another, and holds at 5.6e-15 with pairwise sums
+    marks = (-0.40625, -0.40564)
+    pi = min(-0.8 / g for g in marks)
+    assert_log_product_identity(*log_optimal_market(marks, (1.0, 2.0), pi, 0.2, 0.05,
+                                                    (0.3, 0.6), 8, 1_936, 1), 1.0)
+
+
+def assert_log_product_identity(model, ens, pi, x):
     grid = ens.grid
     theta1 = 1.0 / (1.0 + pi * np.array(model.jump_marks)) - 1.0
     wealth = dl.wealth_paths(model, ens, dl.Strategy.fraction(pi), x)
