@@ -44,7 +44,8 @@ class BridgeReport:
     deviation; tolerances differ by orders of magnitude between analytic and
     regression adjoints, so the adjoint mode is always disclosed.  A
     primal-to-dual report keeps the ``density`` paths of the emitted
-    scenario, which its links were measured on.
+    scenario, which its links were measured on, until
+    :meth:`take_density` hands them on.
     """
 
     direction: str
@@ -61,13 +62,24 @@ class BridgeReport:
     def __getitem__(self, name: str) -> dict:
         return self.identities[name]
 
+    def take_density(self) -> np.ndarray | None:
+        """The density paths, handed on: the report keeps no reference to
+        them, so they live only as long as their new holder."""
+        density, self.density = self.density, None
+        return density
+
+
+def _path_blocks(n_paths: int):
+    """Slices of :data:`DEVIATION_BLOCK_PATHS` paths that cover ``n_paths``."""
+    return (slice(start, start + DEVIATION_BLOCK_PATHS)
+            for start in range(0, n_paths, DEVIATION_BLOCK_PATHS))
+
 
 def _abs_and_rel(values: np.ndarray, target: np.ndarray) -> tuple[float, float]:
     """max |values - target| and max |values - target| / |target|, one
     deviation array per block of paths (small enough to stay in cache)."""
     maxima = []
-    for start in range(0, len(values), DEVIATION_BLOCK_PATHS):
-        rows = slice(start, start + DEVIATION_BLOCK_PATHS)
+    for rows in _path_blocks(len(values)):
         dev = np.abs(values[rows] - target[rows])
         block_abs = np.max(dev)
         dev /= np.abs(target[rows])
@@ -238,8 +250,14 @@ def verify_product_identity(
 
     With exact exponential updates the log cases cancel exponents exactly, so
     the deviation sits at accumulation-rounding level; Euler updates leave a
-    step-size-dependent deviation used by the scheme-order study.
+    step-size-dependent deviation used by the scheme-order study.  One
+    deviation array per block of paths, as in :func:`_abs_and_rel`.
     """
-    dev = wealth * density
-    dev -= x0 * y0
-    return float(np.max(np.abs(dev, out=dev)))
+    xy = x0 * y0
+    maxima = []
+    for rows in _path_blocks(len(wealth)):
+        dev = wealth[rows] * density[rows]
+        dev -= xy
+        maxima.append(np.max(np.abs(dev, out=dev)))
+    # np.max, not max(): a NaN deviation in any block must reach the result
+    return float(np.max(maxima))

@@ -255,6 +255,10 @@ def _scalar_fraction(portfolio, adjoints: str) -> float:
 
 
 def run_bridge_check(cfg: ExperimentConfig, out: str) -> dict:
+    """Primal solve, map to the dual, dual solve, map back.  Each stage keeps
+    only what the next map reads: the product identity is taken while the
+    primal's wealth and p1 are alive, the primal solution is then let go,
+    and the forward report hands its density on to the dual solve."""
     model, ens = _ensemble(cfg)
     section = cfg.raw.get("bridge", {})
     case = section.get("case", "merton_log")
@@ -264,10 +268,6 @@ def run_bridge_check(cfg: ExperimentConfig, out: str) -> dict:
         pi_star = float(merton_log_closed_form(model).values)
         primal = solve_primal_search(model, utility, cfg.x0, [pi_star], ens, adjoint_mode=adjoints)
         control, y, rep_fwd = primal_to_dual(primal)
-        dual = evaluate_dual_scenario(model, utility, control, ens, adjoint_mode=adjoints,
-                                      density=rep_fwd.density)
-        portfolio, x_back, rep_back = dual_to_primal(dual)
-        transfer = {}
     elif case == "robust_merton":
         penalty = cfg.penalty()
         pi_star, mu_star = robust_log_closed_form(model, penalty)
@@ -275,25 +275,34 @@ def run_bridge_check(cfg: ExperimentConfig, out: str) -> dict:
             model, utility, penalty, cfg.x0, [pi_star], [mu_star], ens, adjoint_mode=adjoints
         )
         control, mu_fwd, y, rep_fwd = robust_primal_to_dual(primal)
-        dual = solve_robust_dual(
-            model, utility, penalty, y, ens, [mu_star], adjoint_mode=adjoints
-        )
-        portfolio, mu_back, x_back, rep_back = robust_dual_to_primal(dual)
-        transfer = {"mu": primal.mu, "mu_transferred": mu_fwd, "mu_recovered": mu_back}
     else:
         raise ConfigError(f"unknown bridge case {case!r}")
+    product_dev = verify_product_identity(primal.wealth, primal.adjoints.p, cfg.x0, y)
+    pi, mu = primal.pi, primal.mu
+    del primal  # its wealth, p1 and q1 are read by no later map
+    density = rep_fwd.take_density()
+    if case == "merton_log":
+        dual = evaluate_dual_scenario(model, utility, control, ens, adjoint_mode=adjoints,
+                                      density=density)
+        portfolio, x_back, rep_back = dual_to_primal(dual)
+        transfer = {}
+    else:
+        dual = solve_robust_dual(model, utility, penalty, y, ens, [mu_star],
+                                 adjoint_mode=adjoints, known_density=(control, density))
+        portfolio, mu_back, x_back, rep_back = robust_dual_to_primal(dual)
+        transfer = {"mu": mu, "mu_transferred": mu_fwd, "mu_recovered": mu_back}
+    del dual, density
     payload = {
         "mode": "bridge-check",
         "case": case,
         "adjoints": adjoints,
-        "pi": primal.pi,
+        "pi": pi,
         "y": y,
         "x_recovered": x_back,
         "pi_recovered": _scalar_fraction(portfolio, adjoints),
         "identities_forward": rep_fwd.identities,
         "identities_backward": rep_back.identities,
-        "product_identity_max_dev": verify_product_identity(primal.wealth, primal.adjoints.p,
-                                                            cfg.x0, y),
+        "product_identity_max_dev": product_dev,
         **transfer,
     }
     _write_json(os.path.join(out, "report.json"), payload, cfg.hash())
@@ -396,40 +405,34 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     return _RUNNERS[cfg.mode](cfg, out)
 
 
+# command-line flag: the config entry it overrides, "section.key" or a
+# top-level key; a flag left unset keeps the config's value
+_OVERRIDES = {
+    "seed": "mc.seed", "paths": "mc.paths", "steps": "grid.steps", "out": "out",
+    "mode": "adjoints", "y": "y", "grid_min": "primal.grid_min", "grid_max": "primal.grid_max",
+    "grid_step": "primal.grid_step", "phi_grid": "robust.phi_grid", "mu_grid": "robust.mu_grid",
+    "penalty_scale": "penalty.scale",
+}
+
+
 def _apply_overrides(raw: dict, args: argparse.Namespace, mode: str) -> dict:
-    raw = dict(raw)
-    raw["mode"] = mode
-    if getattr(args, "seed", None) is not None:
-        raw.setdefault("mc", {})
-        raw["mc"] = {**raw["mc"], "seed": args.seed}
-    if getattr(args, "paths", None) is not None:
-        raw["mc"] = {**raw.get("mc", {}), "paths": args.paths}
-    if getattr(args, "steps", None) is not None:
-        raw["grid"] = {**raw.get("grid", {}), "steps": args.steps}
-    if getattr(args, "out", None) is not None:
-        raw["out"] = args.out
-    if getattr(args, "mode", None) is not None:
-        raw["adjoints"] = args.mode
-        if isinstance(raw.get("bridge"), dict):
-            raw["bridge"] = {**raw["bridge"], "adjoints": args.mode}
-    if getattr(args, "y", None) is not None:
-        raw["y"] = args.y
-    if getattr(args, "grid_min", None) is not None:
-        raw["primal"] = {**raw.get("primal", {}), "grid_min": args.grid_min}
-    if getattr(args, "grid_max", None) is not None:
-        raw["primal"] = {**raw.get("primal", {}), "grid_max": args.grid_max}
-    if getattr(args, "grid_step", None) is not None:
-        raw["primal"] = {**raw.get("primal", {}), "grid_step": args.grid_step}
-    for name in ("phi_grid", "mu_grid"):
-        value = getattr(args, name, None)
-        if value is not None:
+    raw = {**raw, "mode": mode}
+    for flag, entry in _OVERRIDES.items():
+        value = getattr(args, flag, None)
+        if value is None:
+            continue
+        if flag in ("phi_grid", "mu_grid"):
             lo, hi, count = value.split(":")
-            raw["robust"] = {
-                **raw.get("robust", {}),
-                name: {"min": float(lo), "max": float(hi), "count": int(count)},
-            }
-    if getattr(args, "penalty_scale", None) is not None:
-        raw["penalty"] = {**raw.get("penalty", {"name": "quadratic"}), "scale": args.penalty_scale}
+            value = {"min": float(lo), "max": float(hi), "count": int(count)}
+        section, _, key = entry.partition(".")
+        if key:
+            # a penalty scale given with no penalty section scales the quadratic
+            start = {"name": "quadratic"} if section == "penalty" else {}
+            value = {**raw.get(section, start), key: value}
+        raw[section] = value
+        # the adjoint mode also runs a bridge check's maps
+        if flag == "mode" and isinstance(raw.get("bridge"), dict):
+            raw["bridge"] = {**raw["bridge"], "adjoints": value}
     return raw
 
 

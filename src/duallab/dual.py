@@ -267,6 +267,31 @@ def dual_adjoints(
                              basis=basis or RegressionBasis(channels=("G",)))
 
 
+def same_scenario(a: ScenarioControl, b: ScenarioControl) -> bool:
+    """Whether two controls are bit for bit the same scenario: theta0,
+    theta1, y and mu (None only matches None)."""
+    def bits(value):
+        if value is None:
+            return None
+        arr = np.asarray(value, dtype=float)
+        return arr.shape, arr.tobytes()
+    return all(bits(getattr(a, name)) == bits(getattr(b, name))
+               for name in ("theta0", "theta1", "y", "mu"))
+
+
+def check_density(ensemble: PathEnsemble, control: ScenarioControl, density: np.ndarray) -> None:
+    """Refuse density paths handed on as those of ``control`` that cannot be:
+    ValueError if their shape is not (n_paths, n_steps+1) or G(0) is not
+    ``control.y`` on every path."""
+    shape = (ensemble.n_paths, ensemble.grid.n_steps + 1)
+    if np.shape(density) != shape:
+        raise ValueError(f"density paths of shape {np.shape(density)}; the ensemble's "
+                         f"are (n_paths, n_steps+1) = {shape}")
+    if not np.all(density[:, 0] == control.y):
+        raise ValueError(f"density paths do not start at the scenario's y = {control.y!r} "
+                         "on every path")
+
+
 def _dual_solution(model: MarketModel, ensemble: PathEnsemble, pair: UtilityPair,
                    control: ScenarioControl, adjoint_mode: str, basis: RegressionBasis | None,
                    replicate: bool, foc=None, density: np.ndarray | None = None,
@@ -347,7 +372,11 @@ def evaluate_dual_scenario(
     scenario rather than a candidate family.  ``density`` may pass the
     scenario's paths, ``density_paths(ensemble, control)``, when they are
     built already (a primal-to-dual report keeps them); they are not rebuilt.
+    ValueError if their shape is not (n_paths, n_steps+1) or G(0) is not
+    ``control.y`` on every path.
     """
+    if density is not None:
+        check_density(ensemble, control, density)
     design = ensemble.terminal_design()
     search = grid_search((1,), scenario_samples(ensemble, pair, [control], design),
                          np.ones(1, bool), design if control_variates else None, ensemble.n_paths)

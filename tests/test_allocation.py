@@ -11,7 +11,9 @@ backward sweep allocates p, q and r, plus per-step rows: it logs each step's
 state into a row and reads dB's own rows.  The terminal design sums the drivers
 into its own columns.  The replication of a dual solve forms the portfolio
 one step at a time and keeps two Euler wealth rows, so it allocates a few
-rows per path range and no (n_paths, n_steps) array.  numpy reports its buffers to ``tracemalloc``.  A run
+rows per path range and no (n_paths, n_steps) array.  A bridge check lets
+each stage's arrays go once the next map has read them.  numpy reports its
+buffers to ``tracemalloc``.  A run
 fixes glibc's malloc thresholds, so that an array of a MiB or more goes back
 to the system when it is freed.
 """
@@ -29,7 +31,7 @@ import pytest
 import yaml
 
 import duallab as dl
-from duallab import cli, dual, market, mc, primal
+from duallab import bridge, cli, dual, market, mc, primal
 from duallab.config import validate_config
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -232,3 +234,28 @@ def test_replication_streams_a_few_rows_per_range(one_mark, n_cpus):
     # bool row; an (n_paths, n_steps) array alone is N_STEPS rows
     rows = 2 + 4 + n_cpus * (model.n_marks + 2)
     assert peak <= rows * N_PATHS * 8 + FIXED_SLACK
+
+
+@pytest.mark.parametrize("name, case", [("merton_log.yaml", "merton_log"),
+                                        ("robust_merton.yaml", "robust_merton")])
+def test_bridge_check_peak_is_the_dual_and_its_map_back(tmp_path, name, case):
+    # the product identity is taken while the primal solution is alive, which
+    # is then let go, and the dual reuses the forward density: the peak is
+    # dB, the dual's density, p2 and q2, and the bridged fraction and wealth
+    # of the map back; a primal kept to the end and a second density fill
+    # would hold about ten path arrays
+    n_paths, n_steps = 4_000, 20
+    with open(Path(__file__).resolve().parents[1] / "configs" / name) as fh:
+        raw = yaml.safe_load(fh)
+    raw["mc"]["paths"], raw["grid"]["steps"] = n_paths, n_steps
+    raw.update(mode="bridge-check", bridge={"case": case, "adjoints": "analytic"},
+               out=str(tmp_path))
+    cfg = validate_config(raw)
+    # first calls import modules and fill caches: not part of the check
+    cli.run_bridge_check(cfg, str(tmp_path))
+    # deviation blocks of 256 paths, about the share of 2048 at 50k paths
+    with mock.patch.object(bridge, "DEVIATION_BLOCK_PATHS", 256):
+        peak, report = _peak(lambda: cli.run_bridge_check(cfg, str(tmp_path)))
+    assert report["product_identity_max_dev"] < 1e-12
+    path_array = n_paths * (n_steps + 1) * 8
+    assert peak <= 6.5 * path_array + FIXED_SLACK

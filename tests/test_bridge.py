@@ -44,6 +44,75 @@ def test_dual_solution_reuses_bridged_density(base_model, base_ens_5k, log_pair,
     assert dl.dual_to_primal(reused)[2].identities == dl.dual_to_primal(rebuilt)[2].identities
 
 
+def test_dual_hand_off_refuses_density_paths_that_are_not_the_scenarios(base_model, base_ens_5k,
+                                                                        log_pair):
+    sol = merton_primal(base_model, base_ens_5k, log_pair)
+    control, _, report = dl.primal_to_dual(sol)
+    density = report.density
+    for wrong in (density[:-1], density[:, :-1], density[:, -1]):
+        with pytest.raises(ValueError, match="density paths of shape"):
+            dl.evaluate_dual_scenario(base_model, log_pair, control, base_ens_5k,
+                                      adjoint_mode="analytic", density=wrong)
+    # the paths of a scenario with another y
+    other = dataclasses.replace(control, y=2.0 * control.y)
+    with pytest.raises(ValueError, match="do not start at the scenario's y"):
+        dl.evaluate_dual_scenario(base_model, log_pair, other, base_ens_5k,
+                                  adjoint_mode="analytic", density=density)
+
+
+def robust_bridge(base_model, ens, log_pair, quad_penalty, mode="analytic"):
+    primal = dl.solve_robust_saddle(base_model, log_pair, quad_penalty, 1.0, [0.625], [-0.125],
+                                    ens, adjoint_mode=mode)
+    return dl.robust_primal_to_dual(primal)
+
+
+@pytest.mark.parametrize("mode", ["analytic", "regression"])
+def test_robust_dual_reuses_bridged_density(base_model, base_ens_5k, log_pair, quad_penalty,
+                                            mode):
+    control, mu, y, report = robust_bridge(base_model, base_ens_5k, log_pair, quad_penalty, mode)
+    density = report.take_density()
+    assert report.density is None
+
+    def solve(**known):
+        return dl.solve_robust_dual(base_model, log_pair, quad_penalty, y, base_ens_5k, [mu],
+                                    adjoint_mode=mode, **known)
+
+    reused, rebuilt = solve(known_density=(control, density)), solve()
+    assert reused.density is density
+    assert np.array_equal(reused.density, rebuilt.density)
+    for name in ("p", "q", "r"):
+        assert np.array_equal(getattr(reused.adjoints, name), getattr(rebuilt.adjoints, name))
+    assert (reused.value, reused.se) == (rebuilt.value, rebuilt.se)
+    assert reused.foc.keys() == rebuilt.foc.keys()
+    for key, value in reused.foc.items():
+        assert np.array_equal(value, rebuilt.foc[key], equal_nan=True), key
+    assert reused.mu == rebuilt.mu == mu
+    assert (dl.robust_dual_to_primal(reused)[3].identities
+            == dl.robust_dual_to_primal(rebuilt)[3].identities)
+
+
+def test_robust_dual_refuses_the_density_of_another_scenario(base_model, base_ens_5k, log_pair,
+                                                            quad_penalty):
+    control, mu, y, report = robust_bridge(base_model, base_ens_5k, log_pair, quad_penalty)
+    known = (control, report.density)
+
+    def solve(y, mu_values, known):
+        return dl.solve_robust_dual(base_model, log_pair, quad_penalty, y, base_ens_5k,
+                                    mu_values, adjoint_mode="analytic", known_density=known)
+
+    # the search lands on another mu, or starts at another y: no silent rebuild
+    for y_other, mu_values in ((y, [0.0]), (y, [-0.25, 0.0]), (2.0 * y, [mu])):
+        with pytest.raises(ValueError, match="not those of the searched-best scenario"):
+            solve(y_other, mu_values, known)
+    # bit for bit: theta0 one ulp away is another scenario
+    nudged = dataclasses.replace(control, theta0=np.nextafter(control.theta0, 0.0))
+    with pytest.raises(ValueError, match="not those of the searched-best scenario"):
+        solve(y, [mu], (nudged, report.density))
+    with pytest.raises(ValueError, match="density paths of shape"):
+        solve(y, [mu], (control, report.density[:-1]))
+    assert solve(y, [mu], known).density is report.density
+
+
 def test_blocked_deviation_maxima_match_whole_array_and_keep_nan():
     rng = np.random.default_rng(5)
     target = rng.uniform(0.5, 2.0, size=(2 * DEVIATION_BLOCK_PATHS + 7, 3))
@@ -205,6 +274,31 @@ def test_product_identity_exact_updates(base_model, base_ens_5k, log_pair):
     control = dl.unique_scenario_no_jumps(base_model, grid, 1.0)
     density = dl.density_paths(base_ens_5k, control)
     assert dl.verify_product_identity(wealth, density, 1.0, 1.0) < 1e-12
+
+
+def test_blocked_product_identity_matches_whole_array_and_keeps_nan():
+    rng = np.random.default_rng(11)
+    # three whole blocks and a partial one, time-major as the solvers store paths
+    n_paths = 3 * DEVIATION_BLOCK_PATHS + 7
+    wealth = rng.uniform(0.5, 2.0, size=(4, n_paths)).T
+    density = (1.5 / wealth) * (1.0 + rng.normal(0.0, 1e-12, size=wealth.shape))
+
+    def whole(wealth, density):
+        dev = wealth * density
+        dev -= 0.75 * 2.0
+        return float(np.max(np.abs(dev)))
+
+    assert dl.verify_product_identity(wealth, density, 0.75, 2.0) == whole(wealth, density)
+    # the largest deviation in the first block, then in the last, partial one
+    for row in (3, n_paths - 2):
+        moved = density.copy()
+        moved[row, 2] *= 1.0 + 1e-9
+        assert dl.verify_product_identity(wealth, moved, 0.75, 2.0) == whole(wealth, moved)
+    # a NaN in any block reaches the result
+    for row in range(0, n_paths, DEVIATION_BLOCK_PATHS // 2):
+        broken = wealth.copy()
+        broken[row, 1] = np.nan
+        assert math.isnan(dl.verify_product_identity(broken, density, 0.75, 2.0))
 
 
 def test_product_identity_euler_deviation_shrinks_with_steps(base_model):

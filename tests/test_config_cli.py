@@ -390,6 +390,47 @@ def test_cli_overrides(tmp_path):
     assert len(matrix) == 2 + 11 * 11
 
 
+_BASE = {"mode": "primal", "mc": {"paths": 10, "seed": 1}, "grid": {"steps": 5},
+         "bridge": {"case": "merton_log", "adjoints": "regression"}}
+_COMMON = ["--seed", "7", "--paths", "900", "--steps", "12", "--out", "o", "--mode", "analytic"]
+_OVERRIDDEN = {"mode": None, "mc": {"paths": 900, "seed": 7}, "grid": {"steps": 12},
+               "bridge": {"case": "merton_log", "adjoints": "analytic"}, "out": "o",
+               "adjoints": "analytic"}
+
+
+@pytest.mark.parametrize("command, raw, flags, expected", [
+    ("primal", _BASE, _COMMON + ["--grid-min", "0.5", "--grid-max", "1.5", "--grid-step", "0.25"],
+     {**_OVERRIDDEN, "mode": "primal",
+      "primal": {"grid_min": 0.5, "grid_max": 1.5, "grid_step": 0.25}}),
+    ("dual", {"mc": {"seed": 3}}, ["--y", "2.5", "--paths", "50"],
+     {"mc": {"seed": 3, "paths": 50}, "mode": "dual", "y": 2.5}),
+    ("robust", _BASE, _COMMON + ["--phi-grid", "0.1:1.1:5", "--mu-grid=-0.2:0.0:3",
+                                 "--penalty-scale", "2.5"],
+     {**_OVERRIDDEN, "mode": "robust",
+      "robust": {"phi_grid": {"min": 0.1, "max": 1.1, "count": 5},
+                 "mu_grid": {"min": -0.2, "max": 0.0, "count": 3}},
+      "penalty": {"name": "quadratic", "scale": 2.5}}),
+    ("robust", {"penalty": {"name": "entropic", "scale": 1.0},
+                "robust": {"phi_grid": {"min": 0, "max": 1, "count": 2}}},
+     ["--penalty-scale", "3.0", "--mu-grid=-0.5:0.5:11"],
+     {"penalty": {"name": "entropic", "scale": 3.0},
+      "robust": {"phi_grid": {"min": 0, "max": 1, "count": 2},
+                 "mu_grid": {"min": -0.5, "max": 0.5, "count": 11}},
+      "mode": "robust"}),
+    ("bridge-check", {}, ["--mode", "regression"], {"mode": "bridge-check", "adjoints": "regression"}),
+    ("simulate", {}, [], {"mode": "simulate"}),
+])
+def test_every_override_flag_sets_its_config_entry(command, raw, flags, expected):
+    # every flag of every subcommand; the sections a flag starts, the
+    # quadratic penalty's default name and --mode's bridge adjoints included
+    args = cli._build_parser().parse_args([command, "--config", "c.yaml", *flags])
+    as_read = json.dumps(raw)
+    overridden = cli._apply_overrides(raw, args, command)
+    assert overridden == expected
+    assert list(overridden) == list(expected)
+    assert json.dumps(raw) == as_read
+
+
 def test_bridge_check_mode(tmp_path):
     raw = small(load_raw("merton_log.yaml"), paths=2_000)
     raw["mode"] = "bridge-check"
