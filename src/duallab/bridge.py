@@ -38,7 +38,7 @@ class BridgeViolationError(ValueError):
 
 @dataclass
 class BridgeReport:
-    """Identity residuals for one bridge direction.
+    """Identity residuals of one bridge map.
 
     Every entry states the identity it checks alongside the measured
     deviation; tolerances differ by orders of magnitude between analytic and
@@ -48,7 +48,6 @@ class BridgeReport:
     :meth:`take_density` hands them on.
     """
 
-    direction: str
     adjoint_mode: str
     identities: dict[str, dict] = field(default_factory=dict)
     density: np.ndarray | None = None
@@ -100,7 +99,9 @@ def _theta_ratios(adjoints) -> tuple[np.ndarray, np.ndarray]:
     return (adjoints.q / p_left).mean(axis=0), (adjoints.r / p_left[:, :, None]).mean(axis=0)
 
 
-def _primal_to_dual(solution, direction: str) -> tuple[ScenarioControl, float, BridgeReport]:
+def primal_to_dual(solution: PrimalSolution) -> tuple[ScenarioControl, float, BridgeReport]:
+    """Scenario and initial density built from a primal solution's adjoints, in
+    the market of the solution (perturbed when it was solved at a ``mu``)."""
     model = solution.model
     ensemble: PathEnsemble = solution.ensemble
     grid = ensemble.grid
@@ -113,7 +114,7 @@ def _primal_to_dual(solution, direction: str) -> tuple[ScenarioControl, float, B
         raise BridgeViolationError(str(exc)) from exc
 
     density = density_paths(ensemble, control)
-    report = BridgeReport(direction=direction, adjoint_mode=adj.mode, density=density)
+    report = BridgeReport(adjoint_mode=adj.mode, density=density)
     report.add(
         "process_link",
         "density driven by the bridged scenario equals the primal adjoint p1, pathwise",
@@ -144,17 +145,11 @@ def _primal_to_dual(solution, direction: str) -> tuple[ScenarioControl, float, B
     return control, y, report
 
 
-def primal_to_dual(solution: PrimalSolution) -> tuple[ScenarioControl, float, BridgeReport]:
-    """Scenario and initial density built from a primal solution's adjoints, in
-    the market of the solution (perturbed when it was solved at a ``mu``)."""
-    return _primal_to_dual(solution, "primal-to-dual")
-
-
 def robust_primal_to_dual(
     solution: PrimalSolution,
 ) -> tuple[ScenarioControl, float, float, BridgeReport]:
     """Robust variant: the perturbation transfers unchanged (mu_dual = mu_primal)."""
-    control, y, report = _primal_to_dual(solution, "robust-primal-to-dual")
+    control, y, report = primal_to_dual(solution)
     return control, float(solution.mu), y, report
 
 
@@ -171,7 +166,9 @@ def _bridged_fractions(solution) -> np.ndarray:
     return np.divide(adj.q.T, pi_path, out=pi_path).T
 
 
-def _dual_to_primal(solution, direction: str):
+def dual_to_primal(solution: DualSolution) -> tuple[Strategy, float, BridgeReport]:
+    """Portfolio and initial wealth built from a dual solution's adjoints; the
+    wealth lives in the market of the scenario (perturbed when it has a ``mu``)."""
     adj = solution.adjoints
     pi_path = _bridged_fractions(solution)
     x0 = float(adj.p[:, 0].mean())
@@ -183,7 +180,7 @@ def _dual_to_primal(solution, direction: str):
     except ValueError as exc:
         raise BridgeViolationError(str(exc)) from exc
 
-    report = BridgeReport(direction=direction, adjoint_mode=adj.mode)
+    report = BridgeReport(adjoint_mode=adj.mode)
     report.add(
         "process_link",
         "wealth under the bridged portfolio equals the dual adjoint p2, pathwise",
@@ -204,18 +201,12 @@ def _dual_to_primal(solution, direction: str):
     return strategy, x0, report
 
 
-def dual_to_primal(solution: DualSolution) -> tuple[Strategy, float, BridgeReport]:
-    """Portfolio and initial wealth built from a dual solution's adjoints; the
-    wealth lives in the market of the scenario (perturbed when it has a ``mu``)."""
-    return _dual_to_primal(solution, "dual-to-primal")
-
-
 def robust_dual_to_primal(
     solution: DualSolution,
 ) -> tuple[Strategy, float, float, BridgeReport]:
     """Robust variant: mu transfers unchanged and the wealth lives in the
     perturbed market."""
-    strategy, x0, report = _dual_to_primal(solution, "robust-dual-to-primal")
+    strategy, x0, report = dual_to_primal(solution)
     return strategy, float(solution.mu), x0, report
 
 

@@ -25,11 +25,9 @@ from .bridge import (
     bridged_fraction,
     dual_to_primal,
     primal_to_dual,
-    robust_dual_to_primal,
-    robust_primal_to_dual,
     verify_product_identity,
 )
-from .config import ConfigError, ExperimentConfig, read_config, validate_config
+from .config import PRIMAL_GRID, ConfigError, ExperimentConfig, read_config, validate_config
 from .dual import evaluate_dual_scenario, solve_dual_search, unique_scenario_no_jumps
 from .market import (
     TimeGrid,
@@ -41,7 +39,7 @@ from .market import (
     wealth_paths,
 )
 from .primal import hamiltonian_derivative_check, merton_log_closed_form, solve_primal_search
-from .robust import robust_log_closed_form, solve_robust_dual, solve_robust_saddle
+from .robust import robust_log_closed_form, solve_robust_saddle
 
 
 def _write_json(path: str, payload: dict, cfg_hash: str) -> None:
@@ -124,10 +122,8 @@ def run_simulate(cfg: ExperimentConfig, out: str) -> dict:
 
 def run_primal(cfg: ExperimentConfig, out: str) -> dict:
     model, ens = _ensemble(cfg)
-    section = cfg.raw.get("primal", {})
-    lo = float(section.get("grid_min", 0.0))
-    hi = float(section.get("grid_max", 2.5))
-    step = float(section.get("grid_step", 0.05))
+    section = {**PRIMAL_GRID, **cfg.raw.get("primal", {})}
+    lo, hi, step = (float(section[key]) for key in ("grid_min", "grid_max", "grid_step"))
     n = int(round((hi - lo) / step)) + 1
     pi_values = np.round(lo + step * np.arange(n), 12)
     solution = solve_primal_search(
@@ -258,7 +254,9 @@ def run_bridge_check(cfg: ExperimentConfig, out: str) -> dict:
     """Primal solve, map to the dual, dual solve, map back.  Each stage keeps
     only what the next map reads: the product identity is taken while the
     primal's wealth and p1 are alive, the primal solution is then let go,
-    and the forward report hands its density on to the dual solve."""
+    and the forward report hands its density on to the dual solve.  The
+    robust case differs only in its closed form and saddle: its bridged
+    scenario carries the perturbation mu, which the maps transfer unchanged."""
     model, ens = _ensemble(cfg)
     section = cfg.raw.get("bridge", {})
     case = section.get("case", "merton_log")
@@ -267,31 +265,23 @@ def run_bridge_check(cfg: ExperimentConfig, out: str) -> dict:
     if case == "merton_log":
         pi_star = float(merton_log_closed_form(model).values)
         primal = solve_primal_search(model, utility, cfg.x0, [pi_star], ens, adjoint_mode=adjoints)
-        control, y, rep_fwd = primal_to_dual(primal)
     elif case == "robust_merton":
         penalty = cfg.penalty()
         pi_star, mu_star = robust_log_closed_form(model, penalty)
-        primal = solve_robust_saddle(
-            model, utility, penalty, cfg.x0, [pi_star], [mu_star], ens, adjoint_mode=adjoints
-        )
-        control, mu_fwd, y, rep_fwd = robust_primal_to_dual(primal)
+        primal = solve_robust_saddle(model, utility, penalty, cfg.x0, [pi_star], [mu_star], ens,
+                                     adjoint_mode=adjoints)
     else:
         raise ConfigError(f"unknown bridge case {case!r}")
+    control, y, rep_fwd = primal_to_dual(primal)
     product_dev = verify_product_identity(primal.wealth, primal.adjoints.p, cfg.x0, y)
     pi, mu = primal.pi, primal.mu
     del primal  # its wealth, p1 and q1 are read by no later map
-    density = rep_fwd.take_density()
-    if case == "merton_log":
-        dual = evaluate_dual_scenario(model, utility, control, ens, adjoint_mode=adjoints,
-                                      density=density)
-        portfolio, x_back, rep_back = dual_to_primal(dual)
-        transfer = {}
-    else:
-        dual = solve_robust_dual(model, utility, penalty, y, ens, [mu_star],
-                                 adjoint_mode=adjoints, known_density=(control, density))
-        portfolio, mu_back, x_back, rep_back = robust_dual_to_primal(dual)
-        transfer = {"mu": mu, "mu_transferred": mu_fwd, "mu_recovered": mu_back}
-    del dual, density
+    dual = evaluate_dual_scenario(model, utility, control, ens, adjoint_mode=adjoints,
+                                  density=rep_fwd.take_density())
+    portfolio, x_back, rep_back = dual_to_primal(dual)
+    transfer = {} if mu is None else {
+        "mu": mu, "mu_transferred": control.mu, "mu_recovered": dual.mu}
+    del dual
     payload = {
         "mode": "bridge-check",
         "case": case,
@@ -422,8 +412,12 @@ def _apply_overrides(raw: dict, args: argparse.Namespace, mode: str) -> dict:
         if value is None:
             continue
         if flag in ("phi_grid", "mu_grid"):
-            lo, hi, count = value.split(":")
-            value = {"min": float(lo), "max": float(hi), "count": int(count)}
+            try:
+                lo, hi, count = value.split(":")
+                value = {"min": float(lo), "max": float(hi), "count": int(count)}
+            except ValueError:
+                raise ConfigError(f"--{flag.replace('_', '-')} must be min:max:count with an "
+                                  f"integer count, got {value!r}") from None
         section, _, key = entry.partition(".")
         if key:
             # a penalty scale given with no penalty section scales the quadratic

@@ -31,6 +31,8 @@ MAX_DRIVER_BYTES = 2**29
 # a mark's events are counted at a bound its Poisson total of jumps exceeds
 # with probability below exp(-EVENT_TAIL_LOG), about 1e-12
 EVENT_TAIL_LOG = 27.6
+# the primal search grid where the config's primal section leaves it unset
+PRIMAL_GRID = {"grid_min": 0.0, "grid_max": 2.5, "grid_step": 0.05}
 
 _SCHEMA: dict[str, Any] = {
     "market": {"drift": float, "vol": float, "s0": float, "horizon": float, "jumps": list},
@@ -175,6 +177,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
     adjoints = raw.get("adjoints", "regression")
     if adjoints not in ("analytic", "regression"):
         raise ConfigError("adjoints must be 'analytic' or 'regression'")
+    _check_grids(raw)
     cfg = ExperimentConfig(
         raw=raw,
         mode=mode,
@@ -197,6 +200,26 @@ def validate_config(raw: dict) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(f"market: {exc}") from exc
     return cfg
+
+
+def _check_grids(raw: dict) -> None:
+    """Refuse a search grid with no candidate or a non-finite one: the
+    primal grid needs finite ends, grid_max >= grid_min and a positive
+    finite grid_step; a min:max:count grid needs finite ends and an integer
+    count of at least 1."""
+    primal = {**PRIMAL_GRID, **raw.get("primal", {})}
+    lo, hi = (_number(primal, key, "primal") for key in ("grid_min", "grid_max"))
+    _number(primal, "grid_step", "primal", positive=True)
+    if hi < lo:
+        raise ConfigError(f"primal.grid_max must be at least primal.grid_min = {lo!r}, got {hi!r}")
+    grids = {"dual.theta1_grid": raw.get("dual", {}).get("theta1_grid")}
+    for key in ("phi_grid", "mu_grid"):
+        grids[f"robust.{key}"] = raw.get("robust", {}).get(key)
+    for where, grid in grids.items():
+        if grid is not None:
+            for key in ("min", "max"):
+                _number(grid, key, where)
+            _integer(grid, "count", where, 1)
 
 
 def _event_bound(mean: float, cells: int) -> int:

@@ -240,7 +240,9 @@ def analytic_log_dual_adjoints(
     # applied to q2/p2 = -theta0 and r2/p2 = jump_gain
     driver = dual_driver(model, grid, mu=control.mu)
     psi = -theta0 * driver.q_coeff + np.sum(driver.r_coeff * jump_gain, axis=1)
-    return log_adjoints(grid, -a + psi, density, -theta0, jump_gain, "log-dual")
+    # p2 = c/G drifts at (c'/c + a)*p2, which the equation sets to psi*p2:
+    # c(t) = exp(int_t^T (a - psi) ds)
+    return log_adjoints(grid, a - psi, density, -theta0, jump_gain, "log-dual")
 
 
 def dual_adjoints(
@@ -265,31 +267,6 @@ def dual_adjoints(
                              driver=dual_driver(model, ensemble.grid, mu=control.mu),
                              state={"G": density, "F": lambda: pair.inverse_marginal(density)},
                              basis=basis or RegressionBasis(channels=("G",)))
-
-
-def same_scenario(a: ScenarioControl, b: ScenarioControl) -> bool:
-    """Whether two controls are bit for bit the same scenario: theta0,
-    theta1, y and mu (None only matches None)."""
-    def bits(value):
-        if value is None:
-            return None
-        arr = np.asarray(value, dtype=float)
-        return arr.shape, arr.tobytes()
-    return all(bits(getattr(a, name)) == bits(getattr(b, name))
-               for name in ("theta0", "theta1", "y", "mu"))
-
-
-def check_density(ensemble: PathEnsemble, control: ScenarioControl, density: np.ndarray) -> None:
-    """Refuse density paths handed on as those of ``control`` that cannot be:
-    ValueError if their shape is not (n_paths, n_steps+1) or G(0) is not
-    ``control.y`` on every path."""
-    shape = (ensemble.n_paths, ensemble.grid.n_steps + 1)
-    if np.shape(density) != shape:
-        raise ValueError(f"density paths of shape {np.shape(density)}; the ensemble's "
-                         f"are (n_paths, n_steps+1) = {shape}")
-    if not np.all(density[:, 0] == control.y):
-        raise ValueError(f"density paths do not start at the scenario's y = {control.y!r} "
-                         "on every path")
 
 
 def _dual_solution(model: MarketModel, ensemble: PathEnsemble, pair: UtilityPair,
@@ -376,7 +353,13 @@ def evaluate_dual_scenario(
     ``control.y`` on every path.
     """
     if density is not None:
-        check_density(ensemble, control, density)
+        shape = (ensemble.n_paths, ensemble.grid.n_steps + 1)
+        if np.shape(density) != shape:
+            raise ValueError(f"density paths of shape {np.shape(density)}; the ensemble's "
+                             f"are (n_paths, n_steps+1) = {shape}")
+        if not np.all(density[:, 0] == control.y):
+            raise ValueError(f"density paths do not start at the scenario's y = {control.y!r} "
+                             "on every path")
     design = ensemble.terminal_design()
     search = grid_search((1,), scenario_samples(ensemble, pair, [control], design),
                          np.ones(1, bool), design if control_variates else None, ensemble.n_paths)

@@ -15,12 +15,9 @@ import numpy as np
 from .bsde import RegressionBasis
 from .dual import (
     DualSolution,
-    ScenarioControl,
     _dual_solution,
     build_scenarios,
-    check_density,
     dual_foc_residual,
-    same_scenario,
     scenario_samples,
     theta1_candidates,
 )
@@ -159,7 +156,6 @@ def solve_robust_dual(
     adjoint_mode: str = "regression",
     control_variates: bool = True,
     basis: RegressionBasis | None = None,
-    known_density: tuple[ScenarioControl, np.ndarray] | None = None,
 ) -> DualSolution:
     """Maximize J(theta, mu) = E[-V(G(T))] - integral rho(mu) over a (mu, theta1) grid.
 
@@ -167,13 +163,6 @@ def solve_robust_dual(
     every scenario satisfies it pointwise.  The solution is a
     :class:`DualSolution` with ``penalty`` set and ``mu`` the optimal
     perturbation.
-
-    ``known_density`` is a scenario whose density paths are built already,
-    with those paths (a robust primal-to-dual bridge emits both); they are
-    the solution's density and are not rebuilt.  The searched-best scenario
-    must be that scenario bit for bit (:func:`~duallab.dual.same_scenario`),
-    and the paths must pass :func:`~duallab.dual.check_density`: ValueError
-    otherwise.
     """
     grid = ensemble.grid
     mu_values = np.asarray(list(mu_values), dtype=float)
@@ -189,16 +178,8 @@ def solve_robust_dual(
                        for mu in mu_values for th1 in candidates]),
         what="robust dual candidates",
     )
-    best = scenarios[search.best]
-    density = None
-    if known_density is not None:
-        known, density = known_density
-        if not same_scenario(best, known):
-            raise ValueError("the given density paths are not those of the searched-best "
-                             f"scenario (mu = {best.mu!r}, y = {best.y!r})")
-        check_density(ensemble, best, density)
     return _dual_solution(
-        model, ensemble, pair, best, adjoint_mode, basis, replicate=False, density=density,
+        model, ensemble, pair, scenarios[search.best], adjoint_mode, basis, replicate=False,
         foc=robust_dual_foc_residuals, penalty=penalty,
         theta1_values=[np.asarray(c).tolist() for c in candidates], excluded=excluded,
         **search.fields(),

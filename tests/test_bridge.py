@@ -67,50 +67,24 @@ def robust_bridge(base_model, ens, log_pair, quad_penalty, mode="analytic"):
 
 
 @pytest.mark.parametrize("mode", ["analytic", "regression"])
-def test_robust_dual_reuses_bridged_density(base_model, base_ens_5k, log_pair, quad_penalty,
-                                            mode):
+def test_bridged_robust_scenario_evaluates_like_the_robust_dual_at_its_mu(
+        base_model, base_ens_5k, log_pair, quad_penalty, mode):
+    """The robust bridge check evaluates its bridged scenario, with the handed-on
+    density, in place of a one-cell robust dual search at the transferred mu."""
     control, mu, y, report = robust_bridge(base_model, base_ens_5k, log_pair, quad_penalty, mode)
     density = report.take_density()
     assert report.density is None
-
-    def solve(**known):
-        return dl.solve_robust_dual(base_model, log_pair, quad_penalty, y, base_ens_5k, [mu],
-                                    adjoint_mode=mode, **known)
-
-    reused, rebuilt = solve(known_density=(control, density)), solve()
-    assert reused.density is density
-    assert np.array_equal(reused.density, rebuilt.density)
+    evaluated = dl.evaluate_dual_scenario(base_model, log_pair, control, base_ens_5k,
+                                          adjoint_mode=mode, density=density)
+    searched = dl.solve_robust_dual(base_model, log_pair, quad_penalty, y, base_ens_5k, [mu],
+                                    adjoint_mode=mode)
+    assert evaluated.density is density
+    assert np.array_equal(evaluated.density, searched.density)
     for name in ("p", "q", "r"):
-        assert np.array_equal(getattr(reused.adjoints, name), getattr(rebuilt.adjoints, name))
-    assert (reused.value, reused.se) == (rebuilt.value, rebuilt.se)
-    assert reused.foc.keys() == rebuilt.foc.keys()
-    for key, value in reused.foc.items():
-        assert np.array_equal(value, rebuilt.foc[key], equal_nan=True), key
-    assert reused.mu == rebuilt.mu == mu
-    assert (dl.robust_dual_to_primal(reused)[3].identities
-            == dl.robust_dual_to_primal(rebuilt)[3].identities)
-
-
-def test_robust_dual_refuses_the_density_of_another_scenario(base_model, base_ens_5k, log_pair,
-                                                            quad_penalty):
-    control, mu, y, report = robust_bridge(base_model, base_ens_5k, log_pair, quad_penalty)
-    known = (control, report.density)
-
-    def solve(y, mu_values, known):
-        return dl.solve_robust_dual(base_model, log_pair, quad_penalty, y, base_ens_5k,
-                                    mu_values, adjoint_mode="analytic", known_density=known)
-
-    # the search lands on another mu, or starts at another y: no silent rebuild
-    for y_other, mu_values in ((y, [0.0]), (y, [-0.25, 0.0]), (2.0 * y, [mu])):
-        with pytest.raises(ValueError, match="not those of the searched-best scenario"):
-            solve(y_other, mu_values, known)
-    # bit for bit: theta0 one ulp away is another scenario
-    nudged = dataclasses.replace(control, theta0=np.nextafter(control.theta0, 0.0))
-    with pytest.raises(ValueError, match="not those of the searched-best scenario"):
-        solve(y, [mu], (nudged, report.density))
-    with pytest.raises(ValueError, match="density paths of shape"):
-        solve(y, [mu], (control, report.density[:-1]))
-    assert solve(y, [mu], known).density is report.density
+        assert np.array_equal(getattr(evaluated.adjoints, name), getattr(searched.adjoints, name))
+    assert evaluated.mu == searched.mu == mu
+    assert (dl.robust_dual_to_primal(evaluated)[3].identities
+            == dl.robust_dual_to_primal(searched)[3].identities)
 
 
 def test_blocked_deviation_maxima_match_whole_array_and_keep_nan():

@@ -112,6 +112,33 @@ def test_bad_number_field_exit_code(tmp_path, capsys, where, value, named):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("command, name, edit, flags, named", [
+    ("robust", "robust_merton.yaml", {}, ["--phi-grid", "1:2"], "--phi-grid must be min:max:count"),
+    ("robust", "robust_merton.yaml", {}, ["--mu-grid", "1:2:x"], "--mu-grid must be min:max:count"),
+    ("robust", "robust_merton.yaml", {}, ["--phi-grid", "1:nan:3"], "robust.phi_grid.max"),
+    ("robust", "robust_merton.yaml", {}, ["--mu-grid=-0.25:0:0"], "robust.mu_grid.count"),
+    ("primal", "merton_log.yaml", {}, ["--grid-step", "0"], "primal.grid_step"),
+    ("primal", "merton_log.yaml", {}, ["--grid-step", "-0.05"], "primal.grid_step"),
+    ("primal", "merton_log.yaml", {}, ["--grid-min", "2", "--grid-max", "1"], "primal.grid_max"),
+    ("primal", "merton_log.yaml", {"primal": {"grid_max": "inf"}}, [], "primal.grid_max"),
+    ("dual", "jump_dual.yaml", {"dual": {"theta1_grid": {"min": -0.6, "max": 0.3, "count": 0}}},
+     [], "dual.theta1_grid.count"),
+    ("dual", "jump_dual.yaml", {"dual": {"theta1_grid": {"min": -0.6, "count": 19}}}, [],
+     "missing required configuration field: dual.theta1_grid.max"),
+])
+def test_bad_search_grid_is_a_configuration_error(tmp_path, capsys, command, name, edit, flags,
+                                                  named):
+    """A grid with no candidate, or a non-finite one, exits 2 before any path
+    is simulated, not 1 from inside the search."""
+    cfg_file = tmp_path / "bad.yaml"
+    cfg_file.write_text(yaml.safe_dump({**load_raw(name), **edit}))
+    code = cli.main([command, "--config", str(cfg_file), "--paths", "500", *flags,
+                     "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"configuration error: {named}")
+    assert not (tmp_path / "run").exists()
+
+
 def test_largest_philox_key_is_a_valid_seed():
     raw = load_raw("merton_log.yaml")
     raw["mc"]["seed"] = 2**128 - 1

@@ -1,7 +1,9 @@
 """The benchmark's layer tracer (perfbench/layertrace.py) wraps named functions
-of the program from outside it and reads a few result fields.  These tests
-pin that contract, so a rename or a moved field fails here and not only in
-a traced benchmark run.  The tracer module is imported, never modified.
+of the program from outside it and reads a few result fields, and its
+workloads (perfbench/workloads.py) import the program's API and read the
+files it writes.  These tests pin that contract, so a rename or a moved
+field fails here and not only in a benchmark run.  Both modules are
+imported, never modified.
 """
 
 import importlib
@@ -10,21 +12,29 @@ import inspect
 import sys
 from pathlib import Path
 
+import pytest
+
 import duallab as dl
+from duallab.config import validate_config
 
 from conftest import make_ensemble
 
-LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+ROOT = Path(__file__).resolve().parents[1]
 
 
-def _load_layertrace():
-    spec = importlib.util.spec_from_file_location("layertrace", LAYERTRACE)
+def _load_perfbench(name: str):
+    """A perfbench module, loaded from its file: an import of a renamed or
+    removed name of the program fails here."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up while the class body runs
+    sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
 
 
-layertrace = _load_layertrace()
+layertrace = _load_perfbench("layertrace")
+workloads = _load_perfbench("workloads")
 
 
 def test_every_target_is_a_function_of_its_module():
@@ -89,3 +99,16 @@ def test_install_then_uninstall_restores_every_module(base_model, log_pair, quad
         changed = [key for key, value in before.get(name, {}).items() if now.get(key) is not value]
         assert changed == [], name
     assert dl.PathEnsemble.__dict__["compensated_jumps"] is prop
+
+
+@pytest.mark.parametrize("name", list(workloads.WORKLOADS))
+def test_workload_invariants_hold_on_small_runs(tmp_path, name):
+    """Every experiment of a workload, at a few paths, writes the files its
+    invariant check reads, and passes that check (not the goldens, which are
+    taken at 50k paths)."""
+    for exp in workloads.WORKLOADS[name].experiments:
+        cfg = workloads.make_config(str(ROOT), exp, 4242, str(tmp_path / exp.label))
+        paths = 500 if cfg.mode == "simulate" else 2_000
+        cfg = validate_config({**cfg.raw, "mc": {**cfg.raw["mc"], "paths": paths}})
+        workloads.run_once([cfg])
+        workloads._INVARIANTS[cfg.mode](cfg, workloads.read_outputs(cfg))
