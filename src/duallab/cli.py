@@ -13,6 +13,7 @@ import functools
 import itertools
 import json
 import os
+import re
 import sys
 from importlib import metadata
 
@@ -438,6 +439,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for mode in _RUNNERS:
         p = sub.add_parser(mode, help=f"run the {mode} experiment")
+        # a value such as the grid "-0.25:0:21" (the default mu grid is all
+        # negative) is a value, not an option: argparse's own test for a
+        # negative number takes only plain numbers
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
         p.add_argument("--config", required=True, help="YAML configuration file")
         p.add_argument("--seed", type=int, help="override mc.seed")
         p.add_argument("--paths", type=int, help="override mc.paths")

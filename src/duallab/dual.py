@@ -3,8 +3,8 @@
 Scenario controls are parameterized by the jump ratios theta1; the Brownian
 ratio theta0 is then eliminated exactly through the linear martingale-measure
 constraint, so every emitted control satisfies it pointwise.  The optimal
-scenario's claim -V'(G(T)) is replicated by the portfolio q2/(sigma*S), with
-the jump-branch fallback r2/(gamma*S) wherever sigma vanishes.
+scenario's claim -V'(G(T)) is replicated by holding q2/sigma in the stock,
+with the jump-branch fit from r2 wherever sigma vanishes.
 """
 
 from __future__ import annotations
@@ -394,26 +394,26 @@ def dual_foc_residual(solution: DualSolution) -> dict:
 
 def _portfolio_rows(solution: DualSolution):
     """The portfolio replicating -V'(G(T)), one step at a time: a function
-    ``units(i, paths, out)`` that writes phi_i, the units held over step
-    ``i``, on the path range ``paths`` into the row ``out`` and returns it;
-    and the initial value p2(0).
+    ``exposure(i, x, paths, out)`` that writes phi_i*S(t_i), the amount held
+    in the stock over step ``i``, on the path range ``paths`` into the row
+    ``out`` and returns it, whatever the wealth ``x`` (the exposure of
+    :func:`~duallab.market._euler_paths`); and the initial value p2(0).
 
-    phi_i is q2/(sigma*S); where sigma vanishes, phi*S is the nu-weighted
-    least squares of r2_k = phi*S*gamma_k over the live marks
-    (:func:`_jump_branch`), or zero where no mark is live.  Each value is
-    formed by the same operations on any path range.  Every step with
-    vanishing sigma is checked here, before any step is taken: with no live
-    mark there, nonzero integrands raise ValueError.
+    The amount is q2/sigma; where sigma vanishes, the nu-weighted least
+    squares of r2_k = phi*S*gamma_k over the live marks, sum_live w_k r2_k
+    (:func:`_jump_branch`), or zero where no mark is live.  No price is read,
+    and each value is formed by the same operations on any path range.
+    Every step with vanishing sigma is checked here, before any step is
+    taken: with no live mark there, nonzero integrands raise ValueError.
     """
     model, ensemble = solution.model, solution.ensemble
     grid = ensemble.grid
     adj = solution.adjoints
     s = model.vol_on(grid)
     gam = model.jump_sizes_on(grid)
-    spot = ensemble.channel("S")
     scale = float(np.mean(np.abs(adj.p[:, -1])))
     # per step with vanishing sigma: (live marks, weights), or None where no
-    # mark is live and phi is zero
+    # mark is live and the amount held is zero
     jump_fit = {}
     for i in np.flatnonzero(np.abs(s) < DEGENERATE_VOL):
         live, weight = _jump_branch(gam[i], model.intensities)
@@ -429,41 +429,41 @@ def _portfolio_rows(solution: DualSolution):
             )
         jump_fit[i] = None
 
-    def units(i: int, paths: slice, out: np.ndarray) -> np.ndarray:
+    def exposure(i: int, x, paths: slice, out: np.ndarray) -> np.ndarray:
         if i not in jump_fit:
-            held = np.multiply(spot[paths, i], s[i], out=out)
-            return np.divide(adj.q[paths, i], held, out=out)
+            return np.divide(adj.q[paths, i], s[i], out=out)
         if jump_fit[i] is None:
             out.fill(0.0)
             return out
         live, weight = jump_fit[i]
-        # (paths, live marks) temporaries, on these steps only
-        held = (adj.r[paths, i, live] * weight).sum(axis=1)
-        return np.divide(held, spot[paths, i], out=out)
+        # a (paths, live marks) temporary, on these steps only
+        return np.sum(adj.r[paths, i, live] * weight, axis=1, out=out)
 
-    return units, float(adj.p[:, 0].mean())
+    return exposure, float(adj.p[:, 0].mean())
 
 
 def replicating_portfolio(solution: DualSolution) -> tuple[np.ndarray, float]:
-    """Unit-count portfolio replicating -V'(G(T)): q2/(sigma*S), with the
-    r2/(gamma*S) branch wherever sigma vanishes; initial value p2(0).
+    """Unit-count portfolio replicating -V'(G(T)): the amount held in the
+    stock (:func:`_portfolio_rows`) divided by the price S; initial value p2(0).
 
-    The steps of :func:`_portfolio_rows` are written over the path ranges
-    of :func:`~duallab.market._over_paths` into a time-major array:
-    elementwise, so phi is bit-identical for any number of threads.  A
-    dual solve replicates from :func:`_portfolio_rows` directly and builds
-    no such array.
+    The steps are written over the path ranges of
+    :func:`~duallab.market._over_paths` into a time-major array:
+    elementwise, so phi is bit-identical for any number of threads.  This is
+    the one replication path that reads S; a dual solve replicates from the
+    amounts directly and builds neither S nor such an array.
 
     Returns (phi as an (n_paths, n_steps) array, initial value).
     """
-    units, x0 = _portfolio_rows(solution)
+    exposure, x0 = _portfolio_rows(solution)
     ensemble = solution.ensemble
+    spot = ensemble.channel("S")
     n_steps = ensemble.grid.n_steps
     phi = np.empty((n_steps, ensemble.n_paths))
 
     def fill(paths: slice) -> None:
         for i in range(n_steps):
-            units(i, paths, phi[i, paths])
+            row = exposure(i, None, paths, phi[i, paths])
+            np.divide(row, spot[paths, i], out=row)
 
     _over_paths(fill, ensemble.n_paths)
     return phi.T, x0
@@ -479,28 +479,26 @@ def replication_check(
 ) -> dict:
     """Terminal error of the Euler-simulated portfolio wealth against the claim.
 
-    ``phi`` is the unit count, an (n_paths, n_steps) array or a function
-    ``units(i, paths, out)`` of the step as returned by
-    :func:`_portfolio_rows`.  The wealth is streamed: each path range keeps
-    two wealth rows, and phi_i is formed as step i is taken
-    (:func:`~duallab.market._euler_paths` with ``terminal``), so neither
-    phi nor the wealth paths are stored whole.  Pathwise relative errors;
-    reports the RMS and the maximum, plus how many (path, step) wealth
-    values were non-positive on the way (none, for the scenarios exercised
-    here), where :func:`~duallab.market.wealth_paths` would raise.
+    ``phi`` is the unit count, an (n_paths, n_steps) array multiplied by the
+    price S, or the function ``exposure(i, x, paths, out)`` of
+    :func:`_portfolio_rows`, the amount held in the stock, which is the
+    Euler exposure itself and reads no price.  The wealth is streamed: each
+    path range keeps two wealth rows, and the exposure over step i is formed
+    as that step is taken (:func:`~duallab.market._euler_paths` with
+    ``terminal``), so neither the portfolio nor the wealth paths are stored
+    whole.  Pathwise relative errors; reports the RMS and the maximum, plus
+    how many (path, step) wealth values were non-positive on the way (none,
+    for the scenarios exercised here), where
+    :func:`~duallab.market.wealth_paths` would raise.
     """
     grid = ensemble.grid
-    spot = ensemble.channel("S")
     if callable(phi):
-        units = phi
+        exposure = phi
     else:
-        values = np.asarray(phi, dtype=float)
+        units, spot = np.asarray(phi, dtype=float), ensemble.channel("S")
 
-        def units(i, paths, out):
-            return values[paths, i]
-
-    def exposure(i, x, paths, out):
-        return np.multiply(units(i, paths, out), spot[paths, i], out=out)
+        def exposure(i, x, paths, out):
+            return np.multiply(units[paths, i], spot[paths, i], out=out)
 
     x_t, nonpositive = _euler_paths(ensemble, float(x0), model.drift_on(grid, mu),
                                     model.vol_on(grid), model.jump_sizes_on(grid), exposure,

@@ -219,30 +219,43 @@ def wealth_paths(model, ensemble, kind, values, x0, mu=None, scheme="exact"):
     return x
 
 
-def replication_check(model, phi, x0, target, ensemble, mu=None):
+def exposure_wealth(model, exposure, x0, ensemble, mu=None):
+    """Euler wealth of the amount ``exposure`` held in the stock, an
+    (n_paths, n_steps) array: X(t_{i+1}) = X(t_i) + e_i * (b_i dt +
+    sigma_i dB_i + gamma_i . dNtilde_i), one step at a time; returns the
+    (n_paths, n_steps + 1) paths, unchecked."""
     grid = ensemble.grid
-    dt = grid.dt
     b = model.drift_on(grid) + _mu_on_grid(mu, grid) * model.vol_on(grid)
     s = model.vol_on(grid)
     gam = model.jump_sizes_on(grid)
-    spot = ensemble.channels.get("S")
-    if spot is None:
-        spot = price_paths(model, ensemble)
-    x = np.full(ensemble.n_paths, float(x0))
-    nonpositive = 0
+    x = np.empty((ensemble.n_paths, grid.n_steps + 1))
+    x[:, 0] = x0
     for i in range(grid.n_steps):
-        inc = b[i] * dt + s[i] * ensemble.brownian_increments[:, i]
+        inc = b[i] * grid.dt + s[i] * ensemble.brownian_increments[:, i]
         if model.n_marks:
             inc = inc + _compensated_step(ensemble, i) @ gam[i]
-        x = x + phi[:, i] * spot[:, i] * inc
-        nonpositive += int(np.sum(x <= 0))
-    rel = (x - target) / target
+        x[:, i + 1] = x[:, i] + exposure[:, i] * inc
+    return x
+
+
+def replication_stats(wealth, x0, target):
+    """The replication report of Euler wealth paths against the claim."""
+    rel = (wealth[:, -1] - target) / target
     return {
         "rmse_rel": float(np.sqrt(np.mean(rel**2))),
         "max_rel": float(np.max(np.abs(rel))),
         "initial_value": float(x0),
-        "n_nonpositive": nonpositive,
+        "n_nonpositive": int(np.sum(wealth[:, 1:] <= 0)),
     }
+
+
+def replication_check(model, phi, x0, target, ensemble, mu=None):
+    """The replication report of the unit counts ``phi``: exposure phi*S."""
+    spot = ensemble.channels.get("S")
+    if spot is None:
+        spot = price_paths(model, ensemble)
+    wealth = exposure_wealth(model, phi * spot[:, :-1], x0, ensemble, mu=mu)
+    return replication_stats(wealth, x0, target)
 
 
 # ----------------------------------------------------------- preferences

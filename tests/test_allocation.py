@@ -34,6 +34,8 @@ import duallab as dl
 from duallab import bridge, cli, dual, market, mc, primal
 from duallab.config import validate_config
 
+import oracles
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 N_PATHS, N_STEPS = 2_000, 100
 # numpy's iterator buffers and the per-step coefficient vectors; the same at
@@ -211,9 +213,11 @@ def test_search_peak_is_two_block_buffers_plus_design(solver):
 @pytest.mark.parametrize("n_cpus", [1, 2])
 def test_replication_streams_a_few_rows_per_range(one_mark, n_cpus):
     # the replication of a dual solve, as the solve runs it, after the
-    # adjoints: phi is formed step by step and each range keeps two wealth
-    # rows, so no (n_paths, n_steps) array is allocated
-    model, ens = one_mark
+    # adjoints: the amount held in the stock is formed step by step and each
+    # range keeps two wealth rows, so no (n_paths, n_steps) array is
+    # allocated; on an ensemble without the price, which it never builds
+    model, priced = one_mark
+    ens = dl.simulate_drivers(model, priced.grid, N_PATHS, seed=7)
     pair = dl.make_log_utility()
     sol = dl.solve_dual_search(model, pair, 1.0, ens, theta1_values=[-0.2, -0.1, 0.0],
                                replicate=False)
@@ -226,9 +230,14 @@ def test_replication_streams_a_few_rows_per_range(one_mark, n_cpus):
         peak, solved = _peak(lambda: dual._dual_solution(
             model, ens, pair, sol.control, "regression", None, True, foc=lambda s: None,
             density=sol.density, **fields))
-    phi, x0 = dl.replicating_portfolio(sol)
-    assert solved.replication == dl.replication_check(
-        model, phi, x0, pair.inverse_marginal(sol.density[:, -1]), ens)
+    assert "S" not in ens.channels
+    amount, x0 = dual._portfolio_rows(sol)
+    exposure = np.empty((N_STEPS, N_PATHS))
+    for i, row in enumerate(exposure):
+        amount(i, None, slice(0, N_PATHS), row)
+    wealth = oracles.exposure_wealth(model, exposure.T, x0, ens)
+    assert solved.replication == oracles.replication_stats(
+        wealth, x0, pair.inverse_marginal(sol.density[:, -1]))
     # two wealth rows, the claim and the relative errors (with their
     # temporaries), and per range a jump row per mark, an exposure row and a
     # bool row; an (n_paths, n_steps) array alone is N_STEPS rows

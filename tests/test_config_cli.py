@@ -375,14 +375,15 @@ def test_runs_build_the_price_only_when_they_read_it(tmp_path, monkeypatch):
     raw["out"] = str(tmp_path / "robust")
     cli.run_experiment(validate_config(raw))
     assert calls == []
-    # replication and simulate read S: built once each
+    # a dual solve replicates from the amount held in the stock, q2/sigma,
+    # and reads no price; only simulate writes S, built once
     raw = small(load_raw("jump_dual.yaml"), paths=501)
     raw["out"] = str(tmp_path / "dual")
     cli.run_experiment(validate_config(raw))
     raw = small(load_raw("merton_log.yaml"), paths=502)
     raw.update(mode="simulate", out=str(tmp_path / "simulate"))
     cli.run_experiment(validate_config(raw))
-    assert calls == [501, 502]
+    assert calls == [502]
 
 
 def test_convergence_bsde_mode(tmp_path):
@@ -415,6 +416,26 @@ def test_cli_overrides(tmp_path):
     assert code == 0
     matrix = (out / "payoff_matrix.csv").read_text().splitlines()
     assert len(matrix) == 2 + 11 * 11
+
+
+@pytest.mark.parametrize("flag, key", [("--phi-grid", "phi_grid"), ("--mu-grid", "mu_grid"),
+                                       ("--mu", "mu_grid")])
+def test_a_grid_after_a_space_may_start_with_a_minus(tmp_path, monkeypatch, capsys, flag, key):
+    # argparse alone reads "-0.25:0:21" as an option and exits 2; the spaced
+    # and the "=" spelling, and a prefix of the flag, give the same validated
+    # config, and an option after the flag is still an option
+    seen = []
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg: seen.append(cfg) or {})
+    base = ["robust", "--config", str(CONFIG_DIR / "robust_merton.yaml"), "--out", str(tmp_path)]
+    assert cli.main([*base, flag, "-0.25:0:21"]) == 0
+    assert cli.main([*base, f"{flag}=-0.25:0:21"]) == 0
+    spaced, joined = seen
+    assert spaced == joined
+    assert spaced.raw["robust"][key] == {"min": -0.25, "max": 0.0, "count": 21}
+    with pytest.raises(SystemExit) as exited:
+        cli.main([*base, flag, "-h"])
+    assert exited.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
 
 
 _BASE = {"mode": "primal", "mc": {"paths": 10, "seed": 1}, "grid": {"steps": 5},

@@ -231,20 +231,21 @@ def test_sigma_zero_without_a_mark_that_can_jump_has_no_martingale_measure(grid1
 def test_jump_branch_driver_is_b_times_the_fitted_exposure(log_pair):
     # sigma = 0 on [0.3, 0.6) with two live marks: the driver's jump terms
     # sum_k r_coeff_k r_k are b times the exposure phi*S that the portfolio
-    # fits from the same r, and r is not proportional to gamma here
+    # fits from the same r, and r is not proportional to gamma here; the
+    # exposure is read as the replication holds it, q2/sigma or the fit
     model = dl.MarketModel(drift=0.05, vol=lambda t: 0.0 if 0.3 <= t < 0.6 else 0.2,
                            jump_marks=(0.1, -0.2), jump_intensities=(1.0, 0.5))
     grid = dl.TimeGrid(20, 1.0)
     ens = make_ensemble(model, n_steps=20, n_paths=500, seed=67)
     control = dl.scenario_from_theta1(model, grid, np.array([-0.3, 0.2]), 1.0)
     sol = dl.evaluate_dual_scenario(model, log_pair, control, ens, adjoint_mode="analytic")
-    units, _ = dl.dual._portfolio_rows(sol)
+    exposure, _ = dl.dual._portfolio_rows(sol)
     r_coeff = dl.dual.dual_driver(model, grid).r_coeff
-    b, spot = model.drift_on(grid), ens.channel("S")
+    b = model.drift_on(grid)
     flat = np.flatnonzero(model.vol_on(grid) == 0.0)
     assert flat.size == 6
     for i in flat:
         r = sol.adjoints.r[:, i]
         assert np.max(np.abs(r[:, 0] / r[:, 1] - model.jump_marks[0] / model.jump_marks[1])) > 0.1
-        exposure = units(i, slice(0, ens.n_paths), np.empty(ens.n_paths)) * spot[:, i]
-        np.testing.assert_allclose(r @ r_coeff[i], b[i] * exposure, rtol=1e-13, atol=0)
+        held = exposure(i, None, slice(0, ens.n_paths), np.empty(ens.n_paths))
+        np.testing.assert_allclose(r @ r_coeff[i], b[i] * held, rtol=1e-13, atol=0)

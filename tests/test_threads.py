@@ -135,10 +135,49 @@ def test_replicating_portfolio_bit_identical_on_every_cpu_count(case, consistent
     assert_same(*on_one_and_on_three_cpus(lambda: dual.replicating_portfolio(solution), price))
 
 
+def exposure_array(solution):
+    """The amount held in the stock by the streamed replication of
+    ``solution``, as an (n_paths, n_steps) array."""
+    ens = solution.ensemble
+    rows, _ = dual._portfolio_rows(solution)
+    exposure = np.empty((ens.grid.n_steps, ens.n_paths))
+    for i, row in enumerate(exposure):
+        rows(i, None, slice(0, ens.n_paths), row)
+    return exposure.T
+
+
+def assert_within_one_rounding_per_step(solved, from_array, wealth, target):
+    """``from_array``, the report of the units array, against ``solved``, the
+    report of the exposure whose Euler wealth paths are ``wealth``.
+
+    The units array holds fl(fl(e/S)*S) = e(1 + d1)(1 + d2), |d| <= u, in
+    place of e: one more rounding per step.  Both sides take
+    X_{i+1} = fl(X_i + fl(e_i inc_i)), and |fl(a) - fl(b)| <= |a - b| +
+    u(|a| + |b|), so to first order in u the wealths differ by
+      D_{i+1} <= D_i + 4u|e_i inc_i| + 2u|X_{i+1}|,
+    with |e_i inc_i| <= |X_{i+1} - X_i| + u|X_{i+1}|.  For rel =
+    fl(fl(X_T - t)/t) the same rule gives |d rel| <= D_T/|t| + 4u|rel|; the
+    max moves by at most max |d rel|, and the RMS by at most that plus
+    n_paths*u*rmse from its own sum.  A factor 2 covers the second-order
+    terms.  A (path, step) value counts as non-positive on one side only
+    if |X| <= D there.
+    """
+    u = np.finfo(float).eps / 2
+    step_bound = 4 * np.abs(np.diff(wealth, axis=1)) + 2 * np.abs(wealth[:, 1:])
+    bound = 2 * u * np.cumsum(step_bound, axis=1)
+    rel = (wealth[:, -1] - target) / target
+    rel_bound = float(np.max(2 * (bound[:, -1] / np.abs(target) + 4 * u * np.abs(rel))))
+    assert from_array[2] == solved[2]
+    assert abs(from_array[1] - solved[1]) <= rel_bound
+    assert abs(from_array[0] - solved[0]) <= rel_bound + 2 * wealth.shape[0] * u * solved[0]
+    assert abs(from_array[3] - solved[3]) <= int(np.sum(np.abs(wealth[:, 1:]) <= bound))
+
+
 def replications(model, ens, adjoints, density, mu):
-    """The replication dict of a dual solve with these adjoints and density
-    paths (the adjoint solve replaced), then those of ``replication_check``
-    on the portfolio array and of the step-loop oracle, each as a tuple."""
+    """A dual solve with these adjoints and density paths (the adjoint solve
+    replaced): its replication dict, the exposure of its portfolio, the unit
+    counts of ``replicating_portfolio``, and ``replication_check`` and the
+    step-loop oracle on them; the dicts as tuples."""
     pair = dl.make_log_utility()
     control = dl.ScenarioControl(theta0=np.zeros(ens.grid.n_steps),
                                  theta1=np.zeros((ens.grid.n_steps, model.n_marks)), y=1.0, mu=mu)
@@ -147,12 +186,13 @@ def replications(model, ens, adjoints, density, mu):
             model, ens, pair, control, "regression", None, True, foc=lambda solution: None,
             density=density, value=0.0, se=0.0, theta1_values=[], candidate_values=np.zeros(1),
             candidate_se=np.zeros(1))
+    # the streamed replication reads no price
+    assert "S" not in ens.channels
     target = pair.inverse_marginal(density[:, -1])
     phi, x0 = dl.replicating_portfolio(solution)
-    return tuple(tuple(stats.values()) for stats in (
-        solution.replication,
-        dl.replication_check(model, phi, x0, target, ens, mu=mu),
-        oracles.replication_check(model, phi, x0, target, ens, mu=mu)))
+    return (tuple(solution.replication.values()), exposure_array(solution), phi,
+            tuple(dl.replication_check(model, phi, x0, target, ens, mu=mu).values()),
+            tuple(oracles.replication_check(model, phi, x0, target, ens, mu=mu).values()))
 
 
 @settings(max_examples=25, deadline=None)
@@ -171,26 +211,35 @@ def test_streamed_replication_equals_the_portfolio_array_and_the_step_loop(case,
     density = rng.uniform(0.5, 2.0, size=(ens.n_paths, grid.n_steps + 1))
     q = rng.normal(scale=size, size=(ens.n_paths, grid.n_steps))
     r = rng.normal(scale=size, size=(ens.n_paths, grid.n_steps, model.n_marks))
-    flat = model.vol_on(grid) == 0.0
+    s = model.vol_on(grid)
+    flat = s == 0.0
     if consistent:
         q[:, flat] = 0.0
     adjoints = dl.AdjointTriple(p, q, r)
 
-    def price():
-        ens.channels.clear()
-        dl.price_paths(model, ens)
-
+    # the exposure, the units array and every report bit-identical on every
+    # CPU count
     outcomes = on_one_and_on_three_cpus(
-        lambda: replications(model, ens, adjoints, density, mu), price)
+        lambda: replications(model, ens, adjoints, density, mu), ens.channels.clear)
     assert_same(*outcomes)
     if not consistent and model.n_marks == 0 and np.any(flat):
         assert isinstance(outcomes[0], ValueError)
         assert "inconsistent adjoints" in str(outcomes[0])
         return
-    solved, from_array, from_loop = outcomes[0]
-    assert solved == from_array == from_loop
+    solved, exposure, phi, from_array, from_loop = outcomes[0]
+    assert np.array_equal(exposure[:, ~flat], q[:, ~flat] / s[~flat])
+
+    # the streamed replication is the step loop on the exposure, bit for bit
+    x0 = float(p[:, 0].mean())
+    target = dl.make_log_utility().inverse_marginal(density[:, -1])
+    wealth = oracles.exposure_wealth(model, exposure, x0, ens, mu=mu)
+    assert solved == tuple(oracles.replication_stats(wealth, x0, target).values())
     if size == 30.0:
         assert solved[3] > 0  # n_nonpositive
+    # the units array is the step loop on the units, bit for bit, and within
+    # one rounding per step of the exposure
+    assert from_array == from_loop
+    assert_within_one_rounding_per_step(solved, from_array, wealth, target)
 
 
 def test_streamed_replication_of_a_solved_jump_branch():
@@ -204,17 +253,22 @@ def test_streamed_replication_of_a_solved_jump_branch():
         ens.channels.clear()
         solution = dl.evaluate_dual_scenario(model, dl.make_log_utility(), control, ens,
                                              adjoint_mode="analytic", replicate=True)
+        assert "S" not in ens.channels
+        exposure = exposure_array(solution)
         phi, x0 = dl.replicating_portfolio(solution)
         target = 1.0 / solution.density[:, -1]
-        return (phi, tuple(solution.replication.values()),
+        return (phi, exposure, x0, target, tuple(solution.replication.values()),
                 tuple(dl.replication_check(model, phi, x0, target, ens).values()),
                 tuple(oracles.replication_check(model, phi, x0, target, ens).values()))
 
     outcomes = on_one_and_on_three_cpus(solve)
     assert_same(*outcomes)
-    phi, solved, from_array, from_loop = outcomes[0]
+    phi, exposure, x0, target, solved, from_array, from_loop = outcomes[0]
     assert np.all(phi[:, :10] != 0.0)
-    assert solved == from_array == from_loop
+    wealth = oracles.exposure_wealth(model, exposure, x0, ens)
+    assert solved == tuple(oracles.replication_stats(wealth, x0, target).values())
+    assert from_array == from_loop
+    assert_within_one_rounding_per_step(solved, from_array, wealth, target)
 
 
 def test_inconsistent_adjoints_raise_before_any_step():
