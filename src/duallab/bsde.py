@@ -9,9 +9,10 @@ implicit affine solve in p.
 
 The sweep works on contiguous per-step rows.  Like every path array, the
 state, dB, p, q and r are stored time-major, one row per step, and p, q and
-r are returned as transposed views of shape (n_paths, ...).  Each step's
-state is logged into a scratch row, and its compensated jumps are built
-from its events.
+r are returned as transposed views of shape (n_paths, ...); a sweep may
+keep p at its two ends only, since each step reads p at the next step alone.
+Each step's state is logged into a scratch row, and its compensated jumps
+are built from its events.
 Each step's design A is factored once by CholeskyQR2 (Fukaya, Nakatsukasa,
 Yanagisawa and Yamamoto 2014): the Cholesky factor R1 of the Gram matrix,
 Q1 = A R1^-1, the same once more for R2, and an SVD of R2 R1 for rank and
@@ -38,7 +39,7 @@ import math
 import queue
 import threading
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -103,7 +104,6 @@ class DriverSpec:
         return c0, cp, cq, cr
 
 
-@dataclass
 class AdjointTriple:
     """Discrete (p, q, r): value process, Brownian and per-mark jump integrands.
 
@@ -112,13 +112,45 @@ class AdjointTriple:
     time-major storage, one contiguous row of paths per step (and mark).
     ``mode`` records whether the channels are closed-form or regression
     estimates, since downstream tolerances differ by orders of magnitude.
+
+    A triple made by :meth:`from_ends` keeps only p(t_0) and p(T), as a
+    sweep with ``ends_only`` returns it; reading its whole ``p`` raises
+    ValueError.  :attr:`p_initial` and :attr:`p_terminal` read either form.
     """
 
-    p: np.ndarray
-    q: np.ndarray
-    r: np.ndarray
-    mode: str = "regression"
-    diagnostics: dict = field(default_factory=dict)
+    def __init__(self, p: np.ndarray, q: np.ndarray, r: np.ndarray, mode: str = "regression",
+                 diagnostics: dict | None = None):
+        self._p, self._ends = p, None
+        self.q, self.r, self.mode = q, r, mode
+        self.diagnostics = {} if diagnostics is None else diagnostics
+
+    @classmethod
+    def from_ends(cls, ends: np.ndarray, q: np.ndarray, r: np.ndarray, mode: str = "regression",
+                  diagnostics: dict | None = None) -> AdjointTriple:
+        """A triple that keeps the rows ``ends`` = (p(t_0), p(T)), shape
+        (2, n_paths), of p."""
+        triple = cls(None, q, r, mode, diagnostics)
+        triple._ends = ends
+        return triple
+
+    @property
+    def p(self) -> np.ndarray:
+        if self._p is None:
+            raise ValueError(
+                "this adjoint triple keeps only p(t_0) and p(T) (read p_initial and p_terminal); "
+                "solve_linear_bsde(..., ends_only=False), or evaluate_dual_scenario for a dual, "
+                "keeps every row of p")
+        return self._p
+
+    @property
+    def p_initial(self) -> np.ndarray:
+        """p(t_0), one value per path."""
+        return self._ends[0] if self._p is None else self._p[:, 0]
+
+    @property
+    def p_terminal(self) -> np.ndarray:
+        """p(T), one value per path."""
+        return self._ends[1] if self._p is None else self._p[:, -1]
 
 
 def log_adjoints(grid: TimeGrid, rate: np.ndarray, process: np.ndarray, q_ratio: np.ndarray,
@@ -368,6 +400,7 @@ def solve_linear_bsde(
     driver: DriverSpec | None = None,
     state: dict | None = None,
     basis: RegressionBasis | None = None,
+    ends_only: bool = False,
 ) -> AdjointTriple:
     """Backward sweep producing a regression-mode :class:`AdjointTriple`.
 
@@ -389,6 +422,11 @@ def solve_linear_bsde(
     the sweep rebuilds the step's design and applies the handed-back
     inverses itself, and takes the Householder fallback, with its warning,
     in the calling thread.  The result is bit-identical to a sweep on one CPU.
+
+    Step i reads p only at i + 1.  With ``ends_only`` the sweep keeps p(t_0)
+    and p(T) and passes the steps between through a ring of two rows; the
+    triple (:meth:`AdjointTriple.from_ends`) has the same p(t_0), p(T), q, r
+    and diagnostics, bit for bit, as one with every row.
     """
     terminal = np.asarray(terminal, dtype=float)
     if terminal.shape != (ensemble.n_paths,):
@@ -404,33 +442,42 @@ def solve_linear_bsde(
     lam = model.intensities * dt
     active = np.flatnonzero(lam > 0)
 
-    # time-major: one contiguous row per step, returned transposed
+    # time-major: one contiguous row per step, returned transposed; p_rows[i]
+    # holds p at step i, with ends_only a row of p(t_0) and p(T) each and,
+    # for the steps between, a row of a ring of two
     n_paths = ensemble.n_paths
-    p = np.empty((grid.n_steps + 1, n_paths))
-    q = np.zeros((grid.n_steps, n_paths))
-    r = np.zeros((grid.n_steps, k, n_paths))
+    n_steps = grid.n_steps
+    if ends_only:
+        p, ring = np.empty((2, n_paths)), np.empty((2, n_paths))
+        p_rows = [p[0], *(ring[i % 2] for i in range(1, n_steps)), p[1]]
+    else:
+        p = np.empty((n_steps + 1, n_paths))
+        p_rows = list(p)
+    q = np.zeros((n_steps, n_paths))
+    r = np.zeros((n_steps, k, n_paths))
     # the per-step work rows, allocated once per sweep
     rows = builder.scratch()
     design, q1, work, _ = rows
     fitted, centered = np.empty((2, n_paths))
     targets, stacked = np.empty((2, 1 + active.size, n_paths))
-    p[-1] = terminal
+    p_rows[-1][:] = terminal
     per_step = []
     constant_steps = 0
-    steps = range(grid.n_steps - 1, -1, -1)
+    steps = range(n_steps - 1, -1, -1)
     threaded = len(path_ranges(n_paths, SWEEP_THREAD_MIN_PATHS)) > 1
     with _factors_ahead(builder, steps, rows, threaded) as factors:
         for (i, db, dnt), (constant, fac) in zip(_driver_rows(ensemble, steps), factors):
             # a deterministic state (always at t_0) is rank-deficient by
             # construction: counted in the diagnostics instead of warned about
             constant_steps += constant
+            p_next, p_i = p_rows[i + 1], p_rows[i]
             if fac is None:
                 span, _, rank, cond = builder.householder(design, warn=i > 0 and not constant)
             else:
                 span = np.matmul(fac.inv_r2.T, q1, out=design)
                 rank, cond = fac.rank, fac.cond
-            np.matmul(span @ p[i + 1], span, out=fitted)
-            np.subtract(p[i + 1], fitted, out=centered)
+            np.matmul(span @ p_next, span, out=fitted)
+            np.subtract(p_next, fitted, out=centered)
             np.multiply(centered, db, out=targets[0])
             targets[0] /= dt
             for row, kk in zip(targets[1:], active):
@@ -443,13 +490,13 @@ def solve_linear_bsde(
             if abs(denom) < IMPLICIT_STEP_TOL:
                 raise ValueError(f"implicit step near-singular at step {i} (denominator {denom:g})")
             # p_i = (fitted - dt * (c0 + cq q + cr . r)) / denom, the drift in p_i
-            np.multiply(q[i], cq[i], out=p[i])
-            p[i] += c0[i]
+            np.multiply(q[i], cq[i], out=p_i)
+            p_i += c0[i]
             if k:
-                p[i] += np.matmul(cr[i], r[i], out=work)
-            p[i] *= dt
-            np.subtract(fitted, p[i], out=p[i])
-            p[i] /= denom
+                p_i += np.matmul(cr[i], r[i], out=work)
+            p_i *= dt
+            np.subtract(fitted, p_i, out=p_i)
+            p_i /= denom
             per_step.append(
                 {
                     "step": i,
@@ -467,8 +514,9 @@ def solve_linear_bsde(
         "constant_state_steps": constant_steps,
         "per_step": per_step,
     }
-    return AdjointTriple(p.T, q.T, r.transpose(2, 0, 1), mode="regression",
-                         diagnostics=diagnostics)
+    if ends_only:
+        return AdjointTriple.from_ends(p, q.T, r.transpose(2, 0, 1), diagnostics=diagnostics)
+    return AdjointTriple(p.T, q.T, r.transpose(2, 0, 1), diagnostics=diagnostics)
 
 
 def bsde_residual_report(

@@ -184,7 +184,7 @@ def run_dual(cfg: ExperimentConfig, out: str) -> dict:
         "se": solution.se,
         "theta0_initial": float(solution.control.theta0[0]),
         "theta1": np.asarray(solution.control.theta1[0]).tolist() if model.n_marks else [],
-        "p2_initial": float(solution.adjoints.p[:, 0].mean()),
+        "p2_initial": float(solution.adjoints.p_initial.mean()),
         "adjoints": solution.adjoints.mode,
         "foc_mean_normalized": solution.foc["mean_normalized"],
         "replication": solution.replication,
@@ -313,7 +313,7 @@ def run_convergence(cfg: ExperimentConfig, out: str) -> dict:
             ens = simulate_drivers(model, grid, int(n), cfg.seed)
             sol = solve_dual_search(model, utility, cfg.y, ens, adjoint_mode="regression",
                                     replicate=False)
-            err = abs(float(sol.adjoints.p[:, 0].mean()) * cfg.y - 1.0)
+            err = abs(float(sol.adjoints.p_initial.mean()) * cfg.y - 1.0)
             rows.append((int(n), repr(err)))
         _write_csv(os.path.join(out, "convergence.csv"), ["paths", "p2_initial_rel_error"], rows, cfg_hash)
         payload = {"mode": "convergence", "benchmark": benchmark,

@@ -253,11 +253,13 @@ def dual_adjoints(
     control: ScenarioControl,
     mode: str,
     basis: RegressionBasis | None,
+    ends_only: bool = False,
 ) -> AdjointTriple:
     """Dual adjoints (p2, q2, r2) of a scenario, in the market with drift
     b + control.mu*sigma: the log closed form (analytic mode) or the
-    backward solve with terminal value -V'(G(T)).  p2 is the optimal wealth
-    of the primal problem.
+    backward solve with terminal value -V'(G(T)), which keeps only p2(t_0)
+    and p2(T) when ``ends_only``.  p2 is the optimal wealth of the primal
+    problem.
     """
     if mode == "analytic":
         if pair.name != "log":
@@ -266,17 +268,19 @@ def dual_adjoints(
     return solve_linear_bsde(ensemble, pair.inverse_marginal(density[:, -1]),
                              driver=dual_driver(model, ensemble.grid, mu=control.mu),
                              state={"G": density, "F": lambda: pair.inverse_marginal(density)},
-                             basis=basis or RegressionBasis(channels=("G",)))
+                             basis=basis or RegressionBasis(channels=("G",)),
+                             ends_only=ends_only)
 
 
 def _dual_solution(model: MarketModel, ensemble: PathEnsemble, pair: UtilityPair,
                    control: ScenarioControl, adjoint_mode: str, basis: RegressionBasis | None,
                    replicate: bool, foc=None, density: np.ndarray | None = None,
-                   **fields) -> DualSolution:
+                   ends_only: bool = False, **fields) -> DualSolution:
     """Solution at a chosen scenario: density, adjoints, first-order residuals
     (``foc(solution)``, by default :func:`dual_foc_residual`) and, optionally,
     the replication check.  ``density`` is the scenario's density paths when
-    the caller has built them already.  ``fields`` carry the search results."""
+    the caller has built them already; swept adjoints keep only p2(t_0) and
+    p2(T) when ``ends_only``.  ``fields`` carry the search results."""
     if density is None:
         density = density_paths(ensemble, control)
     solution = DualSolution(
@@ -286,7 +290,8 @@ def _dual_solution(model: MarketModel, ensemble: PathEnsemble, pair: UtilityPair
         y=control.y,
         control=control,
         density=density,
-        adjoints=dual_adjoints(model, ensemble, pair, density, control, adjoint_mode, basis),
+        adjoints=dual_adjoints(model, ensemble, pair, density, control, adjoint_mode, basis,
+                               ends_only),
         **fields,
     )
     solution.foc = foc(solution) if foc else dual_foc_residual(solution)
@@ -314,7 +319,10 @@ def solve_dual_search(
 
     theta0 is eliminated exactly per candidate, so the constraint residual is
     zero pointwise for every scenario evaluated.  In a no-jump market the
-    family collapses to the unique scenario.
+    family collapses to the unique scenario.  Regression adjoints keep only
+    p2(t_0) and p2(T) (:meth:`~duallab.bsde.AdjointTriple.from_ends`), all a
+    search reads of p2; :func:`evaluate_dual_scenario` at the solution's
+    control keeps every row, for a map back to the primal.
     """
     candidates = theta1_candidates(model, theta1_values)
     scenarios, excluded = build_scenarios(model, ensemble.grid, candidates, y, [mu])
@@ -327,8 +335,8 @@ def solve_dual_search(
     )
     return _dual_solution(
         model, ensemble, pair, scenarios[search.best], adjoint_mode, basis, replicate,
-        theta1_values=[np.asarray(c).tolist() for c in candidates], excluded=excluded,
-        **search.fields(),
+        ends_only=True, theta1_values=[np.asarray(c).tolist() for c in candidates],
+        excluded=excluded, **search.fields(),
     )
 
 
@@ -346,7 +354,8 @@ def evaluate_dual_scenario(
     """Dual solution object for one given scenario (no search).
 
     Used by the bridge round trips, which hand back a fully determined
-    scenario rather than a candidate family.  ``density`` may pass the
+    scenario rather than a candidate family; the adjoints keep every row of
+    p2, which the map back reads.  ``density`` may pass the
     scenario's paths, ``density_paths(ensemble, control)``, when they are
     built already (a primal-to-dual report keeps them); they are not rebuilt.
     ValueError if their shape is not (n_paths, n_steps+1) or G(0) is not
@@ -411,7 +420,7 @@ def _portfolio_rows(solution: DualSolution):
     adj = solution.adjoints
     s = model.vol_on(grid)
     gam = model.jump_sizes_on(grid)
-    scale = float(np.mean(np.abs(adj.p[:, -1])))
+    scale = float(np.mean(np.abs(adj.p_terminal)))
     # per step with vanishing sigma: (live marks, weights), or None where no
     # mark is live and the amount held is zero
     jump_fit = {}
@@ -439,7 +448,7 @@ def _portfolio_rows(solution: DualSolution):
         # a (paths, live marks) temporary, on these steps only
         return np.sum(adj.r[paths, i, live] * weight, axis=1, out=out)
 
-    return exposure, float(adj.p[:, 0].mean())
+    return exposure, float(adj.p_initial.mean())
 
 
 def replicating_portfolio(solution: DualSolution) -> tuple[np.ndarray, float]:

@@ -162,7 +162,8 @@ def solve_robust_dual(
     theta0 is eliminated through the perturbed constraint per candidate, so
     every scenario satisfies it pointwise.  The solution is a
     :class:`DualSolution` with ``penalty`` set and ``mu`` the optimal
-    perturbation.
+    perturbation.  Regression adjoints keep only p2(t_0) and p2(T), as in
+    :func:`~duallab.dual.solve_dual_search`.
     """
     grid = ensemble.grid
     mu_values = np.asarray(list(mu_values), dtype=float)
@@ -180,7 +181,7 @@ def solve_robust_dual(
     )
     return _dual_solution(
         model, ensemble, pair, scenarios[search.best], adjoint_mode, basis, replicate=False,
-        foc=robust_dual_foc_residuals, penalty=penalty,
+        ends_only=True, foc=robust_dual_foc_residuals, penalty=penalty,
         theta1_values=[np.asarray(c).tolist() for c in candidates], excluded=excluded,
         **search.fields(),
     )

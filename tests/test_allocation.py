@@ -8,7 +8,8 @@ exponentiates and scales them there, so its peak allocation is the output
 plus at most one (n_paths, n_steps) temporary.  A candidate search evaluates
 every block of candidates into the same two block-sized buffers.  The
 backward sweep allocates p, q and r, plus per-step rows: it logs each step's
-state into a row and reads dB's own rows.  The terminal design sums the drivers
+state into a row and reads dB's own rows; a dual search keeps only p's first
+and last rows.  The terminal design sums the drivers
 into its own columns.  The replication of a dual solve forms the portfolio
 one step at a time and keeps two Euler wealth rows, so it allocates a few
 rows per path range and no (n_paths, n_steps) array.  A bridge check lets
@@ -156,6 +157,30 @@ def test_sweep_peak_is_outputs_plus_step_rows(one_mark):
     rows = model.n_marks + 16
     budget = rows * N_PATHS * 8 + FIXED_SLACK
     assert peak <= triple.p.nbytes + triple.q.nbytes + triple.r.nbytes + budget
+
+
+def test_dual_search_peak_is_its_solution_plus_step_rows(one_mark):
+    # a regression dual search keeps p2(t_0) and p2(T), and passes the steps
+    # between through a ring of two rows: its peak is the density, q2 and r2
+    # it returns plus the sweep's per-step rows, one path array below a
+    # search that keeps p2 whole
+    model, priced = one_mark
+    ens = dl.simulate_drivers(model, priced.grid, N_PATHS, seed=7)
+    pair = dl.make_log_utility()
+
+    def search():
+        return dl.solve_dual_search(model, pair, 1.0, ens, theta1_values=[-0.2, -0.1, 0.0],
+                                    replicate=False)
+
+    # first calls import modules and fill caches: not part of the check
+    search()
+    peak, sol = _peak(search)
+    adj = sol.adjoints
+    # the sweep's rows, as in test_sweep_peak_is_outputs_plus_step_rows, and
+    # the four rows of p
+    rows = model.n_marks + 16 + 4
+    assert peak <= sol.density.nbytes + adj.q.nbytes + adj.r.nbytes + rows * N_PATHS * 8 \
+        + FIXED_SLACK
 
 
 @pytest.mark.parametrize("n_marks", [0, 1, 2])

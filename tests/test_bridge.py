@@ -80,11 +80,16 @@ def test_bridged_robust_scenario_evaluates_like_the_robust_dual_at_its_mu(
                                     adjoint_mode=mode)
     assert evaluated.density is density
     assert np.array_equal(evaluated.density, searched.density)
-    for name in ("p", "q", "r"):
+    for name in ("p_initial", "p_terminal", "q", "r"):
         assert np.array_equal(getattr(evaluated.adjoints, name), getattr(searched.adjoints, name))
     assert evaluated.mu == searched.mu == mu
+    # a regression search keeps p2's ends only: its scenario maps back once
+    # evaluated with every row
+    whole = searched if mode == "analytic" else dl.evaluate_dual_scenario(
+        base_model, log_pair, searched.control, base_ens_5k, adjoint_mode=mode)
+    assert np.array_equal(evaluated.adjoints.p, whole.adjoints.p)
     assert (dl.robust_dual_to_primal(evaluated)[3].identities
-            == dl.robust_dual_to_primal(searched)[3].identities)
+            == dl.robust_dual_to_primal(whole)[3].identities)
 
 
 def test_blocked_deviation_maxima_match_whole_array_and_keep_nan():
@@ -309,6 +314,20 @@ def test_bridge_violation_on_bad_jump_ratio(jump_model, log_pair):
     )
     with pytest.raises(dl.BridgeViolationError):
         dl.primal_to_dual(sol)
+
+
+@pytest.mark.parametrize("entry", ["dual_to_primal", "robust_dual_to_primal",
+                                   "bridged_fraction"])
+def test_maps_back_refuse_a_search_that_kept_p2_ends_only(base_model, base_ens_5k, log_pair,
+                                                          quad_penalty, entry):
+    # a regression search keeps p2(t_0) and p2(T); the map back reads p2 whole
+    if entry == "robust_dual_to_primal":
+        dual = dl.solve_robust_dual(base_model, log_pair, quad_penalty, 1.0, base_ens_5k,
+                                    mu_values=[-0.125])
+    else:
+        dual = dl.solve_dual_search(base_model, log_pair, 1.0, base_ens_5k, replicate=False)
+    with pytest.raises(ValueError, match="evaluate_dual_scenario"):
+        getattr(dl, entry)(dual)
 
 
 def test_dual_to_primal_rejects_degenerate_vol(log_pair):

@@ -205,6 +205,16 @@ def test_residual_report_detects_corrupted_q(base_model, grid100, log_pair):
     assert dirty["pathwise_max"] > clean["pathwise_max"]
 
 
+def test_residual_report_refuses_an_ends_only_triple(base_model, base_ens_5k, log_pair):
+    # the residual of every step reads p there, which the triple did not keep
+    control = dl.unique_scenario_no_jumps(base_model, base_ens_5k.grid, 1.0)
+    density = dl.density_paths(base_ens_5k, control)
+    triple = dl.solve_linear_bsde(base_ens_5k, log_pair.inverse_marginal(density[:, -1]),
+                                  state={"G": density}, ends_only=True)
+    with pytest.raises(ValueError, match=r"keeps only p\(t_0\) and p\(T\)"):
+        dl.bsde_residual_report(triple, base_ens_5k, state={"G": density})
+
+
 def test_diagnostics_json_roundtrip(base_model, base_ens_5k):
     import json
 

@@ -7,6 +7,7 @@ import errno
 import math
 import multiprocessing
 import re
+import threading
 import warnings
 from unittest import mock
 
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import duallab as dl
-from duallab import market
+from duallab import bsde, market
 from duallab.bsde import CHOLQR_MAX_COND, RegressionBasis
 
 import oracles
@@ -363,6 +364,60 @@ def test_sweep_matches_lstsq_with_jumps_and_driver(jump_model, jump_ens_50k, log
     ref = oracles.solve_linear_bsde(*args, **kwargs)
     assert np.max(np.abs(ref[2])) > 0
     _assert_sweep_matches(triple, ref)
+
+
+@pytest.mark.parametrize("n_cpus, n_paths", [(1, 50_000), (2, 50_000), (1, 1_001)])
+def test_ends_only_sweep_is_the_all_rows_sweep_at_its_ends(jump_model, jump_ens_50k, log_pair,
+                                                           n_cpus, n_paths):
+    """A sweep that keeps p at its two ends against the sweep that keeps every
+    row, on a dual claim with its driver and a jump channel: p(t_0), p(T),
+    q, r and the diagnostics bit for bit, inline on one CPU and with the
+    factors computed ahead in a thread on two; and at a path count whose
+    rows of p start at other offsets in the two layouts."""
+    ens = jump_ens_50k if n_paths == 50_000 else make_ensemble(jump_model, n_paths=n_paths,
+                                                                seed=97)
+    threaded = n_cpus > 1
+    assert ens.n_paths >= 2 * bsde.SWEEP_THREAD_MIN_PATHS or not threaded
+    control = dl.scenario_from_theta1(jump_model, ens.grid, np.array([-0.15]), 1.0)
+    density = dl.density_paths(ens, control)
+    args = (ens, log_pair.inverse_marginal(density[:, -1]))
+    kwargs = {"driver": dl.dual.dual_driver(jump_model, ens.grid),
+              "state": {"G": density}, "basis": RegressionBasis(channels=("G",))}
+    with mock.patch("os.sched_getaffinity", return_value=set(range(n_cpus))), \
+            mock.patch("threading.Thread", wraps=threading.Thread) as started:
+        whole = dl.solve_linear_bsde(*args, **kwargs)
+        ends = dl.solve_linear_bsde(*args, ends_only=True, **kwargs)
+    assert started.call_count == 2 * threaded
+    assert np.array_equal(ends.p_initial, whole.p[:, 0])
+    assert np.array_equal(ends.p_terminal, whole.p[:, -1])
+    assert np.array_equal(ends.q, whole.q) and np.array_equal(ends.r, whole.r)
+    assert np.max(np.abs(ends.r)) > 0
+    assert ends.diagnostics == whole.diagnostics
+    with pytest.raises(ValueError, match=r"keeps only p\(t_0\) and p\(T\)"):
+        ends.p
+
+
+@pytest.mark.parametrize("robust", [False, True])
+def test_dual_search_keeps_the_ends_of_its_evaluated_scenario(jump_model, jump_ens_50k, log_pair,
+                                                              quad_penalty, robust):
+    """A regression dual search keeps p2's ends only; they, q2, r2 and the
+    first-order residuals are those of the all-rows evaluation of the
+    scenario it found, bit for bit."""
+    if robust:
+        sol = dl.solve_robust_dual(jump_model, log_pair, quad_penalty, 1.0, jump_ens_50k,
+                                   mu_values=[-0.2, -0.15], theta1_values=[-0.15, -0.1])
+    else:
+        sol = dl.solve_dual_search(jump_model, log_pair, 1.0, jump_ens_50k,
+                                   theta1_values=JUMP_THETA1, replicate=False)
+    whole = dl.evaluate_dual_scenario(jump_model, log_pair, sol.control, jump_ens_50k)
+    assert np.array_equal(sol.density, whole.density)
+    for name in ("p_initial", "p_terminal", "q", "r"):
+        assert np.array_equal(getattr(sol.adjoints, name), getattr(whole.adjoints, name))
+    assert sol.adjoints.diagnostics == whole.adjoints.diagnostics
+    foc = dl.dual.dual_foc_residual(sol)
+    assert all(np.array_equal(foc[key], value) for key, value in whole.foc.items())
+    with pytest.raises(ValueError, match="evaluate_dual_scenario"):
+        sol.adjoints.p
 
 
 def test_sweep_matches_lstsq_on_collinear_state(base_model, base_ens_5k):

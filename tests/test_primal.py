@@ -56,6 +56,34 @@ def test_foc_residual_small_at_optimum_and_grows_off_optimum(
     assert off.foc["mean_normalized"] >= 3 * opt.foc["mean_normalized"]
 
 
+def test_analytic_foc_residual_vanishes_at_the_jump_optimum_only(jump_model, jump_ens_50k,
+                                                                  log_pair):
+    """In jump_dual's market, the analytic primal FOC residual
+    b p1 + sigma q1 + sum_k gamma_k nu_k r1_k is at rounding level at pi*,
+    the root of b - pi sigma^2 + gamma nu ((1 + pi gamma)^-1 - 1) = 0, and
+    is not one step of the shipped fraction grid away.
+
+    Kills the mutant ``raw = raw - np.einsum(...)`` in
+    ``primal_foc_residual``, the jump term's sign flipped, which every
+    other primal FOC test lets live: they run in no-jump markets.
+    """
+    b, s = jump_model.drift, jump_model.vol
+    g, nu = jump_model.jump_marks[0], jump_model.jump_intensities[0]
+    # times (1 + pi gamma): s^2 g pi^2 + B pi - b = 0, whose positive root
+    # is taken in the form without cancellation
+    big_b = s * s + g * g * nu - b * g
+    pi_star = 2.0 * b / (big_b + math.sqrt(big_b * big_b + 4.0 * s * s * g * b))
+    assert pi_star == pytest.approx(2.0711, abs=1e-4)
+    step = PI_GRID[1] - PI_GRID[0]
+    residual = {}
+    for pi in (pi_star - step, pi_star, pi_star + step):
+        sol = dl.solve_primal_search(jump_model, log_pair, 1.0, [pi], jump_ens_50k,
+                                     adjoint_mode="analytic")
+        residual[pi] = sol.foc["max_normalized"]
+    assert residual[pi_star] < 1e-13
+    assert residual[pi_star - step] > 1e-3 and residual[pi_star + step] > 1e-3
+
+
 def test_foc_residual_zero_drift(log_pair):
     flat = dl.MarketModel(drift=0.0, vol=0.2, horizon=1.0)
     ens = make_ensemble(flat, n_paths=20_000, seed=55)

@@ -45,6 +45,30 @@ def test_half_ratio_exact_for_all_coefficients(b, sigma):
     assert pi / merton.values == 0.5
 
 
+@pytest.mark.parametrize("scale, saddle", [(0.25, (0.25, -0.2)), (4.0, (1.0, -0.05))])
+def test_closed_form_away_from_unit_penalty_scale_is_the_saddle(base_model, log_pair, scale,
+                                                                 saddle):
+    """At penalty scales c = 0.25 and 4, in robust_merton's market, the
+    closed form gives pi = c b/((1+c) sigma^2) and mu = -b/((1+c) sigma), and
+    an analytic saddle search on grids of step 0.05 in pi and 0.005 in mu
+    finds that cell as a pure saddle.
+
+    Kills the mutant mu = -c b/((1+c) sigma) in ``robust_log_closed_form``,
+    which agrees with the closed form at c = 1, the one scale every other
+    check of it uses.
+    """
+    penalty = dl.make_quadratic_penalty(scale)
+    pi_cf, mu_cf = dl.robust_log_closed_form(base_model, penalty)
+    assert (pi_cf, mu_cf) == pytest.approx(saddle, abs=1e-15)
+    ens = make_ensemble(base_model, n_paths=20_000, seed=101)
+    pi_grid = np.round(0.05 * np.arange(31), 10)
+    mu_grid = np.round(-0.3 + 0.005 * np.arange(61), 10)
+    sol = dl.solve_robust_saddle(base_model, log_pair, penalty, 1.0, pi_grid, mu_grid, ens,
+                                 adjoint_mode="analytic")
+    assert sol.is_saddle and not sol.grid_edge
+    assert (sol.pi, sol.mu) == saddle
+
+
 def test_closed_form_preconditions(jump_model, base_model, quad_penalty):
     with pytest.raises(ValueError, match="no-jump"):
         dl.robust_log_closed_form(jump_model, quad_penalty)
