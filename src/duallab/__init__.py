@@ -32,6 +32,7 @@ from .dual import (
 from .market import (
     AdmissibilityError,
     MarketModel,
+    PathBlocks,
     PathEnsemble,
     Strategy,
     TimeGrid,

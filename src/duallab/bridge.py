@@ -12,6 +12,7 @@ exact), and the raw ratio enters the report as a residual.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,7 @@ import numpy as np
 from .dual import DualSolution, ScenarioControl, scenario_from_theta1
 from .market import (
     DEGENERATE_VOL,
+    PathBlocks,
     PathEnsemble,
     Strategy,
     density_paths,
@@ -153,30 +155,45 @@ def robust_primal_to_dual(
     return control, float(solution.mu), y, report
 
 
-def _bridged_fractions(solution) -> np.ndarray:
-    """Fraction of wealth q2/(sigma*p2(t-)) per (path, step): the bridged
-    portfolio, formed on the adjoints' time-major rows."""
+def _fraction_blocks(solution) -> PathBlocks:
+    """The bridged portfolio, the fraction of wealth q2/(sigma*p2(t-)) per
+    (path, step), formed block by block on the adjoints' time-major rows."""
     adj = solution.adjoints
     s = solution.model.vol_on(solution.ensemble.grid)
     if np.any(np.abs(s) < DEGENERATE_VOL):
         raise BridgeViolationError(
             "sigma vanishes on the grid; use the replication branch instead"
         )
-    pi_path = s[:, None] * adj.p.T[:-1]
-    return np.divide(adj.q.T, pi_path, out=pi_path).T
+    s, p_left, q = s[:, None], adj.p.T[:-1], adj.q.T
+
+    def write(cols: slice, out: np.ndarray) -> None:
+        np.multiply(s, p_left[:, cols], out=out)
+        np.divide(q[:, cols], out, out=out)
+
+    return PathBlocks(write)
+
+
+def _bridged_fractions(solution) -> np.ndarray:
+    """The bridged fraction of :func:`_fraction_blocks` as one (n_paths,
+    n_steps) array, a view of time-major rows."""
+    return _fraction_blocks(solution).whole(*solution.adjoints.q.shape)
 
 
 def dual_to_primal(solution: DualSolution) -> tuple[Strategy, float, BridgeReport]:
     """Portfolio and initial wealth built from a dual solution's adjoints; the
-    wealth lives in the market of the scenario (perturbed when it has a ``mu``)."""
+    wealth lives in the market of the scenario (perturbed when it has a ``mu``).
+
+    The wealth fill forms the bridged fraction one block of paths at a time;
+    the returned portfolio holds it whole, built once the wealth and its
+    links are done with."""
     adj = solution.adjoints
-    pi_path = _bridged_fractions(solution)
+    fraction = _fraction_blocks(solution)
     x0 = float(adj.p[:, 0].mean())
     if not x0 > 0:
         raise BridgeViolationError("initial adjoint value p2(0) is not positive")
-    strategy = Strategy.fraction(pi_path)
     try:
-        wealth = wealth_paths(solution.model, solution.ensemble, strategy, x0, mu=solution.mu)
+        wealth = wealth_paths(solution.model, solution.ensemble, Strategy.fraction(fraction), x0,
+                              mu=solution.mu)
     except ValueError as exc:
         raise BridgeViolationError(str(exc)) from exc
 
@@ -192,13 +209,14 @@ def dual_to_primal(solution: DualSolution) -> tuple[Strategy, float, BridgeRepor
         "X(T) equals the claim -V'(G(T))",
         *_abs_and_rel(wealth[:, -1], claim),
     )
+    del wealth
     # p2(0) is F_0-measurable, so every path must carry x
     report.add(
         "initial_value",
         "x is the initial adjoint value p2(0)",
         np.max(np.abs(adj.p[:, 0] - x0)),
     )
-    return strategy, x0, report
+    return Strategy.fraction(fraction.whole(*adj.q.shape)), x0, report
 
 
 def robust_dual_to_primal(
@@ -217,15 +235,30 @@ def bridged_fraction(solution, constant_tol: float = 1e-9) -> float:
     :func:`dual_to_primal` built from one (which saves recomputing the
     fraction).  Valid when the fraction is constant across paths and times
     (the log cases); raises :class:`BridgeViolationError` with the largest
-    deviation from the mean otherwise.
+    deviation from the mean otherwise, or with the first non-finite value
+    and where it is.  The mean sums the whole array; the deviation is taken
+    one block of paths at a time.
     """
     if isinstance(solution, Strategy):
-        pi_path = np.asarray(solution.values, dtype=float)
+        pi_path = np.atleast_2d(np.asarray(solution.values, dtype=float))
     else:
         pi_path = _bridged_fractions(solution)
     pi = float(pi_path.mean())
-    dev = pi_path - pi
-    worst = float(np.max(np.abs(dev, out=dev)))
+    if not math.isfinite(pi):
+        # a non-finite entry makes the sum non-finite
+        bad = np.argwhere(~np.isfinite(pi_path))
+        if len(bad):
+            path, step = bad[0]
+            raise BridgeViolationError(
+                f"bridged fraction is not finite: {pi_path[path, step]} at path {path}, "
+                f"step {step}; no scalar reduction"
+            )
+    worst = 0.0
+    scratch = np.empty_like(pi_path[:DEVIATION_BLOCK_PATHS])
+    for rows in _path_blocks(len(pi_path)):
+        block = pi_path[rows]
+        dev = np.subtract(block, pi, out=scratch[:len(block)])
+        worst = max(worst, float(np.max(np.abs(dev, out=dev))))
     if worst > constant_tol * max(1.0, abs(pi)):
         raise BridgeViolationError(
             f"bridged fraction is not constant: it deviates from its mean {pi:.9g} by up "

@@ -486,53 +486,75 @@ def _accumulate(ln: np.ndarray, x0: float) -> None:
     ln *= x0
 
 
+def _extremes(frac: PathBlocks, n_steps: int, n_paths: int, block: int) -> tuple:
+    """Per step, the least and the largest value of the per-path ``frac``
+    over the paths, from one block of ``block`` paths at a time: those of
+    ``np.fmin.reduce`` and ``np.fmax.reduce`` of the whole array, NaN only
+    at a step where every path is NaN."""
+    lowest, highest = np.full(n_steps, np.nan), np.full(n_steps, np.nan)
+    buffer = np.empty(n_steps * min(block, n_paths))
+    for cols in _blocks(slice(0, n_paths), block):
+        f = buffer[:n_steps * (cols.stop - cols.start)].reshape(n_steps, -1)
+        frac.write(cols, f)
+        np.fmin(lowest, np.fmin.reduce(f, axis=1), out=lowest)
+        np.fmax(highest, np.fmax.reduce(f, axis=1), out=highest)
+    return lowest, highest
+
+
 def _exp_paths(ensemble: PathEnsemble, x0: float, drift, diff, ratio, frac=None) -> np.ndarray:
     """x0 * exp(cumulative log increments): the stochastic exponential of
     drift dt + diff dB + ratio . dNtilde on every path, (n_paths, n_steps + 1).
 
     ``drift``, ``diff`` (n_steps,) and ``ratio`` (n_steps, n_marks) are per
     step.  A fraction ``frac`` multiplies all three: a scalar or per-step one
-    up front, a per-path (n_paths, n_steps) one block by block.  A ratio
-    <= -1 (on any path, for a per-path fraction) is refused before any path
-    is filled.  The paths are filled over the ranges of :func:`_over_paths`,
-    one thread per range, each range in blocks of :data:`BLOCK_PATHS` paths
-    (per-path coefficients: :data:`FILL_BLOCK_BYTES` per block), so the
-    temporaries of a thread stay small.  A block's increments are written
-    into the columns of the time-major output, then summed, exponentiated
-    and scaled there in place.  Each value goes through the same operations
-    whatever block or range it falls in, so the paths are bit-identical for
-    any number of threads.
+    up front, a per-path one (:class:`PathBlocks`, or an (n_paths, n_steps)
+    array read through them) block by block.  A ratio <= -1 (on any path,
+    for a per-path fraction) is refused before any path is filled.  The
+    paths are filled over the ranges of :func:`_over_paths`, one thread per
+    range, each range in blocks of :data:`BLOCK_PATHS` paths (per-path
+    coefficients: :data:`FILL_BLOCK_BYTES` per block), so the temporaries of
+    a thread stay small.  A block's increments are written into the columns
+    of the time-major output, then summed, exponentiated and scaled there in
+    place.  Each value goes through the same operations whatever block or
+    range it falls in, so the paths are bit-identical for any number of
+    threads.
     """
     n_steps = ensemble.grid.n_steps
-    per_path = np.ndim(frac) == 2
+    if np.ndim(frac) == 2:
+        frac = PathBlocks.of(frac)
+    per_path = isinstance(frac, PathBlocks)
     if frac is not None and not per_path:
         f = np.broadcast_to(np.asarray(frac, dtype=float), (n_steps,))
         drift, diff, ratio = f * drift, f * diff, f[:, None] * ratio
+    k = ratio.shape[1]
+    block = max(1, FILL_BLOCK_BYTES // (8 * n_steps * max(1, k))) if per_path else BLOCK_PATHS
     if ratio.size:
         # per step and mark, the least f * ratio over the paths: rounding is
         # monotone, so it is the product with the extreme fraction
-        lowest = ratio if not per_path else np.minimum(
-            np.fmin.reduce(frac, axis=0)[:, None] * ratio,
-            np.fmax.reduce(frac, axis=0)[:, None] * ratio)
+        lowest = ratio
+        if per_path:
+            f_min, f_max = _extremes(frac, n_steps, ensemble.n_paths, block)
+            lowest = np.minimum(f_min[:, None] * ratio, f_max[:, None] * ratio)
         if np.any(lowest <= -1.0):
             raise AdmissibilityError("jump ratio <= -1 (1 + pi*gamma <= 0 for a fraction); "
                                      "the exponential would lose positivity")
     drift, diff, ratio = drift[:, None], diff[:, None], ratio[:, None, :]
     out = np.empty((n_steps + 1, ensemble.n_paths))
-    k = ratio.shape[2]
-    block = max(1, FILL_BLOCK_BYTES // (8 * n_steps * max(1, k))) if per_path else BLOCK_PATHS
 
     def fill(paths: slice, *work: np.ndarray) -> None:
         for cols in _blocks(paths, block):
             out[0, cols] = x0
             ln = out[1:, cols]
             if per_path:
-                # the block's coefficients in contiguous leading parts of the work arrays
-                f = frac.T[:, cols]
-                f_drift, f_diff = (a[:f.size].reshape(f.shape) for a in work[:2])
-                f_ratio = work[2][:f.size * k].reshape(f.shape + (k,))
-                block_coeffs = (np.multiply(f, drift, out=f_drift), np.multiply(f, diff, out=f_diff),
-                                np.multiply(f[..., None], ratio, out=f_ratio))
+                # the block's fraction in the first work array, scaled there
+                # last; its other products in contiguous leading parts of the
+                # other two
+                f = work[0][:ln.size].reshape(ln.shape)
+                frac.write(cols, f)
+                f_diff = np.multiply(f, diff, out=work[1][:f.size].reshape(f.shape))
+                f_ratio = np.multiply(f[..., None], ratio,
+                                      out=work[2][:f.size * k].reshape(f.shape + (k,)))
+                block_coeffs = (np.multiply(f, drift, out=f), f_diff, f_ratio)
             else:
                 block_coeffs = (drift, diff, ratio)
             _log_increments(ln, ensemble, cols, *block_coeffs)
@@ -618,11 +640,38 @@ def price_paths(model: MarketModel, ensemble: PathEnsemble) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class PathBlocks:
+    """Per-path strategy values, (n_paths, n_steps), given block by block.
+
+    ``write(cols, out)`` writes the values of the paths ``cols`` (a slice)
+    into the time-major (n_steps, cols) array ``out``.  The forward fill
+    calls it once per block of paths, from the threads of
+    :func:`_over_paths`, so it should allocate nothing of a block's size.
+    A bare callable in a :class:`Strategy` is a function of time, so this
+    form has a type of its own.
+    """
+
+    write: Callable[[slice, np.ndarray], None]
+
+    @classmethod
+    def of(cls, values) -> "PathBlocks":
+        """The blocks of an (n_paths, n_steps) array."""
+        rows = np.asarray(values, dtype=float).T
+        return cls(lambda cols, out: np.copyto(out, rows[:, cols]))
+
+    def whole(self, n_paths: int, n_steps: int) -> np.ndarray:
+        """Every path's values, (n_paths, n_steps), a view of time-major rows."""
+        out = np.empty((n_steps, n_paths))
+        self.write(slice(0, n_paths), out)
+        return out.T
+
+
+@dataclass(frozen=True)
 class Strategy:
     """Portfolio parameterization: fraction-of-wealth pi or unit counts phi.
 
     Values may be a scalar, a per-step array (n_steps,), a per-path array
-    (n_paths, n_steps), or a function of time t.
+    (n_paths, n_steps) or its :class:`PathBlocks`, or a function of time t.
     """
 
     kind: str  # "fraction" | "units"
@@ -640,8 +689,11 @@ class Strategy:
     def units(cls, values) -> "Strategy":
         return cls("units", values)
 
-    def on_grid(self, grid: TimeGrid) -> np.ndarray:
-        """Values per step (n_steps,) or per path (n_paths, n_steps)."""
+    def on_grid(self, grid: TimeGrid) -> np.ndarray | PathBlocks:
+        """Values per step (n_steps,) or per path (n_paths, n_steps), or the
+        :class:`PathBlocks` they were given as."""
+        if isinstance(self.values, PathBlocks):
+            return self.values
         if np.ndim(self.values) == 2:
             return np.asarray(self.values, dtype=float)
         return eval_on_grid(self.values, grid.left_times)
@@ -652,6 +704,8 @@ def _euler_wealth(model: MarketModel, ensemble: PathEnsemble, strategy: Strategy
     """Euler wealth paths of a fraction or unit-count strategy, unchecked."""
     grid = ensemble.grid
     values = strategy.on_grid(grid)
+    if isinstance(values, PathBlocks):
+        values = values.whole(ensemble.n_paths, grid.n_steps)
     fraction = strategy.kind == "fraction"
     spot = None if fraction else ensemble.channel("S")
 

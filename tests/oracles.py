@@ -8,7 +8,8 @@ candidate, a per-step Python loop for the theta0 elimination, two SVD
 in long double, as an accuracy reference) and one per step of the BSDE
 residual report, a separate forward loop per process (price and
 density from whole-array log factors, wealth and replication one step at a
-time), the per-path exact fill one column at a time, and a ``csv.writer``
+time), the per-path exact fill one column at a time, the map back's bridged
+fraction as one whole array, and a ``csv.writer``
 call per CSV row, and the conjugacy oracle polished one test point at a
 time by scipy's bounded Brent search.  They stay out of the package on
 purpose; the tests compare the package against them.
@@ -156,6 +157,18 @@ def exp_paths_per_path(ensemble, x0, drift, diff, ratio, frac):
     np.exp(ln, out=ln)
     ln *= x0
     return out
+
+
+def bridged_fractions(solution):
+    """The bridged fraction q2/(sigma*p2(t-)) as one whole time-major
+    product of sigma and p2, divided into q2 in place: the map back's
+    fraction before it was formed block by block."""
+    adj = solution.adjoints
+    s = solution.model.vol_on(solution.ensemble.grid)
+    if np.any(np.abs(s) < DEGENERATE_VOL):
+        raise ValueError("sigma vanishes on the grid; use the replication branch instead")
+    pi_path = s[:, None] * adj.p.T[:-1]
+    return np.divide(adj.q.T, pi_path, out=pi_path).T
 
 
 def _at_step(values, i, n_paths):

@@ -13,7 +13,8 @@ and last rows.  The terminal design sums the drivers
 into its own columns.  The replication of a dual solve forms the portfolio
 one step at a time and keeps two Euler wealth rows, so it allocates a few
 rows per path range and no (n_paths, n_steps) array.  A bridge check lets
-each stage's arrays go once the next map has read them.  numpy reports its
+each stage's arrays go once the next map has read them, and its map back
+forms the bridged fraction block by block inside the wealth fill.  numpy reports its
 buffers to ``tracemalloc``.  A run
 fixes glibc's malloc thresholds, so that an array of a MiB or more goes back
 to the system when it is freed.
@@ -126,21 +127,33 @@ def _peak(fn):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("case", ["price", "density", "wealth_per_step", "wealth_per_path"])
+@pytest.mark.parametrize("case", ["price", "density", "wealth_per_step", "wealth_per_path",
+                                  "wealth_path_blocks"])
 def test_forward_peak_is_output_plus_one_array(one_mark, case):
     model, ens = one_mark
     per_path = np.full((N_PATHS, N_STEPS), 0.5)
     control = dl.ScenarioControl(theta0=np.full(N_STEPS, -0.3),
                                  theta1=np.full((N_STEPS, 1), 0.1), y=1.0)
+    # a per-path fraction formed block by block, as the map back forms q2/(sigma p2)
+    blocks = dl.PathBlocks(lambda cols, out: np.multiply(0.25, per_path.T[:, cols], out=out))
     run = {
         "price": lambda: dl.price_paths(model, ens),
         "density": lambda: dl.density_paths(ens, control),
         "wealth_per_step": lambda: dl.wealth_paths(model, ens, dl.Strategy.fraction(0.5), 1.0),
         "wealth_per_path": lambda: dl.wealth_paths(model, ens, dl.Strategy.fraction(per_path), 1.0),
+        "wealth_path_blocks": lambda: dl.wealth_paths(model, ens, dl.Strategy.fraction(blocks),
+                                                      1.0),
     }[case]
     peak, out = _peak(run)
     assert out.shape == (N_PATHS, N_STEPS + 1)
     assert peak <= out.nbytes + N_PATHS * N_STEPS * 8 + FIXED_SLACK
+    if case == "wealth_path_blocks":
+        # the output, the fill's three work arrays and two block-sized
+        # temporaries (the scaled dt-term and the buffer of the in-place
+        # exponential), each of at most FILL_BLOCK_BYTES; the admissibility
+        # pre-pass's block buffer is freed before they are allocated.  No
+        # (n_paths, n_steps) array: that is 12 FILL_BLOCK_BYTES here
+        assert peak <= out.nbytes + 5 * market.FILL_BLOCK_BYTES + FIXED_SLACK
 
 
 def test_sweep_peak_is_outputs_plus_step_rows(one_mark):
@@ -274,10 +287,14 @@ def test_replication_streams_a_few_rows_per_range(one_mark, n_cpus):
                                         ("robust_merton.yaml", "robust_merton")])
 def test_bridge_check_peak_is_the_dual_and_its_map_back(tmp_path, name, case):
     # the product identity is taken while the primal solution is alive, which
-    # is then let go, and the dual reuses the forward density: the peak is
-    # dB, the dual's density, p2 and q2, and the bridged fraction and wealth
-    # of the map back; a primal kept to the end and a second density fill
-    # would hold about ten path arrays
+    # is then let go, and the dual reuses the forward density; the map back
+    # forms the bridged fraction one block at a time inside its wealth fill
+    # and the whole fraction only after the wealth is let go.  So the map
+    # back holds five path arrays (dB, the density, p2, q2 and the wealth),
+    # plus the fill's blocks; at 50k x 100 the peak is the forward map (dB,
+    # wealth, p1, q1 and the density).  A whole fraction beside the wealth
+    # held 6.66 path arrays here, and a primal kept to the end and a second
+    # density fill about ten
     n_paths, n_steps = 4_000, 20
     with open(Path(__file__).resolve().parents[1] / "configs" / name) as fh:
         raw = yaml.safe_load(fh)
@@ -292,4 +309,4 @@ def test_bridge_check_peak_is_the_dual_and_its_map_back(tmp_path, name, case):
         peak, report = _peak(lambda: cli.run_bridge_check(cfg, str(tmp_path)))
     assert report["product_identity_max_dev"] < 1e-12
     path_array = n_paths * (n_steps + 1) * 8
-    assert peak <= 6.5 * path_array + FIXED_SLACK
+    assert peak <= 5.5 * path_array + FIXED_SLACK

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -328,6 +329,43 @@ def test_maps_back_refuse_a_search_that_kept_p2_ends_only(base_model, base_ens_5
         dual = dl.solve_dual_search(base_model, log_pair, 1.0, base_ens_5k, replicate=False)
     with pytest.raises(ValueError, match="evaluate_dual_scenario"):
         getattr(dl, entry)(dual)
+
+
+@pytest.mark.parametrize("mean, dev, refused", [(0.5, 1.5e-9, True), (4.0, 3e-9, False),
+                                                (4.0, 5e-9, True)])
+def test_bridged_fraction_tolerance_scales_with_the_mean_above_one(mean, dev, refused):
+    # the tolerance is 1e-9 * max(1, |mean|): 1e-9 at a mean of 0.5 and
+    # 4e-9 at a mean of 4, so one entry off by dev is refused or not
+    values = np.full((20, 5_000), mean).T
+    values[1_234, 5] += dev
+    strategy = dl.Strategy.fraction(values)
+    if refused:
+        with pytest.raises(dl.BridgeViolationError, match="not constant"):
+            dl.bridged_fraction(strategy)
+    else:
+        assert dl.bridged_fraction(strategy) == pytest.approx(mean, abs=1e-13)
+
+
+@pytest.mark.parametrize("source", ["strategy", "dual"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_bridged_fraction_refuses_a_non_finite_fraction(base_model, source, bad):
+    # one non-finite entry makes the mean NaN or inf, and a NaN deviation is
+    # not above the tolerance: the scalar came back NaN or inf, and the CLI
+    # wrote it into report.json
+    n_paths, n_steps = 5_000, 20
+    ens = make_ensemble(base_model, n_steps=n_steps, n_paths=n_paths, seed=93)
+    q = np.full((n_steps, n_paths), 0.2 * 1.25).T
+    q[4_321, 7] = bad
+    p = np.ones((n_paths, n_steps + 1))
+    dual = types.SimpleNamespace(model=base_model, ensemble=ens,
+                                 adjoints=AdjointTriple(p, q, np.zeros((n_paths, n_steps, 0))))
+    entry = dl.Strategy.fraction(q / 0.2) if source == "strategy" else dual
+    with pytest.raises(dl.BridgeViolationError,
+                       match=r"not finite: -?(nan|inf) at path 4321, step 7"):
+        dl.bridged_fraction(entry)
+    q[4_321, 7] = 0.2 * 1.25
+    assert dl.bridged_fraction(dl.Strategy.fraction(q / 0.2) if source == "strategy" else dual) \
+        == 1.25
 
 
 def test_dual_to_primal_rejects_degenerate_vol(log_pair):

@@ -8,6 +8,7 @@ import math
 import multiprocessing
 import re
 import threading
+import types
 import warnings
 from unittest import mock
 
@@ -17,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import duallab as dl
-from duallab import bsde, market
+from duallab import bridge, bsde, market
 from duallab.bsde import CHOLQR_MAX_COND, RegressionBasis
 
 import oracles
@@ -684,6 +685,86 @@ def test_per_path_fill_bit_identical_to_column_loop(case, mu, size, block_bytes)
             new()
         return
     assert np.array_equal(new(), old)
+
+
+# ------------------------------------------------- the map back's fraction
+
+# the map back forms q2/(sigma p2) one block of paths at a time inside its
+# wealth fill: against the wealth of the whole fraction it replaced, on one
+# CPU and on two ranges of THREAD_MIN_PATHS paths (CPUs pinned as in
+# tests/test_threads.py)
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+@pytest.mark.parametrize("jumps", [False, True])
+def test_block_fraction_fills_the_wealth_of_the_whole_array(base_model, jump_model, log_pair,
+                                                            jumps, n_cpus):
+    # regression adjoints, so that the fraction differs from path to path
+    model = jump_model if jumps else base_model
+    n_paths = 2 * market.THREAD_MIN_PATHS
+    ens = make_ensemble(model, n_steps=20, n_paths=n_paths, seed=131)
+    control = (dl.scenario_from_theta1(model, ens.grid, [-0.1], 1.0) if jumps
+               else dl.unique_scenario_no_jumps(model, ens.grid, 1.0))
+    sol = dl.evaluate_dual_scenario(model, log_pair, control, ens, adjoint_mode="regression")
+    whole = oracles.bridged_fractions(sol)
+    assert np.ptp(whole) > 0.1
+    x0 = float(sol.adjoints.p[:, 0].mean())
+    with mock.patch("os.sched_getaffinity", return_value=set(range(n_cpus))):
+        assert len(market.path_ranges(n_paths)) == n_cpus
+        by_blocks = dl.wealth_paths(model, ens, dl.Strategy.fraction(bridge._fraction_blocks(sol)),
+                                    x0, mu=sol.mu)
+        from_array = dl.wealth_paths(model, ens, dl.Strategy.fraction(whole), x0, mu=sol.mu)
+        strategy, x_back, report = dl.dual_to_primal(sol)
+    assert np.array_equal(by_blocks, from_array)
+    # the returned portfolio is the whole fraction, bit for bit and in its layout
+    assert np.array_equal(strategy.values, whole)
+    assert strategy.values.T.flags.c_contiguous
+    assert np.array_equal(bridge._bridged_fractions(sol), whole)
+    assert x_back == x0
+    link = report["process_link"]
+    assert (link["max_abs"], link["max_rel"]) == bridge._abs_and_rel(from_array, sol.adjoints.p)
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2])
+@pytest.mark.parametrize("bad_path", [0, 2 * market.THREAD_MIN_PATHS - 1])
+def test_block_fraction_refuses_a_bad_jump_ratio_like_the_whole_array(jump_model, n_cpus,
+                                                                      bad_path):
+    # 1 + pi*gamma <= 0 on one path of one step (gamma = 0.1): pi = -12 on
+    # the first or the last path
+    n_paths = 2 * market.THREAD_MIN_PATHS
+    ens = make_ensemble(jump_model, n_steps=20, n_paths=n_paths, seed=137)
+    grid = ens.grid
+    p = np.ones((n_paths, grid.n_steps + 1))
+    q = np.full((n_paths, grid.n_steps), 0.2 * 1.5)
+    q[bad_path, 7] = 0.2 * -12.0
+    r = np.zeros((n_paths, grid.n_steps, 1))
+    sol = types.SimpleNamespace(model=jump_model, ensemble=ens, adjoints=dl.AdjointTriple(p, q, r))
+    whole = oracles.bridged_fractions(sol)
+    assert np.sum(whole * 0.1 <= -1.0) == 1
+    with mock.patch("os.sched_getaffinity", return_value=set(range(n_cpus))):
+        assert len(market.path_ranges(n_paths)) == n_cpus
+        with pytest.raises(dl.AdmissibilityError) as from_array:
+            dl.wealth_paths(jump_model, ens, dl.Strategy.fraction(whole), 1.0)
+        with pytest.raises(dl.AdmissibilityError) as by_blocks:
+            dl.wealth_paths(jump_model, ens, dl.Strategy.fraction(bridge._fraction_blocks(sol)),
+                            1.0)
+    assert type(by_blocks.value) is type(from_array.value)
+    assert str(by_blocks.value) == str(from_array.value)
+
+
+@pytest.mark.parametrize("block", [1, 3, 64, 200])
+def test_block_extremes_are_the_whole_array_reductions(block):
+    # NaN where only some paths are NaN is skipped; a step where every path
+    # is NaN stays NaN; inf and signed zeros pass through; the first and the
+    # last path hold extremes of their own
+    rng = np.random.Generator(np.random.Philox(key=139))
+    values = rng.uniform(-3.0, 3.0, size=(200, 9))
+    values[rng.uniform(size=values.shape) < 0.1] = np.nan
+    values[:, 4] = np.nan
+    values[17, 2], values[150, 2], values[3, 6] = np.inf, -np.inf, -0.0
+    values[0, 1], values[0, 3], values[199, 5], values[199, 7] = -10.0, 10.0, -10.0, 10.0
+    lowest, highest = market._extremes(dl.PathBlocks.of(values), 9, 200, block)
+    assert np.array_equal(lowest, np.fmin.reduce(values, axis=0), equal_nan=True)
+    assert np.array_equal(highest, np.fmax.reduce(values, axis=0), equal_nan=True)
 
 
 # ------------------------------------------------------------------ output
