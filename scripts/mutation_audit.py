@@ -83,6 +83,7 @@ EQUIVALENT: dict[str, str] = {
         "a block of two paths takes the other branch, which forms the same values with "
         "temporaries two paths wide",
     "market._log_increments: `ratio.reshape(-1, k)` -> `ratio.reshape(-2, k)`": _NEGATIVE_SIZE,
+    "mc.cv_mean: `values.reshape(n, -1)` -> `values.reshape(n, -2)`": _NEGATIVE_SIZE,
 }
 
 _SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult}

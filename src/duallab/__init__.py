@@ -14,8 +14,6 @@ from .bsde import (
     AdjointTriple,
     DriverSpec,
     RegressionBasis,
-    bsde_residual_report,
-    diagnostics_json,
     solve_linear_bsde,
 )
 from .dual import (
@@ -47,7 +45,6 @@ from .market import (
 from .preferences import (
     Penalty,
     UtilityPair,
-    fenchel_gap,
     make_log_utility,
     make_power_utility,
     make_quadratic_penalty,

@@ -77,14 +77,18 @@ def _path_blocks(n_paths: int):
 
 
 def _abs_and_rel(values: np.ndarray, target: np.ndarray) -> tuple[float, float]:
-    """max |values - target| and max |values - target| / |target|, one
-    deviation array per block of paths (small enough to stay in cache)."""
+    """max |values - target| and max |values - target| / |target|, one block
+    of paths at a time in one reused block buffer (small enough to stay in
+    cache).  The relative deviation is formed as ||values - target| / target|,
+    which is |values - target| / |target| bit for bit."""
     maxima = []
+    scratch = np.empty_like(values[:DEVIATION_BLOCK_PATHS], dtype=float)
     for rows in _path_blocks(len(values)):
-        dev = np.abs(values[rows] - target[rows])
-        block_abs = np.max(dev)
-        dev /= np.abs(target[rows])
-        maxima.append((block_abs, np.max(dev)))
+        block = values[rows]
+        dev = np.subtract(block, target[rows], out=scratch[:len(block)])
+        block_abs = np.max(np.abs(dev, out=dev))
+        np.divide(dev, target[rows], out=dev)
+        maxima.append((block_abs, np.max(np.abs(dev, out=dev))))
     # np.max, not max(): a NaN deviation in any block must reach the report
     max_abs, max_rel = np.max(maxima, axis=0)
     return max_abs, max_rel
@@ -275,12 +279,15 @@ def verify_product_identity(
     With exact exponential updates the log cases cancel exponents exactly, so
     the deviation sits at accumulation-rounding level; Euler updates leave a
     step-size-dependent deviation used by the scheme-order study.  One
-    deviation array per block of paths, as in :func:`_abs_and_rel`.
+    block of paths at a time in one reused block buffer, as in
+    :func:`_abs_and_rel`.
     """
     xy = x0 * y0
     maxima = []
+    scratch = np.empty_like(wealth[:DEVIATION_BLOCK_PATHS], dtype=float)
     for rows in _path_blocks(len(wealth)):
-        dev = wealth[rows] * density[rows]
+        block = wealth[rows]
+        dev = np.multiply(block, density[rows], out=scratch[:len(block)])
         dev -= xy
         maxima.append(np.max(np.abs(dev, out=dev)))
     # np.max, not max(): a NaN deviation in any block must reach the result

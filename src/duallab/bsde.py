@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import json
 import math
 import queue
 import threading
@@ -303,34 +302,19 @@ class _BasisBuilder:
         _, q1, tmp, _ = scratch
         return all(np.all(zc == zc[0]) for zc in z), _cholqr2(a, q1, tmp)
 
-    def factor(self, a: np.ndarray, warn: bool = True):
-        """Factor the (n_columns, n) design ``a``; returns (basis, coef, rank, cond).
-
-        ``basis`` (rank, n) has orthonormal rows spanning the rows of ``a``:
-        the least-squares fit of a right-hand side b is (basis @ b) @ basis,
-        and its minimum-norm coefficients are coef @ (basis @ b).  The factor
-        is CholeskyQR2 (see the module docstring), or :meth:`householder`
-        when that fails, is rank-deficient or has a condition number above
-        :data:`CHOLQR_MAX_COND`.  Either way the SVD of the triangular factor
-        gives the singular values ``numpy.linalg.lstsq`` computes and its
-        rank cutoff.
-        """
-        q1 = np.empty_like(a)
-        fac = _cholqr2(a, q1, np.empty(a.shape[1]))
-        if fac is None:
-            return self.householder(a, warn)
-        return fac.inv_r2.T @ q1, np.linalg.inv(fac.r), fac.rank, fac.cond
-
     def householder(self, a: np.ndarray, warn: bool = True):
-        """The fallback of :meth:`factor`: a Householder thin QR of ``a.T``
-        plus an SVD of its triangular factor.  Rank deficiency (collinear or
-        constant state) drops the dependent directions, reducing the effective
-        basis degree rather than failing a step; it is warned about once per
-        builder.
+        """The fallback of a step's CholeskyQR2 factors: a Householder thin QR
+        of the (n_columns, n) design ``a.T`` plus an SVD of its triangular
+        factor.  Returns (basis, rank, cond): ``basis`` (rank, n) has
+        orthonormal rows spanning the rows of ``a``, so the least-squares fit
+        of a right-hand side b is (basis @ b) @ basis.  Rank deficiency
+        (collinear or constant state) drops the dependent directions, reducing
+        the effective basis degree rather than failing a step; it is warned
+        about once per builder.
         """
         n_columns = a.shape[0]
         q, r = np.linalg.qr(a.T)
-        u, sv, vt = np.linalg.svd(r)
+        u, sv, _ = np.linalg.svd(r)
         rank, cond = _rank_cond(sv, a.shape)
         if warn and rank < n_columns and not self.warned:
             warnings.warn(
@@ -340,7 +324,7 @@ class _BasisBuilder:
                 stacklevel=3,
             )
             self.warned = True
-        return (q @ u[:, :rank]).T, vt[:rank].T / sv[:rank], rank, cond
+        return (q @ u[:, :rank]).T, rank, cond
 
 
 @contextlib.contextmanager
@@ -472,7 +456,7 @@ def solve_linear_bsde(
             constant_steps += constant
             p_next, p_i = p_rows[i + 1], p_rows[i]
             if fac is None:
-                span, _, rank, cond = builder.householder(design, warn=i > 0 and not constant)
+                span, rank, cond = builder.householder(design, warn=i > 0 and not constant)
             else:
                 span = np.matmul(fac.inv_r2.T, q1, out=design)
                 rank, cond = fac.rank, fac.cond
@@ -517,87 +501,3 @@ def solve_linear_bsde(
     if ends_only:
         return AdjointTriple.from_ends(p, q.T, r.transpose(2, 0, 1), diagnostics=diagnostics)
     return AdjointTriple(p.T, q.T, r.transpose(2, 0, 1), diagnostics=diagnostics)
-
-
-def bsde_residual_report(
-    triple: AdjointTriple,
-    ensemble: PathEnsemble,
-    driver: DriverSpec | None = None,
-    state: dict | None = None,
-    basis: RegressionBasis | None = None,
-    split_seed: int = 0,
-) -> dict:
-    """Out-of-sample one-step residual statistics for a solved (or injected) triple.
-
-    The pathwise residual of step i is
-
-        rho = p_{i+1} - p_i - f(t_i, p_i, q_i, r_i) dt - q_i dB_i - sum_k r_ik dNtilde_ik.
-
-    The ensemble is split 50/50; the conditional-mean component of rho is
-    fitted on the train half, with the sweep's time-major design and factor,
-    and evaluated on the test half, while the q/r components are read off
-    covariances on the test half.  All figures are normalized by the mean
-    magnitude of the terminal value.
-    """
-    grid, model = ensemble.grid, ensemble.model
-    dt = grid.dt
-    k = model.n_marks
-    driver = driver or DriverSpec()
-    c0, cp, cq, cr = driver.on_grid(grid, k)
-    builder = _BasisBuilder(state or _default_state(ensemble), basis or RegressionBasis())
-    train, test = ensemble.split_indices(split_seed)
-    lam = model.intensities * dt
-    p, q, r = triple.p.T, triple.q.T, triple.r.transpose(1, 2, 0)
-    scale = float(np.mean(np.abs(p[-1])))
-    scale = scale if scale > 0 else 1.0
-
-    per_step = []
-    pathwise_max = 0.0
-    scratch = builder.scratch()
-    for i, db, dnt in _driver_rows(ensemble, range(grid.n_steps)):
-        f = c0[i] + cp[i] * p[i] + cq[i] * q[i]
-        if k:
-            f = f + cr[i] @ r[i]
-        rho = p[i + 1] - p[i] - f * dt
-        rho = rho - q[i] * db
-        if k:
-            rho = rho - np.einsum("kp,kp->p", r[i], dnt)
-        rho_test = rho[test]
-        pathwise_max = max(pathwise_max, float(np.max(np.abs(rho_test))) / scale)
-
-        a, _ = builder.design(i, scratch)
-        span, coef_map, _, _ = builder.factor(a[:, train], warn=False)
-        coef = coef_map @ (span @ rho[train])
-        cond_rms = float(np.sqrt(np.mean((coef @ a[:, test]) ** 2))) / scale
-        q_res = float(np.mean(rho_test * db[test])) / dt / scale
-        r_res = 0.0
-        for kk in range(k):
-            if lam[kk] > 0:
-                r_res = max(
-                    r_res,
-                    abs(float(np.mean(rho_test * dnt[kk, test])) / lam[kk]) / scale,
-                )
-        per_step.append(
-            {
-                "step": i,
-                "value_residual": cond_rms,
-                "q_residual": q_res,
-                "r_residual": r_res,
-            }
-        )
-    combined = [
-        max(s["value_residual"], abs(s["q_residual"]), s["r_residual"]) for s in per_step
-    ]
-    return {
-        "pathwise_max": pathwise_max,
-        "max_residual": float(np.max(combined)),
-        "mean_residual": float(np.mean(combined)),
-        "per_step": per_step,
-        "scale": scale,
-        "split_seed": split_seed,
-    }
-
-
-def diagnostics_json(triple: AdjointTriple) -> str:
-    """Solver diagnostics (residuals, condition numbers, basis) as JSON."""
-    return json.dumps({"mode": triple.mode, **triple.diagnostics}, sort_keys=True)

@@ -311,7 +311,6 @@ def solve_dual_search(
     theta1_values=None,
     mu=None,
     adjoint_mode: str = "regression",
-    control_variates: bool = True,
     basis: RegressionBasis | None = None,
     replicate: bool = True,
 ) -> DualSolution:
@@ -329,7 +328,7 @@ def solve_dual_search(
     design = ensemble.terminal_design()
     search = grid_search(
         (len(candidates),), scenario_samples(ensemble, pair, scenarios, design),
-        np.array([c is not None for c in scenarios]), design if control_variates else None,
+        np.array([c is not None for c in scenarios]), design,
         ensemble.n_paths, size=np.array([float(np.linalg.norm(c)) for c in candidates]),
         what="scenario candidates",
     )
@@ -346,7 +345,6 @@ def evaluate_dual_scenario(
     control: ScenarioControl,
     ensemble: PathEnsemble,
     adjoint_mode: str = "regression",
-    control_variates: bool = True,
     basis: RegressionBasis | None = None,
     replicate: bool = False,
     density: np.ndarray | None = None,
@@ -371,7 +369,7 @@ def evaluate_dual_scenario(
                              "on every path")
     design = ensemble.terminal_design()
     search = grid_search((1,), scenario_samples(ensemble, pair, [control], design),
-                         np.ones(1, bool), design if control_variates else None, ensemble.n_paths)
+                         np.ones(1, bool), design, ensemble.n_paths)
     return _dual_solution(
         model, ensemble, pair, control, adjoint_mode, basis, replicate, density=density,
         theta1_values=[np.asarray(control.theta1[0]).tolist()] if model.n_marks else [[]],

@@ -340,13 +340,6 @@ class PathEnsemble:
         jumps -= self.model.intensities * self.grid.horizon
         return design
 
-    def split_indices(self, split_seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        """Deterministic 50/50 train/test split of path indices."""
-        rng = np.random.Generator(np.random.Philox(key=split_seed))
-        perm = rng.permutation(self.n_paths)
-        half = self.n_paths // 2
-        return perm[:half], perm[half:]
-
 
 def simulate_drivers(
     model: MarketModel, grid: TimeGrid, n_paths: int, seed: int
@@ -744,15 +737,14 @@ def wealth_paths(
     return x
 
 
-def density_paths(ensemble: PathEnsemble, control, y: float | None = None,
-                  scheme: str = "exact") -> np.ndarray:
+def density_paths(ensemble: PathEnsemble, control, scheme: str = "exact") -> np.ndarray:
     """Scenario density G driven by (theta0, theta1): dG = G(t-)[theta0 dB + theta1 dNtilde].
 
-    ``control`` provides per-step arrays ``theta0`` (n_steps,) and ``theta1``
-    (n_steps, n_marks); ``y`` overrides the control's initial value.
+    ``control`` provides the initial value ``y`` and per-step arrays
+    ``theta0`` (n_steps,) and ``theta1`` (n_steps, n_marks).
     """
     grid = ensemble.grid
-    y0 = float(control.y if y is None else y)
+    y0 = float(control.y)
     if not y0 > 0:
         raise ValueError("initial density must be positive")
     theta0 = np.broadcast_to(np.asarray(control.theta0, dtype=float), (grid.n_steps,))
@@ -870,8 +862,7 @@ def terminal_log_wealth(
     return ln[:, 0] if single else ln
 
 
-def terminal_log_density(ensemble: PathEnsemble, control, y: float | None = None,
-                         design: np.ndarray | None = None,
+def terminal_log_density(ensemble: PathEnsemble, control, design: np.ndarray | None = None,
                          out: np.ndarray | None = None) -> np.ndarray:
     """ln G(T) via terminal sufficient statistics (exact-update arithmetic).
 
@@ -886,8 +877,7 @@ def terminal_log_density(ensemble: PathEnsemble, control, y: float | None = None
     theta1 = np.asarray(control.theta1, dtype=float).reshape(theta0.shape + (k,)) if k else np.zeros(theta0.shape + (0,))
     if np.any(theta1 < THETA1_FLOOR):
         raise ValueError("theta1 below -1 + eps")
-    ln = _terminal_log(ensemble, float(control.y if y is None else y), 0.0, theta0, theta1,
-                       design, out)
+    ln = _terminal_log(ensemble, float(control.y), 0.0, theta0, theta1, design, out)
     return ln[:, 0] if single else ln
 
 

@@ -52,18 +52,14 @@ def cv_mean(values: np.ndarray, controls: np.ndarray | None = None,
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
     cols = values.reshape(n, -1)
-    if design is None and controls is not None and controls.size:
-        design = factor_design(np.column_stack([np.ones(n), controls]))
     if design is None:
-        est = cols.mean(axis=0)
-        se = cols.std(axis=0, ddof=1) / math.sqrt(n)
-    else:
-        coef = design.vt.T @ ((design.u.T @ cols) / design.sv[:, None])
-        resid = np.matmul(design.matrix, coef, out=resid)
-        np.subtract(cols, resid, out=resid)
-        dof = max(n - design.matrix.shape[1], 1)
-        est = coef[0]
-        se = np.sqrt(np.einsum("pc,pc->c", resid, resid) / dof) / math.sqrt(n)
+        design = factor_design(np.column_stack([np.ones(n), controls]))
+    coef = design.vt.T @ ((design.u.T @ cols) / design.sv[:, None])
+    resid = np.matmul(design.matrix, coef, out=resid)
+    np.subtract(cols, resid, out=resid)
+    dof = max(n - design.matrix.shape[1], 1)
+    est = coef[0]
+    se = np.sqrt(np.einsum("pc,pc->c", resid, resid) / dof) / math.sqrt(n)
     if values.ndim == 1:
         return float(est[0]), float(se[0])
     return est, se
@@ -94,7 +90,7 @@ def grid_search(
     shape: tuple[int, ...],
     samples: Callable[[np.ndarray, np.ndarray], np.ndarray],
     admissible: np.ndarray,
-    design: np.ndarray | None,
+    design: np.ndarray,
     n_paths: int,
     offset: np.ndarray | float = 0.0,
     size: np.ndarray | None = None,
@@ -105,10 +101,10 @@ def grid_search(
     Candidates are flat C-order indices into ``shape``.  ``samples(idx, out)``
     writes the (n_paths, len(idx)) per-path payoffs of a block into ``out``
     and returns them; a candidate's value is their control-variate mean over
-    ``design`` (the terminal design [1, controls], factored once here; None
-    for a plain mean) plus ``offset[idx]``.  Two block-sized buffers, the
-    samples and the residuals, serve every block.  Inadmissible candidates
-    keep the value -inf.  With ``size`` given, the argmax is selected, ties
+    ``design`` (the terminal design [1, controls], factored once here) plus
+    ``offset[idx]``.  Two block-sized buffers, the samples and the
+    residuals, serve every block.  Inadmissible candidates keep the value
+    -inf.  With ``size`` given, the argmax is selected, ties
     going to the smallest size, and an empty admissible set raises.
     """
     n = math.prod(shape)
@@ -117,7 +113,7 @@ def grid_search(
     offset = np.broadcast_to(np.asarray(offset, dtype=float), (n,))
     live = np.flatnonzero(admissible)
     block = min(max(1, BLOCK_BYTES // (8 * n_paths)), max(live.size, 1))
-    factored = None if design is None else factor_design(design)
+    factored = factor_design(design)
     # two allocations, not one of twice the size: freeing a large mapped block
     # raises glibc's mmap threshold to its size, and later arrays below it then
     # come from the heap, which keeps freed pages resident (+13 MB peak RSS)

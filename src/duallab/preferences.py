@@ -123,22 +123,6 @@ def _grid_sup(f: Callable, params, grid: np.ndarray):
     return (float(sup[0]), bool(edge[0])) if p.ndim == 0 else (sup, edge)
 
 
-def conjugate_by_grid(u: Callable, y, grid: np.ndarray = ORACLE_GRID):
-    """Brute-force sup_x {u(x) - x*y}, polished within the bracketing interval.
-
-    ``y`` is a scalar (float result) or a 1-D array of points.
-    """
-    return _grid_sup(lambda x, yy: u(x) - x * yy, y, grid)[0]
-
-
-def biconjugate_by_grid(v: Callable, x, grid: np.ndarray = ORACLE_GRID):
-    """Brute-force inf_y {v(y) + x*y}, polished within the bracketing interval.
-
-    ``x`` is a scalar (float result) or a 1-D array of points.
-    """
-    return -_grid_sup(lambda y, xx: -(v(y) + xx * y), x, grid)[0]
-
-
 def _mismatches(closed, ref, edge, side: float):
     """Test points where a closed form differs from its grid oracle: the first
     one the oracle refutes, else the first one it cannot settle, or None.
@@ -163,11 +147,6 @@ def _beyond_grid(pair: UtilityPair, what: str, at: str, closed: float, ref: floa
         f"point of the oracle grid [{ORACLE_GRID[0]:g}, {ORACLE_GRID[-1]:g}], so the "
         f"optimum may lie beyond it ({closed:.9g} vs {ref:.9g})"
     )
-
-
-def fenchel_gap(pair: UtilityPair, x, y):
-    """V(y) + x*y - U(x) >= 0, with equality iff y = U'(x)."""
-    return pair.v(y) + np.asarray(x) * np.asarray(y) - pair.u(x)
 
 
 def certify_pair(pair: UtilityPair,

@@ -20,13 +20,15 @@ from .market import (
     PathEnsemble,
     Strategy,
     as_time_fn,
-    eval_on_grid,
     fraction_admissible,
     terminal_log_wealth,
     wealth_paths,
 )
 from .mc import cv_mean, grid_search, interior_summary
 from .preferences import Penalty, UtilityPair
+
+# the step in pi of the finite difference in :func:`hamiltonian_derivative_check`
+BUMP = 0.025
 
 
 @dataclass
@@ -134,7 +136,6 @@ def solve_primal_search(
     ensemble: PathEnsemble,
     mu=None,
     adjoint_mode: str = "regression",
-    control_variates: bool = True,
     basis: RegressionBasis | None = None,
 ) -> PrimalSolution:
     """Grid search over constant fractions, sharing one ensemble across candidates.
@@ -156,7 +157,7 @@ def solve_primal_search(
         return utility.u_of_log(ln_xt, out=ln_xt)
 
     search = grid_search(
-        pi_values.shape, samples, admissible, design if control_variates else None,
+        pi_values.shape, samples, admissible, design,
         ensemble.n_paths, size=np.abs(pi_values),
     )
     return _primal_solution(
@@ -208,29 +209,21 @@ def primal_foc_residual(solution: PrimalSolution) -> dict:
     raw = b * p_mean + s * q_mean
     if model.n_marks:
         gam = model.jump_sizes_on(grid)
-        raw = raw + np.einsum("ik,pik,k->i", gam, adj.r, model.intensities) / ensemble.n_paths
+        raw = raw + (gam * adj.r.mean(axis=0)) @ model.intensities
     return interior_summary(raw, float(np.mean(np.abs(b * p_mean))))
 
 
-def hamiltonian_derivative_check(
-    solution: PrimalSolution,
-    direction=1.0,
-    bump: float = 0.025,
-    control_variates: bool = True,
-) -> tuple[float, float]:
-    """Central finite difference of the objective along ``direction`` at the solution.
+def hamiltonian_derivative_check(solution: PrimalSolution) -> tuple[float, float]:
+    """Central finite difference of the objective in pi at the solution.
 
-    Uses common random numbers: the bumped fractions pi +- bump*direction are
+    Uses common random numbers: the bumped fractions pi +- :data:`BUMP` are
     two candidates of one evaluation over the ensemble's terminal design.  By
     the necessary optimality condition the derivative vanishes at an
     optimum.  Returns (estimate, standard error).
     """
     model, ensemble = solution.model, solution.ensemble
-    beta = eval_on_grid(direction, ensemble.grid.left_times)
-    if not np.any(beta):
-        return 0.0, 0.0
     design = ensemble.terminal_design()
-    pi = solution.pi + bump * np.stack([beta, -beta], axis=1)
+    pi = np.broadcast_to(solution.pi + np.array([BUMP, -BUMP]), (ensemble.grid.n_steps, 2))
     u = solution.utility.u_of_log(
         terminal_log_wealth(model, ensemble, pi, solution.x0, mu=solution.mu, design=design))
-    return cv_mean((u[:, 0] - u[:, 1]) / (2.0 * bump), design[:, 1:] if control_variates else None)
+    return cv_mean((u[:, 0] - u[:, 1]) / (2.0 * BUMP), design[:, 1:])

@@ -71,7 +71,6 @@ def solve_robust_saddle(
     mu_values,
     ensemble: PathEnsemble,
     adjoint_mode: str = "regression",
-    control_variates: bool = True,
     basis: RegressionBasis | None = None,
 ) -> PrimalSolution:
     """Payoff matrix I(pi, mu) = E[U(X(T))] + integral rho(mu) over the grids.
@@ -99,7 +98,7 @@ def solve_robust_saddle(
         return utility.u_of_log(ln_xt, out=ln_xt)
 
     search = grid_search(
-        shape, samples, np.repeat(pi_ok, mu_values.size), design if control_variates else None,
+        shape, samples, np.repeat(pi_ok, mu_values.size), design,
         ensemble.n_paths, offset=np.tile(_penalty_integrals(penalty, mu_values, grid), pi_values.size),
     )
     payoff = search.values.reshape(shape)
@@ -154,7 +153,6 @@ def solve_robust_dual(
     mu_values,
     theta1_values=None,
     adjoint_mode: str = "regression",
-    control_variates: bool = True,
     basis: RegressionBasis | None = None,
 ) -> DualSolution:
     """Maximize J(theta, mu) = E[-V(G(T))] - integral rho(mu) over a (mu, theta1) grid.
@@ -173,7 +171,7 @@ def solve_robust_dual(
     design = ensemble.terminal_design()
     search = grid_search(
         shape, scenario_samples(ensemble, pair, scenarios, design),
-        np.array([c is not None for c in scenarios]), design if control_variates else None,
+        np.array([c is not None for c in scenarios]), design,
         ensemble.n_paths, offset=-np.repeat(_penalty_integrals(penalty, mu_values, grid), shape[1]),
         size=np.array([abs(float(mu)) + float(np.linalg.norm(th1))
                        for mu in mu_values for th1 in candidates]),

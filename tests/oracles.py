@@ -5,14 +5,15 @@ CholeskyQR2 backward sweep, shared forward kernels and output writer
 replace: one candidate at a time, a fresh ``lstsq`` control-variate fit per
 candidate, a per-step Python loop for the theta0 elimination, two SVD
 ``lstsq`` fits per backward step on path-major designs (and the same sweep
-in long double, as an accuracy reference) and one per step of the BSDE
-residual report, a separate forward loop per process (price and
-density from whole-array log factors, wealth and replication one step at a
-time), the per-path exact fill one column at a time, the map back's bridged
-fraction as one whole array, and a ``csv.writer``
-call per CSV row, and the conjugacy oracle polished one test point at a
-time by scipy's bounded Brent search.  They stay out of the package on
-purpose; the tests compare the package against them.
+in long double, as an accuracy reference), a separate forward loop per
+process (price and density from whole-array log factors, wealth and
+replication one step at a time), the per-path exact fill one column at a
+time, the map back's bridged fraction as one whole array, and a
+``csv.writer`` call per CSV row, and the conjugacy oracle polished one test
+point at a time by scipy's bounded Brent search.  They stay out of the package on
+purpose; the tests compare the package against them.  The out-of-sample
+BSDE residual report (one ``lstsq`` fit per step) and the scalar grid
+conjugates have no twin in the package: the tests use them as they are.
 
 :func:`dense_jumps` puts back the dense-count readers that the jump events
 replaced (the exact fill's einsum over the counts of every (path, step),
@@ -633,15 +634,31 @@ def long_double_sweep(ensemble, terminal, state=None, basis=None):
     return p, q, r, ranks[::-1]
 
 
+def _split_indices(n_paths, split_seed):
+    """Deterministic 50/50 train/test split of path indices (Philox keyed by the seed)."""
+    perm = np.random.Generator(np.random.Philox(key=split_seed)).permutation(n_paths)
+    return perm[:n_paths // 2], perm[n_paths // 2:]
+
+
 def bsde_residual_report(triple, ensemble, driver=None, state=None, basis=None, split_seed=0):
-    """One-step residual statistics with a per-step ``lstsq`` fit on the train half."""
+    """Out-of-sample one-step residual statistics for a solved (or injected) triple.
+
+    The pathwise residual of step i is
+
+        rho = p_{i+1} - p_i - f(t_i, p_i, q_i, r_i) dt - q_i dB_i - sum_k r_ik dNtilde_ik.
+
+    The ensemble is split 50/50; the conditional-mean component of rho is
+    fitted by ``lstsq`` on the train half and evaluated on the test half,
+    while the q/r components are read off covariances on the test half.  All
+    figures are normalized by the mean magnitude of the terminal value.
+    """
     grid, model = ensemble.grid, ensemble.model
     dt = grid.dt
     k = model.n_marks
     driver = driver or DriverSpec()
     c0, cp, cq, cr = driver.on_grid(grid, k)
     builder = PathsMajorDesign(ensemble, state, basis)
-    train, test = ensemble.split_indices(split_seed)
+    train, test = _split_indices(ensemble.n_paths, split_seed)
     nu = model.intensities
     scale = float(np.mean(np.abs(triple.p[:, -1])))
     scale = scale if scale > 0 else 1.0

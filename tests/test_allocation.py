@@ -248,6 +248,28 @@ def test_search_peak_is_two_block_buffers_plus_design(solver):
     assert peak <= buffers + 2 * design.nbytes + FIXED_SLACK
 
 
+@pytest.mark.parametrize("budget, n_candidates", [("below one column", 5), ("default", 1)])
+def test_search_block_holds_no_more_than_the_budget_or_the_candidates(budget, n_candidates):
+    # a block holds at least one candidate, however small the byte budget,
+    # and no more candidates than there are: the two buffers hold one column
+    n_paths = 50_000
+    rng = np.random.Generator(np.random.Philox(key=3))
+    design = np.column_stack([np.ones(n_paths), rng.normal(size=n_paths)])
+    block_bytes = 8 * n_paths - 8 if budget == "below one column" else mc.BLOCK_BYTES
+
+    def samples(idx, out):
+        return np.multiply(design[:, 1:], idx + 1.0, out=out)
+
+    with mock.patch.object(mc, "BLOCK_BYTES", block_bytes), \
+            mock.patch.object(mc, "cv_mean", wraps=mc.cv_mean) as blocks:
+        peak, search = _peak(lambda: mc.grid_search((n_candidates,), samples,
+                                                    np.ones(n_candidates, bool), design, n_paths))
+    assert blocks.call_count == n_candidates
+    assert np.allclose(search.values, 0.0, atol=1e-12)
+    # the two one-column buffers and the design's SVD factor u, the design's size
+    assert peak <= 2 * 8 * n_paths + design.nbytes + FIXED_SLACK
+
+
 @pytest.mark.parametrize("n_cpus", [1, 2])
 def test_replication_streams_a_few_rows_per_range(one_mark, n_cpus):
     # the replication of a dual solve, as the solve runs it, after the

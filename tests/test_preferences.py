@@ -12,14 +12,7 @@ from hypothesis import strategies as st
 
 import duallab as dl
 import oracles
-from duallab.preferences import (
-    ORACLE_GRID,
-    UtilityPair,
-    biconjugate_by_grid,
-    certify_pair,
-    conjugate_by_grid,
-    inada_holds,
-)
+from duallab.preferences import ORACLE_GRID, UtilityPair, _grid_sup, certify_pair, inada_holds
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -27,13 +20,13 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 def test_log_conjugate_values(log_pair):
     assert log_pair.v(1.0) == pytest.approx(-1.0, abs=1e-15)
     assert log_pair.inverse_marginal(2.0) == pytest.approx(0.5, abs=1e-15)
-    assert abs(log_pair.v(0.5) - conjugate_by_grid(log_pair.u, 0.5)) < 1e-6
+    assert abs(log_pair.v(0.5) - oracles.conjugate_by_grid(log_pair.u, 0.5, ORACLE_GRID)) < 1e-6
 
 
 def test_power_conjugate_against_grid_oracle():
     pair = dl.make_power_utility(0.5)
     assert abs(pair.v(1.0) - 1.0) < 1e-12
-    assert abs(conjugate_by_grid(pair.u, 1.0) - 1.0) < 1e-6
+    assert abs(oracles.conjugate_by_grid(pair.u, 1.0, ORACLE_GRID) - 1.0) < 1e-6
     for y in (0.5, 1.0, 2.0):
         assert pair.u_prime(pair.inverse_marginal(y)) == pytest.approx(y, abs=1e-8)
     ys = np.linspace(0.1, 10, 50)
@@ -53,7 +46,8 @@ def test_conjugacy_suite_on_documented_grids(log_pair):
     pairs = [log_pair] + [dl.make_power_utility(a) for a in (0.3, 0.5, 0.7)]
     for pair in pairs:
         for x in x_grid:
-            assert abs(pair.u(x) - biconjugate_by_grid(pair.v, float(x))) < 1e-6
+            ref = oracles.biconjugate_by_grid(pair.v, float(x), ORACLE_GRID)
+            assert abs(pair.u(x) - ref) < 1e-6
         inv = pair.u_prime(pair.inverse_marginal(y_grid))
         assert np.max(np.abs(inv - y_grid)) < 1e-8
 
@@ -117,17 +111,25 @@ def test_golden_section_oracle_matches_brent(alpha, points):
         u, v = np.log, (lambda y: -np.log(y) - 1.0)
     else:
         u, _, v, _ = _power_parts(alpha)
+
+    # the sup and the inf as certify_pair runs them
+    def conjugate(y):
+        return _grid_sup(lambda x, yy: u(x) - x * yy, y, ORACLE_GRID)[0]
+
+    def biconjugate(x):
+        return -_grid_sup(lambda y, xx: -(v(y) + xx * y), x, ORACLE_GRID)[0]
+
     pts = np.array(points)
-    sup = conjugate_by_grid(u, pts)
-    inf = biconjugate_by_grid(v, pts)
+    sup = conjugate(pts)
+    inf = biconjugate(pts)
     for p, got_sup, got_inf in zip(pts, sup, inf):
         ref_sup = oracles.conjugate_by_grid(u, float(p), ORACLE_GRID)
         ref_inf = oracles.biconjugate_by_grid(v, float(p), ORACLE_GRID)
         assert abs(got_sup - ref_sup) <= 1e-12 * max(1.0, abs(ref_sup))
         assert abs(got_inf - ref_inf) <= 1e-12 * max(1.0, abs(ref_inf))
         # a scalar point gives the same float as its entry of the batch
-        assert conjugate_by_grid(u, float(p)) == got_sup
-        assert biconjugate_by_grid(v, float(p)) == got_inf
+        assert conjugate(float(p)) == got_sup
+        assert biconjugate(float(p)) == got_inf
 
 
 def test_power_beyond_oracle_grid_names_the_edge():
@@ -209,16 +211,17 @@ def test_penalty_scale():
 
 
 def test_fenchel_gap_values(log_pair):
-    x = 1.7
-    assert dl.fenchel_gap(log_pair, x, log_pair.u_prime(x)) == pytest.approx(0.0, abs=1e-12)
-    assert dl.fenchel_gap(log_pair, 1.0, 2.0) == pytest.approx(1.0 - math.log(2.0), abs=1e-14)
+    # V(y) + x*y - U(x) >= 0, with equality iff y = U'(x)
+    x, y = 1.7, log_pair.u_prime(1.7)
+    assert log_pair.v(y) + x * y - log_pair.u(x) == pytest.approx(0.0, abs=1e-12)
+    assert (log_pair.v(2.0) + 1.0 * 2.0 - log_pair.u(1.0)
+            == pytest.approx(1.0 - math.log(2.0), abs=1e-14))
 
 
 @settings(max_examples=100, deadline=None)
 @given(x=st.floats(1e-3, 1e3), y=st.floats(1e-3, 1e3))
 def test_fenchel_gap_nonnegative(x, y):
-    pair = _LOG
-    assert dl.fenchel_gap(pair, x, y) >= -1e-12
+    assert _LOG.v(y) + x * y - _LOG.u(x) >= -1e-12
 
 
 @settings(max_examples=50, deadline=None)

@@ -63,7 +63,7 @@ def test_analytic_foc_residual_vanishes_at_the_jump_optimum_only(jump_model, jum
     the root of b - pi sigma^2 + gamma nu ((1 + pi gamma)^-1 - 1) = 0, and
     is not one step of the shipped fraction grid away.
 
-    Kills the mutant ``raw = raw - np.einsum(...)`` in
+    Kills the mutant ``raw = raw - (gam * adj.r.mean(axis=0)) @ ...`` in
     ``primal_foc_residual``, the jump term's sign flipped, which every
     other primal FOC test lets live: they run in no-jump markets.
     """
@@ -84,6 +84,20 @@ def test_analytic_foc_residual_vanishes_at_the_jump_optimum_only(jump_model, jum
     assert residual[pi_star - step] > 1e-3 and residual[pi_star + step] > 1e-3
 
 
+def test_foc_residual_is_scale_free_in_initial_wealth(base_model, base_ens_5k, log_pair):
+    """For log utility p1 and q1 scale as 1/x, and so does the scale
+    mean|b mean(p1)|: the normalized residual is the same at every x.
+
+    Kills the mutant ``b / p_mean`` in the scale of ``primal_foc_residual``,
+    which every other test lets live: at x = 1, mean(p1) is close to 1.
+    """
+    foc = {x: dl.solve_primal_search(base_model, log_pair, x, [2.0], base_ens_5k,
+                                     adjoint_mode="analytic").foc for x in (1.0, 4.0)}
+    assert foc[4.0]["scale"] == pytest.approx(foc[1.0]["scale"] / 4.0, rel=1e-12)
+    for key in ("mean_normalized", "max_normalized"):
+        assert foc[4.0][key] == pytest.approx(foc[1.0][key], rel=1e-9)
+
+
 def test_foc_residual_zero_drift(log_pair):
     flat = dl.MarketModel(drift=0.0, vol=0.2, horizon=1.0)
     ens = make_ensemble(flat, n_paths=20_000, seed=55)
@@ -98,16 +112,28 @@ def test_hamiltonian_derivative_vanishes_at_optimum(base_model, base_ens_50k, lo
     assert abs(deriv) <= 3 * se + 1e-10
 
 
+@pytest.mark.parametrize("pi", [0.625, 1.25, 2.0])
+def test_hamiltonian_derivative_is_the_log_objective_slope(base_model, base_ens_5k, log_pair, pi):
+    """E[ln X(T)] = ln x + (pi b - pi^2 sigma^2 / 2) T: the central difference
+    of a quadratic is its slope (b - pi sigma^2) T, and the difference of the
+    bumped payoffs is affine in B_T, so the control-variate intercept is the
+    slope to rounding.
+
+    Kills the mutants ``* (2.0 * BUMP)`` and ``2.0 / BUMP`` in the
+    difference quotient of ``hamiltonian_derivative_check``, which the sign
+    tests let live.
+    """
+    sol = dl.solve_primal_search(base_model, log_pair, 1.0, [pi], base_ens_5k)
+    deriv, se = dl.hamiltonian_derivative_check(sol)
+    slope = (base_model.drift - pi * base_model.vol**2) * base_model.horizon
+    assert deriv == pytest.approx(slope, rel=1e-9, abs=1e-14)
+    assert se < 1e-12
+
+
 def test_hamiltonian_derivative_positive_below_optimum(base_model, base_ens_50k, log_pair):
     sol = dl.solve_primal_search(base_model, log_pair, 1.0, [0.625], base_ens_50k)
     deriv, se = dl.hamiltonian_derivative_check(sol)
     assert deriv > 3 * se
-
-
-def test_hamiltonian_null_direction(base_model, base_ens_50k, log_pair):
-    sol = dl.solve_primal_search(base_model, log_pair, 1.0, [1.25], base_ens_50k)
-    deriv, se = dl.hamiltonian_derivative_check(sol, direction=0.0)
-    assert deriv == 0.0 and se == 0.0
 
 
 def test_value_monotone_in_initial_wealth(base_model, base_ens_5k, log_pair):
