@@ -9,8 +9,9 @@ implicit affine solve in p.
 
 The sweep works on contiguous per-step rows.  Like every path array, the
 state, dB, p, q and r are stored time-major, one row per step, and p, q and
-r are returned as transposed views of shape (n_paths, ...); a sweep may
-keep p at its two ends only, since each step reads p at the next step alone.
+r are returned as transposed views of shape (n_paths, ...).  A sweep may
+keep p at its two ends only, since each step reads p at the next step alone,
+and q and r as their per-step means over paths only.
 Each step's state is logged into a scratch row, and its compensated jumps
 are built from its events.
 Each step's design A is factored once by CholeskyQR2 (Fukaya, Nakatsukasa,
@@ -112,34 +113,45 @@ class AdjointTriple:
     ``mode`` records whether the channels are closed-form or regression
     estimates, since downstream tolerances differ by orders of magnitude.
 
-    A triple made by :meth:`from_ends` keeps only p(t_0) and p(T), as a
-    sweep with ``ends_only`` returns it; reading its whole ``p`` raises
-    ValueError.  :attr:`p_initial` and :attr:`p_terminal` read either form.
+    A sweep may keep a channel in part (``keep`` of
+    :func:`solve_linear_bsde`): p at its two ends only (``ends`` = (p(t_0),
+    p(T)), shape (2, n_paths)), and q and r as their per-step means over
+    paths only (``q_mean``, ``r_mean``).  Reading a channel that was not kept
+    whole raises ValueError.  :attr:`p_initial`, :attr:`p_terminal`,
+    :attr:`q_mean` (n_steps,) and :attr:`r_mean` (n_steps, n_marks) read
+    either form; a kept channel's mean is ``q.mean(axis=0)`` or
+    ``r.mean(axis=0)``, bit for bit what a sweep records for a dropped one.
     """
 
-    def __init__(self, p: np.ndarray, q: np.ndarray, r: np.ndarray, mode: str = "regression",
-                 diagnostics: dict | None = None):
-        self._p, self._ends = p, None
-        self.q, self.r, self.mode = q, r, mode
+    def __init__(self, p: np.ndarray | None, q: np.ndarray | None, r: np.ndarray | None,
+                 mode: str = "regression", diagnostics: dict | None = None, *,
+                 ends: np.ndarray | None = None, q_mean: np.ndarray | None = None,
+                 r_mean: np.ndarray | None = None):
+        self._p, self._q, self._r = p, q, r
+        self._ends, self._q_mean, self._r_mean = ends, q_mean, r_mean
+        self.mode = mode
         self.diagnostics = {} if diagnostics is None else diagnostics
 
-    @classmethod
-    def from_ends(cls, ends: np.ndarray, q: np.ndarray, r: np.ndarray, mode: str = "regression",
-                  diagnostics: dict | None = None) -> AdjointTriple:
-        """A triple that keeps the rows ``ends`` = (p(t_0), p(T)), shape
-        (2, n_paths), of p."""
-        triple = cls(None, q, r, mode, diagnostics)
-        triple._ends = ends
-        return triple
+    @staticmethod
+    def _kept(channel, name: str, partial: str) -> np.ndarray:
+        if channel is None:
+            raise ValueError(
+                f"this adjoint triple keeps {name} only {partial}; a sweep or a primal search "
+                f"with {name!r} in keep=..., or evaluate_dual_scenario for a dual, keeps "
+                f"{name} whole")
+        return channel
 
     @property
     def p(self) -> np.ndarray:
-        if self._p is None:
-            raise ValueError(
-                "this adjoint triple keeps only p(t_0) and p(T) (read p_initial and p_terminal); "
-                "solve_linear_bsde(..., ends_only=False), or evaluate_dual_scenario for a dual, "
-                "keeps every row of p")
-        return self._p
+        return self._kept(self._p, "p", "at p(t_0) and p(T) (read p_initial and p_terminal)")
+
+    @property
+    def q(self) -> np.ndarray:
+        return self._kept(self._q, "q", "as its per-step mean over paths (read q_mean)")
+
+    @property
+    def r(self) -> np.ndarray:
+        return self._kept(self._r, "r", "as its per-step mean over paths (read r_mean)")
 
     @property
     def p_initial(self) -> np.ndarray:
@@ -150,6 +162,16 @@ class AdjointTriple:
     def p_terminal(self) -> np.ndarray:
         """p(T), one value per path."""
         return self._ends[1] if self._p is None else self._p[:, -1]
+
+    @property
+    def q_mean(self) -> np.ndarray:
+        """Per-step mean of q over paths, (n_steps,)."""
+        return self._q_mean if self._q is None else self._q.mean(axis=0)
+
+    @property
+    def r_mean(self) -> np.ndarray:
+        """Per-step, per-mark mean of r over paths, (n_steps, n_marks)."""
+        return self._r_mean if self._r is None else self._r.mean(axis=0)
 
 
 def log_adjoints(grid: TimeGrid, rate: np.ndarray, process: np.ndarray, q_ratio: np.ndarray,
@@ -384,7 +406,7 @@ def solve_linear_bsde(
     driver: DriverSpec | None = None,
     state: dict | None = None,
     basis: RegressionBasis | None = None,
-    ends_only: bool = False,
+    keep: str = "pqr",
 ) -> AdjointTriple:
     """Backward sweep producing a regression-mode :class:`AdjointTriple`.
 
@@ -407,11 +429,17 @@ def solve_linear_bsde(
     inverses itself, and takes the Householder fallback, with its warning,
     in the calling thread.  The result is bit-identical to a sweep on one CPU.
 
-    Step i reads p only at i + 1.  With ``ends_only`` the sweep keeps p(t_0)
-    and p(T) and passes the steps between through a ring of two rows; the
-    triple (:meth:`AdjointTriple.from_ends`) has the same p(t_0), p(T), q, r
-    and diagnostics, bit for bit, as one with every row.
+    ``keep`` names the channels kept whole, a subset of "pqr".  Step i reads
+    p only at i + 1, so without "p" the sweep keeps p(t_0) and p(T) and
+    passes the steps between through a ring of two rows.  Without "q" (or
+    "r"), each step writes its integrand into one reused row (one row per
+    mark), which the step's p update reads, and records the row's pairwise
+    mean over paths in :attr:`AdjointTriple.q_mean` (``r_mean``).  Whatever
+    it keeps, the triple has the same p(t_0), p(T), kept channels, means and
+    diagnostics, bit for bit, as one that keeps every channel.
     """
+    if not set(keep) <= set("pqr"):
+        raise ValueError(f"keep must be a subset of 'pqr', not {keep!r}")
     terminal = np.asarray(terminal, dtype=float)
     if terminal.shape != (ensemble.n_paths,):
         raise ValueError("terminal must be a per-path vector")
@@ -427,18 +455,21 @@ def solve_linear_bsde(
     active = np.flatnonzero(lam > 0)
 
     # time-major: one contiguous row per step, returned transposed; p_rows[i]
-    # holds p at step i, with ends_only a row of p(t_0) and p(T) each and,
-    # for the steps between, a row of a ring of two
+    # holds p at step i, without "p" in keep a row of p(t_0) and p(T) each
+    # and, for the steps between, a row of a ring of two; q and r not kept
+    # are one reused row (per mark) and a mean per step
     n_paths = ensemble.n_paths
     n_steps = grid.n_steps
-    if ends_only:
-        p, ring = np.empty((2, n_paths)), np.empty((2, n_paths))
-        p_rows = [p[0], *(ring[i % 2] for i in range(1, n_steps)), p[1]]
-    else:
+    if "p" in keep:
         p = np.empty((n_steps + 1, n_paths))
         p_rows = list(p)
-    q = np.zeros((n_steps, n_paths))
-    r = np.zeros((n_steps, k, n_paths))
+    else:
+        p, ring = np.empty((2, n_paths)), np.empty((2, n_paths))
+        p_rows = [p[0], *(ring[i % 2] for i in range(1, n_steps)), p[1]]
+    q = np.zeros((n_steps if "q" in keep else 1, n_paths))
+    r = np.zeros((n_steps if "r" in keep else 1, k, n_paths))
+    q_mean = None if "q" in keep else np.empty(n_steps)
+    r_mean = None if "r" in keep else np.empty((n_steps, k))
     # the per-step work rows, allocated once per sweep
     rows = builder.scratch()
     design, q1, work, _ = rows
@@ -468,16 +499,21 @@ def solve_linear_bsde(
                 np.multiply(centered, dnt[kk], out=row)
                 row /= lam[kk]
             np.matmul(targets @ span.T, span, out=stacked)
-            q[i] = stacked[0]
-            r[i, active] = stacked[1:]
+            q_i, r_i = q[i if q_mean is None else 0], r[i if r_mean is None else 0]
+            q_i[:] = stacked[0]
+            r_i[active] = stacked[1:]
+            if q_mean is not None:
+                q_mean[i] = q_i.mean()
+            if r_mean is not None:
+                r_mean[i] = r_i.mean(axis=1)
             denom = 1.0 + dt * cp[i]
             if abs(denom) < IMPLICIT_STEP_TOL:
                 raise ValueError(f"implicit step near-singular at step {i} (denominator {denom:g})")
             # p_i = (fitted - dt * (c0 + cq q + cr . r)) / denom, the drift in p_i
-            np.multiply(q[i], cq[i], out=p_i)
+            np.multiply(q_i, cq[i], out=p_i)
             p_i += c0[i]
             if k:
-                p_i += np.matmul(cr[i], r[i], out=work)
+                p_i += np.matmul(cr[i], r_i, out=work)
             p_i *= dt
             np.subtract(fitted, p_i, out=p_i)
             p_i /= denom
@@ -498,6 +534,7 @@ def solve_linear_bsde(
         "constant_state_steps": constant_steps,
         "per_step": per_step,
     }
-    if ends_only:
-        return AdjointTriple.from_ends(p, q.T, r.transpose(2, 0, 1), diagnostics=diagnostics)
-    return AdjointTriple(p.T, q.T, r.transpose(2, 0, 1), diagnostics=diagnostics)
+    return AdjointTriple(
+        p.T if "p" in keep else None, q.T if q_mean is None else None,
+        r.transpose(2, 0, 1) if r_mean is None else None, diagnostics=diagnostics,
+        ends=None if "p" in keep else p, q_mean=q_mean, r_mean=r_mean)

@@ -253,11 +253,13 @@ def _scalar_fraction(portfolio, adjoints: str) -> float:
 
 def run_bridge_check(cfg: ExperimentConfig, out: str) -> dict:
     """Primal solve, map to the dual, dual solve, map back.  Each stage keeps
-    only what the next map reads: the product identity is taken while the
-    primal's wealth and p1 are alive, the primal solution is then let go,
-    and the forward report hands its density on to the dual solve.  The
-    robust case differs only in its closed form and saddle: its bridged
-    scenario carries the perturbation mu, which the maps transfer unchanged."""
+    only what the next map reads: the primal search keeps q1 and r1 whole
+    (``keep="pqr"``), as the map to the dual reads them path by path, the
+    product identity is taken while the primal's wealth and p1 are alive,
+    the primal solution is then let go, and the forward report hands its
+    density on to the dual solve.  The robust case differs only in its
+    closed form and saddle: its bridged scenario carries the perturbation
+    mu, which the maps transfer unchanged."""
     model, ens = _ensemble(cfg)
     section = cfg.raw.get("bridge", {})
     case = section.get("case", "merton_log")
@@ -265,12 +267,13 @@ def run_bridge_check(cfg: ExperimentConfig, out: str) -> dict:
     utility = cfg.utility()
     if case == "merton_log":
         pi_star = float(merton_log_closed_form(model).values)
-        primal = solve_primal_search(model, utility, cfg.x0, [pi_star], ens, adjoint_mode=adjoints)
+        primal = solve_primal_search(model, utility, cfg.x0, [pi_star], ens, adjoint_mode=adjoints,
+                                     keep="pqr")
     elif case == "robust_merton":
         penalty = cfg.penalty()
         pi_star, mu_star = robust_log_closed_form(model, penalty)
         primal = solve_robust_saddle(model, utility, penalty, cfg.x0, [pi_star], [mu_star], ens,
-                                     adjoint_mode=adjoints)
+                                     adjoint_mode=adjoints, keep="pqr")
     else:
         raise ConfigError(f"unknown bridge case {case!r}")
     control, y, rep_fwd = primal_to_dual(primal)

@@ -253,13 +253,13 @@ def dual_adjoints(
     control: ScenarioControl,
     mode: str,
     basis: RegressionBasis | None,
-    ends_only: bool = False,
+    keep: str = "pqr",
 ) -> AdjointTriple:
     """Dual adjoints (p2, q2, r2) of a scenario, in the market with drift
-    b + control.mu*sigma: the log closed form (analytic mode) or the
-    backward solve with terminal value -V'(G(T)), which keeps only p2(t_0)
-    and p2(T) when ``ends_only``.  p2 is the optimal wealth of the primal
-    problem.
+    b + control.mu*sigma: the log closed form (analytic mode, every channel
+    whole) or the backward solve with terminal value -V'(G(T)), which keeps
+    whole the channels in ``keep`` (:func:`~duallab.bsde.solve_linear_bsde`).
+    p2 is the optimal wealth of the primal problem.
     """
     if mode == "analytic":
         if pair.name != "log":
@@ -268,19 +268,19 @@ def dual_adjoints(
     return solve_linear_bsde(ensemble, pair.inverse_marginal(density[:, -1]),
                              driver=dual_driver(model, ensemble.grid, mu=control.mu),
                              state={"G": density, "F": lambda: pair.inverse_marginal(density)},
-                             basis=basis or RegressionBasis(channels=("G",)),
-                             ends_only=ends_only)
+                             basis=basis or RegressionBasis(channels=("G",)), keep=keep)
 
 
 def _dual_solution(model: MarketModel, ensemble: PathEnsemble, pair: UtilityPair,
                    control: ScenarioControl, adjoint_mode: str, basis: RegressionBasis | None,
                    replicate: bool, foc=None, density: np.ndarray | None = None,
-                   ends_only: bool = False, **fields) -> DualSolution:
+                   keep: str = "pqr", **fields) -> DualSolution:
     """Solution at a chosen scenario: density, adjoints, first-order residuals
     (``foc(solution)``, by default :func:`dual_foc_residual`) and, optionally,
     the replication check.  ``density`` is the scenario's density paths when
-    the caller has built them already; swept adjoints keep only p2(t_0) and
-    p2(T) when ``ends_only``.  ``fields`` carry the search results."""
+    the caller has built them already; swept adjoints keep whole the
+    channels in ``keep`` (:func:`dual_adjoints`).  ``fields`` carry the
+    search results."""
     if density is None:
         density = density_paths(ensemble, control)
     solution = DualSolution(
@@ -291,7 +291,7 @@ def _dual_solution(model: MarketModel, ensemble: PathEnsemble, pair: UtilityPair
         control=control,
         density=density,
         adjoints=dual_adjoints(model, ensemble, pair, density, control, adjoint_mode, basis,
-                               ends_only),
+                               keep),
         **fields,
     )
     solution.foc = foc(solution) if foc else dual_foc_residual(solution)
@@ -318,10 +318,13 @@ def solve_dual_search(
 
     theta0 is eliminated exactly per candidate, so the constraint residual is
     zero pointwise for every scenario evaluated.  In a no-jump market the
-    family collapses to the unique scenario.  Regression adjoints keep only
-    p2(t_0) and p2(T) (:meth:`~duallab.bsde.AdjointTriple.from_ends`), all a
-    search reads of p2; :func:`evaluate_dual_scenario` at the solution's
-    control keeps every row, for a map back to the primal.
+    family collapses to the unique scenario.  Regression adjoints keep what a
+    search reads: p2 at p2(t_0) and p2(T) only, q2 whole for the
+    replication, and r2 whole only when the replication reads it, at a step
+    with vanishing sigma (:func:`_portfolio_rows`); r2 is otherwise kept as
+    its per-step mean, all the first-order residual reads.
+    :func:`evaluate_dual_scenario` at the solution's control keeps every
+    channel, for a map back to the primal.
     """
     candidates = theta1_candidates(model, theta1_values)
     scenarios, excluded = build_scenarios(model, ensemble.grid, candidates, y, [mu])
@@ -332,9 +335,10 @@ def solve_dual_search(
         ensemble.n_paths, size=np.array([float(np.linalg.norm(c)) for c in candidates]),
         what="scenario candidates",
     )
+    reads_r2 = replicate and np.any(np.abs(model.vol_on(ensemble.grid)) < DEGENERATE_VOL)
     return _dual_solution(
         model, ensemble, pair, scenarios[search.best], adjoint_mode, basis, replicate,
-        ends_only=True, theta1_values=[np.asarray(c).tolist() for c in candidates],
+        keep="qr" if reads_r2 else "q", theta1_values=[np.asarray(c).tolist() for c in candidates],
         excluded=excluded, **search.fields(),
     )
 
@@ -352,8 +356,8 @@ def evaluate_dual_scenario(
     """Dual solution object for one given scenario (no search).
 
     Used by the bridge round trips, which hand back a fully determined
-    scenario rather than a candidate family; the adjoints keep every row of
-    p2, which the map back reads.  ``density`` may pass the
+    scenario rather than a candidate family; the adjoints keep every channel
+    whole, as the map back reads p2 and q2.  ``density`` may pass the
     scenario's paths, ``density_paths(ensemble, control)``, when they are
     built already (a primal-to-dual report keeps them); they are not rebuilt.
     ValueError if their shape is not (n_paths, n_steps+1) or G(0) is not
@@ -391,8 +395,7 @@ def dual_foc_residual(solution: DualSolution) -> dict:
     gam = model.jump_sizes_on(grid)
     adj = solution.adjoints
     live = np.abs(s) >= DEGENERATE_VOL
-    q_mean = adj.q.mean(axis=0)
-    r_mean = adj.r.mean(axis=0)
+    q_mean, r_mean = adj.q_mean, adj.r_mean
     raw = np.zeros((grid.n_steps, k))
     raw[live] = -(q_mean[live] / s[live])[:, None] * gam[live] + r_mean[live]
     scale = float(np.mean(np.abs(r_mean[live]))) if r_mean[live].size else 0.0

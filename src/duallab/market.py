@@ -455,7 +455,9 @@ def _log_increments(dest, ensemble: PathEnsemble, cols, drift, diff, ratio) -> N
         # one 2-D product over every (step, path): a stacked matmul rounds differently
         k = ratio.shape[-1]
         dt_term -= (ratio.reshape(-1, k) @ ensemble.model.intensities).reshape(dt_term.shape)
-    dest += dt_term * ensemble.grid.dt
+    # scaled in place, then added: no block-sized temporary
+    dt_term *= ensemble.grid.dt
+    dest += dt_term
     if ratio.size:
         _add_jumps(dest, ensemble, cols, ratio)
 
@@ -475,6 +477,8 @@ def _add_jumps(dest, ensemble: PathEnsemble, cols, ratio) -> None:
 def _accumulate(ln: np.ndarray, x0: float) -> None:
     """Turn log increments into x0 * exp(cumulative sum) down each column, in place."""
     np.cumsum(ln, axis=0, out=ln)
+    # on a block of columns (a strided view) numpy takes a buffer of the
+    # block's size for the exponential: one block-sized temporary per block
     np.exp(ln, out=ln)
     ln *= x0
 

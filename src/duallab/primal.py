@@ -113,11 +113,14 @@ def primal_adjoints(
     mu,
     mode: str,
     basis: RegressionBasis | None,
+    keep: str = "pqr",
 ) -> AdjointTriple:
     """Primal adjoints (p1, q1, r1) at a constant fraction, in the market with
-    drift b + mu*sigma: the log closed form (analytic mode) or the
-    martingale representation of U'(X(T)) by regression.  p1 is the optimal
-    density of the dual problem.
+    drift b + mu*sigma: the log closed form (analytic mode, every channel
+    whole) or the martingale representation of U'(X(T)) by regression, which
+    keeps whole the channels in ``keep``
+    (:func:`~duallab.bsde.solve_linear_bsde`).  p1 is the optimal density of
+    the dual problem.
     """
     if mode == "analytic":
         if utility.name != "log":
@@ -125,7 +128,7 @@ def primal_adjoints(
         return analytic_log_adjoints(model, ensemble, wealth, pi, mu=mu)
     return solve_linear_bsde(ensemble, utility.u_prime(wealth[:, -1]),
                              state={"X": wealth, "F": lambda: utility.u_prime(wealth)},
-                             basis=basis or RegressionBasis(channels=("X",)))
+                             basis=basis or RegressionBasis(channels=("X",)), keep=keep)
 
 
 def solve_primal_search(
@@ -137,12 +140,17 @@ def solve_primal_search(
     mu=None,
     adjoint_mode: str = "regression",
     basis: RegressionBasis | None = None,
+    keep: str = "p",
 ) -> PrimalSolution:
     """Grid search over constant fractions, sharing one ensemble across candidates.
 
     Ties are broken toward smaller |pi|.  Candidates that violate
     1 + pi*gamma > 0 are excluded and reported.  The winner gets adjoints from
     the martingale representation of U'(X(T)) (or the log closed form).
+    Regression adjoints keep whole the channels in ``keep``: by default p1
+    only, with q1 and r1 as their per-step means, all the first-order
+    residual reads; a map to the dual (:func:`~duallab.bridge.primal_to_dual`)
+    reads q1 and r1 path by path and needs ``keep="pqr"``.
     """
     pi_values = np.asarray(list(pi_values), dtype=float)
     admissible = fraction_admissible(model, ensemble.grid, pi_values)
@@ -162,17 +170,18 @@ def solve_primal_search(
     )
     return _primal_solution(
         model, ensemble, utility, x0, float(pi_values[search.best]), mu, adjoint_mode, basis,
-        pi_values=pi_values, excluded=excluded, **search.fields(),
+        keep=keep, pi_values=pi_values, excluded=excluded, **search.fields(),
     )
 
 
 def _primal_solution(model: MarketModel, ensemble: PathEnsemble, utility: UtilityPair, x0: float,
                      pi: float, mu, adjoint_mode: str, basis: RegressionBasis | None, foc=None,
-                     **fields) -> PrimalSolution:
+                     keep: str = "pqr", **fields) -> PrimalSolution:
     """Solution at a chosen constant fraction, in the market with drift
-    b + mu*sigma: wealth, adjoints and first-order residuals
-    (``foc(solution)``, by default :func:`primal_foc_residual`).  ``fields``
-    carry the search results."""
+    b + mu*sigma: wealth, adjoints keeping whole the channels in ``keep``
+    (:func:`primal_adjoints`) and first-order residuals (``foc(solution)``,
+    by default :func:`primal_foc_residual`).  ``fields`` carry the search
+    results."""
     strategy = Strategy.fraction(pi)
     wealth = wealth_paths(model, ensemble, strategy, x0, mu=mu)
     solution = PrimalSolution(
@@ -184,7 +193,8 @@ def _primal_solution(model: MarketModel, ensemble: PathEnsemble, utility: Utilit
         strategy=strategy,
         mu=mu,
         wealth=wealth,
-        adjoints=primal_adjoints(model, ensemble, utility, wealth, pi, mu, adjoint_mode, basis),
+        adjoints=primal_adjoints(model, ensemble, utility, wealth, pi, mu, adjoint_mode, basis,
+                                 keep),
         **fields,
     )
     solution.foc = foc(solution) if foc else primal_foc_residual(solution)
@@ -205,11 +215,10 @@ def primal_foc_residual(solution: PrimalSolution) -> dict:
     b = model.drift_on(grid, solution.mu)
     s = model.vol_on(grid)
     p_mean = adj.p[:, :-1].mean(axis=0)
-    q_mean = adj.q.mean(axis=0)
-    raw = b * p_mean + s * q_mean
+    raw = b * p_mean + s * adj.q_mean
     if model.n_marks:
         gam = model.jump_sizes_on(grid)
-        raw = raw + (gam * adj.r.mean(axis=0)) @ model.intensities
+        raw = raw + (gam * adj.r_mean) @ model.intensities
     return interior_summary(raw, float(np.mean(np.abs(b * p_mean))))
 
 

@@ -72,13 +72,16 @@ def solve_robust_saddle(
     ensemble: PathEnsemble,
     adjoint_mode: str = "regression",
     basis: RegressionBasis | None = None,
+    keep: str = "p",
 ) -> PrimalSolution:
     """Payoff matrix I(pi, mu) = E[U(X(T))] + integral rho(mu) over the grids.
 
     A pure saddle is a cell that is the maximum of its column (over pi) and
     the minimum of its row (over mu); ties break toward smaller |pi| then
     smaller |mu|.  When no pure cell exists, the minimax cell is returned and
-    the minimax-maximin gap reported.
+    the minimax-maximin gap reported.  Regression adjoints keep whole the
+    channels in ``keep``, as in :func:`~duallab.primal.solve_primal_search`:
+    by default p1 only, which the penalty residual reads pathwise against X.
     """
     grid = ensemble.grid
     pi_values = np.asarray(list(pi_values), dtype=float)
@@ -119,7 +122,7 @@ def solve_robust_saddle(
 
     return _primal_solution(
         model, ensemble, utility, x0, float(pi_values[jp]), float(mu_values[jm]), adjoint_mode,
-        basis, foc=robust_primal_foc_residuals, penalty=penalty, pi_values=pi_values,
+        basis, foc=robust_primal_foc_residuals, keep=keep, penalty=penalty, pi_values=pi_values,
         mu_values=mu_values, payoff=payoff, payoff_se=payoff_se, is_saddle=is_saddle, gap=gap,
         minimax=minimax, maximin=maximin, excluded=excluded,
         **search.fields(np.ravel_multi_index((jp, jm), shape)),
@@ -160,8 +163,9 @@ def solve_robust_dual(
     theta0 is eliminated through the perturbed constraint per candidate, so
     every scenario satisfies it pointwise.  The solution is a
     :class:`DualSolution` with ``penalty`` set and ``mu`` the optimal
-    perturbation.  Regression adjoints keep only p2(t_0) and p2(T), as in
-    :func:`~duallab.dual.solve_dual_search`.
+    perturbation.  Regression adjoints keep p2 at p2(t_0) and p2(T) only and
+    r2 as its per-step mean, as in :func:`~duallab.dual.solve_dual_search`,
+    and q2 whole, which the penalty residual reads pathwise against G.
     """
     grid = ensemble.grid
     mu_values = np.asarray(list(mu_values), dtype=float)
@@ -179,7 +183,7 @@ def solve_robust_dual(
     )
     return _dual_solution(
         model, ensemble, pair, scenarios[search.best], adjoint_mode, basis, replicate=False,
-        ends_only=True, foc=robust_dual_foc_residuals, penalty=penalty,
+        keep="q", foc=robust_dual_foc_residuals, penalty=penalty,
         theta1_values=[np.asarray(c).tolist() for c in candidates], excluded=excluded,
         **search.fields(),
     )

@@ -8,8 +8,10 @@ exponentiates and scales them there, so its peak allocation is the output
 plus at most one (n_paths, n_steps) temporary.  A candidate search evaluates
 every block of candidates into the same two block-sized buffers.  The
 backward sweep allocates p, q and r, plus per-step rows: it logs each step's
-state into a row and reads dB's own rows; a dual search keeps only p's first
-and last rows.  The terminal design sums the drivers
+state into a row and reads dB's own rows; a search keeps q and r as one
+reused row (per mark) and a mean per step where no reader takes them path by
+path, and a dual search keeps only p's first and last rows.  The terminal
+design sums the drivers
 into its own columns.  The replication of a dual solve forms the portfolio
 one step at a time and keeps two Euler wealth rows, so it allocates a few
 rows per path range and no (n_paths, n_steps) array.  A bridge check lets
@@ -148,12 +150,13 @@ def test_forward_peak_is_output_plus_one_array(one_mark, case):
     assert out.shape == (N_PATHS, N_STEPS + 1)
     assert peak <= out.nbytes + N_PATHS * N_STEPS * 8 + FIXED_SLACK
     if case == "wealth_path_blocks":
-        # the output, the fill's three work arrays and two block-sized
-        # temporaries (the scaled dt-term and the buffer of the in-place
-        # exponential), each of at most FILL_BLOCK_BYTES; the admissibility
-        # pre-pass's block buffer is freed before they are allocated.  No
-        # (n_paths, n_steps) array: that is 12 FILL_BLOCK_BYTES here
-        assert peak <= out.nbytes + 5 * market.FILL_BLOCK_BYTES + FIXED_SLACK
+        # the output, the fill's three work arrays and one block-sized
+        # temporary (the buffer of the in-place exponential on the strided
+        # block), each of at most FILL_BLOCK_BYTES; the dt-term is scaled in
+        # place, and the admissibility pre-pass's block buffer is freed
+        # before they are allocated.  No (n_paths, n_steps) array: that is
+        # 12 FILL_BLOCK_BYTES here
+        assert peak <= out.nbytes + 4 * market.FILL_BLOCK_BYTES + FIXED_SLACK
 
 
 def test_sweep_peak_is_outputs_plus_step_rows(one_mark):
@@ -172,11 +175,39 @@ def test_sweep_peak_is_outputs_plus_step_rows(one_mark):
     assert peak <= triple.p.nbytes + triple.q.nbytes + triple.r.nbytes + budget
 
 
+@pytest.mark.parametrize("keep", ["", "p", "q", "qr"])
+@pytest.mark.parametrize("n_marks", [0, 1, 2])
+def test_sweep_keeping_means_drops_all_but_a_row_of_each_channel(n_marks, keep):
+    # the same sweep keeping every channel whole, less what ``keep`` leaves
+    # out: p but for its two ends and a ring of two rows, and q and r but
+    # for one reused row (per mark); the per-step means and the rounding of
+    # tracemalloc's counts take a few KB, a row 16 KB
+    model = dl.MarketModel(drift=0.1, vol=0.2, jump_marks=(0.1, -0.2)[:n_marks],
+                           jump_intensities=(1.0, 3.0)[:n_marks], horizon=1.0)
+    ens = dl.simulate_drivers(model, dl.TimeGrid(N_STEPS, 1.0), N_PATHS, seed=7)
+    wealth = dl.wealth_paths(model, ens, dl.Strategy.fraction(0.5), 1.0)
+
+    def sweep(kept):
+        return dl.solve_linear_bsde(
+            ens, 1.0 / wealth[:, -1], driver=dl.DriverSpec(q_coeff=0.25, r_coeff=0.1),
+            state={"X": wealth}, basis=dl.RegressionBasis(channels=("X",)), keep=kept)
+
+    peaks = {}
+    for kept in ("pqr", keep):
+        sweep(kept)
+        peaks[kept] = _peak(lambda: sweep(kept))[0]
+    row = N_PATHS * 8
+    dropped = ((0 if "p" in keep else N_STEPS + 1 - 4) + (0 if "q" in keep else N_STEPS - 1)
+               + (0 if "r" in keep else (N_STEPS - 1) * n_marks)) * row
+    assert peaks[keep] <= peaks["pqr"] - dropped + 8 * 2**10
+
+
 def test_dual_search_peak_is_its_solution_plus_step_rows(one_mark):
     # a regression dual search keeps p2(t_0) and p2(T), and passes the steps
-    # between through a ring of two rows: its peak is the density, q2 and r2
-    # it returns plus the sweep's per-step rows, one path array below a
-    # search that keeps p2 whole
+    # between through a ring of two rows, and keeps r2 as one reused row per
+    # mark and a mean per step: its peak is the density and q2 it returns
+    # plus the sweep's per-step rows, two path arrays below a search that
+    # keeps p2 and r2 whole
     model, priced = one_mark
     ens = dl.simulate_drivers(model, priced.grid, N_PATHS, seed=7)
     pair = dl.make_log_utility()
@@ -189,11 +220,33 @@ def test_dual_search_peak_is_its_solution_plus_step_rows(one_mark):
     search()
     peak, sol = _peak(search)
     adj = sol.adjoints
+    # the sweep's rows, as in test_sweep_peak_is_outputs_plus_step_rows, the
+    # four rows of p and the reused row of r per mark
+    rows = model.n_marks + 16 + 4 + model.n_marks
+    assert peak <= sol.density.nbytes + adj.q.nbytes + rows * N_PATHS * 8 + FIXED_SLACK
+
+
+@pytest.mark.parametrize("n_marks", [0, 1])
+def test_primal_search_peak_is_its_wealth_and_p1_plus_step_rows(n_marks):
+    # a regression primal search keeps p1 whole, which the robust residual
+    # reads against X, and q1 and r1 as one reused row (per mark) and a mean
+    # per step: its peak is the wealth and p1 it returns plus the sweep's
+    # per-step rows, with no q1 (one path array) and no r1 (one per mark)
+    model = dl.MarketModel(drift=0.1, vol=0.2, jump_marks=(0.1,)[:n_marks],
+                           jump_intensities=(1.0,)[:n_marks], horizon=1.0)
+    ens = dl.simulate_drivers(model, dl.TimeGrid(N_STEPS, 1.0), N_PATHS, seed=7)
+    pair = dl.make_log_utility()
+
+    def search():
+        return dl.solve_primal_search(model, pair, 1.0, np.linspace(0.0, 1.0, 5), ens)
+
+    search()
+    peak, sol = _peak(search)
+    adj = sol.adjoints
     # the sweep's rows, as in test_sweep_peak_is_outputs_plus_step_rows, and
-    # the four rows of p
-    rows = model.n_marks + 16 + 4
-    assert peak <= sol.density.nbytes + adj.q.nbytes + adj.r.nbytes + rows * N_PATHS * 8 \
-        + FIXED_SLACK
+    # the reused rows of q and r
+    rows = model.n_marks + 16 + 1 + model.n_marks
+    assert peak <= sol.wealth.nbytes + adj.p.nbytes + rows * N_PATHS * 8 + FIXED_SLACK
 
 
 @pytest.mark.parametrize("n_marks", [0, 1, 2])

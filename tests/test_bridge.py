@@ -13,8 +13,9 @@ from conftest import make_ensemble
 
 
 def merton_primal(base_model, ens, log_pair, mode="analytic"):
+    # the map to the dual reads q1 and r1 path by path: the search keeps them
     return dl.solve_primal_search(base_model, log_pair, 1.0, [1.25], ens,
-                                  adjoint_mode=mode)
+                                  adjoint_mode=mode, keep="pqr")
 
 
 def test_primal_to_dual_analytic(base_model, base_ens_5k, log_pair):
@@ -63,7 +64,7 @@ def test_dual_hand_off_refuses_density_paths_that_are_not_the_scenarios(base_mod
 
 def robust_bridge(base_model, ens, log_pair, quad_penalty, mode="analytic"):
     primal = dl.solve_robust_saddle(base_model, log_pair, quad_penalty, 1.0, [0.625], [-0.125],
-                                    ens, adjoint_mode=mode)
+                                    ens, adjoint_mode=mode, keep="pqr")
     return dl.robust_primal_to_dual(primal)
 
 
@@ -81,7 +82,9 @@ def test_bridged_robust_scenario_evaluates_like_the_robust_dual_at_its_mu(
                                     adjoint_mode=mode)
     assert evaluated.density is density
     assert np.array_equal(evaluated.density, searched.density)
-    for name in ("p_initial", "p_terminal", "q", "r"):
+    # a regression search keeps r2 as its per-step mean only
+    kept = ("q", "r") if mode == "analytic" else ("q",)
+    for name in ("p_initial", "p_terminal", "q_mean", "r_mean", *kept):
         assert np.array_equal(getattr(evaluated.adjoints, name), getattr(searched.adjoints, name))
     assert evaluated.mu == searched.mu == mu
     # a regression search keeps p2's ends only: its scenario maps back once
@@ -129,7 +132,7 @@ def test_primal_to_dual_regression_tolerance(base_model, base_ens_50k, log_pair)
     # marginal-utility channel put the conditional expectation in the span
     basis = dl.RegressionBasis(degree=1, channels=("F",), transform="raw")
     sol = dl.solve_primal_search(base_model, log_pair, 1.0, [1.25], base_ens_50k,
-                                 adjoint_mode="regression", basis=basis)
+                                 adjoint_mode="regression", basis=basis, keep="pqr")
     control, y, report = dl.primal_to_dual(sol)
     assert report["process_link"]["max_rel"] < 0.05
     assert report["constraint"]["max_abs"] <= 1e-12
@@ -229,7 +232,7 @@ def test_robust_primal_to_dual_regression_tolerance(base_model, base_ens_50k,
                                                     log_pair, quad_penalty):
     basis = dl.RegressionBasis(degree=1, channels=("F",), transform="raw")
     sol = dl.solve_robust_saddle(base_model, log_pair, quad_penalty, 1.0,
-                                 [0.625], [-0.125], base_ens_50k, basis=basis)
+                                 [0.625], [-0.125], base_ens_50k, basis=basis, keep="pqr")
     control, mu, y, report = dl.robust_primal_to_dual(sol)
     assert report["process_link"]["max_rel"] < 0.05
 
@@ -338,6 +341,21 @@ def test_maps_back_refuse_a_search_that_kept_p2_ends_only(base_model, base_ens_5
         dual = dl.solve_dual_search(base_model, log_pair, 1.0, base_ens_5k, replicate=False)
     with pytest.raises(ValueError, match="evaluate_dual_scenario"):
         getattr(dl, entry)(dual)
+
+
+@pytest.mark.parametrize("robust", [False, True])
+def test_map_to_the_dual_refuses_a_search_that_kept_q1_as_means(base_model, base_ens_5k,
+                                                                log_pair, quad_penalty, robust):
+    # a regression primal search keeps q1 and r1 as per-step means; the map
+    # to the dual reads q1/p1 path by path
+    if robust:
+        sol = dl.solve_robust_saddle(base_model, log_pair, quad_penalty, 1.0, [0.625], [-0.125],
+                                     base_ens_5k)
+    else:
+        sol = dl.solve_primal_search(base_model, log_pair, 1.0, [1.25], base_ens_5k)
+    assert sol.adjoints.q_mean.shape == (base_ens_5k.grid.n_steps,)
+    with pytest.raises(ValueError, match="'q' in keep"):
+        dl.primal_to_dual(sol)
 
 
 @pytest.mark.parametrize("mean, dev, refused", [(0.5, 1.5e-9, True), (4.0, 3e-9, False),

@@ -130,6 +130,18 @@ def test_rank_deficient_state_warns_but_fits(base_model, base_ens_5k):
     assert np.all(np.isfinite(triple.p))
 
 
+def test_a_state_rank_deficient_at_the_first_step_past_t0_warns(base_ens_5k):
+    # two values across the paths at t_1: the degree-2 design has rank 2 of
+    # 3 there, which is warned about at every step but t_0 (kills the
+    # mutant ``warn=i > 1 and not constant`` of the sweep)
+    s = base_ens_5k.channel("S").copy()
+    s[:, 1] = np.where(np.arange(base_ens_5k.n_paths) % 2, 1.0, 2.0)
+    with pytest.warns(RuntimeWarning, match="rank 2 of 3"):
+        triple = dl.solve_linear_bsde(base_ens_5k, s[:, -1], state={"S": s})
+    assert triple.diagnostics["rank_deficient"]
+    assert [st["rank"] for st in triple.diagnostics["per_step"]].count(2) == 1
+
+
 def test_constant_state_is_counted_not_warned(base_ens_5k):
     # a deterministic state has rank 1 by construction at every step
     n_steps = base_ens_5k.grid.n_steps

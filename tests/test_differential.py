@@ -401,23 +401,74 @@ def test_ends_only_sweep_is_the_all_rows_sweep_at_its_ends(jump_model, jump_ens_
     with mock.patch("os.sched_getaffinity", return_value=set(range(n_cpus))), \
             mock.patch("threading.Thread", wraps=threading.Thread) as started:
         whole = dl.solve_linear_bsde(*args, **kwargs)
-        ends = dl.solve_linear_bsde(*args, ends_only=True, **kwargs)
+        ends = dl.solve_linear_bsde(*args, keep="qr", **kwargs)
     assert started.call_count == 2 * threaded
     assert np.array_equal(ends.p_initial, whole.p[:, 0])
     assert np.array_equal(ends.p_terminal, whole.p[:, -1])
     assert np.array_equal(ends.q, whole.q) and np.array_equal(ends.r, whole.r)
     assert np.max(np.abs(ends.r)) > 0
     assert ends.diagnostics == whole.diagnostics
-    with pytest.raises(ValueError, match=r"keeps only p\(t_0\) and p\(T\)"):
+    with pytest.raises(ValueError, match=r"keeps p only at p\(t_0\) and p\(T\)"):
         ends.p
+
+
+@pytest.mark.parametrize("n_cpus", [1, 3])
+@pytest.mark.parametrize("n_marks", [0, 1, 2])
+def test_sweep_keeping_means_is_the_keep_all_sweep(n_marks, n_cpus):
+    """Sweeps that keep q or r as per-step means, or p at its ends, against
+    the sweep that keeps every channel whole, with a driver in every
+    coefficient: p(t_0), p(T), every kept channel and the diagnostics bit
+    for bit, and the means bit for bit q.mean(axis=0) and r.mean(axis=0) of
+    the keep-all sweep; inline on one CPU and with the factors computed
+    ahead in a thread on three.  20k paths: more than one of numpy's 8,192-
+    element reduction blocks per mean.  The keep-all sweep matches the
+    ``lstsq`` sweep, which takes every driver term, the constant too: kills
+    the mutants ``p_i -= c0[i]`` and ``p_i *= denom`` of the step update,
+    which no other test's driver reaches."""
+    model = dl.MarketModel(drift=0.1, vol=0.2, jump_marks=(0.1, -0.2)[:n_marks],
+                           jump_intensities=(1.0, 3.0)[:n_marks], horizon=1.0)
+    ens = make_ensemble(model, n_steps=20, n_paths=20_000, seed=113 + n_marks)
+    s = ens.channel("S")
+    args = (ens, 1.0 / s[:, -1])
+    kwargs = {"driver": dl.DriverSpec(constant=0.01, p_coeff=-0.05, q_coeff=0.25, r_coeff=0.1),
+              "state": {"S": s}}
+    keeps = ("", "p", "q", "r", "qr")
+    with mock.patch("os.sched_getaffinity", return_value=set(range(n_cpus))), \
+            mock.patch.object(bsde, "SWEEP_THREAD_MIN_PATHS", 4_096), \
+            mock.patch("threading.Thread", wraps=threading.Thread) as started:
+        whole = dl.solve_linear_bsde(*args, **kwargs)
+        partial = {keep: dl.solve_linear_bsde(*args, keep=keep, **kwargs) for keep in keeps}
+    assert started.call_count == (1 + len(keeps)) * (n_cpus > 1)
+    _assert_sweep_matches(whole, oracles.solve_linear_bsde(*args, **kwargs))
+    q_mean, r_mean = whole.q.mean(axis=0), whole.r.mean(axis=0)
+    assert q_mean.shape == (20,) and r_mean.shape == (20, n_marks)
+    assert np.array_equal(whole.q_mean, q_mean) and np.array_equal(whole.r_mean, r_mean)
+    assert np.all(q_mean != 0) and np.all(r_mean != 0)
+    for keep, triple in partial.items():
+        assert np.array_equal(triple.p_initial, whole.p[:, 0]), keep
+        assert np.array_equal(triple.p_terminal, whole.p[:, -1]), keep
+        assert np.array_equal(triple.q_mean, q_mean), keep
+        assert np.array_equal(triple.r_mean, r_mean), keep
+        assert triple.diagnostics == whole.diagnostics, keep
+        for name in "pqr":
+            if name in keep:
+                assert np.array_equal(getattr(triple, name), getattr(whole, name)), (keep, name)
+            else:
+                with pytest.raises(ValueError, match=rf"{name!r} in keep"):
+                    getattr(triple, name)
+
+
+def test_sweep_refuses_an_unknown_channel_to_keep(base_ens_5k):
+    with pytest.raises(ValueError, match="subset of 'pqr'"):
+        dl.solve_linear_bsde(base_ens_5k, np.ones(base_ens_5k.n_paths), keep="pqx")
 
 
 @pytest.mark.parametrize("robust", [False, True])
 def test_dual_search_keeps_the_ends_of_its_evaluated_scenario(jump_model, jump_ens_50k, log_pair,
                                                               quad_penalty, robust):
-    """A regression dual search keeps p2's ends only; they, q2, r2 and the
-    first-order residuals are those of the all-rows evaluation of the
-    scenario it found, bit for bit."""
+    """A regression dual search keeps p2's ends and r2's per-step means only;
+    they, q2 and the first-order residuals are those of the all-channels
+    evaluation of the scenario it found, bit for bit."""
     if robust:
         sol = dl.solve_robust_dual(jump_model, log_pair, quad_penalty, 1.0, jump_ens_50k,
                                    mu_values=[-0.2, -0.15], theta1_values=[-0.15, -0.1])
@@ -426,13 +477,16 @@ def test_dual_search_keeps_the_ends_of_its_evaluated_scenario(jump_model, jump_e
                                    theta1_values=JUMP_THETA1, replicate=False)
     whole = dl.evaluate_dual_scenario(jump_model, log_pair, sol.control, jump_ens_50k)
     assert np.array_equal(sol.density, whole.density)
-    for name in ("p_initial", "p_terminal", "q", "r"):
+    for name in ("p_initial", "p_terminal", "q", "q_mean", "r_mean"):
         assert np.array_equal(getattr(sol.adjoints, name), getattr(whole.adjoints, name))
+    assert np.array_equal(sol.adjoints.r_mean, whole.adjoints.r.mean(axis=0))
+    assert np.max(np.abs(sol.adjoints.r_mean)) > 0
     assert sol.adjoints.diagnostics == whole.adjoints.diagnostics
     foc = dl.dual.dual_foc_residual(sol)
     assert all(np.array_equal(foc[key], value) for key, value in whole.foc.items())
-    with pytest.raises(ValueError, match="evaluate_dual_scenario"):
-        sol.adjoints.p
+    for name in ("p", "r"):
+        with pytest.raises(ValueError, match="evaluate_dual_scenario"):
+            getattr(sol.adjoints, name)
 
 
 def test_sweep_matches_lstsq_on_collinear_state(base_model, base_ens_5k):

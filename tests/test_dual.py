@@ -86,7 +86,10 @@ def test_jump_foc_vacuous_without_marks(base_model, base_ens_5k, log_pair):
     sol = dl.solve_dual_search(base_model, log_pair, 1.0, base_ens_5k,
                                adjoint_mode="analytic", replicate=False)
     assert sol.foc["raw"].size == 0
-    assert sol.foc["max_normalized"] == 0.0
+    assert sol.foc["max_normalized"] == sol.foc["mean_normalized"] == 0.0
+    # no r2 to take a magnitude of: the scale is zero, not a default of one
+    # (kills the mutant ``... if r_mean[live].size else 1.0``)
+    assert sol.foc["scale"] == 0.0
 
 
 def test_replicating_portfolio_is_merton_strategy(base_model, base_ens_50k, log_pair):
@@ -251,3 +254,31 @@ def test_jump_branch_driver_is_b_times_the_fitted_exposure(log_pair):
         assert np.max(np.abs(r[:, 0] / r[:, 1] - model.jump_marks[0] / model.jump_marks[1])) > 0.1
         held = exposure(i, None, slice(0, ens.n_paths), np.empty(ens.n_paths))
         np.testing.assert_allclose(r @ r_coeff[i], b[i] * held, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("replicate", [True, False])
+def test_regression_dual_search_keeps_r2_where_the_replication_reads_it(log_pair, replicate):
+    """A regression dual search keeps r2 whole only when its replication reads
+    it, at a step with sigma = 0 (sigma = 0 on [0.3, 0.6) with two live
+    marks); otherwise it keeps r2's per-step means.  Its replication and
+    first-order residuals are those of the all-channels evaluation of the
+    scenario it found, bit for bit."""
+    model = dl.MarketModel(drift=0.05, vol=lambda t: 0.0 if 0.3 <= t < 0.6 else 0.2,
+                           jump_marks=(0.1, -0.2), jump_intensities=(1.0, 0.5))
+    ens = make_ensemble(model, n_steps=20, n_paths=2_000, seed=67)
+    sol = dl.solve_dual_search(model, log_pair, 1.0, ens,
+                               theta1_values=[[-0.3, 0.2], [-0.2, 0.1], [-0.1, 0.0]],
+                               adjoint_mode="regression", replicate=replicate)
+    whole = dl.evaluate_dual_scenario(model, log_pair, sol.control, ens,
+                                      adjoint_mode="regression", replicate=replicate)
+    assert sol.replication == whole.replication
+    assert (sol.replication is not None) == replicate
+    assert sol.foc.keys() == whole.foc.keys()
+    assert all(np.array_equal(sol.foc[key], value) for key, value in whole.foc.items())
+    assert np.array_equal(sol.adjoints.r_mean, whole.adjoints.r.mean(axis=0))
+    if replicate:
+        assert np.array_equal(sol.adjoints.r, whole.adjoints.r)
+        assert np.max(np.abs(sol.adjoints.r)) > 0
+    else:
+        with pytest.raises(ValueError, match="read r_mean"):
+            sol.adjoints.r

@@ -316,7 +316,8 @@ def test_every_path_array_is_a_view_of_time_major_rows(jump_model, log_pair):
         "Euler density": dl.density_paths(ens, control, scheme="euler"),
     }
     for mode in ("analytic", "regression"):
-        primal = dl.solve_primal_search(jump_model, log_pair, 1.0, [0.5], ens, adjoint_mode=mode)
+        primal = dl.solve_primal_search(jump_model, log_pair, 1.0, [0.5], ens, adjoint_mode=mode,
+                                        keep="pqr")
         dual_sol = dl.evaluate_dual_scenario(jump_model, log_pair, control, ens, adjoint_mode=mode)
         for side, adj in (("primal", primal.adjoints), ("dual", dual_sol.adjoints)):
             arrays.update({f"{mode} {side} {c}": getattr(adj, c) for c in "pqr"})
