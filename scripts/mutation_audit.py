@@ -60,14 +60,20 @@ DEFAULT_TARGETS = (
 
 # the test files run first, so that most mutants die within seconds; the
 # other files of Tier-1 follow in name order
-FIRST = ("tests/test_market.py", "tests/test_bridge.py", "tests/test_allocation.py",
-         "tests/test_threads.py", "tests/test_differential.py")
+FIRST = ("tests/test_config_cli.py", "tests/test_market.py", "tests/test_bridge.py",
+         "tests/test_allocation.py", "tests/test_threads.py", "tests/test_differential.py")
 
 # mutant key -> why no test can tell it from the original
 _BLOCK_SIZE = ("changes only how many paths a block holds; the fill is bit-identical for any "
                "block size, and the block stays within FILL_BLOCK_BYTES")
 _NEGATIVE_SIZE = "numpy reads any negative size in a reshape as the inferred one"
+_VALIDATED_DEFAULT = ("validation only checks the field and discards the value, where any positive "
+                      "default passes; a run reads the field through its own method and default")
 EQUIVALENT: dict[str, str] = {
+    "config.validate_config: `_number(market, 's0', 'market', positive=True, default=1.0)` -> "
+    "`_number(market, 's0', 'market', positive=True, default=2.0)`": _VALIDATED_DEFAULT,
+    "config.validate_config: `_number(penalty, 'scale', 'penalty', positive=True, default=1.0)` "
+    "-> `_number(penalty, 'scale', 'penalty', positive=True, default=2.0)`": _VALIDATED_DEFAULT,
     "market._exp_paths: `max(1, FILL_BLOCK_BYTES // (8 * n_steps * max(1, k)))` -> "
     "`max(2, FILL_BLOCK_BYTES // (8 * n_steps * max(1, k)))`":
         "differs only where one path's coefficients exceed FILL_BLOCK_BYTES (n_steps * marks > "

@@ -28,7 +28,7 @@ from .bridge import (
     primal_to_dual,
     verify_product_identity,
 )
-from .config import PRIMAL_GRID, ConfigError, ExperimentConfig, read_config, validate_config
+from .config import ConfigError, ExperimentConfig, read_config, validate_config
 from .dual import evaluate_dual_scenario, solve_dual_search, unique_scenario_no_jumps
 from .market import (
     TimeGrid,
@@ -43,23 +43,28 @@ from .primal import hamiltonian_derivative_check, merton_log_closed_form, solve_
 from .robust import robust_log_closed_form, solve_robust_saddle
 
 
-def _write_json(path: str, payload: dict, cfg_hash: str) -> None:
-    payload = {"config_hash": cfg_hash, **payload}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+def _write(path: str, content, cfg_hash: str) -> None:
+    """Write one output file stamped with the config hash: a mapping as JSON,
+    the hash among its keys; a (header, rows) table as CSV under a
+    ``# config_hash=`` line; a callable writes the file itself, given the
+    path and that line's text."""
+    if isinstance(content, dict):
+        with open(path, "w") as fh:
+            json.dump({"config_hash": cfg_hash, **content}, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+    elif callable(content):
+        content(path, header_comment=f"config_hash={cfg_hash}")
+    else:
+        header, rows = content
+        with open(path, "w", newline="") as fh:
+            fh.write(f"# config_hash={cfg_hash}\n")
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
 
 
-def _write_csv(path: str, header: list[str], rows, cfg_hash: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# config_hash={cfg_hash}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _write_diagnostics(out: str, solution, cfg_hash: str) -> None:
-    """Search and solver diagnostics of a run, in diagnostics.json beside solution.json."""
+def _diagnostics(solution) -> dict:
+    """Search and solver diagnostics of a run, diagnostics.json beside solution.json."""
     payload = {"grid_edge": solution.grid_edge, "excluded": len(solution.excluded)}
     adj = solution.adjoints
     if adj.mode == "regression":
@@ -70,7 +75,7 @@ def _write_diagnostics(out: str, solution, cfg_hash: str) -> None:
             "max_cond": max(s["cond"] for s in per_step),
             "max_fit_rmse": max(s["fit_rmse"] for s in per_step),
         }
-    _write_json(os.path.join(out, "diagnostics.json"), payload, cfg_hash)
+    return payload
 
 
 @functools.cache
@@ -94,51 +99,31 @@ def _manifest(cfg: ExperimentConfig) -> dict:
     scipy_version = _scipy_version()
     if scipy_version is not None:
         versions["scipy"] = scipy_version
-    # the output directory is where the manifest sits, and no part of the
-    # experiment's identity (config.hash ignores it too)
-    config = {key: value for key, value in cfg.raw.items() if key != "out"}
-    return {"config": config, "seed": cfg.seed, "versions": versions}
-
-
-def _grid(section: dict) -> np.ndarray:
-    return np.linspace(float(section["min"]), float(section["max"]), int(section["count"]))
+    return {"config": cfg.identity(), "seed": cfg.seed, "versions": versions}
 
 
 def _ensemble(cfg: ExperimentConfig):
     model = cfg.market_model()
-    ens = simulate_drivers(model, cfg.time_grid(), cfg.n_paths, cfg.seed)
-    return model, ens
+    return model, simulate_drivers(model, cfg.time_grid(), cfg.n_paths, cfg.seed)
 
 
-def run_simulate(cfg: ExperimentConfig, out: str) -> dict:
+# Each runner returns the files of its run, name -> content as _write takes
+# it; the first is the run's main payload.
+
+
+def run_simulate(cfg: ExperimentConfig) -> dict:
     model, ens = _ensemble(cfg)
     price_paths(model, ens)
-    cfg_hash = cfg.hash()
-    ensemble_to_csv(ens, os.path.join(out, "paths.csv"), channels=["S"],
-                    header_comment=f"config_hash={cfg_hash}")
-    summary = ensemble_summary(ens)
-    _write_json(os.path.join(out, "summary.json"), summary, cfg_hash)
-    return summary
+    return {"summary.json": ensemble_summary(ens),
+            "paths.csv": functools.partial(ensemble_to_csv, ens, channels=["S"])}
 
 
-def run_primal(cfg: ExperimentConfig, out: str) -> dict:
+def run_primal(cfg: ExperimentConfig) -> dict:
     model, ens = _ensemble(cfg)
-    section = {**PRIMAL_GRID, **cfg.raw.get("primal", {})}
-    lo, hi, step = (float(section[key]) for key in ("grid_min", "grid_max", "grid_step"))
-    n = int(round((hi - lo) / step)) + 1
-    pi_values = np.round(lo + step * np.arange(n), 12)
     solution = solve_primal_search(
-        model, cfg.utility(), cfg.x0, pi_values, ens, adjoint_mode=cfg.adjoints
+        model, cfg.utility(), cfg.x0, cfg.primal_grid(), ens, adjoint_mode=cfg.adjoints
     )
     deriv, deriv_se = hamiltonian_derivative_check(solution)
-    cfg_hash = cfg.hash()
-    _write_csv(
-        os.path.join(out, "candidates.csv"),
-        ["pi", "value", "se"],
-        [(repr(float(p)), repr(float(v)), repr(float(s)))
-         for p, v, s in zip(solution.pi_values, solution.candidate_values, solution.candidate_se)],
-        cfg_hash,
-    )
     payload = {
         "mode": "primal",
         "pi": solution.pi,
@@ -151,31 +136,17 @@ def run_primal(cfg: ExperimentConfig, out: str) -> dict:
         "derivative_check": {"estimate": deriv, "se": deriv_se},
         "excluded": solution.excluded,
     }
-    _write_json(os.path.join(out, "solution.json"), payload, cfg_hash)
-    _write_diagnostics(out, solution, cfg_hash)
-    return payload
+    rows = [(repr(float(p)), repr(float(v)), repr(float(s)))
+            for p, v, s in zip(solution.pi_values, solution.candidate_values, solution.candidate_se)]
+    return {"solution.json": payload, "candidates.csv": (["pi", "value", "se"], rows),
+            "diagnostics.json": _diagnostics(solution)}
 
 
-def run_dual(cfg: ExperimentConfig, out: str) -> dict:
+def run_dual(cfg: ExperimentConfig) -> dict:
     model, ens = _ensemble(cfg)
-    section = cfg.raw.get("dual", {})
-    theta1_values = None
-    if model.n_marks:
-        gsection = section.get("theta1_grid")
-        if gsection is None:
-            raise ConfigError("dual.theta1_grid required for a jump market")
-        theta1_values = _grid(gsection)
     solution = solve_dual_search(
         model, cfg.utility(), cfg.y, ens,
-        theta1_values=theta1_values, adjoint_mode=cfg.adjoints,
-    )
-    cfg_hash = cfg.hash()
-    _write_csv(
-        os.path.join(out, "candidates.csv"),
-        ["theta1", "value", "se"],
-        [(json.dumps(t), repr(float(v)), repr(float(s)))
-         for t, v, s in zip(solution.theta1_values, solution.candidate_values, solution.candidate_se)],
-        cfg_hash,
+        theta1_values=cfg.theta1_grid() if model.n_marks else None, adjoint_mode=cfg.adjoints,
     )
     payload = {
         "mode": "dual",
@@ -189,27 +160,19 @@ def run_dual(cfg: ExperimentConfig, out: str) -> dict:
         "foc_mean_normalized": solution.foc["mean_normalized"],
         "replication": solution.replication,
     }
-    _write_json(os.path.join(out, "solution.json"), payload, cfg_hash)
-    _write_diagnostics(out, solution, cfg_hash)
-    return payload
+    rows = [(json.dumps(t), repr(float(v)), repr(float(s)))
+            for t, v, s in zip(solution.theta1_values, solution.candidate_values, solution.candidate_se)]
+    return {"solution.json": payload, "candidates.csv": (["theta1", "value", "se"], rows),
+            "diagnostics.json": _diagnostics(solution)}
 
 
-def run_robust(cfg: ExperimentConfig, out: str) -> dict:
+def run_robust(cfg: ExperimentConfig) -> dict:
     model, ens = _ensemble(cfg)
-    section = cfg.raw.get("robust", {})
-    phi_grid = _grid(section.get("phi_grid", {"min": 0.125, "max": 1.125, "count": 21}))
-    mu_grid = _grid(section.get("mu_grid", {"min": -0.25, "max": 0.0, "count": 21}))
     penalty = cfg.penalty()
     utility = cfg.utility()
     solution = solve_robust_saddle(
-        model, utility, penalty, cfg.x0, phi_grid, mu_grid, ens, adjoint_mode=cfg.adjoints
+        model, utility, penalty, cfg.x0, *cfg.robust_grids(), ens, adjoint_mode=cfg.adjoints
     )
-    cfg_hash = cfg.hash()
-    # the candidates are the flat C-order (pi, mu) grid
-    cells = itertools.product(solution.pi_values, solution.mu_values)
-    rows = [(repr(float(pi)), repr(float(mu)), repr(float(v)), repr(float(se)))
-            for (pi, mu), v, se in zip(cells, solution.candidate_values, solution.candidate_se)]
-    _write_csv(os.path.join(out, "payoff_matrix.csv"), ["pi", "mu", "value", "se"], rows, cfg_hash)
     payload = {
         "mode": "robust",
         "pi": solution.pi,
@@ -232,9 +195,12 @@ def run_robust(cfg: ExperimentConfig, out: str) -> dict:
         # solved fraction over the plain Merton fraction b/sigma^2
         b, s = float(model.drift), float(model.vol)
         payload["pi_ratio_vs_nonrobust"] = solution.pi * s * s / b if b else None
-    _write_json(os.path.join(out, "solution.json"), payload, cfg_hash)
-    _write_diagnostics(out, solution, cfg_hash)
-    return payload
+    # the candidates are the flat C-order (pi, mu) grid
+    cells = itertools.product(solution.pi_values, solution.mu_values)
+    rows = [(repr(float(pi)), repr(float(mu)), repr(float(v)), repr(float(se)))
+            for (pi, mu), v, se in zip(cells, solution.candidate_values, solution.candidate_se)]
+    return {"solution.json": payload, "payoff_matrix.csv": (["pi", "mu", "value", "se"], rows),
+            "diagnostics.json": _diagnostics(solution)}
 
 
 def _scalar_fraction(portfolio, adjoints: str) -> float:
@@ -251,7 +217,7 @@ def _scalar_fraction(portfolio, adjoints: str) -> float:
         ) from exc
 
 
-def run_bridge_check(cfg: ExperimentConfig, out: str) -> dict:
+def run_bridge_check(cfg: ExperimentConfig) -> dict:
     """Primal solve, map to the dual, dual solve, map back.  Each stage keeps
     only what the next map reads: the primal search keeps q1 and r1 whole
     (``keep="pqr"``), as the map to the dual reads them path by path, the
@@ -261,21 +227,17 @@ def run_bridge_check(cfg: ExperimentConfig, out: str) -> dict:
     closed form and saddle: its bridged scenario carries the perturbation
     mu, which the maps transfer unchanged."""
     model, ens = _ensemble(cfg)
-    section = cfg.raw.get("bridge", {})
-    case = section.get("case", "merton_log")
-    adjoints = section.get("adjoints", cfg.adjoints)
+    case, adjoints = cfg.bridge()
     utility = cfg.utility()
     if case == "merton_log":
         pi_star = float(merton_log_closed_form(model).values)
         primal = solve_primal_search(model, utility, cfg.x0, [pi_star], ens, adjoint_mode=adjoints,
                                      keep="pqr")
-    elif case == "robust_merton":
+    else:
         penalty = cfg.penalty()
         pi_star, mu_star = robust_log_closed_form(model, penalty)
         primal = solve_robust_saddle(model, utility, penalty, cfg.x0, [pi_star], [mu_star], ens,
                                      adjoint_mode=adjoints, keep="pqr")
-    else:
-        raise ConfigError(f"unknown bridge case {case!r}")
     control, y, rep_fwd = primal_to_dual(primal)
     product_dev = verify_product_identity(primal.wealth, primal.adjoints.p, cfg.x0, y)
     pi, mu = primal.pi, primal.mu
@@ -299,55 +261,39 @@ def run_bridge_check(cfg: ExperimentConfig, out: str) -> dict:
         "product_identity_max_dev": product_dev,
         **transfer,
     }
-    _write_json(os.path.join(out, "report.json"), payload, cfg.hash())
-    return payload
+    return {"report.json": payload}
 
 
-def run_convergence(cfg: ExperimentConfig, out: str) -> dict:
+def run_convergence(cfg: ExperimentConfig) -> dict:
+    """The benchmark's error at each rung of its ladder.  A rung's ensemble
+    and solution are let go before the next rung simulates."""
     model = cfg.market_model()
-    section = cfg.raw.get("convergence", {})
-    benchmark = section.get("benchmark", "bsde")
-    cfg_hash = cfg.hash()
-    rows: list[tuple] = []
+    benchmark, rungs = cfg.ladder()
     utility = cfg.utility()
     if benchmark == "bsde":
-        grid = cfg.time_grid()
-        for n in section.get("paths", [10000, 25000, 50000]):
-            ens = simulate_drivers(model, grid, int(n), cfg.seed)
+        header, rows = ["paths", "p2_initial_rel_error"], []
+        for paths, steps in rungs:
+            ens = simulate_drivers(model, TimeGrid(steps, model.horizon), paths, cfg.seed)
             sol = solve_dual_search(model, utility, cfg.y, ens, adjoint_mode="regression",
                                     replicate=False)
-            err = abs(float(sol.adjoints.p_initial.mean()) * cfg.y - 1.0)
-            rows.append((int(n), repr(err)))
-        _write_csv(os.path.join(out, "convergence.csv"), ["paths", "p2_initial_rel_error"], rows, cfg_hash)
-        payload = {"mode": "convergence", "benchmark": benchmark,
-                   "errors": {str(r[0]): float(r[1]) for r in rows}}
-    elif benchmark == "product-identity":
-        horizon = float(cfg.raw["market"]["horizon"])
-        merton = merton_log_closed_form(model)
-        for steps in section.get("steps", [25, 50, 100]):
-            grid = TimeGrid(int(steps), horizon)
-            ens = simulate_drivers(model, grid, cfg.n_paths, cfg.seed)
-            control = unique_scenario_no_jumps(model, grid, cfg.y)
-            devs = {}
-            for scheme in ("euler", "exact"):
-                wealth = wealth_paths(model, ens, merton, cfg.x0, scheme=scheme)
-                dens = density_paths(ens, control, scheme=scheme)
-                devs[scheme] = verify_product_identity(wealth, dens, cfg.x0, cfg.y)
-            rows.append((int(steps), repr(devs["euler"]), repr(devs["exact"])))
-        _write_csv(os.path.join(out, "convergence.csv"),
-                   ["steps", "deviation_euler", "deviation_exact"], rows, cfg_hash)
-        payload = {
-            "mode": "convergence",
-            "benchmark": benchmark,
-            "rows": [
-                {"steps": int(r[0]), "deviation_euler": float(r[1]), "deviation_exact": float(r[2])}
-                for r in rows
-            ],
-        }
+            rows.append((paths, abs(float(sol.adjoints.p_initial.mean()) * cfg.y - 1.0)))
+            del ens, sol
+        payload = {"errors": {str(n): e for n, e in rows}}
     else:
-        raise ConfigError(f"unknown convergence benchmark {benchmark!r}")
-    _write_json(os.path.join(out, "summary.json"), payload, cfg_hash)
-    return payload
+        header, rows = ["steps", "deviation_euler", "deviation_exact"], []
+        merton = merton_log_closed_form(model)
+        for paths, steps in rungs:
+            grid = TimeGrid(steps, model.horizon)
+            ens = simulate_drivers(model, grid, paths, cfg.seed)
+            control = unique_scenario_no_jumps(model, grid, cfg.y)
+            devs = [verify_product_identity(wealth_paths(model, ens, merton, cfg.x0, scheme=kind),
+                                            density_paths(ens, control, scheme=kind), cfg.x0, cfg.y)
+                    for kind in ("euler", "exact")]
+            rows.append((steps, *devs))
+            del ens
+        payload = {"rows": [dict(zip(header, row)) for row in rows]}
+    return {"summary.json": {"mode": "convergence", "benchmark": benchmark, **payload},
+            "convergence.csv": (header, [(n, *map(repr, errors)) for n, *errors in rows])}
 
 
 _RUNNERS = {
@@ -392,11 +338,18 @@ def _map_large_arrays() -> None:
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
+    """Run ``cfg``'s mode into ``cfg.out_dir`` and return its main payload.
+    The manifest is written before the run starts, so a run that fails
+    still leaves it; the runner's files follow, all through :func:`_write`."""
     _map_large_arrays()
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
-    _write_json(os.path.join(out, "manifest.json"), _manifest(cfg), cfg.hash())
-    return _RUNNERS[cfg.mode](cfg, out)
+    cfg_hash = cfg.hash()
+    _write(os.path.join(out, "manifest.json"), _manifest(cfg), cfg_hash)
+    files = _RUNNERS[cfg.mode](cfg)
+    for name, content in files.items():
+        _write(os.path.join(out, name), content, cfg_hash)
+    return next(iter(files.values()))
 
 
 # command-line flag: the config entry it overrides, "section.key" or a

@@ -1,7 +1,8 @@
 """Experiment configuration: YAML loading, schema validation, hashing.
 
 Unknown keys are rejected with the offending field named; the Monte Carlo
-seed is mandatory so every run is reproducible by construction.
+seed is mandatory so every run is reproducible by construction.  Every
+setting a runner reads is built here, from the one copy of its default.
 """
 
 from __future__ import annotations
@@ -12,10 +13,12 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
 import yaml
 
 from .market import MarketModel, TimeGrid
-from .preferences import Penalty, UtilityPair, penalty_from_config, utility_from_config
+from .preferences import (Penalty, UtilityPair, make_log_utility, make_power_utility,
+                          make_quadratic_penalty)
 
 
 class ConfigError(ValueError):
@@ -23,6 +26,7 @@ class ConfigError(ValueError):
 
 
 MODES = ("simulate", "primal", "dual", "robust", "bridge-check", "convergence")
+ADJOINTS = ("analytic", "regression")
 
 # largest driver storage a run may simulate: dB, paths * steps * 8 bytes, plus
 # the jump events (see _check_driver_bytes); a run holds several path arrays
@@ -31,8 +35,12 @@ MAX_DRIVER_BYTES = 2**29
 # a mark's events are counted at a bound its Poisson total of jumps exceeds
 # with probability below exp(-EVENT_TAIL_LOG), about 1e-12
 EVENT_TAIL_LOG = 27.6
-# the primal search grid where the config's primal section leaves it unset
+# the settings a runner reads where the config leaves them unset; none is
+# written into the config, so a run's hash is that of the file as given
 PRIMAL_GRID = {"grid_min": 0.0, "grid_max": 2.5, "grid_step": 0.05}
+ROBUST_GRIDS = {"phi_grid": {"min": 0.125, "max": 1.125, "count": 21},
+                "mu_grid": {"min": -0.25, "max": 0.0, "count": 21}}
+CONVERGENCE = {"benchmark": "bsde", "paths": [10000, 25000, 50000], "steps": [25, 50, 100]}
 
 _SCHEMA: dict[str, Any] = {
     "market": {"drift": float, "vol": float, "s0": float, "horizon": float, "jumps": list},
@@ -102,9 +110,39 @@ def _number(data: dict, key: str, path: str, positive: bool = False,
     return number
 
 
+def _choice(data: dict, key: str, path: str, choices: tuple, default: Any = None) -> Any:
+    """A field that takes one of ``choices``; ``default`` where it is absent."""
+    value = data.get(key, default)
+    if value not in choices:
+        where = f"{path}.{key}" if path else key
+        raise ConfigError(f"{where} must be one of {choices}, got {value!r}")
+    return value
+
+
+def _linspace(data: dict, key: str, path: str) -> np.ndarray | None:
+    """The min:max:count grid ``data[key]``, None where it is unset; it needs
+    finite ends and an integer count of at least 1."""
+    grid = data.get(key)
+    if grid is None:
+        return None
+    where = f"{path}.{key}"
+    lo, hi = (_number(grid, end, where) for end in ("min", "max"))
+    return np.linspace(lo, hi, _integer(grid, "count", where, 1))
+
+
+def _ladder(data: dict, key: str) -> list[int]:
+    """A convergence ladder: a non-empty list of integers of at least 1."""
+    value = data[key]
+    if not (isinstance(value, list) and value and all(
+            isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in value)):
+        raise ConfigError(f"convergence.{key} must list integers of at least 1, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description plus the raw mapping it came from."""
+    """Validated experiment description plus the raw mapping it came from;
+    its methods build the settings a runner reads."""
 
     raw: dict
     mode: str
@@ -132,24 +170,65 @@ class ExperimentConfig:
         return TimeGrid(self.n_steps, float(self.raw["market"]["horizon"]))
 
     def utility(self) -> UtilityPair:
-        return utility_from_config(self.raw.get("utility", {"name": "log"}))
+        """The utility pair, certified as it is built."""
+        section = self.raw.get("utility", {"name": "log"})
+        if section["name"] == "power":
+            return make_power_utility(float(section["alpha"]))
+        return make_log_utility()
 
     def penalty(self) -> Penalty:
-        return penalty_from_config(self.raw.get("penalty", {"name": "quadratic"}))
+        return make_quadratic_penalty(float(self.raw.get("penalty", {}).get("scale", 1.0)))
+
+    def identity(self) -> dict:
+        """The experiment's identity: the configuration less its output directory."""
+        return {key: value for key, value in self.raw.items() if key != "out"}
 
     def hash(self) -> str:
-        return config_hash(self.raw)
+        identity = json.dumps(self.identity(), sort_keys=True, default=str)
+        return hashlib.sha256(identity.encode()).hexdigest()[:16]
 
+    def primal_grid(self) -> np.ndarray:
+        """The primal search's fractions: grid_min + k * grid_step, rounded to
+        12 decimals, for k = 0 .. round((grid_max - grid_min) / grid_step)."""
+        section = {**PRIMAL_GRID, **self.raw.get("primal", {})}
+        lo, hi = (_number(section, key, "primal") for key in ("grid_min", "grid_max"))
+        step = _number(section, "grid_step", "primal", positive=True)
+        if hi < lo:
+            raise ConfigError(
+                f"primal.grid_max must be at least primal.grid_min = {lo!r}, got {hi!r}")
+        return np.round(lo + step * np.arange(int(round((hi - lo) / step)) + 1), 12)
 
-def config_hash(raw: dict) -> str:
-    """Identity of an experiment; the output directory is not part of it."""
-    identity = {key: value for key, value in raw.items() if key != "out"}
-    return hashlib.sha256(
-        json.dumps(identity, sort_keys=True, default=str).encode()
-    ).hexdigest()[:16]
+    def theta1_grid(self) -> np.ndarray | None:
+        """The dual search's jump ratios, None where the config sets none."""
+        return _linspace(self.raw.get("dual", {}), "theta1_grid", "dual")
+
+    def robust_grids(self) -> tuple[np.ndarray, np.ndarray]:
+        """The robust search's fractions (phi_grid) and drift perturbations (mu_grid)."""
+        section = {**ROBUST_GRIDS, **self.raw.get("robust", {})}
+        return _linspace(section, "phi_grid", "robust"), _linspace(section, "mu_grid", "robust")
+
+    def bridge(self) -> tuple[str, str]:
+        """The bridge check's case and adjoint mode, by default the run's."""
+        section = self.raw.get("bridge", {})
+        return (_choice(section, "case", "bridge", ("merton_log", "robust_merton"), "merton_log"),
+                _choice(section, "adjoints", "bridge", ADJOINTS, self.adjoints))
+
+    def ladder(self) -> tuple[str, list[tuple[int, int]]]:
+        """A convergence run's benchmark and the (paths, steps) of each rung:
+        ``bsde`` takes convergence.paths at grid.steps, ``product-identity``
+        convergence.steps at mc.paths."""
+        section = {**CONVERGENCE, **self.raw.get("convergence", {})}
+        benchmark = _choice(section, "benchmark", "convergence", ("bsde", "product-identity"))
+        paths, steps = (_ladder(section, key) for key in ("paths", "steps"))
+        if benchmark == "bsde":
+            return benchmark, [(n, self.n_steps) for n in paths]
+        return benchmark, [(self.n_paths, n) for n in steps]
 
 
 def validate_config(raw: dict) -> ExperimentConfig:
+    """The configuration as a run reads it.  Every setting a runner reads is
+    checked here, its grids and ladders built, so a bad one is refused
+    before anything is simulated or written."""
     if not isinstance(raw, dict):
         raise ConfigError("configuration root must be a mapping")
     _check_keys(raw, _SCHEMA, "")
@@ -171,24 +250,30 @@ def validate_config(raw: dict) -> ExperimentConfig:
     mc = _require(raw, "mc", "")
     paths = _integer(mc, "paths", "mc", 1)
     seed = _integer(mc, "seed", "mc", 0, bits=128)  # a Philox key is 128 unsigned bits
-    mode = raw.get("mode", "simulate")
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    adjoints = raw.get("adjoints", "regression")
-    if adjoints not in ("analytic", "regression"):
-        raise ConfigError("adjoints must be 'analytic' or 'regression'")
-    _check_grids(raw)
     cfg = ExperimentConfig(
         raw=raw,
-        mode=mode,
+        mode=_choice(raw, "mode", "", MODES, "simulate"),
         n_paths=paths,
         seed=seed,
         n_steps=steps,
         x0=_number(raw, "x0", "", positive=True, default=1.0),
         y=_number(raw, "y", "", positive=True, default=1.0),
-        adjoints=adjoints,
+        adjoints=_choice(raw, "adjoints", "", ADJOINTS, "regression"),
         out_dir=str(raw.get("out", "runs")),
     )
+    for setting in (cfg.primal_grid, cfg.theta1_grid, cfg.robust_grids, cfg.bridge, cfg.ladder):
+        setting()
+    if cfg.mode == "dual" and market.get("jumps") and cfg.theta1_grid() is None:
+        raise ConfigError("dual.theta1_grid required for a jump market")
+    # the utility is checked, not built: a pair is certified as it is built
+    utility = raw.get("utility", {"name": "log"})
+    if _choice(utility, "name", "utility", ("log", "power")) == "power":
+        alpha = _number(utility, "alpha", "utility")
+        if not 0.0 < alpha < 1.0:
+            raise ConfigError(f"utility.alpha must lie in (0, 1), got {alpha!r}")
+    penalty = raw.get("penalty", {})
+    _choice(penalty, "name", "penalty", ("quadratic",), "quadratic")
+    _number(penalty, "scale", "penalty", positive=True, default=1.0)
     # fail early on bad market coefficients: a negative intensity, a jump of
     # -100% or below
     try:
@@ -200,26 +285,6 @@ def validate_config(raw: dict) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(f"market: {exc}") from exc
     return cfg
-
-
-def _check_grids(raw: dict) -> None:
-    """Refuse a search grid with no candidate or a non-finite one: the
-    primal grid needs finite ends, grid_max >= grid_min and a positive
-    finite grid_step; a min:max:count grid needs finite ends and an integer
-    count of at least 1."""
-    primal = {**PRIMAL_GRID, **raw.get("primal", {})}
-    lo, hi = (_number(primal, key, "primal") for key in ("grid_min", "grid_max"))
-    _number(primal, "grid_step", "primal", positive=True)
-    if hi < lo:
-        raise ConfigError(f"primal.grid_max must be at least primal.grid_min = {lo!r}, got {hi!r}")
-    grids = {"dual.theta1_grid": raw.get("dual", {}).get("theta1_grid")}
-    for key in ("phi_grid", "mu_grid"):
-        grids[f"robust.{key}"] = raw.get("robust", {}).get(key)
-    for where, grid in grids.items():
-        if grid is not None:
-            for key in ("min", "max"):
-                _number(grid, key, where)
-            _integer(grid, "count", where, 1)
 
 
 def _event_bound(mean: float, cells: int) -> int:
@@ -240,25 +305,23 @@ def _check_driver_bytes(cfg: ExperimentConfig, model: MarketModel) -> None:
     events at :func:`_event_bound`, 20 + 8 * marks bytes each: an int32
     path and a float64 count in step order, and at most one cell of the
     path-ordered table (int32 path and step, one float64 count per mark).
-    A convergence run is sized by the largest entry of its ladders."""
-    ladder = cfg.raw.get("convergence", {}) if cfg.mode == "convergence" else {}
-    try:
-        ladder_paths = max(map(int, ladder.get("paths", [])), default=0)
-        steps = max([cfg.n_steps, *map(int, ladder.get("steps", []))])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"convergence.paths and convergence.steps must list integers: {exc}") \
-            from exc
-    field, paths = ("convergence.paths", ladder_paths) if ladder_paths > cfg.n_paths \
-        else ("mc.paths", cfg.n_paths)
+    A convergence run is sized at each rung of the ladder it takes."""
+    field, rungs = "mc.paths", [(cfg.n_paths, cfg.n_steps)]
+    if cfg.mode == "convergence":
+        benchmark, rungs = cfg.ladder()
+        if benchmark == "bsde":
+            field = "convergence.paths"
     marks = model.n_marks
-    need = paths * steps * 8 + (20 + 8 * marks) * sum(
-        _event_bound(paths * lam * model.horizon, paths * steps) for lam in model.jump_intensities)
-    if need > MAX_DRIVER_BYTES:
-        raise ConfigError(
-            f"{field} = {paths} with {steps} steps and {marks} jump mark(s) needs "
-            f"{need / 2**20:.0f} MiB of driver arrays, above the "
-            f"{MAX_DRIVER_BYTES // 2**20} MiB limit; reduce {field}"
-        )
+    for paths, steps in rungs:
+        need = paths * steps * 8 + (20 + 8 * marks) * sum(
+            _event_bound(paths * lam * model.horizon, paths * steps)
+            for lam in model.jump_intensities)
+        if need > MAX_DRIVER_BYTES:
+            raise ConfigError(
+                f"{field} = {paths} with {steps} steps and {marks} jump mark(s) needs "
+                f"{need / 2**20:.0f} MiB of driver arrays, above the "
+                f"{MAX_DRIVER_BYTES // 2**20} MiB limit; reduce {field}"
+            )
 
 
 def read_config(path: str) -> dict:

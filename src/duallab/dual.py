@@ -319,10 +319,10 @@ def solve_dual_search(
     theta0 is eliminated exactly per candidate, so the constraint residual is
     zero pointwise for every scenario evaluated.  In a no-jump market the
     family collapses to the unique scenario.  Regression adjoints keep what a
-    search reads: p2 at p2(t_0) and p2(T) only, q2 whole for the
-    replication, and r2 whole only when the replication reads it, at a step
-    with vanishing sigma (:func:`_portfolio_rows`); r2 is otherwise kept as
-    its per-step mean, all the first-order residual reads.
+    search reads: p2 at p2(t_0) and p2(T) only, q2 whole where it
+    replicates, and r2 whole only where the replication reads it, at a step
+    with vanishing sigma (:func:`_portfolio_rows`); q2 and r2 are otherwise
+    kept as per-step means, all the first-order residual reads.
     :func:`evaluate_dual_scenario` at the solution's control keeps every
     channel, for a map back to the primal.
     """
@@ -338,7 +338,7 @@ def solve_dual_search(
     reads_r2 = replicate and np.any(np.abs(model.vol_on(ensemble.grid)) < DEGENERATE_VOL)
     return _dual_solution(
         model, ensemble, pair, scenarios[search.best], adjoint_mode, basis, replicate,
-        keep="qr" if reads_r2 else "q", theta1_values=[np.asarray(c).tolist() for c in candidates],
+        keep=("qr" if reads_r2 else "q") if replicate else "", theta1_values=[np.asarray(c).tolist() for c in candidates],
         excluded=excluded, **search.fields(),
     )
 

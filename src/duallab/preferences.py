@@ -258,21 +258,3 @@ def make_quadratic_penalty(scale: float = 1.0) -> Penalty:
         rho_prime_inv=lambda v: np.asarray(v, dtype=float) / scale,
         scale=scale,
     )
-
-
-def utility_from_config(section: dict) -> UtilityPair:
-    name = section.get("name")
-    if name == "log":
-        return make_log_utility()
-    if name == "power":
-        if "alpha" not in section:
-            raise ValueError("power utility requires 'alpha'")
-        return make_power_utility(float(section["alpha"]))
-    raise ValueError(f"unknown utility {name!r}")
-
-
-def penalty_from_config(section: dict) -> Penalty:
-    name = section.get("name", "quadratic")
-    if name == "quadratic":
-        return make_quadratic_penalty(float(section.get("scale", 1.0)))
-    raise ValueError(f"unknown penalty {name!r}")

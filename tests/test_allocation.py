@@ -157,6 +157,12 @@ def test_forward_peak_is_output_plus_one_array(one_mark, case):
         # before they are allocated.  No (n_paths, n_steps) array: that is
         # 12 FILL_BLOCK_BYTES here
         assert peak <= out.nbytes + 4 * market.FILL_BLOCK_BYTES + FIXED_SLACK
+        # FIXED_SLACK is two blocks, so the bound above passes a fifth: the
+        # same fill at twice the block size, less this one, is those four
+        # blocks alone, the output and the fixed buffers cancelling
+        with mock.patch.object(market, "FILL_BLOCK_BYTES", 2 * market.FILL_BLOCK_BYTES):
+            doubled, _ = _peak(run)
+        assert doubled - peak <= 4 * market.FILL_BLOCK_BYTES + 8 * 2**10
 
 
 def test_sweep_peak_is_outputs_plus_step_rows(one_mark):
@@ -204,10 +210,10 @@ def test_sweep_keeping_means_drops_all_but_a_row_of_each_channel(n_marks, keep):
 
 def test_dual_search_peak_is_its_solution_plus_step_rows(one_mark):
     # a regression dual search keeps p2(t_0) and p2(T), and passes the steps
-    # between through a ring of two rows, and keeps r2 as one reused row per
-    # mark and a mean per step: its peak is the density and q2 it returns
-    # plus the sweep's per-step rows, two path arrays below a search that
-    # keeps p2 and r2 whole
+    # between through a ring of two rows, and, as it does not replicate,
+    # keeps q2 and r2 as one reused row (per mark) and a mean per step: its
+    # peak is the density it returns plus the sweep's per-step rows, three
+    # path arrays below a search that keeps p2, q2 and r2 whole
     model, priced = one_mark
     ens = dl.simulate_drivers(model, priced.grid, N_PATHS, seed=7)
     pair = dl.make_log_utility()
@@ -221,9 +227,33 @@ def test_dual_search_peak_is_its_solution_plus_step_rows(one_mark):
     peak, sol = _peak(search)
     adj = sol.adjoints
     # the sweep's rows, as in test_sweep_peak_is_outputs_plus_step_rows, the
-    # four rows of p and the reused row of r per mark
-    rows = model.n_marks + 16 + 4 + model.n_marks
-    assert peak <= sol.density.nbytes + adj.q.nbytes + rows * N_PATHS * 8 + FIXED_SLACK
+    # four rows of p and the reused rows of q and r
+    rows = model.n_marks + 16 + 4 + 1 + model.n_marks
+    assert peak <= sol.density.nbytes + rows * N_PATHS * 8 + FIXED_SLACK
+    with pytest.raises(ValueError, match="'q' in keep"):
+        adj.q
+
+
+def test_convergence_ladder_peak_is_its_largest_rung_alone(tmp_path):
+    # each rung's ensemble and solution are let go before the next rung
+    # simulates, so the ladder holds no more than its last search does alone
+    with open(Path(__file__).resolve().parents[1] / "configs" / "convergence_bsde.yaml") as fh:
+        raw = yaml.safe_load(fh)
+    raw["convergence"]["paths"] = [N_PATHS // 2, N_PATHS]
+    cfg = validate_config(raw)
+    model, pair = cfg.market_model(), cfg.utility()
+
+    def rung():
+        ens = dl.simulate_drivers(model, cfg.time_grid(), N_PATHS, cfg.seed)
+        return dl.solve_dual_search(model, pair, cfg.y, ens, replicate=False).adjoints.p_initial
+
+    # first calls import modules and fill caches: not part of the check
+    cli.run_convergence(cfg)
+    rung()
+    ladder, files = _peak(lambda: cli.run_convergence(cfg))
+    alone, _ = _peak(rung)
+    assert [row[0] for row in files["convergence.csv"][1]] == [N_PATHS // 2, N_PATHS]
+    assert ladder <= alone + FIXED_SLACK
 
 
 @pytest.mark.parametrize("n_marks", [0, 1])
@@ -332,10 +362,12 @@ def test_replication_streams_a_few_rows_per_range(one_mark, n_cpus):
     model, priced = one_mark
     ens = dl.simulate_drivers(model, priced.grid, N_PATHS, seed=7)
     pair = dl.make_log_utility()
-    sol = dl.solve_dual_search(model, pair, 1.0, ens, theta1_values=[-0.2, -0.1, 0.0],
-                               replicate=False)
-    fields = dict(value=sol.value, se=sol.se, theta1_values=sol.theta1_values,
-                  candidate_values=sol.candidate_values, candidate_se=sol.candidate_se)
+    search = dl.solve_dual_search(model, pair, 1.0, ens, theta1_values=[-0.2, -0.1, 0.0],
+                                  replicate=False)
+    # the search keeps q2 as means only, as it does not replicate
+    sol = dl.evaluate_dual_scenario(model, pair, search.control, ens)
+    fields = dict(value=search.value, se=search.se, theta1_values=search.theta1_values,
+                  candidate_values=search.candidate_values, candidate_se=search.candidate_se)
     with mock.patch("os.sched_getaffinity", return_value=set(range(n_cpus))), \
             mock.patch.object(market, "THREAD_MIN_PATHS", N_PATHS // 2), \
             mock.patch.object(dual, "dual_adjoints", return_value=sol.adjoints):
@@ -378,10 +410,11 @@ def test_bridge_check_peak_is_the_dual_and_its_map_back(tmp_path, name, case):
                out=str(tmp_path))
     cfg = validate_config(raw)
     # first calls import modules and fill caches: not part of the check
-    cli.run_bridge_check(cfg, str(tmp_path))
+    cli.run_bridge_check(cfg)
     # deviation blocks of 256 paths, about the share of 2048 at 50k paths
     with mock.patch.object(bridge, "DEVIATION_BLOCK_PATHS", 256):
-        peak, report = _peak(lambda: cli.run_bridge_check(cfg, str(tmp_path)))
+        peak, files = _peak(lambda: cli.run_bridge_check(cfg))
+    report = files["report.json"]
     assert report["product_identity_max_dev"] < 1e-12
     path_array = n_paths * (n_steps + 1) * 8
     assert peak <= 5.5 * path_array + FIXED_SLACK

@@ -10,8 +10,9 @@ import scipy
 import yaml
 
 import duallab.cli as cli
-from duallab import market
-from duallab.config import MAX_DRIVER_BYTES, ConfigError, load_config, validate_config
+from duallab import market, preferences
+from duallab.config import (EVENT_TAIL_LOG, MAX_DRIVER_BYTES, ConfigError, _event_bound,
+                            load_config, validate_config)
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -343,6 +344,19 @@ def test_many_mark_run_is_sized_by_its_events(monkeypatch):
         validate_config(raw)
 
 
+def test_refusal_counts_db_and_every_event_at_its_bound(monkeypatch):
+    # one mark at intensity 1 over a horizon of 4: dB is 560,000,000 bytes,
+    # and the events 28 bytes each at the bound on a Poisson(2.8e6) total,
+    # 2,812,442: 638,748,376 bytes in all
+    raw = load_raw("jump_dual.yaml")
+    raw["market"]["horizon"] = 4.0
+    raw["mc"]["paths"] = 700_000
+    _refuse_allocation(monkeypatch)
+    with pytest.raises(ConfigError, match=r"^mc.paths = 700000 with 100 steps and 1 jump "
+                                          r"mark\(s\) needs 609 MiB of driver arrays"):
+        validate_config(raw)
+
+
 def test_oversized_convergence_ladder_refused(monkeypatch):
     _refuse_allocation(monkeypatch)
     raw = load_raw("convergence_bsde.yaml")
@@ -352,6 +366,132 @@ def test_oversized_convergence_ladder_refused(monkeypatch):
     raw["convergence"]["paths"] = ["many"]
     with pytest.raises(ConfigError, match="must list integers"):
         validate_config(raw)
+
+
+def _refuse_certification(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a utility pair was built")
+
+    monkeypatch.setattr(preferences, "certify_pair", refuse)
+
+
+@pytest.mark.parametrize("command, name, edits, named", [
+    # the default ladders, which the run takes where the config sets none
+    ("convergence", "convergence_bsde.yaml",
+     {"mc.paths": 1_000, "grid.steps": 1_500, "convergence.paths": None},
+     "convergence.paths = 50000 with 1500 steps and 0 jump mark(s) needs 572 MiB of driver "
+     "arrays, above the 512 MiB limit; reduce convergence.paths"),
+    ("convergence", "convergence_product.yaml",
+     {"mc.paths": 700_000, "grid.steps": 10, "convergence.steps": None},
+     "mc.paths = 700000 with 100 steps and 0 jump mark(s) needs 534 MiB"),
+    ("dual", "jump_dual.yaml", {"dual": None}, "dual.theta1_grid required for a jump market"),
+    ("bridge-check", "merton_log.yaml", {"bridge": {"case": "nope"}},
+     "bridge.case must be one of ('merton_log', 'robust_merton'), got 'nope'"),
+    ("bridge-check", "merton_log.yaml", {"bridge": {"case": "merton_log", "adjoints": "analytc"}},
+     "bridge.adjoints must be one of ('analytic', 'regression'), got 'analytc'"),
+    ("convergence", "convergence_bsde.yaml", {"convergence.benchmark": "nope"},
+     "convergence.benchmark must be one of ('bsde', 'product-identity'), got 'nope'"),
+    ("robust", "robust_merton.yaml", {"penalty.scale": -1},
+     "penalty.scale must be a positive finite number, got -1"),
+    ("primal", "merton_log.yaml", {"utility.name": "nope"},
+     "utility.name must be one of ('log', 'power'), got 'nope'"),
+], ids=["default-paths-ladder", "default-steps-ladder", "theta1-grid", "bridge-case",
+        "bridge-adjoints", "benchmark", "penalty-scale", "utility-name"])
+def test_a_bad_setting_exits_2_before_anything_runs(tmp_path, capsys, monkeypatch, command, name,
+                                                    edits, named):
+    """Each of these settings was read only by its runner: the default
+    ladders ran unsized, and the others exited 1 after the ensemble was
+    simulated and the manifest written (a mistyped bridge.adjoints ran as
+    regression).  Each exits 2 now, with nothing simulated, certified or
+    written."""
+    raw = load_raw(name)
+    for entry, value in edits.items():
+        *sections, key = entry.split(".")
+        section = functools.reduce(dict.__getitem__, sections, raw)
+        if value is None:
+            del section[key]
+        else:
+            section[key] = value
+    cfg_file = tmp_path / "bad.yaml"
+    cfg_file.write_text(yaml.safe_dump(raw))
+    _refuse_allocation(monkeypatch)
+    _refuse_certification(monkeypatch)
+    code = cli.main([command, "--config", str(cfg_file), "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"configuration error: {named}")
+    assert not (tmp_path / "run").exists()
+
+
+def test_validation_builds_no_utility_pair(monkeypatch):
+    # a certification costs milliseconds; a run builds its pair once
+    _refuse_certification(monkeypatch)
+    for name in ("merton_log.yaml", "robust_merton.yaml", "jump_dual.yaml",
+                 "convergence_bsde.yaml", "convergence_product.yaml"):
+        validate_config(load_raw(name))
+    raw = load_raw("merton_log.yaml")
+    raw["utility"] = {"name": "power", "alpha": 0.5}
+    validate_config(raw)
+    for alpha in (0.0, 1.0, "x"):
+        raw["utility"]["alpha"] = alpha
+        with pytest.raises(ConfigError, match="^utility.alpha must"):
+            validate_config(raw)
+    del raw["utility"]["alpha"]
+    with pytest.raises(ConfigError, match="utility.alpha$"):
+        validate_config(raw)
+
+
+def test_the_config_builds_every_default_and_writes_none_into_the_raw_mapping():
+    raw = load_raw("merton_log.yaml")
+    for key in ("primal", "mode", "x0"):
+        del raw[key]
+    as_read = json.dumps(raw)
+    cfg = validate_config(raw)
+    assert (cfg.mode, cfg.adjoints, cfg.x0, cfg.y) == ("simulate", "regression", 1.0, 1.0)
+    assert np.array_equal(cfg.primal_grid(), np.round(0.05 * np.arange(51), 12))
+    phi, mu = cfg.robust_grids()
+    assert np.array_equal(phi, np.linspace(0.125, 1.125, 21))
+    assert np.array_equal(mu, np.linspace(-0.25, 0.0, 21))
+    assert cfg.theta1_grid() is None
+    assert cfg.bridge() == ("merton_log", "regression")
+    assert cfg.ladder() == ("bsde", [(10_000, 100), (25_000, 100), (50_000, 100)])
+    assert cfg.penalty().scale == 1.0 and cfg.utility().name == "log"
+    assert json.dumps(cfg.raw) == as_read and cfg.identity() == {
+        key: value for key, value in raw.items() if key != "out"}
+    # the primal grid is rounded to 12 decimals, its count taken from the span
+    raw.update(primal={"grid_min": 0.5, "grid_max": 1.5, "grid_step": 1 / 3},
+               robust={"phi_grid": {"min": 0.5, "max": 0.5, "count": 1}},
+               convergence={"benchmark": "product-identity", "steps": [1, 2]},
+               bridge={"case": "robust_merton"}, adjoints="analytic", penalty={"scale": 2.5})
+    raw["mc"].update(paths=1, seed=0)
+    raw["grid"]["steps"] = 1
+    cfg = validate_config(raw)
+    assert cfg.primal_grid().tolist() == [0.5, 0.833333333333, 1.166666666667, 1.5]
+    assert cfg.robust_grids()[0].tolist() == [0.5]
+    assert cfg.ladder() == ("product-identity", [(1, 1), (1, 2)])
+    assert cfg.bridge() == ("robust_merton", "analytic")
+    assert cfg.penalty().scale == 2.5
+
+
+@pytest.mark.parametrize("ladder", [[], [0, 10], [True], [2.5], 100, ["many"]])
+def test_a_ladder_that_is_not_a_list_of_counts_is_refused(ladder):
+    raw = load_raw("convergence_product.yaml")
+    raw["convergence"]["steps"] = ladder
+    with pytest.raises(ConfigError, match=r"^convergence.steps must list integers of at least 1"):
+        validate_config(raw)
+
+
+@pytest.mark.parametrize("mean", [0.0, 0.3, 1.0, 40.0, 5e3, 1e8])
+def test_event_bound_is_the_least_count_with_the_bernstein_tail_below_its_bound(mean):
+    # N >= mean + t has probability below exp(-t^2 / (2 (mean + t/3))), and
+    # the bound is the least integer whose t makes that exp(-EVENT_TAIL_LOG)
+    def exponent(count):
+        t = count - mean
+        return t * t / (2 * (mean + t / 3))
+
+    bound = _event_bound(mean, 10**15)
+    assert exponent(bound) >= EVENT_TAIL_LOG * (1 - 1e-12)
+    assert bound - 1 <= mean or exponent(bound - 1) < EVENT_TAIL_LOG
+    assert _event_bound(mean, 7) == min(7, bound)
 
 
 def test_runs_build_the_price_only_when_they_read_it(tmp_path, monkeypatch):

@@ -466,9 +466,11 @@ def test_sweep_refuses_an_unknown_channel_to_keep(base_ens_5k):
 @pytest.mark.parametrize("robust", [False, True])
 def test_dual_search_keeps_the_ends_of_its_evaluated_scenario(jump_model, jump_ens_50k, log_pair,
                                                               quad_penalty, robust):
-    """A regression dual search keeps p2's ends and r2's per-step means only;
-    they, q2 and the first-order residuals are those of the all-channels
-    evaluation of the scenario it found, bit for bit."""
+    """A regression dual search keeps p2's ends and r2's per-step means only,
+    and q2 whole only where a reader takes it path by path (the robust
+    dual's penalty residual) and its per-step means otherwise; they and the
+    first-order residuals are those of the all-channels evaluation of the
+    scenario it found, bit for bit."""
     if robust:
         sol = dl.solve_robust_dual(jump_model, log_pair, quad_penalty, 1.0, jump_ens_50k,
                                    mu_values=[-0.2, -0.15], theta1_values=[-0.15, -0.1])
@@ -477,14 +479,15 @@ def test_dual_search_keeps_the_ends_of_its_evaluated_scenario(jump_model, jump_e
                                    theta1_values=JUMP_THETA1, replicate=False)
     whole = dl.evaluate_dual_scenario(jump_model, log_pair, sol.control, jump_ens_50k)
     assert np.array_equal(sol.density, whole.density)
-    for name in ("p_initial", "p_terminal", "q", "q_mean", "r_mean"):
+    for name in ("p_initial", "p_terminal", "q_mean", "r_mean") + (("q",) if robust else ()):
         assert np.array_equal(getattr(sol.adjoints, name), getattr(whole.adjoints, name))
+    assert np.array_equal(sol.adjoints.q_mean, whole.adjoints.q.mean(axis=0))
     assert np.array_equal(sol.adjoints.r_mean, whole.adjoints.r.mean(axis=0))
     assert np.max(np.abs(sol.adjoints.r_mean)) > 0
     assert sol.adjoints.diagnostics == whole.adjoints.diagnostics
     foc = dl.dual.dual_foc_residual(sol)
     assert all(np.array_equal(foc[key], value) for key, value in whole.foc.items())
-    for name in ("p", "r"):
+    for name in ("p", "r") if robust else ("p", "q", "r"):
         with pytest.raises(ValueError, match="evaluate_dual_scenario"):
             getattr(sol.adjoints, name)
 

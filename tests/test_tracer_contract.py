@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import duallab as dl
-from duallab.config import validate_config
+from duallab.config import ExperimentConfig, validate_config
 
 from conftest import make_ensemble
 
@@ -112,3 +112,20 @@ def test_workload_invariants_hold_on_small_runs(tmp_path, name):
         cfg = validate_config({**cfg.raw, "mc": {**cfg.raw["mc"], "paths": paths}})
         workloads.run_once([cfg])
         workloads._INVARIANTS[cfg.mode](cfg, workloads.read_outputs(cfg))
+
+
+@pytest.mark.parametrize("name", list(workloads.WORKLOADS))
+def test_workload_configs_carry_what_the_benchmark_reads(tmp_path, name):
+    """perfbench/rep.py builds each workload's configs with make_config and
+    times cfgs[0].utility() as set-up; workloads.py reads these fields and
+    methods of every config."""
+    for exp in workloads.WORKLOADS[name].experiments:
+        out = str(tmp_path / exp.label)
+        cfg = workloads.make_config(str(ROOT), exp, 4242, out)
+        assert isinstance(cfg, ExperimentConfig)
+        assert isinstance(cfg.utility(), dl.UtilityPair)
+        assert (cfg.out_dir, cfg.seed) == (out, 4242)
+        assert cfg.mode in workloads._PAYLOADS and cfg.x0 > 0
+        grid = cfg.time_grid()
+        assert isinstance(cfg.market_model(), dl.MarketModel)
+        assert (cfg.n_steps, cfg.n_paths) == (grid.n_steps, cfg.raw["mc"]["paths"])
