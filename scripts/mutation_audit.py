@@ -67,13 +67,7 @@ FIRST = ("tests/test_config_cli.py", "tests/test_market.py", "tests/test_bridge.
 _BLOCK_SIZE = ("changes only how many paths a block holds; the fill is bit-identical for any "
                "block size, and the block stays within FILL_BLOCK_BYTES")
 _NEGATIVE_SIZE = "numpy reads any negative size in a reshape as the inferred one"
-_VALIDATED_DEFAULT = ("validation only checks the field and discards the value, where any positive "
-                      "default passes; a run reads the field through its own method and default")
 EQUIVALENT: dict[str, str] = {
-    "config.validate_config: `_number(market, 's0', 'market', positive=True, default=1.0)` -> "
-    "`_number(market, 's0', 'market', positive=True, default=2.0)`": _VALIDATED_DEFAULT,
-    "config.validate_config: `_number(penalty, 'scale', 'penalty', positive=True, default=1.0)` "
-    "-> `_number(penalty, 'scale', 'penalty', positive=True, default=2.0)`": _VALIDATED_DEFAULT,
     "market._exp_paths: `max(1, FILL_BLOCK_BYTES // (8 * n_steps * max(1, k)))` -> "
     "`max(2, FILL_BLOCK_BYTES // (8 * n_steps * max(1, k)))`":
         "differs only where one path's coefficients exceed FILL_BLOCK_BYTES (n_steps * marks > "
@@ -90,6 +84,16 @@ EQUIVALENT: dict[str, str] = {
         "temporaries two paths wide",
     "market._log_increments: `ratio.reshape(-1, k)` -> `ratio.reshape(-2, k)`": _NEGATIVE_SIZE,
     "mc.cv_mean: `values.reshape(n, -1)` -> `values.reshape(n, -2)`": _NEGATIVE_SIZE,
+    "dual.dual_driver: `np.where(degenerate, 1.0, s)` -> `np.where(degenerate, 2.0, s)`":
+        "the placeholder divides b only on steps where sigma vanishes, whose quotient the "
+        "outer np.where replaces with 0.0",
+    "market.PathBlocks.whole: `max(1, FILL_BLOCK_BYTES // (8 * n_steps))` -> "
+    "`max(2, FILL_BLOCK_BYTES // (8 * n_steps))`":
+        "differs only where one path's row exceeds FILL_BLOCK_BYTES (n_steps > 16,384), with "
+        "blocks of two paths for one; the values are bit-identical for any block size",
+    "market.PathBlocks.whole: `8 * n_steps` -> `9 * n_steps`":
+        "changes only how many paths a block holds, which stays within FILL_BLOCK_BYTES; the "
+        "values are bit-identical for any block size",
 }
 
 _SWAPS = {ast.Add: ast.Sub, ast.Sub: ast.Add, ast.Mult: ast.Div, ast.Div: ast.Mult}

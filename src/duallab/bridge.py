@@ -12,6 +12,7 @@ exact), and the raw ratio enters the report as a residual.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -30,7 +31,7 @@ from .market import (
 from .primal import PrimalSolution
 
 
-# paths per deviation block of the identity checks
+# paths per deviation block of the bridged fraction's constancy check
 DEVIATION_BLOCK_PATHS = 2048
 
 
@@ -76,33 +77,52 @@ def _path_blocks(n_paths: int):
             for start in range(0, n_paths, DEVIATION_BLOCK_PATHS))
 
 
-def _abs_and_rel(values: np.ndarray, target: np.ndarray) -> tuple[float, float]:
-    """max |values - target| and max |values - target| / |target|, one block
-    of paths at a time in one reused block buffer (small enough to stay in
-    cache).  The relative deviation is formed as ||values - target| / target|,
-    which is |values - target| / |target| bit for bit."""
+def _row_reader(target):
+    """``i -> row i`` of a path array, (n_paths,) or (n_paths, n_times), read
+    as time-major rows (one row for a vector); a function of the step that
+    forms the row, such as ``AdjointTriple.rows`` of a channel, as it is."""
+    if callable(target):
+        return target
+    rows = np.atleast_2d(np.transpose(target))
+    return rows.__getitem__
+
+
+def _abs_and_rel(values: np.ndarray, target) -> tuple[float, float]:
+    """max |values - target| and max |values - target| / |target|, one step
+    row at a time in one reused row buffer.  ``target`` is an array shaped
+    like ``values``, or the function of the step that forms its row
+    (:func:`_row_reader`).  The relative deviation is formed as
+    ||values - target| / target|, which is |values - target| / |target| bit
+    for bit."""
+    target_row = _row_reader(target)
+    rows = np.atleast_2d(np.transpose(values))
     maxima = []
-    scratch = np.empty_like(values[:DEVIATION_BLOCK_PATHS], dtype=float)
-    for rows in _path_blocks(len(values)):
-        block = values[rows]
-        dev = np.subtract(block, target[rows], out=scratch[:len(block)])
-        block_abs = np.max(np.abs(dev, out=dev))
-        np.divide(dev, target[rows], out=dev)
-        maxima.append((block_abs, np.max(np.abs(dev, out=dev))))
-    # np.max, not max(): a NaN deviation in any block must reach the report
+    scratch = np.empty(rows.shape[1])
+    for i, row in enumerate(rows):
+        goal = target_row(i)
+        dev = np.subtract(row, goal, out=scratch)
+        row_abs = np.max(np.abs(dev, out=dev))
+        np.divide(dev, goal, out=dev)
+        maxima.append((row_abs, np.max(np.abs(dev, out=dev))))
+    # np.max, not max(): a NaN deviation in any row must reach the report
     max_abs, max_rel = np.max(maxima, axis=0)
     return max_abs, max_rel
 
 
-def _theta_ratios(adjoints) -> tuple[np.ndarray, np.ndarray]:
+def _theta_ratios(adjoints, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-time scenario ratios from adjoints: means of q1/p1 and r1/p1.
 
     p1 at the left endpoint of each step plays the left limit p1(t-).  The
-    ratios keep the adjoints' time-major layout, so each mean sums along
-    the contiguous path axis, pairwise.
+    ratios are formed one step row at a time, and each mean sums along the
+    contiguous path axis, pairwise: the whole arrays' ``mean(axis=0)`` bit
+    for bit.
     """
-    p_left = adjoints.p[:, :-1]
-    return (adjoints.q / p_left).mean(axis=0), (adjoints.r / p_left[:, :, None]).mean(axis=0)
+    theta0, theta1 = [], []
+    for i in range(n_steps):
+        p_left = adjoints.rows("p", i)
+        theta0.append((adjoints.rows("q", i) / p_left).mean())
+        theta1.append((adjoints.rows("r", i) / p_left).mean(axis=1))
+    return np.array(theta0), np.array(theta1)
 
 
 def primal_to_dual(solution: PrimalSolution) -> tuple[ScenarioControl, float, BridgeReport]:
@@ -112,8 +132,9 @@ def primal_to_dual(solution: PrimalSolution) -> tuple[ScenarioControl, float, Br
     ensemble: PathEnsemble = solution.ensemble
     grid = ensemble.grid
     adj = solution.adjoints
-    theta0_raw, theta1_raw = _theta_ratios(adj)
-    y = float(adj.p[:, 0].mean())
+    theta0_raw, theta1_raw = _theta_ratios(adj, grid.n_steps)
+    p_initial = adj.rows("p", 0)
+    y = float(p_initial.mean())
     try:
         control = scenario_from_theta1(model, grid, theta1_raw, y, mu=solution.mu)
     except ValueError as exc:
@@ -124,7 +145,7 @@ def primal_to_dual(solution: PrimalSolution) -> tuple[ScenarioControl, float, Br
     report.add(
         "process_link",
         "density driven by the bridged scenario equals the primal adjoint p1, pathwise",
-        *_abs_and_rel(density, adj.p),
+        *_abs_and_rel(density, functools.partial(adj.rows, "p")),
     )
     marginal = solution.utility.u_prime(solution.wealth[:, -1])
     report.add(
@@ -136,7 +157,7 @@ def primal_to_dual(solution: PrimalSolution) -> tuple[ScenarioControl, float, Br
     report.add(
         "initial_value",
         "y is the initial adjoint value p1(0)",
-        np.max(np.abs(adj.p[:, 0] - y)),
+        np.max(np.abs(p_initial - y)),
     )
     report.add(
         "ratio_residual",
@@ -161,18 +182,19 @@ def robust_primal_to_dual(
 
 def _fraction_blocks(solution) -> PathBlocks:
     """The bridged portfolio, the fraction of wealth q2/(sigma*p2(t-)) per
-    (path, step), formed block by block on the adjoints' time-major rows."""
+    (path, step), formed block by block from the adjoints' (steps, paths)
+    blocks of rows (:meth:`~duallab.bsde.AdjointTriple.rows`)."""
     adj = solution.adjoints
     s = solution.model.vol_on(solution.ensemble.grid)
     if np.any(np.abs(s) < DEGENERATE_VOL):
         raise BridgeViolationError(
             "sigma vanishes on the grid; use the replication branch instead"
         )
-    s, p_left, q = s[:, None], adj.p.T[:-1], adj.q.T
+    s, steps = s[:, None], slice(0, len(s))
 
     def write(cols: slice, out: np.ndarray) -> None:
-        np.multiply(s, p_left[:, cols], out=out)
-        np.divide(q[:, cols], out, out=out)
+        np.multiply(s, adj.rows("p", steps, cols), out=out)
+        np.divide(adj.rows("q", steps, cols), out, out=out)
 
     return PathBlocks(write)
 
@@ -180,7 +202,8 @@ def _fraction_blocks(solution) -> PathBlocks:
 def _bridged_fractions(solution) -> np.ndarray:
     """The bridged fraction of :func:`_fraction_blocks` as one (n_paths,
     n_steps) array, a view of time-major rows."""
-    return _fraction_blocks(solution).whole(*solution.adjoints.q.shape)
+    ensemble = solution.ensemble
+    return _fraction_blocks(solution).whole(ensemble.n_paths, ensemble.grid.n_steps)
 
 
 def dual_to_primal(solution: DualSolution) -> tuple[Strategy, float, BridgeReport]:
@@ -189,10 +212,11 @@ def dual_to_primal(solution: DualSolution) -> tuple[Strategy, float, BridgeRepor
 
     The wealth fill forms the bridged fraction one block of paths at a time;
     the returned portfolio holds it whole, built once the wealth and its
-    links are done with."""
+    links are done with.  The links read p2 one step row at a time."""
     adj = solution.adjoints
     fraction = _fraction_blocks(solution)
-    x0 = float(adj.p[:, 0].mean())
+    p_initial = adj.rows("p", 0)
+    x0 = float(p_initial.mean())
     if not x0 > 0:
         raise BridgeViolationError("initial adjoint value p2(0) is not positive")
     try:
@@ -205,7 +229,7 @@ def dual_to_primal(solution: DualSolution) -> tuple[Strategy, float, BridgeRepor
     report.add(
         "process_link",
         "wealth under the bridged portfolio equals the dual adjoint p2, pathwise",
-        *_abs_and_rel(wealth, adj.p),
+        *_abs_and_rel(wealth, functools.partial(adj.rows, "p")),
     )
     claim = solution.pair.inverse_marginal(solution.density[:, -1])
     report.add(
@@ -218,9 +242,10 @@ def dual_to_primal(solution: DualSolution) -> tuple[Strategy, float, BridgeRepor
     report.add(
         "initial_value",
         "x is the initial adjoint value p2(0)",
-        np.max(np.abs(adj.p[:, 0] - x0)),
+        np.max(np.abs(p_initial - x0)),
     )
-    return Strategy.fraction(fraction.whole(*adj.q.shape)), x0, report
+    ensemble = solution.ensemble
+    return Strategy.fraction(fraction.whole(ensemble.n_paths, ensemble.grid.n_steps)), x0, report
 
 
 def robust_dual_to_primal(
@@ -271,24 +296,24 @@ def bridged_fraction(solution, constant_tol: float = 1e-9) -> float:
     return pi
 
 
-def verify_product_identity(
-    wealth: np.ndarray, density: np.ndarray, x0: float, y0: float
-) -> float:
+def verify_product_identity(wealth: np.ndarray, density, x0: float, y0: float) -> float:
     """Max over paths and times of |X(t)G(t) - x*y|.
 
     With exact exponential updates the log cases cancel exponents exactly, so
     the deviation sits at accumulation-rounding level; Euler updates leave a
-    step-size-dependent deviation used by the scheme-order study.  One
-    block of paths at a time in one reused block buffer, as in
-    :func:`_abs_and_rel`.
+    step-size-dependent deviation used by the scheme-order study.
+    ``density`` is an (n_paths, n_steps + 1) array or the function of the
+    step that forms its row, such as the primal adjoint p1's
+    (:func:`_row_reader`).  One step row at a time in one reused row buffer,
+    as in :func:`_abs_and_rel`.
     """
     xy = x0 * y0
+    density_row = _row_reader(density)
     maxima = []
-    scratch = np.empty_like(wealth[:DEVIATION_BLOCK_PATHS], dtype=float)
-    for rows in _path_blocks(len(wealth)):
-        block = wealth[rows]
-        dev = np.multiply(block, density[rows], out=scratch[:len(block)])
+    scratch = np.empty(len(wealth))
+    for i, row in enumerate(np.transpose(wealth)):
+        dev = np.multiply(row, density_row(i), out=scratch)
         dev -= xy
         maxima.append(np.max(np.abs(dev, out=dev)))
-    # np.max, not max(): a NaN deviation in any block must reach the result
+    # np.max, not max(): a NaN deviation in any row must reach the result
     return float(np.max(maxima))

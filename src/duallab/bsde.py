@@ -109,9 +109,11 @@ class AdjointTriple:
 
     ``p`` has shape (n_paths, n_steps+1); ``q`` (n_paths, n_steps) and ``r``
     (n_paths, n_steps, n_marks) live on steps.  Each is a transposed view of
-    time-major storage, one contiguous row of paths per step (and mark).
+    time-major storage, one contiguous row of paths per step (and mark);
+    :meth:`rows` reads a channel a step row, or a block of rows, at a time.
     ``mode`` records whether the channels are closed-form or regression
     estimates, since downstream tolerances differ by orders of magnitude.
+    The closed forms keep no channel whole (:class:`ClosedFormAdjoints`).
 
     A sweep may keep a channel in part (``keep`` of
     :func:`solve_linear_bsde`): p at its two ends only (``ends`` = (p(t_0),
@@ -132,36 +134,41 @@ class AdjointTriple:
         self.mode = mode
         self.diagnostics = {} if diagnostics is None else diagnostics
 
-    @staticmethod
-    def _kept(channel, name: str, partial: str) -> np.ndarray:
-        if channel is None:
+    # what a triple keeps of a channel it does not keep whole
+    _PARTIAL = {"p": "at p(t_0) and p(T) (read p_initial and p_terminal)",
+                "q": "as its per-step mean over paths (read q_mean)",
+                "r": "as its per-step mean over paths (read r_mean)"}
+
+    def _whole(self, channel: str) -> np.ndarray:
+        kept = getattr(self, "_" + channel)
+        if kept is None:
             raise ValueError(
-                f"this adjoint triple keeps {name} only {partial}; a sweep or a primal search "
-                f"with {name!r} in keep=..., or evaluate_dual_scenario for a dual, keeps "
-                f"{name} whole")
-        return channel
+                f"this adjoint triple keeps {channel} only {self._PARTIAL[channel]}; a sweep or "
+                f"a primal search with {channel!r} in keep=..., or evaluate_dual_scenario for a "
+                f"dual, keeps {channel} whole")
+        return kept
 
     @property
     def p(self) -> np.ndarray:
-        return self._kept(self._p, "p", "at p(t_0) and p(T) (read p_initial and p_terminal)")
+        return self._whole("p")
 
     @property
     def q(self) -> np.ndarray:
-        return self._kept(self._q, "q", "as its per-step mean over paths (read q_mean)")
+        return self._whole("q")
 
     @property
     def r(self) -> np.ndarray:
-        return self._kept(self._r, "r", "as its per-step mean over paths (read r_mean)")
+        return self._whole("r")
 
     @property
     def p_initial(self) -> np.ndarray:
         """p(t_0), one value per path."""
-        return self._ends[0] if self._p is None else self._p[:, 0]
+        return self.rows("p", 0) if self._ends is None else self._ends[0]
 
     @property
     def p_terminal(self) -> np.ndarray:
         """p(T), one value per path."""
-        return self._ends[1] if self._p is None else self._p[:, -1]
+        return self.rows("p", -1) if self._ends is None else self._ends[1]
 
     @property
     def q_mean(self) -> np.ndarray:
@@ -173,21 +180,78 @@ class AdjointTriple:
         """Per-step, per-mark mean of r over paths, (n_steps, n_marks)."""
         return self._r_mean if self._r is None else self._r.mean(axis=0)
 
+    def rows(self, channel: str, steps, paths: slice = slice(None)) -> np.ndarray:
+        """The channel ``channel`` ("p", "q" or "r") at the step ``steps`` on
+        the paths ``paths``, time-major: a row (paths,) of p or q, (n_marks,
+        paths) of r; a slice of steps adds a leading axis over them.  A kept
+        channel's rows are views of its storage."""
+        return np.moveaxis(getattr(self, channel), 0, -1)[steps, ..., paths]
+
+
+class ClosedFormAdjoints(AdjointTriple):
+    """Closed-form adjoints p = C/Z, q = q_ratio*p(t-) and r_k =
+    r_ratio_k*p(t-), formed on demand.
+
+    The triple keeps the deterministic tail factor C (n_steps + 1,), the
+    time-major rows of the forward process Z it divides (alive anyway: the
+    wealth or the density), and the per-step ratios ``q_ratio`` (n_steps,)
+    and ``r_ratio`` (n_steps, n_marks).  :meth:`rows` forms a row, or a
+    block of rows over a range of paths, when a reader asks; each value is
+    the one a whole channel holds, bit for bit.  The whole ``p``, ``q`` and
+    ``r`` are formed on each read and never kept, and :attr:`q_mean` and
+    :attr:`r_mean` are pairwise means of rows, ``q.mean(axis=0)`` and
+    ``r.mean(axis=0)`` bit for bit.
+    """
+
+    def __init__(self, tail_factor: np.ndarray, process: np.ndarray, q_ratio: np.ndarray,
+                 r_ratio: np.ndarray, family: str):
+        super().__init__(None, None, None, mode="analytic", diagnostics={"family": family})
+        self._c, self._process = tail_factor, process.T
+        self._q_ratio, self._r_ratio = q_ratio, r_ratio
+
+    def rows(self, channel: str, steps, paths: slice = slice(None)) -> np.ndarray:
+        """As :meth:`AdjointTriple.rows`, formed here; q and r read p at
+        the left endpoint of each step, a slice of steps in increasing
+        order."""
+        if channel == "p":
+            return self._p_rows(steps, paths)
+        if channel not in ("q", "r"):
+            raise ValueError(f"channel must be 'p', 'q' or 'r', not {channel!r}")
+        n_steps = len(self._q_ratio)
+        steps = slice(*steps.indices(n_steps)) if isinstance(steps, slice) else range(n_steps)[steps]
+        p = self._p_rows(steps, paths)
+        if channel == "q":
+            return np.multiply(self._q_ratio[steps][..., None], p, out=p)
+        return self._r_ratio[steps][..., None] * p[..., None, :]
+
+    def _p_rows(self, steps, paths: slice) -> np.ndarray:
+        return np.divide(self._c[steps][..., None], self._process[steps, paths])
+
+    def _whole(self, channel: str) -> np.ndarray:
+        """The whole channel in the layout of a kept one, formed on this call."""
+        return np.moveaxis(self.rows(channel, slice(None)), -1, 0)
+
+    @property
+    def q_mean(self) -> np.ndarray:
+        return np.array([self.rows("q", i).mean() for i in range(len(self._q_ratio))])
+
+    @property
+    def r_mean(self) -> np.ndarray:
+        return np.array([self.rows("r", i).mean(axis=1) for i in range(len(self._q_ratio))]
+                        ).reshape(self._r_ratio.shape)
+
 
 def log_adjoints(grid: TimeGrid, rate: np.ndarray, process: np.ndarray, q_ratio: np.ndarray,
-                 r_ratio: np.ndarray, family: str) -> AdjointTriple:
+                 r_ratio: np.ndarray, family: str) -> ClosedFormAdjoints:
     """Closed-form adjoints of a log problem: p = C/X for the forward
     ``process`` X, with the deterministic tail factor C(t_i) = exp(sum_{j>=i}
     rate_j dt), C(T) = 1; then q = q_ratio*p(t-) and r_k = r_ratio_k*p(t-)
     per step (and mark), with p at the left endpoint of each step as p(t-).
-    The triple is formed on the time-major rows of ``process``.
+    The triple keeps C, the time-major rows of ``process`` and the ratios,
+    and forms the channels row by row on demand (:class:`ClosedFormAdjoints`).
     """
     tail = np.concatenate([np.cumsum((rate * grid.dt)[::-1])[::-1], [0.0]])
-    p = np.exp(tail)[:, None] / process.T
-    q = q_ratio[:, None] * p[:-1]
-    r = r_ratio[:, :, None] * p[:-1, None, :]
-    return AdjointTriple(p.T, q.T, r.transpose(2, 0, 1), mode="analytic",
-                         diagnostics={"family": family})
+    return ClosedFormAdjoints(np.exp(tail), process, q_ratio, r_ratio, family)
 
 
 def _default_state(ensemble: PathEnsemble) -> dict:

@@ -219,9 +219,11 @@ def _scalar_fraction(portfolio, adjoints: str) -> float:
 
 def run_bridge_check(cfg: ExperimentConfig) -> dict:
     """Primal solve, map to the dual, dual solve, map back.  Each stage keeps
-    only what the next map reads: the primal search keeps q1 and r1 whole
-    (``keep="pqr"``), as the map to the dual reads them path by path, the
-    product identity is taken while the primal's wealth and p1 are alive,
+    only what the next map reads: regression adjoints keep q1 and r1 whole
+    (``keep="pqr"``), as the map to the dual reads them path by path, while
+    closed-form adjoints keep no channel whole and form each row the maps
+    read from the wealth or the density; the product identity is taken
+    while the primal's wealth is alive, reading p1 one step row at a time,
     the primal solution is then let go, and the forward report hands its
     density on to the dual solve.  The robust case differs only in its
     closed form and saddle: its bridged scenario carries the perturbation
@@ -239,7 +241,8 @@ def run_bridge_check(cfg: ExperimentConfig) -> dict:
         primal = solve_robust_saddle(model, utility, penalty, cfg.x0, [pi_star], [mu_star], ens,
                                      adjoint_mode=adjoints, keep="pqr")
     control, y, rep_fwd = primal_to_dual(primal)
-    product_dev = verify_product_identity(primal.wealth, primal.adjoints.p, cfg.x0, y)
+    product_dev = verify_product_identity(primal.wealth,
+                                          functools.partial(primal.adjoints.rows, "p"), cfg.x0, y)
     pi, mu = primal.pi, primal.mu
     del primal  # its wealth, p1 and q1 are read by no later map
     dual = evaluate_dual_scenario(model, utility, control, ens, adjoint_mode=adjoints,

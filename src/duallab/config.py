@@ -35,6 +35,9 @@ MAX_DRIVER_BYTES = 2**29
 # a mark's events are counted at a bound its Poisson total of jumps exceeds
 # with probability below exp(-EVENT_TAIL_LOG), about 1e-12
 EVENT_TAIL_LOG = 27.6
+# most candidates a search grid may hold, counted before the grid is built:
+# a robust search counts its phi x mu product (441 in the shipped config)
+MAX_GRID_CANDIDATES = 10**6
 # the settings a runner reads where the config leaves them unset; none is
 # written into the config, so a run's hash is that of the file as given
 PRIMAL_GRID = {"grid_min": 0.0, "grid_max": 2.5, "grid_step": 0.05}
@@ -119,15 +122,24 @@ def _choice(data: dict, key: str, path: str, choices: tuple, default: Any = None
     return value
 
 
-def _linspace(data: dict, key: str, path: str) -> np.ndarray | None:
-    """The min:max:count grid ``data[key]``, None where it is unset; it needs
-    finite ends and an integer count of at least 1."""
+def _linspace_spec(data: dict, key: str, path: str) -> tuple[float, float, int] | None:
+    """The (min, max, count) of the grid ``data[key]``, None where it is
+    unset; it needs finite ends and an integer count of at least 1."""
     grid = data.get(key)
     if grid is None:
         return None
     where = f"{path}.{key}"
     lo, hi = (_number(grid, end, where) for end in ("min", "max"))
-    return np.linspace(lo, hi, _integer(grid, "count", where, 1))
+    return lo, hi, _integer(grid, "count", where, 1)
+
+
+def _bounded(count: float, field: str) -> None:
+    """Refuse a search of more than :data:`MAX_GRID_CANDIDATES` candidates,
+    naming the field that sets their count."""
+    if not count <= MAX_GRID_CANDIDATES:
+        shown = count if count < 1e15 else f"{float(count):.3g}"
+        raise ConfigError(f"{field} gives {shown} grid candidates, above the "
+                          f"{MAX_GRID_CANDIDATES} limit")
 
 
 def _ladder(data: dict, key: str) -> list[int]:
@@ -163,7 +175,7 @@ class ExperimentConfig:
             jump_marks=tuple(float(j["mark"]) for j in jumps),
             jump_intensities=tuple(float(j["intensity"]) for j in jumps),
             horizon=float(m["horizon"]),
-            s0=float(m.get("s0", 1.0)),
+            s0=_number(m, "s0", "market", positive=True, default=1.0),
         )
 
     def time_grid(self) -> TimeGrid:
@@ -177,7 +189,10 @@ class ExperimentConfig:
         return make_log_utility()
 
     def penalty(self) -> Penalty:
-        return make_quadratic_penalty(float(self.raw.get("penalty", {}).get("scale", 1.0)))
+        section = self.raw.get("penalty", {})
+        _choice(section, "name", "penalty", ("quadratic",), "quadratic")
+        return make_quadratic_penalty(_number(section, "scale", "penalty", positive=True,
+                                              default=1.0))
 
     def identity(self) -> dict:
         """The experiment's identity: the configuration less its output directory."""
@@ -196,16 +211,28 @@ class ExperimentConfig:
         if hi < lo:
             raise ConfigError(
                 f"primal.grid_max must be at least primal.grid_min = {lo!r}, got {hi!r}")
-        return np.round(lo + step * np.arange(int(round((hi - lo) / step)) + 1), 12)
+        # (hi - lo) / step overflows to inf for a subnormal step
+        last = (hi - lo) / step
+        count = round(last) + 1 if math.isfinite(last) else math.inf
+        _bounded(count, "primal.grid_step")
+        return np.round(lo + step * np.arange(count), 12)
 
     def theta1_grid(self) -> np.ndarray | None:
         """The dual search's jump ratios, None where the config sets none."""
-        return _linspace(self.raw.get("dual", {}), "theta1_grid", "dual")
+        spec = _linspace_spec(self.raw.get("dual", {}), "theta1_grid", "dual")
+        if spec is None:
+            return None
+        _bounded(spec[2], "dual.theta1_grid.count")
+        return np.linspace(*spec)
 
     def robust_grids(self) -> tuple[np.ndarray, np.ndarray]:
-        """The robust search's fractions (phi_grid) and drift perturbations (mu_grid)."""
+        """The robust search's fractions (phi_grid) and drift perturbations
+        (mu_grid), bounded as one grid of phi x mu candidates."""
         section = {**ROBUST_GRIDS, **self.raw.get("robust", {})}
-        return _linspace(section, "phi_grid", "robust"), _linspace(section, "mu_grid", "robust")
+        # both set: each has a default, and a section given as null is refused
+        phi, mu = (_linspace_spec(section, key, "robust") for key in ("phi_grid", "mu_grid"))
+        _bounded(phi[2] * mu[2], "robust.phi_grid.count x robust.mu_grid.count")
+        return np.linspace(*phi), np.linspace(*mu)
 
     def bridge(self) -> tuple[str, str]:
         """The bridge check's case and adjoint mode, by default the run's."""
@@ -235,7 +262,6 @@ def validate_config(raw: dict) -> ExperimentConfig:
     market = _require(raw, "market", "")
     for key in ("drift", "vol"):
         _number(market, key, "market")
-    _number(market, "s0", "market", positive=True, default=1.0)
     _number(market, "horizon", "market", positive=True)
     for j, jump in enumerate(market.get("jumps", []) or []):
         if not isinstance(jump, dict):
@@ -261,7 +287,8 @@ def validate_config(raw: dict) -> ExperimentConfig:
         adjoints=_choice(raw, "adjoints", "", ADJOINTS, "regression"),
         out_dir=str(raw.get("out", "runs")),
     )
-    for setting in (cfg.primal_grid, cfg.theta1_grid, cfg.robust_grids, cfg.bridge, cfg.ladder):
+    for setting in (cfg.primal_grid, cfg.theta1_grid, cfg.robust_grids, cfg.bridge, cfg.ladder,
+                    cfg.penalty):
         setting()
     if cfg.mode == "dual" and market.get("jumps") and cfg.theta1_grid() is None:
         raise ConfigError("dual.theta1_grid required for a jump market")
@@ -271,9 +298,6 @@ def validate_config(raw: dict) -> ExperimentConfig:
         alpha = _number(utility, "alpha", "utility")
         if not 0.0 < alpha < 1.0:
             raise ConfigError(f"utility.alpha must lie in (0, 1), got {alpha!r}")
-    penalty = raw.get("penalty", {})
-    _choice(penalty, "name", "penalty", ("quadratic",), "quadratic")
-    _number(penalty, "scale", "penalty", positive=True, default=1.0)
     # fail early on bad market coefficients: a negative intensity, a jump of
     # -100% or below
     try:

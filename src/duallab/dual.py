@@ -256,10 +256,11 @@ def dual_adjoints(
     keep: str = "pqr",
 ) -> AdjointTriple:
     """Dual adjoints (p2, q2, r2) of a scenario, in the market with drift
-    b + control.mu*sigma: the log closed form (analytic mode, every channel
-    whole) or the backward solve with terminal value -V'(G(T)), which keeps
-    whole the channels in ``keep`` (:func:`~duallab.bsde.solve_linear_bsde`).
-    p2 is the optimal wealth of the primal problem.
+    b + control.mu*sigma: the log closed form (analytic mode; its rows are
+    formed on demand from the density, :class:`~duallab.bsde.ClosedFormAdjoints`)
+    or the backward solve with terminal value -V'(G(T)), which keeps whole
+    the channels in ``keep`` (:func:`~duallab.bsde.solve_linear_bsde`).  p2
+    is the optimal wealth of the primal problem.
     """
     if mode == "analytic":
         if pair.name != "log":
@@ -356,8 +357,9 @@ def evaluate_dual_scenario(
     """Dual solution object for one given scenario (no search).
 
     Used by the bridge round trips, which hand back a fully determined
-    scenario rather than a candidate family; the adjoints keep every channel
-    whole, as the map back reads p2 and q2.  ``density`` may pass the
+    scenario rather than a candidate family; regression adjoints keep every
+    channel whole, as the map back reads p2 and q2 path by path, and the
+    closed form forms their rows on demand.  ``density`` may pass the
     scenario's paths, ``density_paths(ensemble, control)``, when they are
     built already (a primal-to-dual report keeps them); they are not rebuilt.
     ValueError if their shape is not (n_paths, n_steps+1) or G(0) is not
@@ -412,7 +414,8 @@ def _portfolio_rows(solution: DualSolution):
     The amount is q2/sigma; where sigma vanishes, the nu-weighted least
     squares of r2_k = phi*S*gamma_k over the live marks, sum_live w_k r2_k
     (:func:`_jump_branch`), or zero where no mark is live.  No price is read,
-    and each value is formed by the same operations on any path range.
+    and each value is formed by the same operations on any path range.  The
+    integrands are read one step row at a time.
     Every step with vanishing sigma is checked here, before any step is
     taken: with no live mark there, nonzero integrands raise ValueError.
     """
@@ -430,8 +433,8 @@ def _portfolio_rows(solution: DualSolution):
         if np.any(live):
             jump_fit[i] = (live, weight)
             continue
-        q_size = float(np.max(np.abs(adj.q[:, i])))
-        r_size = float(np.max(np.abs(adj.r[:, i]))) if model.n_marks else 0.0
+        q_size = float(np.max(np.abs(adj.rows("q", i))))
+        r_size = float(np.max(np.abs(adj.rows("r", i)))) if model.n_marks else 0.0
         if max(q_size, r_size) > 1e-6 * scale:
             raise ValueError(
                 f"inconsistent adjoints at step {i}: sigma = 0 and no mark can jump, "
@@ -441,13 +444,13 @@ def _portfolio_rows(solution: DualSolution):
 
     def exposure(i: int, x, paths: slice, out: np.ndarray) -> np.ndarray:
         if i not in jump_fit:
-            return np.divide(adj.q[paths, i], s[i], out=out)
+            return np.divide(adj.rows("q", i, paths), s[i], out=out)
         if jump_fit[i] is None:
             out.fill(0.0)
             return out
         live, weight = jump_fit[i]
-        # a (paths, live marks) temporary, on these steps only
-        return np.sum(adj.r[paths, i, live] * weight, axis=1, out=out)
+        # a (live marks, paths) temporary, on these steps only
+        return np.sum(adj.rows("r", i, paths)[live] * weight[:, None], axis=0, out=out)
 
     return exposure, float(adj.p_initial.mean())
 

@@ -657,9 +657,11 @@ class PathBlocks:
         return cls(lambda cols, out: np.copyto(out, rows[:, cols]))
 
     def whole(self, n_paths: int, n_steps: int) -> np.ndarray:
-        """Every path's values, (n_paths, n_steps), a view of time-major rows."""
+        """Every path's values, (n_paths, n_steps), a view of time-major rows,
+        written one block of :data:`FILL_BLOCK_BYTES` at a time."""
         out = np.empty((n_steps, n_paths))
-        self.write(slice(0, n_paths), out)
+        for cols in _blocks(slice(0, n_paths), max(1, FILL_BLOCK_BYTES // (8 * n_steps))):
+            self.write(cols, out[:, cols])
         return out.T
 
 

@@ -107,9 +107,13 @@ def _grid_sup(f: Callable, params, grid: np.ndarray):
     """
     p = np.asarray(params, dtype=float)
     flat = p.reshape(-1)
-    vals = f(grid[None, :], flat[:, None])
-    j = np.argmax(vals, axis=1)
-    best = vals[np.arange(flat.size), j]
+    # one parameter at a time: rows of the grid's size, not a (params, grid) array
+    j = np.empty(flat.size, dtype=int)
+    best = np.empty(flat.size)
+    for i, param in enumerate(flat):
+        vals = f(grid, param)
+        j[i] = np.argmax(vals)
+        best[i] = vals[j[i]]
     a = grid[np.maximum(j - 1, 0)]
     b = grid[np.minimum(j + 1, len(grid) - 1)]
     for _ in range(GOLDEN_ITERATIONS):

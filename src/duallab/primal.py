@@ -116,11 +116,11 @@ def primal_adjoints(
     keep: str = "pqr",
 ) -> AdjointTriple:
     """Primal adjoints (p1, q1, r1) at a constant fraction, in the market with
-    drift b + mu*sigma: the log closed form (analytic mode, every channel
-    whole) or the martingale representation of U'(X(T)) by regression, which
-    keeps whole the channels in ``keep``
-    (:func:`~duallab.bsde.solve_linear_bsde`).  p1 is the optimal density of
-    the dual problem.
+    drift b + mu*sigma: the log closed form (analytic mode; its rows are
+    formed on demand from the wealth, :class:`~duallab.bsde.ClosedFormAdjoints`)
+    or the martingale representation of U'(X(T)) by regression, which keeps
+    whole the channels in ``keep`` (:func:`~duallab.bsde.solve_linear_bsde`).
+    p1 is the optimal density of the dual problem.
     """
     if mode == "analytic":
         if utility.name != "log":
@@ -214,7 +214,8 @@ def primal_foc_residual(solution: PrimalSolution) -> dict:
     adj = solution.adjoints
     b = model.drift_on(grid, solution.mu)
     s = model.vol_on(grid)
-    p_mean = adj.p[:, :-1].mean(axis=0)
+    # one step row at a time: each row's pairwise mean is mean(axis=0)'s
+    p_mean = np.array([adj.rows("p", i).mean() for i in range(grid.n_steps)])
     raw = b * p_mean + s * adj.q_mean
     if model.n_marks:
         gam = model.jump_sizes_on(grid)

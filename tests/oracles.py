@@ -8,7 +8,8 @@ candidate, a per-step Python loop for the theta0 elimination, two SVD
 in long double, as an accuracy reference), a separate forward loop per
 process (price and density from whole-array log factors, wealth and
 replication one step at a time), the per-path exact fill one column at a
-time, the map back's bridged fraction as one whole array, and a
+time, the map back's bridged fraction as one whole array, the closed-form
+log adjoints as three whole time-major arrays, and a
 ``csv.writer`` call per CSV row, and the conjugacy oracle polished one test
 point at a time by scipy's bounded Brent search.  They stay out of the package on
 purpose; the tests compare the package against them.  The out-of-sample
@@ -34,7 +35,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from duallab import market
-from duallab.bsde import DriverSpec, RegressionBasis, _monomial_exponents
+from duallab.bsde import AdjointTriple, DriverSpec, RegressionBasis, _monomial_exponents
 from duallab.dual import ScenarioControl
 from duallab.market import (
     DEGENERATE_VOL,
@@ -170,6 +171,18 @@ def bridged_fractions(solution):
         raise ValueError("sigma vanishes on the grid; use the replication branch instead")
     pi_path = s[:, None] * adj.p.T[:-1]
     return np.divide(adj.q.T, pi_path, out=pi_path).T
+
+
+def log_adjoints(grid, rate, process, q_ratio, r_ratio, family):
+    """The closed-form log adjoints p = C/X, q = q_ratio*p(t-) and r_k =
+    r_ratio_k*p(t-) as three whole time-major arrays, kept in a triple: the
+    closed form before it formed its rows on demand."""
+    tail = np.concatenate([np.cumsum((rate * grid.dt)[::-1])[::-1], [0.0]])
+    p = np.exp(tail)[:, None] / process.T
+    q = q_ratio[:, None] * p[:-1]
+    r = r_ratio[:, :, None] * p[:-1, None, :]
+    return AdjointTriple(p.T, q.T, r.transpose(2, 0, 1), mode="analytic",
+                         diagnostics={"family": family})
 
 
 def _at_step(values, i, n_paths):

@@ -35,7 +35,7 @@ import pytest
 import yaml
 
 import duallab as dl
-from duallab import bridge, cli, dual, market, mc, primal
+from duallab import bridge, bsde, cli, dual, market, mc, primal
 from duallab.config import validate_config
 
 import oracles
@@ -393,15 +393,18 @@ def test_replication_streams_a_few_rows_per_range(one_mark, n_cpus):
 @pytest.mark.parametrize("name, case", [("merton_log.yaml", "merton_log"),
                                         ("robust_merton.yaml", "robust_merton")])
 def test_bridge_check_peak_is_the_dual_and_its_map_back(tmp_path, name, case):
-    # the product identity is taken while the primal solution is alive, which
-    # is then let go, and the dual reuses the forward density; the map back
-    # forms the bridged fraction one block at a time inside its wealth fill
-    # and the whole fraction only after the wealth is let go.  So the map
-    # back holds five path arrays (dB, the density, p2, q2 and the wealth),
-    # plus the fill's blocks; at 50k x 100 the peak is the forward map (dB,
-    # wealth, p1, q1 and the density).  A whole fraction beside the wealth
-    # held 6.66 path arrays here, and a primal kept to the end and a second
-    # density fill about ten
+    # closed-form adjoints keep no channel whole: each map forms the rows of
+    # p and q it reads from the wealth or the density.  The product identity
+    # is taken while the primal solution is alive, which is then let go, and
+    # the dual reuses the forward density; the map back forms the bridged
+    # fraction one block at a time inside its wealth fill and the whole
+    # fraction only after the wealth is let go.  So the forward map holds
+    # three path arrays (dB, the wealth and the density) and the map back
+    # three (dB, the density and the wealth), plus rows and the fill's
+    # blocks: 3.04 path arrays at 50k x 100.  With p and q kept whole each
+    # map held five (5.04 at 50k x 100), a whole fraction beside the wealth
+    # 6.66 here, and a primal kept to the end and a second density fill
+    # about ten
     n_paths, n_steps = 4_000, 20
     with open(Path(__file__).resolve().parents[1] / "configs" / name) as fh:
         raw = yaml.safe_load(fh)
@@ -411,10 +414,75 @@ def test_bridge_check_peak_is_the_dual_and_its_map_back(tmp_path, name, case):
     cfg = validate_config(raw)
     # first calls import modules and fill caches: not part of the check
     cli.run_bridge_check(cfg)
-    # deviation blocks of 256 paths, about the share of 2048 at 50k paths
+    # the fraction's constancy blocks of 256 paths, about the share of 2048
+    # at 50k paths
     with mock.patch.object(bridge, "DEVIATION_BLOCK_PATHS", 256):
         peak, files = _peak(lambda: cli.run_bridge_check(cfg))
     report = files["report.json"]
     assert report["product_identity_max_dev"] < 1e-12
     path_array = n_paths * (n_steps + 1) * 8
-    assert peak <= 5.5 * path_array + FIXED_SLACK
+    assert peak <= 3.5 * path_array + FIXED_SLACK
+
+
+@pytest.fixture
+def whole_channels():
+    """The channels a closed-form adjoint triple forms whole, in call order."""
+    formed = []
+    real = bsde.ClosedFormAdjoints._whole
+
+    def counting(self, channel):
+        formed.append(channel)
+        return real(self, channel)
+
+    with mock.patch.object(bsde.ClosedFormAdjoints, "_whole", counting):
+        yield formed
+
+
+def _config(tmp_path, name, n_paths, n_steps, **top):
+    """The bundled config ``name`` at ``n_paths`` x ``n_steps``, with the
+    top-level entries ``top``."""
+    with open(Path(__file__).resolve().parents[1] / "configs" / name) as fh:
+        raw = yaml.safe_load(fh)
+    raw["mc"]["paths"], raw["grid"]["steps"] = n_paths, n_steps
+    raw.update(top, out=str(tmp_path))
+    return validate_config(raw)
+
+
+@pytest.mark.parametrize("case", ["merton_log", "robust_merton"])
+def test_bridge_maps_form_no_whole_closed_form_channel(tmp_path, whole_channels, case):
+    # the maps read closed-form adjoints a step row or a block of rows at a
+    # time; only the robust saddle's penalty residual forms p1 whole, beside
+    # the wealth, before the forward map
+    inside = []
+
+    def counted(fn):
+        def wrapper(*args):
+            before = len(whole_channels)
+            out = fn(*args)
+            inside.append(whole_channels[before:])
+            return out
+        return wrapper
+
+    cfg = _config(tmp_path, f"{case}.yaml", 2_000, 20, mode="bridge-check",
+                  bridge={"case": case, "adjoints": "analytic"})
+    with mock.patch.object(cli, "primal_to_dual", counted(bridge.primal_to_dual)), \
+            mock.patch.object(cli, "dual_to_primal", counted(bridge.dual_to_primal)):
+        report = cli.run_bridge_check(cfg)["report.json"]
+    assert inside == [[], []]
+    assert whole_channels == ([] if case == "merton_log" else ["p"])
+    assert report["product_identity_max_dev"] < 1e-12
+
+
+def test_analytic_dual_run_forms_whole_channels_independent_of_steps(tmp_path, whole_channels):
+    # an analytic jump_dual run with replication: its first-order residual
+    # and its replication read q2 and r2 one step row at a time, so the
+    # count of whole channels does not grow with the steps
+    counts = []
+    for steps in (20, 40):
+        cfg = _config(tmp_path, "jump_dual.yaml", 2_000, steps, adjoints="analytic")
+        before = len(whole_channels)
+        solution = cli.run_dual(cfg)["solution.json"]
+        counts.append(len(whole_channels) - before)
+        assert solution["adjoints"] == "analytic"
+        assert solution["replication"]["rmse_rel"] < 0.1
+    assert counts[0] == counts[1]

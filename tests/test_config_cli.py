@@ -11,8 +11,8 @@ import yaml
 
 import duallab.cli as cli
 from duallab import market, preferences
-from duallab.config import (EVENT_TAIL_LOG, MAX_DRIVER_BYTES, ConfigError, _event_bound,
-                            load_config, validate_config)
+from duallab.config import (EVENT_TAIL_LOG, MAX_DRIVER_BYTES, MAX_GRID_CANDIDATES, ConfigError,
+                            _event_bound, load_config, validate_config)
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -138,6 +138,71 @@ def test_bad_search_grid_is_a_configuration_error(tmp_path, capsys, command, nam
     assert code == 2
     assert capsys.readouterr().err.startswith(f"configuration error: {named}")
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("step", ["1e-300", "5e-324"])
+def test_primal_grid_of_any_step_is_counted_before_it_is_built(tmp_path, capsys, step):
+    """A step too fine for any grid exits 2 naming primal.grid_step, not 1
+    from numpy inside the validation (``Maximum allowed size exceeded``);
+    at a subnormal step the count overflows to inf."""
+    code = cli.main(["primal", "--config", str(CONFIG_DIR / "merton_log.yaml"),
+                     "--grid-step", step, "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("configuration error: primal.grid_step gives ")
+    assert not (tmp_path / "run").exists()
+
+
+def test_primal_grid_above_the_candidate_bound_is_refused():
+    raw = load_raw("merton_log.yaml")
+    raw["primal"] = {"grid_min": 0.0, "grid_max": 0.5 * (MAX_GRID_CANDIDATES - 1),
+                     "grid_step": 0.5}
+    assert validate_config(raw).primal_grid().size == MAX_GRID_CANDIDATES
+    raw["primal"]["grid_max"] += 0.5
+    with pytest.raises(ConfigError, match=rf"^primal.grid_step gives {MAX_GRID_CANDIDATES + 1} "):
+        validate_config(raw)
+
+
+def test_theta1_grid_above_the_candidate_bound_is_refused():
+    raw = load_raw("jump_dual.yaml")
+    raw["dual"]["theta1_grid"]["count"] = MAX_GRID_CANDIDATES
+    assert validate_config(raw).theta1_grid().size == MAX_GRID_CANDIDATES
+    # a count in the billions is refused before anything of its size is built;
+    # the message gives it exactly below 1e15
+    for count, shown in ((MAX_GRID_CANDIDATES + 1, "1000001"), (10**15 - 1, "999999999999999"),
+                         (10**15, "1e+15"), (2**62, "4.61e+18")):
+        raw["dual"]["theta1_grid"]["count"] = count
+        with pytest.raises(ConfigError, match=rf"^dual.theta1_grid.count gives {re.escape(shown)} grid "):
+            validate_config(raw)
+
+
+def test_robust_grid_counts_its_phi_by_mu_product():
+    # each axis well below the bound, their product above it
+    raw = load_raw("robust_merton.yaml")
+    raw["robust"] = {"phi_grid": {"min": 0.1, "max": 1.0, "count": 1_000},
+                     "mu_grid": {"min": -0.2, "max": 0.0, "count": MAX_GRID_CANDIDATES // 1_000}}
+    phi, mu = validate_config(raw).robust_grids()
+    assert phi.size * mu.size == MAX_GRID_CANDIDATES
+    raw["robust"]["phi_grid"]["count"] += 1
+    with pytest.raises(ConfigError,
+                       match=r"^robust.phi_grid.count x robust.mu_grid.count gives 1001000 "):
+        validate_config(raw)
+
+
+def test_s0_and_penalty_scale_default_where_the_run_reads_them():
+    """An absent market.s0 and penalty.scale read 1.0 through the methods a
+    run builds them with, which are also where they are validated."""
+    raw = load_raw("robust_merton.yaml")
+    raw["market"].pop("s0", None)
+    raw.pop("penalty", None)
+    cfg = validate_config(raw)
+    assert cfg.market_model().s0 == 1.0 and cfg.penalty().scale == 1.0
+    raw["market"]["s0"], raw["penalty"] = 2.5, {"scale": 0.5}
+    cfg = validate_config(raw)
+    assert cfg.market_model().s0 == 2.5 and cfg.penalty().scale == 0.5
+    for section, key in (("market", "s0"), ("penalty", "scale")):
+        bad = {**raw, section: {**raw[section], key: 0.0}}
+        with pytest.raises(ConfigError, match=rf"^{section}.{key} must be a positive"):
+            validate_config(bad)
 
 
 def test_largest_philox_key_is_a_valid_seed():

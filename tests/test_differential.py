@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import duallab as dl
-from duallab import bridge, bsde, market
+from duallab import bridge, bsde, dual, market, primal
 from duallab.bsde import CHOLQR_MAX_COND, RegressionBasis
 
 import oracles
@@ -737,6 +737,75 @@ def test_per_path_fill_bit_identical_to_column_loop(case, mu, size, block_bytes)
             new()
         return
     assert np.array_equal(new(), old)
+
+
+# ---------------------------------------------- closed-form adjoint rows
+
+# the closed forms form their rows on demand: against the three whole
+# time-major arrays they replaced (oracles.log_adjoints), from the same
+# arguments
+
+def _closed_form_and_reference(module, build):
+    """The closed-form triple ``build()`` returns and the whole-array
+    reference formed from the same arguments of ``module.log_adjoints``."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return bsde.log_adjoints(*args)
+
+    with mock.patch.object(module, "log_adjoints", spy):
+        triple = build()
+    return triple, oracles.log_adjoints(*calls[0])
+
+
+@pytest.mark.parametrize("side", ["primal", "dual"])
+def test_closed_form_rows_are_the_whole_array_adjoints(side):
+    # two marks, so that r has a mark axis of its own
+    model = dl.MarketModel(drift=0.08, vol=0.25, jump_marks=(0.15, -0.1),
+                           jump_intensities=(0.8, 1.5), horizon=1.0)
+    ens = make_ensemble(model, n_steps=12, n_paths=3_001, seed=149)
+    if side == "primal":
+        wealth = dl.wealth_paths(model, ens, dl.Strategy.fraction(0.7), 1.3, mu=-0.05)
+        triple, ref = _closed_form_and_reference(primal, lambda: primal.analytic_log_adjoints(
+            model, ens, wealth, 0.7, mu=-0.05))
+    else:
+        control = dl.scenario_from_theta1(model, ens.grid, [-0.2, 0.1], 0.9)
+        density = dl.density_paths(ens, control)
+        triple, ref = _closed_form_and_reference(dual, lambda: dual.analytic_log_dual_adjoints(
+            model, ens, density, control))
+    assert isinstance(triple, bsde.ClosedFormAdjoints) and triple.mode == ref.mode == "analytic"
+    assert triple.diagnostics == ref.diagnostics
+    n_steps = ens.grid.n_steps
+    stored = {"p": ref.p.T, "q": ref.q.T, "r": ref.r.transpose(1, 2, 0)}
+    for channel, rows in stored.items():
+        for i in range(len(rows)):
+            assert np.array_equal(triple.rows(channel, i), rows[i]), (channel, i)
+            assert np.array_equal(triple.rows(channel, i), ref.rows(channel, i)), (channel, i)
+        # blocks of steps on ranges of paths, the last step and path included
+        for steps, paths in ((slice(0, n_steps), slice(0, 1_000)), (slice(3, 9), slice(17, 18)),
+                             (slice(None), slice(2_500, None)), (-1, slice(5, 3_001))):
+            assert np.array_equal(triple.rows(channel, steps, paths), rows[steps, ..., paths])
+        whole = getattr(triple, channel)
+        assert np.array_equal(whole, getattr(ref, channel)) and whole.shape == getattr(
+            ref, channel).shape
+    assert np.array_equal(triple.p_initial, ref.p_initial)
+    assert np.array_equal(triple.p_terminal, ref.p_terminal)
+    assert np.array_equal(triple.q_mean, ref.q_mean)
+    assert np.array_equal(triple.r_mean, ref.r_mean) and triple.r_mean.shape == (n_steps, 2)
+
+
+def test_closed_form_triple_forms_each_whole_channel_anew():
+    model = dl.MarketModel(drift=0.05, vol=0.2, horizon=1.0)
+    ens = make_ensemble(model, n_steps=5, n_paths=50, seed=151)
+    wealth = dl.wealth_paths(model, ens, dl.Strategy.fraction(1.25), 1.0)
+    triple = primal.analytic_log_adjoints(model, ens, wealth, 1.25)
+    first = triple.p
+    first[:] = 0.0
+    assert np.all(triple.p > 0.0)
+    assert triple.r.shape == (50, 5, 0) and triple.r_mean.shape == (5, 0)
+    with pytest.raises(ValueError, match="channel"):
+        triple.rows("s", 0)
 
 
 # ------------------------------------------------- the map back's fraction

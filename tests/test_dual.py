@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import duallab as dl
+from duallab import dual
 from duallab.bsde import AdjointTriple
 
 from conftest import make_ensemble
@@ -194,6 +195,65 @@ def test_replicating_portfolio_inconsistency_error(log_pair, grid100):
     )
     with pytest.raises(ValueError, match="inconsistent"):
         dl.replicating_portfolio(sol)
+
+
+def _frozen_solution(log_pair, p2, q2):
+    """A dual solution in a frozen market (sigma = 0, b = 0, no jumps), where
+    the amount held in the stock is zero, with constant adjoints p2 and q2."""
+    model = dl.MarketModel(drift=0.0, vol=0.0, horizon=1.0)
+    ens = make_ensemble(model, n_steps=10, n_paths=100, seed=67)
+    control = dl.ScenarioControl(theta0=np.zeros(10), theta1=np.zeros((10, 0)), y=1.0)
+    triple = AdjointTriple(p=np.full((100, 11), p2), q=np.full((100, 10), q2),
+                           r=np.zeros((100, 10, 0)))
+    return dl.DualSolution(
+        model=model, ensemble=ens, pair=log_pair, y=1.0, control=control, value=0.0, se=0.0,
+        theta1_values=[[]], candidate_values=np.zeros(1), candidate_se=np.zeros(1),
+        density=dl.density_paths(ens, control), adjoints=triple)
+
+
+def test_frozen_step_tolerance_scales_with_p2(log_pair):
+    """Kills ``dual._portfolio_rows``: ``1e-06 * scale`` -> ``1e-06 / scale``.
+
+    Where sigma = 0 and no mark is live, integrands up to 1e-6 of the mean
+    |p2(T)| are regression noise, not an inconsistency: at p2 = 1000 the
+    tolerance is 1e-3, which 1e-5 is below and 1e-2 above."""
+    phi, x0 = dl.replicating_portfolio(_frozen_solution(log_pair, 1000.0, 1e-5))
+    assert x0 == 1000.0 and np.all(phi == 0.0)
+    with pytest.raises(ValueError, match="inconsistent"):
+        dl.replicating_portfolio(_frozen_solution(log_pair, 1000.0, 1e-2))
+
+
+def test_frozen_step_holds_nothing(log_pair):
+    """Kills ``dual._portfolio_rows``: ``out.fill(0.0)`` -> ``out.fill(1.0)``.
+
+    On a sigma = 0 step with no live mark and b = 0 the replicating
+    portfolio holds nothing, whatever the row it is written into held."""
+    sol = _frozen_solution(log_pair, 1.0, 0.0)
+    exposure, x0 = dual._portfolio_rows(sol)
+    for i in range(sol.ensemble.grid.n_steps):
+        row = np.full(sol.ensemble.n_paths, 7.0)
+        assert exposure(i, None, slice(0, sol.ensemble.n_paths), row) is row
+        assert np.all(row == 0.0)
+    phi, _ = dl.replicating_portfolio(sol)
+    assert np.all(phi == 0.0)
+
+
+def test_mark_of_size_zero_is_not_live():
+    """Kills ``dual._jump_branch``: ``gam != 0`` -> ``gam != 1``.
+
+    A mark of size 0 carries no exposure on a sigma = 0 step: it is not
+    live, so with b = 0 the scenario keeps its theta1, where weighting it
+    would divide 0 by 0."""
+    live, weight = dual._jump_branch(np.array([0.0, 0.2, 1.0]), np.array([1.0, 2.0, 0.5]))
+    assert live.tolist() == [False, True, True]
+    assert weight.tolist() == pytest.approx([0.4 / 0.58, 0.5 / 0.58])
+    model = dl.MarketModel(drift=0.0, vol=0.0, jump_marks=(0.0,), jump_intensities=(1.0,),
+                           horizon=1.0)
+    grid = dl.TimeGrid(5, 1.0)
+    control = dl.scenario_from_theta1(model, grid, [0.2], 1.0)
+    assert np.all(control.theta0 == 0.0) and np.all(control.theta1 == 0.2)
+    driver = dual.dual_driver(model, grid)
+    assert np.all(driver.r_coeff == 0.0) and np.all(driver.q_coeff == 0.0)
 
 
 def test_off_optimum_scenario_replicates_strictly_worse(jump_model, log_pair):
