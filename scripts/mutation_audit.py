@@ -91,6 +91,10 @@ EQUIVALENT: dict[str, str] = {
     "`max(2, FILL_BLOCK_BYTES // (8 * n_steps))`":
         "differs only where one path's row exceeds FILL_BLOCK_BYTES (n_steps > 16,384), with "
         "blocks of two paths for one; the values are bit-identical for any block size",
+    "bsde._BasisBuilder.design: `out.fill(1.0)` -> `out.fill(2.0)`":
+        "doubles every row of the design, which is exact in binary floating point; the "
+        "CholeskyQR2 and Householder bases, the fits, the rank and the condition number do not "
+        "depend on the scale of the rows, so every output keeps its bits",
     "market.PathBlocks.whole: `8 * n_steps` -> `9 * n_steps`":
         "changes only how many paths a block holds, which stays within FILL_BLOCK_BYTES; the "
         "values are bit-identical for any block size",

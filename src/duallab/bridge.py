@@ -31,10 +31,6 @@ from .market import (
 from .primal import PrimalSolution
 
 
-# paths per deviation block of the bridged fraction's constancy check
-DEVIATION_BLOCK_PATHS = 2048
-
-
 class BridgeViolationError(ValueError):
     """The constructed object violates a hypothesis of the transfer map."""
 
@@ -69,12 +65,6 @@ class BridgeReport:
         them, so they live only as long as their new holder."""
         density, self.density = self.density, None
         return density
-
-
-def _path_blocks(n_paths: int):
-    """Slices of :data:`DEVIATION_BLOCK_PATHS` paths that cover ``n_paths``."""
-    return (slice(start, start + DEVIATION_BLOCK_PATHS)
-            for start in range(0, n_paths, DEVIATION_BLOCK_PATHS))
 
 
 def _row_reader(target):
@@ -266,7 +256,7 @@ def bridged_fraction(solution, constant_tol: float = 1e-9) -> float:
     (the log cases); raises :class:`BridgeViolationError` with the largest
     deviation from the mean otherwise, or with the first non-finite value
     and where it is.  The mean sums the whole array; the deviation is taken
-    one block of paths at a time.
+    one step row at a time in one reused row buffer, as in :func:`_abs_and_rel`.
     """
     if isinstance(solution, Strategy):
         pi_path = np.atleast_2d(np.asarray(solution.values, dtype=float))
@@ -282,12 +272,12 @@ def bridged_fraction(solution, constant_tol: float = 1e-9) -> float:
                 f"bridged fraction is not finite: {pi_path[path, step]} at path {path}, "
                 f"step {step}; no scalar reduction"
             )
-    worst = 0.0
-    scratch = np.empty_like(pi_path[:DEVIATION_BLOCK_PATHS])
-    for rows in _path_blocks(len(pi_path)):
-        block = pi_path[rows]
-        dev = np.subtract(block, pi, out=scratch[:len(block)])
-        worst = max(worst, float(np.max(np.abs(dev, out=dev))))
+    maxima = []
+    scratch = np.empty(len(pi_path))
+    for row in np.transpose(pi_path):
+        dev = np.subtract(row, pi, out=scratch)
+        maxima.append(np.max(np.abs(dev, out=dev)))
+    worst = float(np.max(maxima))
     if worst > constant_tol * max(1.0, abs(pi)):
         raise BridgeViolationError(
             f"bridged fraction is not constant: it deviates from its mean {pi:.9g} by up "

@@ -23,39 +23,25 @@ plus an SVD of its triangular factor when the Cholesky factorisation fails,
 the rank is below the column count, or the condition number exceeds
 :data:`CHOLQR_MAX_COND`.  The deterministic state at t_0 always takes the
 fallback.
-
-With more than one path range of :data:`SWEEP_THREAD_MIN_PATHS` paths
-(:func:`~duallab.market.path_ranges`), the CholeskyQR2 factors are computed
-ahead of the sweep by one thread, which hands back only the small triangular
-inverses; the sweep applies them to its own copy of the design, so the fits
-are bit-identical to a one-CPU sweep.
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
-import queue
-import threading
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .market import PathEnsemble, TimeGrid, eval_on_grid, path_ranges
+from .market import PathEnsemble, TimeGrid, eval_on_grid
 
 IMPLICIT_STEP_TOL = 1e-8
 # condition number above which a step's CholeskyQR2 factor is replaced by the
 # Householder fallback: inside CholeskyQR2's accurate range (about 1e8); below
 # it, CholeskyQR2 is closer to a long-double sweep than the fallback
 CHOLQR_MAX_COND = 1e7
-# fewest paths per range for which the sweep computes its factors ahead in
-# a thread: at 100 steps on a 2-core Xeon the thread, trading the GIL with
-# the sweep every step, made it 1.2-1.4x slower at 2,048-6,144 paths per
-# range, and 15-21% faster from 16,384 on (BENCH_threads.json, "crossover")
-SWEEP_THREAD_MIN_PATHS = 16384
 
 
 @dataclass(frozen=True)
@@ -356,18 +342,12 @@ class _BasisBuilder:
         self.n_columns = len(self.exponents)
         self.warned = False
 
-    def scratch(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Rows for :meth:`design` and :meth:`factor_step`: a design, its Q1,
-        one work row and one state row per channel."""
-        n_paths = self.rows[0].shape[1]
-        return (np.empty((self.n_columns, n_paths)), np.empty((self.n_columns, n_paths)),
-                np.empty(n_paths), np.empty((len(self.rows), n_paths)))
-
-    def design(self, step: int, scratch) -> tuple[np.ndarray, list[np.ndarray]]:
-        """The (n_columns, n_paths) design of ``step``, one row per monomial,
-        and the step's state, one row per channel (logged under the log
-        transform), formed in the rows of ``scratch`` (:meth:`scratch`)."""
-        out, _, tmp, state = scratch
+    def design(self, step: int, out: np.ndarray, tmp: np.ndarray,
+               state: np.ndarray) -> list[np.ndarray]:
+        """Write the (n_columns, n_paths) design of ``step`` into ``out``, one
+        row per monomial, with the work row ``tmp``; return the step's state,
+        one row per channel (logged into the rows of ``state`` under the log
+        transform)."""
         z = ([np.log(rows[step], out=row) for rows, row in zip(self.rows, state)] if self.log
              else [rows[step] for rows in self.rows])
         out.fill(1.0)
@@ -377,16 +357,7 @@ class _BasisBuilder:
                     row *= zc
                 elif e:
                     row *= np.power(zc, e, out=tmp)
-        return out, z
-
-    def factor_step(self, step: int, scratch) -> tuple[bool, _Cholqr2 | None]:
-        """Whether the state of ``step`` is deterministic, one value across
-        paths in every channel (the design has rank 1 by construction), and
-        the CholeskyQR2 factors of its design (None: the step takes the
-        Householder fallback), computed in the rows of :meth:`scratch`."""
-        a, z = self.design(step, scratch)
-        _, q1, tmp, _ = scratch
-        return all(np.all(zc == zc[0]) for zc in z), _cholqr2(a, q1, tmp)
+        return z
 
     def householder(self, a: np.ndarray, warn: bool = True):
         """The fallback of a step's CholeskyQR2 factors: a Householder thin QR
@@ -413,57 +384,6 @@ class _BasisBuilder:
         return (q @ u[:, :rank]).T, rank, cond
 
 
-@contextlib.contextmanager
-def _factors_ahead(builder: _BasisBuilder, steps: range, rows, threaded: bool):
-    """An iterator over :meth:`_BasisBuilder.factor_step` of each of ``steps``;
-    when it yields a step's factors, the scratch ``rows`` hold that step's
-    design and, for CholeskyQR2 factors, its Q1.
-
-    Not ``threaded``, the factors are computed in ``rows`` as the iterator
-    advances.  Threaded, one thread started here computes them ahead of the
-    caller in scratch rows of its own (allocated here: a thread's own
-    allocations would stay in its glibc arena) and hands back only the small
-    triangular factors; the iterator rebuilds the design and Q1 in ``rows``
-    with the same operations, so they are bit-identical.  The thread is
-    stopped and joined on exit, and an exception in it is raised by the
-    iterator at the step where it occurred.
-    """
-    if not threaded:
-        yield (builder.factor_step(i, rows) for i in steps)
-        return
-    results: queue.SimpleQueue = queue.SimpleQueue()
-    stop = threading.Event()
-    scratch = builder.scratch()
-
-    def work() -> None:
-        try:
-            for i in steps:
-                if stop.is_set():
-                    return
-                results.put(builder.factor_step(i, scratch))
-        except BaseException as exc:
-            results.put(exc)
-
-    def take():
-        design, q1 = rows[:2]
-        for i in steps:
-            item = results.get()
-            if isinstance(item, BaseException):
-                raise item
-            builder.design(i, rows)
-            if item[1] is not None:
-                np.matmul(item[1].inv_r1.T, design, out=q1)
-            yield item
-
-    thread = threading.Thread(target=work)
-    thread.start()
-    try:
-        yield take()
-    finally:
-        stop.set()
-        thread.join()
-
-
 def solve_linear_bsde(
     ensemble: PathEnsemble,
     terminal: np.ndarray,
@@ -484,14 +404,8 @@ def solve_linear_bsde(
     Centering by m removes the dominant variance from the covariance targets.
     ``state`` maps channel names to (n_paths, n_steps + 1) arrays or to
     zero-argument callables returning one (the price S by default); only the
-    channels the basis reads are evaluated, in the calling thread.
-
-    The per-step rows are allocated once per sweep.  With more than one path
-    range of :data:`SWEEP_THREAD_MIN_PATHS` paths, one thread computes each
-    step's CholeskyQR2 factors ahead of the sweep (:func:`_factors_ahead`);
-    the sweep rebuilds the step's design and applies the handed-back
-    inverses itself, and takes the Householder fallback, with its warning,
-    in the calling thread.  The result is bit-identical to a sweep on one CPU.
+    channels the basis reads are evaluated.  The per-step rows are allocated
+    once per sweep, and the sweep runs in the calling thread.
 
     ``keep`` names the channels kept whole, a subset of "pqr".  Step i reads
     p only at i + 1, so without "p" the sweep keeps p(t_0) and p(T) and
@@ -534,62 +448,64 @@ def solve_linear_bsde(
     r = np.zeros((n_steps if "r" in keep else 1, k, n_paths))
     q_mean = None if "q" in keep else np.empty(n_steps)
     r_mean = None if "r" in keep else np.empty((n_steps, k))
-    # the per-step work rows, allocated once per sweep
-    rows = builder.scratch()
-    design, q1, work, _ = rows
+    # the per-step work rows, allocated once per sweep: the design and its
+    # Q1, a work row, the logged state and the fit's rows
+    design, q1 = np.empty((2, builder.n_columns, n_paths))
+    work = np.empty(n_paths)
+    state_rows = np.empty((len(builder.rows), n_paths))
     fitted, centered = np.empty((2, n_paths))
     targets, stacked = np.empty((2, 1 + active.size, n_paths))
     p_rows[-1][:] = terminal
     per_step = []
     constant_steps = 0
-    steps = range(n_steps - 1, -1, -1)
-    threaded = len(path_ranges(n_paths, SWEEP_THREAD_MIN_PATHS)) > 1
-    with _factors_ahead(builder, steps, rows, threaded) as factors:
-        for (i, db, dnt), (constant, fac) in zip(_driver_rows(ensemble, steps), factors):
-            # a deterministic state (always at t_0) is rank-deficient by
-            # construction: counted in the diagnostics instead of warned about
-            constant_steps += constant
-            p_next, p_i = p_rows[i + 1], p_rows[i]
-            if fac is None:
-                span, rank, cond = builder.householder(design, warn=i > 0 and not constant)
-            else:
-                span = np.matmul(fac.inv_r2.T, q1, out=design)
-                rank, cond = fac.rank, fac.cond
-            np.matmul(span @ p_next, span, out=fitted)
-            np.subtract(p_next, fitted, out=centered)
-            np.multiply(centered, db, out=targets[0])
-            targets[0] /= dt
-            for row, kk in zip(targets[1:], active):
-                np.multiply(centered, dnt[kk], out=row)
-                row /= lam[kk]
-            np.matmul(targets @ span.T, span, out=stacked)
-            q_i, r_i = q[i if q_mean is None else 0], r[i if r_mean is None else 0]
-            q_i[:] = stacked[0]
-            r_i[active] = stacked[1:]
-            if q_mean is not None:
-                q_mean[i] = q_i.mean()
-            if r_mean is not None:
-                r_mean[i] = r_i.mean(axis=1)
-            denom = 1.0 + dt * cp[i]
-            if abs(denom) < IMPLICIT_STEP_TOL:
-                raise ValueError(f"implicit step near-singular at step {i} (denominator {denom:g})")
-            # p_i = (fitted - dt * (c0 + cq q + cr . r)) / denom, the drift in p_i
-            np.multiply(q_i, cq[i], out=p_i)
-            p_i += c0[i]
-            if k:
-                p_i += np.matmul(cr[i], r_i, out=work)
-            p_i *= dt
-            np.subtract(fitted, p_i, out=p_i)
-            p_i /= denom
-            per_step.append(
-                {
-                    "step": i,
-                    "t": float(grid.left_times[i]),
-                    "rank": int(rank),
-                    "cond": cond,
-                    "fit_rmse": float(np.sqrt(np.mean(np.square(centered, out=work)))),
-                }
-            )
+    for i, db, dnt in _driver_rows(ensemble, range(n_steps - 1, -1, -1)):
+        z = builder.design(i, design, work, state_rows)
+        # a deterministic state (always at t_0) is rank-deficient by
+        # construction: counted in the diagnostics instead of warned about
+        constant = all(np.all(zc == zc[0]) for zc in z)
+        constant_steps += constant
+        p_next, p_i = p_rows[i + 1], p_rows[i]
+        fac = _cholqr2(design, q1, work)
+        if fac is None:
+            span, rank, cond = builder.householder(design, warn=i > 0 and not constant)
+        else:
+            span = np.matmul(fac.inv_r2.T, q1, out=design)
+            rank, cond = fac.rank, fac.cond
+        np.matmul(span @ p_next, span, out=fitted)
+        np.subtract(p_next, fitted, out=centered)
+        np.multiply(centered, db, out=targets[0])
+        targets[0] /= dt
+        for row, kk in zip(targets[1:], active):
+            np.multiply(centered, dnt[kk], out=row)
+            row /= lam[kk]
+        np.matmul(targets @ span.T, span, out=stacked)
+        q_i, r_i = q[i if q_mean is None else 0], r[i if r_mean is None else 0]
+        q_i[:] = stacked[0]
+        r_i[active] = stacked[1:]
+        if q_mean is not None:
+            q_mean[i] = q_i.mean()
+        if r_mean is not None:
+            r_mean[i] = r_i.mean(axis=1)
+        denom = 1.0 + dt * cp[i]
+        if abs(denom) < IMPLICIT_STEP_TOL:
+            raise ValueError(f"implicit step near-singular at step {i} (denominator {denom:g})")
+        # p_i = (fitted - dt * (c0 + cq q + cr . r)) / denom, the drift in p_i
+        np.multiply(q_i, cq[i], out=p_i)
+        p_i += c0[i]
+        if k:
+            p_i += np.matmul(cr[i], r_i, out=work)
+        p_i *= dt
+        np.subtract(fitted, p_i, out=p_i)
+        p_i /= denom
+        per_step.append(
+            {
+                "step": i,
+                "t": float(grid.left_times[i]),
+                "rank": int(rank),
+                "cond": cond,
+                "fit_rmse": float(np.sqrt(np.mean(np.square(centered, out=work)))),
+            }
+        )
     per_step.reverse()
     diagnostics = {
         "basis_degree": (basis or RegressionBasis()).degree,

@@ -287,6 +287,11 @@ def validate_config(raw: dict) -> ExperimentConfig:
         adjoints=_choice(raw, "adjoints", "", ADJOINTS, "regression"),
         out_dir=str(raw.get("out", "runs")),
     )
+    # a search's first-order residuals are summarized over the interior steps
+    # (mc.interior_window), which fewer than 3 steps leave empty
+    if cfg.mode in ("primal", "dual", "robust") and steps < 3:
+        raise ConfigError(f"grid.steps must be at least 3 for a {cfg.mode} run, whose first-order "
+                          f"residuals are summarized over the interior steps; got {steps}")
     for setting in (cfg.primal_grid, cfg.theta1_grid, cfg.robust_grids, cfg.bridge, cfg.ladder,
                     cfg.penalty):
         setting()

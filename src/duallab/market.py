@@ -55,12 +55,6 @@ class AdmissibilityError(ValueError):
     <= -1 (for a fraction, 1 + pi*gamma <= 0)."""
 
 
-def as_time_fn(value: float | TimeFn) -> TimeFn:
-    if callable(value):
-        return value
-    return lambda t, _v=float(value): _v
-
-
 def eval_on_grid(value: float | TimeFn | np.ndarray, times: np.ndarray) -> np.ndarray:
     """Evaluate a scalar / callable / per-step array on the given times."""
     if callable(value):
@@ -377,11 +371,10 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def path_ranges(n_paths: int, min_paths: int | None = None) -> list[slice]:
+def path_ranges(n_paths: int) -> list[slice]:
     """Contiguous ranges of paths, one per usable CPU, each of at least
-    ``min_paths`` (default :data:`THREAD_MIN_PATHS`) paths; one range of
-    every path otherwise."""
-    n = max(1, min(usable_cpus(), n_paths // (min_paths or THREAD_MIN_PATHS)))
+    :data:`THREAD_MIN_PATHS` paths; one range of every path otherwise."""
+    n = max(1, min(usable_cpus(), n_paths // THREAD_MIN_PATHS))
     bounds = [n_paths * j // n for j in range(n + 1)]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 

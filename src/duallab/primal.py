@@ -19,7 +19,6 @@ from .market import (
     MarketModel,
     PathEnsemble,
     Strategy,
-    as_time_fn,
     fraction_admissible,
     terminal_log_wealth,
     wealth_paths,
@@ -68,14 +67,22 @@ class PrimalSolution:
     foc: dict | None = None
 
 
-def merton_log_closed_form(model: MarketModel) -> Strategy:
-    """Optimal fraction b(t)/sigma(t)^2 for log utility in a no-jump market."""
+def _closed_form_coefficients(model: MarketModel) -> tuple:
+    """(b, sigma) of a no-jump market with constant coefficients, the one
+    market the log closed forms hold in; ValueError naming what is not."""
     if model.n_marks:
         raise ValueError("closed form requires a no-jump market")
-    b, s = model.drift, model.vol
-    if callable(b) or callable(s):
-        bf, sf = as_time_fn(b), as_time_fn(s)
-        return Strategy.fraction(lambda t: bf(t) / sf(t) ** 2)
+    for name in ("drift", "vol"):
+        if callable(getattr(model, name)):
+            raise ValueError(f"closed form requires constant coefficients; the market's {name} "
+                             "is a function of time")
+    return model.drift, model.vol
+
+
+def merton_log_closed_form(model: MarketModel) -> Strategy:
+    """Optimal fraction b/sigma^2 for log utility in a no-jump market with
+    constant coefficients."""
+    b, s = _closed_form_coefficients(model)
     return Strategy.fraction(b / s**2)
 
 

@@ -25,29 +25,26 @@ from .market import (
     INADMISSIBLE_FRACTION,
     MarketModel,
     PathEnsemble,
-    as_time_fn,
     fraction_admissible,
     terminal_log_wealth,
 )
 from .mc import grid_search, interior_summary, product_means
 from .preferences import Penalty, UtilityPair
-from .primal import PrimalSolution, _primal_solution, primal_foc_residual
+from .primal import (PrimalSolution, _closed_form_coefficients, _primal_solution,
+                     primal_foc_residual)
 
 
-def robust_log_closed_form(model: MarketModel, penalty: Penalty,
-                           t: float = 0.0) -> tuple[float, float]:
-    """Explicit saddle (pi, mu) at time ``t`` for log utility with the
-    quadratic penalty in a no-jump market.
+def robust_log_closed_form(model: MarketModel, penalty: Penalty) -> tuple[float, float]:
+    """Explicit saddle (pi, mu) for log utility with the quadratic penalty in
+    a no-jump market with constant coefficients.
 
-    With penalty scale c:  mu(t) = -b/((1+c) sigma),  pi(t) = c*b/((1+c) sigma^2);
+    With penalty scale c:  mu = -b/((1+c) sigma),  pi = c*b/((1+c) sigma^2);
     at c = 1 these are -b/(2 sigma) and b/(2 sigma^2), half the plain optimal
     fraction.  The unit-count portfolio is phi = (b/sigma + mu)/(G sigma S).
     """
-    if model.n_marks:
-        raise ValueError("closed form requires a no-jump market")
+    b, s = map(float, _closed_form_coefficients(model))
     if penalty.name != "quadratic":
         raise ValueError("closed form requires the quadratic penalty")
-    b, s = as_time_fn(model.drift)(t), as_time_fn(model.vol)(t)
     c = penalty.scale
     return (c * b) / ((1.0 + c) * s**2), -b / ((1.0 + c) * s)
 

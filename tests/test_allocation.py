@@ -181,6 +181,23 @@ def test_sweep_peak_is_outputs_plus_step_rows(one_mark):
     assert peak <= triple.p.nbytes + triple.q.nbytes + triple.r.nbytes + budget
 
 
+def test_sweep_peak_is_the_same_on_one_and_on_two_cpus():
+    # the sweep runs in its caller's thread on any number of CPUs, so it
+    # holds one set of step rows; 33k paths make two ranges of 16,384, where
+    # a thread factoring the designs ahead would add a design, its Q1, a
+    # work row and a state row
+    model = dl.MarketModel(drift=0.1, vol=0.2, horizon=1.0)
+    ens = dl.simulate_drivers(model, dl.TimeGrid(4, 1.0), 33_000, seed=7)
+    s = dl.price_paths(model, ens)
+    peaks = {}
+    for n_cpus in (1, 2):
+        with mock.patch("os.sched_getaffinity", return_value=set(range(n_cpus))):
+            dl.solve_linear_bsde(ens, 1.0 / s[:, -1], state={"S": s})
+            peaks[n_cpus] = _peak(lambda: dl.solve_linear_bsde(ens, 1.0 / s[:, -1],
+                                                               state={"S": s}))[0]
+    assert abs(peaks[2] - peaks[1]) <= 8 * 2**10
+
+
 @pytest.mark.parametrize("keep", ["", "p", "q", "qr"])
 @pytest.mark.parametrize("n_marks", [0, 1, 2])
 def test_sweep_keeping_means_drops_all_but_a_row_of_each_channel(n_marks, keep):
@@ -414,10 +431,7 @@ def test_bridge_check_peak_is_the_dual_and_its_map_back(tmp_path, name, case):
     cfg = validate_config(raw)
     # first calls import modules and fill caches: not part of the check
     cli.run_bridge_check(cfg)
-    # the fraction's constancy blocks of 256 paths, about the share of 2048
-    # at 50k paths
-    with mock.patch.object(bridge, "DEVIATION_BLOCK_PATHS", 256):
-        peak, files = _peak(lambda: cli.run_bridge_check(cfg))
+    peak, files = _peak(lambda: cli.run_bridge_check(cfg))
     report = files["report.json"]
     assert report["product_identity_max_dev"] < 1e-12
     path_array = n_paths * (n_steps + 1) * 8

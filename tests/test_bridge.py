@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import duallab as dl
-from duallab.bridge import DEVIATION_BLOCK_PATHS, _abs_and_rel
+from duallab.bridge import _abs_and_rel
 from duallab.bsde import AdjointTriple
 
 from conftest import make_ensemble
@@ -98,7 +98,8 @@ def test_bridged_robust_scenario_evaluates_like_the_robust_dual_at_its_mu(
 
 def test_blocked_deviation_maxima_match_whole_array_and_keep_nan():
     rng = np.random.default_rng(5)
-    target = rng.uniform(0.5, 2.0, size=(2 * DEVIATION_BLOCK_PATHS + 7, 3))
+    # as many paths as two blocks of 2,048 and a partial one
+    target = rng.uniform(0.5, 2.0, size=(4_103, 3))
     values = target * (1.0 + rng.normal(0.0, 1e-12, size=target.shape))
     dev = np.abs(values - target)
     assert _abs_and_rel(values, target) == (np.max(dev), np.max(dev / np.abs(target)))
@@ -110,7 +111,7 @@ def test_blocked_deviation_maxima_match_whole_array_and_keep_nan():
     assert all(math.isnan(m) for m in _abs_and_rel(values, target))
     # a NaN in any one block, of the values or of the target, reaches both maxima
     values[-1, 1] = target[-1, 1]
-    for row in range(0, len(target), DEVIATION_BLOCK_PATHS // 2):
+    for row in range(0, len(target), 1_024):
         for which in (0, 1):
             args = [values.copy(), target.copy()]
             args[which][row, 2] = np.nan
@@ -270,8 +271,9 @@ def test_product_identity_exact_updates(base_model, base_ens_5k, log_pair):
 
 def test_blocked_product_identity_matches_whole_array_and_keeps_nan():
     rng = np.random.default_rng(11)
-    # three whole blocks and a partial one, time-major as the solvers store paths
-    n_paths = 3 * DEVIATION_BLOCK_PATHS + 7
+    # as many paths as three blocks of 2,048 and a partial one, time-major as
+    # the solvers store paths
+    n_paths = 6_151
     wealth = rng.uniform(0.5, 2.0, size=(4, n_paths)).T
     density = (1.5 / wealth) * (1.0 + rng.normal(0.0, 1e-12, size=wealth.shape))
 
@@ -287,7 +289,7 @@ def test_blocked_product_identity_matches_whole_array_and_keeps_nan():
         moved[row, 2] *= 1.0 + 1e-9
         assert dl.verify_product_identity(wealth, moved, 0.75, 2.0) == whole(wealth, moved)
     # a NaN in any block reaches the result
-    for row in range(0, n_paths, DEVIATION_BLOCK_PATHS // 2):
+    for row in range(0, n_paths, 1_024):
         broken = wealth.copy()
         broken[row, 1] = np.nan
         assert math.isnan(dl.verify_product_identity(broken, density, 0.75, 2.0))

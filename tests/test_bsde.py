@@ -155,6 +155,19 @@ def test_constant_state_is_counted_not_warned(base_ens_5k):
     assert np.allclose(triple.p, 2.0, rtol=0, atol=1e-12)
 
 
+def test_a_one_path_sweep_carries_its_terminal_value(base_model):
+    """On one path the price is deterministic at every step: each step is
+    counted as a constant state, not warned about, and p keeps the terminal
+    value with q = 0.  Kills the mutant ``zc[0]`` -> ``zc[1]`` of the
+    sweep's constant-state flag, which reads a second path."""
+    ens = dl.simulate_drivers(base_model, dl.TimeGrid(5, 1.0), 1, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        triple = dl.solve_linear_bsde(ens, np.array([0.7]))
+    assert triple.diagnostics["constant_state_steps"] == 5
+    assert np.all(triple.p == 0.7) and np.all(triple.q == 0.0)
+
+
 def test_riskless_primal_counts_constant_state_without_warning(log_pair):
     flat = dl.MarketModel(drift=0.0, vol=0.2, horizon=1.0)
     ens = make_ensemble(flat, n_paths=2_000, seed=55)

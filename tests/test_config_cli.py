@@ -10,7 +10,7 @@ import scipy
 import yaml
 
 import duallab.cli as cli
-from duallab import market, preferences
+from duallab import market, mc, preferences
 from duallab.config import (EVENT_TAIL_LOG, MAX_DRIVER_BYTES, MAX_GRID_CANDIDATES, ConfigError,
                             _event_bound, load_config, validate_config)
 
@@ -460,8 +460,11 @@ def _refuse_certification(monkeypatch):
      "penalty.scale must be a positive finite number, got -1"),
     ("primal", "merton_log.yaml", {"utility.name": "nope"},
      "utility.name must be one of ('log', 'power'), got 'nope'"),
+    # two steps leave no interior step: the FOC residual read 0.0
+    ("primal", "merton_log.yaml", {"grid.steps": 2},
+     "grid.steps must be at least 3 for a primal run"),
 ], ids=["default-paths-ladder", "default-steps-ladder", "theta1-grid", "bridge-case",
-        "bridge-adjoints", "benchmark", "penalty-scale", "utility-name"])
+        "bridge-adjoints", "benchmark", "penalty-scale", "utility-name", "foc-window"])
 def test_a_bad_setting_exits_2_before_anything_runs(tmp_path, capsys, monkeypatch, command, name,
                                                     edits, named):
     """Each of these settings was read only by its runner: the default
@@ -485,6 +488,26 @@ def test_a_bad_setting_exits_2_before_anything_runs(tmp_path, capsys, monkeypatc
     assert code == 2
     assert capsys.readouterr().err.startswith(f"configuration error: {named}")
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("name, mode", [("merton_log.yaml", "primal"),
+                                        ("jump_dual.yaml", "dual"),
+                                        ("robust_merton.yaml", "robust")])
+def test_a_search_needs_an_interior_step_for_its_foc_residuals(name, mode):
+    # the residuals are summarized over mc.interior_window, empty below 3 steps
+    raw = load_raw(name)
+    raw["mode"] = mode
+    for steps in (1, 2):
+        raw["grid"]["steps"] = steps
+        with pytest.raises(ConfigError, match=rf"^grid.steps must be at least 3 for a {mode} run"
+                                              rf".*; got {steps}$"):
+            validate_config(raw)
+    assert mc.interior_window(2) == slice(1, 1) and mc.interior_window(3) == slice(1, 2)
+    raw["grid"]["steps"] = 3
+    validate_config(raw)
+    raw.update(mode="simulate")
+    raw["grid"]["steps"] = 1
+    validate_config(raw)
 
 
 def test_validation_builds_no_utility_pair(monkeypatch):

@@ -7,7 +7,6 @@ import errno
 import math
 import multiprocessing
 import re
-import threading
 import types
 import warnings
 from unittest import mock
@@ -386,23 +385,18 @@ def test_ends_only_sweep_is_the_all_rows_sweep_at_its_ends(jump_model, jump_ens_
                                                            n_cpus, n_paths):
     """A sweep that keeps p at its two ends against the sweep that keeps every
     row, on a dual claim with its driver and a jump channel: p(t_0), p(T),
-    q, r and the diagnostics bit for bit, inline on one CPU and with the
-    factors computed ahead in a thread on two; and at a path count whose
-    rows of p start at other offsets in the two layouts."""
+    q, r and the diagnostics bit for bit, on one CPU and on two; and at a
+    path count whose rows of p start at other offsets in the two layouts."""
     ens = jump_ens_50k if n_paths == 50_000 else make_ensemble(jump_model, n_paths=n_paths,
                                                                 seed=97)
-    threaded = n_cpus > 1
-    assert ens.n_paths >= 2 * bsde.SWEEP_THREAD_MIN_PATHS or not threaded
     control = dl.scenario_from_theta1(jump_model, ens.grid, np.array([-0.15]), 1.0)
     density = dl.density_paths(ens, control)
     args = (ens, log_pair.inverse_marginal(density[:, -1]))
     kwargs = {"driver": dl.dual.dual_driver(jump_model, ens.grid),
               "state": {"G": density}, "basis": RegressionBasis(channels=("G",))}
-    with mock.patch("os.sched_getaffinity", return_value=set(range(n_cpus))), \
-            mock.patch("threading.Thread", wraps=threading.Thread) as started:
+    with mock.patch("os.sched_getaffinity", return_value=set(range(n_cpus))):
         whole = dl.solve_linear_bsde(*args, **kwargs)
         ends = dl.solve_linear_bsde(*args, keep="qr", **kwargs)
-    assert started.call_count == 2 * threaded
     assert np.array_equal(ends.p_initial, whole.p[:, 0])
     assert np.array_equal(ends.p_terminal, whole.p[:, -1])
     assert np.array_equal(ends.q, whole.q) and np.array_equal(ends.r, whole.r)
@@ -419,8 +413,8 @@ def test_sweep_keeping_means_is_the_keep_all_sweep(n_marks, n_cpus):
     the sweep that keeps every channel whole, with a driver in every
     coefficient: p(t_0), p(T), every kept channel and the diagnostics bit
     for bit, and the means bit for bit q.mean(axis=0) and r.mean(axis=0) of
-    the keep-all sweep; inline on one CPU and with the factors computed
-    ahead in a thread on three.  20k paths: more than one of numpy's 8,192-
+    the keep-all sweep; on one CPU and on three.  20k paths: more than one
+    of numpy's 8,192-
     element reduction blocks per mean.  The keep-all sweep matches the
     ``lstsq`` sweep, which takes every driver term, the constant too: kills
     the mutants ``p_i -= c0[i]`` and ``p_i *= denom`` of the step update,
@@ -433,12 +427,9 @@ def test_sweep_keeping_means_is_the_keep_all_sweep(n_marks, n_cpus):
     kwargs = {"driver": dl.DriverSpec(constant=0.01, p_coeff=-0.05, q_coeff=0.25, r_coeff=0.1),
               "state": {"S": s}}
     keeps = ("", "p", "q", "r", "qr")
-    with mock.patch("os.sched_getaffinity", return_value=set(range(n_cpus))), \
-            mock.patch.object(bsde, "SWEEP_THREAD_MIN_PATHS", 4_096), \
-            mock.patch("threading.Thread", wraps=threading.Thread) as started:
+    with mock.patch("os.sched_getaffinity", return_value=set(range(n_cpus))):
         whole = dl.solve_linear_bsde(*args, **kwargs)
         partial = {keep: dl.solve_linear_bsde(*args, keep=keep, **kwargs) for keep in keeps}
-    assert started.call_count == (1 + len(keeps)) * (n_cpus > 1)
     _assert_sweep_matches(whole, oracles.solve_linear_bsde(*args, **kwargs))
     q_mean, r_mean = whole.q.mean(axis=0), whole.r.mean(axis=0)
     assert q_mean.shape == (20,) and r_mean.shape == (20, n_marks)

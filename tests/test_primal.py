@@ -23,6 +23,15 @@ def test_merton_closed_form_rejects_jumps(jump_model):
         dl.merton_log_closed_form(jump_model)
 
 
+@pytest.mark.parametrize("coefficient", ["drift", "vol"])
+def test_merton_closed_form_refuses_a_coefficient_that_depends_on_time(coefficient):
+    # b/sigma^2 is the optimal fraction only for constant b and sigma
+    coefficients = {"drift": 0.1, "vol": 0.2, coefficient: lambda t: 0.1 + 0.1 * t}
+    model = dl.MarketModel(horizon=1.0, **coefficients)
+    with pytest.raises(ValueError, match=f"constant coefficients; the market's {coefficient} "):
+        dl.merton_log_closed_form(model)
+
+
 def test_grid_search_selects_merton_fraction(base_model, base_ens_50k, log_pair):
     sol = dl.solve_primal_search(base_model, log_pair, 1.0, PI_GRID, base_ens_50k)
     assert sol.pi == 1.25

@@ -26,7 +26,7 @@ def test_closed_form_values(base_model, quad_penalty):
     assert pi == pytest.approx(0.625, rel=1e-14)
 
     flat = dl.MarketModel(drift=0.0, vol=0.2, horizon=1.0)
-    pi0, mu0 = dl.robust_log_closed_form(flat, quad_penalty, t=0.5)
+    pi0, mu0 = dl.robust_log_closed_form(flat, quad_penalty)
     assert mu0 == 0.0 and pi0 == 0.0
 
 
@@ -75,6 +75,15 @@ def test_closed_form_preconditions(jump_model, base_model, quad_penalty):
     fake_penalty = dl.Penalty("linear", lambda x: abs(x), np.sign, np.sign)
     with pytest.raises(ValueError, match="quadratic"):
         dl.robust_log_closed_form(base_model, fake_penalty)
+
+
+@pytest.mark.parametrize("coefficient", ["drift", "vol"])
+def test_closed_form_refuses_a_coefficient_that_depends_on_time(quad_penalty, coefficient):
+    # the saddle is explicit only for constant b and sigma
+    coefficients = {"drift": 0.1, "vol": 0.2, coefficient: lambda t: 0.1 + 0.1 * t}
+    model = dl.MarketModel(horizon=1.0, **coefficients)
+    with pytest.raises(ValueError, match=f"constant coefficients; the market's {coefficient} "):
+        dl.robust_log_closed_form(model, quad_penalty)
 
 
 def test_saddle_search_finds_closed_form_point(base_model, base_ens_50k, log_pair,

@@ -1,10 +1,11 @@
 """The per-path layers split over threads against the same layers on one CPU,
 and against the dense jump-count readers of ``oracles.dense_jumps``.
 
-The forward kernels, the Euler scheme, the terminal design, the replicating
-portfolio and the factor-ahead thread of the backward sweep must give the
-same bits on any number of threads, and the same bits as when they read a
-dense count array instead of the jump events.  The one-CPU side is pinned by
+The forward kernels, the Euler scheme, the terminal design and the
+replicating portfolio must give the same bits on any number of threads, and
+the same bits as when they read a dense count array instead of the jump
+events; the backward sweep, which starts no thread, the same bits on any
+number of CPUs.  The one-CPU side is pinned by
 ``os.sched_getaffinity``; the split thresholds and the block sizes are
 lowered so that 200 paths make several ranges of several blocks each, the
 last ones partial.
@@ -22,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import duallab as dl
-from duallab import bsde, dual, market
+from duallab import dual, market
 
 import oracles
 from test_differential import forward_cases
@@ -38,16 +39,16 @@ def cpus(n):
             mock.patch.object(market, "THREAD_MIN_PATHS", 16), \
             mock.patch.object(market, "BLOCK_PATHS", 24), \
             mock.patch.object(market, "FILL_BLOCK_BYTES", 2**12), \
-            mock.patch.object(bsde, "SWEEP_THREAD_MIN_PATHS", 16), \
             mock.patch("threading.Thread", wraps=Thread) as started:
         yield started
 
 
-def on_one_and_on_three_cpus(fn, prepare=lambda: None):
+def on_one_and_on_three_cpus(fn, prepare=lambda: None, threaded=True):
     """fn() on one CPU and on three, and on one CPU with the dense jump
     readers, each after ``prepare()`` on the same side; the outcomes, each a
     result or the exception raised, checked for leftover threads and for the
-    threads fn() started."""
+    threads fn() started: some on three CPUs if ``threaded``, none
+    otherwise."""
     outcomes = []
     for n, readers in ((1, contextlib.nullcontext), (3, contextlib.nullcontext),
                        (1, oracles.dense_jumps)):
@@ -65,7 +66,7 @@ def on_one_and_on_three_cpus(fn, prepare=lambda: None):
         assert threading.active_count() == alive
         # an input refused up front starts none
         ran = not isinstance(outcomes[-1], Exception)
-        assert (started.call_count > 0) == (n > 1 and ran)
+        assert (started.call_count > 0) == (threaded and n > 1 and ran)
     return outcomes
 
 
@@ -302,7 +303,7 @@ def test_sweeps_bit_identical_on_every_cpu_count(case, driver, collinear):
             triple = dl.solve_linear_bsde(ens, terminal, drivers, state=state)
         return triple, [str(w.message) for w in warned]
 
-    (one, one_warned), *others = on_one_and_on_three_cpus(sweep)
+    (one, one_warned), *others = on_one_and_on_three_cpus(sweep, threaded=False)
     assert len(one_warned) >= collinear
     for other, warned in others:
         assert_same((one.p, one.q, one.r), (other.p, other.q, other.r))
@@ -310,18 +311,15 @@ def test_sweeps_bit_identical_on_every_cpu_count(case, driver, collinear):
         assert one_warned == warned
 
 
-@pytest.mark.parametrize("per_range, threaded", [(bsde.SWEEP_THREAD_MIN_PATHS - 1, False),
-                                                (bsde.SWEEP_THREAD_MIN_PATHS, True)])
-def test_the_sweep_starts_its_thread_from_its_own_threshold(base_model, per_range, threaded):
-    # below SWEEP_THREAD_MIN_PATHS paths per range the factor-ahead thread
-    # costs more than it saves, though the forward kernels split there
-    assert per_range >= market.THREAD_MIN_PATHS
-    ens = dl.simulate_drivers(base_model, dl.TimeGrid(4, 1.0), 2 * per_range, seed=5)
+def test_the_sweep_starts_no_thread(base_model):
+    # the forward kernels split from 2 x 4,096 paths; the sweep runs in its
+    # caller's thread at any path count
+    ens = dl.simulate_drivers(base_model, dl.TimeGrid(4, 1.0), 2 * 16_384, seed=5)
     s = dl.price_paths(base_model, ens)
     with mock.patch("os.sched_getaffinity", return_value={0, 1}), \
             mock.patch("threading.Thread", wraps=Thread) as started:
         dl.solve_linear_bsde(ens, s[:, -1], state={"S": s})
-    assert started.call_count == threaded
+    assert started.call_count == 0
 
 
 def test_an_error_in_a_later_range_reaches_the_caller():
@@ -336,23 +334,6 @@ def test_an_error_in_a_later_range_reaches_the_caller():
     with cpus(3), pytest.raises(RuntimeError, match="range from 66 failed"):
         market._over_paths(fn, 200)
     assert sorted(p.start for p in seen) == [0, 66, 133]
-    assert threading.active_count() == alive
-
-
-def test_an_error_in_the_factor_thread_reaches_the_caller(base_model):
-    ens = dl.simulate_drivers(base_model, dl.TimeGrid(20, 1.0), 200, seed=5)
-    s = dl.price_paths(base_model, ens)
-    alive = threading.active_count()
-    real = bsde._BasisBuilder.factor_step
-
-    def failing(self, step, scratch):
-        if step == 7:
-            raise FloatingPointError("factor failed at step 7")
-        return real(self, step, scratch)
-
-    with cpus(2), mock.patch.object(bsde._BasisBuilder, "factor_step", failing), \
-            pytest.raises(FloatingPointError, match="at step 7"):
-        dl.solve_linear_bsde(ens, s[:, -1])
     assert threading.active_count() == alive
 
 
