@@ -44,10 +44,10 @@ import time
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "duallab"
 
-# the forward fills and the map back with its block reader
+# the forward fills and the map back with its block reader and its reducer
 DEFAULT_TARGETS = (
     "market._exp_paths",
-    "market._extremes",
+    "market._euler_paths",
     "market._log_increments",
     "market._accumulate",
     "market._add_jumps",
@@ -56,6 +56,7 @@ DEFAULT_TARGETS = (
     "bridge._fraction_blocks",
     "bridge.dual_to_primal",
     "bridge.bridged_fraction",
+    "bridge._max_abs_deviation",
 )
 
 # the test files run first, so that most mutants die within seconds; the
@@ -77,8 +78,6 @@ EQUIVALENT: dict[str, str] = {
         "for a range shorter than one block, and never more than one block",
     "market._exp_paths: `8 * n_steps` -> `9 * n_steps`": _BLOCK_SIZE,
     "market._exp_paths: `max(1, k)` -> `max(2, k)`": _BLOCK_SIZE,
-    "market._extremes: `buffer[:n_steps * (cols.stop - cols.start)].reshape(n_steps, -1)` -> "
-    "`buffer[:n_steps * (cols.stop - cols.start)].reshape(n_steps, -2)`": _NEGATIVE_SIZE,
     "market._log_increments: `diff.shape[1] > 1` -> `diff.shape[1] > 2`":
         "a block of two paths takes the other branch, which forms the same values with "
         "temporaries two paths wide",

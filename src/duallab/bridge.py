@@ -31,6 +31,10 @@ from .market import (
 from .primal import PrimalSolution
 
 
+# bridged_fraction reads a fraction as constant within CONSTANT_TOL * max(1, |mean|)
+CONSTANT_TOL = 1e-9
+
+
 class BridgeViolationError(ValueError):
     """The constructed object violates a hypothesis of the transfer map."""
 
@@ -77,25 +81,37 @@ def _row_reader(target):
     return rows.__getitem__
 
 
+def _max_abs_deviation(rows: np.ndarray, deviation) -> np.ndarray:
+    """[max |d|] over the deviation d of each step row of ``rows``, which
+    ``deviation(i, row, out)`` writes into one reused row ``out``; with
+    [max |d| / |goal|] after it where that returns a goal (as ||d| / goal|,
+    which is |d| / |goal| bit for bit), not None."""
+    out = np.empty(rows.shape[1])
+    maxima = []
+    for i, row in enumerate(rows):
+        goal = deviation(i, row, out)
+        dev = np.abs(out, out=out)
+        maxima.append([np.max(dev)])
+        if goal is not None:
+            np.divide(dev, goal, out=dev)
+            maxima[-1].append(np.max(np.abs(dev, out=dev)))
+    # np.max, not max(): a NaN deviation in any row must reach the result
+    return np.max(maxima, axis=0)
+
+
 def _abs_and_rel(values: np.ndarray, target) -> tuple[float, float]:
     """max |values - target| and max |values - target| / |target|, one step
-    row at a time in one reused row buffer.  ``target`` is an array shaped
-    like ``values``, or the function of the step that forms its row
-    (:func:`_row_reader`).  The relative deviation is formed as
-    ||values - target| / target|, which is |values - target| / |target| bit
-    for bit."""
+    row at a time (:func:`_max_abs_deviation`).  ``target`` is an array
+    shaped like ``values``, or the function of the step that forms its row
+    (:func:`_row_reader`)."""
     target_row = _row_reader(target)
-    rows = np.atleast_2d(np.transpose(values))
-    maxima = []
-    scratch = np.empty(rows.shape[1])
-    for i, row in enumerate(rows):
+
+    def deviation(i, row, out):
         goal = target_row(i)
-        dev = np.subtract(row, goal, out=scratch)
-        row_abs = np.max(np.abs(dev, out=dev))
-        np.divide(dev, goal, out=dev)
-        maxima.append((row_abs, np.max(np.abs(dev, out=dev))))
-    # np.max, not max(): a NaN deviation in any row must reach the report
-    max_abs, max_rel = np.max(maxima, axis=0)
+        np.subtract(row, goal, out=out)
+        return goal
+
+    max_abs, max_rel = _max_abs_deviation(np.atleast_2d(np.transpose(values)), deviation)
     return max_abs, max_rel
 
 
@@ -189,13 +205,6 @@ def _fraction_blocks(solution) -> PathBlocks:
     return PathBlocks(write)
 
 
-def _bridged_fractions(solution) -> np.ndarray:
-    """The bridged fraction of :func:`_fraction_blocks` as one (n_paths,
-    n_steps) array, a view of time-major rows."""
-    ensemble = solution.ensemble
-    return _fraction_blocks(solution).whole(ensemble.n_paths, ensemble.grid.n_steps)
-
-
 def dual_to_primal(solution: DualSolution) -> tuple[Strategy, float, BridgeReport]:
     """Portfolio and initial wealth built from a dual solution's adjoints; the
     wealth lives in the market of the scenario (perturbed when it has a ``mu``).
@@ -247,21 +256,22 @@ def robust_dual_to_primal(
     return strategy, float(solution.mu), x0, report
 
 
-def bridged_fraction(solution, constant_tol: float = 1e-9) -> float:
+def bridged_fraction(solution) -> float:
     """Collapse the bridged fraction-of-wealth process to a scalar.
 
     ``solution`` is a dual solution, or the :class:`Strategy` that
     :func:`dual_to_primal` built from one (which saves recomputing the
     fraction).  Valid when the fraction is constant across paths and times
-    (the log cases); raises :class:`BridgeViolationError` with the largest
-    deviation from the mean otherwise, or with the first non-finite value
-    and where it is.  The mean sums the whole array; the deviation is taken
-    one step row at a time in one reused row buffer, as in :func:`_abs_and_rel`.
+    (the log cases), within :data:`CONSTANT_TOL`; raises
+    :class:`BridgeViolationError` with the largest deviation from the mean
+    otherwise, or with the first non-finite value and where it is.  The mean
+    sums the whole array; the deviation is taken by :func:`_max_abs_deviation`.
     """
     if isinstance(solution, Strategy):
         pi_path = np.atleast_2d(np.asarray(solution.values, dtype=float))
     else:
-        pi_path = _bridged_fractions(solution)
+        ensemble = solution.ensemble
+        pi_path = _fraction_blocks(solution).whole(ensemble.n_paths, ensemble.grid.n_steps)
     pi = float(pi_path.mean())
     if not math.isfinite(pi):
         # a non-finite entry makes the sum non-finite
@@ -272,16 +282,15 @@ def bridged_fraction(solution, constant_tol: float = 1e-9) -> float:
                 f"bridged fraction is not finite: {pi_path[path, step]} at path {path}, "
                 f"step {step}; no scalar reduction"
             )
-    maxima = []
-    scratch = np.empty(len(pi_path))
-    for row in np.transpose(pi_path):
-        dev = np.subtract(row, pi, out=scratch)
-        maxima.append(np.max(np.abs(dev, out=dev)))
-    worst = float(np.max(maxima))
-    if worst > constant_tol * max(1.0, abs(pi)):
+
+    def deviation(i, row, out):
+        np.subtract(row, pi, out=out)
+
+    worst = float(_max_abs_deviation(np.transpose(pi_path), deviation)[0])
+    if worst > CONSTANT_TOL * max(1.0, abs(pi)):
         raise BridgeViolationError(
             f"bridged fraction is not constant: it deviates from its mean {pi:.9g} by up "
-            f"to {worst:.3g}, above {constant_tol:g} * max(1, |mean|); no scalar reduction"
+            f"to {worst:.3g}, above {CONSTANT_TOL:g} * max(1, |mean|); no scalar reduction"
         )
     return pi
 
@@ -294,16 +303,13 @@ def verify_product_identity(wealth: np.ndarray, density, x0: float, y0: float) -
     step-size-dependent deviation used by the scheme-order study.
     ``density`` is an (n_paths, n_steps + 1) array or the function of the
     step that forms its row, such as the primal adjoint p1's
-    (:func:`_row_reader`).  One step row at a time in one reused row buffer,
-    as in :func:`_abs_and_rel`.
+    (:func:`_row_reader`).  One step row at a time (:func:`_max_abs_deviation`).
     """
     xy = x0 * y0
     density_row = _row_reader(density)
-    maxima = []
-    scratch = np.empty(len(wealth))
-    for i, row in enumerate(np.transpose(wealth)):
-        dev = np.multiply(row, density_row(i), out=scratch)
-        dev -= xy
-        maxima.append(np.max(np.abs(dev, out=dev)))
-    # np.max, not max(): a NaN deviation in any row must reach the result
-    return float(np.max(maxima))
+
+    def deviation(i, row, out):
+        np.multiply(row, density_row(i), out=out)
+        out -= xy
+
+    return float(_max_abs_deviation(np.transpose(wealth), deviation)[0])

@@ -381,8 +381,10 @@ def _apply_overrides(raw: dict, args: argparse.Namespace, mode: str) -> dict:
         section, _, key = entry.partition(".")
         if key:
             # a penalty scale given with no penalty section scales the quadratic
-            start = {"name": "quadratic"} if section == "penalty" else {}
-            value = {**raw.get(section, start), key: value}
+            start = raw.get(section, {"name": "quadratic"} if section == "penalty" else {})
+            if not isinstance(start, dict):
+                raise ConfigError(f"{section} must be a mapping")
+            value = {**start, key: value}
         raw[section] = value
         # the adjoint mode also runs a bridge check's maps
         if flag == "mode" and isinstance(raw.get("bridge"), dict):

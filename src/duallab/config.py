@@ -79,6 +79,22 @@ def _check_keys(data: dict, schema: dict, path: str) -> None:
             _check_keys(value, expected, where)
 
 
+def _jumps(market: dict) -> list[tuple[float, float]]:
+    """The (mark, intensity) of each entry of market.jumps, a list of
+    mappings with those two keys; none where it is unset or null."""
+    jumps = [] if market.get("jumps") is None else market["jumps"]
+    if not isinstance(jumps, list):
+        raise ConfigError(f"market.jumps must be a list, got {jumps!r}")
+    out = []
+    for j, jump in enumerate(jumps):
+        where = f"market.jumps[{j}]"
+        if not isinstance(jump, dict):
+            raise ConfigError(f"{where} must be a mapping")
+        _check_keys(jump, {"mark": float, "intensity": float}, where)
+        out.append((_number(jump, "mark", where), _number(jump, "intensity", where)))
+    return out
+
+
 def _require(data: dict, key: str, path: str):
     if key not in data:
         raise ConfigError(f"missing required configuration field: {path + '.' if path else ''}{key}")
@@ -168,12 +184,12 @@ class ExperimentConfig:
 
     def market_model(self) -> MarketModel:
         m = self.raw["market"]
-        jumps = m.get("jumps", []) or []
+        jumps = _jumps(m)
         return MarketModel(
             drift=float(m["drift"]),
             vol=float(m["vol"]),
-            jump_marks=tuple(float(j["mark"]) for j in jumps),
-            jump_intensities=tuple(float(j["intensity"]) for j in jumps),
+            jump_marks=tuple(mark for mark, _ in jumps),
+            jump_intensities=tuple(intensity for _, intensity in jumps),
             horizon=float(m["horizon"]),
             s0=_number(m, "s0", "market", positive=True, default=1.0),
         )
@@ -263,14 +279,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
     for key in ("drift", "vol"):
         _number(market, key, "market")
     _number(market, "horizon", "market", positive=True)
-    for j, jump in enumerate(market.get("jumps", []) or []):
-        if not isinstance(jump, dict):
-            raise ConfigError(f"market.jumps[{j}] must be a mapping")
-        for key in ("mark", "intensity"):
-            _number(jump, key, f"market.jumps[{j}]")
-        extra = set(jump) - {"mark", "intensity"}
-        if extra:
-            raise ConfigError(f"unknown configuration key: market.jumps[{j}].{extra.pop()}")
+    _jumps(market)
     grid = _require(raw, "grid", "")
     steps = _integer(grid, "steps", "grid", 1)
     mc = _require(raw, "mc", "")
@@ -354,9 +363,15 @@ def _check_driver_bytes(cfg: ExperimentConfig, model: MarketModel) -> None:
 
 
 def read_config(path: str) -> dict:
-    """The raw mapping of a YAML configuration file, not yet validated."""
-    with open(path) as fh:
-        raw = yaml.safe_load(fh)
+    """The raw mapping of a YAML configuration file, not yet validated; a
+    file that is not UTF-8 text or not YAML is refused, naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = yaml.safe_load(fh)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{path} is not valid YAML: {exc}") from None
     if raw is None:
         raise ConfigError(f"empty configuration file: {path}")
     if not isinstance(raw, dict):

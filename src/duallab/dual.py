@@ -19,8 +19,10 @@ from .market import (
     THETA1_FLOOR,
     MarketModel,
     PathEnsemble,
+    Strategy,
     TimeGrid,
     _euler_paths,
+    _exposure,
     _over_paths,
     density_paths,
     terminal_log_density,
@@ -493,26 +495,20 @@ def replication_check(
     """Terminal error of the Euler-simulated portfolio wealth against the claim.
 
     ``phi`` is the unit count, an (n_paths, n_steps) array multiplied by the
-    price S, or the function ``exposure(i, x, paths, out)`` of
+    price S as a unit-count strategy is (:func:`~duallab.market._exposure`),
+    or the function ``exposure(i, x, paths, out)`` of
     :func:`_portfolio_rows`, the amount held in the stock, which is the
     Euler exposure itself and reads no price.  The wealth is streamed: each
     path range keeps two wealth rows, and the exposure over step i is formed
     as that step is taken (:func:`~duallab.market._euler_paths` with
     ``terminal``), so neither the portfolio nor the wealth paths are stored
     whole.  Pathwise relative errors; reports the RMS and the maximum, plus
-    how many (path, step) wealth values were non-positive on the way (none,
-    for the scenarios exercised here), where
-    :func:`~duallab.market.wealth_paths` would raise.
+    how many (path, step) wealth values were non-positive on the way, the
+    Euler loop's per-step counts summed (none, for the scenarios exercised
+    here), where :func:`~duallab.market.wealth_paths` would raise.
     """
     grid = ensemble.grid
-    if callable(phi):
-        exposure = phi
-    else:
-        units, spot = np.asarray(phi, dtype=float), ensemble.channel("S")
-
-        def exposure(i, x, paths, out):
-            return np.multiply(units[paths, i], spot[paths, i], out=out)
-
+    exposure = phi if callable(phi) else _exposure(ensemble, Strategy.units(phi))
     x_t, nonpositive = _euler_paths(ensemble, float(x0), model.drift_on(grid, mu),
                                     model.vol_on(grid), model.jump_sizes_on(grid), exposure,
                                     terminal=True)
@@ -521,5 +517,5 @@ def replication_check(
         "rmse_rel": float(np.sqrt(np.mean(rel**2))),
         "max_rel": float(np.max(np.abs(rel))),
         "initial_value": float(x0),
-        "n_nonpositive": nonpositive,
+        "n_nonpositive": int(nonpositive.sum()),
     }

@@ -10,6 +10,10 @@ one terminal kernel).  With coefficients constant over the steps, a terminal
 log value is affine in the terminal design [1, B_T, Ntilde_T], which a
 candidate search builds once.  A plain Euler scheme is kept for unit-count
 wealth, replication and scheme-order studies.
+
+Positivity is refused where the values are formed: each block of an
+exponential fill checks the jump ratios it takes the log of, and the Euler
+loop counts the non-positive values of each step.
 """
 
 from __future__ import annotations
@@ -476,21 +480,6 @@ def _accumulate(ln: np.ndarray, x0: float) -> None:
     ln *= x0
 
 
-def _extremes(frac: PathBlocks, n_steps: int, n_paths: int, block: int) -> tuple:
-    """Per step, the least and the largest value of the per-path ``frac``
-    over the paths, from one block of ``block`` paths at a time: those of
-    ``np.fmin.reduce`` and ``np.fmax.reduce`` of the whole array, NaN only
-    at a step where every path is NaN."""
-    lowest, highest = np.full(n_steps, np.nan), np.full(n_steps, np.nan)
-    buffer = np.empty(n_steps * min(block, n_paths))
-    for cols in _blocks(slice(0, n_paths), block):
-        f = buffer[:n_steps * (cols.stop - cols.start)].reshape(n_steps, -1)
-        frac.write(cols, f)
-        np.fmin(lowest, np.fmin.reduce(f, axis=1), out=lowest)
-        np.fmax(highest, np.fmax.reduce(f, axis=1), out=highest)
-    return lowest, highest
-
-
 def _exp_paths(ensemble: PathEnsemble, x0: float, drift, diff, ratio, frac=None) -> np.ndarray:
     """x0 * exp(cumulative log increments): the stochastic exponential of
     drift dt + diff dB + ratio . dNtilde on every path, (n_paths, n_steps + 1).
@@ -498,16 +487,16 @@ def _exp_paths(ensemble: PathEnsemble, x0: float, drift, diff, ratio, frac=None)
     ``drift``, ``diff`` (n_steps,) and ``ratio`` (n_steps, n_marks) are per
     step.  A fraction ``frac`` multiplies all three: a scalar or per-step one
     up front, a per-path one (:class:`PathBlocks`, or an (n_paths, n_steps)
-    array read through them) block by block.  A ratio <= -1 (on any path,
-    for a per-path fraction) is refused before any path is filled.  The
-    paths are filled over the ranges of :func:`_over_paths`, one thread per
-    range, each range in blocks of :data:`BLOCK_PATHS` paths (per-path
-    coefficients: :data:`FILL_BLOCK_BYTES` per block), so the temporaries of
-    a thread stay small.  A block's increments are written into the columns
-    of the time-major output, then summed, exponentiated and scaled there in
-    place.  Each value goes through the same operations whatever block or
-    range it falls in, so the paths are bit-identical for any number of
-    threads.
+    array read through them) block by block.  Each block refuses a ratio it
+    takes the log of (for a per-path fraction, its own) that is <= -1 with
+    :class:`AdmissibilityError`.  The paths are filled over the ranges of
+    :func:`_over_paths`, one thread per range, each range in blocks of
+    :data:`BLOCK_PATHS` paths (per-path coefficients: :data:`FILL_BLOCK_BYTES`
+    per block), so the temporaries of a thread stay small.  A block's
+    increments are written into the columns of the time-major output, then
+    summed, exponentiated and scaled there in place.  Each value goes through
+    the same operations whatever block or range it falls in, so the paths are
+    bit-identical for any number of threads.
     """
     n_steps = ensemble.grid.n_steps
     if np.ndim(frac) == 2:
@@ -518,16 +507,6 @@ def _exp_paths(ensemble: PathEnsemble, x0: float, drift, diff, ratio, frac=None)
         drift, diff, ratio = f * drift, f * diff, f[:, None] * ratio
     k = ratio.shape[1]
     block = max(1, FILL_BLOCK_BYTES // (8 * n_steps * max(1, k))) if per_path else BLOCK_PATHS
-    if ratio.size:
-        # per step and mark, the least f * ratio over the paths: rounding is
-        # monotone, so it is the product with the extreme fraction
-        lowest = ratio
-        if per_path:
-            f_min, f_max = _extremes(frac, n_steps, ensemble.n_paths, block)
-            lowest = np.minimum(f_min[:, None] * ratio, f_max[:, None] * ratio)
-        if np.any(lowest <= -1.0):
-            raise AdmissibilityError("jump ratio <= -1 (1 + pi*gamma <= 0 for a fraction); "
-                                     "the exponential would lose positivity")
     drift, diff, ratio = drift[:, None], diff[:, None], ratio[:, None, :]
     out = np.empty((n_steps + 1, ensemble.n_paths))
 
@@ -547,6 +526,10 @@ def _exp_paths(ensemble: PathEnsemble, x0: float, drift, diff, ratio, frac=None)
                 block_coeffs = (np.multiply(f, drift, out=f), f_diff, f_ratio)
             else:
                 block_coeffs = (drift, diff, ratio)
+            # the ratios this block takes the log of; fmin skips a NaN
+            if k and np.fmin.reduce(block_coeffs[2], axis=None) <= -1.0:
+                raise AdmissibilityError("jump ratio <= -1 (1 + pi*gamma <= 0 for a fraction); "
+                                         "the exponential would lose positivity")
             _log_increments(ln, ensemble, cols, *block_coeffs)
             _accumulate(ln, x0)
 
@@ -559,34 +542,33 @@ def _exp_paths(ensemble: PathEnsemble, x0: float, drift, diff, ratio, frac=None)
 
 
 def _euler_paths(ensemble: PathEnsemble, x0: float, drift, diff, ratio, exposure,
-                 terminal: bool = False):
+                 terminal: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Plain Euler paths of dX = exposure * (drift dt + diff dB + ratio . dNtilde),
-    (n_paths, n_steps + 1), for per-step coefficients as in :func:`_exp_paths`.
+    for per-step coefficients as in :func:`_exp_paths`, and per step i the
+    number of paths on which X(t_{i+1}) <= 0, (n_steps,).
 
     ``exposure(i, x, paths, out)`` is the amount exposed over step ``i`` given
     X(t_i) = ``x`` on the paths of the slice ``paths``, written into the row
-    ``out`` or returned.  Positivity is not checked here.  The steps are
-    filled as contiguous rows of a (n_steps + 1, n_paths) buffer, returned
-    transposed, from the contiguous rows of dB; the step loop runs once per
-    range of :func:`_over_paths`, on the columns of that range only, so the
-    paths are bit-identical for any number of threads.
+    ``out`` or returned.  The steps are filled as contiguous rows of a
+    (n_steps + 1, n_paths) buffer, returned transposed, from the contiguous
+    rows of dB; the step loop runs once per range of :func:`_over_paths`, on
+    the columns of that range only, so the paths and the counts are the same
+    for any number of threads.
 
     With ``terminal``, the buffer holds two rows, X(t_i) in row i % 2 and
-    X(t_{i+1}) in row (i + 1) % 2, and the loop counts the non-positive
-    X(t_{i+1}) as it goes: returns X(T), (n_paths,), and the number of
-    non-positive X(t_i), i >= 1, over every path.  The values are those of
-    the full paths, bit for bit.
+    X(t_{i+1}) in row (i + 1) % 2, and X(T), (n_paths,), is returned in place
+    of the paths: the values of the full paths, bit for bit.
     """
     grid = ensemble.grid
     db = ensemble.brownian_increments.T
     rows = np.empty((2 if terminal else grid.n_steps + 1, ensemble.n_paths))
     depth = rows.shape[0]
-    nonpositive = []  # one count per range
+    nonpositive = []  # one (n_steps,) count per range
 
-    def fill(paths: slice, jumps: np.ndarray, aux: np.ndarray, mask: np.ndarray) -> None:
+    def fill(paths: slice, jumps: np.ndarray, aux: np.ndarray, mask: np.ndarray,
+             counts: np.ndarray) -> None:
         x = rows[:, paths]
         x[0] = x0
-        count = 0
         for i in range(grid.n_steps):
             now = x[i % depth]
             # the return over step i, formed in the row of X(t_{i+1})
@@ -597,28 +579,24 @@ def _euler_paths(ensemble: PathEnsemble, x0: float, drift, diff, ratio, exposure
                 ret += np.matmul(jumps, ratio[i], out=aux)
             ret *= exposure(i, now, paths, aux)
             ret += now
-            if terminal:
-                count += int(np.count_nonzero(np.less_equal(ret, 0.0, out=mask)))
-        nonpositive.append(count)
+            counts[i] = np.count_nonzero(np.less_equal(ret, 0.0, out=mask))
 
     def work(paths: slice) -> tuple:
         n = paths.stop - paths.start
-        return (np.empty((n, ensemble.model.n_marks)), np.empty(n),
-                np.empty(n if terminal else 0, dtype=bool))
+        nonpositive.append(np.zeros(grid.n_steps, dtype=np.intp))
+        return (np.empty((n, ensemble.model.n_marks)), np.empty(n), np.empty(n, dtype=bool),
+                nonpositive[-1])
 
     _over_paths(fill, ensemble.n_paths, work)
-    if terminal:
-        return rows[grid.n_steps % 2], sum(nonpositive)
-    return rows.T
+    return rows[grid.n_steps % 2] if terminal else rows.T, np.sum(nonpositive, axis=0)
 
 
-def _check_positive(paths: np.ndarray, what: str) -> None:
-    bad = paths[:, 1:] <= 0.0
-    if np.any(bad):
-        step = int(np.argmax(np.any(bad, axis=0)))
+def _refuse_nonpositive(counts: np.ndarray, what: str) -> None:
+    """Raise :class:`AdmissibilityError` at the first non-zero count of :func:`_euler_paths`."""
+    bad = np.flatnonzero(counts)
+    if bad.size:
         raise AdmissibilityError(
-            f"{what} non-positive on {int(bad[:, step].sum())} path(s) at step {step + 1}"
-        )
+            f"{what} non-positive on {counts[bad[0]]} path(s) at step {bad[0] + 1}")
 
 
 def price_paths(model: MarketModel, ensemble: PathEnsemble) -> np.ndarray:
@@ -691,23 +669,29 @@ class Strategy:
         return eval_on_grid(self.values, grid.left_times)
 
 
-def _euler_wealth(model: MarketModel, ensemble: PathEnsemble, strategy: Strategy,
-                  x0: float, mu=None) -> np.ndarray:
-    """Euler wealth paths of a fraction or unit-count strategy, unchecked."""
-    grid = ensemble.grid
-    values = strategy.on_grid(grid)
+def _exposure(ensemble: PathEnsemble, strategy: Strategy):
+    """The Euler exposure of ``strategy`` (see :func:`_euler_paths`): pi*X
+    for a fraction of wealth, phi*S for unit counts."""
+    values = strategy.on_grid(ensemble.grid)
     if isinstance(values, PathBlocks):
-        values = values.whole(ensemble.n_paths, grid.n_steps)
+        values = values.whole(ensemble.n_paths, ensemble.grid.n_steps)
     fraction = strategy.kind == "fraction"
     spot = None if fraction else ensemble.channel("S")
 
     def exposure(i, x, paths, out):
-        # pi*X for a fraction of wealth, phi*S for unit counts
         pi = values[paths, i] if values.ndim == 2 else values[i]
         return np.multiply(pi, x if fraction else spot[paths, i], out=out)
 
+    return exposure
+
+
+def _euler_wealth(model: MarketModel, ensemble: PathEnsemble, strategy: Strategy,
+                  x0: float, mu=None) -> tuple[np.ndarray, np.ndarray]:
+    """Euler wealth paths of a fraction or unit-count strategy and their
+    per-step non-positive counts (:func:`_euler_paths`), unchecked."""
+    grid = ensemble.grid
     return _euler_paths(ensemble, x0, model.drift_on(grid, mu), model.vol_on(grid),
-                        model.jump_sizes_on(grid), exposure)
+                        model.jump_sizes_on(grid), _exposure(ensemble, strategy))
 
 
 def wealth_paths(
@@ -731,8 +715,8 @@ def wealth_paths(
     if strategy.kind == "fraction" and scheme == "exact":
         return _exp_paths(ensemble, x0, model.drift_on(grid, mu), model.vol_on(grid),
                           model.jump_sizes_on(grid), frac=strategy.on_grid(grid))
-    x = _euler_wealth(model, ensemble, strategy, x0, mu=mu)
-    _check_positive(x, "wealth")
+    x, nonpositive = _euler_wealth(model, ensemble, strategy, x0, mu=mu)
+    _refuse_nonpositive(nonpositive, "wealth")
     return x
 
 
@@ -754,8 +738,9 @@ def density_paths(ensemble: PathEnsemble, control, scheme: str = "exact") -> np.
     no_drift = np.zeros(grid.n_steps)
     if scheme == "exact":
         return _exp_paths(ensemble, y0, no_drift, theta0, theta1)
-    g = _euler_paths(ensemble, y0, no_drift, theta0, theta1, lambda i, g, paths, out: g)
-    _check_positive(g, "Euler density")
+    g, nonpositive = _euler_paths(ensemble, y0, no_drift, theta0, theta1,
+                                  lambda i, g, paths, out: g)
+    _refuse_nonpositive(nonpositive, "Euler density")
     return g
 
 
@@ -880,15 +865,9 @@ def terminal_log_density(ensemble: PathEnsemble, control, design: np.ndarray | N
     return ln[:, 0] if single else ln
 
 
-# the row template and channel arrays that _csv_block formats
+# the row template and channel arrays that _csv_block formats, set by
+# _formatted_blocks for its call; forked workers inherit it
 _csv_job: tuple = (None, None)
-
-
-def _csv_init(template, arrays) -> None:
-    """Set the job of :func:`_csv_block`: the pool initializer, and the
-    set-up of the in-process run."""
-    global _csv_job
-    _csv_job = (template, arrays)
 
 
 def _csv_block(start: int) -> str:
@@ -908,21 +887,22 @@ def _formatted_blocks(template, arrays, starts: range):
     order, from forked workers or from this process (see :func:`ensemble_to_csv`)."""
     import multiprocessing
 
-    workers = min(usable_cpus(), len(starts))
-    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        try:
-            pool = multiprocessing.get_context("fork").Pool(workers, _csv_init, (template, arrays))
-        except OSError:
-            pass
-        else:
-            with pool:
-                yield pool.imap(_csv_block, starts)
-            return
-    _csv_init(template, arrays)
+    global _csv_job
+    _csv_job = (template, arrays)
     try:
+        workers = min(usable_cpus(), len(starts))
+        if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+            try:
+                pool = multiprocessing.get_context("fork").Pool(workers)
+            except OSError:
+                pass
+            else:
+                with pool:
+                    yield pool.imap(_csv_block, starts)
+                return
         yield map(_csv_block, starts)
     finally:
-        _csv_init(None, None)
+        _csv_job = (None, None)
 
 
 def ensemble_to_csv(ensemble: PathEnsemble, path, channels: Sequence[str] | None = None,

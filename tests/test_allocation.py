@@ -153,9 +153,9 @@ def test_forward_peak_is_output_plus_one_array(one_mark, case):
         # the output, the fill's three work arrays and one block-sized
         # temporary (the buffer of the in-place exponential on the strided
         # block), each of at most FILL_BLOCK_BYTES; the dt-term is scaled in
-        # place, and the admissibility pre-pass's block buffer is freed
-        # before they are allocated.  No (n_paths, n_steps) array: that is
-        # 12 FILL_BLOCK_BYTES here
+        # place, and each block's jump-ratio check reduces its work array in
+        # place.  No (n_paths, n_steps) array: that is 12 FILL_BLOCK_BYTES
+        # here
         assert peak <= out.nbytes + 4 * market.FILL_BLOCK_BYTES + FIXED_SLACK
         # FIXED_SLACK is two blocks, so the bound above passes a fifth: the
         # same fill at twice the block size, less this one, is those four

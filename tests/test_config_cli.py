@@ -225,6 +225,33 @@ def test_non_mapping_config_exit_code(tmp_path, capsys, text):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content, named", [
+    (b"market: [\n", "is not valid YAML: while parsing a flow node"),
+    (b"\xff\xfemode: simulate\n", "is not UTF-8 text: 'utf-8' codec can't decode byte 0xff"),
+], ids=["not-yaml", "not-utf8"])
+def test_an_unreadable_config_file_exits_2_naming_it(tmp_path, capsys, content, named):
+    # each ended in a yaml or a codec traceback with exit 1
+    cfg_file = tmp_path / "bad.yaml"
+    cfg_file.write_bytes(content)
+    assert cli.main(["simulate", "--config", str(cfg_file), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.startswith(f"configuration error: {cfg_file} {named}")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command, edit, flags, named", [
+    ("simulate", {"mc": 5}, ["--seed", "3"], "mc must be a mapping"),
+    ("robust", {"penalty": 3}, ["--penalty-scale", "2"], "penalty must be a mapping"),
+], ids=["mc", "penalty"])
+def test_an_override_into_a_section_that_is_not_a_mapping_exits_2(tmp_path, capsys, command,
+                                                                   edit, flags, named):
+    # the override merged the section into a mapping: a TypeError, exit 1
+    cfg_file = tmp_path / "bad.yaml"
+    cfg_file.write_text(yaml.safe_dump({**load_raw("robust_merton.yaml"), **edit}))
+    code = cli.main([command, "--config", str(cfg_file), "--out", str(tmp_path / "run"), *flags])
+    assert code == 2
+    assert capsys.readouterr().err == f"configuration error: {named}\n"
+
+
 def test_bad_jump_entry_rejected():
     raw = load_raw("jump_dual.yaml")
     raw["market"]["jumps"][0]["size"] = 0.2
@@ -463,8 +490,11 @@ def _refuse_certification(monkeypatch):
     # two steps leave no interior step: the FOC residual read 0.0
     ("primal", "merton_log.yaml", {"grid.steps": 2},
      "grid.steps must be at least 3 for a primal run"),
+    # a TypeError, exit 1: the jumps were iterated unchecked
+    ("dual", "jump_dual.yaml", {"market.jumps": 5}, "market.jumps must be a list, got 5"),
 ], ids=["default-paths-ladder", "default-steps-ladder", "theta1-grid", "bridge-case",
-        "bridge-adjoints", "benchmark", "penalty-scale", "utility-name", "foc-window"])
+        "bridge-adjoints", "benchmark", "penalty-scale", "utility-name", "foc-window",
+        "jumps-not-a-list"])
 def test_a_bad_setting_exits_2_before_anything_runs(tmp_path, capsys, monkeypatch, command, name,
                                                     edits, named):
     """Each of these settings was read only by its runner: the default

@@ -695,8 +695,14 @@ def test_replication_check_counts_nonpositive_like_loop(jump_model):
     new = dl.replication_check(jump_model, phi, 1.0, target, ens)
     old = oracles.replication_check(jump_model, phi, 1.0, target, ens)
     assert new["n_nonpositive"] == old["n_nonpositive"] > 0
-    with pytest.raises(dl.AdmissibilityError, match="non-positive"):
+    # the refusal names the first step that loses positivity and its count,
+    # as the step loop does
+    with pytest.raises(dl.AdmissibilityError) as loop:
+        oracles.wealth_paths(jump_model, ens, "units", phi, 1.0)
+    with pytest.raises(dl.AdmissibilityError) as refused:
         dl.wealth_paths(jump_model, ens, dl.Strategy.units(phi), 1.0)
+    assert str(refused.value) == str(loop.value)
+    assert re.fullmatch(r"wealth non-positive on \d+ path\(s\) at step \d+", str(loop.value))
 
 
 def test_strategy_function_of_time_matches_per_step_array(base_model, base_ens_5k):
@@ -830,7 +836,6 @@ def test_block_fraction_fills_the_wealth_of_the_whole_array(base_model, jump_mod
     # the returned portfolio is the whole fraction, bit for bit and in its layout
     assert np.array_equal(strategy.values, whole)
     assert strategy.values.T.flags.c_contiguous
-    assert np.array_equal(bridge._bridged_fractions(sol), whole)
     assert x_back == x0
     link = report["process_link"]
     assert (link["max_abs"], link["max_rel"]) == bridge._abs_and_rel(from_array, sol.adjoints.p)
@@ -863,20 +868,33 @@ def test_block_fraction_refuses_a_bad_jump_ratio_like_the_whole_array(jump_model
     assert str(by_blocks.value) == str(from_array.value)
 
 
-@pytest.mark.parametrize("block", [1, 3, 64, 200])
-def test_block_extremes_are_the_whole_array_reductions(block):
-    # NaN where only some paths are NaN is skipped; a step where every path
-    # is NaN stays NaN; inf and signed zeros pass through; the first and the
-    # last path hold extremes of their own
-    rng = np.random.Generator(np.random.Philox(key=139))
-    values = rng.uniform(-3.0, 3.0, size=(200, 9))
-    values[rng.uniform(size=values.shape) < 0.1] = np.nan
-    values[:, 4] = np.nan
-    values[17, 2], values[150, 2], values[3, 6] = np.inf, -np.inf, -0.0
-    values[0, 1], values[0, 3], values[199, 5], values[199, 7] = -10.0, 10.0, -10.0, 10.0
-    lowest, highest = market._extremes(dl.PathBlocks.of(values), 9, 200, block)
-    assert np.array_equal(lowest, np.fmin.reduce(values, axis=0), equal_nan=True)
-    assert np.array_equal(highest, np.fmax.reduce(values, axis=0), equal_nan=True)
+@pytest.mark.parametrize("per_path", [False, True])
+@pytest.mark.parametrize("bad", [False, True])
+def test_a_nan_fraction_neither_hides_nor_makes_a_refusal(jump_model, per_path, bad):
+    # a NaN ratio is skipped: the fill refuses as the step loop does when
+    # another ratio of the same block is <= -1 (gamma = 0.1, pi = -12), and
+    # carries the NaN into the paths otherwise, a step of NaN on every path
+    # included
+    ens = make_ensemble(jump_model, n_steps=20, n_paths=300, seed=141)
+    grid = ens.grid
+    pi = np.full((ens.n_paths, grid.n_steps), 0.5)
+    pi[:, 10] = np.nan
+    pi[5, 3] = np.nan
+    if bad:
+        pi[6, 3] = -12.0
+    frac = pi if per_path else pi[6]
+    coeffs = (jump_model.drift_on(grid), jump_model.vol_on(grid), jump_model.jump_sizes_on(grid))
+    try:
+        old = oracles.exp_paths_per_path(ens, 1.2, *coeffs, np.broadcast_to(frac, pi.shape))
+    except dl.AdmissibilityError as exc:
+        assert bad
+        with pytest.raises(dl.AdmissibilityError, match=re.escape(str(exc))):
+            dl.wealth_paths(jump_model, ens, dl.Strategy.fraction(frac), 1.2)
+        return
+    assert not bad
+    assert np.isnan(old).any()
+    assert np.array_equal(dl.wealth_paths(jump_model, ens, dl.Strategy.fraction(frac), 1.2), old,
+                          equal_nan=True)
 
 
 # ------------------------------------------------------------------ output

@@ -43,12 +43,13 @@ def cpus(n):
         yield started
 
 
-def on_one_and_on_three_cpus(fn, prepare=lambda: None, threaded=True):
+def on_one_and_on_three_cpus(fn, prepare=lambda: None, threaded=True, refused_in_threads=False):
     """fn() on one CPU and on three, and on one CPU with the dense jump
     readers, each after ``prepare()`` on the same side; the outcomes, each a
     result or the exception raised, checked for leftover threads and for the
-    threads fn() started: some on three CPUs if ``threaded``, none
-    otherwise."""
+    threads fn() started: some on three CPUs if ``threaded`` and fn()
+    returned, or raised from inside its threads (``refused_in_threads``: a
+    forward fill checks the jump ratios of each block), none otherwise."""
     outcomes = []
     for n, readers in ((1, contextlib.nullcontext), (3, contextlib.nullcontext),
                        (1, oracles.dense_jumps)):
@@ -66,7 +67,7 @@ def on_one_and_on_three_cpus(fn, prepare=lambda: None, threaded=True):
         assert threading.active_count() == alive
         # an input refused up front starts none
         ran = not isinstance(outcomes[-1], Exception)
-        assert (started.call_count > 0) == (threaded and n > 1 and ran)
+        assert (started.call_count > 0) == (threaded and n > 1 and (ran or refused_in_threads))
     return outcomes
 
 
@@ -97,17 +98,18 @@ def test_forward_and_euler_paths_bit_identical_on_every_cpu_count(case, mu, size
         return (dl.price_paths(model, ens),
                 dl.wealth_paths(model, ens, dl.Strategy.fraction(0.5), 1.2, mu=mu),
                 dl.density_paths(ens, control),
-                market._euler_wealth(model, ens, dl.Strategy.units(units), 1.2, mu=mu),
-                market._euler_wealth(model, ens, dl.Strategy.fraction(0.5), 1.2, mu=mu),
-                market._euler_paths(ens, 1.3, np.zeros(grid.n_steps), control.theta0,
-                                    control.theta1, lambda i, g, paths, out: g),
+                # the Euler paths and their per-step non-positive counts
+                *market._euler_wealth(model, ens, dl.Strategy.units(units), 1.2, mu=mu),
+                *market._euler_wealth(model, ens, dl.Strategy.fraction(0.5), 1.2, mu=mu),
+                *market._euler_paths(ens, 1.3, np.zeros(grid.n_steps), control.theta0,
+                                     control.theta1, lambda i, g, paths, out: g),
                 ens.terminal_design())
 
     def per_path_fraction():
         return (dl.wealth_paths(model, ens, dl.Strategy.fraction(per_path), 1.2, mu=mu),)
 
     assert_same(*on_one_and_on_three_cpus(channels))
-    assert_same(*on_one_and_on_three_cpus(per_path_fraction))
+    assert_same(*on_one_and_on_three_cpus(per_path_fraction, refused_in_threads=True))
 
 
 @settings(max_examples=25, deadline=None)
