@@ -68,7 +68,8 @@ class DriverSpec:
     """dt-term f(t,p,q,r) = constant + p_coeff*p + q_coeff*q + sum_k r_coeff_k*r_k.
 
     Coefficients may be scalars, callables of time, or per-step arrays;
-    ``r_coeff`` may additionally be an (n_steps, n_marks) array.
+    ``r_coeff`` is one value per step for every mark, or an (n_steps,
+    n_marks) array, taken as it is.
     """
 
     constant: object = 0.0
@@ -77,17 +78,12 @@ class DriverSpec:
     r_coeff: object = 0.0
 
     def on_grid(self, grid: TimeGrid, n_marks: int):
-        c0 = eval_on_grid(self.constant, grid.left_times)
-        cp = eval_on_grid(self.p_coeff, grid.left_times)
-        cq = eval_on_grid(self.q_coeff, grid.left_times)
-        r = np.asarray(self.r_coeff, dtype=float) if not callable(self.r_coeff) else None
-        if callable(self.r_coeff):
-            cr = np.tile(eval_on_grid(self.r_coeff, grid.left_times)[:, None], (1, n_marks))
-        elif r.ndim == 2:
-            cr = r
-        else:
-            cr = np.broadcast_to(r, (grid.n_steps, n_marks)).copy() if n_marks else np.zeros((grid.n_steps, 0))
-        return c0, cp, cq, cr
+        c0, cp, cq = (eval_on_grid(c, grid.left_times)
+                      for c in (self.constant, self.p_coeff, self.q_coeff))
+        if np.ndim(self.r_coeff) == 2:
+            return c0, cp, cq, np.asarray(self.r_coeff, dtype=float)
+        cr = eval_on_grid(self.r_coeff, grid.left_times)
+        return c0, cp, cq, np.repeat(cr[:, None], n_marks, axis=1)
 
 
 class AdjointTriple:

@@ -39,7 +39,8 @@ from .market import (
     simulate_drivers,
     wealth_paths,
 )
-from .primal import hamiltonian_derivative_check, merton_log_closed_form, solve_primal_search
+from .primal import (closed_form_refusal, hamiltonian_derivative_check, merton_log_closed_form,
+                     solve_primal_search)
 from .robust import robust_log_closed_form, solve_robust_saddle
 
 
@@ -189,7 +190,7 @@ def run_robust(cfg: ExperimentConfig) -> dict:
             "penalty_mean_normalized": solution.foc["penalty_mean_normalized"],
         },
     }
-    if utility.name == "log" and penalty.name == "quadratic" and model.n_marks == 0:
+    if utility.name == "log" and penalty.name == "quadratic" and not closed_form_refusal(model):
         pi_cf, mu_cf = robust_log_closed_form(model, penalty)
         payload["closed_form"] = {"mu": mu_cf, "pi": pi_cf}
         # solved fraction over the plain Merton fraction b/sigma^2

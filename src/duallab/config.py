@@ -17,8 +17,9 @@ import numpy as np
 import yaml
 
 from .market import MarketModel, TimeGrid
-from .preferences import (Penalty, UtilityPair, make_log_utility, make_power_utility,
-                          make_quadratic_penalty)
+from .preferences import (Penalty, UtilityPair, has_closed_form_adjoints, make_log_utility,
+                          make_power_utility, make_quadratic_penalty)
+from .primal import closed_form_refusal
 
 
 class ConfigError(ValueError):
@@ -312,10 +313,20 @@ def validate_config(raw: dict) -> ExperimentConfig:
         alpha = _number(utility, "alpha", "utility")
         if not 0.0 < alpha < 1.0:
             raise ConfigError(f"utility.alpha must lie in (0, 1), got {alpha!r}")
+    # the adjoint mode a run reads: a bridge check's own, a search's the run's
+    field, adjoints = (("bridge.adjoints", cfg.bridge()[1]) if cfg.mode == "bridge-check"
+                       else ("adjoints", cfg.adjoints))
+    if (cfg.mode in ("primal", "dual", "robust", "bridge-check") and adjoints == "analytic"
+            and not has_closed_form_adjoints(utility["name"])):
+        raise ConfigError(f"{field} = 'analytic' needs closed-form adjoints, which "
+                          f"utility.name = {utility['name']!r} does not have; use regression")
     # fail early on bad market coefficients: a negative intensity, a jump of
     # -100% or below
     try:
         model = cfg.market_model()
+        # a bridge check starts from the log closed form of its case
+        if cfg.mode == "bridge-check" and (refusal := closed_form_refusal(model)):
+            raise ConfigError(f"mode bridge-check: {refusal}")
         _check_driver_bytes(cfg, model)
         model.validate_on(cfg.time_grid())
     except ConfigError:

@@ -28,7 +28,7 @@ from .market import (
     terminal_log_density,
 )
 from .mc import grid_search, interior_summary
-from .preferences import Penalty, UtilityPair
+from .preferences import Penalty, UtilityPair, has_closed_form_adjoints
 
 @dataclass(frozen=True)
 class ScenarioControl:
@@ -184,6 +184,22 @@ def scenario_samples(ensemble: PathEnsemble, pair: UtilityPair, scenarios: list,
     return samples
 
 
+def _scenario_search(model: MarketModel, pair: UtilityPair, y: float, ensemble: PathEnsemble,
+                     candidates: list, mu_values, size: np.ndarray, offset=0.0,
+                     what: str = "scenario candidates"):
+    """E[-V(G(T))] + ``offset`` (one per mu) over the C-order grid of drift
+    perturbations ``mu_values`` by jump ratios ``candidates`` (:func:`build_scenarios`),
+    ties going to the smallest ``size``: the best scenario and its solution fields."""
+    shape = (len(mu_values), len(candidates))
+    scenarios, excluded = build_scenarios(model, ensemble.grid, candidates, y, mu_values)
+    design = ensemble.terminal_design()
+    search = grid_search(shape, scenario_samples(ensemble, pair, scenarios, design),
+                         np.array([c is not None for c in scenarios]), design, ensemble.n_paths,
+                         offset=np.repeat(offset, shape[1]), size=size, what=what)
+    return scenarios[search.best], {"theta1_values": [np.asarray(c).tolist() for c in candidates],
+                                    "excluded": excluded, **search.fields()}
+
+
 def unique_scenario_no_jumps(model: MarketModel, grid: TimeGrid, y: float) -> ScenarioControl:
     """The single admissible scenario theta0 = -b/sigma of a no-jump market."""
     if model.n_marks:
@@ -265,7 +281,7 @@ def dual_adjoints(
     is the optimal wealth of the primal problem.
     """
     if mode == "analytic":
-        if pair.name != "log":
+        if not has_closed_form_adjoints(pair.name):
             raise ValueError("analytic dual adjoints are available for the log pair only")
         return analytic_log_dual_adjoints(model, ensemble, density, control)
     return solve_linear_bsde(ensemble, pair.inverse_marginal(density[:, -1]),
@@ -330,20 +346,11 @@ def solve_dual_search(
     channel, for a map back to the primal.
     """
     candidates = theta1_candidates(model, theta1_values)
-    scenarios, excluded = build_scenarios(model, ensemble.grid, candidates, y, [mu])
-    design = ensemble.terminal_design()
-    search = grid_search(
-        (len(candidates),), scenario_samples(ensemble, pair, scenarios, design),
-        np.array([c is not None for c in scenarios]), design,
-        ensemble.n_paths, size=np.array([float(np.linalg.norm(c)) for c in candidates]),
-        what="scenario candidates",
-    )
+    control, fields = _scenario_search(model, pair, y, ensemble, candidates, [mu],
+                                       np.array([float(np.linalg.norm(c)) for c in candidates]))
     reads_r2 = replicate and np.any(np.abs(model.vol_on(ensemble.grid)) < DEGENERATE_VOL)
-    return _dual_solution(
-        model, ensemble, pair, scenarios[search.best], adjoint_mode, basis, replicate,
-        keep=("qr" if reads_r2 else "q") if replicate else "", theta1_values=[np.asarray(c).tolist() for c in candidates],
-        excluded=excluded, **search.fields(),
-    )
+    return _dual_solution(model, ensemble, pair, control, adjoint_mode, basis, replicate,
+                          keep=("qr" if reads_r2 else "q") if replicate else "", **fields)
 
 
 def evaluate_dual_scenario(

@@ -104,8 +104,8 @@ def grid_search(
     ``design`` (the terminal design [1, controls], factored once here) plus
     ``offset[idx]``.  Two block-sized buffers, the samples and the
     residuals, serve every block.  Inadmissible candidates keep the value
-    -inf.  With ``size`` given, the argmax is selected, ties
-    going to the smallest size, and an empty admissible set raises.
+    -inf, and a grid where no candidate gets a finite value raises.  With
+    ``size`` given, the argmax is selected, ties going to the smallest size.
     """
     n = math.prod(shape)
     values = np.full(n, -np.inf)
@@ -124,10 +124,10 @@ def grid_search(
         est, se = cv_mean(samples(idx, out), design=factored, resid=resid)
         values[idx] = est + offset[idx]
         ses[idx] = se
-    if size is None:
-        return SearchResult(values, ses, shape, None)
     if not np.any(np.isfinite(values)):
         raise ValueError(f"all {what} inadmissible")
+    if size is None:
+        return SearchResult(values, ses, shape, None)
     top = np.flatnonzero(values == np.max(values))
     return SearchResult(values, ses, shape, int(top[np.argmin(np.asarray(size)[top])]))
 

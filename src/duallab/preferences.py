@@ -216,6 +216,11 @@ def inada_holds(u_prime: Callable) -> bool:
     return bool(u_prime(1e-16) > 1e2 and u_prime(1e16) < 1e-2)
 
 
+def has_closed_form_adjoints(name: str) -> bool:
+    """Whether the utility pair ``name`` has closed-form (analytic) adjoints."""
+    return name == "log"
+
+
 def make_log_utility() -> UtilityPair:
     """U(x) = ln x, V(y) = -ln y - 1, -V'(y) = 1/y."""
     pair = UtilityPair(

@@ -15,6 +15,7 @@ import numpy as np
 
 from .bsde import AdjointTriple, RegressionBasis, log_adjoints, solve_linear_bsde
 from .market import (
+    DEGENERATE_VOL,
     INADMISSIBLE_FRACTION,
     MarketModel,
     PathEnsemble,
@@ -24,7 +25,7 @@ from .market import (
     wealth_paths,
 )
 from .mc import cv_mean, grid_search, interior_summary
-from .preferences import Penalty, UtilityPair
+from .preferences import Penalty, UtilityPair, has_closed_form_adjoints
 
 # the step in pi of the finite difference in :func:`hamiltonian_derivative_check`
 BUMP = 0.025
@@ -67,15 +68,23 @@ class PrimalSolution:
     foc: dict | None = None
 
 
-def _closed_form_coefficients(model: MarketModel) -> tuple:
-    """(b, sigma) of a no-jump market with constant coefficients, the one
-    market the log closed forms hold in; ValueError naming what is not."""
+def closed_form_refusal(model: MarketModel) -> str | None:
+    """Why the log closed forms do not hold in ``model``, naming its field;
+    None in the one market they hold in: no jumps, constant b and sigma, sigma != 0."""
     if model.n_marks:
-        raise ValueError("closed form requires a no-jump market")
+        return f"closed form requires a no-jump market; market.jumps has {model.n_marks} mark(s)"
     for name in ("drift", "vol"):
         if callable(getattr(model, name)):
-            raise ValueError(f"closed form requires constant coefficients; the market's {name} "
-                             "is a function of time")
+            return (f"closed form requires constant coefficients; the market's {name} is a "
+                    "function of time")
+    if abs(model.vol) < DEGENERATE_VOL:
+        return f"closed form requires a nonzero volatility; market.vol is {model.vol!r}"
+
+
+def _closed_form_coefficients(model: MarketModel) -> tuple:
+    """(b, sigma), or ValueError with the :func:`closed_form_refusal`."""
+    if refusal := closed_form_refusal(model):
+        raise ValueError(refusal)
     return model.drift, model.vol
 
 
@@ -130,7 +139,7 @@ def primal_adjoints(
     p1 is the optimal density of the dual problem.
     """
     if mode == "analytic":
-        if utility.name != "log":
+        if not has_closed_form_adjoints(utility.name):
             raise ValueError("analytic adjoints are available for log utility only")
         return analytic_log_adjoints(model, ensemble, wealth, pi, mu=mu)
     return solve_linear_bsde(ensemble, utility.u_prime(wealth[:, -1]),
@@ -160,25 +169,37 @@ def solve_primal_search(
     reads q1 and r1 path by path and needs ``keep="pqr"``.
     """
     pi_values = np.asarray(list(pi_values), dtype=float)
-    admissible = fraction_admissible(model, ensemble.grid, pi_values)
+    search, admissible = _fraction_search(model, utility, x0, ensemble, pi_values, [mu],
+                                          size=np.abs(pi_values))
     excluded = [{"pi": float(pi), "reason": INADMISSIBLE_FRACTION}
                 for pi in pi_values[~admissible]]
+    return _primal_solution(model, ensemble, utility, x0, float(pi_values[search.best]), mu,
+                            adjoint_mode, basis, keep=keep, pi_values=pi_values,
+                            excluded=excluded, **search.fields())
 
+
+def _fraction_search(model: MarketModel, utility: UtilityPair, x0: float, ensemble: PathEnsemble,
+                     pi_values: np.ndarray, mu_values, offset=0.0, size=None):
+    """E[U(X(T))] + ``offset`` (one per mu) over the C-order grid of constant
+    fractions ``pi_values`` by drift perturbations ``mu_values``, through
+    :func:`~duallab.mc.grid_search` (``size`` selects); one mu is passed on as
+    given, a grid of them as one constant per candidate.  Returns the search
+    and the per-pi mask of 1 + pi*gamma > 0, outside which none is evaluated."""
+    shape = (pi_values.size, len(mu_values))
+    admissible = fraction_admissible(model, ensemble.grid, pi_values)
     design = ensemble.terminal_design()
 
     def samples(idx, out):
-        pi = np.broadcast_to(pi_values[idx], (ensemble.grid.n_steps, idx.size))
-        ln_xt = terminal_log_wealth(model, ensemble, pi, x0, mu=mu, design=design, out=out)
+        jp, jm = np.unravel_index(idx, shape)
+        cols = (ensemble.grid.n_steps, idx.size)
+        mu = mu_values[0] if shape[1] == 1 else np.broadcast_to(mu_values[jm], cols)
+        ln_xt = terminal_log_wealth(model, ensemble, np.broadcast_to(pi_values[jp], cols), x0,
+                                    mu=mu, design=design, out=out)
         return utility.u_of_log(ln_xt, out=ln_xt)
 
-    search = grid_search(
-        pi_values.shape, samples, admissible, design,
-        ensemble.n_paths, size=np.abs(pi_values),
-    )
-    return _primal_solution(
-        model, ensemble, utility, x0, float(pi_values[search.best]), mu, adjoint_mode, basis,
-        keep=keep, pi_values=pi_values, excluded=excluded, **search.fields(),
-    )
+    search = grid_search(shape, samples, np.repeat(admissible, shape[1]), design,
+                         ensemble.n_paths, offset=np.tile(offset, pi_values.size), size=size)
+    return search, admissible
 
 
 def _primal_solution(model: MarketModel, ensemble: PathEnsemble, utility: UtilityPair, x0: float,

@@ -13,25 +13,13 @@ from __future__ import annotations
 import numpy as np
 
 from .bsde import RegressionBasis
-from .dual import (
-    DualSolution,
-    _dual_solution,
-    build_scenarios,
-    dual_foc_residual,
-    scenario_samples,
-    theta1_candidates,
-)
-from .market import (
-    INADMISSIBLE_FRACTION,
-    MarketModel,
-    PathEnsemble,
-    fraction_admissible,
-    terminal_log_wealth,
-)
-from .mc import grid_search, interior_summary, product_means
+from .dual import (DualSolution, _dual_solution, _scenario_search, dual_foc_residual,
+                   theta1_candidates)
+from .market import INADMISSIBLE_FRACTION, MarketModel, PathEnsemble
+from .mc import interior_summary, product_means
 from .preferences import Penalty, UtilityPair
-from .primal import (PrimalSolution, _closed_form_coefficients, _primal_solution,
-                     primal_foc_residual)
+from .primal import (PrimalSolution, _closed_form_coefficients, _fraction_search,
+                     _primal_solution, primal_foc_residual)
 
 
 def robust_log_closed_form(model: MarketModel, penalty: Penalty) -> tuple[float, float]:
@@ -49,8 +37,12 @@ def robust_log_closed_form(model: MarketModel, penalty: Penalty) -> tuple[float,
     return (c * b) / ((1.0 + c) * s**2), -b / ((1.0 + c) * s)
 
 
-def _prefixed(prefix: str, report: dict) -> dict:
-    return {prefix + key: value for key, value in report.items()}
+def _with_penalty(solution, prefix: str, plain: dict, term: np.ndarray) -> dict:
+    """The plain report under ``prefix``; under ``penalty_``, rho'(mu) + term over mean |term|."""
+    raw = float(np.asarray(solution.penalty.rho_prime(solution.mu))) + term
+    penalty = interior_summary(raw, float(np.mean(np.abs(term))))
+    return {**{prefix + key: value for key, value in plain.items()},
+            **{"penalty_" + key: value for key, value in penalty.items()}}
 
 
 def _penalty_integrals(penalty: Penalty, mu_values: np.ndarray, grid) -> np.ndarray:
@@ -80,29 +72,13 @@ def solve_robust_saddle(
     channels in ``keep``, as in :func:`~duallab.primal.solve_primal_search`:
     by default p1 only, which the penalty residual reads pathwise against X.
     """
-    grid = ensemble.grid
     pi_values = np.asarray(list(pi_values), dtype=float)
     mu_values = np.asarray(list(mu_values), dtype=float)
-    shape = (pi_values.size, mu_values.size)
-    pi_ok = fraction_admissible(model, grid, pi_values)
+    search, pi_ok = _fraction_search(model, utility, x0, ensemble, pi_values, mu_values,
+                                     offset=_penalty_integrals(penalty, mu_values, ensemble.grid))
     excluded = [{"pi": float(pi), "mu": float(mu), "reason": INADMISSIBLE_FRACTION}
                 for mu in mu_values for pi in pi_values[~pi_ok]]
-
-    design = ensemble.terminal_design()
-
-    def samples(idx, out):
-        jp, jm = np.unravel_index(idx, shape)
-        cols = (grid.n_steps, idx.size)
-        ln_xt = terminal_log_wealth(model, ensemble, np.broadcast_to(pi_values[jp], cols), x0,
-                                    mu=np.broadcast_to(mu_values[jm], cols), design=design, out=out)
-        return utility.u_of_log(ln_xt, out=ln_xt)
-
-    search = grid_search(
-        shape, samples, np.repeat(pi_ok, mu_values.size), design,
-        ensemble.n_paths, offset=np.tile(_penalty_integrals(penalty, mu_values, grid), pi_values.size),
-    )
-    payoff = search.values.reshape(shape)
-    payoff_se = search.ses.reshape(shape)
+    payoff = search.values.reshape(search.shape)
 
     col_max = payoff.max(axis=0)
     row_min = payoff.min(axis=1)
@@ -120,9 +96,9 @@ def solve_robust_saddle(
     return _primal_solution(
         model, ensemble, utility, x0, float(pi_values[jp]), float(mu_values[jm]), adjoint_mode,
         basis, foc=robust_primal_foc_residuals, keep=keep, penalty=penalty, pi_values=pi_values,
-        mu_values=mu_values, payoff=payoff, payoff_se=payoff_se, is_saddle=is_saddle, gap=gap,
-        minimax=minimax, maximin=maximin, excluded=excluded,
-        **search.fields(np.ravel_multi_index((jp, jm), shape)),
+        mu_values=mu_values, payoff=payoff, payoff_se=search.ses.reshape(search.shape),
+        is_saddle=is_saddle, gap=gap, minimax=minimax, maximin=maximin, excluded=excluded,
+        **search.fields(np.ravel_multi_index((jp, jm), search.shape)),
     )
 
 
@@ -135,13 +111,10 @@ def robust_primal_foc_residuals(solution: PrimalSolution) -> dict:
     ``penalty``: rho'(mu) + phi*S*sigma*p1 = rho'(mu) + pi*sigma*X*p1.
     Cross-sectional means per time, each normalized by its natural scale.
     """
-    adj = solution.adjoints
     s = solution.model.vol_on(solution.ensemble.grid)
-    xp_mean = product_means(solution.wealth[:, :-1], adj.p[:, :-1])
-    pen_raw = float(np.asarray(solution.penalty.rho_prime(solution.mu))) + solution.pi * s * xp_mean
-    pen_scale = float(np.mean(np.abs(solution.pi * s * xp_mean)))
-    return {**_prefixed("drift_", primal_foc_residual(solution)),
-            **_prefixed("penalty_", interior_summary(pen_raw, pen_scale))}
+    xp_mean = product_means(solution.wealth[:, :-1], solution.adjoints.p[:, :-1])
+    return _with_penalty(solution, "drift_", primal_foc_residual(solution),
+                         solution.pi * s * xp_mean)
 
 
 def solve_robust_dual(
@@ -164,26 +137,15 @@ def solve_robust_dual(
     r2 as its per-step mean, as in :func:`~duallab.dual.solve_dual_search`,
     and q2 whole, which the penalty residual reads pathwise against G.
     """
-    grid = ensemble.grid
     mu_values = np.asarray(list(mu_values), dtype=float)
     candidates = theta1_candidates(model, theta1_values)
-    shape = (mu_values.size, len(candidates))
-    scenarios, excluded = build_scenarios(model, grid, candidates, y, mu_values.tolist())
-    design = ensemble.terminal_design()
-    search = grid_search(
-        shape, scenario_samples(ensemble, pair, scenarios, design),
-        np.array([c is not None for c in scenarios]), design,
-        ensemble.n_paths, offset=-np.repeat(_penalty_integrals(penalty, mu_values, grid), shape[1]),
-        size=np.array([abs(float(mu)) + float(np.linalg.norm(th1))
-                       for mu in mu_values for th1 in candidates]),
-        what="robust dual candidates",
-    )
-    return _dual_solution(
-        model, ensemble, pair, scenarios[search.best], adjoint_mode, basis, replicate=False,
-        keep="q", foc=robust_dual_foc_residuals, penalty=penalty,
-        theta1_values=[np.asarray(c).tolist() for c in candidates], excluded=excluded,
-        **search.fields(),
-    )
+    control, fields = _scenario_search(
+        model, pair, y, ensemble, candidates, mu_values.tolist(),
+        np.array([abs(float(mu)) + float(np.linalg.norm(th1))
+                  for mu in mu_values for th1 in candidates]),
+        -_penalty_integrals(penalty, mu_values, ensemble.grid), "robust dual candidates")
+    return _dual_solution(model, ensemble, pair, control, adjoint_mode, basis, replicate=False,
+                          keep="q", foc=robust_dual_foc_residuals, penalty=penalty, **fields)
 
 
 def robust_dual_foc_residuals(solution: DualSolution) -> dict:
@@ -193,11 +155,8 @@ def robust_dual_foc_residuals(solution: DualSolution) -> dict:
                  residual (:func:`dual_foc_residual`) — vacuous without marks.
     ``penalty``: rho'(mu) + G*q2, pathwise then averaged per time.
     """
-    gq = product_means(solution.density[:, :-1], solution.adjoints.q)
-    pen_raw = float(np.asarray(solution.penalty.rho_prime(solution.mu))) + gq
-    pen_scale = float(np.mean(np.abs(gq)))
-    return {**_prefixed("jump_", dual_foc_residual(solution)),
-            **_prefixed("penalty_", interior_summary(pen_raw, pen_scale))}
+    return _with_penalty(solution, "jump_", dual_foc_residual(solution),
+                         product_means(solution.density[:, :-1], solution.adjoints.q))
 
 
 def mu_from_foc(penalty: Penalty, density_value, q2_value):

@@ -184,6 +184,23 @@ def test_state_counts_only_its_constant_steps(base_ens_5k):
     assert triple.diagnostics["constant_state_steps"] == 1
 
 
+@pytest.mark.parametrize("n_marks", [0, 2, 4])
+def test_driver_reads_a_per_step_r_coeff_for_every_mark(n_marks):
+    """A per-step r_coeff raised a broadcast ValueError at 2 marks, and at 4
+    marks, as many as the steps, was read as one value per mark on every
+    step.  It is read as the other coefficients are: scalar, callable or
+    per step, the same for every mark; an (n_steps, n_marks) array as it is."""
+    grid = dl.TimeGrid(4, 1.0)
+    per_step = np.repeat(np.arange(4.0)[:, None], n_marks, axis=1)
+    for r_coeff in (np.arange(4.0), lambda t: 4.0 * t):
+        cr = dl.DriverSpec(r_coeff=r_coeff).on_grid(grid, n_marks)[3]
+        assert cr.shape == (4, n_marks) and np.array_equal(cr, per_step)
+    assert np.array_equal(dl.DriverSpec(r_coeff=0.5).on_grid(grid, n_marks)[3],
+                          np.full((4, n_marks), 0.5))
+    table = np.arange(4.0 * n_marks).reshape(4, n_marks)
+    assert np.array_equal(dl.DriverSpec(r_coeff=table).on_grid(grid, n_marks)[3], table)
+
+
 def test_residual_report_exact_triple(base_model, base_ens_5k):
     # p = 5 + B(t), q = 1, r empty satisfies the discrete equation exactly
     b_run = np.concatenate(

@@ -10,7 +10,7 @@ import scipy
 import yaml
 
 import duallab.cli as cli
-from duallab import market, mc, preferences
+from duallab import dual, market, mc, preferences
 from duallab.config import (EVENT_TAIL_LOG, MAX_DRIVER_BYTES, MAX_GRID_CANDIDATES, ConfigError,
                             _event_bound, load_config, validate_config)
 
@@ -467,6 +467,11 @@ def _refuse_certification(monkeypatch):
     monkeypatch.setattr(preferences, "certify_pair", refuse)
 
 
+POWER = {"utility.name": "power", "utility.alpha": 0.5}
+ANALYTIC_POWER = ("adjoints = 'analytic' needs closed-form adjoints, which utility.name = 'power' "
+                  "does not have; use regression")
+
+
 @pytest.mark.parametrize("command, name, edits, named", [
     # the default ladders, which the run takes where the config sets none
     ("convergence", "convergence_bsde.yaml",
@@ -492,9 +497,23 @@ def _refuse_certification(monkeypatch):
      "grid.steps must be at least 3 for a primal run"),
     # a TypeError, exit 1: the jumps were iterated unchecked
     ("dual", "jump_dual.yaml", {"market.jumps": 5}, "market.jumps must be a list, got 5"),
+    # a bridge check starts from the log closed form: exit 1 with a ValueError
+    # in a jump market, a ZeroDivisionError at sigma = 0
+    ("bridge-check", "jump_dual.yaml", {},
+     "mode bridge-check: closed form requires a no-jump market; market.jumps has 1 mark(s)"),
+    ("bridge-check", "merton_log.yaml", {"market.vol": 0.0},
+     "mode bridge-check: closed form requires a nonzero volatility; market.vol is 0.0"),
+    # analytic adjoints of a power utility: exit 1 after the search
+    ("primal", "merton_log.yaml", {**POWER, "adjoints": "analytic"}, ANALYTIC_POWER),
+    ("dual", "jump_dual.yaml", {**POWER, "adjoints": "analytic"}, ANALYTIC_POWER),
+    ("robust", "robust_merton.yaml", {**POWER, "adjoints": "analytic"}, ANALYTIC_POWER),
+    ("bridge-check", "merton_log.yaml",
+     {**POWER, "bridge": {"case": "merton_log", "adjoints": "analytic"}},
+     "bridge." + ANALYTIC_POWER),
 ], ids=["default-paths-ladder", "default-steps-ladder", "theta1-grid", "bridge-case",
         "bridge-adjoints", "benchmark", "penalty-scale", "utility-name", "foc-window",
-        "jumps-not-a-list"])
+        "jumps-not-a-list", "bridge-jump-market", "bridge-zero-vol", "analytic-power-primal",
+        "analytic-power-dual", "analytic-power-robust", "analytic-power-bridge"])
 def test_a_bad_setting_exits_2_before_anything_runs(tmp_path, capsys, monkeypatch, command, name,
                                                     edits, named):
     """Each of these settings was read only by its runner: the default
@@ -791,6 +810,87 @@ def test_robust_pi_ratio_is_computed(tmp_path, scale):
     assert result["pi_ratio_vs_nonrobust"] == pytest.approx(scale / (1.0 + scale), rel=1e-12)
     if scale == 1.0:
         assert result["pi_ratio_vs_nonrobust"] == 0.5
+
+
+def _run(tmp_path, command, raw, *flags):
+    """cli.main on ``raw`` written to a file: (exit code, the run's directory)."""
+    cfg_file = tmp_path / f"{command}.yaml"
+    cfg_file.write_text(yaml.safe_dump(raw))
+    out = tmp_path / command
+    return cli.main([command, "--config", str(cfg_file), "--out", str(out), *flags]), out
+
+
+# a pure-jump market: sigma = 0, one mark gamma = 0.1 at intensity nu = 1, b = 0.05
+PURE_JUMP = {"drift": 0.05, "vol": 0.0, "s0": 1.0, "horizon": 1.0,
+             "jumps": [{"mark": 0.1, "intensity": 1.0}]}
+
+
+def test_a_robust_run_at_zero_volatility_keeps_its_solution(tmp_path):
+    """run_robust took the closed form under its own copy of the
+    precondition, no jumps, and divided by sigma = 0 after the search: exit
+    1 with only manifest.json.  The closed form's one predicate leaves the
+    closed_form block out instead."""
+    raw = small(load_raw("robust_merton.yaml"))
+    raw["market"]["vol"] = 0.0
+    code, out = _run(tmp_path, "robust", raw)
+    assert code == 0
+    payload = json.loads((out / "solution.json").read_text())
+    assert "closed_form" not in payload and "pi_ratio_vs_nonrobust" not in payload
+    assert sorted(p.name for p in out.iterdir()) == [
+        "diagnostics.json", "manifest.json", "payoff_matrix.csv", "solution.json"]
+
+
+@pytest.mark.filterwarnings("ignore:design matrix rank-deficient:RuntimeWarning")
+@pytest.mark.parametrize("mode", ["analytic", "regression"])
+def test_a_dual_run_at_zero_volatility_takes_the_jump_branch(tmp_path, mode):
+    """No bundled config reaches the jump branch.  At sigma = 0 the ELMM
+    constraint b + sum gamma theta1 nu = 0 pins theta1 = -b/(gamma nu) =
+    -0.5 on every step whatever the searched theta1, with theta0 = 0; the
+    replication holds the exposure fitted from r2 and its wealth stays
+    positive.  Regression adjoints see the pure-jump density's few distinct
+    log values, a rank-deficient basis at the early steps, which the sweep
+    warns of and diagnostics.json counts."""
+    raw = small(load_raw("jump_dual.yaml"))
+    raw["market"] = PURE_JUMP
+    code, out = _run(tmp_path, "dual", raw, "--mode", mode)
+    assert code == 0
+    payload = json.loads((out / "solution.json").read_text())
+    assert payload["theta0_initial"] == 0.0
+    assert payload["theta1"] == [pytest.approx(-0.5, rel=1e-15)]
+    assert payload["replication"]["n_nonpositive"] == 0
+    # every step, and the constraint, through the API on the run's ensemble
+    cfg = validate_config(raw)
+    model, ens = cli._ensemble(cfg)
+    control = dual.scenario_from_theta1(model, ens.grid, cfg.theta1_grid()[0], cfg.y)
+    assert np.all(control.theta0 == 0.0)
+    assert np.allclose(control.theta1, -0.5, rtol=1e-15, atol=0.0)
+    assert np.max(np.abs(market.elmm_residual(model, ens.grid, control))) <= 1e-17
+
+
+def test_a_robust_run_at_zero_volatility_in_a_jump_market_exits_0(tmp_path):
+    raw = small(load_raw("robust_merton.yaml"))
+    raw["market"] = PURE_JUMP
+    code, out = _run(tmp_path, "robust", raw, "--mode", "analytic")
+    assert code == 0
+    payload = json.loads((out / "solution.json").read_text())
+    assert payload["is_saddle"] and "closed_form" not in payload
+
+
+@pytest.mark.parametrize("command, name", [("primal", "merton_log.yaml"),
+                                           ("robust", "robust_merton.yaml")])
+def test_every_search_refuses_an_all_inadmissible_grid(tmp_path, capsys, command, name):
+    """Every fraction of 2.5..3.0 has 1 + pi*gamma <= 0 at a mark of -0.5.
+    The primal search refused; the saddle evaluated nothing, picked the
+    cell (2.5, 0.0) and failed in the forward fill with an
+    AdmissibilityError.  Both refuse with the same ValueError."""
+    raw = small(load_raw(name))
+    raw["market"]["jumps"] = [{"mark": -0.5, "intensity": 1.0}]
+    flags = (["--grid-min", "2.5", "--grid-max", "3.0", "--grid-step", "0.25"]
+             if command == "primal" else ["--phi-grid", "2.5:3.0:3"])
+    code, out = _run(tmp_path, command, raw, *flags)
+    assert code == 1
+    assert capsys.readouterr().err == "builtins.ValueError: all candidates inadmissible\n"
+    assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
 
 def _diagnostics(tmp_path, name, **overrides):

@@ -32,6 +32,16 @@ def test_merton_closed_form_refuses_a_coefficient_that_depends_on_time(coefficie
         dl.merton_log_closed_form(model)
 
 
+def test_closed_forms_refuse_a_vanishing_volatility(quad_penalty):
+    # b/sigma^2 raised ZeroDivisionError: a bridge check at vol 0 exited 1
+    flat_vol = dl.MarketModel(drift=0.05, vol=0.0, horizon=1.0)
+    for closed_form in (dl.merton_log_closed_form,
+                        lambda model: dl.robust_log_closed_form(model, quad_penalty)):
+        with pytest.raises(ValueError, match="^closed form requires a nonzero volatility; "
+                                             "market.vol is 0.0$"):
+            closed_form(flat_vol)
+
+
 def test_grid_search_selects_merton_fraction(base_model, base_ens_50k, log_pair):
     sol = dl.solve_primal_search(base_model, log_pair, 1.0, PI_GRID, base_ens_50k)
     assert sol.pi == 1.25

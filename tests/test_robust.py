@@ -86,6 +86,24 @@ def test_closed_form_refuses_a_coefficient_that_depends_on_time(quad_penalty, co
         dl.robust_log_closed_form(model, quad_penalty)
 
 
+def test_saddle_refuses_an_all_inadmissible_grid_like_the_primal_search(log_pair, quad_penalty):
+    """Every fraction of 2.5..3.0 has 1 + pi*gamma <= 0 at a mark of -0.5.
+    The saddle evaluated nothing, picked the cell (2.5, 0.0) and failed in
+    the forward fill with an AdmissibilityError; both searches evaluate the
+    grid through one function and refuse it with one ValueError."""
+    model = dl.MarketModel(drift=0.05, vol=0.2, jump_marks=(-0.5,), jump_intensities=(1.0,),
+                           horizon=1.0)
+    ens = make_ensemble(model, n_steps=10, n_paths=500, seed=61)
+    pi_grid = np.linspace(2.5, 3.0, 3)
+    with pytest.raises(ValueError, match="^all candidates inadmissible$"):
+        dl.solve_primal_search(model, log_pair, 1.0, pi_grid, ens)
+    with pytest.raises(ValueError, match="^all candidates inadmissible$"):
+        dl.solve_robust_saddle(model, log_pair, quad_penalty, 1.0, pi_grid, MU_GRID, ens)
+    # a search that selects nothing refuses too
+    with pytest.raises(ValueError, match="^all cells inadmissible$"):
+        mc.grid_search((2,), None, np.zeros(2, bool), np.ones((500, 1)), 500, what="cells")
+
+
 def test_saddle_search_finds_closed_form_point(base_model, base_ens_50k, log_pair,
                                                quad_penalty):
     sol = dl.solve_robust_saddle(base_model, log_pair, quad_penalty, 1.0,
