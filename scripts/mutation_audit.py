@@ -83,7 +83,8 @@ EQUIVALENT: dict[str, str] = {
         "temporaries two paths wide",
     "market._log_increments: `ratio.reshape(-1, k)` -> `ratio.reshape(-2, k)`": _NEGATIVE_SIZE,
     "mc.cv_mean: `values.reshape(n, -1)` -> `values.reshape(n, -2)`": _NEGATIVE_SIZE,
-    "dual.dual_driver: `np.where(degenerate, 1.0, s)` -> `np.where(degenerate, 2.0, s)`":
+    "dual.dual_driver: `np.where(degenerate, 1.0, model.vol_on(grid))` -> "
+    "`np.where(degenerate, 2.0, model.vol_on(grid))`":
         "the placeholder divides b only on steps where sigma vanishes, whose quotient the "
         "outer np.where replaces with 0.0",
     "market.PathBlocks.whole: `max(1, FILL_BLOCK_BYTES // (8 * n_steps))` -> "

@@ -20,12 +20,12 @@ import numpy as np
 
 from .dual import DualSolution, ScenarioControl, scenario_from_theta1
 from .market import (
-    DEGENERATE_VOL,
     PathBlocks,
     PathEnsemble,
     Strategy,
     density_paths,
     elmm_residual,
+    vanishing_vol,
     wealth_paths,
 )
 from .primal import PrimalSolution
@@ -191,12 +191,12 @@ def _fraction_blocks(solution) -> PathBlocks:
     (path, step), formed block by block from the adjoints' (steps, paths)
     blocks of rows (:meth:`~duallab.bsde.AdjointTriple.rows`)."""
     adj = solution.adjoints
-    s = solution.model.vol_on(solution.ensemble.grid)
-    if np.any(np.abs(s) < DEGENERATE_VOL):
+    grid = solution.ensemble.grid
+    if np.any(vanishing_vol(solution.model, grid).steps):
         raise BridgeViolationError(
             "sigma vanishes on the grid; use the replication branch instead"
         )
-    s, steps = s[:, None], slice(0, len(s))
+    s, steps = solution.model.vol_on(grid)[:, None], slice(0, grid.n_steps)
 
     def write(cols: slice, out: np.ndarray) -> None:
         np.multiply(s, adj.rows("p", steps, cols), out=out)

@@ -29,13 +29,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .market import PathEnsemble, TimeGrid, eval_on_grid
+from .preferences import has_closed_form_adjoints
 
 IMPLICIT_STEP_TOL = 1e-8
 # condition number above which a step's CholeskyQR2 factor is replaced by the
@@ -236,10 +236,6 @@ def log_adjoints(grid: TimeGrid, rate: np.ndarray, process: np.ndarray, q_ratio:
     return ClosedFormAdjoints(np.exp(tail), process, q_ratio, r_ratio, family)
 
 
-def _default_state(ensemble: PathEnsemble) -> dict:
-    return {"S": lambda: ensemble.channel("S")}
-
-
 def _monomial_exponents(n_vars: int, degree: int):
     out = [(0,) * n_vars]
     for d in range(1, degree + 1):
@@ -318,7 +314,7 @@ def _driver_rows(ensemble: PathEnsemble, steps):
 
 
 class _BasisBuilder:
-    """Design matrices of log-state monomials, with rank diagnostics.
+    """Design matrices of log-state monomials.
 
     A state value is a (n_paths, n_steps + 1) array or a zero-argument
     callable returning one; only the channels of the basis are evaluated.
@@ -336,7 +332,6 @@ class _BasisBuilder:
         self.log = basis.transform == "log"
         self.exponents = _monomial_exponents(len(self.rows), basis.degree)
         self.n_columns = len(self.exponents)
-        self.warned = False
 
     def design(self, step: int, out: np.ndarray, tmp: np.ndarray,
                state: np.ndarray) -> list[np.ndarray]:
@@ -354,30 +349,6 @@ class _BasisBuilder:
                 elif e:
                     row *= np.power(zc, e, out=tmp)
         return z
-
-    def householder(self, a: np.ndarray, warn: bool = True):
-        """The fallback of a step's CholeskyQR2 factors: a Householder thin QR
-        of the (n_columns, n) design ``a.T`` plus an SVD of its triangular
-        factor.  Returns (basis, rank, cond): ``basis`` (rank, n) has
-        orthonormal rows spanning the rows of ``a``, so the least-squares fit
-        of a right-hand side b is (basis @ b) @ basis.  Rank deficiency
-        (collinear or constant state) drops the dependent directions, reducing
-        the effective basis degree rather than failing a step; it is warned
-        about once per builder.
-        """
-        n_columns = a.shape[0]
-        q, r = np.linalg.qr(a.T)
-        u, sv, _ = np.linalg.svd(r)
-        rank, cond = _rank_cond(sv, a.shape)
-        if warn and rank < n_columns and not self.warned:
-            warnings.warn(
-                "design matrix rank-deficient; dependent basis columns ignored "
-                f"(rank {rank} of {n_columns})",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            self.warned = True
-        return (q @ u[:, :rank]).T, rank, cond
 
 
 def solve_linear_bsde(
@@ -424,7 +395,8 @@ def solve_linear_bsde(
     k = model.n_marks
     driver = driver or DriverSpec()
     c0, cp, cq, cr = driver.on_grid(grid, k)
-    builder = _BasisBuilder(state or _default_state(ensemble), basis or RegressionBasis())
+    builder = _BasisBuilder(state or {"S": lambda: ensemble.channel("S")},
+                            basis or RegressionBasis())
     lam = model.intensities * dt
     active = np.flatnonzero(lam > 0)
 
@@ -454,16 +426,24 @@ def solve_linear_bsde(
     p_rows[-1][:] = terminal
     per_step = []
     constant_steps = 0
+    rank_deficient = False
     for i, db, dnt in _driver_rows(ensemble, range(n_steps - 1, -1, -1)):
         z = builder.design(i, design, work, state_rows)
         # a deterministic state (always at t_0) is rank-deficient by
-        # construction: counted in the diagnostics instead of warned about
+        # construction: counted apart from the rank-deficient steps
         constant = all(np.all(zc == zc[0]) for zc in z)
         constant_steps += constant
         p_next, p_i = p_rows[i + 1], p_rows[i]
         fac = _cholqr2(design, q1, work)
         if fac is None:
-            span, rank, cond = builder.householder(design, warn=i > 0 and not constant)
+            # Householder thin QR plus an SVD of its triangular factor: span
+            # keeps the design's rank directions (a collinear or constant
+            # state drops the dependent ones) as orthonormal rows
+            qr_q, qr_r = np.linalg.qr(design.T)
+            u, sv, _ = np.linalg.svd(qr_r)
+            rank, cond = _rank_cond(sv, design.shape)
+            span = (qr_q @ u[:, :rank]).T
+            rank_deficient |= i > 0 and not constant and rank < builder.n_columns
         else:
             span = np.matmul(fac.inv_r2.T, q1, out=design)
             rank, cond = fac.rank, fac.cond
@@ -506,7 +486,7 @@ def solve_linear_bsde(
     diagnostics = {
         "basis_degree": (basis or RegressionBasis()).degree,
         "n_columns": builder.n_columns,
-        "rank_deficient": builder.warned,
+        "rank_deficient": rank_deficient,
         "constant_state_steps": constant_steps,
         "per_step": per_step,
     }
@@ -514,3 +494,20 @@ def solve_linear_bsde(
         p.T if "p" in keep else None, q.T if q_mean is None else None,
         r.transpose(2, 0, 1) if r_mean is None else None, diagnostics=diagnostics,
         ends=None if "p" in keep else p, q_mean=q_mean, r_mean=r_mean)
+
+
+def solve_adjoints(ensemble: PathEnsemble, mode: str, pair_name: str,
+                   closed_form: Callable[[], AdjointTriple], claim: Callable, channel: str,
+                   process: np.ndarray, basis: RegressionBasis | None, keep: str,
+                   driver: DriverSpec | None = None) -> AdjointTriple:
+    """One side's adjoints: ``closed_form()`` in analytic mode, for a pair
+    that has one; else the sweep of claim(``process``) (of the wealth or
+    the density), state {``channel``: process, "F": claim(process) if read},
+    by default on a basis in ``channel``."""
+    if mode == "analytic":
+        if not has_closed_form_adjoints(pair_name):
+            raise ValueError(f"analytic adjoints need the log pair, not {pair_name!r}")
+        return closed_form()
+    return solve_linear_bsde(ensemble, claim(process[:, -1]), driver=driver,
+                             state={channel: process, "F": lambda: claim(process)},
+                             basis=basis or RegressionBasis(channels=(channel,)), keep=keep)

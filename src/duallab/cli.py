@@ -124,7 +124,6 @@ def run_primal(cfg: ExperimentConfig) -> dict:
     solution = solve_primal_search(
         model, cfg.utility(), cfg.x0, cfg.primal_grid(), ens, adjoint_mode=cfg.adjoints
     )
-    deriv, deriv_se = hamiltonian_derivative_check(solution)
     payload = {
         "mode": "primal",
         "pi": solution.pi,
@@ -134,7 +133,7 @@ def run_primal(cfg: ExperimentConfig) -> dict:
         "adjoints": solution.adjoints.mode,
         "foc_mean_normalized": solution.foc["mean_normalized"],
         "foc_max_normalized": solution.foc["max_normalized"],
-        "derivative_check": {"estimate": deriv, "se": deriv_se},
+        "derivative_check": hamiltonian_derivative_check(solution),
         "excluded": solution.excluded,
     }
     rows = [(repr(float(p)), repr(float(v)), repr(float(s)))

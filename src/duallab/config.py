@@ -220,8 +220,8 @@ class ExperimentConfig:
         return hashlib.sha256(identity.encode()).hexdigest()[:16]
 
     def primal_grid(self) -> np.ndarray:
-        """The primal search's fractions: grid_min + k * grid_step, rounded to
-        12 decimals, for k = 0 .. round((grid_max - grid_min) / grid_step)."""
+        """The primal search's fractions grid_min + k * grid_step <= grid_max
+        (within 1e-9 of a step), k = 0, 1, ..., rounded to 12 decimals."""
         section = {**PRIMAL_GRID, **self.raw.get("primal", {})}
         lo, hi = (_number(section, key, "primal") for key in ("grid_min", "grid_max"))
         step = _number(section, "grid_step", "primal", positive=True)
@@ -230,7 +230,7 @@ class ExperimentConfig:
                 f"primal.grid_max must be at least primal.grid_min = {lo!r}, got {hi!r}")
         # (hi - lo) / step overflows to inf for a subnormal step
         last = (hi - lo) / step
-        count = round(last) + 1 if math.isfinite(last) else math.inf
+        count = math.floor(last + 1e-9) + 1 if math.isfinite(last) else math.inf
         _bounded(count, "primal.grid_step")
         return np.round(lo + step * np.arange(count), 12)
 

@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsde import AdjointTriple, DriverSpec, RegressionBasis, log_adjoints, solve_linear_bsde
+from .bsde import AdjointTriple, DriverSpec, RegressionBasis, log_adjoints, solve_adjoints
 from .market import (
-    DEGENERATE_VOL,
     THETA1_FLOOR,
     MarketModel,
     PathEnsemble,
@@ -26,9 +25,10 @@ from .market import (
     _over_paths,
     density_paths,
     terminal_log_density,
+    vanishing_vol,
 )
 from .mc import grid_search, interior_summary
-from .preferences import Penalty, UtilityPair, has_closed_form_adjoints
+from .preferences import Penalty, UtilityPair
 
 @dataclass(frozen=True)
 class ScenarioControl:
@@ -77,22 +77,6 @@ class DualSolution:
         return self.control.mu
 
 
-def _jump_branch(gam: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The jump-branch weighting of a step where sigma vanishes: the live
-    marks, gamma_k != 0 and nu_k > 0, and their weights
-    w_k = gamma_k nu_k / sum_live gamma^2 nu, for the step's (n_marks,)
-    jump sizes ``gam``.
-
-    There the Brownian exposure x is carried by the jumps, fitted by
-    nu-weighted least squares over the live marks: the fit of r_k = x gamma_k
-    is x = sum_k w_k r_k, and the least nu-weighted move of theta1 that
-    shifts sum_k gamma_k nu_k theta1_k by c is c w_k / nu_k.
-    """
-    live = (gam != 0) & (nu > 0)
-    weight = gam[live] * nu[live]
-    return live, weight / np.dot(gam[live], weight)
-
-
 def scenario_from_theta1(
     model: MarketModel,
     grid: TimeGrid,
@@ -106,28 +90,29 @@ def scenario_from_theta1(
     theta0 = -(b + mu*sigma + sum_k gamma_k*theta1_k*nu_k)/sigma.  On steps
     with vanishing sigma the constraint pins the jump ratios instead: theta1
     is projected onto the constraint hyperplane (nu-weighted least squares
-    over the live marks, :func:`_jump_branch`) and theta0 is set to zero.
+    over the live marks, :class:`~duallab.market.VanishingVol`), theta0 = 0.
     """
     return _eliminate_theta0(model, grid, theta1, y, mu, model.vol_on(grid),
-                             model.jump_sizes_on(grid), -model.drift_on(grid, mu))
+                             model.jump_sizes_on(grid), -model.drift_on(grid, mu),
+                             vanishing_vol(model, grid))
 
 
-def _eliminate_theta0(model, grid, theta1, y, mu, s, gam, rhs) -> ScenarioControl:
+def _eliminate_theta0(model, grid, theta1, y, mu, s, gam, rhs, branch) -> ScenarioControl:
     """:func:`scenario_from_theta1` on the grids of sigma, gamma and
-    -(b + mu*sigma), built once by the caller."""
+    -(b + mu*sigma) and the sigma = 0 ``branch``, built once by the caller."""
     k = model.n_marks
     theta1 = np.broadcast_to(np.asarray(theta1, dtype=float), (grid.n_steps, k)).copy() if k else np.zeros((grid.n_steps, 0))
     nu = model.intensities
-    jump_term = np.einsum("ik,ik->i", gam, theta1 * nu)
+    gap = rhs - np.einsum("ik,ik->i", gam, theta1 * nu)
     theta0 = np.zeros(grid.n_steps)
-    degenerate = np.abs(s) < DEGENERATE_VOL
-    theta0[~degenerate] = (rhs[~degenerate] - jump_term[~degenerate]) / s[~degenerate]
-    for i in np.flatnonzero(degenerate):
-        live, weight = _jump_branch(gam[i], nu)
-        if np.any(live):
-            theta1[i, live] += (rhs[i] - jump_term[i]) * weight / nu[live]
-        elif abs(rhs[i]) > 1e-14:
-            raise ValueError(f"no martingale measure at step {i}: sigma = 0, no jumps, drift != 0")
+    diffusive = ~branch.steps
+    theta0[diffusive] = gap[diffusive] / s[diffusive]
+    stuck = np.flatnonzero(branch.frozen & (np.abs(rhs) > 1e-14))
+    if stuck.size:
+        raise ValueError(f"no martingale measure at step {stuck[0]}: sigma = 0, no jumps, "
+                         "drift != 0")
+    live = branch.live
+    theta1[live] += (gap[:, None] * branch.weight)[live] / np.broadcast_to(nu, live.shape)[live]
     if theta1.size and np.any(theta1 < THETA1_FLOOR):
         raise ValueError("theta1 below -1 + eps after constraint elimination")
     return ScenarioControl(theta0=theta0, theta1=theta1, y=float(y), mu=mu)
@@ -153,12 +138,12 @@ def build_scenarios(
     constraint elimination fails, and an exclusion record for each of those."""
     scenarios: list[ScenarioControl | None] = []
     excluded = []
-    s, gam = model.vol_on(grid), model.jump_sizes_on(grid)
+    s, gam, branch = model.vol_on(grid), model.jump_sizes_on(grid), vanishing_vol(model, grid)
     for mu in mu_values:
         rhs = -model.drift_on(grid, mu)
         for th1 in candidates:
             try:
-                scenarios.append(_eliminate_theta0(model, grid, th1, y, mu, s, gam, rhs))
+                scenarios.append(_eliminate_theta0(model, grid, th1, y, mu, s, gam, rhs, branch))
             except ValueError as exc:
                 scenarios.append(None)
                 excluded.append({"theta1": np.asarray(th1).tolist(), "reason": str(exc)})
@@ -204,10 +189,9 @@ def unique_scenario_no_jumps(model: MarketModel, grid: TimeGrid, y: float) -> Sc
     """The single admissible scenario theta0 = -b/sigma of a no-jump market."""
     if model.n_marks:
         raise ValueError("market has jumps; the scenario family is not a singleton")
-    b, s = model.drift_on(grid), model.vol_on(grid)
-    if np.any(np.abs(s) < DEGENERATE_VOL):
+    if np.any(vanishing_vol(model, grid).steps):
         raise ValueError("sigma vanishes on the grid")
-    ratio = b / s
+    ratio = model.drift_on(grid) / model.vol_on(grid)
     if not np.all(np.isfinite(ratio)):
         raise ValueError("b/sigma unbounded on the grid")
     return ScenarioControl(theta0=-ratio, theta1=np.zeros((grid.n_steps, 0)), y=float(y))
@@ -218,17 +202,13 @@ def dual_driver(model: MarketModel, grid: TimeGrid, mu=None) -> DriverSpec:
 
     On steps where sigma vanishes the same exposure is carried by the jump
     integrands: the coefficient of r_k is b*w_k over the live marks
-    (:func:`_jump_branch`), b times the exposure fitted from r.
+    (:func:`~duallab.market.vanishing_vol`), b times the exposure fitted from r.
     """
     b = model.drift_on(grid, mu)
-    s = model.vol_on(grid)
-    degenerate = np.abs(s) < DEGENERATE_VOL
-    q_coeff = np.where(degenerate, 0.0, b / np.where(degenerate, 1.0, s))
-    gam = model.jump_sizes_on(grid)
-    r_coeff = np.zeros(gam.shape)
-    for i in np.flatnonzero(degenerate):
-        live, weight = _jump_branch(gam[i], model.intensities)
-        r_coeff[i, live] = b[i] * weight
+    branch = vanishing_vol(model, grid)
+    degenerate = branch.steps
+    q_coeff = np.where(degenerate, 0.0, b / np.where(degenerate, 1.0, model.vol_on(grid)))
+    r_coeff = np.where(branch.live, b[:, None] * branch.weight, 0.0)
     return DriverSpec(q_coeff=q_coeff, r_coeff=r_coeff)
 
 
@@ -277,17 +257,13 @@ def dual_adjoints(
     b + control.mu*sigma: the log closed form (analytic mode; its rows are
     formed on demand from the density, :class:`~duallab.bsde.ClosedFormAdjoints`)
     or the backward solve with terminal value -V'(G(T)), which keeps whole
-    the channels in ``keep`` (:func:`~duallab.bsde.solve_linear_bsde`).  p2
+    the channels in ``keep`` (:func:`~duallab.bsde.solve_adjoints`).  p2
     is the optimal wealth of the primal problem.
     """
-    if mode == "analytic":
-        if not has_closed_form_adjoints(pair.name):
-            raise ValueError("analytic dual adjoints are available for the log pair only")
-        return analytic_log_dual_adjoints(model, ensemble, density, control)
-    return solve_linear_bsde(ensemble, pair.inverse_marginal(density[:, -1]),
-                             driver=dual_driver(model, ensemble.grid, mu=control.mu),
-                             state={"G": density, "F": lambda: pair.inverse_marginal(density)},
-                             basis=basis or RegressionBasis(channels=("G",)), keep=keep)
+    return solve_adjoints(ensemble, mode, pair.name,
+                          lambda: analytic_log_dual_adjoints(model, ensemble, density, control),
+                          pair.inverse_marginal, "G", density, basis, keep,
+                          driver=dual_driver(model, ensemble.grid, mu=control.mu))
 
 
 def _dual_solution(model: MarketModel, ensemble: PathEnsemble, pair: UtilityPair,
@@ -348,7 +324,7 @@ def solve_dual_search(
     candidates = theta1_candidates(model, theta1_values)
     control, fields = _scenario_search(model, pair, y, ensemble, candidates, [mu],
                                        np.array([float(np.linalg.norm(c)) for c in candidates]))
-    reads_r2 = replicate and np.any(np.abs(model.vol_on(ensemble.grid)) < DEGENERATE_VOL)
+    reads_r2 = replicate and np.any(vanishing_vol(model, ensemble.grid).steps)
     return _dual_solution(model, ensemble, pair, control, adjoint_mode, basis, replicate,
                           keep=("qr" if reads_r2 else "q") if replicate else "", **fields)
 
@@ -401,16 +377,12 @@ def dual_foc_residual(solution: DualSolution) -> dict:
     """
     model, ensemble = solution.model, solution.ensemble
     grid = ensemble.grid
-    k = model.n_marks
-    s = model.vol_on(grid)
-    gam = model.jump_sizes_on(grid)
-    adj = solution.adjoints
-    live = np.abs(s) >= DEGENERATE_VOL
-    q_mean, r_mean = adj.q_mean, adj.r_mean
-    raw = np.zeros((grid.n_steps, k))
+    s, gam = model.vol_on(grid), model.jump_sizes_on(grid)
+    live = ~vanishing_vol(model, grid).steps
+    q_mean, r_mean = solution.adjoints.q_mean, solution.adjoints.r_mean
+    raw = np.zeros((grid.n_steps, model.n_marks))
     raw[live] = -(q_mean[live] / s[live])[:, None] * gam[live] + r_mean[live]
-    scale = float(np.mean(np.abs(r_mean[live]))) if r_mean[live].size else 0.0
-    return interior_summary(raw, scale, mask=live)
+    return interior_summary(raw, r_mean[live], mask=live)
 
 
 def _portfolio_rows(solution: DualSolution):
@@ -422,26 +394,19 @@ def _portfolio_rows(solution: DualSolution):
 
     The amount is q2/sigma; where sigma vanishes, the nu-weighted least
     squares of r2_k = phi*S*gamma_k over the live marks, sum_live w_k r2_k
-    (:func:`_jump_branch`), or zero where no mark is live.  No price is read,
-    and each value is formed by the same operations on any path range.  The
-    integrands are read one step row at a time.
+    (:func:`~duallab.market.vanishing_vol`), or zero where no mark is live.
+    No price is read, and each value is formed by the same operations on any
+    path range.  The integrands are read one step row at a time.
     Every step with vanishing sigma is checked here, before any step is
     taken: with no live mark there, nonzero integrands raise ValueError.
     """
     model, ensemble = solution.model, solution.ensemble
-    grid = ensemble.grid
     adj = solution.adjoints
-    s = model.vol_on(grid)
-    gam = model.jump_sizes_on(grid)
+    s = model.vol_on(ensemble.grid)
+    branch = vanishing_vol(model, ensemble.grid)
     scale = float(np.mean(np.abs(adj.p_terminal)))
-    # per step with vanishing sigma: (live marks, weights), or None where no
-    # mark is live and the amount held is zero
-    jump_fit = {}
-    for i in np.flatnonzero(np.abs(s) < DEGENERATE_VOL):
-        live, weight = _jump_branch(gam[i], model.intensities)
-        if np.any(live):
-            jump_fit[i] = (live, weight)
-            continue
+    frozen = branch.frozen
+    for i in np.flatnonzero(frozen):
         q_size = float(np.max(np.abs(adj.rows("q", i))))
         r_size = float(np.max(np.abs(adj.rows("r", i)))) if model.n_marks else 0.0
         if max(q_size, r_size) > 1e-6 * scale:
@@ -449,17 +414,17 @@ def _portfolio_rows(solution: DualSolution):
                 f"inconsistent adjoints at step {i}: sigma = 0 and no mark can jump, "
                 "but the integrands are nonzero"
             )
-        jump_fit[i] = None
 
     def exposure(i: int, x, paths: slice, out: np.ndarray) -> np.ndarray:
-        if i not in jump_fit:
+        if not branch.steps[i]:
             return np.divide(adj.rows("q", i, paths), s[i], out=out)
-        if jump_fit[i] is None:
+        if frozen[i]:
             out.fill(0.0)
             return out
-        live, weight = jump_fit[i]
+        live = branch.live[i]
         # a (live marks, paths) temporary, on these steps only
-        return np.sum(adj.rows("r", i, paths)[live] * weight[:, None], axis=0, out=out)
+        return np.sum(adj.rows("r", i, paths)[live] * branch.weight[i, live][:, None], axis=0,
+                      out=out)
 
     return exposure, float(adj.p_initial.mean())
 

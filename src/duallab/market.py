@@ -24,13 +24,13 @@ import math
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 TimeFn = Callable[[float], float]
 
-# |sigma| below this is treated as a vanishing diffusion coefficient
+# |sigma| below this vanishes; read by :func:`vol_vanishes` alone
 DEGENERATE_VOL = 1e-14
 # jump ratios theta1 must stay above -1 by this margin
 THETA1_FLOOR = -1.0 + 1e-6
@@ -162,6 +162,38 @@ class MarketModel:
                 raise ValueError(f"{name} is not finite on the grid")
         if g.size and np.any(g <= -1.0):
             raise ValueError("jump sizes must satisfy gamma > -1 (price positivity)")
+
+
+def vol_vanishes(vol):
+    """Whether |sigma| < :data:`DEGENERATE_VOL`, elementwise."""
+    return np.abs(vol) < DEGENERATE_VOL
+
+
+class VanishingVol(NamedTuple):
+    """The sigma = 0 branch of a market on a grid: the ``steps`` where sigma
+    vanishes, the ``live`` marks there (gamma_k != 0, nu_k > 0), their
+    ``weight`` w_k = gamma_k nu_k / sum_live gamma^2 nu (zero elsewhere),
+    and the ``frozen`` steps, with none live.  There the jumps carry the
+    Brownian exposure x, fitted by nu-weighted least squares: the fit of
+    r_k = x gamma_k is x = sum_k w_k r_k, and the least nu-weighted move of
+    theta1 that shifts sum_k gamma_k nu_k theta1_k by c is c w_k / nu_k."""
+
+    steps: np.ndarray
+    live: np.ndarray
+    weight: np.ndarray
+    frozen: np.ndarray
+
+
+def vanishing_vol(model: MarketModel, grid: TimeGrid) -> VanishingVol:
+    """The :class:`VanishingVol` table of ``model`` on ``grid``."""
+    steps = vol_vanishes(model.vol_on(grid))
+    gam, nu = model.jump_sizes_on(grid), model.intensities
+    live = steps[:, None] & (gam != 0) & (nu > 0)
+    weight, fitted = np.zeros(gam.shape), live.any(axis=1)
+    for i in np.flatnonzero(fitted):
+        gn = gam[i, live[i]] * nu[live[i]]
+        weight[i, live[i]] = gn / np.dot(gam[i, live[i]], gn)
+    return VanishingVol(steps, live, weight, steps & ~fitted)
 
 
 def _mu_on_grid(mu, grid: TimeGrid) -> np.ndarray:

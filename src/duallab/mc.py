@@ -146,14 +146,14 @@ def interior_window(n_steps: int) -> slice:
     return slice(cut, n_steps - cut)
 
 
-def interior_summary(raw: np.ndarray, scale: float, mask: np.ndarray | None = None) -> dict:
-    """The residual report of ``raw`` (one row per grid step): ``raw``,
-    ``scale``, and the mean and max of |raw|/scale over the interior rows,
-    restricted to the rows where ``mask`` holds (``mean_normalized``,
-    ``max_normalized``).  A zero or subnormal scale (below the smallest
-    normal float, where the quotient would overflow) leaves |raw|
-    unnormalized; an empty selection gives 0.0 for both.
-    """
+def interior_summary(raw: np.ndarray, reference, mask: np.ndarray | None = None) -> dict:
+    """The residual report of ``raw`` (one row per grid step): ``raw``, the
+    ``scale`` mean |reference| (0.0 if empty), and the mean and max of
+    |raw|/scale over the interior rows where ``mask`` holds
+    (``mean_normalized``, ``max_normalized``).  A zero or subnormal scale
+    (where the quotient would overflow) leaves |raw| unnormalized; an empty
+    selection gives 0.0 for both."""
+    scale = float(np.mean(np.abs(reference))) if np.size(reference) else 0.0
     window = interior_window(raw.shape[0])
     interior = np.abs(raw[window] if mask is None else raw[window][mask[window]])
     normalized = interior / scale if scale >= np.finfo(float).tiny else interior

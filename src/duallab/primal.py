@@ -13,19 +13,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsde import AdjointTriple, RegressionBasis, log_adjoints, solve_linear_bsde
+from .bsde import AdjointTriple, RegressionBasis, log_adjoints, solve_adjoints
 from .market import (
-    DEGENERATE_VOL,
     INADMISSIBLE_FRACTION,
     MarketModel,
     PathEnsemble,
     Strategy,
     fraction_admissible,
     terminal_log_wealth,
+    vol_vanishes,
     wealth_paths,
 )
 from .mc import cv_mean, grid_search, interior_summary
-from .preferences import Penalty, UtilityPair, has_closed_form_adjoints
+from .preferences import Penalty, UtilityPair
 
 # the step in pi of the finite difference in :func:`hamiltonian_derivative_check`
 BUMP = 0.025
@@ -77,7 +77,7 @@ def closed_form_refusal(model: MarketModel) -> str | None:
         if callable(getattr(model, name)):
             return (f"closed form requires constant coefficients; the market's {name} is a "
                     "function of time")
-    if abs(model.vol) < DEGENERATE_VOL:
+    if vol_vanishes(model.vol):
         return f"closed form requires a nonzero volatility; market.vol is {model.vol!r}"
 
 
@@ -135,16 +135,12 @@ def primal_adjoints(
     drift b + mu*sigma: the log closed form (analytic mode; its rows are
     formed on demand from the wealth, :class:`~duallab.bsde.ClosedFormAdjoints`)
     or the martingale representation of U'(X(T)) by regression, which keeps
-    whole the channels in ``keep`` (:func:`~duallab.bsde.solve_linear_bsde`).
+    whole the channels in ``keep`` (:func:`~duallab.bsde.solve_adjoints`).
     p1 is the optimal density of the dual problem.
     """
-    if mode == "analytic":
-        if not has_closed_form_adjoints(utility.name):
-            raise ValueError("analytic adjoints are available for log utility only")
-        return analytic_log_adjoints(model, ensemble, wealth, pi, mu=mu)
-    return solve_linear_bsde(ensemble, utility.u_prime(wealth[:, -1]),
-                             state={"X": wealth, "F": lambda: utility.u_prime(wealth)},
-                             basis=basis or RegressionBasis(channels=("X",)), keep=keep)
+    return solve_adjoints(ensemble, mode, utility.name,
+                          lambda: analytic_log_adjoints(model, ensemble, wealth, pi, mu=mu),
+                          utility.u_prime, "X", wealth, basis, keep)
 
 
 def solve_primal_search(
@@ -248,20 +244,28 @@ def primal_foc_residual(solution: PrimalSolution) -> dict:
     if model.n_marks:
         gam = model.jump_sizes_on(grid)
         raw = raw + (gam * adj.r_mean) @ model.intensities
-    return interior_summary(raw, float(np.mean(np.abs(b * p_mean))))
+    return interior_summary(raw, b * p_mean)
 
 
-def hamiltonian_derivative_check(solution: PrimalSolution) -> tuple[float, float]:
+def hamiltonian_derivative_check(solution: PrimalSolution) -> dict:
     """Central finite difference of the objective in pi at the solution.
 
     Uses common random numbers: the bumped fractions pi +- :data:`BUMP` are
     two candidates of one evaluation over the ensemble's terminal design.  By
     the necessary optimality condition the derivative vanishes at an
-    optimum.  Returns (estimate, standard error).
+    optimum.  Where one bump makes 1 + pi*gamma <= 0, the difference is
+    one-sided, from pi to its admissible bump, and ``one_sided`` names the
+    side.  Returns {"estimate", "se"[, "one_sided"]}.
     """
     model, ensemble = solution.model, solution.ensemble
     design = ensemble.terminal_design()
-    pi = np.broadcast_to(solution.pi + np.array([BUMP, -BUMP]), (ensemble.grid.n_steps, 2))
+    bump = np.array([BUMP, -BUMP])
+    admissible = fraction_admissible(model, ensemble.grid, solution.pi + bump)
+    side = {(True, False): "forward", (False, True): "backward"}.get(tuple(admissible))
+    if side:
+        bump[~admissible] = 0.0
+    pi = np.broadcast_to(solution.pi + bump, (ensemble.grid.n_steps, 2))
     u = solution.utility.u_of_log(
         terminal_log_wealth(model, ensemble, pi, solution.x0, mu=solution.mu, design=design))
-    return cv_mean((u[:, 0] - u[:, 1]) / (2.0 * BUMP), design[:, 1:])
+    estimate, se = cv_mean((u[:, 0] - u[:, 1]) / (bump[0] - bump[1]), design[:, 1:])
+    return {"estimate": estimate, "se": se, **({"one_sided": side} if side else {})}

@@ -40,7 +40,7 @@ def robust_log_closed_form(model: MarketModel, penalty: Penalty) -> tuple[float,
 def _with_penalty(solution, prefix: str, plain: dict, term: np.ndarray) -> dict:
     """The plain report under ``prefix``; under ``penalty_``, rho'(mu) + term over mean |term|."""
     raw = float(np.asarray(solution.penalty.rho_prime(solution.mu))) + term
-    penalty = interior_summary(raw, float(np.mean(np.abs(term))))
+    penalty = interior_summary(raw, term)
     return {**{prefix + key: value for key, value in plain.items()},
             **{"penalty_" + key: value for key, value in penalty.items()}}
 

@@ -9,7 +9,8 @@ in long double, as an accuracy reference), a separate forward loop per
 process (price and density from whole-array log factors, wealth and
 replication one step at a time), the per-path exact fill one column at a
 time, the map back's bridged fraction as one whole array, the closed-form
-log adjoints as three whole time-major arrays, and a
+log adjoints as three whole time-major arrays, the sigma = 0 jump
+branch recomputed step by step by each of its readers, and a
 ``csv.writer`` call per CSV row, and the conjugacy oracle polished one test
 point at a time by scipy's bounded Brent search.  They stay out of the package on
 purpose; the tests compare the package against them.  The out-of-sample
@@ -403,6 +404,63 @@ def scenario_from_theta1(model, grid, theta1, y, mu=None):
     if theta1.size and np.any(theta1 < THETA1_FLOOR):
         raise ValueError("theta1 below -1 + eps after constraint elimination")
     return ScenarioControl(theta0=theta0, theta1=theta1, y=float(y), mu=mu)
+
+
+# ------------------------------------------------- the sigma = 0 jump branch
+
+def jump_branch(gam, nu):
+    """The jump-branch weighting of one step where sigma vanishes, for its
+    (n_marks,) jump sizes ``gam``: the live marks, gamma_k != 0 and
+    nu_k > 0, and their weights w_k = gamma_k nu_k / sum_live gamma^2 nu."""
+    live = (gam != 0) & (nu > 0)
+    weight = gam[live] * nu[live]
+    return live, weight / np.dot(gam[live], weight)
+
+
+def jump_branches(model, grid):
+    """{step: (live, weight)} of :func:`jump_branch` over the steps where
+    sigma vanishes, as each reader recomputed it step by step."""
+    gam = model.jump_sizes_on(grid)
+    return {int(i): jump_branch(gam[i], model.intensities)
+            for i in np.flatnonzero(np.abs(model.vol_on(grid)) < DEGENERATE_VOL)}
+
+
+def eliminate_theta0(model, grid, theta1, y, mu=None):
+    """The theta0 elimination with its per-step loop over the steps where
+    sigma vanishes."""
+    s, gam, rhs = model.vol_on(grid), model.jump_sizes_on(grid), -model.drift_on(grid, mu)
+    k = model.n_marks
+    theta1 = (np.broadcast_to(np.asarray(theta1, dtype=float), (grid.n_steps, k)).copy()
+              if k else np.zeros((grid.n_steps, 0)))
+    nu = model.intensities
+    jump_term = np.einsum("ik,ik->i", gam, theta1 * nu)
+    theta0 = np.zeros(grid.n_steps)
+    degenerate = np.abs(s) < DEGENERATE_VOL
+    theta0[~degenerate] = (rhs[~degenerate] - jump_term[~degenerate]) / s[~degenerate]
+    for i in np.flatnonzero(degenerate):
+        live, weight = jump_branch(gam[i], nu)
+        if np.any(live):
+            theta1[i, live] += (rhs[i] - jump_term[i]) * weight / nu[live]
+        elif abs(rhs[i]) > 1e-14:
+            raise ValueError(f"no martingale measure at step {i}: sigma = 0, no jumps, drift != 0")
+    if theta1.size and np.any(theta1 < THETA1_FLOOR):
+        raise ValueError("theta1 below -1 + eps after constraint elimination")
+    return ScenarioControl(theta0=theta0, theta1=theta1, y=float(y), mu=mu)
+
+
+def dual_driver(model, grid, mu=None):
+    """The dual driver with its per-step loop over the steps where sigma
+    vanishes."""
+    b = model.drift_on(grid, mu)
+    s = model.vol_on(grid)
+    degenerate = np.abs(s) < DEGENERATE_VOL
+    q_coeff = np.where(degenerate, 0.0, b / np.where(degenerate, 1.0, s))
+    gam = model.jump_sizes_on(grid)
+    r_coeff = np.zeros(gam.shape)
+    for i in np.flatnonzero(degenerate):
+        live, weight = jump_branch(gam[i], model.intensities)
+        r_coeff[i, live] = b[i] * weight
+    return DriverSpec(q_coeff=q_coeff, r_coeff=r_coeff)
 
 
 def primal_search(model, utility, x0, pi_values, ensemble, mu=None):

@@ -120,9 +120,11 @@ def test_near_singular_implicit_step_raises(base_model, base_ens_5k):
         dl.solve_linear_bsde(base_ens_5k, terminal, driver=driver)
 
 
-def test_rank_deficient_state_warns_but_fits(base_model, base_ens_5k):
+def test_rank_deficient_state_is_flagged_and_fits(base_model, base_ens_5k):
+    # rank deficiency goes out as data, in the diagnostics, not as a warning
     s = base_ens_5k.channel("S")
-    with pytest.warns(RuntimeWarning, match="rank-deficient"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         triple = dl.solve_linear_bsde(
             base_ens_5k, s[:, -1], state={"S": s, "S2": s**2}
         )
@@ -130,13 +132,15 @@ def test_rank_deficient_state_warns_but_fits(base_model, base_ens_5k):
     assert np.all(np.isfinite(triple.p))
 
 
-def test_a_state_rank_deficient_at_the_first_step_past_t0_warns(base_ens_5k):
+def test_a_state_rank_deficient_at_the_first_step_past_t0_is_flagged(base_ens_5k):
     # two values across the paths at t_1: the degree-2 design has rank 2 of
-    # 3 there, which is warned about at every step but t_0 (kills the
-    # mutant ``warn=i > 1 and not constant`` of the sweep)
+    # 3 there, which is flagged at every step but t_0, as data and without
+    # a warning (kills the mutant ``i > 1 and not constant`` of the sweep's
+    # flag)
     s = base_ens_5k.channel("S").copy()
     s[:, 1] = np.where(np.arange(base_ens_5k.n_paths) % 2, 1.0, 2.0)
-    with pytest.warns(RuntimeWarning, match="rank 2 of 3"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         triple = dl.solve_linear_bsde(base_ens_5k, s[:, -1], state={"S": s})
     assert triple.diagnostics["rank_deficient"]
     assert [st["rank"] for st in triple.diagnostics["per_step"]].count(2) == 1

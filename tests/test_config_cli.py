@@ -577,6 +577,19 @@ def test_validation_builds_no_utility_pair(monkeypatch):
         validate_config(raw)
 
 
+@pytest.mark.parametrize("grid_max, last", [(0.13, 0.1), (0.15, 0.15), (0.149999999999, 0.15),
+                                             (0.1999, 0.15)])
+def test_the_primal_grid_ends_at_the_last_fraction_within_grid_max(grid_max, last):
+    """The last fraction is the largest grid_min + k * grid_step that does not
+    pass grid_max, within rounding: 0 to 0.13 by 0.05 searches 0, 0.05 and
+    0.1, not 0.15."""
+    raw = load_raw("merton_log.yaml")
+    raw["primal"] = {"grid_min": 0.0, "grid_max": grid_max, "grid_step": 0.05}
+    grid = validate_config(raw).primal_grid()
+    assert grid[-1] == last
+    assert np.array_equal(grid, np.round(0.05 * np.arange(grid.size), 12))
+
+
 def test_the_config_builds_every_default_and_writes_none_into_the_raw_mapping():
     raw = load_raw("merton_log.yaml")
     for key in ("primal", "mode", "x0"):
@@ -840,7 +853,6 @@ def test_a_robust_run_at_zero_volatility_keeps_its_solution(tmp_path):
         "diagnostics.json", "manifest.json", "payoff_matrix.csv", "solution.json"]
 
 
-@pytest.mark.filterwarnings("ignore:design matrix rank-deficient:RuntimeWarning")
 @pytest.mark.parametrize("mode", ["analytic", "regression"])
 def test_a_dual_run_at_zero_volatility_takes_the_jump_branch(tmp_path, mode):
     """No bundled config reaches the jump branch.  At sigma = 0 the ELMM
@@ -848,8 +860,8 @@ def test_a_dual_run_at_zero_volatility_takes_the_jump_branch(tmp_path, mode):
     -0.5 on every step whatever the searched theta1, with theta0 = 0; the
     replication holds the exposure fitted from r2 and its wealth stays
     positive.  Regression adjoints see the pure-jump density's few distinct
-    log values, a rank-deficient basis at the early steps, which the sweep
-    warns of and diagnostics.json counts."""
+    log values, a rank-deficient basis at the early steps, which
+    diagnostics.json counts and nothing warns of."""
     raw = small(load_raw("jump_dual.yaml"))
     raw["market"] = PURE_JUMP
     code, out = _run(tmp_path, "dual", raw, "--mode", mode)

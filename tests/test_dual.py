@@ -238,24 +238,6 @@ def test_frozen_step_holds_nothing(log_pair):
     assert np.all(phi == 0.0)
 
 
-def test_mark_of_size_zero_is_not_live():
-    """Kills ``dual._jump_branch``: ``gam != 0`` -> ``gam != 1``.
-
-    A mark of size 0 carries no exposure on a sigma = 0 step: it is not
-    live, so with b = 0 the scenario keeps its theta1, where weighting it
-    would divide 0 by 0."""
-    live, weight = dual._jump_branch(np.array([0.0, 0.2, 1.0]), np.array([1.0, 2.0, 0.5]))
-    assert live.tolist() == [False, True, True]
-    assert weight.tolist() == pytest.approx([0.4 / 0.58, 0.5 / 0.58])
-    model = dl.MarketModel(drift=0.0, vol=0.0, jump_marks=(0.0,), jump_intensities=(1.0,),
-                           horizon=1.0)
-    grid = dl.TimeGrid(5, 1.0)
-    control = dl.scenario_from_theta1(model, grid, [0.2], 1.0)
-    assert np.all(control.theta0 == 0.0) and np.all(control.theta1 == 0.2)
-    driver = dual.dual_driver(model, grid)
-    assert np.all(driver.r_coeff == 0.0) and np.all(driver.q_coeff == 0.0)
-
-
 def test_off_optimum_scenario_replicates_strictly_worse(jump_model, log_pair):
     # replicability of the scenario's claim is equivalent to dual optimality:
     # away from the optimum the jump integrand is inconsistent with the

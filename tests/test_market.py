@@ -326,3 +326,25 @@ def test_every_path_array_is_a_view_of_time_major_rows(jump_model, log_pair):
     for name, values in arrays.items():
         assert values.shape[0] == 300, name
         assert values.T.flags.c_contiguous, name
+
+
+def test_mark_of_size_zero_is_not_live():
+    """Kills ``market.vanishing_vol``: ``gam != 0`` -> ``gam != 1``, and
+    ``dual.dual_driver``: ``np.where(degenerate, 0.0, ...)`` -> ``1.0``.
+
+    A mark of size 0 carries no exposure on a sigma = 0 step: it is not
+    live, so with b = 0 the scenario keeps its theta1, where weighting it
+    would divide 0 by 0."""
+    three = dl.MarketModel(drift=0.0, vol=0.0, jump_marks=(0.0, 0.2, 1.0),
+                           jump_intensities=(1.0, 2.0, 0.5), horizon=1.0)
+    branch = market.vanishing_vol(three, dl.TimeGrid(2, 1.0))
+    assert branch.steps.tolist() == [True, True]
+    assert branch.live.tolist() == [[False, True, True]] * 2
+    assert branch.weight[0].tolist() == pytest.approx([0.0, 0.4 / 0.58, 0.5 / 0.58])
+    model = dl.MarketModel(drift=0.0, vol=0.0, jump_marks=(0.0,), jump_intensities=(1.0,),
+                           horizon=1.0)
+    grid = dl.TimeGrid(5, 1.0)
+    control = dl.scenario_from_theta1(model, grid, [0.2], 1.0)
+    assert np.all(control.theta0 == 0.0) and np.all(control.theta1 == 0.2)
+    driver = dl.dual.dual_driver(model, grid)
+    assert np.all(driver.r_coeff == 0.0) and np.all(driver.q_coeff == 0.0)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import duallab as dl
+from duallab.market import terminal_log_wealth
+from duallab.mc import cv_mean
 
 from conftest import make_ensemble
 
@@ -127,8 +129,9 @@ def test_foc_residual_zero_drift(log_pair):
 
 def test_hamiltonian_derivative_vanishes_at_optimum(base_model, base_ens_50k, log_pair):
     sol = dl.solve_primal_search(base_model, log_pair, 1.0, [1.25], base_ens_50k)
-    deriv, se = dl.hamiltonian_derivative_check(sol)
-    assert abs(deriv) <= 3 * se + 1e-10
+    check = dl.hamiltonian_derivative_check(sol)
+    assert sorted(check) == ["estimate", "se"]
+    assert abs(check["estimate"]) <= 3 * check["se"] + 1e-10
 
 
 @pytest.mark.parametrize("pi", [0.625, 1.25, 2.0])
@@ -138,21 +141,47 @@ def test_hamiltonian_derivative_is_the_log_objective_slope(base_model, base_ens_
     bumped payoffs is affine in B_T, so the control-variate intercept is the
     slope to rounding.
 
-    Kills the mutants ``* (2.0 * BUMP)`` and ``2.0 / BUMP`` in the
+    Kills the mutant ``(u[:, 0] - u[:, 1]) * (bump[0] - bump[1])`` of the
     difference quotient of ``hamiltonian_derivative_check``, which the sign
     tests let live.
     """
     sol = dl.solve_primal_search(base_model, log_pair, 1.0, [pi], base_ens_5k)
-    deriv, se = dl.hamiltonian_derivative_check(sol)
+    check = dl.hamiltonian_derivative_check(sol)
+    deriv, se = check["estimate"], check["se"]
     slope = (base_model.drift - pi * base_model.vol**2) * base_model.horizon
     assert deriv == pytest.approx(slope, rel=1e-9, abs=1e-14)
     assert se < 1e-12
 
 
+@pytest.mark.parametrize("drift, mark, pi, side", [(60.0, -0.5, 1.98, "backward"),
+                                                   (-60.0, 0.5, -1.98, "forward")])
+def test_derivative_check_is_one_sided_next_to_an_inadmissible_bump(drift, mark, pi, side):
+    """Where pi + BUMP (or pi - BUMP) leaves 1 + pi*gamma > 0, the check
+    differences pi against its admissible bump and says which side it took,
+    instead of failing a valid search with AdmissibilityError.  The first
+    case is the argmax of a drift-60 market at mark -0.5, on the grid 0 to
+    2.5 by 0.01; the second its mirror image."""
+    model = dl.MarketModel(drift=drift, vol=0.2, jump_marks=(mark,), jump_intensities=(1.0,))
+    ens = make_ensemble(model, n_steps=20, n_paths=2_000, seed=1)
+    grid = np.round(0.01 * np.arange(251), 12) * np.sign(pi)
+    sol = dl.solve_primal_search(model, dl.make_log_utility(), 1.0, grid, ens)
+    assert sol.pi == pi
+    check = dl.hamiltonian_derivative_check(sol)
+    assert check["one_sided"] == side
+    bumped = pi - dl.primal.BUMP if side == "backward" else pi + dl.primal.BUMP
+    design = ens.terminal_design()
+    ln = terminal_log_wealth(model, ens, np.broadcast_to([pi, bumped], (20, 2)), 1.0,
+                                design=design)
+    ref = cv_mean((ln[:, 0] - ln[:, 1]) / (pi - bumped), design[:, 1:])
+    assert (check["estimate"], check["se"]) == pytest.approx(ref, rel=1e-12)
+    # the objective still rises toward the admissible edge
+    assert check["estimate"] > 0 if side == "backward" else check["estimate"] < 0
+
+
 def test_hamiltonian_derivative_positive_below_optimum(base_model, base_ens_50k, log_pair):
     sol = dl.solve_primal_search(base_model, log_pair, 1.0, [0.625], base_ens_50k)
-    deriv, se = dl.hamiltonian_derivative_check(sol)
-    assert deriv > 3 * se
+    check = dl.hamiltonian_derivative_check(sol)
+    assert check["estimate"] > 3 * check["se"]
 
 
 def test_value_monotone_in_initial_wealth(base_model, base_ens_5k, log_pair):

@@ -253,3 +253,19 @@ def test_closed_form_product_identity(base_model, base_ens_5k, log_pair, quad_pe
     sol = dl.solve_robust_dual(base_model, log_pair, quad_penalty, 1.0, base_ens_5k,
                                mu_values=[mu], adjoint_mode="analytic")
     assert np.max(np.abs(sol.adjoints.p * sol.density - 1.0)) < 1e-12
+
+
+def test_interior_summary_scales_by_the_mean_magnitude_of_its_reference():
+    """Every first-order report takes its scale from mc.interior_summary:
+    mean |reference|, and 0.0 for an empty reference, which leaves |raw|
+    unnormalized; an empty interior selection reports 0.0.  Kills the
+    mutants ``else 1.0`` of the scale and ``1.0 if empty`` of both
+    summaries."""
+    raw = np.array([[9.0], [1.0], [-3.0], [9.0]])  # the interior is rows 1 and 2
+    report = mc.interior_summary(raw, np.array([-2.0, 6.0]))
+    assert report["scale"] == 4.0
+    assert (report["mean_normalized"], report["max_normalized"]) == (0.5, 0.75)
+    unscaled = mc.interior_summary(raw, np.zeros((3, 0)))
+    assert unscaled["scale"] == 0.0 and unscaled["max_normalized"] == 3.0
+    masked = mc.interior_summary(raw, np.ones(2), mask=np.zeros(4, bool))
+    assert masked["mean_normalized"] == 0.0 and masked["max_normalized"] == 0.0
